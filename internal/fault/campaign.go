@@ -535,7 +535,14 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 		if cfg.Progress != nil {
 			sim.AttachProgress(cfg.Progress)
 		}
-		runners[i] = &trialRunner{sim: sim}
+		// Plan one trial so the worker's plan scratch (its sampler fork)
+		// and event buffer exist before the trial loop; with Fork's
+		// pre-sizing this keeps even a worker's first trial from
+		// allocating.
+		r := &trialRunner{sim: sim}
+		inj := e.planWith(0, &r.scratch)
+		r.evs = inj.appendEvents(r.evs)
+		runners[i] = r
 	}
 	span.RecordCtx(ctx, "fault", "worker_fork", forkStart, time.Now(),
 		map[string]any{"workers": workers})

@@ -436,12 +436,7 @@ func run(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*isa.M
 // mask removes compiler-private regions (spill slots) from the image;
 // OutputMemory already masks checkpoint storage.
 func mask(m *isa.Memory) *isa.Memory {
-	out := isa.NewMemory()
-	for _, e := range m.Snapshot() {
-		if e.Addr >= isa.StackBase && e.Addr < isa.StackLimit {
-			continue
-		}
-		out.Store(e.Addr, e.Val)
-	}
+	out := m.Clone()
+	out.ClearRange(isa.StackBase, isa.StackLimit)
 	return out
 }

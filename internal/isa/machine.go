@@ -1,132 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"sort"
-)
-
-// Memory is a sparse 64-bit word-addressable store. Addresses are byte
-// addresses; accesses are 8-byte aligned by construction of the compiler
-// (all displacements and strides are multiples of 8).
-type Memory struct {
-	words map[uint64]uint64
-}
-
-// NewMemory returns an empty memory image.
-func NewMemory() *Memory { return &Memory{words: make(map[uint64]uint64)} }
-
-// Load reads the 64-bit word at addr (zero if never written).
-func (m *Memory) Load(addr uint64) uint64 { return m.words[addr] }
-
-// Store writes the 64-bit word at addr.
-func (m *Memory) Store(addr, val uint64) {
-	if val == 0 {
-		// Keep the image canonical: a zero store erases the entry so two
-		// memories with the same observable contents compare equal.
-		delete(m.words, addr)
-		return
-	}
-	m.words[addr] = val
-}
-
-// Len returns the number of non-zero words.
-func (m *Memory) Len() int { return len(m.words) }
-
-// Clone returns a deep copy.
-func (m *Memory) Clone() *Memory {
-	c := NewMemory()
-	for a, v := range m.words {
-		c.words[a] = v
-	}
-	return c
-}
-
-// Equal reports whether two memories hold identical contents.
-func (m *Memory) Equal(o *Memory) bool {
-	if len(m.words) != len(o.words) {
-		return false
-	}
-	for a, v := range m.words {
-		if o.words[a] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Diff returns a human-readable summary of up to max differing words,
-// for test failure messages.
-func (m *Memory) Diff(o *Memory, max int) string {
-	type d struct {
-		addr   uint64
-		mv, ov uint64
-	}
-	var ds []d
-	for a, v := range m.words {
-		if o.words[a] != v {
-			ds = append(ds, d{a, v, o.words[a]})
-		}
-	}
-	for a, v := range o.words {
-		if _, ok := m.words[a]; !ok {
-			ds = append(ds, d{a, 0, v})
-		}
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].addr < ds[j].addr })
-	if len(ds) > max {
-		ds = ds[:max]
-	}
-	s := ""
-	for _, x := range ds {
-		s += fmt.Sprintf("  [0x%x] %d != %d\n", x.addr, x.mv, x.ov)
-	}
-	return s
-}
-
-// MemEntry is one address/value pair of a memory image snapshot.
-type MemEntry = struct{ Addr, Val uint64 }
-
-// Snapshot returns addr->value pairs sorted by address, for hashing and
-// deterministic comparison in tests.
-func (m *Memory) Snapshot() []MemEntry {
-	out := make([]MemEntry, 0, len(m.words))
-	for a, v := range m.words {
-		out = append(out, MemEntry{a, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-// ResetTo restores m to exactly the contents of snap (as returned by
-// Snapshot). The map's buckets are retained across calls, so once a
-// memory has grown to a campaign trial's footprint, resetting it to the
-// golden image allocates nothing.
-func (m *Memory) ResetTo(snap []MemEntry) {
-	clear(m.words)
-	for _, e := range snap {
-		m.words[e.Addr] = e.Val
-	}
-}
-
-// EqualMasked reports whether m and o hold identical contents outside
-// the two masked address ranges [aLo,aHi) and [bLo,bHi). o must already
-// be masked (hold no words in either range) — campaign golden images
-// are; entries of m inside the ranges are skipped. It is the
-// allocation-free equivalent of copying m minus the masked ranges into
-// a fresh image and calling Equal.
-func (m *Memory) EqualMasked(o *Memory, aLo, aHi, bLo, bHi uint64) bool {
-	n := 0
-	for a, v := range m.words {
-		if (a >= aLo && a < aHi) || (a >= bLo && a < bHi) {
-			continue
-		}
-		if o.words[a] != v {
-			return false
-		}
-		n++
-	}
-	return n == len(o.words)
-}
+import "fmt"
 
 // Machine is the functional reference implementation of the ISA. It has no
 // timing, no store buffer, and no fault model; CKPT writes directly to color
@@ -274,14 +148,7 @@ func (m *Machine) Run() error {
 // Checkpoint slots are scheme implementation detail, not program output, so
 // functional-equivalence checks across schemes must ignore them.
 func (m *Machine) OutputMemory() *Memory {
-	out := NewMemory()
-	lo := m.Prog.CkptBase
-	hi := m.Prog.CkptBase + NumRegs*NumColors*8
-	for a, v := range m.Mem.words {
-		if a >= lo && a < hi {
-			continue
-		}
-		out.words[a] = v
-	}
+	out := m.Mem.Clone()
+	out.ClearRange(m.Prog.CkptBase, m.Prog.CkptBase+NumRegs*NumColors*8)
 	return out
 }

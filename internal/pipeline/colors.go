@@ -68,3 +68,26 @@ func (cm *colorMaps) squash(r isa.Reg, color int) {
 // verified returns reg's verified color, or -1 when reg has never had a
 // verified checkpoint (its slot 0 holds the initial image, by convention).
 func (cm *colorMaps) verified(r isa.Reg) int { return cm.vc[r] }
+
+// usedColors is one region's UC map: the color each register's
+// checkpoint took in the region. regs has bit r set when register r
+// holds one, and walking it lowest bit first visits registers in order.
+// Each register's pool is independent, so the order in which verify and
+// squash visit registers cannot change a result.
+type usedColors struct {
+	regs  uint64
+	color [isa.NumRegs]int8
+}
+
+// The regs bitmask must have a bit per register.
+var _ [64 - isa.NumRegs]struct{}
+
+func (u *usedColors) has(r isa.Reg) bool { return u.regs&(1<<r) != 0 }
+
+// of returns r's color; only meaningful when has(r).
+func (u *usedColors) of(r isa.Reg) int { return int(u.color[r]) }
+
+func (u *usedColors) set(r isa.Reg, c int) {
+	u.regs |= 1 << r
+	u.color[r] = int8(c)
+}

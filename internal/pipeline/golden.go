@@ -17,25 +17,29 @@ import (
 type GoldenState struct {
 	prog *isa.Program
 	cfg  Config
-	init []isa.MemEntry
+	init *isa.Memory // frozen seeded image; forks share its pages
 	img  cache.Image
 
 	stats   Stats
 	output  *isa.Memory
 	regions int // dynamic regions the golden run bound (arena pre-size)
+	// memSpan and memOwned are the golden run's page-table length and
+	// written-page count (memory pre-size).
+	memSpan, memOwned int
 }
 
 // CaptureGolden snapshots s's pre-execution state (program,
-// configuration, seeded memory image), runs the golden execution to
-// completion on s, and captures the warmed cache hierarchy. s must be
-// freshly constructed — seeded, with attachments if desired, but not yet
+// configuration, and the seeded memory image, frozen so that forks share
+// its pages copy-on-write), runs the golden execution to completion on
+// s, and captures the warmed cache hierarchy. s must be freshly
+// constructed — seeded, with attachments if desired, but not yet
 // stepped. After a successful capture s itself is at the golden halt
 // state and may be discarded or Reset.
 func CaptureGolden(s *Sim) (*GoldenState, error) {
 	if s.halted || s.Stats.Insts != 0 || s.cycle != 1 {
 		return nil, fmt.Errorf("pipeline: CaptureGolden needs an unstepped simulator")
 	}
-	g := &GoldenState{prog: s.Prog, cfg: s.Cfg, init: s.Mem.Snapshot()}
+	g := &GoldenState{prog: s.Prog, cfg: s.Cfg, init: s.Mem.Freeze()}
 	st, err := s.Run()
 	if err != nil {
 		return nil, err
@@ -43,6 +47,7 @@ func CaptureGolden(s *Sim) (*GoldenState, error) {
 	g.stats = st
 	g.output = s.OutputMemory()
 	g.regions = s.regionsUsed
+	g.memSpan, g.memOwned = s.Mem.PageUse()
 	s.hier.Snapshot(&g.img)
 	return g, nil
 }
@@ -71,13 +76,17 @@ func (g *GoldenState) Fork() (*Sim, error) {
 	}
 	// Pre-size the region arena for the golden run's region count plus
 	// recovery headroom (each recovery re-binds the regions it squashed
-	// as fresh dynamic regions), so injected trials recycle records
-	// instead of growing the arena one region at a time. A trial that
-	// still outruns the arena just grows it — correctness is unaffected.
+	// as fresh dynamic regions), the memory's page table and spare pages
+	// for the golden run's footprint, and the detection queue to its
+	// bound, so injected trials recycle records and pages instead of
+	// growing them one at a time. A trial that still outruns the arena or
+	// the pages just grows them — correctness is unaffected.
 	const regionSlack = 32
 	for len(s.regionArena) < g.regions+regionSlack {
-		s.regionArena = append(s.regionArena, &regionInst{colors: make(map[isa.Reg]int, isa.NumRegs)})
+		s.regionArena = append(s.regionArena, &regionInst{})
 	}
+	s.Mem.Reserve(g.memSpan, g.memOwned)
+	s.pendingDetects = make([]detectEvent, 0, s.Cfg.DetectQueue)
 	g.Reset(s)
 	return s, nil
 }
@@ -85,11 +94,12 @@ func (g *GoldenState) Fork() (*Sim, error) {
 // Reset reprimes a forked simulator for the next trial: architectural
 // state, caches, and every micro-architectural structure return to the
 // trial-start snapshot, while the simulator's grown buffers (store
-// buffer, RBB and its region arena, memory map, predictor table, color
-// free lists) keep their capacity — the steady-state reset allocates
-// nothing. Observability attachments (AttachObs, AttachLogger,
-// AttachProgress) are preserved. s must have been built for the same
-// program and configuration as the snapshot (normally via Fork).
+// buffer, RBB and its region arena, memory pages, color free lists) keep
+// their capacity — the steady-state reset allocates nothing, and the
+// memory swaps back only the pages the last trial wrote. Observability
+// attachments (AttachObs, AttachLogger, AttachProgress) are preserved. s
+// must have been built for the same program and configuration as the
+// snapshot (normally via Fork).
 func (g *GoldenState) Reset(s *Sim) {
 	s.Regs = [isa.NumRegs]uint64{}
 	s.Taint = [isa.NumRegs]bool{}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -179,6 +180,63 @@ func TestGoldenForkIsolation(t *testing.T) {
 				t.Errorf("post-Reset stats diverged: %+v vs %+v", st, refStats)
 			}
 		})
+	}
+	t.Run("concurrent-forks", concurrentForks)
+}
+
+// concurrentForks: forks share the frozen seeded image's pages, so
+// trials running concurrently on several forks — each writing,
+// corrupting and resetting its own memory — must leave the image, the
+// golden output and every sibling's results untouched.
+func concurrentForks(t *testing.T) {
+	gs := captureBench(t, 60)
+	initImage := gs.init.Snapshot()
+	goldenImage := gs.Output().Snapshot()
+	insts := gs.Stats().Insts
+	trial := func(s *Sim, i int) trialResult {
+		gs.Reset(s)
+		if i%3 == 0 {
+			s.Mem.Store(isa.DataBase+uint64(i)*8, 0xBAD) // a wild store into a shared page
+		}
+		return runInjected(s, isa.Reg(1+i%31), uint((i*7)%64), 1+uint64(i)*insts/13, 1+i%10)
+	}
+	ref, err := gs.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const forks, trials = 4, 12
+	want := make([]trialResult, trials)
+	for i := range want {
+		want[i] = trial(ref, i)
+	}
+	got := make([][]trialResult, forks)
+	var wg sync.WaitGroup
+	for f := range got {
+		s, err := gs.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < trials; i++ {
+				got[f] = append(got[f], trial(s, (i+f)%trials))
+			}
+		}()
+	}
+	wg.Wait()
+	for f := range got {
+		for i, r := range got[f] {
+			if w := want[(i+f)%trials]; !reflect.DeepEqual(r, w) {
+				t.Errorf("fork %d trial %d diverged from the serial run", f, (i+f)%trials)
+			}
+		}
+	}
+	if !reflect.DeepEqual(gs.init.Snapshot(), initImage) {
+		t.Error("frozen seeded image changed under concurrent forks")
+	}
+	if !reflect.DeepEqual(gs.Output().Snapshot(), goldenImage) {
+		t.Error("golden output changed under concurrent forks")
 	}
 }
 

@@ -87,8 +87,8 @@ func (s *Sim) CheckInvariants() error {
 				}
 			}
 			for _, reg := range s.rbb {
-				if c, ok := reg.colors[r]; ok {
-					if err := claim(c, fmt.Sprintf("UC(region %d)", reg.id)); err != nil {
+				if reg.colors.has(r) {
+					if err := claim(reg.colors.of(r), fmt.Sprintf("UC(region %d)", reg.id)); err != nil {
 						return err
 					}
 				}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 )
@@ -326,8 +327,9 @@ func (s *Sim) recover() error {
 
 	for _, r := range s.rbb {
 		if s.colors != nil {
-			for reg, c := range r.colors {
-				s.colors.squash(reg, c)
+			for regs := r.colors.regs; regs != 0; regs &= regs - 1 {
+				reg := isa.Reg(bits.TrailingZeros64(regs))
+				s.colors.squash(reg, r.colors.of(reg))
 			}
 		}
 		s.regionClosed(r, true)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -20,7 +21,7 @@ type regionInst struct {
 	end      uint64 // 0 while open
 	verifyAt uint64 // end + WCDL; infCycle while open
 	verified bool
-	colors   map[isa.Reg]int // UC: colors used by this region's checkpoints
+	colors   usedColors // UC: colors used by this region's checkpoints
 
 	// Per-region observability counters (events.go).
 	warFree, colored, quarantined int
@@ -48,7 +49,7 @@ type Sim struct {
 	regReady  [isa.NumRegs]uint64
 	hier      *cache.Hierarchy
 	sb        *storeBuffer
-	predictor map[int]uint8 // bimodal 2-bit counters per branch PC
+	predictor []uint8 // bimodal 2-bit counters, indexed by PC
 
 	// Resilience state.
 	rbb        []*regionInst
@@ -153,7 +154,7 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 		PC:          prog.Entry,
 		hier:        hier,
 		sb:          newStoreBuffer(cfg.SBSize),
-		predictor:   map[int]uint8{},
+		predictor:   make([]uint8, len(prog.Insts)),
 		cycle:       1,
 		lastRestart: -1,
 	}
@@ -210,29 +211,18 @@ func (s *Sim) OutputMemory() *isa.Memory {
 			out.Store(e.addr, e.val)
 		}
 	}
-	lo := s.Prog.CkptBase
-	hi := s.Prog.CkptBase + isa.NumRegs*isa.NumColors*8
-	res := isa.NewMemory()
-	for _, kv := range out.Snapshot() {
-		if kv.Addr >= lo && kv.Addr < hi {
-			continue
-		}
-		res.Store(kv.Addr, kv.Val)
-	}
-	return res
+	out.ClearRange(s.Prog.CkptBase, s.Prog.CkptBase+isa.NumRegs*isa.NumColors*8)
+	return out
 }
 
 // newRegion hands out a zeroed dynamic-region record, recycling the
-// arena built up by earlier trials of a GoldenState campaign. A recycled
-// record keeps its colors map (cleared) so steady-state trials allocate
-// no per-region state at all.
+// arena built up by earlier trials of a GoldenState campaign, so
+// steady-state trials allocate no per-region state at all.
 func (s *Sim) newRegion() *regionInst {
 	if s.regionsUsed < len(s.regionArena) {
 		r := s.regionArena[s.regionsUsed]
 		s.regionsUsed++
-		colors := r.colors
-		clear(colors)
-		*r = regionInst{colors: colors}
+		*r = regionInst{}
 		return r
 	}
 	r := &regionInst{}
@@ -297,8 +287,9 @@ func (s *Sim) processVerifications() {
 		s.regionClosed(r, false)
 		// Colors: UC -> VC, reclaiming previous VC colors.
 		if s.colors != nil {
-			for reg, c := range r.colors {
-				s.colors.verify(reg, c)
+			for regs := r.colors.regs; regs != 0; regs &= regs - 1 {
+				reg := isa.Reg(bits.TrailingZeros64(regs))
+				s.colors.verify(reg, r.colors.of(reg))
 			}
 		}
 		// CLQ bookkeeping: free the region's entry. Re-enabling after an
@@ -757,15 +748,12 @@ func (s *Sim) commitCkpt(in *isa.Inst) (recovered bool, err error) {
 			}
 			return recovered, err
 		}
-		if prev, used := s.cur.colors[r]; used {
+		if s.cur.colors.has(r) {
 			// Second checkpoint of r in one region: the earlier color is
 			// superseded; reclaim it immediately.
-			s.colors.squash(r, prev)
+			s.colors.squash(r, s.cur.colors.of(r))
 		}
-		if s.cur.colors == nil {
-			s.cur.colors = make(map[isa.Reg]int, isa.NumRegs)
-		}
-		s.cur.colors[r] = color
+		s.cur.colors.set(r, color)
 		addr := s.Prog.CkptSlot(r, color)
 		s.Stats.CkptStores++
 		if s.degraded() && s.degradedHeadroom() {

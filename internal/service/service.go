@@ -656,17 +656,22 @@ func (s *Service) runJob(id string) {
 	s.cfg.Spans.Record(jobCtx, "service", "persist", pstart, time.Now(),
 		map[string]any{"at": "attempt-start"})
 	s.mu.Unlock()
-	s.log.InfoContext(jobCtx, "attempt start",
-		"attempt", attempt, "workload", spec.Workload(),
-		"trials", spec.Trials, "seed", spec.Seed)
 
 	runCtx, attemptSpan := span.Start(runCtx, "service", "attempt")
 	attemptSpan.SetArg("attempt", attempt)
 	attemptSpan.SetArg("workload", spec.Workload())
+	s.log.InfoContext(jobCtx, "attempt start",
+		"attempt", attempt, "workload", spec.Workload(),
+		"trials", spec.Trials, "seed", spec.Seed)
 	started := time.Now()
 	res, err := s.cfg.Executor.Execute(runCtx, spec, ckpt)
 	elapsed := time.Since(started)
 	attemptSpan.End()
+	// settle spans the outcome's bookkeeping — checkpoint cleanup, the
+	// outcome log line and persist — so a short job's window stays
+	// attributed to named phases. It ends under the lock, so a reader
+	// that sees the outcome also sees every span of the attempt.
+	settleCtx, settle := span.Start(jobCtx, "service", "settle")
 	cancel()
 	if s.attemptLat != nil {
 		s.attemptLat.Observe(uint64(elapsed.Microseconds()))
@@ -751,10 +756,11 @@ func (s *Service) runJob(id string) {
 		if err := s.persistLocked(); err != nil {
 			s.warn(jobCtx, err)
 		}
-		s.cfg.Spans.Record(jobCtx, "service", "persist", pstart, time.Now(),
+		s.cfg.Spans.Record(settleCtx, "service", "persist", pstart, time.Now(),
 			map[string]any{"at": "outcome"})
 	}
 	s.updateGauges()
+	settle.End()
 }
 
 // dumpEvents writes the flight recorder's timeline for one failed job to

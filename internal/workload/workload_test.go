@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -187,5 +188,61 @@ func TestCharacterizeAll(t *testing.T) {
 		if c.LoadPct+c.StorePct+c.BranchPct > 100 {
 			t.Errorf("%s: fractions exceed 100%%", c.Name)
 		}
+	}
+}
+
+// seededAddrs returns the addresses of p's seeded input image, sorted.
+func seededAddrs(p Profile) []uint64 {
+	m := isa.NewMemory()
+	p.SeedMemory(m)
+	var out []uint64
+	for _, e := range m.Snapshot() {
+		out = append(out, e.Addr)
+	}
+	return out
+}
+
+// TestDenseWindowCoversBenchmarks pins isa.DenseLimit to the built-in
+// benchmarks: every seeded word and the checkpoint storage lie inside
+// the paged window, and its last page holds a seeded word, so the
+// window (and what one memory can pin) is no larger than they need.
+func TestDenseWindowCoversBenchmarks(t *testing.T) {
+	if hi := isa.DefaultCkptBase + isa.NumRegs*isa.NumColors*8; hi > isa.DenseLimit {
+		t.Fatalf("checkpoint storage ends at %#x, past the dense window %#x", hi, isa.DenseLimit)
+	}
+	var top uint64
+	for _, p := range Benchmarks() {
+		addrs := seededAddrs(p)
+		if a := addrs[len(addrs)-1]; a >= isa.DenseLimit {
+			t.Errorf("%s seeds %#x, past the dense window %#x", p.Name, a, isa.DenseLimit)
+		} else if a > top {
+			top = a
+		}
+	}
+	if top < isa.DenseLimit-4096 {
+		t.Errorf("highest seeded word %#x leaves the window's last page %#x unused", top, isa.DenseLimit-4096)
+	}
+}
+
+// TestCheckpointWindowOverlap pins which benchmarks seed input words
+// inside the checkpoint storage [DefaultCkptBase, +NumRegs*NumColors*8):
+// campaign classification masks that window, so an SDC landing there is
+// invisible on exactly these benchmarks (DESIGN.md, stated scope limits).
+// The set must not grow silently.
+func TestCheckpointWindowOverlap(t *testing.T) {
+	lo := isa.DefaultCkptBase
+	hi := lo + isa.NumRegs*isa.NumColors*8
+	var got []string
+	for _, p := range Benchmarks() {
+		for _, a := range seededAddrs(p) {
+			if a >= lo && a < hi {
+				got = append(got, p.Name)
+				break
+			}
+		}
+	}
+	want := []string{"mcf", "cactubssn", "fotonik3d", "lbm", "mcf17", "ocean-ng"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("benchmarks seeding the checkpoint window: %v, want %v", got, want)
 	}
 }
