@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -25,10 +26,13 @@ type Config struct {
 
 // Cache is one set-associative level with LRU replacement.
 type Cache struct {
-	cfg   Config
-	sets  int
-	tags  [][]uint64 // [set][way], tag values; 0 means empty (tag 0 offset by +1)
-	lru   [][]uint64 // [set][way], last-touch stamps
+	cfg  Config
+	sets int
+	// tags and lru are flat [set*assoc+way] arrays, so a snapshot or a
+	// restore is one copy each: tag values (0 means empty; tags are
+	// offset by +1) and last-touch stamps.
+	tags  []uint64
+	lru   []uint64
 	stamp uint64
 
 	Hits   uint64
@@ -48,14 +52,7 @@ func New(cfg Config) (*Cache, error) {
 	if sets == 0 || sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
-	c := &Cache{cfg: cfg, sets: sets}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Assoc)
-		c.lru[i] = make([]uint64, cfg.Assoc)
-	}
-	return c, nil
+	return &Cache{cfg: cfg, sets: sets, tags: make([]uint64, lines), lru: make([]uint64, lines)}, nil
 }
 
 // MustNew is New for static configurations.
@@ -72,15 +69,21 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(line) & (c.sets - 1), line/uint64(c.sets) + 1 // +1 so 0 = empty
 }
 
+// ways returns set's tag and stamp slots.
+func (c *Cache) ways(set int) (tags, lru []uint64) {
+	lo, hi := set*c.cfg.Assoc, (set+1)*c.cfg.Assoc
+	return c.tags[lo:hi:hi], c.lru[lo:hi:hi]
+}
+
 // Access touches addr, returning whether it hit and installing the line on
 // miss (allocate-on-miss for both reads and writes).
 func (c *Cache) Access(addr uint64) bool {
 	set, tag := c.index(addr)
 	c.stamp++
-	ways := c.tags[set]
+	ways, lru := c.ways(set)
 	for w, t := range ways {
 		if t == tag {
-			c.lru[set][w] = c.stamp
+			lru[w] = c.stamp
 			c.Hits++
 			return true
 		}
@@ -88,20 +91,21 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Misses++
 	// Install into LRU way.
 	victim := 0
-	for w := 1; w < len(ways); w++ {
-		if c.lru[set][w] < c.lru[set][victim] {
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
 	ways[victim] = tag
-	c.lru[set][victim] = c.stamp
+	lru[victim] = c.stamp
 	return false
 }
 
 // Contains reports whether addr's line is resident, without touching LRU.
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	for _, t := range c.tags[set] {
+	ways, _ := c.ways(set)
+	for _, t := range ways {
 		if t == tag {
 			return true
 		}
@@ -114,44 +118,28 @@ func (c *Cache) HitLatency() int { return c.cfg.HitLatency }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			c.tags[s][w] = 0
-			c.lru[s][w] = 0
-		}
-	}
+	clear(c.tags)
+	clear(c.lru)
 	c.stamp, c.Hits, c.Misses = 0, 0, 0
 }
 
-// levelImage is one cache level's captured replacement state, flattened
-// to [set*assoc] so a snapshot is two copies, not thousands of slices.
+// levelImage is one cache level's captured replacement state.
 type levelImage struct {
 	tags, lru []uint64
 	stamp     uint64
 }
 
 func (c *Cache) snapshotInto(img *levelImage) {
-	n := c.sets * c.cfg.Assoc
-	if cap(img.tags) < n {
-		img.tags = make([]uint64, n)
-		img.lru = make([]uint64, n)
-	}
-	img.tags = img.tags[:n]
-	img.lru = img.lru[:n]
-	for s := range c.tags {
-		copy(img.tags[s*c.cfg.Assoc:], c.tags[s])
-		copy(img.lru[s*c.cfg.Assoc:], c.lru[s])
-	}
+	img.tags = append(img.tags[:0], c.tags...)
+	img.lru = append(img.lru[:0], c.lru...)
 	img.stamp = c.stamp
 }
 
 // restoreFrom primes the level's contents from img and zeroes the
 // hit/miss counters; img must come from a level with the same geometry.
 func (c *Cache) restoreFrom(img *levelImage) {
-	for s := range c.tags {
-		copy(c.tags[s], img.tags[s*c.cfg.Assoc:(s+1)*c.cfg.Assoc])
-		copy(c.lru[s], img.lru[s*c.cfg.Assoc:(s+1)*c.cfg.Assoc])
-	}
+	copy(c.tags, img.tags)
+	copy(c.lru, img.lru)
 	c.stamp = img.stamp
 	c.Hits, c.Misses = 0, 0
 }
@@ -162,23 +150,96 @@ func (c *Cache) restoreFrom(img *levelImage) {
 // after the first Snapshot into an Image, both directions are
 // allocation-free.
 type Image struct {
-	l1i, l1d, l2 levelImage
+	lv [3]levelImage // L1I, L1D, L2
 }
 
 // Snapshot captures the hierarchy's replacement state into img.
 func (h *Hierarchy) Snapshot(img *Image) {
-	h.L1I.snapshotInto(&img.l1i)
-	h.L1D.snapshotInto(&img.l1d)
-	h.L2.snapshotInto(&img.l2)
+	for i, c := range h.levels() {
+		c.snapshotInto(&img.lv[i])
+	}
 }
 
 // Restore primes the hierarchy from img and zeroes the per-level
 // hit/miss counters, so a restored simulator's statistics count only
 // its own run. img must come from a hierarchy with the same geometry.
 func (h *Hierarchy) Restore(img *Image) {
-	h.L1I.restoreFrom(&img.l1i)
-	h.L1D.restoreFrom(&img.l1d)
-	h.L2.restoreFrom(&img.l2)
+	for i, c := range h.levels() {
+		c.restoreFrom(&img.lv[i])
+	}
+}
+
+// Clock is a hierarchy's per-level LRU clock. A set touched after the
+// clock was read holds a newer stamp than it.
+type Clock [3]uint64
+
+// Clock returns the clock the image was taken at.
+func (img *Image) Clock() Clock {
+	return Clock{img.lv[0].stamp, img.lv[1].stamp, img.lv[2].stamp}
+}
+
+// Delta is the part of a hierarchy's state that changed after a Clock:
+// every set holding a newer LRU stamp, by value, plus each level's clock
+// and hit/miss counters. Restoring an Image and then applying, in order,
+// a chain of deltas each taken since the previous one's clock rebuilds
+// the hierarchy exactly as it was when the last delta was taken.
+type Delta struct {
+	lv [3]levelDelta // L1I, L1D, L2
+}
+
+// levelDelta is one level's changed sets: their indices, and their tags
+// and stamps (assoc entries per set).
+type levelDelta struct {
+	sets                []int32
+	tags, lru           []uint64
+	stamp, hits, misses uint64
+}
+
+// DeltaSince captures every set of h touched after since.
+func (h *Hierarchy) DeltaSince(since Clock) Delta {
+	var d Delta
+	for i, c := range h.levels() {
+		ld := &d.lv[i]
+		for set := range c.sets {
+			tags, lru := c.ways(set)
+			if slices.Max(lru) > since[i] {
+				ld.sets = append(ld.sets, int32(set))
+				ld.tags = append(ld.tags, tags...)
+				ld.lru = append(ld.lru, lru...)
+			}
+		}
+		ld.stamp, ld.hits, ld.misses = c.stamp, c.Hits, c.Misses
+	}
+	return d
+}
+
+// Apply writes d's sets, clocks and counters into h, which must have
+// the geometry d was taken from.
+func (h *Hierarchy) Apply(d *Delta) {
+	for i, c := range h.levels() {
+		ld := &d.lv[i]
+		a := c.cfg.Assoc
+		for k, set := range ld.sets {
+			tags, lru := c.ways(int(set))
+			copy(tags, ld.tags[k*a:])
+			copy(lru, ld.lru[k*a:])
+		}
+		c.stamp, c.Hits, c.Misses = ld.stamp, ld.hits, ld.misses
+	}
+}
+
+// Clock returns the clock d was taken at.
+func (d *Delta) Clock() Clock {
+	return Clock{d.lv[0].stamp, d.lv[1].stamp, d.lv[2].stamp}
+}
+
+// Bytes returns the size of d's set records.
+func (d *Delta) Bytes() int {
+	n := 0
+	for i := range d.lv {
+		n += 4*len(d.lv[i].sets) + 8*(len(d.lv[i].tags)+len(d.lv[i].lru))
+	}
+	return n
 }
 
 // Hierarchy is the two-level hierarchy with a flat memory behind it.
@@ -257,18 +318,21 @@ func (h *Hierarchy) InstAccess(addr uint64) int {
 	return h.L2.HitLatency() + h.MemLatency
 }
 
+// levels returns the hierarchy's caches in Image and Delta order.
+func (h *Hierarchy) levels() [3]*Cache { return [3]*Cache{h.L1I, h.L1D, h.L2} }
+
 // Reset clears all levels.
 func (h *Hierarchy) Reset() {
-	h.L1I.Reset()
-	h.L1D.Reset()
-	h.L2.Reset()
+	for _, c := range h.levels() {
+		c.Reset()
+	}
 }
 
 // FillRegistry exports per-level hit/miss counters and hit rates into reg
 // under "cache.<level>.*". Values add on repeat calls; use a fresh
 // registry per run.
 func (h *Hierarchy) FillRegistry(reg *obs.Registry) {
-	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
+	for _, c := range h.levels() {
 		c.FillRegistry(reg)
 	}
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestGeometryValidation(t *testing.T) {
 	if _, err := New(Config{Name: "bad", SizeBytes: 0, Assoc: 2}); err == nil {
@@ -96,5 +99,58 @@ func TestReset(t *testing.T) {
 	c.Reset()
 	if c.Contains(0x100) || c.Hits != 0 || c.Misses != 0 {
 		t.Fatal("reset incomplete")
+	}
+}
+
+// TestDeltaChain: restoring an Image and applying, in order, deltas each
+// taken since the previous one's clock rebuilds the hierarchy exactly —
+// contents, clocks and hit/miss counters — and a delta holds only the
+// sets touched since its clock.
+func TestDeltaChain(t *testing.T) {
+	h := MustNewHierarchy(DefaultHierarchyConfig())
+	for a := uint64(0); a < 1<<17; a += 192 {
+		h.DataAccess(a)
+		h.InstAccess(a / 4)
+	}
+	var img Image
+	h.Snapshot(&img)
+	clock := img.Clock()
+	type state struct {
+		img          Image
+		hits, misses [3]uint64
+	}
+	stateOf := func(h *Hierarchy) state {
+		var s state
+		h.Snapshot(&s.img)
+		for i, c := range h.levels() {
+			s.hits[i], s.misses[i] = c.Hits, c.Misses
+		}
+		return s
+	}
+	h.Restore(&img)
+	var deltas []Delta
+	var want []state
+	for round := range 6 {
+		for i := range uint64(round * 300) {
+			h.DataAccess(i * 4160 % (1 << 19))
+		}
+		d := h.DeltaSince(clock)
+		clock = d.Clock()
+		deltas = append(deltas, d)
+		want = append(want, stateOf(h))
+	}
+	h.Restore(&img)
+	h.DataAccess((1<<17 - 1) / 192 * 192) // the last line warmed: an L1D hit
+	if d := h.DeltaSince(img.Clock()); len(d.lv[0].sets) != 0 || len(d.lv[1].sets) != 1 || len(d.lv[2].sets) != 0 {
+		t.Fatalf("one L1D hit is a delta of %d/%d/%d sets, want 0/1/0",
+			len(d.lv[0].sets), len(d.lv[1].sets), len(d.lv[2].sets))
+	}
+	r := MustNewHierarchy(DefaultHierarchyConfig())
+	r.Restore(&img)
+	for i := range deltas {
+		r.Apply(&deltas[i])
+		if got := stateOf(r); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("after %d deltas the hierarchy differs from the one they were taken from", i+1)
+		}
 	}
 }

@@ -222,3 +222,25 @@ func planFor(t *testing.T, prog *isa.Program, cfg Config, seedMem func(*isa.Memo
 	}
 	return e.plan(trial)
 }
+
+// TestEventScheduleOrder pins the fault-event schedule's order: by
+// instruction point, and on ties the primary strike, then the burst
+// extras in injection order, then the false positives.
+func TestEventScheduleOrder(t *testing.T) {
+	inj := Injection{Reg: 1, AtInst: 10, Latency: 1,
+		Extra:          []Strike{{Reg: 2, AtInst: 10}, {Reg: 3, AtInst: 4}, {Reg: 4, AtInst: 10}},
+		FalsePositives: []FalsePositive{{AtInst: 10, Latency: 5}, {AtInst: 2, Latency: 6}}}
+	type ev struct {
+		at  uint64
+		reg isa.Reg
+		fp  int
+	}
+	var got []ev
+	for _, e := range inj.events() {
+		got = append(got, ev{e.atInst, e.strike.Reg, e.fpLat})
+	}
+	want := []ev{{2, 0, 6}, {4, 3, 0}, {10, 1, 0}, {10, 2, 0}, {10, 4, 0}, {10, 0, 5}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("schedule %v, want %v", got, want)
+	}
+}

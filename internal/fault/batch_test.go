@@ -121,28 +121,51 @@ func TestReplayFromBatchedRange(t *testing.T) {
 
 // TestTrialLoopAllocationFree pins the tentpole: once a worker's
 // simulator and scratch are warm, running a trial — plan derivation,
-// Reset, injected execution, classification — performs zero heap
-// allocations.
+// ResetAt, injected execution, classification — performs zero heap
+// allocations under a perfect mesh. An adversarial trial allocates only
+// what its record keeps: one Extra slice per burst and one
+// FalsePositives slice per spurious detection.
 func TestTrialLoopAllocationFree(t *testing.T) {
-	prog, p := compiled(t, "gcc", core.Turnpike)
-	cfg := Config{Trials: 32, Seed: 1, Workers: 1, FailureBudget: -1,
-		Sim: pipeline.TurnpikeConfig(4, 10)}
-	prep, err := Prepare(context.Background(), prog, cfg, p.SeedMemory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, r := prep.e, prep.runners[0]
-	ctx := context.Background()
-	var rec TrialRecord
-	for i := 0; i < cfg.Trials; i++ {
-		e.runTrial(ctx, r, i, &rec)
-	}
-	trial := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		e.runTrial(ctx, r, trial%cfg.Trials, &rec)
-		trial++
-	})
-	if allocs > 0.5 {
-		t.Fatalf("steady-state trial allocates %.2f objects/run, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		adv  *Adversary
+	}{{"perfect-mesh", nil}, {"adversarial", meshAdversary}} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, p := compiled(t, "gcc", core.Turnpike)
+			cfg := Config{Trials: 64, Seed: 1, Workers: 1, FailureBudget: -1,
+				Sim: pipeline.TurnpikeConfig(4, 10), Adversary: tc.adv}
+			prep, err := Prepare(context.Background(), prog, cfg, p.SeedMemory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, r := prep.e, prep.runners[0]
+			ctx := context.Background()
+			var rec TrialRecord
+			kept := 0
+			for i := 0; i < cfg.Trials; i++ {
+				e.runTrial(ctx, r, i, &rec)
+				if len(rec.Inj.Extra) > 0 {
+					kept++
+				}
+				if len(rec.Inj.FalsePositives) > 0 {
+					kept++
+				}
+				if rec.Outcome == DUE || rec.Err != "" {
+					t.Fatalf("trial %d ends in %v %q; its error allocates", i, rec.Outcome, rec.Err)
+				}
+			}
+			if tc.adv != nil && kept == 0 {
+				t.Fatal("no adversarial trial keeps an Extra or FalsePositives slice")
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				for i := 0; i < cfg.Trials; i++ {
+					e.runTrial(ctx, r, i, &rec)
+				}
+			})
+			if allocs > float64(kept) {
+				t.Fatalf("%d trials allocate %.0f objects, want at most the %d slices their records keep",
+					cfg.Trials, allocs, kept)
+			}
+		})
 	}
 }

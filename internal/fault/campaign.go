@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/isa"
@@ -230,7 +231,11 @@ func (e *engine) planWith(trial int, sc *planScratch) Injection {
 		// Burst size uniform in [1, BurstMax]; extras land within one
 		// nominal detection window of the primary, so several strikes
 		// share the pending-detection queue.
-		for n := 1 + s.Intn(adv.BurstMax); n > 1; n-- {
+		n := 1 + s.Intn(adv.BurstMax)
+		if n > 1 {
+			inj.Extra = make([]Strike, 0, n-1)
+		}
+		for ; n > 1; n-- {
 			ds := det.Sample()
 			inj.Extra = append(inj.Extra, Strike{
 				Reg:     isa.Reg(1 + s.Intn(isa.NumRegs-1)),
@@ -250,20 +255,21 @@ func (e *engine) planWith(trial int, sc *planScratch) Injection {
 	return inj
 }
 
-// exec runs one injection on the runner's simulator, Reset from the
-// golden snapshot, and reports whether the masked output matches the
-// golden image. The classification comparison runs in place
-// (isa.Memory.EqualMasked over the drained trial memory) — no clone, no
-// sorted snapshot — so a steady-state trial performs no comparison
-// allocations at all.
+// exec runs one injection on the runner's simulator, reset from the
+// golden snapshot at its last epoch before the first event (ResetAt; a
+// snapshot without epochs runs the trial from the start), and reports
+// whether the masked output matches the golden image. The
+// classification comparison runs in place (isa.Memory.EqualMasked over
+// the drained trial memory) — no clone, no sorted snapshot — so a
+// steady-state trial performs no comparison allocations at all.
 func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st pipeline.Stats, equal bool, err error) {
 	s := r.sim
-	e.gs.Reset(s)
+	r.evs = inj.appendEvents(r.evs[:0])
+	evs := r.evs
+	e.gs.ResetAt(s, evs[0].atInst)
 	if e.cfg.Logger != nil {
 		s.AttachLogger(ctx, e.cfg.Logger)
 	}
-	r.evs = inj.appendEvents(r.evs[:0])
-	evs := r.evs
 	next := 0
 	for !s.Halted() {
 		for next < len(evs) && s.Stats.Insts >= evs[next].atInst {
@@ -522,21 +528,26 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 	span.RecordCtx(ctx, "fault", "plan_derive", planStart, time.Now(),
 		map[string]any{"trials": cfg.Trials})
 
-	// Fork one primed simulator per worker now, so the trial phase pays
-	// only for trials: each worker's simulator is Reset — never rebuilt —
-	// between trials.
+	// Prime one simulator per worker now, so the trial phase pays only
+	// for trials: each worker's simulator is Reset — never rebuilt —
+	// between trials. Worker 0 adopts the golden-run simulator; the
+	// others fork.
 	forkStart := time.Now()
 	runners := make([]*trialRunner, workers)
 	for i := range runners {
-		sim, err := gs.Fork()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-		}
-		if cfg.Progress != nil {
-			sim.AttachProgress(cfg.Progress)
+		sim := gsim
+		if i == 0 {
+			gs.Adopt(sim)
+		} else {
+			if sim, err = gs.Fork(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+			}
+			if cfg.Progress != nil {
+				sim.AttachProgress(cfg.Progress)
+			}
 		}
 		// Plan one trial so the worker's plan scratch (its sampler fork)
-		// and event buffer exist before the trial loop; with Fork's
+		// and event buffer exist before the trial loop; with Adopt's
 		// pre-sizing this keeps even a worker's first trial from
 		// allocating.
 		r := &trialRunner{sim: sim}
@@ -552,10 +563,11 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 	// warm-start golden run, not the cold capture run — otherwise every
 	// recovered trial would report a slowdown below 1. The warm run
 	// executes on runner 0's simulator (Reset re-primes it before its
-	// first trial) and doubles as a determinism self-check on the forked
-	// state: its masked output must match the cold golden image.
+	// first trial), records the epochs trials resume from, and doubles
+	// as a determinism self-check on the forked state: its masked output
+	// must match the cold golden image.
 	warmStart := time.Now()
-	warmStats, err := runners[0].sim.Run()
+	warmStats, err := gs.RecordEpochs(runners[0].sim)
 	if err != nil {
 		return nil, fmt.Errorf("%w: warm golden run failed: %v", ErrInvalidConfig, err)
 	}
@@ -674,87 +686,94 @@ func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Dispatch leases of contiguous pending trials. Resumed campaigns
-	// leave holes in the pending list; a lease never spans one, so every
-	// leased range is fully pending.
-	work := make(chan trialRange, workers)
-	go func() {
-		defer close(work)
-		for i := 0; i < len(pending); {
-			j := i + 1
-			for j < len(pending) && j-i < lease && pending[j] == pending[j-1]+1 {
-				j++
-			}
-			select {
-			case work <- trialRange{lo: pending[i], hi: pending[j-1] + 1}:
-			case <-runCtx.Done():
-				return
-			}
-			i = j
+	// Lease out contiguous pending trials. Resumed campaigns leave holes
+	// in the pending list; a lease never spans one, so every leased
+	// range is fully pending. Workers claim leases in order through an
+	// atomic cursor: no dispatcher goroutine runs beside them and no
+	// worker blocks waiting for one.
+	leases := make([]trialRange, 0, (len(pending)+lease-1)/lease)
+	for i := 0; i < len(pending); {
+		j := i + 1
+		for j < len(pending) && j-i < lease && pending[j] == pending[j-1]+1 {
+			j++
 		}
-	}()
+		leases = append(leases, trialRange{lo: pending[i], hi: pending[j-1] + 1})
+		i = j
+	}
+	var nextLease atomic.Int64
 
 	var (
 		mu        sync.Mutex // guards records writes, failures, checkpoint cadence
 		sinceCkpt int
 		ckptErr   error
 	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard int, runner *trialRunner) {
-			defer wg.Done()
-			if cfg.Progress != nil {
-				cfg.Progress.Workers.Add(1)
-				defer cfg.Progress.Workers.Add(-1)
+	worker := func(shard int, runner *trialRunner) {
+		if cfg.Progress != nil {
+			cfg.Progress.Workers.Add(1)
+			defer cfg.Progress.Workers.Add(-1)
+		}
+		wctx := olog.WithShard(runCtx, shard)
+		// One span per worker covers its whole trial stream; the
+		// per-trial loop runs with the tracer detached, so the hot
+		// path records nothing and the ring holds per-worker phases,
+		// not tens of thousands of per-trial slivers.
+		sctx, shardSpan := span.Start(wctx, "fault", "shard_exec")
+		loopCtx := span.Detach(sctx)
+		executed := 0
+		for runCtx.Err() == nil {
+			k := int(nextLease.Add(1)) - 1
+			if k >= len(leases) {
+				break
 			}
-			wctx := olog.WithShard(runCtx, shard)
-			// One span per worker covers its whole trial stream; the
-			// per-trial loop runs with the tracer detached, so the hot
-			// path records nothing and the ring holds per-worker phases,
-			// not tens of thousands of per-trial slivers.
-			sctx, shardSpan := span.Start(wctx, "fault", "shard_exec")
-			loopCtx := span.Detach(sctx)
-			executed := 0
-			for tr := range work {
-				for t := tr.lo; t < tr.hi && runCtx.Err() == nil; t++ {
-					tctx := loopCtx
-					if log != nil {
-						tctx = olog.WithTrial(loopCtx, t)
-					}
-					rec := &slab[t]
-					e.runTrial(tctx, runner, t, rec)
-					executed++
-					if debugOn {
-						e.logTrial(tctx, rec)
-					}
-					mu.Lock()
-					records[t] = rec
-					sinceCkpt++
-					if rec.Outcome == SDC || rec.Outcome == Crash {
-						failures++
-						if budget > 0 && failures >= budget {
-							cancel()
-						}
-					}
-					if cfg.Checkpoint != "" && sinceCkpt >= every {
-						sinceCkpt = 0
-						ckptStart := time.Now()
-						err := e.save(records, goldenStats)
-						span.RecordCtx(sctx, "fault", "checkpoint_write", ckptStart, time.Now(),
-							map[string]any{"trial": t})
-						if err != nil && ckptErr == nil {
-							ckptErr = err
-							cancel()
-						}
-					}
-					mu.Unlock()
+			tr := leases[k]
+			for t := tr.lo; t < tr.hi && runCtx.Err() == nil; t++ {
+				tctx := loopCtx
+				if log != nil {
+					tctx = olog.WithTrial(loopCtx, t)
 				}
+				rec := &slab[t]
+				e.runTrial(tctx, runner, t, rec)
+				executed++
+				if debugOn {
+					e.logTrial(tctx, rec)
+				}
+				mu.Lock()
+				records[t] = rec
+				sinceCkpt++
+				if rec.Outcome == SDC || rec.Outcome == Crash {
+					failures++
+					if budget > 0 && failures >= budget {
+						cancel()
+					}
+				}
+				if cfg.Checkpoint != "" && sinceCkpt >= every {
+					sinceCkpt = 0
+					ckptStart := time.Now()
+					err := e.save(records, goldenStats)
+					span.RecordCtx(sctx, "fault", "checkpoint_write", ckptStart, time.Now(),
+						map[string]any{"trial": t})
+					if err != nil && ckptErr == nil {
+						ckptErr = err
+						cancel()
+					}
+				}
+				mu.Unlock()
 			}
-			shardSpan.SetArg("trials", executed)
-			shardSpan.End()
-		}(w, p.runners[w])
+		}
+		shardSpan.SetArg("trials", executed)
+		shardSpan.End()
 	}
+	// Worker 0 runs on the calling goroutine, so a one-worker campaign
+	// starts no goroutine at all.
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker(w, p.runners[w])
+		}()
+	}
+	worker(0, p.runners[0])
 	wg.Wait()
 
 	if cfg.Checkpoint != "" {
@@ -813,21 +832,15 @@ func errSuffix(s string) string {
 // Replay re-executes one recorded injection — from Result.Failures or a
 // checkpoint file — outside any campaign: golden run, injected run,
 // classification. It runs the injection through the same GoldenState
-// fork-and-Reset trial path campaign workers use, so a replayed trial is
-// byte-identical to its campaign record regardless of the campaign's
-// worker count or lease batching. On Crash the simulator's error is
-// returned alongside the outcome; any golden-run failure is an error
-// with outcome Crash.
+// trial path campaign workers use, but from the start (its golden state
+// records no epochs), so a replayed trial is byte-identical to its
+// campaign record regardless of the campaign's worker count, lease
+// batching or the epoch its trial resumed from. On Crash the
+// simulator's error is returned alongside the outcome; any golden-run
+// failure is an error with outcome Crash.
 func Replay(prog *isa.Program, cfg Config, seedMem func(*isa.Memory), inj Injection) (Outcome, pipeline.Stats, error) {
 	ctx := context.Background()
-	gsim, err := pipeline.NewContext(ctx, prog, cfg.Sim)
-	if err != nil {
-		return Crash, pipeline.Stats{}, fmt.Errorf("fault: golden run failed: %w", err)
-	}
-	if seedMem != nil {
-		seedMem(gsim.Mem)
-	}
-	gs, err := pipeline.CaptureGolden(gsim)
+	gs, sim, err := fromStart(ctx, prog, cfg, seedMem)
 	if err != nil {
 		return Crash, pipeline.Stats{}, fmt.Errorf("fault: golden run failed: %w", err)
 	}
@@ -837,17 +850,32 @@ func Replay(prog *isa.Program, cfg Config, seedMem func(*isa.Memory), inj Inject
 		ckptLo: prog.CkptBase,
 		ckptHi: prog.CkptBase + isa.NumRegs*isa.NumColors*8,
 	}
-	sim, err := gs.Fork()
-	if err != nil {
-		return Crash, pipeline.Stats{}, fmt.Errorf("fault: golden run failed: %w", err)
-	}
-	if cfg.Progress != nil {
-		sim.AttachProgress(cfg.Progress)
-	}
 	st, equal, err := e.exec(ctx, &trialRunner{sim: sim}, &inj)
 	out := classifyResult(equal, st, err)
 	if out == DUE {
 		err = nil // the containment abort is the classification, not a failure
 	}
 	return out, st, err
+}
+
+// fromStart captures prog's golden state and primes the golden-run
+// simulator for a trial, as Replay runs one. Nothing records epochs on
+// the golden state, so every trial on it runs from the start.
+func fromStart(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*isa.Memory)) (*pipeline.GoldenState, *pipeline.Sim, error) {
+	sim, err := pipeline.NewContext(ctx, prog, cfg.Sim)
+	if err != nil {
+		return nil, nil, err
+	}
+	if seedMem != nil {
+		seedMem(sim.Mem)
+	}
+	gs, err := pipeline.CaptureGolden(sim)
+	if err != nil {
+		return nil, nil, err
+	}
+	gs.Adopt(sim)
+	if cfg.Progress != nil {
+		sim.AttachProgress(cfg.Progress)
+	}
+	return gs, sim, nil
 }

@@ -87,7 +87,7 @@ type Config struct {
 	// merged in trial order.
 	Workers int
 	// Lease is the number of consecutive trials a worker takes per
-	// dispatch, amortizing channel traffic over batches of trials; <=0
+	// claim, amortizing dispatch over batches of trials; <=0
 	// picks an automatic batch from Trials and Workers. Any lease size
 	// produces byte-identical results — the plan stays a pure function
 	// of (Seed, trial) and the merge stays trial-index-ordered.
@@ -335,8 +335,9 @@ type injEvent struct {
 // appendEvents appends the injection's instruction-ordered schedule to
 // evs — normally a worker's scratch resliced to [:0], so steady-state
 // planning allocates nothing. Ordering is deterministic: by instruction
-// point, primaries before extras before false positives on ties (stable
-// sort over that layout). The single-event common case skips the sort.
+// point, primaries before extras before false positives on ties. A
+// schedule holds at most BurstMax+2 events, so an in-place stable
+// insertion sort orders it without sort.SliceStable's allocations.
 func (inj *Injection) appendEvents(evs []injEvent) []injEvent {
 	evs = append(evs, injEvent{atInst: inj.AtInst, strike: Strike{
 		Reg: inj.Reg, Bit: inj.Bit, AtInst: inj.AtInst, Latency: inj.Latency, Missed: inj.Missed}})
@@ -346,8 +347,10 @@ func (inj *Injection) appendEvents(evs []injEvent) []injEvent {
 	for i := range inj.FalsePositives {
 		evs = append(evs, injEvent{atInst: inj.FalsePositives[i].AtInst, fp: true, fpLat: inj.FalsePositives[i].Latency})
 	}
-	if len(evs) > 1 {
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].atInst < evs[b].atInst })
+	for i := 1; i < len(evs); i++ {
+		for j := i; j > 0 && evs[j].atInst < evs[j-1].atInst; j-- {
+			evs[j], evs[j-1] = evs[j-1], evs[j]
+		}
 	}
 	return evs
 }

@@ -277,6 +277,82 @@ func (m *Memory) Reserve(span, owned int) {
 	}
 }
 
+// DeltaTracker follows one memory through a run and reports, at each
+// call of Delta, the words the memory changed since the previous call:
+// the chained deltas that rebuild the memory's later states from its
+// state at Track. It keeps a shadow copy of every page the memory has
+// written, as of the last call. The tracked memory must not be ResetTo
+// another image while tracked.
+type DeltaTracker struct {
+	m      *Memory
+	shadow []*page // by page index; nil while the page is unwritten
+	spill  map[uint64]uint64
+}
+
+// Track starts a DeltaTracker on m's current contents.
+func (m *Memory) Track() *DeltaTracker {
+	t := &DeltaTracker{m: m, spill: maps.Clone(m.spill)}
+	for _, i := range m.dirty {
+		t.keep(i)
+	}
+	return t
+}
+
+// prev returns page i as of the last Delta call (or Track).
+func (t *DeltaTracker) prev(i int32) *page {
+	if int(i) < len(t.shadow) && t.shadow[i] != nil {
+		return t.shadow[i]
+	}
+	if t.m.base != nil {
+		return t.m.base.pageAt(int(i))
+	}
+	return &zeroPage
+}
+
+// keep copies m's page i into the shadow.
+func (t *DeltaTracker) keep(i int32) {
+	if n := int(i) + 1; n > len(t.shadow) {
+		t.shadow = append(t.shadow, make([]*page, n-len(t.shadow))...)
+	}
+	if t.shadow[i] == nil {
+		t.shadow[i] = new(page)
+	}
+	*t.shadow[i] = *t.m.tab[i].p
+}
+
+// Delta appends to dst, as the stores that replay them, the words whose
+// values changed since the last call (or since Track).
+func (t *DeltaTracker) Delta(dst []MemEntry) []MemEntry {
+	m := t.m
+	for _, i := range m.dirty {
+		p, prev := m.tab[i].p, t.prev(i)
+		if *p == *prev {
+			continue
+		}
+		lo := uint64(i) << pageShift
+		for w, v := range p {
+			if v != prev[w] {
+				dst = append(dst, MemEntry{lo + uint64(w)*8, v})
+			}
+		}
+		t.keep(i)
+	}
+	for a, v := range m.spill {
+		if t.spill[a] != v {
+			dst = append(dst, MemEntry{a, v})
+		}
+	}
+	for a := range t.spill {
+		if _, ok := m.spill[a]; !ok {
+			dst = append(dst, MemEntry{a, 0})
+		}
+	}
+	if len(m.spill) > 0 || len(t.spill) > 0 {
+		t.spill = maps.Clone(m.spill)
+	}
+	return dst
+}
+
 // ClearRange zeroes every word whose address lies in [lo, hi), aligned
 // or not.
 func (m *Memory) ClearRange(lo, hi uint64) {

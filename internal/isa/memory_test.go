@@ -370,3 +370,65 @@ func TestFrozenImageRejectsStores(t *testing.T) {
 		t.Fatalf("image %d, fork %d", img.Load(8), m.Load(8))
 	}
 }
+
+// TestDeltaTrackerChain: replaying a tracked memory's chained deltas,
+// in order, onto the image it started from rebuilds each of its later
+// states, and each delta holds exactly the words that changed — aligned,
+// unaligned and out-of-window ones, zeroed words included.
+func TestDeltaTrackerChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	addr := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return DenseLimit + uint64(rng.Intn(64))*8 // out of window
+		case 1:
+			return uint64(rng.Intn(8*pageBytes)) | 1 // unaligned
+		}
+		return uint64(rng.Intn(8*pageWords)) * 8
+	}
+	seed := NewMemory()
+	for range 200 {
+		seed.Store(addr(), rng.Uint64())
+	}
+	image := seed.Freeze()
+	m := NewMemory()
+	m.ResetTo(image)
+	tr := m.Track()
+	replay := NewMemory()
+	replay.ResetTo(image)
+	for round := range 12 {
+		before := m.Clone()
+		for range rng.Intn(3) * 40 {
+			v := rng.Uint64()
+			if rng.Intn(3) == 0 {
+				v = 0
+			}
+			m.Store(addr(), v)
+		}
+		if round%4 == 3 {
+			a := addr()
+			m.Store(a, m.Load(a)) // rewrites an equal value
+		}
+		d := tr.Delta(nil)
+		changed := 0
+		for _, w := range m.Snapshot() {
+			if before.Load(w.Addr) != w.Val {
+				changed++
+			}
+		}
+		for _, w := range before.Snapshot() {
+			if m.Load(w.Addr) == 0 {
+				changed++
+			}
+		}
+		if len(d) != changed {
+			t.Fatalf("round %d: delta holds %d words, %d changed", round, len(d), changed)
+		}
+		for _, w := range d {
+			replay.Store(w.Addr, w.Val)
+		}
+		if !replay.Equal(m) {
+			t.Fatalf("round %d: replayed deltas differ from the tracked memory:\n%s", round, replay.Diff(m, 5))
+		}
+	}
+}

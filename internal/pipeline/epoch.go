@@ -1,0 +1,209 @@
+package pipeline
+
+import (
+	"slices"
+	"unsafe"
+
+	"repro/internal/cache"
+	"repro/internal/isa"
+)
+
+// Epoch fast-forward. A fault trial is identical to the warm golden run
+// until its first fault event fires, so instead of re-simulating that
+// fault-free prefix a trial resumes from the last epoch the golden run
+// recorded before the event (GoldenState.ResetAt).
+
+// epochs is how many equal instruction intervals the warm golden run is
+// cut into. The state at the start of every interval is an epoch; the
+// first one is the trial-start snapshot itself, so epochs-1 are stored.
+const epochs = 16
+
+// epochBudget caps the bytes a golden state's epochs hold. A program
+// that rewrites many pages or cache sets every interval stops recording
+// at the first epoch that would exceed it, and later trials start from
+// the last epoch recorded.
+const epochBudget = 512 << 10
+
+// epoch is the complete simulator state at the first step boundary of
+// the warm golden run at which insts instructions had retired. Memory
+// words and cache sets are chained deltas against the previous epoch
+// (or the trial-start snapshot); everything else is held by value.
+type epoch struct {
+	insts  uint64
+	mem    []isa.MemEntry // words changed since the previous epoch
+	caches cache.Delta    // sets touched since the previous epoch
+
+	regs, regReady [isa.NumRegs]uint64
+	taint          [isa.NumRegs]bool
+	pc, slots      int
+	cycle          uint64
+	predictor      []uint8
+
+	// regions holds, by value, every record the RBB, the open region and
+	// the store buffer point at — store-buffer entries may outlive their
+	// region's verification. rbb, cur and the entries of sb point into
+	// it; restore rewires them by id, which is the record's index in the
+	// region arena.
+	regions        []regionInst
+	rbb            []*regionInst
+	cur            *regionInst
+	sb             []sbEntry
+	sbDrain, sbSeq uint64
+	nextRegion     int
+	clq            []compactEntry
+	clqEnabled     bool
+	colors         colorMaps
+	degradedUntil  uint64
+	inRecovery     bool
+	lastRestart    int
+	stats          Stats
+}
+
+// RecordEpochs Resets s, which must have been built for the snapshot's
+// program and configuration (Fork, Adopt), runs the warm golden
+// execution on it to halt and returns the run's statistics. On the way
+// it records the epochs ResetAt resumes trials from: the state at the
+// first step boundary where Stats.Insts reaches k·Insts/epochs of the
+// golden run's instruction count, for k = 1 … epochs-1, until the
+// epochs would exceed epochBudget. A BOUND step retires no instruction,
+// so only the first boundary at an instruction count is the one at
+// which a trial fires an event scheduled for that count. A snapshot
+// whose configuration records regions (the region log must be whole)
+// or uses the ideal CLQ records none. RecordEpochs replaces any earlier
+// recording; it must not run concurrently with ResetAt.
+func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
+	g.Reset(s)
+	g.epochs = nil
+	if g.cfg.RecordRegions || (s.clq != nil && g.cfg.CLQ == CLQIdeal) {
+		return s.Run()
+	}
+	target := func(k int) uint64 { return g.stats.Insts * uint64(k) / epochs }
+	next := func(k int) int {
+		for k < epochs && target(k) <= s.Stats.Insts {
+			k++
+		}
+		return k
+	}
+	mem := s.Mem.Track()
+	clock := g.img.Clock()
+	size := 0
+	for k := next(1); !s.halted; {
+		if k < epochs && s.Stats.Insts >= target(k) {
+			e := s.epoch(mem, clock)
+			if size += e.bytes(); size > epochBudget {
+				k = epochs
+			} else {
+				g.epochs = append(g.epochs, e)
+				clock = e.caches.Clock()
+				k = next(k)
+			}
+		}
+		if err := s.Step(); err != nil {
+			return s.Stats, err
+		}
+	}
+	return s.Stats, nil
+}
+
+// epoch captures s's state, with memory and cache deltas since the
+// previous capture: mem tracks s.Mem, and clock is the cache clock of
+// the previous capture.
+func (s *Sim) epoch(mem *isa.DeltaTracker, clock cache.Clock) epoch {
+	e := epoch{
+		insts:  s.Stats.Insts,
+		mem:    mem.Delta(nil),
+		caches: s.hier.DeltaSince(clock),
+		regs:   s.Regs, regReady: s.regReady, taint: s.Taint,
+		pc: s.PC, slots: s.slots, cycle: s.cycle,
+		predictor:     slices.Clone(s.predictor),
+		sb:            slices.Clone(s.sb.entries),
+		sbDrain:       s.sb.lastDrain,
+		sbSeq:         s.sb.seq,
+		nextRegion:    s.nextRegion,
+		clqEnabled:    s.clqEnabled,
+		degradedUntil: s.degradedUntil,
+		inRecovery:    s.inRecovery,
+		lastRestart:   s.lastRestart,
+		stats:         s.Stats,
+	}
+	// Capacity for every distinct reference, so that keep's pointers
+	// stay valid.
+	e.regions = make([]regionInst, 0, len(s.rbb)+len(s.sb.entries)+1)
+	keep := func(r *regionInst) *regionInst {
+		if r == nil {
+			return nil
+		}
+		for i := range e.regions {
+			if e.regions[i].id == r.id {
+				return &e.regions[i]
+			}
+		}
+		e.regions = append(e.regions, *r)
+		return &e.regions[len(e.regions)-1]
+	}
+	for _, r := range s.rbb {
+		e.rbb = append(e.rbb, keep(r))
+	}
+	e.cur = keep(s.cur)
+	for i := range e.sb {
+		e.sb[i].region = keep(e.sb[i].region)
+	}
+	if c, ok := s.clq.(*compactCLQ); ok {
+		e.clq = slices.Clone(c.entries)
+	}
+	if s.colors != nil {
+		e.colors = *s.colors
+	}
+	return e
+}
+
+// bytes returns the epoch's size.
+func (e *epoch) bytes() int {
+	n := int(unsafe.Sizeof(*e)) + e.caches.Bytes() + len(e.predictor)
+	n += len(e.mem) * int(unsafe.Sizeof(isa.MemEntry{}))
+	n += cap(e.regions) * int(unsafe.Sizeof(regionInst{}))
+	n += len(e.rbb) * int(unsafe.Sizeof(&regionInst{}))
+	n += len(e.sb) * int(unsafe.Sizeof(sbEntry{}))
+	n += len(e.clq) * int(unsafe.Sizeof(compactEntry{}))
+	return n
+}
+
+// restore overwrites s's state with the epoch's, except for memory and
+// caches, which ResetAt rebuilds from the deltas. s has just been
+// Reset, so published is zero: the first Step then publishes the whole
+// resumed prefix into an attached Progress, whose totals come out as
+// for a run from the start.
+func (e *epoch) restore(s *Sim) {
+	s.Regs, s.regReady, s.Taint = e.regs, e.regReady, e.taint
+	s.PC, s.slots, s.cycle = e.pc, e.slots, e.cycle
+	copy(s.predictor, e.predictor)
+	s.growArena(e.nextRegion)
+	arena := func(r *regionInst) *regionInst {
+		if r == nil {
+			return nil
+		}
+		return s.regionArena[r.id]
+	}
+	for i := range e.regions {
+		*arena(&e.regions[i]) = e.regions[i]
+	}
+	for _, r := range e.rbb {
+		s.rbb = append(s.rbb, arena(r))
+	}
+	s.cur = arena(e.cur)
+	s.sb.entries = append(s.sb.entries[:0], e.sb...)
+	for i := range s.sb.entries {
+		s.sb.entries[i].region = arena(s.sb.entries[i].region)
+	}
+	s.sb.lastDrain, s.sb.seq = e.sbDrain, e.sbSeq
+	s.nextRegion, s.regionsUsed = e.nextRegion, e.nextRegion
+	if c, ok := s.clq.(*compactCLQ); ok {
+		copy(c.entries, e.clq)
+		s.clqEnabled = e.clqEnabled
+	}
+	if s.colors != nil {
+		*s.colors = e.colors
+	}
+	s.degradedUntil, s.inRecovery, s.lastRestart = e.degradedUntil, e.inRecovery, e.lastRestart
+	s.Stats = e.stats
+}

@@ -1,0 +1,339 @@
+package pipeline
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/ir"
+	"repro/internal/isa"
+	"repro/internal/obs"
+)
+
+// recordEpochs captures prog's golden state under cfg and records its
+// epochs on the adopted golden-run simulator, as fault.Prepare does.
+func recordEpochs(t testing.TB, prog *isa.Program, cfg Config, seedMem func(*isa.Memory)) *GoldenState {
+	t.Helper()
+	s, err := New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMem(s.Mem)
+	gs, err := CaptureGolden(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs.Adopt(s)
+	st, err := gs.RecordEpochs(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Insts != gs.Stats().Insts {
+		t.Fatalf("warm run retired %d instructions, cold run %d", st.Insts, gs.Stats().Insts)
+	}
+	return gs
+}
+
+// simState is everything a simulator carries from one step to the next,
+// with region pointers replaced by the records they point at.
+type simState struct {
+	Regs, RegReady [isa.NumRegs]uint64
+	Taint          [isa.NumRegs]bool
+	PC, Slots      int
+	Cycle          uint64
+	Mem            []isa.MemEntry
+	Caches         cache.Image
+	Hits, Misses   [3]uint64
+	Predictor      []uint8
+	RBB            []regionInst
+	Cur            *regionInst
+	SB             []sbEntry
+	SBRegions      []*regionInst
+	SBDrain, SBSeq uint64
+	Next, Used     int
+	CLQ            []compactEntry
+	CLQEnabled     bool
+	Colors         *colorMaps
+	Detects        []detectEvent
+	Degraded       uint64
+	InRecovery     bool
+	LastRestart    int
+	Stats          Stats
+	Published      publishedCounters
+	Halted         bool
+}
+
+func deref(r *regionInst) *regionInst {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	return &c
+}
+
+func stateOf(s *Sim) simState {
+	st := simState{
+		Regs: s.Regs, RegReady: s.regReady, Taint: s.Taint,
+		PC: s.PC, Slots: s.slots, Cycle: s.cycle,
+		Mem:       s.Mem.Snapshot(),
+		Predictor: append([]uint8(nil), s.predictor...),
+		Cur:       deref(s.cur),
+		SBDrain:   s.sb.lastDrain, SBSeq: s.sb.seq,
+		Next: s.nextRegion, Used: s.regionsUsed,
+		CLQEnabled: s.clqEnabled, Colors: s.colors,
+		Degraded: s.degradedUntil, InRecovery: s.inRecovery, LastRestart: s.lastRestart,
+		Stats: s.Stats, Published: s.published, Halted: s.halted,
+	}
+	s.hier.Snapshot(&st.Caches)
+	for i, c := range []*cache.Cache{s.hier.L1I, s.hier.L1D, s.hier.L2} {
+		st.Hits[i], st.Misses[i] = c.Hits, c.Misses
+	}
+	for _, r := range s.rbb {
+		st.RBB = append(st.RBB, *r)
+	}
+	for _, e := range s.sb.entries {
+		st.SBRegions = append(st.SBRegions, deref(e.region))
+		e.region = nil
+		st.SB = append(st.SB, e)
+	}
+	if c, ok := s.clq.(*compactCLQ); ok {
+		st.CLQ = append(st.CLQ, c.entries...)
+	}
+	for _, d := range s.pendingDetects {
+		d.anchor = deref(d.anchor)
+		st.Detects = append(st.Detects, d)
+	}
+	return st
+}
+
+// stepTo steps s to the first boundary at which inst instructions have
+// retired.
+func stepTo(t *testing.T, s *Sim, inst uint64) {
+	t.Helper()
+	for s.Stats.Insts < inst {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestResetAtMatchesStepping pins ResetAt to the state Reset plus
+// stepping reaches: at every epoch, at the instruction just before it,
+// and past the last one, the restored simulator holds exactly the
+// stepped one's state, runs to the same halt state, and publishes the
+// same Progress totals and cache counters. The configurations are
+// chosen so that some epoch holds each case the restore must rewire:
+// store-buffer entries of already-verified regions, several regions in
+// the RBB, part-drained color pools and live cache counters.
+func TestResetAtMatchesStepping(t *testing.T) {
+	var sbVerified, rbbSeveral, colorsDrained, counters bool
+	bench := buildBench(120)
+	for _, tc := range []struct {
+		name string
+		f    *ir.Func
+		opt  core.Options
+		cfg  Config
+	}{
+		{"turnpike", bench, core.TurnpikeAll(4), TurnpikeConfig(4, 10)},
+		{"turnstile", bench, core.Options{Scheme: core.Turnstile, SBSize: 4}, TurnstileConfig(4, 10)},
+		{"turnpike-wcdl50", bench, core.TurnpikeAll(8), TurnpikeConfig(8, 50)},
+		// A sweep larger than a small L1D misses even from warm caches.
+		{"l1d-sweep", buildSweep(1024, 1), core.TurnpikeAll(4), smallL1D(TurnpikeConfig(4, 10))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.Compile(tc.f, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs := recordEpochs(t, c.Prog, tc.cfg, func(m *isa.Memory) { seed(m, 120) })
+			if len(gs.epochs) != epochs-1 {
+				t.Fatalf("recorded %d epochs, want %d", len(gs.epochs), epochs-1)
+			}
+			for i := range gs.epochs {
+				e := &gs.epochs[i]
+				for _, en := range e.sb {
+					sbVerified = sbVerified || (en.region != nil && en.region.verified)
+				}
+				rbbSeveral = rbbSeveral || len(e.rbb) >= 2
+				for _, n := range e.colors.nfree {
+					colorsDrained = colorsDrained || (e.cur != nil && n <= isa.NumColors-2)
+				}
+			}
+			a, err := gs.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := gs.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := uint64(0)
+			for i := range gs.epochs {
+				at := gs.epochs[i].insts
+				gs.ResetAt(a, at-1)
+				if a.Stats.Insts != prev {
+					t.Fatalf("ResetAt(%d) resumed at %d instructions, want %d", at-1, a.Stats.Insts, prev)
+				}
+				for _, inst := range []uint64{at, at + 1} {
+					counters = checkResetAt(t, gs, a, b, inst, at) || counters
+				}
+				prev = at
+			}
+			checkResetAt(t, gs, a, b, math.MaxUint64, prev)
+		})
+	}
+	if !sbVerified || !rbbSeveral || !colorsDrained || !counters {
+		t.Errorf("epochs miss a case: SB entry of a verified region %v, several RBB regions %v, part-drained color pool %v, cache counters %v",
+			sbVerified, rbbSeveral, colorsDrained, counters)
+	}
+}
+
+// smallL1D gives cfg a 4 KiB L1D over a 16 KiB L2.
+func smallL1D(cfg Config) Config {
+	cfg.Hier.L1D.SizeBytes = 4 << 10
+	cfg.Hier.L2.SizeBytes = 16 << 10
+	return cfg
+}
+
+// checkResetAt resumes a at inst, which must select the epoch at
+// instruction count at, and compares it with b stepped there from the
+// start, then runs both to halt with a Progress attached. It reports
+// whether the resumed caches carried hit and miss counts.
+func checkResetAt(t *testing.T, gs *GoldenState, a, b *Sim, inst, at uint64) (counters bool) {
+	t.Helper()
+	gs.ResetAt(a, inst)
+	gs.Reset(b)
+	stepTo(t, b, at)
+	if a.Stats.Insts != at {
+		t.Fatalf("ResetAt(%d) resumed at %d instructions, want %d", inst, a.Stats.Insts, at)
+	}
+	if got, want := stateOf(a), stateOf(b); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ResetAt(%d) state differs from stepping to %d instructions:\nresumed %+v\nstepped %+v", inst, at, got, want)
+	}
+	counters = a.hier.L1D.Hits > 0 && a.hier.L1D.Misses > 0
+	// Neither has published anything, so both publish their whole run.
+	var pa, pb Progress
+	a.AttachProgress(&pa)
+	b.AttachProgress(&pb)
+	defer a.AttachProgress(nil)
+	defer b.AttachProgress(nil)
+	for _, s := range []*Sim{a, b} {
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := stateOf(a), stateOf(b); !reflect.DeepEqual(got, want) {
+		t.Fatalf("run resumed at %d instructions halts in another state than a run from the start", at)
+	}
+	if pa.Cycles.Load() != a.Stats.Cycles || pa.Insts.Load() != a.Stats.Insts ||
+		pa.Regions.Load() != a.Stats.RegionsExecuted || pa.RegionsVerified.Load() != a.Stats.RegionsVerified ||
+		pa.Insts.Load() != pb.Insts.Load() || pa.Cycles.Load() != pb.Cycles.Load() {
+		t.Fatalf("resumed at %d: Progress totals %d insts, %d cycles; run %+v", at, pa.Insts.Load(), pa.Cycles.Load(), a.Stats)
+	}
+	ra, rb := obs.NewRegistry(), obs.NewRegistry()
+	a.FillMetrics(ra)
+	b.FillMetrics(rb)
+	if !reflect.DeepEqual(ra.Snapshot(), rb.Snapshot()) {
+		t.Fatalf("resumed at %d: metrics differ", at)
+	}
+	return counters
+}
+
+// TestNoEpochsWhereRunsMustBeWhole: a configuration that records
+// regions or uses the ideal CLQ records no epochs, and ResetAt ignores
+// epochs while an observability attachment is present, so region logs,
+// traces and histograms cover whole runs.
+func TestNoEpochsWhereRunsMustBeWhole(t *testing.T) {
+	c, err := core.Compile(buildBench(60), core.TurnpikeAll(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMem := func(m *isa.Memory) { seed(m, 60) }
+	regions, ideal := TurnpikeConfig(4, 10), TurnpikeConfig(4, 10)
+	regions.RecordRegions = true
+	ideal.CLQ = CLQIdeal
+	for _, cfg := range []Config{regions, ideal} {
+		if gs := recordEpochs(t, c.Prog, cfg, seedMem); len(gs.epochs) != 0 {
+			t.Errorf("RecordRegions %v, CLQ %v: recorded %d epochs, want none", cfg.RecordRegions, cfg.CLQ, len(gs.epochs))
+		}
+	}
+	gs := recordEpochs(t, c.Prog, TurnpikeConfig(4, 10), seedMem)
+	s, err := gs.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachObs(NewObs(nil, obs.NewRegistry()))
+	if gs.ResetAt(s, math.MaxUint64); len(gs.epochs) == 0 || s.Stats.Insts != 0 {
+		t.Fatalf("with observability attached ResetAt resumed at %d instructions (%d epochs), want the start",
+			s.Stats.Insts, len(gs.epochs))
+	}
+}
+
+// buildSweep builds a kernel that stores to words consecutive words on
+// each of passes passes, each pass with new values, so that every epoch
+// interval changes every word and every cache set the sweep touches.
+func buildSweep(words, passes int64) *ir.Func {
+	b := ir.NewBuilder("sweep")
+	base := b.MovI(int64(isa.DataBase))
+	p := b.MovI(0)
+	i := b.MovI(0)
+	outer, inner, body, next, exit := b.NewBlock(), b.NewBlock(), b.NewBlock(), b.NewBlock(), b.NewBlock()
+	b.Fallthrough(outer)
+	b.SetBlock(outer)
+	b.BranchI(isa.BGE, p, passes, exit, inner)
+	b.SetBlock(inner)
+	b.BranchI(isa.BGE, i, words, next, body)
+	b.SetBlock(body)
+	addr := b.Op(isa.ADD, base, b.OpI(isa.SHL, i, 3))
+	b.Store(addr, 0, b.Op(isa.ADD, b.Op(isa.MUL, p, i), p))
+	b.OpITo(isa.ADD, i, i, 1)
+	b.Jump(inner)
+	b.SetBlock(next)
+	b.MovITo(i, 0)
+	b.OpITo(isa.ADD, p, p, 1)
+	b.Jump(outer)
+	b.SetBlock(exit)
+	b.Halt()
+	return b.MustFinish()
+}
+
+// TestEpochBudget: a kernel that sweeps pages every interval would pin
+// far more than epochBudget in epochs; recording stops at the first
+// epoch that would exceed it, and injected trials resumed from the last
+// recorded epoch still match runs from the start.
+func TestEpochBudget(t *testing.T) {
+	c, err := core.Compile(buildSweep(2048, 16), core.TurnpikeAll(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := recordEpochs(t, c.Prog, TurnpikeConfig(4, 10), func(*isa.Memory) {})
+	size := 0
+	for i := range gs.epochs {
+		size += gs.epochs[i].bytes()
+	}
+	if len(gs.epochs) == 0 || len(gs.epochs) >= epochs-1 || size > epochBudget {
+		t.Fatalf("recorded %d epochs of %d bytes; want some but not all %d, within %d bytes",
+			len(gs.epochs), size, epochs-1, epochBudget)
+	}
+	t.Logf("recorded %d of %d epochs, %d bytes", len(gs.epochs), epochs-1, size)
+	last := gs.epochs[len(gs.epochs)-1].insts
+	a, err := gs.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := gs.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := gs.Stats().Insts
+	for i, at := range []uint64{last / 2, last, last + 1, insts * 9 / 10} {
+		reg, bit, lat := isa.Reg(1+3*i), uint(5*i), 1+i
+		gs.ResetAt(a, at)
+		gs.Reset(b)
+		if got, want := runInjected(a, reg, bit, at, lat), runInjected(b, reg, bit, at, lat); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial striking at %d diverged from its run from the start", at)
+		}
+	}
+}

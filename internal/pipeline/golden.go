@@ -13,7 +13,8 @@ import (
 // warmed cache hierarchy. Capturing it once means trials stop paying for
 // compilation, memory re-seeding, and cache-hierarchy construction —
 // each worker forks one simulator and Resets it between trials, and the
-// steady-state reset allocates nothing.
+// steady-state reset allocates nothing. RecordEpochs, run once before
+// the trials, adds the restore points ResetAt resumes trials from.
 type GoldenState struct {
 	prog *isa.Program
 	cfg  Config
@@ -26,6 +27,11 @@ type GoldenState struct {
 	// memSpan and memOwned are the golden run's page-table length and
 	// written-page count (memory pre-size).
 	memSpan, memOwned int
+
+	// epochs are the warm golden run's restore points in run order
+	// (RecordEpochs); ResetAt resumes a trial from the last one at or
+	// before its first fault event.
+	epochs []epoch
 }
 
 // CaptureGolden snapshots s's pre-execution state (program,
@@ -74,32 +80,41 @@ func (g *GoldenState) Fork() (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Pre-size the region arena for the golden run's region count plus
-	// recovery headroom (each recovery re-binds the regions it squashed
-	// as fresh dynamic regions), the memory's page table and spare pages
-	// for the golden run's footprint, and the detection queue to its
-	// bound, so injected trials recycle records and pages instead of
-	// growing them one at a time. A trial that still outruns the arena or
-	// the pages just grows them — correctness is unaffected.
-	const regionSlack = 32
-	for len(s.regionArena) < g.regions+regionSlack {
-		s.regionArena = append(s.regionArena, &regionInst{})
-	}
-	s.Mem.Reserve(g.memSpan, g.memOwned)
-	s.pendingDetects = make([]detectEvent, 0, s.Cfg.DetectQueue)
-	g.Reset(s)
+	g.Adopt(s)
 	return s, nil
+}
+
+// Adopt primes s at the snapshot's trial-start point, as Fork does for
+// a new simulator. s must have been built for the snapshot's program and
+// configuration: a fresh New, or the simulator CaptureGolden ran on,
+// which a campaign reuses as its first worker.
+//
+// Adopt pre-sizes the region arena for the golden run's region count
+// plus recovery headroom (each recovery re-binds the regions it squashed
+// as fresh dynamic regions), the memory's page table and spare pages for
+// the golden run's footprint, and the detection queue to its bound, so
+// injected trials recycle records and pages instead of growing them one
+// at a time. A trial that still outruns the arena or the pages just
+// grows them — correctness is unaffected.
+func (g *GoldenState) Adopt(s *Sim) {
+	const regionSlack = 32
+	s.growArena(g.regions + regionSlack)
+	s.Mem.Reserve(g.memSpan, g.memOwned)
+	if cap(s.pendingDetects) < s.Cfg.DetectQueue {
+		s.pendingDetects = make([]detectEvent, 0, s.Cfg.DetectQueue)
+	}
+	g.Reset(s)
 }
 
 // Reset reprimes a forked simulator for the next trial: architectural
 // state, caches, and every micro-architectural structure return to the
 // trial-start snapshot, while the simulator's grown buffers (store
-// buffer, RBB and its region arena, memory pages, color free lists) keep
-// their capacity — the steady-state reset allocates nothing, and the
-// memory swaps back only the pages the last trial wrote. Observability
-// attachments (AttachObs, AttachLogger, AttachProgress) are preserved. s
-// must have been built for the same program and configuration as the
-// snapshot (normally via Fork).
+// buffer, RBB and its region arena, memory pages) keep their capacity —
+// the steady-state reset allocates nothing, and the memory swaps back
+// only the pages the last trial wrote. Observability attachments
+// (AttachObs, AttachLogger, AttachProgress) are preserved. s must have
+// been built for the same program and configuration as the snapshot
+// (normally via Fork or Adopt).
 func (g *GoldenState) Reset(s *Sim) {
 	s.Regs = [isa.NumRegs]uint64{}
 	s.Taint = [isa.NumRegs]bool{}
@@ -130,4 +145,35 @@ func (g *GoldenState) Reset(s *Sim) {
 	s.Stats = Stats{}
 	s.published = publishedCounters{}
 	s.halted = false
+}
+
+// ResetAt reprimes s, like Reset, for a trial whose first fault event
+// fires once inst instructions have retired: it Resets s, replays the
+// memory and cache deltas of every epoch up to the last one at or
+// before inst, and restores that epoch's state. A trial is identical to
+// the warm golden run until its first event fires and the simulator is
+// deterministic, so the trial that resumes there is byte-identical to
+// one run from the start. With an observability attachment (AttachObs)
+// ResetAt ignores the epochs, so traces and histograms cover the whole
+// run.
+func (g *GoldenState) ResetAt(s *Sim, inst uint64) {
+	g.Reset(s)
+	if s.obs != nil {
+		return
+	}
+	k := 0
+	for k < len(g.epochs) && g.epochs[k].insts <= inst {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	for i := range g.epochs[:k] {
+		e := &g.epochs[i]
+		for _, w := range e.mem {
+			s.Mem.Store(w.Addr, w.Val)
+		}
+		s.hier.Apply(&e.caches)
+	}
+	g.epochs[k-1].restore(s)
 }

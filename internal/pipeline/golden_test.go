@@ -40,11 +40,24 @@ type trialResult struct {
 // instruction count reaches atInst, and returns everything a campaign
 // would observe from the trial.
 func runInjected(s *Sim, reg isa.Reg, bit uint, atInst uint64, lat int) trialResult {
-	injected := false
+	return runWithFalsePositive(s, reg, bit, atInst, lat, 0, 0)
+}
+
+// runWithFalsePositive is runInjected plus, when fpAt is nonzero, a
+// spurious detection with latency fpLat once fpAt instructions have
+// retired (after the strike on a tie, as campaigns order them).
+func runWithFalsePositive(s *Sim, reg isa.Reg, bit uint, atInst uint64, lat int, fpAt uint64, fpLat int) trialResult {
+	injected, fired := false, fpAt == 0
 	for !s.Halted() {
 		if !injected && s.Stats.Insts >= atInst {
 			injected = true
 			if err := s.InjectBitFlip(reg, bit, lat); err != nil {
+				return trialResult{Stats: s.Stats, Err: err.Error()}
+			}
+		}
+		if !fired && s.Stats.Insts >= fpAt {
+			fired = true
+			if err := s.InjectFalseDetection(fpLat); err != nil {
 				return trialResult{Stats: s.Stats, Err: err.Error()}
 			}
 		}
@@ -240,28 +253,42 @@ func concurrentForks(t *testing.T) {
 	}
 }
 
-// FuzzGoldenFork fuzzes the Reset-vs-fresh-fork equivalence over the
-// whole injection parameter space: for any strike, a reused simulator
-// that has already executed a prior corrupting trial must reproduce a
-// fresh fork's result bit for bit.
+// FuzzGoldenFork fuzzes the golden state's trial paths over the whole
+// injection parameter space: for any strike, with an optional false
+// positive, a reused simulator that has already executed a prior
+// corrupting trial must reproduce a fresh fork's result bit for bit —
+// and so must the same trial resumed by ResetAt from any instruction
+// count at or before its first event.
 func FuzzGoldenFork(f *testing.F) {
-	f.Add(uint8(1), uint8(0), uint16(1), uint8(1))
-	f.Add(uint8(3), uint8(17), uint16(40), uint8(5))
-	f.Add(uint8(31), uint8(63), uint16(500), uint8(10))
-	f.Add(uint8(7), uint8(32), uint16(65535), uint8(3))
+	f.Add(uint8(1), uint8(0), uint16(1), uint8(1), uint16(0), uint16(0))
+	f.Add(uint8(3), uint8(17), uint16(40), uint8(5), uint16(40), uint16(0))
+	f.Add(uint8(31), uint8(63), uint16(500), uint8(10), uint16(300), uint16(420))
+	f.Add(uint8(7), uint8(32), uint16(65535), uint8(3), uint16(65535), uint16(7))
 
 	gs := captureBench(f, 40)
 	reused, err := gs.Fork()
 	if err != nil {
 		f.Fatal(err)
 	}
+	if _, err := gs.RecordEpochs(reused); err != nil {
+		f.Fatal(err)
+	}
 	insts := gs.Stats().Insts
 
-	f.Fuzz(func(t *testing.T, regRaw, bitRaw uint8, atRaw uint16, latRaw uint8) {
+	f.Fuzz(func(t *testing.T, regRaw, bitRaw uint8, atRaw uint16, latRaw uint8, fromRaw, fpRaw uint16) {
 		reg := isa.Reg(1 + int(regRaw)%(isa.NumRegs-1))
 		bit := uint(bitRaw) % 64
 		at := 1 + uint64(atRaw)%insts
 		lat := 1 + int(latRaw)%10
+		first, fpAt, fpLat := at, uint64(0), 0
+		if fpRaw != 0 {
+			fpAt, fpLat = 1+uint64(fpRaw)%insts, 1+int(fpRaw)%10
+			first = min(at, fpAt)
+		}
+		from := uint64(fromRaw) % (first + 1)
+		run := func(s *Sim) trialResult {
+			return runWithFalsePositive(s, reg, bit, at, lat, fpAt, fpLat)
+		}
 
 		// Dirty the reused simulator with a fixed corrupting trial first,
 		// so Reset always starts from non-trivial residue.
@@ -269,16 +296,25 @@ func FuzzGoldenFork(f *testing.F) {
 		runInjected(reused, 5, 11, at/2+1, 2)
 
 		gs.Reset(reused)
-		got := runInjected(reused, reg, bit, at, lat)
+		got := run(reused)
 
 		fresh, err := gs.Fork()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := runInjected(fresh, reg, bit, at, lat)
+		want := run(fresh)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("reused Reset diverged from fresh fork for r%d bit %d at %d lat %d",
-				reg, bit, at, lat)
+			t.Fatalf("reused Reset diverged from fresh fork for r%d bit %d at %d lat %d, false positive at %d",
+				reg, bit, at, lat, fpAt)
+		}
+
+		gs.ResetAt(reused, from)
+		if reused.Stats.Insts > from {
+			t.Fatalf("ResetAt(%d) resumed past it, at %d instructions", from, reused.Stats.Insts)
+		}
+		if resumed := run(reused); !reflect.DeepEqual(resumed, want) {
+			t.Fatalf("trial resumed by ResetAt(%d) diverged from its run from the start for r%d bit %d at %d lat %d, false positive at %d",
+				from, reg, bit, at, lat, fpAt)
 		}
 	})
 }

@@ -76,12 +76,12 @@ func (s *Sim) CheckInvariants() error {
 				seen[c] = who
 				return nil
 			}
-			for _, c := range s.colors.free[r] {
-				if err := claim(c, "AC"); err != nil {
+			for _, c := range s.colors.freeColors(r) {
+				if err := claim(int(c), "AC"); err != nil {
 					return err
 				}
 			}
-			if vc := s.colors.vc[r]; vc >= 0 {
+			if vc := s.colors.verified(r); vc >= 0 {
 				if err := claim(vc, "VC"); err != nil {
 					return err
 				}

@@ -217,18 +217,29 @@ func (s *Sim) OutputMemory() *isa.Memory {
 
 // newRegion hands out a zeroed dynamic-region record, recycling the
 // arena built up by earlier trials of a GoldenState campaign, so
-// steady-state trials allocate no per-region state at all.
+// steady-state trials allocate no per-region state at all. Records are
+// handed out in order and a region's id counts the regions opened since
+// the last Reset, so a record's id is its index in the arena.
 func (s *Sim) newRegion() *regionInst {
-	if s.regionsUsed < len(s.regionArena) {
-		r := s.regionArena[s.regionsUsed]
-		s.regionsUsed++
-		*r = regionInst{}
-		return r
+	if s.regionsUsed == len(s.regionArena) {
+		const regionSlab = 64
+		s.growArena(len(s.regionArena) + regionSlab)
 	}
-	r := &regionInst{}
-	s.regionArena = append(s.regionArena, r)
+	r := s.regionArena[s.regionsUsed]
 	s.regionsUsed++
+	*r = regionInst{}
 	return r
+}
+
+// growArena extends the region arena to at least n records, allocated
+// as one slab.
+func (s *Sim) growArena(n int) {
+	if k := n - len(s.regionArena); k > 0 {
+		slab := make([]regionInst, k)
+		for i := range slab {
+			s.regionArena = append(s.regionArena, &slab[i])
+		}
+	}
 }
 
 // DrainOutput folds every still-buffered quarantined store into the
