@@ -77,7 +77,6 @@ import (
 	"syscall"
 	"time"
 
-	turnpike "repro"
 	"repro/internal/artifact"
 	"repro/internal/fault"
 	"repro/internal/ir"
@@ -148,7 +147,7 @@ func main() {
 		// golden statistics cross-check proves both sides built the same
 		// campaign.
 		resolve := workerProgramResolver(strings.TrimRight(*join, "/"), *compileBudget)
-		runWorker(*join, *workerID, campaignPrepare(reg, progress, logger, resolve), logger)
+		runWorker(*join, *workerID, service.CampaignPrepare(reg, progress, logger, resolve), logger)
 		return
 	}
 
@@ -193,7 +192,7 @@ func main() {
 		Metrics:           reg,
 		Logger:            logger,
 	})
-	prepare := campaignPrepare(reg, progress, logger, programs.Entry)
+	prepare := service.CampaignPrepare(reg, progress, logger, programs.Entry)
 	svc, err := service.New(service.Config{
 		StateDir:         *state,
 		Executor:         &service.FleetExecutor{Fleet: fleet, Prepare: prepare},
@@ -294,66 +293,6 @@ func parseLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("campaignd: unknown -log-level %q (want debug, info, warn, or error)", s)
 }
 
-// campaignPrepare adapts the two-phase fault-campaign engine to
-// service.PrepareFunc, threading the process's registry, live-progress
-// gauges, and structured logger into every campaign so /metrics, /live,
-// and the correlated log cover the jobs as they run. The coordinator's
-// FleetExecutor opens each Prepared as the session it leases from;
-// workers prepare the same spec (with checkpoint "") and execute leased
-// ranges on it — identical golden statistics on both sides prove the
-// two processes compiled the same campaign.
-func campaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slog.Logger, programs programResolver) service.PrepareFunc {
-	return func(ctx context.Context, spec service.JobSpec, checkpoint string) (*fault.Prepared, error) {
-		var sc turnpike.Scheme
-		schemeName := spec.Scheme
-		switch spec.Scheme {
-		case "", "turnpike":
-			sc, schemeName = turnpike.Turnpike, "turnpike"
-		case "turnstile":
-			sc = turnpike.Turnstile
-		default:
-			return nil, fmt.Errorf("%w: unknown scheme %q", fault.ErrInvalidConfig, spec.Scheme)
-		}
-		cfg := turnpike.FaultCampaignConfig{
-			Trials:          spec.Trials,
-			Seed:            spec.Seed,
-			SBSize:          spec.SBSize,
-			WCDL:            spec.WCDL,
-			ScalePct:        spec.ScalePct,
-			Workers:         spec.Workers,
-			Lease:           spec.Lease,
-			FailureBudget:   spec.FailureBudget,
-			Checkpoint:      checkpoint,
-			CheckpointEvery: spec.CheckpointEvery,
-			Metrics:         reg,
-			Progress:        progress,
-			Logger:          logger,
-		}
-		if spec.IsProgram() {
-			if programs == nil {
-				return nil, fmt.Errorf("%w: this process resolves no submitted programs", fault.ErrInvalidConfig)
-			}
-			entry, err := programs(ctx, spec.ProgramFingerprint())
-			if err != nil {
-				return nil, err
-			}
-			prog, ok := entry.Schemes[schemeName]
-			if !ok {
-				return nil, fmt.Errorf("%w: program %s has no %s image", fault.ErrInvalidConfig,
-					entry.Fingerprint, schemeName)
-			}
-			cfg.SBSize = entry.SBSize
-			return turnpike.PrepareCompiledFaultCampaign(ctx, prog, sc, cfg)
-		}
-		return turnpike.PrepareFaultCampaign(ctx, spec.Bench, sc, cfg)
-	}
-}
-
-// programResolver resolves a submitted program's fingerprint to its
-// compiled artifact. The coordinator reads its ProgramStore; workers
-// fetch from the coordinator and compile locally.
-type programResolver func(ctx context.Context, fp string) (*artifact.Entry, error)
-
 // loadTenants builds the tenant registry: from -tenants when set, else
 // the anonymous single-tenant registry.
 func loadTenants(path string) (*tenant.Registry, error) {
@@ -373,7 +312,7 @@ func loadTenants(path string) (*tenant.Registry, error) {
 // GET /programs/{fp}/source for the canonical IR, then a local compile
 // into a worker-side cache so repeat leases against one program compile
 // once.
-func workerProgramResolver(coordinator string, budget time.Duration) programResolver {
+func workerProgramResolver(coordinator string, budget time.Duration) service.ProgramResolver {
 	cache := artifact.NewCache(0, nil)
 	client := &http.Client{Timeout: 30 * time.Second}
 	return func(ctx context.Context, fp string) (*artifact.Entry, error) {

@@ -205,22 +205,23 @@ func TestAdversarialReplayAndResume(t *testing.T) {
 // including the golden-run-derived injection window.
 func planFor(t *testing.T, prog *isa.Program, cfg Config, seedMem func(*isa.Memory), trial int) Injection {
 	t.Helper()
-	golden, goldenStats, err := run(context.Background(), prog, cfg, seedMem, nil)
+	e, _, err := replayer(context.Background(), prog, cfg, seedMem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxAt := cfg.MaxInjectInst
-	if maxAt == 0 {
-		maxAt = goldenStats.Insts * 9 / 10
-		if maxAt == 0 {
-			maxAt = 1
-		}
+	e.maxAt = cfg.MaxInjectInst
+	if e.maxAt == 0 {
+		e.maxAt = max(e.gs.Stats().Insts*9/10, 1)
 	}
-	e := &engine{prog: prog, cfg: cfg, seedMem: seedMem, golden: golden, maxAt: maxAt}
 	if err := e.resolveSampler(); err != nil {
 		t.Fatal(err)
 	}
 	return e.plan(trial)
+}
+
+// events flattens the injection into a freshly allocated schedule.
+func (inj *Injection) events() []injEvent {
+	return inj.appendEvents(make([]injEvent, 0, 1+len(inj.Extra)+len(inj.FalsePositives)))
 }
 
 // TestEventScheduleOrder pins the fault-event schedule's order: by

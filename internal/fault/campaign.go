@@ -335,13 +335,6 @@ func classifyResult(equal bool, st pipeline.Stats, err error) Outcome {
 	return Masked
 }
 
-// classify is classifyResult over explicit memory images, for callers
-// holding a full trial image (the serial reference path).
-func classify(golden, mem *isa.Memory, st pipeline.Stats, err error) Outcome {
-	equal := err == nil && golden.Equal(mem)
-	return classifyResult(equal, st, err)
-}
-
 // merge folds completed trials into a Result in trial order, so outcome
 // counts, aggregate statistics, histograms, slowdown samples, and the
 // failure report are identical for every worker count and for resumed
@@ -451,10 +444,11 @@ type Prepared struct {
 	e           *engine
 	runners     []*trialRunner
 	goldenStats pipeline.Stats
-	ran         bool
-	// mu serializes use of the runners: Run holds it for the campaign's
-	// duration, and each RunRange (the distributed shard-execution path)
-	// holds it per shard — the primed simulators are exclusive state.
+	// opened is set by the first Open (Run opens its own session).
+	opened bool
+	// mu serializes use of the runners: every fan-out (one Run, one
+	// RunRange shard) holds it — the primed simulators are exclusive
+	// state.
 	mu sync.Mutex
 }
 
@@ -588,238 +582,118 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 // GoldenStats returns the golden run's simulator statistics.
 func (p *Prepared) GoldenStats() pipeline.Stats { return p.goldenStats }
 
-// trialRange is one worker lease: the contiguous trial indices
-// [lo, hi) a worker executes from a single dispatch.
-type trialRange struct{ lo, hi int }
-
-// Run executes the prepared campaign's trials and merges the result; see
-// CampaignContext for the semantics. Run may be called once.
+// Run executes the prepared campaign's trials on its own runners and
+// merges the result; see CampaignContext for the semantics. Run is a
+// Session driven locally: Open restores the checkpoint, the runners
+// lease the pending trials and put each record into the session as its
+// trial completes (a local record is trusted, so it skips Seal, Verify
+// and plan re-derivation), and Finish writes the final checkpoint and
+// merges. The first failed checkpoint write or the exhausted failure
+// budget cancels the outstanding trials. Run may be called once, and
+// not after Open.
 func (p *Prepared) Run(ctx context.Context) (*Result, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ran {
-		return nil, fmt.Errorf("fault: Prepared.Run called twice")
+	s, err := p.Open(ctx)
+	if err != nil {
+		return nil, err
 	}
-	p.ran = true
-	e := p.e
-	cfg := e.cfg
-	goldenStats := p.goldenStats
-	workers := len(p.runners)
-	budget := cfg.FailureBudget
-	if budget == 0 {
-		budget = 1 // historical fail-fast default
-	}
-	every := cfg.CheckpointEvery
-	if every <= 0 {
-		every = 64
-	}
-
-	// records holds pointers (restore fills holes with checkpoint
-	// records); fresh trials are filled into the slab so the steady-state
-	// trial loop performs zero record allocations.
-	records := make([]*TrialRecord, cfg.Trials)
-	slab := make([]TrialRecord, cfg.Trials)
-	if cfg.Checkpoint != "" {
-		// Restore covers reading the watermark file and re-deriving every
-		// completed trial's injection plan for validation.
-		restoreStart := time.Now()
-		err := e.restore(records, goldenStats)
-		span.RecordCtx(ctx, "fault", "checkpoint_restore", restoreStart, time.Now(), nil)
-		if err != nil {
-			if !errors.Is(err, ErrCheckpointCorrupt) {
-				return nil, err
-			}
-			// A corrupt file carries no usable progress and will be
-			// atomically overwritten by the first save; restart fresh
-			// rather than dying on bytes a torn write left behind.
-			e.warnf("%v — restarting the campaign from trial 0", err)
-			for i := range records {
-				records[i] = nil
-			}
+	cfg := p.e.cfg
+	lease := LeaseSize(cfg.Lease, cfg.Trials, len(p.runners))
+	leases := SplitLeases(s.Pending(), lease)
+	if log := cfg.Logger; log != nil {
+		pending := 0
+		for _, l := range leases {
+			pending += l.Len()
 		}
-	}
-	failures := 0
-	for _, rec := range records {
-		if rec != nil && (rec.Outcome == SDC || rec.Outcome == Crash) {
-			failures++
-		}
-	}
-	pending := make([]int, 0, cfg.Trials)
-	if budget < 0 || failures < budget {
-		for t := range records {
-			if records[t] == nil {
-				pending = append(pending, t)
-			}
-		}
-	}
-
-	// Lease size: how many consecutive trials one dispatch hands a
-	// worker. The default splits the pending work into a few leases per
-	// worker so the tail stays balanced, capped so checkpoint cadence
-	// and budget cancellation stay responsive.
-	lease := cfg.Lease
-	if lease <= 0 {
-		lease = cfg.Trials / (workers * 4)
-		if lease > 64 {
-			lease = 64
-		}
-	}
-	if lease < 1 {
-		lease = 1
-	}
-
-	log := cfg.Logger
-	if log != nil {
 		log.LogAttrs(ctx, slog.LevelInfo, "campaign start",
 			slog.Int("trials", cfg.Trials),
 			slog.Int64("seed", cfg.Seed),
-			slog.Int("workers", workers),
+			slog.Int("workers", len(p.runners)),
 			slog.Int("lease", lease),
-			slog.Int("resumed", cfg.Trials-len(pending)),
+			slog.Int("resumed", cfg.Trials-pending),
 			slog.Bool("adversarial", cfg.Adversary != nil),
 		)
 	}
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Fresh trials are filled into one slab, so the steady-state trial
+	// loop performs no record allocations.
+	slab := make([]TrialRecord, cfg.Trials)
+	p.fanOut(runCtx, leases, slab, 0, func(wctx context.Context, rec []TrialRecord) {
+		if _, stop, _ := s.add(wctx, rec); stop {
+			cancel()
+		}
+	})
+	return s.Finish(ctx)
+}
+
+// fanOut executes leases on the prepared runners, writing trial t's
+// record to recs[t-base]: the one worker loop behind Run and RunRange.
+// Workers claim leases in order through an atomic cursor, so no
+// dispatcher goroutine runs beside them, and worker 0 runs on the
+// calling goroutine, so a one-worker fan-out starts no goroutine at all.
+// done, when set, receives each record as its trial completes, with the
+// worker's context. Workers stop claiming trials once ctx is done. One
+// fault.shard_exec span covers the fan-out; the per-trial loop runs with
+// the tracer detached, so the hot path records nothing.
+func (p *Prepared) fanOut(ctx context.Context, leases []TrialRange, recs []TrialRecord, base int, done func(context.Context, []TrialRecord)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	workers := min(len(p.runners), len(leases))
+	if workers == 0 {
+		return
+	}
+	e := p.e
+	log := e.cfg.Logger
 	// Hoisted per-trial guard: with Debug disabled, the worker loop pays
 	// one cached bool, not an Enabled call plus attr building per trial.
 	debugOn := log != nil && log.Enabled(ctx, slog.LevelDebug)
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Lease out contiguous pending trials. Resumed campaigns leave holes
-	// in the pending list; a lease never spans one, so every leased
-	// range is fully pending. Workers claim leases in order through an
-	// atomic cursor: no dispatcher goroutine runs beside them and no
-	// worker blocks waiting for one.
-	leases := make([]trialRange, 0, (len(pending)+lease-1)/lease)
-	for i := 0; i < len(pending); {
-		j := i + 1
-		for j < len(pending) && j-i < lease && pending[j] == pending[j-1]+1 {
-			j++
+	sctx, shardSpan := span.Start(ctx, "fault", "shard_exec")
+	var next, executed atomic.Int64
+	worker := func(w int) {
+		if e.cfg.Progress != nil {
+			e.cfg.Progress.Workers.Add(1)
+			defer e.cfg.Progress.Workers.Add(-1)
 		}
-		leases = append(leases, trialRange{lo: pending[i], hi: pending[j-1] + 1})
-		i = j
-	}
-	var nextLease atomic.Int64
-
-	var (
-		mu        sync.Mutex // guards records writes, failures, checkpoint cadence
-		sinceCkpt int
-		ckptErr   error
-	)
-	worker := func(shard int, runner *trialRunner) {
-		if cfg.Progress != nil {
-			cfg.Progress.Workers.Add(1)
-			defer cfg.Progress.Workers.Add(-1)
-		}
-		wctx := olog.WithShard(runCtx, shard)
-		// One span per worker covers its whole trial stream; the
-		// per-trial loop runs with the tracer detached, so the hot
-		// path records nothing and the ring holds per-worker phases,
-		// not tens of thousands of per-trial slivers.
-		sctx, shardSpan := span.Start(wctx, "fault", "shard_exec")
-		loopCtx := span.Detach(sctx)
-		executed := 0
-		for runCtx.Err() == nil {
-			k := int(nextLease.Add(1)) - 1
+		wctx := olog.WithShard(sctx, w)
+		loopCtx := span.Detach(wctx)
+		n := 0
+		for ctx.Err() == nil {
+			k := int(next.Add(1)) - 1
 			if k >= len(leases) {
 				break
 			}
-			tr := leases[k]
-			for t := tr.lo; t < tr.hi && runCtx.Err() == nil; t++ {
+			for t := leases[k].Lo; t < leases[k].Hi && ctx.Err() == nil; t++ {
 				tctx := loopCtx
 				if log != nil {
 					tctx = olog.WithTrial(loopCtx, t)
 				}
-				rec := &slab[t]
-				e.runTrial(tctx, runner, t, rec)
-				executed++
+				rec := recs[t-base : t-base+1]
+				e.runTrial(tctx, p.runners[w], t, &rec[0])
+				n++
 				if debugOn {
-					e.logTrial(tctx, rec)
+					e.logTrial(tctx, &rec[0])
 				}
-				mu.Lock()
-				records[t] = rec
-				sinceCkpt++
-				if rec.Outcome == SDC || rec.Outcome == Crash {
-					failures++
-					if budget > 0 && failures >= budget {
-						cancel()
-					}
+				if done != nil {
+					done(wctx, rec)
 				}
-				if cfg.Checkpoint != "" && sinceCkpt >= every {
-					sinceCkpt = 0
-					ckptStart := time.Now()
-					err := e.save(records, goldenStats)
-					span.RecordCtx(sctx, "fault", "checkpoint_write", ckptStart, time.Now(),
-						map[string]any{"trial": t})
-					if err != nil && ckptErr == nil {
-						ckptErr = err
-						cancel()
-					}
-				}
-				mu.Unlock()
 			}
 		}
-		shardSpan.SetArg("trials", executed)
-		shardSpan.End()
+		executed.Add(int64(n))
 	}
-	// Worker 0 runs on the calling goroutine, so a one-worker campaign
-	// starts no goroutine at all.
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			worker(w, p.runners[w])
+			worker(w)
 		}()
 	}
-	worker(0, p.runners[0])
+	worker(0)
 	wg.Wait()
-
-	if cfg.Checkpoint != "" {
-		ckptStart := time.Now()
-		err := e.save(records, goldenStats)
-		span.RecordCtx(ctx, "fault", "checkpoint_write", ckptStart, time.Now(),
-			map[string]any{"final": true})
-		if err != nil && ckptErr == nil {
-			ckptErr = err
-		}
-	}
-
-	mergeStart := time.Now()
-	res := e.merge(records, goldenStats)
-	span.RecordCtx(ctx, "fault", "merge", mergeStart, time.Now(),
-		map[string]any{"completed": res.CompletedTrials})
-	if log != nil {
-		log.LogAttrs(ctx, slog.LevelInfo, "campaign complete",
-			slog.Int("completed", res.CompletedTrials),
-			slog.Int("trials", cfg.Trials),
-			slog.Int("recovered", res.Outcomes[Recovered]),
-			slog.Int("masked", res.Outcomes[Masked]),
-			slog.Int("due", res.Outcomes[DUE]),
-			slog.Int("failures", len(res.Failures)),
-		)
-	}
-	switch {
-	case ckptErr != nil:
-		return res, fmt.Errorf("fault: checkpoint: %w", ckptErr)
-	case ctx.Err() != nil:
-		return res, fmt.Errorf("fault: campaign interrupted after %d/%d trials: %w",
-			res.CompletedTrials, cfg.Trials, ctx.Err())
-	case budget > 0 && len(res.Failures) >= budget:
-		f := res.Failures[0]
-		if log != nil {
-			log.LogAttrs(ctx, slog.LevelWarn, "failure budget exhausted",
-				slog.Int("budget", budget),
-				slog.Int("failures", len(res.Failures)),
-				slog.Int("first_trial", f.Trial),
-				slog.String("first_outcome", f.Outcome.String()),
-			)
-		}
-		return res, fmt.Errorf("fault: failure budget (%d) exhausted with %d failure(s); first: trial %d %s (%+v)%s",
-			budget, len(res.Failures), f.Trial, f.Outcome, f.Inj, errSuffix(f.Err))
-	}
-	return res, nil
+	shardSpan.SetArg("lo", leases[0].Lo)
+	shardSpan.SetArg("hi", leases[len(leases)-1].Hi)
+	shardSpan.SetArg("trials", int(executed.Load()))
+	shardSpan.End()
 }
 
 func errSuffix(s string) string {
@@ -840,9 +714,25 @@ func errSuffix(s string) string {
 // failure is an error with outcome Crash.
 func Replay(prog *isa.Program, cfg Config, seedMem func(*isa.Memory), inj Injection) (Outcome, pipeline.Stats, error) {
 	ctx := context.Background()
-	gs, sim, err := fromStart(ctx, prog, cfg, seedMem)
+	e, r, err := replayer(ctx, prog, cfg, seedMem)
 	if err != nil {
 		return Crash, pipeline.Stats{}, fmt.Errorf("fault: golden run failed: %w", err)
+	}
+	st, equal, err := e.exec(ctx, r, &inj)
+	out := classifyResult(equal, st, err)
+	if out == DUE {
+		err = nil // the containment abort is the classification, not a failure
+	}
+	return out, st, err
+}
+
+// replayer builds the engine and the one trial runner Replay executes
+// injections on: prog's golden state, captured without epochs, so every
+// trial on the runner runs from the start.
+func replayer(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*isa.Memory)) (*engine, *trialRunner, error) {
+	gs, sim, err := fromStart(ctx, prog, cfg, seedMem)
+	if err != nil {
+		return nil, nil, err
 	}
 	e := &engine{
 		prog: prog, cfg: cfg, seedMem: seedMem, gs: gs,
@@ -850,12 +740,7 @@ func Replay(prog *isa.Program, cfg Config, seedMem func(*isa.Memory), inj Inject
 		ckptLo: prog.CkptBase,
 		ckptHi: prog.CkptBase + isa.NumRegs*isa.NumColors*8,
 	}
-	st, equal, err := e.exec(ctx, &trialRunner{sim: sim}, &inj)
-	out := classifyResult(equal, st, err)
-	if out == DUE {
-		err = nil // the containment abort is the classification, not a failure
-	}
-	return out, st, err
+	return e, &trialRunner{sim: sim}, nil
 }
 
 // fromStart captures prog's golden state and primes the golden-run

@@ -127,7 +127,8 @@ func FuzzInjectNoSDC(f *testing.F) {
 		}
 		cfg := pipeline.TurnpikeConfig(4, wcdl)
 		seedMem := func(m *isa.Memory) { workload.FuzzSeedMemory(m, seed) }
-		golden, _, err := run(context.Background(), compiled.Prog, Config{Sim: cfg}, seedMem, nil)
+		ctx := context.Background()
+		e, r, err := replayer(ctx, compiled.Prog, Config{Sim: cfg}, seedMem)
 		if err != nil {
 			t.Fatalf("seed %d: golden: %v", seed, err)
 		}
@@ -138,12 +139,12 @@ func FuzzInjectNoSDC(f *testing.F) {
 				AtInst:  uint64(rng.Intn(600) + 1),
 				Latency: 1 + rng.Intn(wcdl),
 			}
-			mem, _, err := run(context.Background(), compiled.Prog, Config{Sim: cfg}, seedMem, &inj)
+			_, equal, err := e.exec(ctx, r, &inj)
 			if err != nil {
 				t.Fatalf("seed %d trial %d (%+v): crash: %v", seed, trial, inj, err)
 			}
-			if !golden.Equal(mem) {
-				t.Fatalf("seed %d trial %d (%+v): SDC:\n%s", seed, trial, inj, golden.Diff(mem, 8))
+			if !equal {
+				t.Fatalf("seed %d trial %d (%+v): SDC:\n%s", seed, trial, inj, outputDiff(e, r, 8))
 			}
 		}
 	})

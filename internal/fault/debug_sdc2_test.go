@@ -21,18 +21,19 @@ func TestDebugSDC2(t *testing.T) {
 	prog := c.Prog
 	cfg := pipeline.TurnpikeConfig(4, 10)
 
-	golden, _, err := run(context.Background(), prog, Config{Sim: cfg}, p.SeedMemory, nil)
+	ctx := context.Background()
+	e, r, err := replayer(ctx, prog, Config{Sim: cfg}, p.SeedMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := Injection{Reg: 4, Bit: 48, AtInst: 632, Latency: 1}
-	mem, st, err := run(context.Background(), prog, Config{Sim: cfg}, p.SeedMemory, &inj)
+	st, equal, err := e.exec(ctx, r, &inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if golden.Equal(mem) {
+	if equal {
 		t.Skip("scenario no longer reproduces")
 	}
 	t.Logf("stats: recoveries=%d parity=%d", st.Recoveries, st.ParityTrips)
-	t.Fatalf("SDC:\n%s", golden.Diff(mem, 12))
+	t.Fatalf("SDC:\n%s", outputDiff(e, r, 12))
 }

@@ -8,7 +8,6 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"math"
@@ -87,8 +86,8 @@ type Config struct {
 	// merged in trial order.
 	Workers int
 	// Lease is the number of consecutive trials a worker takes per
-	// claim, amortizing dispatch over batches of trials; <=0
-	// picks an automatic batch from Trials and Workers. Any lease size
+	// claim, amortizing dispatch over batches of trials; <=0 picks an
+	// automatic batch from Trials and Workers (LeaseSize). Any lease size
 	// produces byte-identical results — the plan stays a pure function
 	// of (Seed, trial) and the merge stays trial-index-ordered.
 	Lease int
@@ -355,11 +354,6 @@ func (inj *Injection) appendEvents(evs []injEvent) []injEvent {
 	return evs
 }
 
-// events flattens the injection into a freshly allocated schedule.
-func (inj *Injection) events() []injEvent {
-	return inj.appendEvents(make([]injEvent, 0, 1+len(inj.Extra)+len(inj.FalsePositives)))
-}
-
 // CountStrikes returns the number of strikes (1 + burst extras) and how
 // many of them were planned to be missed (detected beyond the WCDL).
 func (inj *Injection) CountStrikes() (strikes, missed int) {
@@ -383,57 +377,6 @@ type TrialFailure struct {
 	Inj     Injection `json:"injection"`
 	// Err is the simulator error for crashes.
 	Err string `json:"error,omitempty"`
-}
-
-// run executes prog once, optionally injecting inj, and returns the output
-// memory (with private regions masked) and the run's statistics. Each
-// completed run counts toward cfg.Progress.Runs, so a live campaign's
-// trial count ticks on the /live stream. ctx carries the correlation
-// chain the simulator's rare-event log lines are stamped with.
-func run(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*isa.Memory), inj *Injection) (*isa.Memory, pipeline.Stats, error) {
-	// NewContext records a pipeline/setup span when ctx carries a span
-	// tracer. Per-trial contexts are span-detached by the campaign
-	// worker, so only the golden run (and direct callers) pay or log it.
-	s, err := pipeline.NewContext(ctx, prog, cfg.Sim)
-	if err != nil {
-		return nil, pipeline.Stats{}, err
-	}
-	if cfg.Progress != nil {
-		s.AttachProgress(cfg.Progress)
-	}
-	if cfg.Logger != nil {
-		s.AttachLogger(ctx, cfg.Logger)
-	}
-	if seedMem != nil {
-		seedMem(s.Mem)
-	}
-	var evs []injEvent
-	if inj != nil {
-		evs = inj.events()
-	}
-	next := 0
-	for !s.Halted() {
-		for next < len(evs) && s.Stats.Insts >= evs[next].atInst {
-			ev := evs[next]
-			next++
-			var err error
-			if ev.fp {
-				err = s.InjectFalseDetection(ev.fpLat)
-			} else {
-				err = s.InjectBitFlip(ev.strike.Reg, ev.strike.Bit, ev.strike.Latency)
-			}
-			if err != nil {
-				return nil, s.Stats, err
-			}
-		}
-		if err := s.Step(); err != nil {
-			return nil, s.Stats, err
-		}
-	}
-	if cfg.Progress != nil {
-		cfg.Progress.Runs.Add(1)
-	}
-	return mask(s.OutputMemory()), s.Stats, nil
 }
 
 // mask removes compiler-private regions (spill slots) from the image;

@@ -51,7 +51,8 @@ func TestQuickFuzzNoSDC(t *testing.T) {
 		}
 		seedMem := func(m *isa.Memory) { workload.FuzzSeedMemory(m, seed) }
 
-		golden, _, err := run(context.Background(), compiled.Prog, Config{Sim: cfg}, seedMem, nil)
+		ctx := context.Background()
+		e, r, err := replayer(ctx, compiled.Prog, Config{Sim: cfg}, seedMem)
 		if err != nil {
 			t.Logf("seed %d: golden: %v", seed, err)
 			return false
@@ -63,13 +64,13 @@ func TestQuickFuzzNoSDC(t *testing.T) {
 				AtInst:  uint64(rng.Intn(600) + 1),
 				Latency: 1 + rng.Intn(wcdl),
 			}
-			mem, _, err := run(context.Background(), compiled.Prog, Config{Sim: cfg}, seedMem, &inj)
+			_, equal, err := e.exec(ctx, r, &inj)
 			if err != nil {
 				t.Logf("seed %d trial %d (%+v): crash: %v", seed, trial, inj, err)
 				return false
 			}
-			if !golden.Equal(mem) {
-				t.Logf("seed %d trial %d (%+v): SDC:\n%s", seed, trial, inj, golden.Diff(mem, 8))
+			if !equal {
+				t.Logf("seed %d trial %d (%+v): SDC:\n%s", seed, trial, inj, outputDiff(e, r, 8))
 				return false
 			}
 		}
@@ -79,4 +80,10 @@ func TestQuickFuzzNoSDC(t *testing.T) {
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// outputDiff renders how the output of the trial r just ran differs
+// from the golden image, masked as campaign classification masks it.
+func outputDiff(e *engine, r *trialRunner, lines int) string {
+	return e.golden.Diff(mask(r.sim.OutputMemory()), lines)
 }

@@ -19,10 +19,8 @@ import (
 	"log/slog"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/obs/olog"
 	"repro/internal/obs/span"
 	"repro/internal/pipeline"
 )
@@ -38,6 +36,35 @@ type TrialRange struct {
 func (r TrialRange) Len() int { return r.Hi - r.Lo }
 
 func (r TrialRange) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
+
+// LeaseSize is the campaign lease policy shared by Prepared.Run and the
+// fleet coordinator: an explicit lease wins; otherwise trials split into
+// a few leases per executor, trials/(executors·4), clamped to [1, 64] —
+// enough leases that the tail stays balanced, few enough trials per
+// lease that checkpoint cadence and budget cancellation stay responsive.
+func LeaseSize(explicit, trials, executors int) int {
+	if explicit > 0 {
+		return explicit
+	}
+	return min(max(trials/(max(executors, 1)*4), 1), 64)
+}
+
+// SplitLeases splits pending ranges into leases of at most size trials,
+// in trial order. A lease never spans two ranges, so every lease of a
+// resumed campaign is fully pending.
+func SplitLeases(pending []TrialRange, size int) []TrialRange {
+	n := 0
+	for _, r := range pending {
+		n += (r.Len() + size - 1) / size
+	}
+	out := make([]TrialRange, 0, n)
+	for _, r := range pending {
+		for lo := r.Lo; lo < r.Hi; lo += size {
+			out = append(out, TrialRange{Lo: lo, Hi: min(lo+size, r.Hi)})
+		}
+	}
+	return out
+}
 
 // ShardResult is the serialized outcome of one leased trial range — the
 // unit a remote worker posts back to its coordinator. GoldenCycles and
@@ -94,80 +121,39 @@ func (s *ShardResult) Verify() error {
 // RunRange executes trials [lo, hi) on the prepared campaign's local
 // runners and returns the sealed shard — the worker side of a
 // distributed campaign, and the coordinator's local-fallback execution
-// path. The range is fanned over the prepared simulators and each record
-// lands at its trial index, so the shard is byte-identical for any
-// runner count. A cancelled ctx abandons the shard and returns the
-// context error: partial shards are never returned — the lease is simply
-// re-run.
+// path. The range is fanned over the prepared simulators a trial at a
+// time and each record lands at its trial index, so the shard is
+// byte-identical for any runner count. A cancelled ctx abandons the
+// shard and returns the context error: partial shards are never
+// returned — the lease is simply re-run.
 func (p *Prepared) RunRange(ctx context.Context, lo, hi int) (*ShardResult, error) {
-	e := p.e
-	if lo < 0 || hi > e.cfg.Trials || lo >= hi {
+	if lo < 0 || hi > p.e.cfg.Trials || lo >= hi {
 		return nil, fmt.Errorf("%w: shard range [%d,%d) outside campaign of %d trials",
-			ErrInvalidConfig, lo, hi, e.cfg.Trials)
+			ErrInvalidConfig, lo, hi, p.e.cfg.Trials)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	sh := &ShardResult{
 		Lo: lo, Hi: hi,
 		GoldenCycles: p.goldenStats.Cycles,
 		GoldenInsts:  p.goldenStats.Insts,
 		Records:      make([]TrialRecord, hi-lo),
 	}
-	workers := len(p.runners)
-	if workers > hi-lo {
-		workers = hi - lo
-	}
-	log := e.cfg.Logger
-	debugOn := log != nil && log.Enabled(ctx, slog.LevelDebug)
-	var next atomic.Int64
-	next.Store(int64(lo))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(shard int, runner *trialRunner) {
-			defer wg.Done()
-			if e.cfg.Progress != nil {
-				e.cfg.Progress.Workers.Add(1)
-				defer e.cfg.Progress.Workers.Add(-1)
-			}
-			wctx := olog.WithShard(ctx, shard)
-			for ctx.Err() == nil {
-				t := int(next.Add(1)) - 1
-				if t >= hi {
-					return
-				}
-				tctx := wctx
-				if log != nil {
-					tctx = olog.WithTrial(wctx, t)
-				}
-				rec := &sh.Records[t-lo]
-				e.runTrial(tctx, runner, t, rec)
-				if debugOn {
-					e.logTrial(tctx, rec)
-				}
-			}
-		}(w, p.runners[w])
-	}
-	wg.Wait()
+	p.fanOut(ctx, SplitLeases([]TrialRange{{Lo: lo, Hi: hi}}, 1), sh.Records, lo, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("fault: shard [%d,%d) interrupted: %w", lo, hi, err)
 	}
-	span.RecordCtx(ctx, "fault", "shard_exec", start, time.Now(),
-		map[string]any{"lo": lo, "hi": hi, "trials": hi - lo})
 	sh.Seal()
 	return sh, nil
 }
 
-// Session is a Prepared campaign opened for external scheduling: the
-// coordinator side of a distributed run. It owns the campaign's record
-// table, checkpoint cadence, and failure budget; leases of Pending
-// ranges are executed anywhere (RunRange locally, remote workers over a
-// transport) and merged back through Commit. Finish merges the records
-// in trial order, so the Result is byte-identical to a single-process
-// Prepared.Run of the same Config — regardless of which worker executed
-// which range, how often leases were re-granted, or how many duplicate
-// completions arrived.
+// Session is a Prepared campaign opened for scheduling. It owns the
+// campaign's record table, checkpoint restore and cadence, failure
+// budget, and merge. Prepared.Run drives one locally; a distributed
+// coordinator leases Pending ranges to be executed anywhere (RunRange
+// locally, remote workers over a transport) and merges them back through
+// Commit. Finish merges the records in trial order, so the Result is
+// byte-identical to a single-process Prepared.Run of the same Config —
+// regardless of which worker executed which range, how often leases were
+// re-granted, or how many duplicate completions arrived.
 //
 // Session methods are safe for concurrent use.
 type Session struct {
@@ -184,17 +170,19 @@ type Session struct {
 }
 
 // Open restores the campaign's checkpoint (if configured) and returns
-// the session ready for scheduling. Like Run, a corrupt checkpoint is
-// discarded with a warning and the campaign restarts from trial zero;
-// a checkpoint from a different campaign is an error. Open and Run are
-// mutually exclusive: whichever is called first owns the campaign.
+// the session ready for scheduling. A corrupt checkpoint carries no
+// usable progress: it is discarded with a warning, the campaign restarts
+// from trial zero, and the first save atomically overwrites it. A
+// checkpoint from a different campaign is an error. A campaign is opened
+// once: Run opens its own session, so Open and Run are mutually
+// exclusive.
 func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ran {
+	if p.opened {
 		return nil, fmt.Errorf("fault: campaign already running")
 	}
-	p.ran = true
+	p.opened = true
 	e := p.e
 	budget := e.cfg.FailureBudget
 	if budget == 0 {
@@ -206,6 +194,8 @@ func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 	}
 	records := make([]*TrialRecord, e.cfg.Trials)
 	if e.cfg.Checkpoint != "" {
+		// Restore covers reading the watermark file and re-deriving every
+		// completed trial's injection plan for validation.
 		restoreStart := time.Now()
 		err := e.restore(records, p.goldenStats)
 		span.RecordCtx(ctx, "fault", "checkpoint_restore", restoreStart, time.Now(), nil)
@@ -265,7 +255,7 @@ func (s *Session) completedLocked() int {
 func (s *Session) Pending() []TrialRange {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.budget > 0 && s.failures >= s.budget {
+	if s.exhaustedLocked() {
 		return nil
 	}
 	var out []TrialRange
@@ -305,8 +295,10 @@ func (s *Session) RangeComplete(lo, hi int) bool {
 func (s *Session) BudgetExhausted() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.budget > 0 && s.failures >= s.budget
+	return s.exhaustedLocked()
 }
+
+func (s *Session) exhaustedLocked() bool { return s.budget > 0 && s.failures >= s.budget }
 
 // Commit validates one shard against the campaign and merges its
 // records, returning how many trials were newly committed. Zero with a
@@ -341,45 +333,56 @@ func (s *Session) Commit(sh *ShardResult) (int, error) {
 				ErrShardInvalid, sh.Records[i].Trial, sh.Records[i].Inj, got)
 		}
 	}
+	fresh, _, err := s.add(context.Background(), sh.Records)
+	return fresh, err
+}
 
+// add puts trusted records into the table — a shard Commit validated,
+// or a trial Prepared.Run executed on the campaign's own runners: the
+// one merge step both paths share. A record whose trial is already
+// committed must match it exactly — if any disagrees, nothing is
+// committed and the error wraps ErrShardMismatch; otherwise it is a
+// benign duplicate. The cadence checkpoint is written here, its span
+// parented by ctx; a failed write is kept for Finish to report. stop
+// reports that the campaign owes no further work: a checkpoint write
+// failed or the failure budget is exhausted.
+func (s *Session) add(ctx context.Context, recs []TrialRecord) (fresh int, stop bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished {
-		// The campaign merged while this shard was in flight; its work
-		// is simply discarded (the merge already happened in trial
+		// The campaign merged while these records were in flight; their
+		// work is simply discarded (the merge already happened in trial
 		// order, so nothing is lost or double-counted).
-		return 0, nil
+		return 0, true, nil
 	}
-	// Duplicate cross-validation first: if any already-committed trial
-	// disagrees with the incoming record, commit nothing.
-	for i := range sh.Records {
-		if prev := s.records[sh.Lo+i]; prev != nil && !reflect.DeepEqual(*prev, sh.Records[i]) {
-			return 0, fmt.Errorf("%w: trial %d", ErrShardMismatch, sh.Lo+i)
+	for i := range recs {
+		if prev := s.records[recs[i].Trial]; prev != nil && !reflect.DeepEqual(*prev, recs[i]) {
+			return 0, false, fmt.Errorf("%w: trial %d", ErrShardMismatch, recs[i].Trial)
 		}
 	}
-	fresh := 0
-	for i := range sh.Records {
-		if s.records[sh.Lo+i] != nil {
+	for i := range recs {
+		rec := &recs[i]
+		if s.records[rec.Trial] != nil {
 			continue
 		}
-		rec := &sh.Records[i]
-		s.records[sh.Lo+i] = rec
+		s.records[rec.Trial] = rec
 		fresh++
 		if rec.Outcome == SDC || rec.Outcome == Crash {
 			s.failures++
 		}
 	}
-	if fresh == 0 {
-		return 0, nil
-	}
 	s.sinceCkpt += fresh
-	if e.cfg.Checkpoint != "" && s.sinceCkpt >= s.every {
+	if e := s.p.e; fresh > 0 && e.cfg.Checkpoint != "" && s.sinceCkpt >= s.every {
 		s.sinceCkpt = 0
-		if err := e.save(s.records, s.p.goldenStats); err != nil && s.ckptErr == nil {
+		ckptStart := time.Now()
+		err := e.save(s.records, s.p.goldenStats)
+		span.RecordCtx(ctx, "fault", "checkpoint_write", ckptStart, time.Now(),
+			map[string]any{"trial": recs[len(recs)-1].Trial})
+		if err != nil && s.ckptErr == nil {
 			s.ckptErr = err
 		}
 	}
-	return fresh, nil
+	return fresh, s.ckptErr != nil || s.exhaustedLocked(), nil
 }
 
 // Revoke clears the committed records in [lo, hi) so the range can be
@@ -432,8 +435,7 @@ func (s *Session) Checkpoint() error {
 // Finish writes the final checkpoint, merges every committed record in
 // trial order, and returns the campaign Result — byte-identical to a
 // single-process run of the same Config over the same completed trials.
-// The error mirrors Prepared.Run: a checkpoint write failure, a
-// cancelled ctx (partial result attached), or an exhausted failure
+// A checkpoint write failure, a cancelled ctx, or an exhausted failure
 // budget each return the merged partial result alongside the error.
 func (s *Session) Finish(ctx context.Context) (*Result, error) {
 	s.mu.Lock()
@@ -477,6 +479,14 @@ func (s *Session) Finish(ctx context.Context) (*Result, error) {
 			res.CompletedTrials, e.cfg.Trials, ctx.Err())
 	case budget > 0 && len(res.Failures) >= budget:
 		f := res.Failures[0]
+		if log := e.cfg.Logger; log != nil {
+			log.LogAttrs(ctx, slog.LevelWarn, "failure budget exhausted",
+				slog.Int("budget", budget),
+				slog.Int("failures", len(res.Failures)),
+				slog.Int("first_trial", f.Trial),
+				slog.String("first_outcome", f.Outcome.String()),
+			)
+		}
 		return res, fmt.Errorf("fault: failure budget (%d) exhausted with %d failure(s); first: trial %d %s (%+v)%s",
 			budget, len(res.Failures), f.Trial, f.Outcome, f.Inj, errSuffix(f.Err))
 	}

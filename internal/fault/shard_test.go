@@ -1,13 +1,18 @@
 package fault
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/pipeline"
 )
 
@@ -22,18 +27,51 @@ func shardTestConfig() Config {
 // TestSessionByteIdenticalToRun is the distributed-merge contract: a
 // campaign executed as shards — committed out of trial order, with
 // duplicate completions sprinkled in — must Finish with a Result
-// byte-identical to Prepared.Run of the same Config.
+// byte-identical to Prepared.Run of the same Config. With a checkpoint
+// configured, the final checkpoint files of the two paths must be
+// byte-identical too.
 func TestSessionByteIdenticalToRun(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
-	cfg := shardTestConfig()
-
-	ref, err := Campaign(prog, cfg, p.SeedMemory)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for _, ckpt := range []bool{false, true} {
+		cfg := shardTestConfig()
+		runCfg := cfg
+		if ckpt {
+			cfg.CheckpointEvery = 5
+			runCfg = cfg
+			runCfg.Checkpoint = filepath.Join(dir, "run.json")
+			cfg.Checkpoint = filepath.Join(dir, "session.json")
+		}
+		ref, err := Campaign(prog, runCfg, p.SeedMemory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := shardedCampaign(t, prog, p.SeedMemory, cfg); !reflect.DeepEqual(ref, res) {
+			t.Errorf("checkpoint=%v: sharded session result diverged from single-process Run", ckpt)
+		}
+		if !ckpt {
+			continue
+		}
+		run, err := os.ReadFile(runCfg.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := os.ReadFile(cfg.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(run, sharded) {
+			t.Error("sharded session's final checkpoint differs from single-process Run's")
+		}
 	}
+}
 
+// shardedCampaign runs cfg as a session of uneven shards, committed in
+// reverse trial order with one duplicate, and returns its Result.
+func shardedCampaign(t *testing.T, prog *isa.Program, seedMem func(*isa.Memory), cfg Config) *Result {
+	t.Helper()
 	ctx := context.Background()
-	prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
+	prep, err := Prepare(ctx, prog, cfg, seedMem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +120,78 @@ func TestSessionByteIdenticalToRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref, res) {
-		t.Error("sharded session result diverged from single-process Run")
+	return res
+}
+
+// TestCheckpointWriteFailure pins the failed-write branch that local and
+// sharded campaigns share: the first failed cadence write is kept, and
+// Finish returns it as "fault: checkpoint: …" alongside the partial
+// result, even when its own final write succeeds. A local Run also
+// cancels its outstanding trials at that write; a RunRange+Commit
+// session keeps the shard it committed.
+func TestCheckpointWriteFailure(t *testing.T) {
+	prog, p := compiled(t, "gcc", core.Turnpike)
+	ctx := context.Background()
+	// prepare returns a campaign checkpointing every 4 trials into dir.
+	prepare := func(t *testing.T) (prep *Prepared, dir string) {
+		dir = filepath.Join(t.TempDir(), "ckpt")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		cfg := shardTestConfig()
+		cfg.Workers = 1
+		cfg.CheckpointEvery = 4
+		cfg.Checkpoint = filepath.Join(dir, "campaign.json")
+		prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prep, dir
 	}
+	check := func(t *testing.T, res *Result, err error, completed int) {
+		t.Helper()
+		if err == nil || !strings.HasPrefix(err.Error(), "fault: checkpoint: ") || !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("err = %v, want a fault: checkpoint: error for the missing directory", err)
+		}
+		if res == nil || res.CompletedTrials != completed {
+			t.Fatalf("partial result = %+v, want %d completed trials", res, completed)
+		}
+	}
+
+	t.Run("Run", func(t *testing.T) {
+		prep, dir := prepare(t)
+		// Open only reads the checkpoint, so a directory removed before
+		// Run is gone by the time Run's session first writes.
+		if err := os.Remove(dir); err != nil {
+			t.Fatal(err)
+		}
+		res, err := prep.Run(ctx)
+		check(t, res, err, 4)
+	})
+	t.Run("Session", func(t *testing.T) {
+		prep, dir := prepare(t)
+		sess, err := prep.Open(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(dir); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := sess.RunRange(ctx, 0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh, err := sess.Commit(sh); err != nil || fresh != 8 {
+			t.Fatalf("commit: fresh=%d err=%v, want 8 <nil>", fresh, err)
+		}
+		// With the directory back, Finish's own write succeeds; the
+		// failed cadence write must still be reported.
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Finish(ctx)
+		check(t, res, err, 8)
+	})
 }
 
 // TestShardVerifyAndCommitValidation exercises every rejection class:

@@ -18,8 +18,6 @@ import (
 	"testing"
 	"time"
 
-	turnpike "repro"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
 	"repro/internal/service"
@@ -59,27 +57,13 @@ func TestRequestIDCorrelatesAccessLogEventsAndCampaign(t *testing.T) {
 		rec.Handler(slog.LevelDebug),
 	)
 
-	runner := func(ctx context.Context, spec service.JobSpec, checkpoint string) (*fault.Result, error) {
-		return turnpike.InjectFaultsContext(ctx, spec.Bench, turnpike.Turnpike, turnpike.FaultCampaignConfig{
-			Trials:          spec.Trials,
-			Seed:            spec.Seed,
-			ScalePct:        spec.ScalePct,
-			Workers:         spec.Workers,
-			FailureBudget:   spec.FailureBudget,
-			Checkpoint:      checkpoint,
-			CheckpointEvery: spec.CheckpointEvery,
-			Logger:          logger,
-		})
-	}
-
 	reg := obs.NewRegistry()
-	svc, err := service.New(service.Config{
+	svc, err := service.New(service.LocalFleet(service.Config{
 		StateDir: t.TempDir(),
-		Runner:   runner,
 		Logger:   logger,
 		Events:   rec,
 		Metrics:  reg,
-	})
+	}, logger, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package service_test
 
 // End-to-end proof of the kill-and-restart determinism acceptance
-// criterion, with the real fault-campaign engine behind the Runner: a
-// daemon drained mid-campaign (SIGTERM path) and a daemon that dies with
-// no drain at all (crash path) must both, after restart, finish every
-// job with a Result byte-identical to an uninterrupted run's.
+// criterion, with the real fault-campaign engine behind a workerless
+// FleetExecutor, as cmd/campaignd ships: a daemon drained mid-campaign
+// (SIGTERM path) and a daemon that dies with no drain at all (crash
+// path) must both, after restart, finish every job with a Result
+// byte-identical to an uninterrupted run's.
 
 import (
 	"context"
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	turnpike "repro"
-	"repro/internal/fault"
 	"repro/internal/service"
 )
 
@@ -24,32 +24,6 @@ const (
 	e2eTrials = 240
 	e2eSeed   = 7
 )
-
-// campaignRunner adapts turnpike.InjectFaultsContext to service.Runner —
-// the same wiring cmd/campaignd uses.
-func campaignRunner(t *testing.T) service.Runner {
-	return func(ctx context.Context, spec service.JobSpec, checkpoint string) (*fault.Result, error) {
-		var sc turnpike.Scheme
-		switch spec.Scheme {
-		case "", "turnpike":
-			sc = turnpike.Turnpike
-		case "turnstile":
-			sc = turnpike.Turnstile
-		}
-		return turnpike.InjectFaultsContext(ctx, spec.Bench, sc, turnpike.FaultCampaignConfig{
-			Trials:          spec.Trials,
-			Seed:            spec.Seed,
-			SBSize:          spec.SBSize,
-			WCDL:            spec.WCDL,
-			ScalePct:        spec.ScalePct,
-			Workers:         spec.Workers,
-			FailureBudget:   spec.FailureBudget,
-			Checkpoint:      checkpoint,
-			CheckpointEvery: spec.CheckpointEvery,
-			Warnf:           t.Logf,
-		})
-	}
-}
 
 func e2eSpec() service.JobSpec {
 	return service.JobSpec{
@@ -88,7 +62,7 @@ func referenceResult(t *testing.T) []byte {
 // service to interrupt. Returns the job ID.
 func interruptMidCampaign(t *testing.T, dir string, interrupt func(*service.Service)) string {
 	t.Helper()
-	s, err := service.New(service.Config{StateDir: dir, Runner: campaignRunner(t), Logf: t.Logf})
+	s, err := service.New(service.LocalFleet(service.Config{StateDir: dir, Logf: t.Logf}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +97,7 @@ func interruptMidCampaign(t *testing.T, dir string, interrupt func(*service.Serv
 // to the uninterrupted reference.
 func finishAndCompare(t *testing.T, dir, id string, want []byte) {
 	t.Helper()
-	s, err := service.New(service.Config{StateDir: dir, Runner: campaignRunner(t), Logf: t.Logf})
+	s, err := service.New(service.LocalFleet(service.Config{StateDir: dir, Logf: t.Logf}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

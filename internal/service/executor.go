@@ -3,25 +3,24 @@ package service
 import (
 	"context"
 	"fmt"
+	"log/slog"
 
+	turnpike "repro"
+	"repro/internal/artifact"
 	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 // Executor is the transport-agnostic campaign execution strategy: the
 // service's worker supervisor hands it one job attempt and gets back the
-// merged Result. The two implementations are a plain Runner (the whole
-// campaign runs in this process — Prepared.Run) and the FleetExecutor
-// (the campaign is opened as a Session and its trial ranges are leased
-// to a worker fleet, falling back to local execution when no workers are
-// live). Either way, checkpoint is the job's resume file and a cancelled
-// ctx must flush it and return promptly.
+// merged Result. The production implementation is the FleetExecutor: the
+// campaign is opened as a Session and its trial ranges are leased to a
+// worker fleet, or executed in this process while no workers are live.
+// Either way, checkpoint is the job's resume file and a cancelled ctx
+// must flush it and return promptly.
 type Executor interface {
 	Execute(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Result, error)
-}
-
-// Execute makes the legacy Runner func an Executor.
-func (r Runner) Execute(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Result, error) {
-	return r(ctx, spec, checkpoint)
 }
 
 // PrepareFunc compiles one job's campaign up to (and including) its
@@ -32,6 +31,65 @@ func (r Runner) Execute(ctx context.Context, spec JobSpec, checkpoint string) (*
 // must produce identical golden statistics — that fingerprint is how a
 // shard proves it came from the same campaign.
 type PrepareFunc func(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Prepared, error)
+
+// ProgramResolver resolves a submitted program's fingerprint to its
+// compiled artifact. A coordinator reads its ProgramStore (Entry);
+// workers fetch the program from the coordinator and compile locally.
+type ProgramResolver func(ctx context.Context, fp string) (*artifact.Entry, error)
+
+// CampaignPrepare adapts the two-phase fault-campaign engine to
+// PrepareFunc: the one JobSpec → campaign mapping, shared by the
+// coordinator and its workers so identical specs compile identical
+// campaigns. It threads the process's registry, live-progress gauges,
+// and structured logger (each may be nil) into every campaign, so
+// /metrics, /live, and the correlated log cover the jobs as they run.
+// programs resolves "program:<fingerprint>" workloads; nil rejects them.
+func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slog.Logger, programs ProgramResolver) PrepareFunc {
+	return func(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Prepared, error) {
+		var sc turnpike.Scheme
+		schemeName := spec.Scheme
+		switch spec.Scheme {
+		case "", "turnpike":
+			sc, schemeName = turnpike.Turnpike, "turnpike"
+		case "turnstile":
+			sc = turnpike.Turnstile
+		default:
+			return nil, fmt.Errorf("%w: unknown scheme %q", fault.ErrInvalidConfig, spec.Scheme)
+		}
+		cfg := turnpike.FaultCampaignConfig{
+			Trials:          spec.Trials,
+			Seed:            spec.Seed,
+			SBSize:          spec.SBSize,
+			WCDL:            spec.WCDL,
+			ScalePct:        spec.ScalePct,
+			Workers:         spec.Workers,
+			Lease:           spec.Lease,
+			FailureBudget:   spec.FailureBudget,
+			Checkpoint:      checkpoint,
+			CheckpointEvery: spec.CheckpointEvery,
+			Metrics:         reg,
+			Progress:        progress,
+			Logger:          logger,
+		}
+		if !spec.IsProgram() {
+			return turnpike.PrepareFaultCampaign(ctx, spec.Bench, sc, cfg)
+		}
+		if programs == nil {
+			return nil, fmt.Errorf("%w: this process resolves no submitted programs", fault.ErrInvalidConfig)
+		}
+		entry, err := programs(ctx, spec.ProgramFingerprint())
+		if err != nil {
+			return nil, err
+		}
+		prog, ok := entry.Schemes[schemeName]
+		if !ok {
+			return nil, fmt.Errorf("%w: program %s has no %s image", fault.ErrInvalidConfig,
+				entry.Fingerprint, schemeName)
+		}
+		cfg.SBSize = entry.SBSize
+		return turnpike.PrepareCompiledFaultCampaign(ctx, prog, sc, cfg)
+	}
+}
 
 // FleetExecutor runs each job through the fleet coordinator: Prepare
 // compiles the campaign and captures golden state once, the Session is

@@ -706,11 +706,12 @@ const localWorkerID = "local"
 
 // Run drives one campaign through the fleet until every trial is
 // committed, the failure budget trips, or ctx is cancelled — then merges
-// and returns the Result exactly as fault.Prepared.Run would have. While
-// zero remote workers are live, the coordinator executes pending ranges
-// itself on the session's prepared runners, so a workerless fleet
-// degrades to the single-process campaign (and a mid-campaign worker
-// registration picks up the remaining ranges).
+// and returns the Result through the session's Finish, exactly as
+// fault.Prepared.Run would have. While zero remote workers are live, the
+// coordinator executes pending ranges itself on the session's prepared
+// runners, so a workerless fleet degrades to the single-process campaign
+// (and a mid-campaign worker registration picks up the remaining
+// ranges).
 func (f *Fleet) Run(ctx context.Context, spec JobSpec, sess *fault.Session) (*fault.Result, error) {
 	jobID := olog.FromContext(ctx).JobID
 	fj := &fleetJob{
@@ -757,15 +758,7 @@ func (f *Fleet) addJob(fj *fleetJob) {
 	pending := fj.sess.Pending()
 	f.mu.Lock()
 	size := f.leaseSizeLocked(fj.spec, fj.sess.Trials())
-	for _, r := range pending {
-		for lo := r.Lo; lo < r.Hi; lo += size {
-			hi := lo + size
-			if hi > r.Hi {
-				hi = r.Hi
-			}
-			fj.pending = append(fj.pending, fault.TrialRange{Lo: lo, Hi: hi})
-		}
-	}
+	fj.pending = fault.SplitLeases(pending, size)
 	f.jobs = append(f.jobs, fj)
 	f.updateGaugesLocked()
 	f.mu.Unlock()
@@ -774,30 +767,15 @@ func (f *Fleet) addJob(fj *fleetJob) {
 	f.changed()
 }
 
-// leaseSizeLocked resolves the job's lease size: an explicit spec value
-// wins; otherwise trials/(executors·4) clamped to [1,64], where the
-// executor count is the live remote fleet when one exists, else the
-// local trial parallelism — the fleet-aware version of the engine's
-// local-only default. Caller holds f.mu.
+// leaseSizeLocked resolves the job's lease size by the engine's policy
+// (fault.LeaseSize), counting as executors the live remote fleet when
+// one exists, else the local trial parallelism. Caller holds f.mu.
 func (f *Fleet) leaseSizeLocked(spec JobSpec, trials int) int {
-	if spec.Lease > 0 {
-		return spec.Lease
-	}
 	execs := f.liveWorkersLocked()
 	if execs == 0 {
 		execs = f.cfg.LocalWorkers
 	}
-	if execs <= 0 {
-		execs = 1
-	}
-	size := trials / (execs * 4)
-	if size < 1 {
-		size = 1
-	}
-	if size > 64 {
-		size = 64
-	}
-	return size
+	return fault.LeaseSize(spec.Lease, trials, execs)
 }
 
 func (f *Fleet) liveWorkersLocked() int {
@@ -887,15 +865,7 @@ func (f *Fleet) settled(fj *fleetJob) bool {
 	}
 	f.mu.Lock()
 	size := f.leaseSizeLocked(fj.spec, fj.sess.Trials())
-	for _, r := range missing {
-		for lo := r.Lo; lo < r.Hi; lo += size {
-			hi := lo + size
-			if hi > r.Hi {
-				hi = r.Hi
-			}
-			fj.pending = append(fj.pending, fault.TrialRange{Lo: lo, Hi: hi})
-		}
-	}
+	fj.pending = append(fj.pending, fault.SplitLeases(missing, size)...)
 	f.mu.Unlock()
 	f.log.Warn("fleet self-check requeued uncovered ranges", "job", fj.id, "ranges", len(missing))
 	return false
@@ -934,9 +904,8 @@ func (f *Fleet) claimLocal(fj *fleetJob) (fault.TrialRange, bool) {
 // finishLocal commits (or requeues) one locally executed range.
 func (f *Fleet) finishLocal(fj *fleetJob, r fault.TrialRange, sh *fault.ShardResult, runErr error) {
 	var commitErr error
-	fresh := 0
 	if runErr == nil {
-		fresh, commitErr = fj.sess.Commit(sh)
+		_, commitErr = fj.sess.Commit(sh)
 	}
 	f.mu.Lock()
 	fj.localBusy--
@@ -956,11 +925,8 @@ func (f *Fleet) finishLocal(fj *fleetJob, r fault.TrialRange, sh *fault.ShardRes
 		} else {
 			fj.pending = append([]fault.TrialRange{r}, fj.pending...)
 		}
-	default:
-		if l != nil {
-			l.State = LeaseDone
-		}
-		_ = fresh
+	case l != nil:
+		l.State = LeaseDone
 	}
 	fj.wake()
 	f.updateGaugesLocked()

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	turnpike "repro"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/service"
@@ -53,29 +52,6 @@ func (k *killSwitch) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("killswitch: worker process is gone")
 	}
 	return k.base.RoundTrip(req)
-}
-
-// fleetPrepare compiles a leased campaign the same way cmd/campaignd's
-// worker mode does.
-func fleetPrepare() service.PrepareFunc {
-	return func(ctx context.Context, spec service.JobSpec, checkpoint string) (*fault.Prepared, error) {
-		sc := turnpike.Turnpike
-		if spec.Scheme == "turnstile" {
-			sc = turnpike.Turnstile
-		}
-		return turnpike.PrepareFaultCampaign(ctx, spec.Bench, sc, turnpike.FaultCampaignConfig{
-			Trials:          spec.Trials,
-			Seed:            spec.Seed,
-			SBSize:          spec.SBSize,
-			WCDL:            spec.WCDL,
-			ScalePct:        spec.ScalePct,
-			Workers:         spec.Workers,
-			Lease:           spec.Lease,
-			FailureBudget:   spec.FailureBudget,
-			Checkpoint:      checkpoint,
-			CheckpointEvery: spec.CheckpointEvery,
-		})
-	}
 }
 
 func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
@@ -114,7 +90,7 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 	})
 	svc, err := service.New(service.Config{
 		StateDir: t.TempDir(),
-		Executor: &service.FleetExecutor{Fleet: fleet, Prepare: fleetPrepare()},
+		Executor: &service.FleetExecutor{Fleet: fleet, Prepare: service.CampaignPrepare(nil, nil, nil, nil)},
 		Fleet:    fleet,
 		Progress: progress,
 		Metrics:  reg,
@@ -157,7 +133,7 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 	} {
 		w, err := service.NewWorkerClient(service.WorkerConfig{
 			Coordinator: ts.URL,
-			Prepare:     fleetPrepare(),
+			Prepare:     service.CampaignPrepare(nil, nil, nil, nil),
 			Client: &http.Client{
 				Transport: service.NewChaosTransport(wc.base, wc.seed, *chaosDrop, *chaosDup, *chaosDelay),
 			},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	turnpike "repro"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -44,21 +44,19 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// fleetCampaignConfig is the one campaign definition shared by a test's
-// session, its worker-side shards, and its single-node reference — the
+// fleetSpec is the one campaign definition shared by a test's session,
+// its worker-side shards, and its single-node reference — the
 // byte-identity comparisons only mean something if all three agree.
-func fleetCampaignConfig(trials, every int, ckpt string) turnpike.FaultCampaignConfig {
-	return turnpike.FaultCampaignConfig{
-		Trials: trials, Seed: 5, ScalePct: 4, Workers: 2,
-		FailureBudget: -1, Checkpoint: ckpt, CheckpointEvery: every,
-	}
+func fleetSpec(trials, every, lease int) JobSpec {
+	return JobSpec{Bench: "gcc", Trials: trials, Seed: 5, ScalePct: 4, Workers: 2,
+		Lease: lease, FailureBudget: -1, CheckpointEvery: every}
 }
 
 // fleetSession opens a distributed session over the shared campaign.
 func fleetSession(t *testing.T, trials, every, lease int, ckpt string) (*fault.Session, JobSpec) {
 	t.Helper()
-	p, err := turnpike.PrepareFaultCampaign(context.Background(), "gcc", turnpike.Turnpike,
-		fleetCampaignConfig(trials, every, ckpt))
+	spec := fleetSpec(trials, every, lease)
+	p, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), spec, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +64,31 @@ func fleetSession(t *testing.T, trials, every, lease int, ckpt string) (*fault.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{Bench: "gcc", Trials: trials, Seed: 5, ScalePct: 4, Workers: 2,
-		Lease: lease, FailureBudget: -1, CheckpointEvery: every}
 	return sess, spec
 }
 
 // fleetReference runs the identical campaign uninterrupted on one node.
 func fleetReference(t *testing.T, trials int) *fault.Result {
 	t.Helper()
-	res, err := turnpike.InjectFaults("gcc", turnpike.Turnpike, fleetCampaignConfig(trials, 0, ""))
+	p, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), fleetSpec(trials, 0, 0), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// LocalFleet wires cfg as cmd/campaignd ships with no workers joined: a
+// FleetExecutor over the real engine (CampaignPrepare) whose workerless
+// fleet executes every lease itself. Exported for the external e2e
+// tests.
+func LocalFleet(cfg Config, logger *slog.Logger, programs ProgramResolver) Config {
+	cfg.Fleet = NewFleet(FleetConfig{})
+	cfg.Executor = &FleetExecutor{Fleet: cfg.Fleet, Prepare: CampaignPrepare(nil, nil, logger, programs)}
+	return cfg
 }
 
 // runShard executes one range on the session's own simulators — the

@@ -49,44 +49,6 @@ const frontDoorKernelMessy = "func dot\n\nb0:   ->  b1\n  movi v0, #0\n\tmovi v1
 	"b1: -> b2 b1\n    ld v2, [v1, #0]\n    ld v3, [v1, #1024]\n    mul v2, v2, v3\n" +
 	"    add v0, v0, v2\n    add v1, v1, #8\n    blt v1, #64\nb2:\n    st v0, [v1, #4096]\n    halt\n"
 
-// programRunner mirrors cmd/campaignd's campaignPrepare for in-process
-// tests: program workloads resolve through the store and run the real
-// campaign engine; built-in benches use the instant stub.
-func programRunner(t *testing.T, store *ProgramStore) Runner {
-	return func(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Result, error) {
-		if !spec.IsProgram() {
-			return instantRunner(ctx, spec, checkpoint)
-		}
-		sc, schemeName := turnpike.Turnpike, "turnpike"
-		if spec.Scheme == "turnstile" {
-			sc, schemeName = turnpike.Turnstile, "turnstile"
-		}
-		entry, err := store.Entry(ctx, spec.ProgramFingerprint())
-		if err != nil {
-			return nil, err
-		}
-		prog, ok := entry.Schemes[schemeName]
-		if !ok {
-			return nil, fmt.Errorf("%w: program %s has no %s image", fault.ErrInvalidConfig, entry.Fingerprint, schemeName)
-		}
-		p, err := turnpike.PrepareCompiledFaultCampaign(ctx, prog, sc, turnpike.FaultCampaignConfig{
-			Trials:          spec.Trials,
-			Seed:            spec.Seed,
-			SBSize:          entry.SBSize,
-			WCDL:            spec.WCDL,
-			Workers:         spec.Workers,
-			FailureBudget:   spec.FailureBudget,
-			Checkpoint:      checkpoint,
-			CheckpointEvery: spec.CheckpointEvery,
-			Warnf:           t.Logf,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return p.Run(ctx)
-	}
-}
-
 // doHTTP drives one request through a mounted service handler.
 func doHTTP(h http.Handler, method, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
 	rr := httptest.NewRecorder()
@@ -115,7 +77,7 @@ func TestFrontDoorSubmitCompileCampaignE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestService(t, Config{Tenants: reg, Programs: store, Runner: programRunner(t, store)})
+	s := newTestService(t, LocalFleet(Config{Tenants: reg, Programs: store}, nil, store.Entry))
 	s.Start()
 	defer s.Shutdown(context.Background())
 	srv := obs.NewServer(obs.ServerConfig{})
@@ -430,10 +392,10 @@ func TestFrontDoorRateLimitAndQuotaHTTP(t *testing.T) {
 	s := newTestService(t, Config{
 		Tenants:  reg,
 		Programs: store,
-		Runner: func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			<-release
-			return instantRunner(ctx, spec, "")
-		},
+			return instantExec(ctx, spec, "")
+		}),
 	})
 	s.Start()
 	defer func() { close(release); s.Shutdown(context.Background()) }()

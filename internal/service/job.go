@@ -72,7 +72,7 @@ func (s *JobSpec) IsProgram() bool {
 	return strings.HasPrefix(s.Bench, ProgramBenchPrefix)
 }
 
-// Validate rejects specs no runner could execute.
+// Validate rejects specs no executor could run.
 func (s *JobSpec) Validate() error {
 	if s.Bench == "" {
 		return fmt.Errorf("service: job spec needs a bench")

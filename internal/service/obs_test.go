@@ -47,10 +47,10 @@ func TestAccessLogCoversRejections(t *testing.T) {
 	s := newTestService(t, Config{
 		QueueDepth: 1,
 		Logger:     olog.New(&sink, olog.Options{Level: slog.LevelDebug}),
-		Runner: func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			<-release
-			return instantRunner(ctx, spec, "")
-		},
+			return instantExec(ctx, spec, "")
+		}),
 	})
 	s.Start()
 	defer func() { close(release); s.Shutdown(context.Background()) }()
@@ -138,9 +138,9 @@ func TestFailedJobDumpsFlightRecorder(t *testing.T) {
 		MaxAttempts: 1,
 		Logger:      logger,
 		Events:      rec,
-		Runner: func(_ context.Context, _ JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(_ context.Context, _ JobSpec, _ string) (*fault.Result, error) {
 			return nil, MarkPermanent(errors.New("benchmark build is broken"))
-		},
+		}),
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())

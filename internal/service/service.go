@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
 	"repro/internal/obs/span"
@@ -19,24 +18,17 @@ import (
 	"repro/internal/tenant"
 )
 
-// Runner executes one campaign job. checkpoint is the absolute path of
-// the job's resume file: the runner must thread it into the campaign so
-// a cancelled or killed attempt leaves a watermark the next attempt
-// resumes from. A cancelled ctx must flush that checkpoint and return
-// promptly (fault.CampaignContext does both).
-type Runner func(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Result, error)
-
 // Config parameterizes New. Zero values get production defaults.
 type Config struct {
 	// StateDir holds jobs.json and the per-job campaign checkpoints
 	// (required). Created if missing.
 	StateDir string
-	// Runner executes one job in-process. Exactly one of Runner and
-	// Executor is required; a Runner is the single-process Executor.
-	Runner Runner
-	// Executor is the transport-agnostic execution strategy; set it to a
-	// *FleetExecutor to lease each campaign's trial ranges to the worker
-	// fleet instead of running them inline. When nil, Runner is used.
+	// Executor runs each job attempt (required). checkpoint is the
+	// absolute path of the job's resume file: the executor threads it
+	// into the campaign so a cancelled or killed attempt leaves a
+	// watermark the next attempt resumes from. Production wires a
+	// *FleetExecutor, which leases each campaign's trial ranges to the
+	// worker fleet and runs them in this process while none are live.
 	Executor Executor
 	// Fleet, when set, is the coordinator state machine whose lease
 	// table is persisted alongside the jobs (jobs.json v2), reported by
@@ -70,8 +62,8 @@ type Config struct {
 	// RetryAfter is the backpressure hint returned with 429s. Default 5s.
 	RetryAfter time.Duration
 	// Progress, when set, receives the live queue-depth, retry, and
-	// open-breaker gauges (and is handed to runners via closure if the
-	// daemon wires it into campaign configs).
+	// open-breaker gauges (and is handed to campaigns when the daemon
+	// wires it into CampaignPrepare).
 	Progress *pipeline.Progress
 	// Metrics, when set, receives service counters (submitted, done,
 	// failed, retried, rejected, breaker trips) and the RED latency
@@ -119,11 +111,8 @@ func (c *Config) fillDefaults() error {
 	if c.StateDir == "" {
 		return fmt.Errorf("service: Config.StateDir is required")
 	}
-	if c.Runner == nil && c.Executor == nil {
-		return fmt.Errorf("service: Config needs a Runner or an Executor")
-	}
 	if c.Executor == nil {
-		c.Executor = c.Runner
+		return fmt.Errorf("service: Config.Executor is required")
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -205,7 +194,7 @@ type Service struct {
 	log *slog.Logger
 	// queueWait and attemptLat are the service's RED histograms (nil
 	// without cfg.Metrics): how long jobs sit queued before a worker
-	// picks them up, and how long one runner attempt takes.
+	// picks them up, and how long one executor attempt takes.
 	queueWait  *obs.Histogram
 	attemptLat *obs.Histogram
 
@@ -629,7 +618,7 @@ func (s *Service) runJob(id string) {
 		s.queueWait.Observe(uint64(j.StartedAt.Sub(j.queuedAt).Microseconds()))
 	}
 	// jobCtx re-roots the correlation chain recorded at submission: the
-	// runner's campaign inherits it, so every trial line a campaign logs
+	// executor's campaign inherits it, so every trial line a campaign logs
 	// joins the submitting request's access-log line on request_id — and
 	// the span tracer rides the same context, so the campaign's phases
 	// nest under this job's attempt span.

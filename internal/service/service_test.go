@@ -22,8 +22,15 @@ import (
 	"repro/internal/pipeline"
 )
 
-// instantRunner completes every job immediately with a tiny result.
-func instantRunner(_ context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+// execFunc adapts a plain function to Executor: the test fakes' seam.
+type execFunc func(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Result, error)
+
+func (f execFunc) Execute(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Result, error) {
+	return f(ctx, spec, checkpoint)
+}
+
+// instantExec completes every job immediately with a tiny result.
+func instantExec(_ context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 	return &fault.Result{CompletedTrials: spec.Trials, Outcomes: map[fault.Outcome]int{fault.Masked: spec.Trials}}, nil
 }
 
@@ -33,8 +40,8 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	if cfg.StateDir == "" {
 		cfg.StateDir = t.TempDir()
 	}
-	if cfg.Runner == nil {
-		cfg.Runner = instantRunner
+	if cfg.Executor == nil {
+		cfg.Executor = execFunc(instantExec)
 	}
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = time.Millisecond
@@ -94,14 +101,14 @@ func TestBackpressure(t *testing.T) {
 		Concurrency: 1,
 		RetryAfter:  7 * time.Second,
 		Progress:    progress,
-		Runner: func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			return instantRunner(ctx, spec, "")
-		},
+			return instantExec(ctx, spec, "")
+		}),
 	})
 	s.Start()
 	defer func() {
@@ -180,12 +187,12 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 		MaxAttempts: 3,
 		Progress:    progress,
 		Metrics:     reg,
-		Runner: func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			if calls.Add(1) < 3 {
 				return nil, MarkTransient(fmt.Errorf("flaky infrastructure"))
 			}
-			return instantRunner(ctx, spec, "")
-		},
+			return instantExec(ctx, spec, "")
+		}),
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())
@@ -218,9 +225,9 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 func TestRetriesExhaustedFails(t *testing.T) {
 	s := newTestService(t, Config{
 		MaxAttempts: 2,
-		Runner: func(context.Context, JobSpec, string) (*fault.Result, error) {
+		Executor: execFunc(func(context.Context, JobSpec, string) (*fault.Result, error) {
 			return nil, MarkTransient(fmt.Errorf("still flaky"))
-		},
+		}),
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())
@@ -250,12 +257,12 @@ func TestBreakerOpensAndCools(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  200 * time.Millisecond,
 		Progress:         progress,
-		Runner: func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			if failing.Load() {
 				return nil, MarkPermanent(fmt.Errorf("this workload cannot work"))
 			}
-			return instantRunner(ctx, spec, "")
-		},
+			return instantExec(ctx, spec, "")
+		}),
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())
@@ -326,11 +333,11 @@ func TestDrainRequeuesInFlight(t *testing.T) {
 	started := make(chan struct{}, 1)
 	s := newTestService(t, Config{
 		StateDir: dir,
-		Runner: func(ctx context.Context, _ JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, _ JobSpec, _ string) (*fault.Result, error) {
 			started <- struct{}{}
 			<-ctx.Done() // a long campaign that only the drain interrupts
 			return nil, fmt.Errorf("interrupted: %w", ctx.Err())
-		},
+		}),
 	})
 	s.Start()
 	j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 7})
@@ -351,7 +358,7 @@ func TestDrainRequeuesInFlight(t *testing.T) {
 		t.Fatalf("submit while draining: %v", err)
 	}
 
-	// Next life: same state dir, a runner that finishes.
+	// Next life: same state dir, an executor that finishes.
 	s2 := newTestService(t, Config{StateDir: dir})
 	s2.Start()
 	defer s2.Shutdown(context.Background())
@@ -368,13 +375,13 @@ func TestDeadlineOverrunRetries(t *testing.T) {
 	s := newTestService(t, Config{
 		JobDeadline: 30 * time.Millisecond,
 		MaxAttempts: 2,
-		Runner: func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			if calls.Add(1) == 1 {
 				<-ctx.Done()
 				return nil, fmt.Errorf("campaign interrupted: %w", ctx.Err())
 			}
-			return instantRunner(ctx, spec, "")
-		},
+			return instantExec(ctx, spec, "")
+		}),
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())
@@ -396,15 +403,15 @@ func TestCancel(t *testing.T) {
 	var ran atomic.Int32
 	s := newTestService(t, Config{
 		Concurrency: 1,
-		Runner: func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			ran.Add(1)
 			select {
 			case <-release:
-				return instantRunner(ctx, spec, "")
+				return instantExec(ctx, spec, "")
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())
@@ -435,7 +442,7 @@ func TestCancel(t *testing.T) {
 		t.Fatalf("running cancel: state = %s", j.State)
 	}
 	if n := ran.Load(); n != 1 {
-		t.Errorf("runner ran %d times; the withdrawn job must never run", n)
+		t.Errorf("executor ran %d times; the withdrawn job must never run", n)
 	}
 	if err := s.Cancel("job-999999"); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("cancel unknown: %v", err)
@@ -451,7 +458,7 @@ func TestCorruptStateFileStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	var warned bytes.Buffer
-	s, err := New(Config{StateDir: dir, Runner: instantRunner, Logf: func(f string, a ...any) {
+	s, err := New(Config{StateDir: dir, Executor: execFunc(instantExec), Logf: func(f string, a ...any) {
 		fmt.Fprintf(&warned, f+"\n", a...)
 	}})
 	if err != nil {
@@ -557,14 +564,14 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	defer close(release)
 	s := newTestService(t, Config{
 		Concurrency: 1,
-		Runner: func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			return instantRunner(ctx, spec, "")
-		},
+			return instantExec(ctx, spec, "")
+		}),
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())
@@ -656,11 +663,11 @@ func TestHTTPJobLifecycle(t *testing.T) {
 func TestReadyzWhileDraining(t *testing.T) {
 	started := make(chan struct{}, 1)
 	s := newTestService(t, Config{
-		Runner: func(ctx context.Context, _ JobSpec, _ string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, _ JobSpec, _ string) (*fault.Result, error) {
 			started <- struct{}{}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 	})
 	s.Start()
 	srv := obs.NewServer(obs.ServerConfig{})

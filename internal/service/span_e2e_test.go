@@ -1,8 +1,8 @@
 package service_test
 
 // End-to-end proof of the span-tracing acceptance criteria, with the
-// real fault-campaign engine behind the Runner — the same wiring
-// cmd/campaignd uses: a job submitted over HTTP with an explicit
+// real fault-campaign engine behind a workerless FleetExecutor — the
+// same wiring cmd/campaignd uses: a job submitted over HTTP with an explicit
 // X-Request-ID must serve a valid Chrome trace at /jobs/{id}/trace where
 // every span carries that request ID, a phase-budget report at
 // /jobs/{id}/phases attributing >= 95% of the job's wall-clock window to
@@ -27,13 +27,12 @@ import (
 func TestSpanTraceEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := span.New(span.Config{Metrics: reg})
-	s, err := service.New(service.Config{
+	s, err := service.New(service.LocalFleet(service.Config{
 		StateDir: t.TempDir(),
-		Runner:   campaignRunner(t),
 		Logf:     t.Logf,
 		Metrics:  reg,
 		Spans:    tr,
-	})
+	}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,16 +67,16 @@ func TestSpanBackoffAndBreakerWait(t *testing.T) {
 		Spans:            tr,
 		BreakerThreshold: 1,
 		BreakerCooldown:  20 * time.Millisecond,
-		Runner: func(ctx context.Context, spec JobSpec, ckpt string) (*fault.Result, error) {
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, ckpt string) (*fault.Result, error) {
 			switch calls.Add(1) {
 			case 1:
 				return nil, errTransient // job 1, attempt 1: forces a backoff
 			case 3:
 				return nil, MarkPermanent(errors.New("hard failure")) // job 2: opens the breaker
 			default:
-				return instantRunner(ctx, spec, ckpt)
+				return instantExec(ctx, spec, ckpt)
 			}
-		},
+		}),
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())

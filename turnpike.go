@@ -264,8 +264,33 @@ type FaultAdversary = fault.Adversary
 // campaignSetup compiles bench for scheme and returns the program, the
 // simulator config, and the memory seeder a campaign (or replay) needs.
 func campaignSetup(bench string, scheme Scheme, cfg *FaultCampaignConfig) (*Program, pipeline.Config, func(*isa.Memory), error) {
+	sim, err := campaignSim(scheme, cfg)
+	if err != nil {
+		return nil, pipeline.Config{}, nil, err
+	}
+	if cfg.ScalePct == 0 {
+		cfg.ScalePct = 10
+	}
+	p, ok := workload.ByName(bench)
+	if !ok {
+		return nil, pipeline.Config{}, nil, fmt.Errorf("turnpike: unknown benchmark %q", bench)
+	}
+	opt := core.Options{Scheme: core.Turnstile, SBSize: cfg.SBSize}
+	if scheme == Turnpike {
+		opt = core.TurnpikeAll(cfg.SBSize)
+	}
+	compiled, err := core.Compile(p.Build(cfg.ScalePct), opt)
+	if err != nil {
+		return nil, pipeline.Config{}, nil, err
+	}
+	return compiled.Prog, sim, p.SeedMemory, nil
+}
+
+// campaignSim fills cfg's campaign defaults and returns the simulator
+// configuration scheme's campaigns run under.
+func campaignSim(scheme Scheme, cfg *FaultCampaignConfig) (pipeline.Config, error) {
 	if scheme == Baseline {
-		return nil, pipeline.Config{}, nil, fmt.Errorf("turnpike: the baseline has no detection or recovery to campaign against")
+		return pipeline.Config{}, fmt.Errorf("turnpike: the baseline has no detection or recovery to campaign against")
 	}
 	if cfg.Trials == 0 {
 		cfg.Trials = 100
@@ -276,28 +301,33 @@ func campaignSetup(bench string, scheme Scheme, cfg *FaultCampaignConfig) (*Prog
 	if cfg.WCDL == 0 {
 		cfg.WCDL = 10
 	}
-	if cfg.ScalePct == 0 {
-		cfg.ScalePct = 10
-	}
-	p, ok := workload.ByName(bench)
-	if !ok {
-		return nil, pipeline.Config{}, nil, fmt.Errorf("turnpike: unknown benchmark %q", bench)
-	}
-	f := p.Build(cfg.ScalePct)
-	opt := core.Options{Scheme: core.Turnstile, SBSize: cfg.SBSize}
 	sim := pipeline.TurnstileConfig(cfg.SBSize, cfg.WCDL)
 	if scheme == Turnpike {
-		opt = core.TurnpikeAll(cfg.SBSize)
 		sim = pipeline.TurnpikeConfig(cfg.SBSize, cfg.WCDL)
 	}
 	if cfg.Containment != nil {
 		sim.Containment = *cfg.Containment
 	}
-	compiled, err := core.Compile(f, opt)
-	if err != nil {
-		return nil, pipeline.Config{}, nil, err
+	return sim, nil
+}
+
+// engineConfig maps the façade's campaign config onto the engine's.
+func (cfg *FaultCampaignConfig) engineConfig(sim pipeline.Config) fault.Config {
+	return fault.Config{
+		Trials:          cfg.Trials,
+		Seed:            cfg.Seed,
+		Sim:             sim,
+		Metrics:         cfg.Metrics,
+		Progress:        cfg.Progress,
+		Workers:         cfg.Workers,
+		Lease:           cfg.Lease,
+		FailureBudget:   cfg.FailureBudget,
+		Checkpoint:      cfg.Checkpoint,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Adversary:       cfg.Adversary,
+		Warnf:           cfg.Warnf,
+		Logger:          cfg.Logger,
 	}
-	return compiled.Prog, sim, p.SeedMemory, nil
 }
 
 // InjectFaults runs a single-bit-flip campaign against a benchmark under
@@ -332,21 +362,7 @@ func PrepareFaultCampaign(ctx context.Context, bench string, scheme Scheme, cfg 
 	if err != nil {
 		return nil, err
 	}
-	return fault.Prepare(ctx, prog, fault.Config{
-		Trials:          cfg.Trials,
-		Seed:            cfg.Seed,
-		Sim:             sim,
-		Metrics:         cfg.Metrics,
-		Progress:        cfg.Progress,
-		Workers:         cfg.Workers,
-		Lease:           cfg.Lease,
-		FailureBudget:   cfg.FailureBudget,
-		Checkpoint:      cfg.Checkpoint,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Adversary:       cfg.Adversary,
-		Warnf:           cfg.Warnf,
-		Logger:          cfg.Logger,
-	}, seedMem)
+	return fault.Prepare(ctx, prog, cfg.engineConfig(sim), seedMem)
 }
 
 // PrepareCompiledFaultCampaign is PrepareFaultCampaign for an
@@ -358,43 +374,14 @@ func PrepareFaultCampaign(ctx context.Context, bench string, scheme Scheme, cfg 
 // admission interpreter did. cfg.SBSize must match the size the image
 // was compiled for (the caller knows it from the artifact entry).
 func PrepareCompiledFaultCampaign(ctx context.Context, prog *Program, scheme Scheme, cfg FaultCampaignConfig) (*PreparedFaultCampaign, error) {
-	if scheme == Baseline {
-		return nil, fmt.Errorf("turnpike: the baseline has no detection or recovery to campaign against")
+	sim, err := campaignSim(scheme, &cfg)
+	if err != nil {
+		return nil, err
 	}
 	if prog == nil {
 		return nil, fmt.Errorf("turnpike: no program to campaign against")
 	}
-	if cfg.Trials == 0 {
-		cfg.Trials = 100
-	}
-	if cfg.SBSize == 0 {
-		cfg.SBSize = 4
-	}
-	if cfg.WCDL == 0 {
-		cfg.WCDL = 10
-	}
-	sim := pipeline.TurnstileConfig(cfg.SBSize, cfg.WCDL)
-	if scheme == Turnpike {
-		sim = pipeline.TurnpikeConfig(cfg.SBSize, cfg.WCDL)
-	}
-	if cfg.Containment != nil {
-		sim.Containment = *cfg.Containment
-	}
-	return fault.Prepare(ctx, prog, fault.Config{
-		Trials:          cfg.Trials,
-		Seed:            cfg.Seed,
-		Sim:             sim,
-		Metrics:         cfg.Metrics,
-		Progress:        cfg.Progress,
-		Workers:         cfg.Workers,
-		Lease:           cfg.Lease,
-		FailureBudget:   cfg.FailureBudget,
-		Checkpoint:      cfg.Checkpoint,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Adversary:       cfg.Adversary,
-		Warnf:           cfg.Warnf,
-		Logger:          cfg.Logger,
-	}, nil)
+	return fault.Prepare(ctx, prog, cfg.engineConfig(sim), nil)
 }
 
 // ReplayFault re-executes one recorded injection from a campaign's
