@@ -242,6 +242,67 @@ func (d *Delta) Bytes() int {
 	return n
 }
 
+// SetClocks holds, per level, each set's newest LRU stamp: the level's
+// clock at the set's most recent access (0 for a set never touched).
+// Every access stamps the way it hits or fills with the level's next
+// clock value, so a set holds a stamp newer than a Clock exactly when it
+// was accessed after that clock was read.
+type SetClocks [3][]uint64
+
+// SetClocks returns h's per-set newest stamps.
+func (h *Hierarchy) SetClocks() SetClocks {
+	var sc SetClocks
+	for i, c := range h.levels() {
+		sc[i] = make([]uint64, c.sets)
+		for set := range c.sets {
+			_, lru := c.ways(set)
+			sc[i][set] = slices.Max(lru)
+		}
+	}
+	return sc
+}
+
+// Equivalent reports whether h replaces lines exactly as o does on any
+// access sequence that touches only the sets that last holds a stamp
+// newer than o's clock for. On each such set the two must hold the same
+// tag in every way and order their ways' stamps the same way; the
+// stamps themselves may differ, because a victim is the way with the
+// oldest stamp of its set and every later access stamps newer than all
+// of them. The other sets, and the hit/miss counters, are not compared.
+func (h *Hierarchy) Equivalent(o *Hierarchy, last *SetClocks) bool {
+	ol := o.levels()
+	for i, c := range h.levels() {
+		oc := ol[i]
+		for set, t := range last[i] {
+			if t <= oc.stamp {
+				continue
+			}
+			tags, lru := c.ways(set)
+			otags, olru := oc.ways(set)
+			if !slices.Equal(tags, otags) || !sameOrder(lru, olru) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameOrder reports whether a and b, of equal length, order their
+// elements identically.
+func sameOrder(a, b []uint64) bool {
+	if slices.Equal(a, b) {
+		return true
+	}
+	for i := range a {
+		for j := i + 1; j < len(a); j++ {
+			if (a[i] < a[j]) != (b[i] < b[j]) || (a[i] > a[j]) != (b[i] > b[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Hierarchy is the two-level hierarchy with a flat memory behind it.
 type Hierarchy struct {
 	L1I, L1D, L2 *Cache

@@ -69,11 +69,13 @@ type planScratch struct {
 }
 
 // trialRunner is one worker's reusable execution state: a simulator
-// forked from the golden snapshot and Reset between trials, plus the
+// forked from the golden snapshot and Reset between trials, the shadow
+// its trials are compared with for the reconvergence cut-off, plus the
 // plan and event-schedule scratch. Steady-state, running a trial
 // allocates only its TrialRecord.
 type trialRunner struct {
 	sim     *pipeline.Sim
+	shadow  *pipeline.Shadow // nil: trials are never cut
 	scratch planScratch
 	evs     []injEvent
 }
@@ -258,11 +260,14 @@ func (e *engine) planWith(trial int, sc *planScratch) Injection {
 // exec runs one injection on the runner's simulator, reset from the
 // golden snapshot at its last epoch before the first event (ResetAt; a
 // snapshot without epochs runs the trial from the start), and reports
-// whether the masked output matches the golden image. The
+// whether the masked output matches the golden image. Once the last
+// event has fired, the golden state's RunCut finishes the trial; cut
+// reports that it ended it early, reconverged with the golden run, in
+// which case the output is the golden output and is not compared. The
 // classification comparison runs in place (isa.Memory.EqualMasked over
 // the drained trial memory) — no clone, no sorted snapshot — so a
 // steady-state trial performs no comparison allocations at all.
-func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st pipeline.Stats, equal bool, err error) {
+func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st pipeline.Stats, equal, cut bool, err error) {
 	s := r.sim
 	r.evs = inj.appendEvents(r.evs[:0])
 	evs := r.evs
@@ -270,8 +275,7 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 	if e.cfg.Logger != nil {
 		s.AttachLogger(ctx, e.cfg.Logger)
 	}
-	next := 0
-	for !s.Halted() {
+	for next := 0; next < len(evs) && !s.Halted(); {
 		for next < len(evs) && s.Stats.Insts >= evs[next].atInst {
 			ev := &evs[next]
 			next++
@@ -282,34 +286,45 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 				err = s.InjectBitFlip(ev.strike.Reg, ev.strike.Bit, ev.strike.Latency)
 			}
 			if err != nil {
-				return s.Stats, false, err
+				return s.Stats, false, false, err
 			}
 		}
-		if err := s.Step(); err != nil {
-			return s.Stats, false, err
+		if next < len(evs) {
+			if err := s.Step(); err != nil {
+				return s.Stats, false, false, err
+			}
 		}
+	}
+	st, cut, err = e.gs.RunCut(s, r.shadow)
+	if err != nil {
+		return st, false, false, err
 	}
 	if e.cfg.Progress != nil {
 		e.cfg.Progress.Runs.Add(1)
 	}
+	if cut {
+		return st, true, true, nil
+	}
 	out := s.DrainOutput()
 	equal = out.EqualMasked(e.golden, e.ckptLo, e.ckptHi, isa.StackBase, isa.StackLimit)
-	return s.Stats, equal, nil
+	return st, equal, false, nil
 }
 
 // runTrial executes one planned injection on the runner and classifies
 // it into rec — caller-provided so workers fill a preallocated record
-// slab instead of heap-allocating per trial. ctx carries the worker's
-// shard correlation; the trial index is added by the worker loop so the
+// slab instead of heap-allocating per trial — and reports whether the
+// trial was cut short (exec). ctx carries the worker's shard
+// correlation; the trial index is added by the worker loop so the
 // simulator's rare-event lines name it.
-func (e *engine) runTrial(ctx context.Context, r *trialRunner, trial int, rec *TrialRecord) {
+func (e *engine) runTrial(ctx context.Context, r *trialRunner, trial int, rec *TrialRecord) (cut bool) {
 	*rec = TrialRecord{Trial: trial, Inj: e.planWith(trial, &r.scratch)}
-	st, equal, err := e.exec(ctx, r, &rec.Inj)
+	st, equal, cut, err := e.exec(ctx, r, &rec.Inj)
 	rec.Stats = st
 	rec.Outcome = classifyResult(equal, st, err)
 	if err != nil {
 		rec.Err = err.Error()
 	}
+	return cut
 }
 
 // classifyResult maps one injected run to its outcome. A DUEError is the
@@ -573,6 +588,11 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 		cfg.Progress.Runs.Add(1)
 	}
 	goldenStats.Cycles = warmStats.Cycles
+	for _, r := range runners {
+		if r.shadow, err = gs.NewShadow(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+		}
+	}
 	span.RecordCtx(ctx, "fault", "warm_golden_run", warmStart, time.Now(),
 		map[string]any{"cycles": warmStats.Cycles})
 
@@ -718,7 +738,7 @@ func Replay(prog *isa.Program, cfg Config, seedMem func(*isa.Memory), inj Inject
 	if err != nil {
 		return Crash, pipeline.Stats{}, fmt.Errorf("fault: golden run failed: %w", err)
 	}
-	st, equal, err := e.exec(ctx, r, &inj)
+	st, equal, _, err := e.exec(ctx, r, &inj)
 	out := classifyResult(equal, st, err)
 	if out == DUE {
 		err = nil // the containment abort is the classification, not a failure

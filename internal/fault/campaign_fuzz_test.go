@@ -139,7 +139,7 @@ func FuzzInjectNoSDC(f *testing.F) {
 				AtInst:  uint64(rng.Intn(600) + 1),
 				Latency: 1 + rng.Intn(wcdl),
 			}
-			_, equal, err := e.exec(ctx, r, &inj)
+			_, equal, _, err := e.exec(ctx, r, &inj)
 			if err != nil {
 				t.Fatalf("seed %d trial %d (%+v): crash: %v", seed, trial, inj, err)
 			}

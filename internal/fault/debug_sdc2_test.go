@@ -27,7 +27,7 @@ func TestDebugSDC2(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := Injection{Reg: 4, Bit: 48, AtInst: 632, Latency: 1}
-	st, equal, err := e.exec(ctx, r, &inj)
+	st, equal, _, err := e.exec(ctx, r, &inj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestQuickFuzzNoSDC(t *testing.T) {
 				AtInst:  uint64(rng.Intn(600) + 1),
 				Latency: 1 + rng.Intn(wcdl),
 			}
-			_, equal, err := e.exec(ctx, r, &inj)
+			_, equal, _, err := e.exec(ctx, r, &inj)
 			if err != nil {
 				t.Logf("seed %d trial %d (%+v): crash: %v", seed, trial, inj, err)
 				return false

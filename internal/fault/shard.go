@@ -415,28 +415,13 @@ func (s *Session) Revoke(lo, hi int) error {
 	return nil
 }
 
-// Checkpoint rewrites the campaign's checkpoint file with every
-// committed record, regardless of cadence — the coordinator calls it
-// when an attempt is being cut short (drain, cancellation) so the next
-// life resumes from the exact watermark.
-func (s *Session) Checkpoint() error {
-	if s.p.e.cfg.Checkpoint == "" {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.finished {
-		return nil
-	}
-	s.sinceCkpt = 0
-	return s.p.e.save(s.records, s.p.goldenStats)
-}
-
 // Finish writes the final checkpoint, merges every committed record in
 // trial order, and returns the campaign Result — byte-identical to a
 // single-process run of the same Config over the same completed trials.
 // A checkpoint write failure, a cancelled ctx, or an exhausted failure
-// budget each return the merged partial result alongside the error.
+// budget each return the merged partial result alongside the error. A
+// coordinator cutting an attempt short (drain, cancellation) finishes
+// the session too, so the next life resumes from the exact watermark.
 func (s *Session) Finish(ctx context.Context) (*Result, error) {
 	s.mu.Lock()
 	if s.finished {

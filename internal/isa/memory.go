@@ -386,14 +386,14 @@ func (m *Memory) Equal(o *Memory) bool {
 	return true
 }
 
-// EqualMasked reports whether m and o hold identical contents outside
-// the two masked address ranges [aLo,aHi) and [bLo,bHi). o must already
-// be masked (hold no words in either range) — campaign golden images
-// are; words of m inside the ranges are skipped. Pages the two memories
+// EqualMasked reports whether m and o hold identical words at every
+// address outside the two masked address ranges [aLo,aHi) and
+// [bLo,bHi); empty ranges compare everything. Pages the two memories
 // share are skipped and the rest compare as whole arrays; only a page
-// that differs is scanned for a difference outside the ranges. It is the
-// allocation-free equivalent of copying m minus the masked ranges into a
-// fresh image and calling Equal.
+// that differs is scanned for a difference outside the ranges, so
+// comparing two forks of one image costs the pages they wrote. It is the
+// allocation-free equivalent of clearing both ranges in copies of m and
+// o and calling Equal.
 func (m *Memory) EqualMasked(o *Memory, aLo, aHi, bLo, bHi uint64) bool {
 	masked := func(a uint64) bool { return (a >= aLo && a < aHi) || (a >= bLo && a < bHi) }
 	for i := range max(len(m.tab), len(o.tab)) {
@@ -408,17 +408,14 @@ func (m *Memory) EqualMasked(o *Memory, aLo, aHi, bLo, bHi uint64) bool {
 			}
 		}
 	}
-	n := 0
-	for a, v := range m.spill {
-		if masked(a) {
-			continue
+	for _, p := range [2][2]*Memory{{m, o}, {o, m}} {
+		for a, v := range p[0].spill {
+			if !masked(a) && p[1].spill[a] != v {
+				return false
+			}
 		}
-		if o.spill[a] != v {
-			return false
-		}
-		n++
 	}
-	return n == len(o.spill)
+	return true
 }
 
 // Diff returns a human-readable summary of up to max differing words,

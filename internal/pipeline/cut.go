@@ -1,0 +1,293 @@
+package pipeline
+
+import (
+	"bytes"
+	"math/bits"
+
+	"repro/internal/cache"
+	"repro/internal/isa"
+)
+
+// Reconvergence cut-off. Recovery squashes the unverified regions and
+// re-executes them from the last verified boundary, so a recovered trial
+// is soon the golden run again, a few cycles late. RunCut compares a
+// trial whose fault events have all fired with the warm golden run at
+// each epoch boundary, and once the two states are equivalent it stops
+// simulating: the trial's future is the golden run's from that epoch,
+// shifted in time, so its outcome is the golden outcome and its
+// statistics are its own so far plus the golden suffix. DESIGN.md §3
+// ("Reconvergence cut-off") gives the soundness argument for every
+// difference the comparison allows.
+
+// ckptBytes is the size of the checkpoint storage window at
+// Program.CkptBase.
+const ckptBytes = isa.NumRegs * isa.NumColors * 8
+
+// Shadow is what RunCut compares a trial's memory and caches with: a
+// memory image and a cache hierarchy that it rebuilds, from the golden
+// state's deltas, as they were at the epoch the trial has reached. Each
+// campaign worker owns one.
+type Shadow struct {
+	g    *GoldenState
+	mem  *isa.Memory
+	hier *cache.Hierarchy
+	at   int // epochs replayed since the last rebuild from the image, -1 before the first
+}
+
+// NewShadow builds a Shadow for g's trials. It holds nothing until
+// RunCut first compares a trial with an epoch.
+func (g *GoldenState) NewShadow() (*Shadow, error) {
+	hier, err := newHierarchy(g.cfg)
+	if err != nil {
+		return nil, err
+	}
+	mem := isa.NewMemory()
+	mem.Reserve(g.memSpan, g.memOwned)
+	return &Shadow{g: g, mem: mem, hier: hier, at: -1}, nil
+}
+
+// moveTo rebuilds the shadow at epoch k: forward from the epoch it
+// holds, or from the golden image when that lies beyond k.
+func (sh *Shadow) moveTo(k int) {
+	g := sh.g
+	if sh.at < 0 || sh.at > k+1 {
+		sh.mem.ResetTo(g.init)
+		sh.hier.Restore(&g.img)
+		sh.at = 0
+	}
+	g.replay(sh.mem, sh.hier, sh.at, k+1)
+	sh.at = k + 1
+}
+
+// RunCut runs s, a trial forked from g whose fault events have all
+// fired, to halt, like Run. At every step boundary where s's
+// golden-equivalent progress reaches an epoch's instruction count, it
+// compares s with that epoch, using sh, a Shadow of g's; on a match it
+// stops and returns, with cut = true, the statistics the run to halt
+// would have returned. The output of a cut trial equals the golden
+// output. s is then left at the boundary where it stopped, not halted,
+// and must be Reset before it runs again. An attached Progress receives
+// the same totals as from a run to halt.
+//
+// RunCut never cuts without a shadow or epochs, with an observability attachment
+// (AttachObs) or with Config.RecordRegions, whose traces and logs must
+// cover the whole run, nor while a detection is pending, a recovery
+// block runs, the mesh is degraded or a register is tainted.
+func (g *GoldenState) RunCut(s *Sim, sh *Shadow) (st Stats, cut bool, err error) {
+	if sh == nil || sh.g != g || len(g.epochs) == 0 || s.obs != nil || s.Cfg.RecordRegions {
+		st, err = s.Run()
+		return st, false, err
+	}
+	k, check := 0, false
+	for !s.halted {
+		if check {
+			for k > 0 && g.epochs[k-1].insts >= s.netInsts {
+				k--
+			}
+			for k < len(g.epochs) && g.epochs[k].insts < s.netInsts {
+				k++
+			}
+			if k < len(g.epochs) && g.epochs[k].insts == s.netInsts {
+				if g.reconverged(s, sh, k) {
+					e := &g.epochs[k]
+					st = s.Stats
+					st.Merge(&e.suffix)
+					st.Cycles = s.cycle + e.suffix.Cycles
+					if s.progress != nil {
+						own := s.Stats
+						s.Stats = st
+						s.publishProgress()
+						s.Stats = own
+					}
+					return st, true, nil
+				}
+			}
+		}
+		net := s.netInsts
+		err := s.step()
+		if s.progress != nil {
+			s.publishProgress()
+		}
+		if err != nil {
+			return s.Stats, false, err
+		}
+		check = s.netInsts != net
+	}
+	return s.Stats, false, nil
+}
+
+// reconverged reports whether s, at golden-equivalent progress
+// epochs[k].insts, is equivalent to the warm golden run at epoch k: the
+// run to halt from either state behaves identically, up to a constant
+// cycle offset.
+func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int) bool {
+	e := &g.epochs[k]
+	if len(s.pendingDetects) > 0 || s.inRecovery || s.degradedUntil != 0 ||
+		s.Taint != [isa.NumRegs]bool{} || s.Stats.Insts+e.suffix.Insts >= s.Cfg.MaxInsts ||
+		!g.sameState(s, e) {
+		return false
+	}
+	sh.moveTo(k)
+	var lo, hi uint64
+	if g.renameCkpt {
+		lo, hi = g.prog.CkptBase, g.prog.CkptBase+ckptBytes
+	}
+	return s.Mem.EqualMasked(sh.mem, lo, hi, lo, hi) && s.hier.Equivalent(sh.hier, &g.setClocks)
+}
+
+// sameState compares everything but memory and caches of s with epoch
+// e. It allows exactly these differences:
+//   - every cycle is offset by d = s.cycle - e.cycle, and a register's
+//     ready cycle counts only as its distance past the current cycle;
+//   - region ids are offset by the regions opened, store-buffer
+//     sequence numbers by the stores committed;
+//   - registers dead before the PC may hold anything;
+//   - CLQ entries may sit in other slots;
+//   - with renameCkpt, each register's colours may be renamed, as long
+//     as one renaming maps the free stacks, the verified colours, the
+//     RBB regions' used colours and the checkpoint slots the store
+//     buffer holds onto the golden run's.
+func (g *GoldenState) sameState(s *Sim, e *epoch) bool {
+	if s.PC != e.pc || s.slots != e.slots || s.clqEnabled != e.clqEnabled ||
+		len(s.sb.entries) != len(e.sb) || len(s.rbb) != len(e.rbb) ||
+		!bytes.Equal(s.predictor, e.predictor) {
+		return false
+	}
+	d := s.cycle - e.cycle
+	live := g.live[s.PC]
+	for r := range isa.NumRegs {
+		if live.Has(isa.Reg(r)) && (s.Regs[r] != e.regs[r] ||
+			pastCycle(s.regReady[r], s.cycle) != pastCycle(e.regReady[r], e.cycle)) {
+			return false
+		}
+	}
+	rn := renaming{on: g.renameCkpt && s.colors != nil}
+	if cm := s.colors; cm != nil {
+		for r := range isa.Reg(isa.NumRegs) {
+			n := cm.nfree[r]
+			if n != e.colors.nfree[r] || (cm.vc[r] < 0) != (e.colors.vc[r] < 0) {
+				return false
+			}
+			for i := range n {
+				if !rn.bind(r, cm.free[r][i], e.colors.free[r][i]) {
+					return false
+				}
+			}
+			if cm.vc[r] >= 0 && !rn.bind(r, cm.vc[r], e.colors.vc[r]) {
+				return false
+			}
+		}
+	}
+	dr := s.nextRegion - e.nextRegion
+	region := func(a, b *regionInst) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		return a.id == b.id+dr && a.staticID == b.staticID && a.boundPC == b.boundPC &&
+			a.verified == b.verified && shifted(a.end, b.end, d, 0) && shifted(a.verifyAt, b.verifyAt, d, infCycle)
+	}
+	for i, a := range s.rbb {
+		b := e.rbb[i]
+		if !region(a, b) || a.colors.regs != b.colors.regs {
+			return false
+		}
+		for regs := a.colors.regs; regs != 0; regs &= regs - 1 {
+			r := isa.Reg(bits.TrailingZeros64(regs))
+			if !rn.bind(r, a.colors.color[r], b.colors.color[r]) {
+				return false
+			}
+		}
+	}
+	if !region(s.cur, e.cur) || s.sb.lastDrain != e.sbDrain+d {
+		return false
+	}
+	ds := s.sb.seq - e.sbSeq
+	for i := range s.sb.entries {
+		a, b := &s.sb.entries[i], &e.sb[i]
+		if a.val != b.val || a.quarantined != b.quarantined || a.commitAt != b.commitAt+d ||
+			a.seq != b.seq+ds || !region(a.region, b.region) || !g.sameSlot(&rn, a.addr, b.addr) {
+			return false
+		}
+	}
+	if c, ok := s.clq.(*compactCLQ); ok && !sameCLQ(c.entries, e.clq, dr) {
+		return false
+	}
+	return true
+}
+
+// pastCycle returns how many cycles after now c lies, 0 if not after.
+func pastCycle(c, now uint64) uint64 {
+	if c > now {
+		return c - now
+	}
+	return 0
+}
+
+// shifted reports whether the trial's cycle a is the golden b shifted
+// by d; the sentinel value none matches only itself.
+func shifted(a, b, d, none uint64) bool {
+	if b == none {
+		return a == none
+	}
+	return a == b+d
+}
+
+// sameSlot reports whether the trial's store address a is the golden
+// b: equal, or, when both are checkpoint slots and colours are renamed,
+// the same register's slot under the renaming.
+func (g *GoldenState) sameSlot(rn *renaming, a, b uint64) bool {
+	lo := g.prog.CkptBase
+	if !rn.on || a < lo || a >= lo+ckptBytes || (a-lo)%8 != 0 {
+		return a == b
+	}
+	slot := (a - lo) / 8
+	r, c := isa.Reg(slot/isa.NumColors), rn.to[slot/isa.NumColors][slot%isa.NumColors]
+	return c > 0 && b == g.prog.CkptSlot(r, int(c-1))
+}
+
+// sameCLQ reports whether the trial's compact CLQ entries a hold the
+// golden b's used entries in any slots, with region ids offset by dr.
+func sameCLQ(a, b []compactEntry, dr int) bool {
+	n := 0
+	for i := range a {
+		if !a[i].used {
+			continue
+		}
+		n++
+		want := compactEntry{region: a[i].region - dr, min: a[i].min, max: a[i].max, used: true}
+		found := false
+		for j := range b {
+			found = found || b[j] == want
+		}
+		if !found {
+			return false
+		}
+	}
+	for i := range b {
+		if b[i].used {
+			n--
+		}
+	}
+	return n == 0
+}
+
+// renaming is a per-register bijection from the trial's colours to the
+// golden run's, built up as sameState walks the colour state; to and
+// from hold a colour plus one, 0 while unbound. Without renaming every
+// colour must map to itself.
+type renaming struct {
+	on       bool
+	to, from [isa.NumRegs][isa.NumColors]int8
+}
+
+// bind maps r's trial colour a to golden colour b, reporting whether
+// that agrees with the renaming so far.
+func (rn *renaming) bind(r isa.Reg, a, b int8) bool {
+	if !rn.on {
+		return a == b
+	}
+	if rn.to[r][a] == 0 && rn.from[r][b] == 0 {
+		rn.to[r][a], rn.from[r][b] = b+1, a+1
+	}
+	return rn.to[r][a] == b+1
+}

@@ -1,0 +1,675 @@
+package pipeline
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/isa"
+	"repro/internal/obs"
+	"repro/internal/workload"
+)
+
+// cutGolden compiles benchmark name at scale percent for Turnpike, lets
+// tweak change the program, and records its epochs.
+func cutGolden(t *testing.T, name string, scale int, tweak func(*isa.Program)) *GoldenState {
+	t.Helper()
+	p, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("no benchmark %s", name)
+	}
+	c, err := core.Compile(p.Build(scale), core.TurnpikeAll(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := *c.Prog
+	if tweak != nil {
+		tweak(&prog)
+	}
+	return recordEpochs(t, &prog, TurnpikeConfig(4, 10), p.SeedMemory)
+}
+
+// cutStrike is one bit flip of a trial.
+type cutStrike struct {
+	reg isa.Reg
+	bit uint
+	at  uint64
+	lat int
+}
+
+// strikes returns n strikes spread over a run of insts instructions.
+func strikes(n int, insts uint64) []cutStrike {
+	out := make([]cutStrike, n)
+	for i := range out {
+		out[i] = cutStrike{isa.Reg(1 + i*7%31), uint(i * 13 % 64), 1 + uint64(i+1)*insts*9/10/uint64(n+1), 1 + i%10}
+	}
+	return out
+}
+
+// inject resumes s by ResetAt at the strike and fires it.
+func (st cutStrike) inject(t *testing.T, g *GoldenState, s *Sim) {
+	t.Helper()
+	g.ResetAt(s, st.at)
+	for s.Stats.Insts < st.at && !s.halted {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.InjectBitFlip(st.reg, st.bit, st.lat); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cutFixture is a trial that RunCut cut: s stopped at the boundary it
+// matched epoch e at, and the shadow holding e.
+type cutFixture struct {
+	g  *GoldenState
+	s  *Sim
+	sh *Shadow
+	e  *epoch
+}
+
+// stop runs st on f.s through RunCut and reports whether it was cut; if
+// so, f.e is the epoch it matched.
+func (f *cutFixture) stop(t *testing.T, st cutStrike) bool {
+	t.Helper()
+	st.inject(t, f.g, f.s)
+	_, cut, err := f.g.RunCut(f.s, f.sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.e = nil
+	if !cut {
+		return false
+	}
+	for i := range f.g.epochs {
+		if f.g.epochs[i].insts == f.s.netInsts {
+			f.e = &f.g.epochs[i]
+		}
+	}
+	if f.e == nil || &f.g.epochs[f.sh.at-1] != f.e {
+		t.Fatalf("cut at %d golden-equivalent instructions, where no epoch is", f.s.netInsts)
+	}
+	return true
+}
+
+// matches reruns the reconvergence check at f's boundary.
+func (f *cutFixture) matches() bool { return f.g.reconverged(f.s, f.sh, f.sh.at-1) }
+
+// newCutFixture forks a trial simulator and a shadow from g.
+func newCutFixture(t *testing.T, g *GoldenState) *cutFixture {
+	t.Helper()
+	s, err := g.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := g.NewShadow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &cutFixture{g: g, s: s, sh: sh}
+}
+
+// renameReg returns a register r and two of its colours, a and b,
+// whose swap renames all three places a colour lives: a is the colour
+// both of a checkpoint slot the store buffer holds and of an RBB
+// region's used-colour entry, and b is on r's free stack. ok is false
+// when the trial holds no such register.
+func (f *cutFixture) renameReg() (r isa.Reg, a, b int8, ok bool) {
+	lo := f.s.Prog.CkptBase
+	for _, en := range f.s.sb.entries {
+		if en.addr < lo || en.addr >= lo+ckptBytes {
+			continue
+		}
+		slot := (en.addr - lo) / 8
+		r, a = isa.Reg(slot/isa.NumColors), int8(slot%isa.NumColors)
+		n := f.s.colors.nfree[r]
+		if n == 0 {
+			continue
+		}
+		for _, reg := range f.s.rbb {
+			if reg.colors.has(r) && reg.colors.color[r] == a {
+				return r, a, f.s.colors.free[r][n-1], true
+			}
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// swapColours swaps r's colours a and b everywhere the trial holds
+// them: the free stack, the verified colour, the RBB regions' used
+// colours, the store buffer's checkpoint slots and the slots' words.
+func (f *cutFixture) swapColours(r isa.Reg, a, b int8) {
+	sw := func(c int8) int8 {
+		switch c {
+		case a:
+			return b
+		case b:
+			return a
+		}
+		return c
+	}
+	cm := f.s.colors
+	for i := range cm.nfree[r] {
+		cm.free[r][i] = sw(cm.free[r][i])
+	}
+	if cm.vc[r] >= 0 {
+		cm.vc[r] = sw(cm.vc[r])
+	}
+	for _, reg := range f.s.rbb {
+		if reg.colors.has(r) {
+			reg.colors.color[r] = sw(reg.colors.color[r])
+		}
+	}
+	sa, sb := f.s.Prog.CkptSlot(r, int(a)), f.s.Prog.CkptSlot(r, int(b))
+	for i := range f.s.sb.entries {
+		switch en := &f.s.sb.entries[i]; en.addr {
+		case sa:
+			en.addr = sb
+		case sb:
+			en.addr = sa
+		}
+	}
+	va, vb := f.s.Mem.Load(sa), f.s.Mem.Load(sb)
+	f.s.Mem.Store(sa, vb)
+	f.s.Mem.Store(sb, va)
+}
+
+// reg returns the first register that is live (or dead) before the PC.
+func (f *cutFixture) reg(t *testing.T, live bool) isa.Reg {
+	t.Helper()
+	set := f.g.live[f.s.PC]
+	for r := range isa.Reg(isa.NumRegs) {
+		if set.Has(r) == live {
+			return r
+		}
+	}
+	t.Fatalf("no register with liveness %v at PC %d", live, f.s.PC)
+	return 0
+}
+
+// l1dSets returns, for each L1D set of f's boundary, the resident lines
+// found among the data and stack addresses, and whether the golden run
+// touches the set again after the epoch.
+func (f *cutFixture) l1dSets() (lines map[int][]uint64, live func(set int) bool) {
+	l1d := f.s.hier.L1D
+	sets := len(f.g.setClocks[1])
+	lines = map[int][]uint64{}
+	for a := uint64(0); a < isa.DenseLimit; a += cache.LineSize {
+		if l1d.Contains(a) {
+			set := int(a/cache.LineSize) % sets
+			lines[set] = append(lines[set], a)
+		}
+	}
+	clock := f.e.caches.Clock()
+	return lines, func(set int) bool { return f.g.setClocks[1][set] > clock[1] }
+}
+
+// TestCutChecksWhatItMayIgnore is the reconvergence check's table test.
+// From a trial RunCut cut, it changes one thing at a time and asks the
+// check again: differences the cut's soundness argument allows must
+// still match, every other difference must not.
+func TestCutChecksWhatItMayIgnore(t *testing.T) {
+	g := cutGolden(t, "gcc", 5, nil)
+	if !g.renameCkpt {
+		t.Fatal("gcc's golden run leaves the checkpoint window to checkpoints, yet colours are not renamed")
+	}
+	f := newCutFixture(t, g)
+	var strike cutStrike
+	found := false
+	for _, st := range strikes(64, g.Stats().Insts) {
+		if !f.stop(t, st) {
+			continue
+		}
+		s, e := f.s, f.e
+		_, _, _, rename := f.renameReg()
+		c := s.clq.(*compactCLQ)
+		if rename && s.cycle != e.cycle && s.nextRegion != e.nextRegion && s.sb.seq != e.sbSeq &&
+			c.entries[0].used != c.entries[1].used {
+			strike, found = st, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no cut trial stops with an offset clock, region ids and store sequence, a renameable checkpoint and a half-full CLQ")
+	}
+	fresh := func(t *testing.T) *cutFixture {
+		t.Helper()
+		if !f.stop(t, strike) || !f.matches() {
+			t.Fatal("the fixture trial no longer stops where the check matches")
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		name  string
+		match bool
+		edit  func(t *testing.T, f *cutFixture)
+	}{
+		{"unchanged", true, func(*testing.T, *cutFixture) {}},
+		{"dead register value", true, func(t *testing.T, f *cutFixture) { f.s.Regs[f.reg(t, false)] ^= 0xff }},
+		{"dead register ready cycle", true, func(t *testing.T, f *cutFixture) { f.s.regReady[f.reg(t, false)] = f.s.cycle + 7 }},
+		{"live ready cycle already past", true, func(t *testing.T, f *cutFixture) {
+			for r := range isa.Reg(isa.NumRegs) {
+				if f.g.live[f.s.PC].Has(r) && f.s.regReady[r] <= f.s.cycle {
+					f.s.regReady[r] = 0
+					return
+				}
+			}
+			t.Fatal("no live register is ready")
+		}},
+		{"set never touched again", true, func(t *testing.T, f *cutFixture) {
+			lines, live := f.l1dSets()
+			for set := range f.g.setClocks[1] {
+				if !live(set) && len(lines[set]) == 0 {
+					f.s.hier.L1D.Access(uint64(set) * cache.LineSize)
+					return
+				}
+			}
+			t.Fatal("no dead L1D set")
+		}},
+		{"colour renaming", true, func(t *testing.T, f *cutFixture) {
+			r, a, b, _ := f.renameReg()
+			f.swapColours(r, a, b)
+		}},
+		{"checkpoint window word", true, func(t *testing.T, f *cutFixture) {
+			f.s.Mem.Store(f.s.Prog.CkptBase+8, f.s.Mem.Load(f.s.Prog.CkptBase+8)+1)
+		}},
+		{"CLQ slots swapped", true, func(t *testing.T, f *cutFixture) {
+			c := f.s.clq.(*compactCLQ)
+			c.entries[0], c.entries[1] = c.entries[1], c.entries[0]
+		}},
+		{"live register value", false, func(t *testing.T, f *cutFixture) { f.s.Regs[f.reg(t, true)] ^= 1 }},
+		{"live register ready cycle", false, func(t *testing.T, f *cutFixture) {
+			r := f.reg(t, true)
+			f.s.regReady[r] = max(f.s.regReady[r], f.s.cycle) + 1
+		}},
+		{"tag of a live set", false, func(t *testing.T, f *cutFixture) {
+			_, live := f.l1dSets()
+			for set := range f.g.setClocks[1] {
+				if live(set) {
+					f.s.hier.L1D.Access(uint64(set)*cache.LineSize + 1<<30)
+					return
+				}
+			}
+			t.Fatal("no live L1D set")
+		}},
+		{"SB commit cycle", false, func(t *testing.T, f *cutFixture) { f.s.sb.entries[0].commitAt++ }},
+		{"SB sequence number", false, func(t *testing.T, f *cutFixture) { f.s.sb.entries[0].seq++ }},
+		{"SB last drain", false, func(t *testing.T, f *cutFixture) { f.s.sb.lastDrain++ }},
+		{"predictor counter", false, func(t *testing.T, f *cutFixture) { f.s.predictor[f.s.PC] ^= 1 }},
+		{"data word", false, func(t *testing.T, f *cutFixture) {
+			f.s.Mem.Store(isa.DataBase, f.s.Mem.Load(isa.DataBase)+1)
+		}},
+		{"spill word", false, func(t *testing.T, f *cutFixture) {
+			f.s.Mem.Store(isa.StackBase, f.s.Mem.Load(isa.StackBase)+1)
+		}},
+		{"word past the window", false, func(t *testing.T, f *cutFixture) {
+			a := f.s.Prog.CkptBase + ckptBytes
+			f.s.Mem.Store(a, f.s.Mem.Load(a)+1)
+		}},
+		{"colour pool count", false, func(t *testing.T, f *cutFixture) {
+			r, _, _, _ := f.renameReg()
+			f.s.colors.nfree[r]--
+		}},
+		{"colour of one structure only", false, func(t *testing.T, f *cutFixture) {
+			r, a, b, _ := f.renameReg()
+			for _, reg := range f.s.rbb {
+				if reg.colors.has(r) && reg.colors.color[r] == a {
+					reg.colors.color[r] = b
+				}
+			}
+		}},
+		{"CLQ range", false, func(t *testing.T, f *cutFixture) {
+			c := f.s.clq.(*compactCLQ)
+			for i := range c.entries {
+				if c.entries[i].used {
+					c.entries[i].max++
+				}
+			}
+		}},
+		{"RBB verification time", false, func(t *testing.T, f *cutFixture) {
+			r := f.s.rbb[0]
+			if r.verifyAt == infCycle {
+				r.end = f.s.cycle
+			}
+			r.verifyAt--
+		}},
+		{"pending detection", false, func(t *testing.T, f *cutFixture) {
+			if err := f.s.InjectFalseDetection(3); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"degraded mesh", false, func(t *testing.T, f *cutFixture) { f.s.degradedUntil = f.s.cycle + 100 }},
+		{"tainted dead register", false, func(t *testing.T, f *cutFixture) { f.s.Taint[f.reg(t, false)] = true }},
+		{"recovery block", false, func(t *testing.T, f *cutFixture) { f.s.inRecovery = true }},
+		{"predicted Insts reach MaxInsts", false, func(t *testing.T, f *cutFixture) {
+			f.s.Cfg.MaxInsts = f.s.Stats.Insts + f.e.suffix.Insts
+		}},
+		{"predicted Insts below MaxInsts", true, func(t *testing.T, f *cutFixture) {
+			f.s.Cfg.MaxInsts = f.s.Stats.Insts + f.e.suffix.Insts + 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := fresh(t)
+			defer func() { f.s.Cfg.MaxInsts = g.cfg.MaxInsts }()
+			tc.edit(t, f)
+			if got := f.matches(); got != tc.match {
+				t.Fatalf("check matches %v, want %v", got, tc.match)
+			}
+		})
+	}
+
+	// Replacement order: touching a live set's two resident lines
+	// oldest first keeps their order and must match; newest first
+	// swaps it and must not.
+	t.Run("LRU order of a live set", func(t *testing.T) {
+		f := fresh(t)
+		lines, live := f.l1dSets()
+		set := -1
+		for s, ls := range lines {
+			if live(s) && len(ls) == 2 && (set < 0 || s < set) {
+				set = s
+			}
+		}
+		if set < 0 {
+			t.Fatal("no live L1D set with two resident lines")
+		}
+		a, b := lines[set][0], lines[set][1]
+		var got [2]bool
+		for i, order := range [2][2]uint64{{a, b}, {b, a}} {
+			f := fresh(t)
+			f.s.hier.L1D.Access(order[0])
+			f.s.hier.L1D.Access(order[1])
+			got[i] = f.matches()
+		}
+		if got[0] == got[1] {
+			t.Fatalf("touching set %d's lines in either order: matches %v", set, got)
+		}
+	})
+
+	// Without the two conditions, colours and the window compare
+	// exactly.
+	for _, tc := range []struct {
+		name string
+		g    *GoldenState
+	}{
+		{"window not 32-byte aligned", cutGolden(t, "gcc", 5, func(p *isa.Program) { p.CkptBase += 8 })},
+		{"golden run loads from the window", cutGolden(t, "mcf", 20, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.g.renameCkpt {
+				t.Fatal("colours are renamed")
+			}
+			f := newCutFixture(t, tc.g)
+			for _, st := range strikes(64, tc.g.Stats().Insts) {
+				if !f.stop(t, st) {
+					continue
+				}
+				if r, a, b, ok := f.renameReg(); ok {
+					if !f.matches() {
+						t.Fatal("the trial no longer stops where the check matches")
+					}
+					f.swapColours(r, a, b)
+					if f.matches() {
+						t.Fatal("a colour renaming matches the golden state")
+					}
+					f.stop(t, st)
+					f.s.Mem.Store(f.s.Prog.CkptBase+8, f.s.Mem.Load(f.s.Prog.CkptBase+8)+1)
+					if f.matches() {
+						t.Fatal("a changed checkpoint slot matches the golden state")
+					}
+					return
+				}
+			}
+			t.Fatal("no cut trial stops with a renameable checkpoint")
+		})
+	}
+}
+
+// TestCutNeverWhereRunsMustBeWhole: RunCut runs a trial to halt, never
+// cutting it, when the golden state has no epochs, when it records
+// regions, or when an observability attachment is present, and the run
+// to halt it returns is the one Run returns.
+func TestCutNeverWhereRunsMustBeWhole(t *testing.T) {
+	c, err := core.Compile(buildBench(120), core.TurnpikeAll(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMem := func(m *isa.Memory) { seed(m, 120) }
+	regions := TurnpikeConfig(4, 10)
+	regions.RecordRegions = true
+	noEpochs := captureBench(t, 120)
+	for _, tc := range []struct {
+		name string
+		g    *GoldenState
+		obs  bool
+	}{
+		{"no epochs", noEpochs, false},
+		{"region log", recordEpochs(t, c.Prog, regions, seedMem), false},
+		{"observability", recordEpochs(t, c.Prog, TurnpikeConfig(4, 10), seedMem), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := cutStrike{reg: 3, bit: 17, at: tc.g.Stats().Insts / 3, lat: 4}
+			a, err := tc.g.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := tc.g.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.obs {
+				a.AttachObs(NewObs(nil, obs.NewRegistry()))
+			}
+			st.inject(t, tc.g, a)
+			sh, err := tc.g.NewShadow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, cut, err := tc.g.RunCut(a, sh)
+			if err != nil || cut {
+				t.Fatalf("RunCut: cut %v, error %v", cut, err)
+			}
+			tc.g.Reset(b)
+			want := runInjected(b, st.reg, st.bit, st.at, st.lat)
+			if got != want.Stats || !a.halted {
+				t.Fatalf("RunCut returned %+v, a run to halt %+v", got, want.Stats)
+			}
+		})
+	}
+}
+
+// TestCutPredictsTheRun: for every strike of a spread, a trial cut by
+// RunCut returns the statistics of the same trial run to halt from the
+// start, that run's output is the golden output, and an attached
+// Progress ends with the same totals as the run to halt's. It covers
+// the renamed path (gcc) and both ways into the exact one.
+func TestCutPredictsTheRun(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		g       *GoldenState
+		minCuts int
+	}{
+		{"gcc", cutGolden(t, "gcc", 5, nil), 20},
+		{"gcc misaligned window", cutGolden(t, "gcc", 5, func(p *isa.Program) { p.CkptBase += 8 }), 1},
+		{"mcf loads from the window", cutGolden(t, "mcf", 20, nil), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cuts := checkCutPredictions(t, tc.g)
+			t.Logf("cut %d of 24 trials", cuts)
+			if cuts < tc.minCuts {
+				t.Fatalf("want at least %d cut", tc.minCuts)
+			}
+		})
+	}
+}
+
+// checkCutPredictions runs TestCutPredictsTheRun's strikes on g and
+// returns how many were cut.
+func checkCutPredictions(t *testing.T, g *GoldenState) (cuts int) {
+	a, err := g.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := g.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := g.Output().Snapshot()
+	sh, err := g.NewShadow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range strikes(24, g.Stats().Insts) {
+		var pa, pb Progress
+		a.AttachProgress(&pa)
+		b.AttachProgress(&pb)
+		st.inject(t, g, a)
+		got, cut, err := g.RunCut(a, sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Reset(b)
+		want := runInjected(b, st.reg, st.bit, st.at, st.lat)
+		if want.Err != "" || got != want.Stats {
+			t.Fatalf("%+v (cut %v): RunCut returned %+v, the run from the start %+v (%s)", st, cut, got, want.Stats, want.Err)
+		}
+		if pa.Insts.Load() != pb.Insts.Load() || pa.Cycles.Load() != pb.Cycles.Load() ||
+			pa.Regions.Load() != pb.Regions.Load() || pa.RegionsVerified.Load() != pb.RegionsVerified.Load() ||
+			pa.Recoveries.Load() != pb.Recoveries.Load() {
+			t.Fatalf("%+v (cut %v): Progress totals differ from the run from the start's", st, cut)
+		}
+		if !cut {
+			continue
+		}
+		cuts++
+		if !reflect.DeepEqual(want.Mem, golden) {
+			t.Fatalf("%+v: cut, but the run from the start's output differs from the golden output", st)
+		}
+	}
+	a.AttachProgress(nil)
+	b.AttachProgress(nil)
+	return cuts
+}
+
+// TestCutCoversEveryField keeps the reconvergence check in step with the
+// simulator's state: every field of the structures a trial's future
+// depends on is either compared (or normalised) by the check, or listed
+// as context or ignored with the reason it cannot change the run from
+// the boundary to halt. A field added later fails here until it is
+// placed on one of the lists (and, if compared, in sameState).
+func TestCutCoversEveryField(t *testing.T) {
+	for _, tc := range []struct {
+		v                 any
+		compared, ignored map[string]string
+	}{
+		{Sim{}, map[string]string{
+			"Regs":           "equal where live before the PC",
+			"Mem":            "equal outside the checkpoint window, or everywhere without renaming",
+			"PC":             "equal",
+			"Taint":          "must be clear",
+			"cycle":          "defines the cycle offset",
+			"slots":          "equal",
+			"regReady":       "equal as distance past the cycle, where live",
+			"netInsts":       "equal to the epoch's instruction count",
+			"hier":           "tags and LRU order of the sets the golden run touches again",
+			"sb":             "see storeBuffer",
+			"predictor":      "equal",
+			"rbb":            "regions equal up to the id and cycle offsets, used colours renamed",
+			"cur":            "region equal up to the id and cycle offsets",
+			"nextRegion":     "defines the region-id offset",
+			"clq":            "used entries equal as a set, region ids offset",
+			"clqEnabled":     "equal",
+			"colors":         "see colorMaps",
+			"pendingDetects": "must be empty",
+			"degradedUntil":  "must be 0",
+			"inRecovery":     "must be false",
+			"halted":         "RunCut checks only before halt",
+			"Stats":          "not compared: the cut returns the trial's own plus the golden suffix",
+		}, map[string]string{
+			"Prog":        "context; Cfg.MaxInsts is checked against the predicted Insts",
+			"Cfg":         "context",
+			"lastRestart": "only recover reads it, and no recovery follows a cut",
+			"regionLog":   "RecordRegions never cuts",
+			"regionArena": "record recycling",
+			"regionsUsed": "record recycling; equals nextRegion",
+			"obs":         "an observability attachment never cuts",
+			"log":         "logs recoveries, DUEs and degrade transitions, which the golden suffix has none of",
+			"logCtx":      "see log",
+			"progress":    "receives the predicted totals",
+			"published":   "see progress",
+		}},
+		{storeBuffer{}, map[string]string{
+			"entries":   "see sbEntry; same length and order",
+			"lastDrain": "cycle offset",
+			"seq":       "defines the sequence offset",
+		}, map[string]string{
+			"cap": "context",
+			"obs": "an observability attachment never cuts",
+		}},
+		{sbEntry{}, map[string]string{
+			"addr":        "equal, or the same slot under the colour renaming",
+			"val":         "equal",
+			"quarantined": "equal",
+			"region":      "region equal up to the id and cycle offsets",
+			"commitAt":    "cycle offset",
+			"seq":         "sequence offset",
+		}, map[string]string{
+			"isCkpt":  "only observability reads it",
+			"ckptReg": "only observability reads it",
+		}},
+		{regionInst{}, map[string]string{
+			"id":       "region-id offset",
+			"staticID": "equal",
+			"boundPC":  "equal",
+			"end":      "cycle offset, 0 while open",
+			"verifyAt": "cycle offset, infCycle while open",
+			"verified": "equal",
+			"colors":   "renamed for RBB regions; a verified region's used colours are never read again",
+		}, map[string]string{
+			"start":       "only region logs, traces and CheckInvariants read it",
+			"warFree":     "observability counter",
+			"colored":     "observability counter",
+			"quarantined": "observability counter",
+			"insts":       "observability counter; leaves netInsts only on a squash, which no cut trial has",
+		}},
+		{usedColors{}, map[string]string{
+			"regs":  "equal",
+			"color": "renamed where regs has the register",
+		}, nil},
+		{colorMaps{}, map[string]string{
+			"free":  "renamed, position by position up to nfree",
+			"nfree": "equal",
+			"vc":    "renamed, -1 only where -1",
+		}, nil},
+		{compactEntry{}, map[string]string{
+			"region": "region-id offset",
+			"min":    "equal",
+			"max":    "equal",
+			"used":   "only used entries count",
+		}, nil},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		fields := map[string]bool{}
+		for i := range typ.NumField() {
+			name := typ.Field(i).Name
+			fields[name] = true
+			_, c := tc.compared[name]
+			_, ig := tc.ignored[name]
+			switch {
+			case !c && !ig:
+				t.Errorf("%s.%s is neither compared by the reconvergence check nor listed as ignored", typ.Name(), name)
+			case c && ig:
+				t.Errorf("%s.%s is listed both as compared and as ignored", typ.Name(), name)
+			}
+		}
+		for _, m := range []map[string]string{tc.compared, tc.ignored} {
+			for name := range m {
+				if !fields[name] {
+					t.Errorf("%s has no field %s", typ.Name(), name)
+				}
+			}
+		}
+	}
+}

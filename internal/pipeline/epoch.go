@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"slices"
 	"unsafe"
 
@@ -32,6 +33,11 @@ type epoch struct {
 	insts  uint64
 	mem    []isa.MemEntry // words changed since the previous epoch
 	caches cache.Delta    // sets touched since the previous epoch
+
+	// suffix is what the golden run adds to its statistics from here to
+	// halt (RunCut): counters, Cycles from this epoch's cycle, and the
+	// largest CLQ occupancy sampled after this epoch.
+	suffix Stats
 
 	regs, regReady [isa.NumRegs]uint64
 	taint          [isa.NumRegs]bool
@@ -71,6 +77,11 @@ type epoch struct {
 // whose configuration records regions (the region log must be whole)
 // or uses the ideal CLQ records none. RecordEpochs replaces any earlier
 // recording; it must not run concurrently with ResetAt.
+//
+// It also records what RunCut compares trials with the epochs by: each
+// epoch's golden suffix statistics, the run's final per-set cache
+// clocks, register liveness, and whether the checkpoint window may be
+// compared up to a colour renaming.
 func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	g.Reset(s)
 	g.epochs = nil
@@ -87,6 +98,9 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	mem := s.Mem.Track()
 	clock := g.img.Clock()
 	size := 0
+	lo, hi := g.prog.CkptBase, g.prog.CkptBase+ckptBytes
+	touched := false
+	var occ []uint64 // per epoch, the largest CLQ occupancy sampled until the next
 	for k := next(1); !s.halted; {
 		if k < epochs && s.Stats.Insts >= target(k) {
 			e := s.epoch(mem, clock)
@@ -94,15 +108,45 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 				k = epochs
 			} else {
 				g.epochs = append(g.epochs, e)
+				occ = append(occ, 0)
 				clock = e.caches.Clock()
 				k = next(k)
 			}
 		}
+		if in := &s.Prog.Insts[s.PC]; in.Op == isa.LD || in.Op == isa.ST {
+			a := s.Regs[in.Rs1] + uint64(in.Imm)
+			touched = touched || (a >= lo && a < hi)
+		}
+		samples := s.Stats.CLQOccSamples
 		if err := s.Step(); err != nil {
 			return s.Stats, err
 		}
+		if n := len(occ); n > 0 && s.Stats.CLQOccSamples != samples {
+			// A boundary sampled the CLQ as its step's last change.
+			occ[n-1] = max(occ[n-1], uint64(s.clq.occupancy()))
+		}
 	}
+	after := uint64(0)
+	for i := len(g.epochs) - 1; i >= 0; i-- {
+		e := &g.epochs[i]
+		after = max(after, occ[i])
+		e.suffix = statsSince(s.Stats, e.stats)
+		e.suffix.Cycles = s.Stats.Cycles - e.cycle
+		e.suffix.CLQOccMax = after
+	}
+	g.setClocks = s.hier.SetClocks()
+	g.live = isa.BuildCFG(g.prog).LiveIn()
+	g.renameCkpt = g.prog.CkptBase%32 == 0 && !touched
 	return s.Stats, nil
+}
+
+// statsSince returns the counters end gained since start.
+func statsSince(end, start Stats) Stats {
+	d, o := reflect.ValueOf(&end).Elem(), reflect.ValueOf(start)
+	for i := range d.NumField() {
+		d.Field(i).SetUint(d.Field(i).Uint() - o.Field(i).Uint())
+	}
+	return end
 }
 
 // epoch captures s's state, with memory and cache deltas since the
@@ -176,6 +220,7 @@ func (e *epoch) bytes() int {
 func (e *epoch) restore(s *Sim) {
 	s.Regs, s.regReady, s.Taint = e.regs, e.regReady, e.taint
 	s.PC, s.slots, s.cycle = e.pc, e.slots, e.cycle
+	s.netInsts = e.insts // the golden run squashes nothing
 	copy(s.predictor, e.predictor)
 	s.growArena(e.nextRegion)
 	arena := func(r *regionInst) *regionInst {

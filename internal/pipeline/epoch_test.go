@@ -42,7 +42,7 @@ type simState struct {
 	Regs, RegReady [isa.NumRegs]uint64
 	Taint          [isa.NumRegs]bool
 	PC, Slots      int
-	Cycle          uint64
+	Cycle, NetInst uint64
 	Mem            []isa.MemEntry
 	Caches         cache.Image
 	Hits, Misses   [3]uint64
@@ -76,7 +76,7 @@ func deref(r *regionInst) *regionInst {
 func stateOf(s *Sim) simState {
 	st := simState{
 		Regs: s.Regs, RegReady: s.regReady, Taint: s.Taint,
-		PC: s.PC, Slots: s.slots, Cycle: s.cycle,
+		PC: s.PC, Slots: s.slots, Cycle: s.cycle, NetInst: s.netInsts,
 		Mem:       s.Mem.Snapshot(),
 		Predictor: append([]uint8(nil), s.predictor...),
 		Cur:       deref(s.cur),

@@ -32,6 +32,15 @@ type GoldenState struct {
 	// (RecordEpochs); ResetAt resumes a trial from the last one at or
 	// before its first fault event.
 	epochs []epoch
+
+	// What RunCut compares trials with the epochs by, recorded with
+	// them: the warm run's final per-set cache clocks, the registers
+	// live before each instruction, and whether the golden run leaves
+	// the checkpoint window to checkpoints, so that colours may be
+	// renamed and the window skipped (cut.go).
+	setClocks  cache.SetClocks
+	live       []isa.RegBitmap
+	renameCkpt bool
 }
 
 // CaptureGolden snapshots s's pre-execution state (program,
@@ -123,6 +132,7 @@ func (g *GoldenState) Reset(s *Sim) {
 	s.PC = g.prog.Entry
 	s.cycle = 1
 	s.slots = 0
+	s.netInsts = 0
 	s.hier.Restore(&g.img)
 	s.sb.reset()
 	clear(s.predictor)
@@ -168,12 +178,19 @@ func (g *GoldenState) ResetAt(s *Sim, inst uint64) {
 	if k == 0 {
 		return
 	}
-	for i := range g.epochs[:k] {
+	g.replay(s.Mem, s.hier, 0, k)
+	g.epochs[k-1].restore(s)
+}
+
+// replay applies the memory and cache deltas of epochs [from, to) to
+// mem and hier, which hold the state at epoch from-1 (the trial-start
+// snapshot for from = 0).
+func (g *GoldenState) replay(mem *isa.Memory, hier *cache.Hierarchy, from, to int) {
+	for i := from; i < to; i++ {
 		e := &g.epochs[i]
 		for _, w := range e.mem {
-			s.Mem.Store(w.Addr, w.Val)
+			mem.Store(w.Addr, w.Val)
 		}
-		s.hier.Apply(&e.caches)
+		hier.Apply(&e.caches)
 	}
-	g.epochs[k-1].restore(s)
 }

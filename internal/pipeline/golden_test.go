@@ -258,7 +258,10 @@ func concurrentForks(t *testing.T) {
 // positive, a reused simulator that has already executed a prior
 // corrupting trial must reproduce a fresh fork's result bit for bit —
 // and so must the same trial resumed by ResetAt from any instruction
-// count at or before its first event.
+// count at or before its first event. Finished by RunCut instead, the
+// resumed trial must reproduce it too; when RunCut cuts it, the
+// predicted statistics must be the full run's and the full run's
+// output the golden output.
 func FuzzGoldenFork(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint16(1), uint8(1), uint16(0), uint16(0))
 	f.Add(uint8(3), uint8(17), uint16(40), uint8(5), uint16(40), uint16(0))
@@ -274,6 +277,11 @@ func FuzzGoldenFork(f *testing.F) {
 		f.Fatal(err)
 	}
 	insts := gs.Stats().Insts
+	goldenOut := gs.Output().Snapshot()
+	shadow, err := gs.NewShadow()
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, regRaw, bitRaw uint8, atRaw uint16, latRaw uint8, fromRaw, fpRaw uint16) {
 		reg := isa.Reg(1 + int(regRaw)%(isa.NumRegs-1))
@@ -316,5 +324,55 @@ func FuzzGoldenFork(f *testing.F) {
 			t.Fatalf("trial resumed by ResetAt(%d) diverged from its run from the start for r%d bit %d at %d lat %d, false positive at %d",
 				from, reg, bit, at, lat, fpAt)
 		}
+
+		// The resumed trial finished by RunCut: cut or not, its outcome
+		// and statistics are the run from the start's.
+		gs.ResetAt(reused, from)
+		got, cut := runCut(gs, reused, shadow, reg, bit, at, lat, fpAt, fpLat)
+		if cut {
+			ok := want.Err == "" && got.Stats == want.Stats && reflect.DeepEqual(want.Mem, goldenOut)
+			if !ok {
+				t.Fatalf("trial cut by RunCut mispredicts its run from the start for r%d bit %d at %d lat %d, false positive at %d:\npredicted %+v\nfull run  %+v (%s, output equals golden: %v)",
+					reg, bit, at, lat, fpAt, got.Stats, want.Stats, want.Err, reflect.DeepEqual(want.Mem, goldenOut))
+			}
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial finished by RunCut diverged from its run from the start for r%d bit %d at %d lat %d, false positive at %d",
+				reg, bit, at, lat, fpAt)
+		}
 	})
+}
+
+// runCut is runWithFalsePositive with the run after the last event
+// finished by RunCut. For a cut trial it returns the predicted
+// statistics and no memory.
+func runCut(g *GoldenState, s *Sim, sh *Shadow, reg isa.Reg, bit uint, atInst uint64, lat int, fpAt uint64, fpLat int) (trialResult, bool) {
+	injected, fired := false, fpAt == 0
+	for !s.Halted() && !(injected && fired) {
+		if !injected && s.Stats.Insts >= atInst {
+			injected = true
+			if err := s.InjectBitFlip(reg, bit, lat); err != nil {
+				return trialResult{Stats: s.Stats, Err: err.Error()}, false
+			}
+		}
+		if !fired && s.Stats.Insts >= fpAt {
+			fired = true
+			if err := s.InjectFalseDetection(fpLat); err != nil {
+				return trialResult{Stats: s.Stats, Err: err.Error()}, false
+			}
+		}
+		if injected && fired {
+			break
+		}
+		if err := s.Step(); err != nil {
+			return trialResult{Stats: s.Stats, Err: err.Error()}, false
+		}
+	}
+	st, cut, err := g.RunCut(s, sh)
+	switch {
+	case err != nil:
+		return trialResult{Stats: st, Err: err.Error()}, false
+	case cut:
+		return trialResult{Stats: st}, true
+	}
+	return trialResult{Stats: st, Mem: s.OutputMemory().Snapshot()}, false
 }

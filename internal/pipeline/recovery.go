@@ -333,6 +333,7 @@ func (s *Sim) recover() error {
 			}
 		}
 		s.regionClosed(r, true)
+		s.netInsts -= r.insts
 	}
 	squashed := len(s.rbb)
 	discarded := s.sb.discardUnverified()

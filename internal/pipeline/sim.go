@@ -23,7 +23,8 @@ type regionInst struct {
 	verified bool
 	colors   usedColors // UC: colors used by this region's checkpoints
 
-	// Per-region observability counters (events.go).
+	// Per-region observability counters (events.go). insts also
+	// leaves netInsts when recovery squashes the region.
 	warFree, colored, quarantined int
 	insts                         uint64
 }
@@ -44,9 +45,14 @@ type Sim struct {
 	// standing in for the hardened AGU). Cleared by recovery.
 	Taint [isa.NumRegs]bool
 
-	cycle     uint64
-	slots     int
-	regReady  [isa.NumRegs]uint64
+	cycle    uint64
+	slots    int
+	regReady [isa.NumRegs]uint64
+	// netInsts is the golden-equivalent progress: instructions retired,
+	// minus those of squashed regions and of recovery blocks. A fault-free
+	// run keeps it equal to Stats.Insts; a recovered trial that is the
+	// golden run again holds the golden run's count (cut.go).
+	netInsts  uint64
 	hier      *cache.Hierarchy
 	sb        *storeBuffer
 	predictor []uint8 // bimodal 2-bit counters, indexed by PC
@@ -133,11 +139,7 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 	if cfg.MaxInsts == 0 {
 		cfg.MaxInsts = 500_000_000
 	}
-	hcfg := cfg.Hier
-	if hcfg.MemLatency == 0 {
-		hcfg = cache.DefaultHierarchyConfig()
-	}
-	hier, err := cache.NewHierarchy(hcfg)
+	hier, err := newHierarchy(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,6 +174,16 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 		}
 	}
 	return s, nil
+}
+
+// newHierarchy builds cfg's cache hierarchy; a zero Hier is the
+// default.
+func newHierarchy(cfg Config) (*cache.Hierarchy, error) {
+	hcfg := cfg.Hier
+	if hcfg.MemLatency == 0 {
+		hcfg = cache.DefaultHierarchyConfig()
+	}
+	return cache.NewHierarchy(hcfg)
 }
 
 // Cycle returns the current cycle.
@@ -211,7 +223,7 @@ func (s *Sim) OutputMemory() *isa.Memory {
 			out.Store(e.addr, e.val)
 		}
 	}
-	out.ClearRange(s.Prog.CkptBase, s.Prog.CkptBase+isa.NumRegs*isa.NumColors*8)
+	out.ClearRange(s.Prog.CkptBase, s.Prog.CkptBase+ckptBytes)
 	return out
 }
 
@@ -382,6 +394,9 @@ func (s *Sim) step() error {
 	start = s.cycle
 
 	s.Stats.Insts++
+	if !s.inRecovery {
+		s.netInsts++
+	}
 	if s.cur != nil && !s.inRecovery {
 		s.cur.insts++
 	} else if s.Cfg.Resilient {
