@@ -122,18 +122,25 @@ func TestReplayFromBatchedRange(t *testing.T) {
 // TestTrialLoopAllocationFree pins the tentpole: once a worker's
 // simulator and scratch are warm, running a trial — plan derivation,
 // ResetAt, injected execution, classification — performs zero heap
-// allocations under a perfect mesh. An adversarial trial allocates only
+// allocations under a perfect mesh, under Turnpike and under Turnstile,
+// which has no colours and no CLQ. An adversarial trial allocates only
 // what its record keeps: one Extra slice per burst and one
 // FalsePositives slice per spurious detection.
 func TestTrialLoopAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		adv  *Adversary
-	}{{"perfect-mesh", nil}, {"adversarial", meshAdversary}} {
+		name   string
+		scheme core.Scheme
+		sim    pipeline.Config
+		adv    *Adversary
+	}{
+		{"perfect-mesh", core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil},
+		{"adversarial", core.Turnpike, pipeline.TurnpikeConfig(4, 10), meshAdversary},
+		{"turnstile-perfect-mesh", core.Turnstile, pipeline.TurnstileConfig(4, 10), nil},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, p := compiled(t, "gcc", core.Turnpike)
+			prog, p := compiled(t, "gcc", tc.scheme)
 			cfg := Config{Trials: 64, Seed: 1, Workers: 1, FailureBudget: -1,
-				Sim: pipeline.TurnpikeConfig(4, 10), Adversary: tc.adv}
+				Sim: tc.sim, Adversary: tc.adv}
 			prep, err := Prepare(context.Background(), prog, cfg, p.SeedMemory)
 			if err != nil {
 				t.Fatal(err)

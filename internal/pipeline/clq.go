@@ -20,6 +20,7 @@ type committedLoadQueue interface {
 // compactCLQ is the paper's design: one {min,max} address range per
 // region, capped at a fixed number of entries (2 by default). Range
 // checking trades a little precision for a tiny, CAM-free structure.
+// Its entries are part of the simulator's state value.
 type compactCLQ struct {
 	entries []compactEntry
 }
@@ -28,10 +29,6 @@ type compactEntry struct {
 	region   int
 	min, max uint64
 	used     bool
-}
-
-func newCompactCLQ(size int) *compactCLQ {
-	return &compactCLQ{entries: make([]compactEntry, size)}
 }
 
 func (c *compactCLQ) noteLoad(region int, addr uint64) bool {

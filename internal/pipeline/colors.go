@@ -22,12 +22,6 @@ type colorMaps struct {
 	vc    [isa.NumRegs]int8 // VC: verified color, -1 if none
 }
 
-func newColorMaps() *colorMaps {
-	cm := &colorMaps{}
-	cm.reset()
-	return cm
-}
-
 // reset returns every color to the free pool, in color order, and
 // clears the verified map.
 func (cm *colorMaps) reset() {

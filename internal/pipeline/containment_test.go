@@ -102,7 +102,7 @@ func TestLateButContainedRecovers(t *testing.T) {
 	for !s.Halted() {
 		// Inject mid-region: latency 12 > WCDL 10, but the open region
 		// will not have verified 12 cycles from now.
-		if !injected && s.Stats.Insts >= 500 && s.cur != nil && s.cur.insts > 2 {
+		if r := s.cur(); !injected && s.Stats.Insts >= 500 && r != nil && r.insts > 2 {
 			if err := s.InjectBitFlip(4, 48, 12); err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestDegradedModeQuarantines(t *testing.T) {
 	injected := false
 	var fastAtInject, quarAtInject uint64
 	for !s.Halted() {
-		if !injected && s.Stats.Insts >= 500 && s.cur != nil && s.cur.insts > 2 {
+		if r := s.cur(); !injected && s.Stats.Insts >= 500 && r != nil && r.insts > 2 {
 			if err := s.InjectBitFlip(4, 48, 12); err != nil {
 				t.Fatal(err)
 			}

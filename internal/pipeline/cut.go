@@ -124,7 +124,7 @@ func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int) bool {
 	e := &g.epochs[k]
 	if len(s.pendingDetects) > 0 || s.inRecovery || s.degradedUntil != 0 ||
 		s.Taint != [isa.NumRegs]bool{} || s.Stats.Insts+e.suffix.Insts >= s.Cfg.MaxInsts ||
-		!g.sameState(s, e) {
+		!g.sameState(&s.simState, &e.state) {
 		return false
 	}
 	sh.moveTo(k)
@@ -135,9 +135,10 @@ func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int) bool {
 	return s.Mem.EqualMasked(sh.mem, lo, hi, lo, hi) && s.hier.Equivalent(sh.hier, &g.setClocks)
 }
 
-// sameState compares everything but memory and caches of s with epoch
-// e. It allows exactly these differences:
-//   - every cycle is offset by d = s.cycle - e.cycle, and a register's
+// sameState compares a trial's state value a with the golden run's b
+// at an epoch; reconverged compares memory and caches. It allows
+// exactly these differences:
+//   - every cycle is offset by d = a.cycle - b.cycle, and a register's
 //     ready cycle counts only as its distance past the current cycle;
 //   - region ids are offset by the regions opened, store-buffer
 //     sequence numbers by the stores committed;
@@ -147,72 +148,63 @@ func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int) bool {
 //     as one renaming maps the free stacks, the verified colours, the
 //     RBB regions' used colours and the checkpoint slots the store
 //     buffer holds onto the golden run's.
-func (g *GoldenState) sameState(s *Sim, e *epoch) bool {
-	if s.PC != e.pc || s.slots != e.slots || s.clqEnabled != e.clqEnabled ||
-		len(s.sb.entries) != len(e.sb) || len(s.rbb) != len(e.rbb) ||
-		!bytes.Equal(s.predictor, e.predictor) {
+func (g *GoldenState) sameState(a, b *simState) bool {
+	if a.PC != b.PC || a.slots != b.slots || a.clqEnabled != b.clqEnabled ||
+		len(a.sb.entries) != len(b.sb.entries) || len(a.rbb) != len(b.rbb) ||
+		!bytes.Equal(a.predictor, b.predictor) {
 		return false
 	}
-	d := s.cycle - e.cycle
-	live := g.live[s.PC]
+	d := a.cycle - b.cycle
+	live := g.live[a.PC]
 	for r := range isa.NumRegs {
-		if live.Has(isa.Reg(r)) && (s.Regs[r] != e.regs[r] ||
-			pastCycle(s.regReady[r], s.cycle) != pastCycle(e.regReady[r], e.cycle)) {
+		if live.Has(isa.Reg(r)) && (a.Regs[r] != b.Regs[r] ||
+			pastCycle(a.regReady[r], a.cycle) != pastCycle(b.regReady[r], b.cycle)) {
 			return false
 		}
 	}
-	rn := renaming{on: g.renameCkpt && s.colors != nil}
-	if cm := s.colors; cm != nil {
-		for r := range isa.Reg(isa.NumRegs) {
-			n := cm.nfree[r]
-			if n != e.colors.nfree[r] || (cm.vc[r] < 0) != (e.colors.vc[r] < 0) {
-				return false
-			}
-			for i := range n {
-				if !rn.bind(r, cm.free[r][i], e.colors.free[r][i]) {
-					return false
-				}
-			}
-			if cm.vc[r] >= 0 && !rn.bind(r, cm.vc[r], e.colors.vc[r]) {
-				return false
-			}
-		}
-	}
-	dr := s.nextRegion - e.nextRegion
-	region := func(a, b *regionInst) bool {
-		if a == nil || b == nil {
-			return a == b
-		}
-		return a.id == b.id+dr && a.staticID == b.staticID && a.boundPC == b.boundPC &&
-			a.verified == b.verified && shifted(a.end, b.end, d, 0) && shifted(a.verifyAt, b.verifyAt, d, infCycle)
-	}
-	for i, a := range s.rbb {
-		b := e.rbb[i]
-		if !region(a, b) || a.colors.regs != b.colors.regs {
+	rn := renaming{on: g.renameCkpt && g.cfg.Resilient && g.cfg.HWColoring}
+	for r := range isa.Reg(isa.NumRegs) {
+		n := a.colors.nfree[r]
+		if n != b.colors.nfree[r] || (a.colors.vc[r] < 0) != (b.colors.vc[r] < 0) {
 			return false
 		}
-		for regs := a.colors.regs; regs != 0; regs &= regs - 1 {
+		for i := range n {
+			if !rn.bind(r, a.colors.free[r][i], b.colors.free[r][i]) {
+				return false
+			}
+		}
+		if a.colors.vc[r] >= 0 && !rn.bind(r, a.colors.vc[r], b.colors.vc[r]) {
+			return false
+		}
+	}
+	dr := a.nextRegion - b.nextRegion
+	for i := range a.rbb {
+		x, y := &a.rbb[i], &b.rbb[i]
+		if x.id != y.id+dr || x.staticID != y.staticID || x.boundPC != y.boundPC ||
+			!shifted(x.end, y.end, d, 0) || !shifted(x.verifyAt, y.verifyAt, d, infCycle) ||
+			x.colors.regs != y.colors.regs {
+			return false
+		}
+		for regs := x.colors.regs; regs != 0; regs &= regs - 1 {
 			r := isa.Reg(bits.TrailingZeros64(regs))
-			if !rn.bind(r, a.colors.color[r], b.colors.color[r]) {
+			if !rn.bind(r, x.colors.color[r], y.colors.color[r]) {
 				return false
 			}
 		}
 	}
-	if !region(s.cur, e.cur) || s.sb.lastDrain != e.sbDrain+d {
+	if a.sb.lastDrain != b.sb.lastDrain+d {
 		return false
 	}
-	ds := s.sb.seq - e.sbSeq
-	for i := range s.sb.entries {
-		a, b := &s.sb.entries[i], &e.sb[i]
-		if a.val != b.val || a.quarantined != b.quarantined || a.commitAt != b.commitAt+d ||
-			a.seq != b.seq+ds || !region(a.region, b.region) || !g.sameSlot(&rn, a.addr, b.addr) {
+	ds := a.sb.seq - b.sb.seq
+	for i := range a.sb.entries {
+		x, y := &a.sb.entries[i], &b.sb.entries[i]
+		if x.val != y.val || x.quarantined != y.quarantined || x.commitAt != y.commitAt+d ||
+			x.seq != y.seq+ds || !shiftedID(x.region, y.region, dr) ||
+			!shifted(x.verifyAt, y.verifyAt, d, infCycle) || !g.sameSlot(&rn, x.addr, y.addr) {
 			return false
 		}
 	}
-	if c, ok := s.clq.(*compactCLQ); ok && !sameCLQ(c.entries, e.clq, dr) {
-		return false
-	}
-	return true
+	return sameCLQ(a.compact.entries, b.compact.entries, dr)
 }
 
 // pastCycle returns how many cycles after now c lies, 0 if not after.
@@ -230,6 +222,15 @@ func shifted(a, b, d, none uint64) bool {
 		return a == none
 	}
 	return a == b+d
+}
+
+// shiftedID reports whether the trial's region id a is the golden b
+// offset by dr; noRegion matches only itself.
+func shiftedID(a, b, dr int) bool {
+	if b == noRegion {
+		return a == noRegion
+	}
+	return a == b+dr
 }
 
 // sameSlot reports whether the trial's store address a is the golden

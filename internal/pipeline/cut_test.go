@@ -150,15 +150,15 @@ func (f *cutFixture) swapColours(r isa.Reg, a, b int8) {
 		}
 		return c
 	}
-	cm := f.s.colors
+	cm := &f.s.colors
 	for i := range cm.nfree[r] {
 		cm.free[r][i] = sw(cm.free[r][i])
 	}
 	if cm.vc[r] >= 0 {
 		cm.vc[r] = sw(cm.vc[r])
 	}
-	for _, reg := range f.s.rbb {
-		if reg.colors.has(r) {
+	for i := range f.s.rbb {
+		if reg := &f.s.rbb[i]; reg.colors.has(r) {
 			reg.colors.color[r] = sw(reg.colors.color[r])
 		}
 	}
@@ -225,7 +225,7 @@ func TestCutChecksWhatItMayIgnore(t *testing.T) {
 		s, e := f.s, f.e
 		_, _, _, rename := f.renameReg()
 		c := s.clq.(*compactCLQ)
-		if rename && s.cycle != e.cycle && s.nextRegion != e.nextRegion && s.sb.seq != e.sbSeq &&
+		if rename && s.cycle != e.state.cycle && s.nextRegion != e.state.nextRegion && s.sb.seq != e.state.sb.seq &&
 			c.entries[0].used != c.entries[1].used {
 			strike, found = st, true
 			break
@@ -314,8 +314,8 @@ func TestCutChecksWhatItMayIgnore(t *testing.T) {
 		}},
 		{"colour of one structure only", false, func(t *testing.T, f *cutFixture) {
 			r, a, b, _ := f.renameReg()
-			for _, reg := range f.s.rbb {
-				if reg.colors.has(r) && reg.colors.color[r] == a {
+			for i := range f.s.rbb {
+				if reg := &f.s.rbb[i]; reg.colors.has(r) && reg.colors.color[r] == a {
 					reg.colors.color[r] = b
 				}
 			}
@@ -329,7 +329,7 @@ func TestCutChecksWhatItMayIgnore(t *testing.T) {
 			}
 		}},
 		{"RBB verification time", false, func(t *testing.T, f *cutFixture) {
-			r := f.s.rbb[0]
+			r := &f.s.rbb[0]
 			if r.verifyAt == infCycle {
 				r.end = f.s.cycle
 			}
@@ -554,32 +554,30 @@ func checkCutPredictions(t *testing.T, g *GoldenState) (cuts int) {
 }
 
 // TestCutCoversEveryField keeps the reconvergence check in step with the
-// simulator's state: every field of the structures a trial's future
-// depends on is either compared (or normalised) by the check, or listed
-// as context or ignored with the reason it cannot change the run from
-// the boundary to halt. A field added later fails here until it is
-// placed on one of the lists (and, if compared, in sameState).
+// simulator's state: every field of the state value and of the records
+// it holds is either compared (or normalised) by the check, or ignored
+// with the reason it cannot change the run from the boundary to halt.
+// A field added later fails here until it is placed on one of the lists
+// (and, if compared, in sameState). Memory and caches are context, which
+// reconverged compares apart.
 func TestCutCoversEveryField(t *testing.T) {
 	for _, tc := range []struct {
 		v                 any
 		compared, ignored map[string]string
 	}{
-		{Sim{}, map[string]string{
+		{simState{}, map[string]string{
 			"Regs":           "equal where live before the PC",
-			"Mem":            "equal outside the checkpoint window, or everywhere without renaming",
-			"PC":             "equal",
 			"Taint":          "must be clear",
+			"regReady":       "equal as distance past the cycle, where live",
+			"PC":             "equal",
 			"cycle":          "defines the cycle offset",
 			"slots":          "equal",
-			"regReady":       "equal as distance past the cycle, where live",
 			"netInsts":       "equal to the epoch's instruction count",
-			"hier":           "tags and LRU order of the sets the golden run touches again",
-			"sb":             "see storeBuffer",
 			"predictor":      "equal",
-			"rbb":            "regions equal up to the id and cycle offsets, used colours renamed",
-			"cur":            "region equal up to the id and cycle offsets",
+			"sb":             "see storeBuffer",
+			"rbb":            "see regionInst; same length",
 			"nextRegion":     "defines the region-id offset",
-			"clq":            "used entries equal as a set, region ids offset",
+			"compact":        "see compactCLQ",
 			"clqEnabled":     "equal",
 			"colors":         "see colorMaps",
 			"pendingDetects": "must be empty",
@@ -588,31 +586,19 @@ func TestCutCoversEveryField(t *testing.T) {
 			"halted":         "RunCut checks only before halt",
 			"Stats":          "not compared: the cut returns the trial's own plus the golden suffix",
 		}, map[string]string{
-			"Prog":        "context; Cfg.MaxInsts is checked against the predicted Insts",
-			"Cfg":         "context",
 			"lastRestart": "only recover reads it, and no recovery follows a cut",
-			"regionLog":   "RecordRegions never cuts",
-			"regionArena": "record recycling",
-			"regionsUsed": "record recycling; equals nextRegion",
-			"obs":         "an observability attachment never cuts",
-			"log":         "logs recoveries, DUEs and degrade transitions, which the golden suffix has none of",
-			"logCtx":      "see log",
-			"progress":    "receives the predicted totals",
-			"published":   "see progress",
 		}},
 		{storeBuffer{}, map[string]string{
 			"entries":   "see sbEntry; same length and order",
 			"lastDrain": "cycle offset",
 			"seq":       "defines the sequence offset",
-		}, map[string]string{
-			"cap": "context",
-			"obs": "an observability attachment never cuts",
-		}},
+		}, nil},
 		{sbEntry{}, map[string]string{
 			"addr":        "equal, or the same slot under the colour renaming",
 			"val":         "equal",
 			"quarantined": "equal",
-			"region":      "region equal up to the id and cycle offsets",
+			"region":      "region-id offset, noRegion only where noRegion",
+			"verifyAt":    "cycle offset, infCycle while the region is open",
 			"commitAt":    "cycle offset",
 			"seq":         "sequence offset",
 		}, map[string]string{
@@ -625,8 +611,7 @@ func TestCutCoversEveryField(t *testing.T) {
 			"boundPC":  "equal",
 			"end":      "cycle offset, 0 while open",
 			"verifyAt": "cycle offset, infCycle while open",
-			"verified": "equal",
-			"colors":   "renamed for RBB regions; a verified region's used colours are never read again",
+			"colors":   "renamed",
 		}, map[string]string{
 			"start":       "only region logs, traces and CheckInvariants read it",
 			"warFree":     "observability counter",
@@ -642,6 +627,9 @@ func TestCutCoversEveryField(t *testing.T) {
 			"free":  "renamed, position by position up to nfree",
 			"nfree": "equal",
 			"vc":    "renamed, -1 only where -1",
+		}, nil},
+		{compactCLQ{}, map[string]string{
+			"entries": "used entries equal as a set",
 		}, nil},
 		{compactEntry{}, map[string]string{
 			"region": "region-id offset",

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"reflect"
-	"slices"
 	"unsafe"
 
 	"repro/internal/cache"
@@ -26,9 +25,9 @@ const epochs = 16
 const epochBudget = 512 << 10
 
 // epoch is the complete simulator state at the first step boundary of
-// the warm golden run at which insts instructions had retired. Memory
-// words and cache sets are chained deltas against the previous epoch
-// (or the trial-start snapshot); everything else is held by value.
+// the warm golden run at which insts instructions had retired: memory
+// words and cache sets as chained deltas against the previous epoch (or
+// the trial-start snapshot), and a copy of the state value.
 type epoch struct {
 	insts  uint64
 	mem    []isa.MemEntry // words changed since the previous epoch
@@ -39,30 +38,7 @@ type epoch struct {
 	// largest CLQ occupancy sampled after this epoch.
 	suffix Stats
 
-	regs, regReady [isa.NumRegs]uint64
-	taint          [isa.NumRegs]bool
-	pc, slots      int
-	cycle          uint64
-	predictor      []uint8
-
-	// regions holds, by value, every record the RBB, the open region and
-	// the store buffer point at — store-buffer entries may outlive their
-	// region's verification. rbb, cur and the entries of sb point into
-	// it; restore rewires them by id, which is the record's index in the
-	// region arena.
-	regions        []regionInst
-	rbb            []*regionInst
-	cur            *regionInst
-	sb             []sbEntry
-	sbDrain, sbSeq uint64
-	nextRegion     int
-	clq            []compactEntry
-	clqEnabled     bool
-	colors         colorMaps
-	degradedUntil  uint64
-	inRecovery     bool
-	lastRestart    int
-	stats          Stats
+	state simState
 }
 
 // RecordEpochs Resets s, which must have been built for the snapshot's
@@ -130,8 +106,8 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	for i := len(g.epochs) - 1; i >= 0; i-- {
 		e := &g.epochs[i]
 		after = max(after, occ[i])
-		e.suffix = statsSince(s.Stats, e.stats)
-		e.suffix.Cycles = s.Stats.Cycles - e.cycle
+		e.suffix = statsSince(s.Stats, e.state.Stats)
+		e.suffix.Cycles = s.Stats.Cycles - e.state.cycle
 		e.suffix.CLQOccMax = after
 	}
 	g.setClocks = s.hier.SetClocks()
@@ -153,102 +129,30 @@ func statsSince(end, start Stats) Stats {
 // previous capture: mem tracks s.Mem, and clock is the cache clock of
 // the previous capture.
 func (s *Sim) epoch(mem *isa.DeltaTracker, clock cache.Clock) epoch {
-	e := epoch{
-		insts:  s.Stats.Insts,
-		mem:    mem.Delta(nil),
-		caches: s.hier.DeltaSince(clock),
-		regs:   s.Regs, regReady: s.regReady, taint: s.Taint,
-		pc: s.PC, slots: s.slots, cycle: s.cycle,
-		predictor:     slices.Clone(s.predictor),
-		sb:            slices.Clone(s.sb.entries),
-		sbDrain:       s.sb.lastDrain,
-		sbSeq:         s.sb.seq,
-		nextRegion:    s.nextRegion,
-		clqEnabled:    s.clqEnabled,
-		degradedUntil: s.degradedUntil,
-		inRecovery:    s.inRecovery,
-		lastRestart:   s.lastRestart,
-		stats:         s.Stats,
-	}
-	// Capacity for every distinct reference, so that keep's pointers
-	// stay valid.
-	e.regions = make([]regionInst, 0, len(s.rbb)+len(s.sb.entries)+1)
-	keep := func(r *regionInst) *regionInst {
-		if r == nil {
-			return nil
-		}
-		for i := range e.regions {
-			if e.regions[i].id == r.id {
-				return &e.regions[i]
-			}
-		}
-		e.regions = append(e.regions, *r)
-		return &e.regions[len(e.regions)-1]
-	}
-	for _, r := range s.rbb {
-		e.rbb = append(e.rbb, keep(r))
-	}
-	e.cur = keep(s.cur)
-	for i := range e.sb {
-		e.sb[i].region = keep(e.sb[i].region)
-	}
-	if c, ok := s.clq.(*compactCLQ); ok {
-		e.clq = slices.Clone(c.entries)
-	}
-	if s.colors != nil {
-		e.colors = *s.colors
-	}
+	e := epoch{insts: s.Stats.Insts, mem: mem.Delta(nil), caches: s.hier.DeltaSince(clock)}
+	e.state.copyFrom(&s.simState)
 	return e
 }
 
-// bytes returns the epoch's size.
+// bytes returns the epoch's size: the struct, the deltas and the state
+// value's slices.
 func (e *epoch) bytes() int {
-	n := int(unsafe.Sizeof(*e)) + e.caches.Bytes() + len(e.predictor)
-	n += len(e.mem) * int(unsafe.Sizeof(isa.MemEntry{}))
-	n += cap(e.regions) * int(unsafe.Sizeof(regionInst{}))
-	n += len(e.rbb) * int(unsafe.Sizeof(&regionInst{}))
-	n += len(e.sb) * int(unsafe.Sizeof(sbEntry{}))
-	n += len(e.clq) * int(unsafe.Sizeof(compactEntry{}))
-	return n
+	n := int(unsafe.Sizeof(*e)) + e.caches.Bytes() + len(e.mem)*int(unsafe.Sizeof(isa.MemEntry{}))
+	return n + sliceBytes(reflect.ValueOf(e.state))
 }
 
-// restore overwrites s's state with the epoch's, except for memory and
-// caches, which ResetAt rebuilds from the deltas. s has just been
-// Reset, so published is zero: the first Step then publishes the whole
-// resumed prefix into an attached Progress, whose totals come out as
-// for a run from the start.
-func (e *epoch) restore(s *Sim) {
-	s.Regs, s.regReady, s.Taint = e.regs, e.regReady, e.taint
-	s.PC, s.slots, s.cycle = e.pc, e.slots, e.cycle
-	s.netInsts = e.insts // the golden run squashes nothing
-	copy(s.predictor, e.predictor)
-	s.growArena(e.nextRegion)
-	arena := func(r *regionInst) *regionInst {
-		if r == nil {
-			return nil
+// sliceBytes returns the bytes the slices among v's fields hold,
+// searching nested structs.
+func sliceBytes(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Slice:
+		return v.Len() * int(v.Type().Elem().Size())
+	case reflect.Struct:
+		n := 0
+		for i := range v.NumField() {
+			n += sliceBytes(v.Field(i))
 		}
-		return s.regionArena[r.id]
+		return n
 	}
-	for i := range e.regions {
-		*arena(&e.regions[i]) = e.regions[i]
-	}
-	for _, r := range e.rbb {
-		s.rbb = append(s.rbb, arena(r))
-	}
-	s.cur = arena(e.cur)
-	s.sb.entries = append(s.sb.entries[:0], e.sb...)
-	for i := range s.sb.entries {
-		s.sb.entries[i].region = arena(s.sb.entries[i].region)
-	}
-	s.sb.lastDrain, s.sb.seq = e.sbDrain, e.sbSeq
-	s.nextRegion, s.regionsUsed = e.nextRegion, e.nextRegion
-	if c, ok := s.clq.(*compactCLQ); ok {
-		copy(c.entries, e.clq)
-		s.clqEnabled = e.clqEnabled
-	}
-	if s.colors != nil {
-		*s.colors = e.colors
-	}
-	s.degradedUntil, s.inRecovery, s.lastRestart = e.degradedUntil, e.inRecovery, e.lastRestart
-	s.Stats = e.stats
+	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -36,76 +37,70 @@ func recordEpochs(t testing.TB, prog *isa.Program, cfg Config, seedMem func(*isa
 	return gs
 }
 
-// simState is everything a simulator carries from one step to the next,
-// with region pointers replaced by the records they point at.
-type simState struct {
-	Regs, RegReady [isa.NumRegs]uint64
-	Taint          [isa.NumRegs]bool
-	PC, Slots      int
-	Cycle, NetInst uint64
-	Mem            []isa.MemEntry
-	Caches         cache.Image
-	Hits, Misses   [3]uint64
-	Predictor      []uint8
-	RBB            []regionInst
-	Cur            *regionInst
-	SB             []sbEntry
-	SBRegions      []*regionInst
-	SBDrain, SBSeq uint64
-	Next, Used     int
-	CLQ            []compactEntry
-	CLQEnabled     bool
-	Colors         *colorMaps
-	Detects        []detectEvent
-	Degraded       uint64
-	InRecovery     bool
-	LastRestart    int
-	Stats          Stats
-	Published      publishedCounters
-	Halted         bool
+// sameSim reports whether a and b hold the same state: equal state
+// values (slices compared by content, nil as empty), memory images,
+// caches and cache counters, and published progress.
+func sameSim(a, b *Sim) bool {
+	var x, y simState
+	x.copyFrom(&a.simState)
+	y.copyFrom(&b.simState)
+	var ia, ib cache.Image
+	a.hier.Snapshot(&ia)
+	b.hier.Snapshot(&ib)
+	ca, cb := []*cache.Cache{a.hier.L1I, a.hier.L1D, a.hier.L2}, []*cache.Cache{b.hier.L1I, b.hier.L1D, b.hier.L2}
+	for i := range ca {
+		if ca[i].Hits != cb[i].Hits || ca[i].Misses != cb[i].Misses {
+			return false
+		}
+	}
+	return reflect.DeepEqual(x, y) && reflect.DeepEqual(a.Mem.Snapshot(), b.Mem.Snapshot()) &&
+		reflect.DeepEqual(ia, ib) && a.published == b.published
 }
 
-func deref(r *regionInst) *regionInst {
-	if r == nil {
-		return nil
+// TestCopyFromSharesNoSlice: after copyFrom no slice of the copy shares
+// a backing array with the source, so a trial never writes into the
+// golden state it was Reset or resumed from, and a second copy into
+// the same value reuses its arrays, so Reset allocates nothing. Every
+// slice of the source is made non-empty by reflection, so a slice field
+// added later that copyFrom does not copy back fails here.
+func TestCopyFromSharesNoSlice(t *testing.T) {
+	var src, dst simState
+	slicesOf(&src, func(_ string, v reflect.Value) { v.Set(reflect.MakeSlice(v.Type(), 1, 1)) })
+	own, first := map[string]uintptr{}, map[string]uintptr{}
+	slicesOf(&src, func(path string, v reflect.Value) { own[path] = v.Pointer() })
+	dst.copyFrom(&src)
+	slicesOf(&dst, func(path string, v reflect.Value) { first[path] = v.Pointer() })
+	dst.copyFrom(&src)
+	slicesOf(&dst, func(path string, v reflect.Value) {
+		switch p := v.Pointer(); {
+		case v.Len() != 1:
+			t.Errorf("%s holds %d elements after copyFrom, want 1", path, v.Len())
+		case p == own[path]:
+			t.Errorf("%s shares the source's backing array", path)
+		case p != first[path]:
+			t.Errorf("%s was reallocated by a second copyFrom", path)
+		}
+	})
+	if len(own) < 5 {
+		t.Fatalf("found %d slices in simState, want at least 5", len(own))
 	}
-	c := *r
-	return &c
 }
 
-func stateOf(s *Sim) simState {
-	st := simState{
-		Regs: s.Regs, RegReady: s.regReady, Taint: s.Taint,
-		PC: s.PC, Slots: s.slots, Cycle: s.cycle, NetInst: s.netInsts,
-		Mem:       s.Mem.Snapshot(),
-		Predictor: append([]uint8(nil), s.predictor...),
-		Cur:       deref(s.cur),
-		SBDrain:   s.sb.lastDrain, SBSeq: s.sb.seq,
-		Next: s.nextRegion, Used: s.regionsUsed,
-		CLQEnabled: s.clqEnabled, Colors: s.colors,
-		Degraded: s.degradedUntil, InRecovery: s.inRecovery, LastRestart: s.lastRestart,
-		Stats: s.Stats, Published: s.published, Halted: s.halted,
+// slicesOf calls f with every slice field of *s, searching nested
+// structs, as a settable value named by its field path.
+func slicesOf(s *simState, f func(path string, v reflect.Value)) {
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Slice:
+			f(path, reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem())
+		case reflect.Struct:
+			for i := range v.NumField() {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		}
 	}
-	s.hier.Snapshot(&st.Caches)
-	for i, c := range []*cache.Cache{s.hier.L1I, s.hier.L1D, s.hier.L2} {
-		st.Hits[i], st.Misses[i] = c.Hits, c.Misses
-	}
-	for _, r := range s.rbb {
-		st.RBB = append(st.RBB, *r)
-	}
-	for _, e := range s.sb.entries {
-		st.SBRegions = append(st.SBRegions, deref(e.region))
-		e.region = nil
-		st.SB = append(st.SB, e)
-	}
-	if c, ok := s.clq.(*compactCLQ); ok {
-		st.CLQ = append(st.CLQ, c.entries...)
-	}
-	for _, d := range s.pendingDetects {
-		d.anchor = deref(d.anchor)
-		st.Detects = append(st.Detects, d)
-	}
-	return st
+	walk("simState", reflect.ValueOf(s).Elem())
 }
 
 // stepTo steps s to the first boundary at which inst instructions have
@@ -124,7 +119,7 @@ func stepTo(t *testing.T, s *Sim, inst uint64) {
 // and past the last one, the restored simulator holds exactly the
 // stepped one's state, runs to the same halt state, and publishes the
 // same Progress totals and cache counters. The configurations are
-// chosen so that some epoch holds each case the restore must rewire:
+// chosen so that some epoch holds each case the restore must carry:
 // store-buffer entries of already-verified regions, several regions in
 // the RBB, part-drained color pools and live cache counters.
 func TestResetAtMatchesStepping(t *testing.T) {
@@ -152,13 +147,13 @@ func TestResetAtMatchesStepping(t *testing.T) {
 				t.Fatalf("recorded %d epochs, want %d", len(gs.epochs), epochs-1)
 			}
 			for i := range gs.epochs {
-				e := &gs.epochs[i]
-				for _, en := range e.sb {
-					sbVerified = sbVerified || (en.region != nil && en.region.verified)
+				e := &gs.epochs[i].state
+				for _, en := range e.sb.entries {
+					sbVerified = sbVerified || (en.quarantined && en.region != noRegion && en.region < e.unverifiedFrom())
 				}
 				rbbSeveral = rbbSeveral || len(e.rbb) >= 2
 				for _, n := range e.colors.nfree {
-					colorsDrained = colorsDrained || (e.cur != nil && n <= isa.NumColors-2)
+					colorsDrained = colorsDrained || (e.cur() != nil && n <= isa.NumColors-2)
 				}
 			}
 			a, err := gs.Fork()
@@ -209,8 +204,8 @@ func checkResetAt(t *testing.T, gs *GoldenState, a, b *Sim, inst, at uint64) (co
 	if a.Stats.Insts != at {
 		t.Fatalf("ResetAt(%d) resumed at %d instructions, want %d", inst, a.Stats.Insts, at)
 	}
-	if got, want := stateOf(a), stateOf(b); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ResetAt(%d) state differs from stepping to %d instructions:\nresumed %+v\nstepped %+v", inst, at, got, want)
+	if !sameSim(a, b) {
+		t.Fatalf("ResetAt(%d) state differs from stepping to %d instructions:\nresumed %+v\nstepped %+v", inst, at, a.simState, b.simState)
 	}
 	counters = a.hier.L1D.Hits > 0 && a.hier.L1D.Misses > 0
 	// Neither has published anything, so both publish their whole run.
@@ -224,7 +219,7 @@ func checkResetAt(t *testing.T, gs *GoldenState, a, b *Sim, inst, at uint64) (co
 			t.Fatal(err)
 		}
 	}
-	if got, want := stateOf(a), stateOf(b); !reflect.DeepEqual(got, want) {
+	if !sameSim(a, b) {
 		t.Fatalf("run resumed at %d instructions halts in another state than a run from the start", at)
 	}
 	if pa.Cycles.Load() != a.Stats.Cycles || pa.Insts.Load() != a.Stats.Insts ||

@@ -9,21 +9,22 @@ import (
 
 // GoldenState is the immutable snapshot a fault campaign forks every
 // trial from: the compiled program, the validated simulator
-// configuration, the seeded initial memory image, and the golden run's
-// warmed cache hierarchy. Capturing it once means trials stop paying for
-// compilation, memory re-seeding, and cache-hierarchy construction —
-// each worker forks one simulator and Resets it between trials, and the
-// steady-state reset allocates nothing. RecordEpochs, run once before
-// the trials, adds the restore points ResetAt resumes trials from.
+// configuration, the seeded initial memory image, the simulator's
+// initial state value, and the golden run's warmed cache hierarchy.
+// Capturing it once means trials stop paying for compilation, memory
+// re-seeding, and cache-hierarchy construction — each worker forks one
+// simulator and Resets it between trials, and the steady-state reset
+// allocates nothing. RecordEpochs, run once before the trials, adds the
+// restore points ResetAt resumes trials from.
 type GoldenState struct {
-	prog *isa.Program
-	cfg  Config
-	init *isa.Memory // frozen seeded image; forks share its pages
-	img  cache.Image
+	prog  *isa.Program
+	cfg   Config
+	init  *isa.Memory // frozen seeded image; forks share its pages
+	img   cache.Image
+	start simState // the unstepped simulator's state
 
-	stats   Stats
-	output  *isa.Memory
-	regions int // dynamic regions the golden run bound (arena pre-size)
+	stats  Stats
+	output *isa.Memory
 	// memSpan and memOwned are the golden run's page-table length and
 	// written-page count (memory pre-size).
 	memSpan, memOwned int
@@ -44,9 +45,9 @@ type GoldenState struct {
 }
 
 // CaptureGolden snapshots s's pre-execution state (program,
-// configuration, and the seeded memory image, frozen so that forks share
-// its pages copy-on-write), runs the golden execution to completion on
-// s, and captures the warmed cache hierarchy. s must be freshly
+// configuration, state value, and the seeded memory image, frozen so
+// that forks share its pages copy-on-write), runs the golden execution
+// to completion on s, and captures the warmed cache hierarchy. s must be freshly
 // constructed — seeded, with attachments if desired, but not yet
 // stepped. After a successful capture s itself is at the golden halt
 // state and may be discarded or Reset.
@@ -55,13 +56,13 @@ func CaptureGolden(s *Sim) (*GoldenState, error) {
 		return nil, fmt.Errorf("pipeline: CaptureGolden needs an unstepped simulator")
 	}
 	g := &GoldenState{prog: s.Prog, cfg: s.Cfg, init: s.Mem.Freeze()}
+	g.start.copyFrom(&s.simState)
 	st, err := s.Run()
 	if err != nil {
 		return nil, err
 	}
 	g.stats = st
 	g.output = s.OutputMemory()
-	g.regions = s.regionsUsed
 	g.memSpan, g.memOwned = s.Mem.PageUse()
 	s.hier.Snapshot(&g.img)
 	return g, nil
@@ -98,16 +99,12 @@ func (g *GoldenState) Fork() (*Sim, error) {
 // configuration: a fresh New, or the simulator CaptureGolden ran on,
 // which a campaign reuses as its first worker.
 //
-// Adopt pre-sizes the region arena for the golden run's region count
-// plus recovery headroom (each recovery re-binds the regions it squashed
-// as fresh dynamic regions), the memory's page table and spare pages for
-// the golden run's footprint, and the detection queue to its bound, so
-// injected trials recycle records and pages instead of growing them one
-// at a time. A trial that still outruns the arena or the pages just
-// grows them — correctness is unaffected.
+// Adopt pre-sizes the memory's page table and spare pages for the
+// golden run's footprint, and the detection queue to its bound, so
+// injected trials recycle pages instead of growing them one at a time.
+// A trial that still outruns the pages just grows them — correctness is
+// unaffected.
 func (g *GoldenState) Adopt(s *Sim) {
-	const regionSlack = 32
-	s.growArena(g.regions + regionSlack)
 	s.Mem.Reserve(g.memSpan, g.memOwned)
 	if cap(s.pendingDetects) < s.Cfg.DetectQueue {
 		s.pendingDetects = make([]detectEvent, 0, s.Cfg.DetectQueue)
@@ -115,57 +112,37 @@ func (g *GoldenState) Adopt(s *Sim) {
 	g.Reset(s)
 }
 
-// Reset reprimes a forked simulator for the next trial: architectural
-// state, caches, and every micro-architectural structure return to the
-// trial-start snapshot, while the simulator's grown buffers (store
-// buffer, RBB and its region arena, memory pages) keep their capacity —
-// the steady-state reset allocates nothing, and the memory swaps back
-// only the pages the last trial wrote. Observability attachments
-// (AttachObs, AttachLogger, AttachProgress) are preserved. s must have
-// been built for the same program and configuration as the snapshot
-// (normally via Fork or Adopt).
+// Reset reprimes a forked simulator for the next trial: memory, caches
+// and the state value return to the trial-start snapshot, while the
+// simulator's grown buffers (the value's slices, memory pages) keep
+// their capacity — the steady-state reset allocates nothing, and the
+// memory swaps back only the pages the last trial wrote. Observability
+// attachments (AttachObs, AttachLogger, AttachProgress) are preserved,
+// with nothing published yet. s must have been built for the same
+// program and configuration as the snapshot (normally via Fork or
+// Adopt).
 func (g *GoldenState) Reset(s *Sim) {
-	s.Regs = [isa.NumRegs]uint64{}
-	s.Taint = [isa.NumRegs]bool{}
-	s.regReady = [isa.NumRegs]uint64{}
 	s.Mem.ResetTo(g.init)
-	s.PC = g.prog.Entry
-	s.cycle = 1
-	s.slots = 0
-	s.netInsts = 0
 	s.hier.Restore(&g.img)
-	s.sb.reset()
-	clear(s.predictor)
-	s.rbb = s.rbb[:0]
-	s.cur = nil
-	s.nextRegion = 0
-	s.regionsUsed = 0
-	if s.clq != nil {
-		s.clq.clearAll()
-		s.clqEnabled = true
+	s.copyFrom(&g.start)
+	if c, ok := s.clq.(*idealCLQ); ok {
+		c.clearAll()
 	}
-	if s.colors != nil {
-		s.colors.reset()
-	}
-	s.pendingDetects = s.pendingDetects[:0]
-	s.degradedUntil = 0
-	s.inRecovery = false
-	s.lastRestart = -1
 	s.regionLog = s.regionLog[:0]
-	s.Stats = Stats{}
 	s.published = publishedCounters{}
-	s.halted = false
 }
 
 // ResetAt reprimes s, like Reset, for a trial whose first fault event
 // fires once inst instructions have retired: it Resets s, replays the
 // memory and cache deltas of every epoch up to the last one at or
-// before inst, and restores that epoch's state. A trial is identical to
-// the warm golden run until its first event fires and the simulator is
-// deterministic, so the trial that resumes there is byte-identical to
-// one run from the start. With an observability attachment (AttachObs)
-// ResetAt ignores the epochs, so traces and histograms cover the whole
-// run.
+// before inst, and copies in that epoch's state value. A trial is
+// identical to the warm golden run until its first event fires and the
+// simulator is deterministic, so the trial that resumes there is
+// byte-identical to one run from the start. Reset left nothing
+// published, so the first Step publishes the whole resumed prefix into
+// an attached Progress, whose totals come out as for a run from the
+// start. With an observability attachment (AttachObs) ResetAt ignores
+// the epochs, so traces and histograms cover the whole run.
 func (g *GoldenState) ResetAt(s *Sim, inst uint64) {
 	g.Reset(s)
 	if s.obs != nil {
@@ -179,7 +156,7 @@ func (g *GoldenState) ResetAt(s *Sim, inst uint64) {
 		return
 	}
 	g.replay(s.Mem, s.hier, 0, k)
-	g.epochs[k-1].restore(s)
+	s.copyFrom(&g.epochs[k-1].state)
 }
 
 // replay applies the memory and cache deltas of epochs [from, to) to

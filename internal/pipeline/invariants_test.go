@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -10,10 +11,15 @@ import (
 )
 
 // TestInvariantsHoldDuringRuns steps real workloads and audits the
-// simulator's internal state periodically — with and without injected
-// faults, across both schemes.
+// simulator's internal state — with and without injected faults, across
+// both schemes. A strike detected within the WCDL is audited
+// periodically; the same strike detected at 3×WCDL, which leaves its
+// detection anchored on a region that may verify first, is audited at
+// every step and may end the run in a DUE; some such step must hold a
+// detection whose anchor has verified.
 func TestInvariantsHoldDuringRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
+	anchoredVerified, dues := 0, 0
 	for _, name := range []string{"gcc", "lbm", "radix", "mcf"} {
 		p, _ := workload.ByName(name)
 		f := p.Build(3)
@@ -28,35 +34,63 @@ func TestInvariantsHoldDuringRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := New(c.Prog, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.SeedMemory(s.Mem)
 			injectAt := uint64(rng.Intn(2000) + 100)
-			injected := false
-			steps := 0
-			for !s.Halted() {
-				if !injected && s.Stats.Insts >= injectAt {
-					if err := s.InjectBitFlip(isa.Reg(1+rng.Intn(28)), uint(rng.Intn(64)), 1+rng.Intn(10)); err != nil {
-						t.Fatal(err)
+			// The first row draws its strike when it reaches injectAt; the
+			// late row runs the same steps until then and reuses it.
+			var reg isa.Reg
+			var bit uint
+			for _, row := range []struct {
+				late  bool
+				every int
+			}{{false, 97}, {true, 1}} {
+				s, err := New(c.Prog, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.SeedMemory(s.Mem)
+				injected := false
+				steps := 0
+				for !s.Halted() {
+					if !injected && s.Stats.Insts >= injectAt {
+						lat := 3 * cfg.WCDL
+						if !row.late {
+							reg, bit, lat = isa.Reg(1+rng.Intn(28)), uint(rng.Intn(64)), 1+rng.Intn(10)
+						}
+						if err := s.InjectBitFlip(reg, bit, lat); err != nil {
+							t.Fatal(err)
+						}
+						injected = true
 					}
-					injected = true
-				}
-				if err := s.Step(); err != nil {
-					t.Fatalf("%s/%v: %v", name, scheme, err)
-				}
-				steps++
-				if steps%97 == 0 {
-					if err := s.CheckInvariants(); err != nil {
-						t.Fatalf("%s/%v after %d steps: %v", name, scheme, steps, err)
+					err := s.Step()
+					var due *DUEError
+					if errors.As(err, &due) && row.late {
+						dues++
+						break
+					}
+					if err != nil {
+						t.Fatalf("%s/%v late %v: %v", name, scheme, row.late, err)
+					}
+					steps++
+					for _, d := range s.pendingDetects {
+						if d.anchor != noRegion && d.anchor < s.unverifiedFrom() {
+							anchoredVerified++
+						}
+					}
+					if steps%row.every == 0 {
+						if err := s.CheckInvariants(); err != nil {
+							t.Fatalf("%s/%v late %v after %d steps: %v", name, scheme, row.late, steps, err)
+						}
 					}
 				}
-			}
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatalf("%s/%v at halt: %v", name, scheme, err)
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("%s/%v late %v at halt: %v", name, scheme, row.late, err)
+				}
 			}
 		}
+	}
+	t.Logf("%d steps with a detection anchored on a verified region, %d DUEs", anchoredVerified, dues)
+	if anchoredVerified == 0 {
+		t.Error("no step holds a detection anchored on a verified region")
 	}
 }
 

@@ -63,7 +63,6 @@ func NewObs(tr *obs.Tracer, reg *obs.Registry) *Obs {
 // passing nil detaches.
 func (s *Sim) AttachObs(o *Obs) {
 	s.obs = o
-	s.sb.obs = o
 }
 
 // The obs* helpers below hold the emission bodies out-of-line so the

@@ -18,10 +18,11 @@ const flushPenalty = 5
 type detectEvent struct {
 	// at is the cycle the sensors fire.
 	at uint64
-	// anchor is the region open when the strike (or spurious firing)
-	// happened — the region whose quarantine holds the corruption. Nil
-	// when no region was open (recovery block, pre-first-boundary).
-	anchor *regionInst
+	// anchor is the id of the region open when the strike (or spurious
+	// firing) happened — the region whose quarantine holds the
+	// corruption. noRegion when none was open (recovery block,
+	// pre-first-boundary).
+	anchor int
 	// epoch is Stats.RegionsVerified at strike time, the containment
 	// fallback for nil anchors: if any region verified since, stores
 	// the strike may have influenced could have escaped.
@@ -110,7 +111,7 @@ func (s *Sim) enqueueDetect(e detectEvent) error {
 func (s *Sim) newStrikeEvent(latency int, spurious bool) detectEvent {
 	return detectEvent{
 		at:       s.cycle + uint64(latency),
-		anchor:   s.cur,
+		anchor:   regionID(s.cur()),
 		epoch:    s.Stats.RegionsVerified,
 		late:     latency > s.Cfg.WCDL,
 		spurious: spurious,
@@ -218,8 +219,8 @@ func (s *Sim) InjectFalseDetection(latency int) error {
 // with no anchor (no region open at strike time) the verification epoch
 // stands in: if nothing verified since the strike, nothing escaped.
 func (s *Sim) contained(e detectEvent) bool {
-	if e.anchor != nil {
-		return !e.anchor.verified
+	if e.anchor != noRegion {
+		return e.anchor >= s.unverifiedFrom()
 	}
 	return e.epoch == s.Stats.RegionsVerified
 }
@@ -325,24 +326,22 @@ func (s *Sim) recover() error {
 		return fmt.Errorf("pipeline: recovery with no in-flight region")
 	}
 
-	for _, r := range s.rbb {
-		if s.colors != nil {
-			for regs := r.colors.regs; regs != 0; regs &= regs - 1 {
-				reg := isa.Reg(bits.TrailingZeros64(regs))
-				s.colors.squash(reg, r.colors.of(reg))
-			}
+	for i := range s.rbb {
+		r := &s.rbb[i]
+		for regs := r.colors.regs; regs != 0; regs &= regs - 1 {
+			reg := isa.Reg(bits.TrailingZeros64(regs))
+			s.colors.squash(reg, r.colors.of(reg))
 		}
 		s.regionClosed(r, true)
 		s.netInsts -= r.insts
 	}
 	squashed := len(s.rbb)
-	discarded := s.sb.discardUnverified()
+	discarded := s.sb.discardUnverified(s.unverifiedFrom())
 	if s.clq != nil {
 		s.clq.clearAll()
 		s.clqEnabled = true
 	}
 	s.rbb = s.rbb[:0]
-	s.cur = nil
 
 	rpc := s.Prog.Regions[restartID].RecoveryPC
 	if rpc < 0 {

@@ -18,25 +18,33 @@ type sbEntry struct {
 	// simulated clock has already jumped over). Fast/baseline entries are
 	// applied at commit and model drain bandwidth only.
 	quarantined bool
-	region      *regionInst // nil when not resilient
-	commitAt    uint64
-	isCkpt      bool
-	ckptReg     isa.Reg
-	seq         uint64
+	// region is the id of the region a quarantined entry belongs to,
+	// noRegion for fast entries and stores outside every region.
+	// verifyAt is the region's verification cycle, stamped when the
+	// region closes (infCycle until then and without a region).
+	region   int
+	verifyAt uint64
+	commitAt uint64
+	isCkpt   bool
+	ckptReg  isa.Reg
+	seq      uint64
 }
 
 // drainableAt returns the earliest cycle this entry may drain, ignoring
 // the 1-per-cycle port: commit time for fast entries, the region's
-// verification time for quarantined ones (infCycle until verified regions
-// are processed — callers advance time, which runs verification).
-func (e *sbEntry) drainableAt() uint64 {
+// verification time for quarantined ones once the region has verified —
+// its id lies below unverified, the id of the oldest region still in
+// the RBB — and infCycle before (callers advance time, which runs
+// verification). An entry without a region never drains: its verifyAt
+// stays infCycle.
+func (e *sbEntry) drainableAt(unverified int) uint64 {
 	if !e.quarantined {
 		return e.commitAt
 	}
-	if e.region == nil || !e.region.verified {
+	if e.region >= unverified {
 		return infCycle
 	}
-	return e.region.verifyAt
+	return e.verifyAt
 }
 
 // pendingVerifyAt returns when the entry *would* become drainable assuming
@@ -45,69 +53,52 @@ func (e *sbEntry) pendingVerifyAt() uint64 {
 	if !e.quarantined {
 		return e.commitAt
 	}
-	if e.region == nil {
-		return infCycle
-	}
-	return e.region.verifyAt // infCycle while the region is still open
+	return e.verifyAt // infCycle while the region is still open
 }
 
-// storeBuffer models the GSB: bounded entries, one drain per cycle to L1,
-// oldest-drainable-first (out-of-order across quarantine classes is safe —
-// the simulator's WAW check refuses fast release when an older same-address
-// entry is pending).
+// storeBuffer models the GSB: bounded entries (Config.SBSize), one drain
+// per cycle to L1, oldest-drainable-first (out-of-order across quarantine
+// classes is safe — the simulator's WAW check refuses fast release when
+// an older same-address entry is pending).
 type storeBuffer struct {
 	entries   []sbEntry
-	cap       int
 	lastDrain uint64
 	seq       uint64
-
-	// obs mirrors the simulator's attachment (AttachObs); nil when
-	// observability is disabled.
-	obs *Obs
 }
 
-func newStoreBuffer(capacity int) *storeBuffer {
-	return &storeBuffer{cap: capacity}
-}
+func (sb *storeBuffer) len() int { return len(sb.entries) }
 
-// reset returns the buffer to its initial empty state, keeping the
-// entries backing array so campaign trials reuse it allocation-free.
-func (sb *storeBuffer) reset() {
-	sb.entries = sb.entries[:0]
-	sb.lastDrain = 0
-	sb.seq = 0
-}
-
-func (sb *storeBuffer) full() bool { return len(sb.entries) >= sb.cap }
-func (sb *storeBuffer) len() int   { return len(sb.entries) }
-
-// push appends a committed store. Callers must ensure space (drain/stall).
-func (sb *storeBuffer) push(e sbEntry) {
+// push appends a committed store, observed into o's occupancy histogram
+// when o is non-nil. Callers must ensure space (drain/stall).
+func (sb *storeBuffer) push(e sbEntry, o *Obs) {
 	sb.seq++
 	e.seq = sb.seq
+	e.verifyAt = infCycle
 	sb.entries = append(sb.entries, e)
-	if sb.obs != nil && sb.obs.sbOcc != nil {
-		sb.obs.sbOcc.Observe(uint64(len(sb.entries)))
+	if o != nil && o.sbOcc != nil {
+		o.sbOcc.Observe(uint64(len(sb.entries)))
 	}
 }
 
 // drainUntil retires drainable entries with the 1/cycle port up to cycle
-// now, applying quarantined writes to mem. Verification state must be
-// current (the simulator advances time before calling).
-func (sb *storeBuffer) drainUntil(now uint64, mem *isa.Memory) {
+// now, applying quarantined writes to mem; regions with ids from
+// unverified on have not verified. Verification state must be current
+// (the simulator advances time before calling). o, when non-nil,
+// receives each drained entry's residency span.
+func (sb *storeBuffer) drainUntil(now uint64, mem *isa.Memory, unverified int, o *Obs) {
 	for {
-		i := sb.oldestDrainable()
+		i := sb.oldestDrainable(unverified)
 		if i < 0 {
 			return
 		}
-		t := sb.entries[i].drainableAt()
+		t := sb.entries[i].drainableAt(unverified)
 		if t < sb.lastDrain+1 {
 			t = sb.lastDrain + 1
 		}
 		if t > now {
 			return
 		}
-		sb.applyAndRemove(i, t, mem)
+		sb.applyAndRemove(i, t, mem, o)
 		sb.lastDrain = t
 	}
 }
@@ -132,10 +123,10 @@ func (sb *storeBuffer) nextEventAt() uint64 {
 	return best
 }
 
-func (sb *storeBuffer) oldestDrainable() int {
+func (sb *storeBuffer) oldestDrainable(unverified int) int {
 	best := -1
 	for i := range sb.entries {
-		if sb.entries[i].drainableAt() == infCycle {
+		if sb.entries[i].drainableAt(unverified) == infCycle {
 			continue
 		}
 		if best == -1 || sb.entries[i].seq < sb.entries[best].seq {
@@ -145,13 +136,13 @@ func (sb *storeBuffer) oldestDrainable() int {
 	return best
 }
 
-func (sb *storeBuffer) applyAndRemove(i int, drainAt uint64, mem *isa.Memory) {
+func (sb *storeBuffer) applyAndRemove(i int, drainAt uint64, mem *isa.Memory, o *Obs) {
 	e := sb.entries[i]
 	if e.quarantined {
 		mem.Store(e.addr, e.val)
 	}
-	if sb.obs != nil {
-		sb.obs.obsDrained(&e, drainAt)
+	if o != nil {
+		o.obsDrained(&e, drainAt)
 	}
 	sb.entries = append(sb.entries[:i], sb.entries[i+1:]...)
 }
@@ -183,14 +174,15 @@ func (sb *storeBuffer) forward(addr uint64) (uint64, bool) {
 	return val, found
 }
 
-// discardUnverified drops quarantined entries of unverified regions;
-// recovery calls this after squashing the RBB. Returns the count dropped.
-func (sb *storeBuffer) discardUnverified() int {
+// discardUnverified drops quarantined entries of unverified regions
+// (ids from unverified on) and of none; recovery calls this before
+// emptying the RBB. Returns the count dropped.
+func (sb *storeBuffer) discardUnverified(unverified int) int {
 	n := 0
 	kept := sb.entries[:0]
 	for i := range sb.entries {
 		e := sb.entries[i]
-		if e.quarantined && (e.region == nil || !e.region.verified) {
+		if e.quarantined && (e.region == noRegion || e.region >= unverified) {
 			n++
 			continue
 		}

@@ -12,15 +12,16 @@ import (
 )
 
 // regionInst is one dynamic region (an RBB entry): the instance of a
-// static region opened by a committed BOUND.
+// static region opened by a committed BOUND. The RBB holds the records
+// by value; store-buffer entries and pending detections name a region
+// by its id, noRegion for none.
 type regionInst struct {
 	id       int
 	staticID int
 	boundPC  int
 	start    uint64
-	end      uint64 // 0 while open
-	verifyAt uint64 // end + WCDL; infCycle while open
-	verified bool
+	end      uint64     // 0 while open
+	verifyAt uint64     // end + WCDL; infCycle while open
 	colors   usedColors // UC: colors used by this region's checkpoints
 
 	// Per-region observability counters (events.go). insts also
@@ -29,62 +30,35 @@ type regionInst struct {
 	insts                         uint64
 }
 
+// noRegion is the region id of a store or a strike outside every region.
+const noRegion = -1
+
 // Sim simulates one program under one configuration. It is both the
 // functional and the timing model; fault-free runs reproduce the reference
 // machine's memory exactly.
+//
+// A Sim is a fixed context around one simState value. The context is
+// the program and configuration, the memory image and cache hierarchy
+// (each with its own reset and delta mechanisms), the attachments and
+// the region log; the value is everything else a run carries from one
+// step to the next. GoldenState.Reset, the epochs and the reconvergence
+// check all copy or compare that value.
 type Sim struct {
 	Prog *isa.Program
 	Cfg  Config
-
-	Regs [isa.NumRegs]uint64
 	Mem  *isa.Memory
-	PC   int
+	hier *cache.Hierarchy
 
-	// Taint marks architecturally corrupted registers during fault
-	// campaigns (the per-register parity bit of §5 plus derived values,
-	// standing in for the hardened AGU). Cleared by recovery.
-	Taint [isa.NumRegs]bool
+	simState
 
-	cycle    uint64
-	slots    int
-	regReady [isa.NumRegs]uint64
-	// netInsts is the golden-equivalent progress: instructions retired,
-	// minus those of squashed regions and of recovery blocks. A fault-free
-	// run keeps it equal to Stats.Insts; a recovered trial that is the
-	// golden run again holds the golden run's count (cut.go).
-	netInsts  uint64
-	hier      *cache.Hierarchy
-	sb        *storeBuffer
-	predictor []uint8 // bimodal 2-bit counters, indexed by PC
-
-	// Resilience state.
-	rbb        []*regionInst
-	cur        *regionInst
-	nextRegion int
-	clq        committedLoadQueue
-	clqEnabled bool
-	colors     *colorMaps
-
-	// Fault state (driven by package fault). pendingDetects holds every
-	// in-flight sensor event ordered by firing cycle (fault bursts put
-	// several strikes inside one detection window); degradedUntil is
-	// nonzero while the degradation controller has fast release
-	// suspended after a late detection (0 = healthy).
-	pendingDetects []detectEvent
-	degradedUntil  uint64
-	inRecovery     bool // executing a recovery block
-	lastRestart    int  // static ID of the last restarted region, -1 before any recovery
+	// clq is the committed-load queue, nil without WAR-free release: the
+	// compact design's entries live in the value (&s.compact), the ideal
+	// design's maps here, outside it. Only Figs. 14/15 use the ideal
+	// one, which neither records epochs nor cuts; Reset clears it.
+	clq committedLoadQueue
 
 	// regionLog records per-region events when Cfg.RecordRegions is set.
 	regionLog []RegionEvent
-
-	// regionArena recycles regionInst records across GoldenState resets:
-	// regionsUsed counts the records handed out this run; Reset rewinds
-	// it to zero so the next trial reuses the same records. Records are
-	// never recycled mid-run — store-buffer entries and pending
-	// detections hold region pointers beyond verification.
-	regionArena []*regionInst
-	regionsUsed int
 
 	// obs is the optional observability attachment (AttachObs). Nil means
 	// disabled; every instrumentation site is guarded by one nil check.
@@ -101,9 +75,106 @@ type Sim struct {
 	// each Step publishes deltas.
 	progress  *Progress
 	published publishedCounters
+}
+
+// simState is the simulator's state apart from memory and caches. Its
+// records hold no pointers to one another, so a copy of the value is a
+// copy of the state (copyFrom).
+type simState struct {
+	Regs [isa.NumRegs]uint64
+	// Taint marks architecturally corrupted registers during fault
+	// campaigns (the per-register parity bit of §5 plus derived values,
+	// standing in for the hardened AGU). Cleared by recovery.
+	Taint    [isa.NumRegs]bool
+	regReady [isa.NumRegs]uint64
+	PC       int
+	cycle    uint64
+	slots    int
+	// netInsts is the golden-equivalent progress: instructions retired,
+	// minus those of squashed regions and of recovery blocks. A fault-free
+	// run keeps it equal to Stats.Insts; a recovered trial that is the
+	// golden run again holds the golden run's count (cut.go).
+	netInsts  uint64
+	predictor []uint8 // bimodal 2-bit counters, indexed by PC
+
+	// Resilience state. The RBB holds the unverified regions, oldest
+	// first, with consecutive ids; its tail is the open region while
+	// its verifyAt is infCycle (cur). A region has verified once it has
+	// left the RBB: recovery discards everything that names a region it
+	// squashes, so an id below the RBB's head names a verified region
+	// (unverifiedFrom).
+	sb         storeBuffer
+	rbb        []regionInst
+	nextRegion int
+	compact    compactCLQ
+	clqEnabled bool
+	colors     colorMaps
+
+	// Fault state (driven by package fault). pendingDetects holds every
+	// in-flight sensor event ordered by firing cycle (fault bursts put
+	// several strikes inside one detection window); degradedUntil is
+	// nonzero while the degradation controller has fast release
+	// suspended after a late detection (0 = healthy).
+	pendingDetects []detectEvent
+	degradedUntil  uint64
+	inRecovery     bool // executing a recovery block
+	lastRestart    int  // static ID of the last restarted region, -1 before any recovery
 
 	Stats  Stats
 	halted bool
+}
+
+// copyFrom makes d a copy of src: it assigns the whole value, then
+// copies each slice back into d's own backing array, so the two share
+// no memory and a d that has held as much before copies without
+// allocating.
+func (d *simState) copyFrom(src *simState) {
+	pred, sb, rbb, clq, det := d.predictor, d.sb.entries, d.rbb, d.compact.entries, d.pendingDetects
+	*d = *src
+	d.predictor = append(pred[:0], src.predictor...)
+	d.sb.entries = append(sb[:0], src.sb.entries...)
+	d.rbb = append(rbb[:0], src.rbb...)
+	d.compact.entries = append(clq[:0], src.compact.entries...)
+	d.pendingDetects = append(det[:0], src.pendingDetects...)
+}
+
+// cur returns the open region, the RBB's tail until it closes, or nil.
+// The pointer is valid until the next verification pops the RBB.
+func (s *simState) cur() *regionInst {
+	if n := len(s.rbb); n > 0 && s.rbb[n-1].verifyAt == infCycle {
+		return &s.rbb[n-1]
+	}
+	return nil
+}
+
+// regionID returns r's id, or noRegion for nil.
+func regionID(r *regionInst) int {
+	if r == nil {
+		return noRegion
+	}
+	return r.id
+}
+
+// unverifiedFrom returns the id of the RBB's head, or nextRegion when
+// the RBB is empty: the regions a store-buffer entry or a pending
+// detection names have verified exactly when their ids lie below it.
+func (s *simState) unverifiedFrom() int {
+	if len(s.rbb) > 0 {
+		return s.rbb[0].id
+	}
+	return s.nextRegion
+}
+
+// closeRegion closes the open region r at cycle end, to verify at
+// verifyAt, and stamps verifyAt onto its stores, which drain from then
+// on once r has left the RBB.
+func (s *simState) closeRegion(r *regionInst, end, verifyAt uint64) {
+	r.end, r.verifyAt = end, verifyAt
+	for i := range s.sb.entries {
+		if e := &s.sb.entries[i]; e.region == r.id {
+			e.verifyAt = verifyAt
+		}
+	}
 }
 
 // publishedCounters remembers the progress figures already pushed into
@@ -149,29 +220,20 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 	if cfg.DegradeWindow == 0 && cfg.Resilient {
 		cfg.DegradeWindow = 8 * uint64(cfg.WCDL)
 	}
-	s := &Sim{
-		Prog:        prog,
-		Cfg:         cfg,
-		Mem:         isa.NewMemory(),
-		PC:          prog.Entry,
-		hier:        hier,
-		sb:          newStoreBuffer(cfg.SBSize),
-		predictor:   make([]uint8, len(prog.Insts)),
-		cycle:       1,
-		lastRestart: -1,
-	}
-	if cfg.Resilient {
-		if cfg.WARFreeRelease {
-			if cfg.CLQ == CLQIdeal {
-				s.clq = newIdealCLQ()
-			} else {
-				s.clq = newCompactCLQ(cfg.CLQSize)
-			}
-			s.clqEnabled = true
+	s := &Sim{Prog: prog, Cfg: cfg, Mem: isa.NewMemory(), hier: hier}
+	s.PC = prog.Entry
+	s.cycle = 1
+	s.lastRestart = -1
+	s.predictor = make([]uint8, len(prog.Insts))
+	s.colors.reset()
+	if cfg.Resilient && cfg.WARFreeRelease {
+		if cfg.CLQ == CLQIdeal {
+			s.clq = newIdealCLQ()
+		} else {
+			s.compact.entries = make([]compactEntry, cfg.CLQSize)
+			s.clq = &s.compact
 		}
-		if cfg.HWColoring {
-			s.colors = newColorMaps()
-		}
+		s.clqEnabled = true
 	}
 	return s, nil
 }
@@ -227,33 +289,6 @@ func (s *Sim) OutputMemory() *isa.Memory {
 	return out
 }
 
-// newRegion hands out a zeroed dynamic-region record, recycling the
-// arena built up by earlier trials of a GoldenState campaign, so
-// steady-state trials allocate no per-region state at all. Records are
-// handed out in order and a region's id counts the regions opened since
-// the last Reset, so a record's id is its index in the arena.
-func (s *Sim) newRegion() *regionInst {
-	if s.regionsUsed == len(s.regionArena) {
-		const regionSlab = 64
-		s.growArena(len(s.regionArena) + regionSlab)
-	}
-	r := s.regionArena[s.regionsUsed]
-	s.regionsUsed++
-	*r = regionInst{}
-	return r
-}
-
-// growArena extends the region arena to at least n records, allocated
-// as one slab.
-func (s *Sim) growArena(n int) {
-	if k := n - len(s.regionArena); k > 0 {
-		slab := make([]regionInst, k)
-		for i := range slab {
-			s.regionArena = append(s.regionArena, &slab[i])
-		}
-	}
-}
-
 // DrainOutput folds every still-buffered quarantined store into the
 // architectural memory in place and returns s.Mem — OutputMemory without
 // the clone and the checkpoint masking, for campaign workers that
@@ -295,25 +330,18 @@ func (s *Sim) processVerifications() {
 	if at := s.nextDetectAt(); at <= limit {
 		limit = at - 1
 	}
-	for len(s.rbb) > 0 {
-		r := s.rbb[0]
+	n := 0
+	for ; n < len(s.rbb); n++ {
+		r := &s.rbb[n]
 		if r.verifyAt == infCycle || r.verifyAt > limit {
-			return
+			break
 		}
-		r.verified = true
-		// Pop by copying down so the slice keeps its backing array —
-		// reslicing forward would strand the array head and force append
-		// to reallocate every trial of a GoldenState campaign.
-		n := copy(s.rbb, s.rbb[1:])
-		s.rbb = s.rbb[:n]
 		s.Stats.RegionsVerified++
 		s.regionClosed(r, false)
 		// Colors: UC -> VC, reclaiming previous VC colors.
-		if s.colors != nil {
-			for regs := r.colors.regs; regs != 0; regs &= regs - 1 {
-				reg := isa.Reg(bits.TrailingZeros64(regs))
-				s.colors.verify(reg, r.colors.of(reg))
-			}
+		for regs := r.colors.regs; regs != 0; regs &= regs - 1 {
+			reg := isa.Reg(bits.TrailingZeros64(regs))
+			s.colors.verify(reg, r.colors.of(reg))
 		}
 		// CLQ bookkeeping: free the region's entry. Re-enabling after an
 		// overflow happens at a region *start* (commitBound), not here —
@@ -322,6 +350,12 @@ func (s *Sim) processVerifications() {
 		if s.clq != nil {
 			s.clq.clearRegion(r.id)
 		}
+	}
+	// Pop the verified regions by copying down so the slice keeps its
+	// backing array — reslicing forward would strand the array head and
+	// force append to reallocate every trial of a GoldenState campaign.
+	if n > 0 {
+		s.rbb = s.rbb[:copy(s.rbb, s.rbb[n:])]
 	}
 }
 
@@ -397,8 +431,8 @@ func (s *Sim) step() error {
 	if !s.inRecovery {
 		s.netInsts++
 	}
-	if s.cur != nil && !s.inRecovery {
-		s.cur.insts++
+	if r := s.cur(); r != nil && !s.inRecovery {
+		r.insts++
 	} else if s.Cfg.Resilient {
 		s.Stats.OutsideRegionInsts++
 	}
@@ -423,13 +457,12 @@ func (s *Sim) step() error {
 			// The last region's verification tail is real time: the core
 			// cannot retire the program's final stores to cache earlier.
 			s.advanceTo(s.cycle+uint64(s.Cfg.WCDL), nil)
-			if s.cur != nil && s.cur.end == 0 {
-				s.cur.end = s.cycle
-				s.cur.verifyAt = s.cycle // program over; window degenerate
+			if r := s.cur(); r != nil {
+				s.closeRegion(r, s.cycle, s.cycle) // program over; window degenerate
 			}
 			s.processVerifications()
 		}
-		s.sb.drainUntil(infCycle-1, s.Mem)
+		s.drain(infCycle - 1)
 		if s.sb.lastDrain > s.cycle {
 			s.cycle = s.sb.lastDrain
 		}
@@ -481,8 +514,8 @@ func (s *Sim) step() error {
 		}
 		s.Taint[in.Rd] = false
 		s.regReady[in.Rd] = start + uint64(lat)
-		if s.Cfg.Resilient && s.clq != nil && s.clqEnabled && s.cur != nil && !s.inRecovery {
-			if !s.clq.noteLoad(s.cur.id, addr) {
+		if s.Cfg.Resilient && s.clq != nil && s.clqEnabled && !s.inRecovery {
+			if r := s.cur(); r != nil && !s.clq.noteLoad(r.id, addr) {
 				// Overflow: disable fast release and wipe (Fig. 13).
 				s.clqEnabled = false
 				s.clq.clearAll()
@@ -516,10 +549,8 @@ func (s *Sim) step() error {
 	case in.Op == isa.RESTORE:
 		// Recovery-block load from the verified checkpoint slot.
 		color := 0
-		if s.colors != nil {
-			if vc := s.colors.verified(in.Rd); vc >= 0 {
-				color = vc
-			}
+		if vc := s.colors.verified(in.Rd); vc >= 0 {
+			color = vc
 		}
 		addr := s.Prog.CkptSlot(in.Rd, color)
 		if v, ok := s.sb.forward(addr); ok {
@@ -568,10 +599,6 @@ func (s *Sim) step() error {
 
 	if !s.halted {
 		s.PC = next
-		if s.cycle == start && s.slots > s.Cfg.IssueWidth {
-			// Defensive: slot bookkeeping is handled above; never trips.
-			s.advanceTo(s.cycle+1, nil)
-		}
 	}
 	s.Stats.Cycles = s.cycle
 	return nil
@@ -582,9 +609,8 @@ func (s *Sim) commitBound(in *isa.Inst, now uint64) error {
 	if !s.Cfg.Resilient {
 		return nil // boundaries are inert without resilience hardware
 	}
-	if s.cur != nil {
-		s.cur.end = now
-		s.cur.verifyAt = now + uint64(s.Cfg.WCDL)
+	if r := s.cur(); r != nil {
+		s.closeRegion(r, now, now+uint64(s.Cfg.WCDL))
 	}
 	// Degradation controller: a region boundary is the recalibration
 	// point — once the degrade window has elapsed with no further late
@@ -599,22 +625,15 @@ func (s *Sim) commitBound(in *isa.Inst, now uint64) error {
 	}
 	// RBB capacity: stall until the oldest region verifies.
 	for len(s.rbb) >= s.Cfg.RBBSize {
-		oldest := s.rbb[0]
+		oldest := &s.rbb[0]
 		if oldest.verifyAt == infCycle {
 			return fmt.Errorf("pipeline: RBB wedged (open region at head)")
 		}
 		s.advanceTo(oldest.verifyAt, &s.Stats.RBBFullStalls)
 		now = s.cycle
 	}
-	r := s.newRegion()
-	r.id = s.nextRegion
-	r.staticID = int(in.Imm)
-	r.boundPC = s.PC
-	r.start = now
-	r.verifyAt = infCycle
+	s.rbb = append(s.rbb, regionInst{id: s.nextRegion, staticID: int(in.Imm), boundPC: s.PC, start: now, verifyAt: infCycle})
 	s.nextRegion++
-	s.rbb = append(s.rbb, r)
-	s.cur = r
 	s.Stats.RegionsExecuted++
 	// Fig. 13's selective control, with the paper's in-order-release
 	// condition: after an overflow, CLQ insertion resumes only at a region
@@ -652,7 +671,7 @@ func (s *Sim) degradedHeadroom() bool {
 			n++
 		}
 	}
-	return n < s.sb.cap-1
+	return n < s.Cfg.SBSize-1
 }
 
 // reserveSBSlot stalls until the store buffer has a free entry, sizing the
@@ -660,8 +679,8 @@ func (s *Sim) degradedHeadroom() bool {
 // before the hazard resolves, it triggers recovery and reports
 // recovered=true — the store never commits and will re-execute.
 func (s *Sim) reserveSBSlot() (recovered bool, err error) {
-	s.sb.drainUntil(s.cycle, s.Mem)
-	for s.sb.full() {
+	s.drain(s.cycle)
+	for s.sb.len() >= s.Cfg.SBSize {
 		t := s.sb.nextEventAt()
 		if t == infCycle {
 			return false, s.sb.wedgedError()
@@ -678,9 +697,14 @@ func (s *Sim) reserveSBSlot() (recovered bool, err error) {
 		} else {
 			s.advanceTo(s.cycle+1, &s.Stats.SBFullStalls)
 		}
-		s.sb.drainUntil(s.cycle, s.Mem)
+		s.drain(s.cycle)
 	}
 	return false, nil
+}
+
+// drain retires the store buffer's drainable entries up to cycle now.
+func (s *Sim) drain(now uint64) {
+	s.sb.drainUntil(now, s.Mem, s.unverifiedFrom(), s.obs)
 }
 
 // commitStore pushes a regular (program/spill) store or a checkpoint that
@@ -700,8 +724,9 @@ func (s *Sim) commitStore(in *isa.Inst, addr, val uint64, isCkpt bool, ckptReg i
 		s.Stats.CkptStores++
 	}
 
+	cur := s.cur()
 	quarantine := s.Cfg.Resilient
-	if quarantine && !isCkpt && s.clq != nil && s.clqEnabled && s.cur != nil && !s.inRecovery {
+	if quarantine && !isCkpt && s.clq != nil && s.clqEnabled && cur != nil && !s.inRecovery {
 		if s.degraded() && s.degradedHeadroom() {
 			// Degradation controller: the WCDL bound is in doubt, so
 			// hold the store in quarantine (Turnstile-style) as long as
@@ -718,24 +743,24 @@ func (s *Sim) commitStore(in *isa.Inst, addr, val uint64, isCkpt bool, ckptReg i
 			} else {
 				quarantine = false
 				s.Stats.WARFreeReleased++
-				s.cur.warFree++
+				cur.warFree++
 			}
 		}
 	}
 	if quarantine {
 		s.Stats.Quarantined++
-		if s.cur != nil {
-			s.cur.quarantined++
+		if cur != nil {
+			cur.quarantined++
 		} else {
 			s.Stats.OutsideRegionStores++
 		}
-		s.sb.push(sbEntry{addr: addr, val: val, quarantined: true, region: s.cur,
-			isCkpt: isCkpt, ckptReg: ckptReg, commitAt: s.cycle})
+		s.sb.push(sbEntry{addr: addr, val: val, quarantined: true, region: regionID(cur),
+			isCkpt: isCkpt, ckptReg: ckptReg, commitAt: s.cycle}, s.obs)
 	} else {
 		// Applied architecturally at commit; the SB entry models drain
 		// bandwidth only.
 		s.Mem.Store(addr, val)
-		s.sb.push(sbEntry{addr: addr, val: val, commitAt: s.cycle})
+		s.sb.push(sbEntry{addr: addr, val: val, region: noRegion, commitAt: s.cycle}, s.obs)
 	}
 	if s.obs != nil {
 		s.obsCommitStore(addr, quarantine, isCkpt)
@@ -750,7 +775,7 @@ func (s *Sim) commitStore(in *isa.Inst, addr, val uint64, isCkpt bool, ckptReg i
 func (s *Sim) commitCkpt(in *isa.Inst) (recovered bool, err error) {
 	r := in.Rs2
 	val := s.Regs[r]
-	if s.Cfg.Resilient && s.colors != nil && s.cur != nil && !s.inRecovery {
+	if s.Cfg.Resilient && s.Cfg.HWColoring && s.cur() != nil && !s.inRecovery {
 		color := s.colors.acquire(r)
 		for color < 0 {
 			// Color pool dry: stall until the next verification event
@@ -774,12 +799,15 @@ func (s *Sim) commitCkpt(in *isa.Inst) (recovered bool, err error) {
 			}
 			return recovered, err
 		}
-		if s.cur.colors.has(r) {
+		// The stalls may have verified older regions, moving the open one
+		// down the RBB.
+		cur := s.cur()
+		if cur.colors.has(r) {
 			// Second checkpoint of r in one region: the earlier color is
 			// superseded; reclaim it immediately.
-			s.colors.squash(r, s.cur.colors.of(r))
+			s.colors.squash(r, cur.colors.of(r))
 		}
-		s.cur.colors.set(r, color)
+		cur.colors.set(r, color)
 		addr := s.Prog.CkptSlot(r, color)
 		s.Stats.CkptStores++
 		if s.degraded() && s.degradedHeadroom() {
@@ -790,9 +818,9 @@ func (s *Sim) commitCkpt(in *isa.Inst) (recovered bool, err error) {
 			// hold the value in quarantine until the region verifies —
 			// unless the SB is out of headroom (see commitStore).
 			s.Stats.Quarantined++
-			s.cur.quarantined++
-			s.sb.push(sbEntry{addr: addr, val: val, quarantined: true, region: s.cur,
-				isCkpt: true, ckptReg: r, commitAt: s.cycle})
+			cur.quarantined++
+			s.sb.push(sbEntry{addr: addr, val: val, quarantined: true, region: cur.id,
+				isCkpt: true, ckptReg: r, commitAt: s.cycle}, s.obs)
 			if s.obs != nil {
 				s.obsCommitStore(addr, true, true)
 			}
@@ -801,10 +829,10 @@ func (s *Sim) commitCkpt(in *isa.Inst) (recovered bool, err error) {
 		}
 		// Fast release: SB entry for bandwidth, memory applied at commit.
 		s.Mem.Store(addr, val)
-		s.sb.push(sbEntry{addr: addr, val: val, commitAt: s.cycle})
+		s.sb.push(sbEntry{addr: addr, val: val, region: noRegion, commitAt: s.cycle}, s.obs)
 		s.hier.L1D.Access(addr)
 		s.Stats.ColoredReleased++
-		s.cur.colored++
+		cur.colored++
 		if s.obs != nil {
 			s.obsCommitCkptColored(addr, color)
 		}

@@ -9,7 +9,7 @@ import (
 // --- compact CLQ ---
 
 func TestCompactCLQRangeSemantics(t *testing.T) {
-	c := newCompactCLQ(2)
+	c := &compactCLQ{entries: make([]compactEntry, 2)}
 	if !c.noteLoad(1, 100) || !c.noteLoad(1, 200) {
 		t.Fatal("insert failed with free entries")
 	}
@@ -31,7 +31,7 @@ func TestCompactCLQRangeSemantics(t *testing.T) {
 }
 
 func TestCompactCLQPerRegionEntries(t *testing.T) {
-	c := newCompactCLQ(2)
+	c := &compactCLQ{entries: make([]compactEntry, 2)}
 	c.noteLoad(1, 100)
 	c.noteLoad(2, 500)
 	if c.occupancy() != 2 {
@@ -59,7 +59,7 @@ func TestCompactCLQPerRegionEntries(t *testing.T) {
 }
 
 func TestCompactCLQClearAll(t *testing.T) {
-	c := newCompactCLQ(2)
+	c := &compactCLQ{entries: make([]compactEntry, 2)}
 	c.noteLoad(1, 100)
 	c.noteLoad(2, 200)
 	c.clearAll()
@@ -96,7 +96,8 @@ func TestIdealCLQExactMatching(t *testing.T) {
 // --- color maps ---
 
 func TestColorMapsLifecycle(t *testing.T) {
-	cm := newColorMaps()
+	var cm colorMaps
+	cm.reset()
 	r := isa.Reg(5)
 	if cm.verified(r) != -1 {
 		t.Fatal("fresh register has a verified color")
@@ -138,7 +139,8 @@ func TestColorMapsLifecycle(t *testing.T) {
 }
 
 func TestColorMapsPerRegisterIndependence(t *testing.T) {
-	cm := newColorMaps()
+	var cm colorMaps
+	cm.reset()
 	a, b := isa.Reg(1), isa.Reg(2)
 	for i := 0; i < isa.NumColors; i++ {
 		if cm.acquire(a) < 0 {
@@ -152,50 +154,55 @@ func TestColorMapsPerRegisterIndependence(t *testing.T) {
 
 // --- store buffer ---
 
-func mkRegion(id int, end, verify uint64, verified bool) *regionInst {
-	return &regionInst{id: id, end: end, verifyAt: verify, verified: verified}
+// sbState returns a state whose RBB holds open regions 0 … n-1, with
+// the store buffer empty.
+func sbState(n int) *simState {
+	s := &simState{nextRegion: n}
+	for id := range n {
+		s.rbb = append(s.rbb, regionInst{id: id, verifyAt: infCycle})
+	}
+	return s
 }
 
 func TestStoreBufferQuarantineGatesOnVerification(t *testing.T) {
-	sb := newStoreBuffer(2)
+	s := sbState(1)
 	mem := isa.NewMemory()
-	r := mkRegion(0, 10, 20, false)
-	sb.push(sbEntry{addr: 0x100, val: 7, quarantined: true, region: r, commitAt: 5})
+	s.sb.push(sbEntry{addr: 0x100, val: 7, quarantined: true, region: 0, commitAt: 5}, nil)
+	s.closeRegion(&s.rbb[0], 10, 20)
 	// Time passes beyond the stamp, but the region is unverified: no drain.
-	sb.drainUntil(100, mem)
-	if sb.len() != 1 || mem.Load(0x100) != 0 {
+	s.sb.drainUntil(100, mem, s.unverifiedFrom(), nil)
+	if s.sb.len() != 1 || mem.Load(0x100) != 0 {
 		t.Fatal("unverified entry drained")
 	}
-	r.verified = true
-	sb.drainUntil(100, mem)
-	if sb.len() != 0 || mem.Load(0x100) != 7 {
-		t.Fatal("verified entry not drained/applied")
+	s.rbb = s.rbb[:0] // the region verifies: it leaves the RBB
+	s.sb.drainUntil(100, mem, s.unverifiedFrom(), nil)
+	if s.sb.len() != 0 || mem.Load(0x100) != 7 || s.sb.lastDrain != 20 {
+		t.Fatalf("verified entry not drained/applied at its region's verification (drained at %d)", s.sb.lastDrain)
 	}
 }
 
 func TestStoreBufferDrainRate(t *testing.T) {
-	sb := newStoreBuffer(4)
+	var sb storeBuffer
 	mem := isa.NewMemory()
 	for i := 0; i < 4; i++ {
-		sb.push(sbEntry{addr: uint64(0x100 + i*8), val: 1, commitAt: 10})
+		sb.push(sbEntry{addr: uint64(0x100 + i*8), val: 1, region: noRegion, commitAt: 10}, nil)
 	}
 	// One drain per cycle starting at the commit cycle: 10, 11, 12 drain
 	// by cycle 12, the fourth waits for cycle 13.
-	sb.drainUntil(12, mem)
+	sb.drainUntil(12, mem, 0, nil)
 	if sb.len() != 1 {
 		t.Fatalf("len = %d after 3 drain cycles, want 1", sb.len())
 	}
-	sb.drainUntil(13, mem)
+	sb.drainUntil(13, mem, 0, nil)
 	if sb.len() != 0 {
 		t.Fatalf("len = %d, want 0", sb.len())
 	}
 }
 
 func TestStoreBufferForwardingYoungest(t *testing.T) {
-	sb := newStoreBuffer(4)
-	r := mkRegion(0, 0, infCycle, false)
-	sb.push(sbEntry{addr: 0x100, val: 1, quarantined: true, region: r})
-	sb.push(sbEntry{addr: 0x100, val: 2, quarantined: true, region: r})
+	var sb storeBuffer
+	sb.push(sbEntry{addr: 0x100, val: 1, quarantined: true, region: 0}, nil)
+	sb.push(sbEntry{addr: 0x100, val: 2, quarantined: true, region: 0}, nil)
 	if v, ok := sb.forward(0x100); !ok || v != 2 {
 		t.Fatalf("forward = %d,%v want youngest 2", v, ok)
 	}
@@ -203,17 +210,16 @@ func TestStoreBufferForwardingYoungest(t *testing.T) {
 		t.Fatal("forwarded a miss")
 	}
 	// Fast entries already applied to memory: not forwarded.
-	sb2 := newStoreBuffer(4)
-	sb2.push(sbEntry{addr: 0x200, val: 9, commitAt: 1})
+	var sb2 storeBuffer
+	sb2.push(sbEntry{addr: 0x200, val: 9, region: noRegion, commitAt: 1}, nil)
 	if _, ok := sb2.forward(0x200); ok {
 		t.Fatal("fast entry forwarded")
 	}
 }
 
 func TestStoreBufferWAWGuard(t *testing.T) {
-	sb := newStoreBuffer(4)
-	r := mkRegion(0, 0, infCycle, false)
-	sb.push(sbEntry{addr: 0x300, val: 1, quarantined: true, region: r})
+	var sb storeBuffer
+	sb.push(sbEntry{addr: 0x300, val: 1, quarantined: true, region: 0}, nil)
 	if !sb.hasOlderSameAddr(0x300) {
 		t.Fatal("same-address entry missed")
 	}
@@ -223,20 +229,20 @@ func TestStoreBufferWAWGuard(t *testing.T) {
 }
 
 func TestStoreBufferDiscardUnverified(t *testing.T) {
-	sb := newStoreBuffer(4)
+	s := sbState(2)
 	mem := isa.NewMemory()
-	rv := mkRegion(0, 5, 15, true)
-	ru := mkRegion(1, 0, infCycle, false)
-	sb.push(sbEntry{addr: 0x100, val: 1, quarantined: true, region: rv})
-	sb.push(sbEntry{addr: 0x108, val: 2, quarantined: true, region: ru})
-	sb.push(sbEntry{addr: 0x110, val: 3, commitAt: 2}) // fast
-	if n := sb.discardUnverified(); n != 1 {
+	s.sb.push(sbEntry{addr: 0x100, val: 1, quarantined: true, region: 0}, nil)
+	s.sb.push(sbEntry{addr: 0x108, val: 2, quarantined: true, region: 1}, nil)
+	s.sb.push(sbEntry{addr: 0x110, val: 3, region: noRegion, commitAt: 2}, nil) // fast
+	s.closeRegion(&s.rbb[0], 5, 15)
+	s.rbb = s.rbb[1:] // region 0 verifies; region 1 stays open
+	if n := s.sb.discardUnverified(s.unverifiedFrom()); n != 1 {
 		t.Fatalf("discarded %d, want 1", n)
 	}
-	if sb.len() != 2 {
-		t.Fatalf("len = %d, want 2", sb.len())
+	if s.sb.len() != 2 {
+		t.Fatalf("len = %d, want 2", s.sb.len())
 	}
-	sb.drainUntil(1000, mem)
+	s.sb.drainUntil(1000, mem, s.unverifiedFrom(), nil)
 	if mem.Load(0x100) != 1 {
 		t.Fatal("verified entry lost")
 	}
@@ -246,18 +252,17 @@ func TestStoreBufferDiscardUnverified(t *testing.T) {
 }
 
 func TestStoreBufferNextEventAt(t *testing.T) {
-	sb := newStoreBuffer(4)
-	ru := mkRegion(0, 0, infCycle, false) // open region
-	sb.push(sbEntry{addr: 1, val: 1, quarantined: true, region: ru})
-	if sb.nextEventAt() != infCycle {
+	s := sbState(1) // region 0 is open
+	s.sb.push(sbEntry{addr: 1, val: 1, quarantined: true, region: 0}, nil)
+	if s.sb.nextEventAt() != infCycle {
 		t.Fatal("open region entry has a drain event")
 	}
-	ru.verifyAt = 50 // region ended; verification pending
-	if sb.nextEventAt() != 50 {
-		t.Fatalf("nextEventAt = %d, want 50", sb.nextEventAt())
+	s.closeRegion(&s.rbb[0], 40, 50) // region ended; verification pending
+	if s.sb.nextEventAt() != 50 {
+		t.Fatalf("nextEventAt = %d, want 50", s.sb.nextEventAt())
 	}
-	sb.push(sbEntry{addr: 2, val: 1, commitAt: 7})
-	if sb.nextEventAt() != 7 {
-		t.Fatalf("nextEventAt = %d, want 7 (fast entry)", sb.nextEventAt())
+	s.sb.push(sbEntry{addr: 2, val: 1, region: noRegion, commitAt: 7}, nil)
+	if s.sb.nextEventAt() != 7 {
+		t.Fatalf("nextEventAt = %d, want 7 (fast entry)", s.sb.nextEventAt())
 	}
 }
