@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,10 +234,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 // measureCampaignCost fills in the per-trial cost metrics for the
 // resilient schemes by running a small deterministic fault campaign per
 // cell and bracketing each with an alloc/wall measurement. Workers is
-// pinned to 1 and the seed to 1 so allocs/trial is stable run to run;
-// trials/sec remains machine-dependent, which is why its gate defaults
-// off. With profileDir set, one CPU+heap profile pair brackets all the
-// campaign cells and a cost report totalling them is written next to it.
+// pinned to 1 and the seed to 1 so allocs/trial is stable run to run.
+// GOMAXPROCS is pinned to 1 inside the bracket, as testing.AllocsPerRun
+// does: the allocation count is process-wide, and when the world
+// restarts after one of the bracket's stop-the-world phases, an idle P
+// lets the runtime start an OS thread whose M and stacks would add about
+// six objects to it now and then. trials/sec remains machine-dependent,
+// which is why its gate defaults off. With profileDir set, one CPU+heap
+// profile pair brackets all the campaign cells and a cost report
+// totalling them is written next to it.
 func measureCampaignCost(ctx context.Context, benches, schemeNames []string, trials, scale, sb, wcdl int,
 	profileDir string, results map[string]benchResult, stdout io.Writer) error {
 	var cap *profile.Capture
@@ -267,10 +273,12 @@ func measureCampaignCost(ctx context.Context, benches, schemeNames []string, tri
 				csp.End()
 				return fmt.Errorf("%s/%s campaign: %w", b, sn, err)
 			}
+			procs := runtime.GOMAXPROCS(1)
 			u, err := profile.Measure(func() error {
 				_, err := prep.Run(cctx)
 				return err
 			})
+			runtime.GOMAXPROCS(procs)
 			csp.End()
 			if err != nil {
 				return fmt.Errorf("%s/%s campaign: %w", b, sn, err)

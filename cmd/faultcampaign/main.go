@@ -68,7 +68,7 @@ func main() {
 		fprate      = flag.Float64("fprate", 0, "adversary: per-trial probability of a spurious sensor firing")
 		deadsensors = flag.Int("deadsensors", 0, "adversary: sensors of the nominal mesh that are offline")
 		burst       = flag.Int("burst", 0, "adversary: max strikes per trial (burst size drawn uniform in [1, burst])")
-		latefactor  = flag.Float64("latefactor", 0, "adversary: late detections bounded at latefactor x WCDL (0 = default 4)")
+		latefactor  = flag.Float64("latefactor", 0, "adversary: late detections bounded at latefactor x WCDL (values below 2 mean 2)")
 		containment = flag.Bool("containment", true, "abort as DUE when a detection arrives after its region verified (off = unsafe, demonstrates SDC)")
 		profileDir  = flag.String("profile", "", "directory for pprof profiles (CPU + heap) and a per-trial cost report bracketing the whole campaign (empty = off)")
 		spansOut    = flag.String("spans", "", "wall-clock span trace file (.jsonl = JSON lines, else Chrome trace JSON for Perfetto) plus a phase-budget table (empty = off)")

@@ -30,14 +30,6 @@ func Fingerprint(f *ir.Func) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// FingerprintText fingerprints source text that has already been
-// canonicalized (or whose canonical form the caller wants to address
-// directly). Prefer Fingerprint on the parsed function.
-func FingerprintText(canonical string) string {
-	sum := sha256.Sum256([]byte(canonical))
-	return hex.EncodeToString(sum[:16])
-}
-
 // Entry is one cached compilation: the program compiled under every
 // scheme, keyed by fingerprint, with enough metadata to validate a
 // campaign spec against it without reparsing the source.

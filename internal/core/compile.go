@@ -96,16 +96,6 @@ type Compiled struct {
 	Stats Stats
 }
 
-// compilePhysify runs the shared front half of Compile (strength reduction
-// and register allocation with default weights); split out for tests.
-func compilePhysify(f *ir.Func) (*ir.Func, error) {
-	passes.StrengthReduce(f)
-	if _, err := regalloc.Allocate(f, regalloc.Config{WriteWeight: 1}); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // Compile lowers fn under the given scheme. The input function is not
 // modified. The returned program validates and, for resilient schemes, has
 // a recovery block per region.

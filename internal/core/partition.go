@@ -158,25 +158,6 @@ func checkBudget(f *ir.Func, budget int, countCkpts bool) int {
 	return violations
 }
 
-// boundSite locates one BOUND instruction.
-type boundSite struct {
-	block *ir.Block
-	idx   int
-}
-
-// boundSites enumerates all BOUND instructions in layout order.
-func boundSites(f *ir.Func) []boundSite {
-	var sites []boundSite
-	for _, b := range f.Blocks {
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == isa.BOUND {
-				sites = append(sites, boundSite{b, i})
-			}
-		}
-	}
-	return sites
-}
-
 // stripCheckpoints removes every CKPT instruction, returning the count.
 // Used by the partition/checkpoint fixpoint between rounds.
 func stripCheckpoints(f *ir.Func) int {

@@ -5,7 +5,19 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/isa"
+	"repro/internal/passes"
+	"repro/internal/regalloc"
 )
+
+// compilePhysify runs the shared front half of Compile: strength
+// reduction and register allocation with default weights.
+func compilePhysify(f *ir.Func) (*ir.Func, error) {
+	passes.StrengthReduce(f)
+	if _, err := regalloc.Allocate(f, regalloc.Config{WriteWeight: 1}); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
 
 // physFor compiles the function to physical form and runs partitioning and
 // checkpoint insertion with the given budget, returning the physical IR.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -304,6 +303,3 @@ func fmtRatio(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // fmtPct renders a percentage.
 func fmtPct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
-
-// sortStrings is a tiny alias to keep imports tidy in figures.go.
-func sortStrings(s []string) { sort.Strings(s) }

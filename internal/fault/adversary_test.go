@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
-	"repro/internal/sensor"
 )
 
 // adversarialConfig is the reference hostile campaign: a lossy mesh
@@ -139,7 +138,6 @@ func TestAdversaryValidation(t *testing.T) {
 		{"burst exceeds queue", func(c *Config) { c.Adversary.BurstMax = 8; c.Sim.DetectQueue = 4 }},
 		{"negative late factor", func(c *Config) { c.Adversary.LateFactor = -1 }},
 		{"dead sensors swallow the mesh", func(c *Config) { c.Adversary.DeadSensors = 1 << 20 }},
-		{"adversary plus sampler", func(c *Config) { c.Sampler = sensor.NewDetector(10, 0) }},
 	}
 	for _, tc := range cases {
 		if err := run(tc.mut); err == nil {
@@ -150,21 +148,6 @@ func TestAdversaryValidation(t *testing.T) {
 		t.Errorf("reference adversary rejected: %v", err)
 	}
 }
-
-// TestNonForkableSamplerRejected: the serial pre-draw fallback is gone;
-// a sampler that cannot derive per-trial streams is now a configuration
-// error instead of a silent serial pass.
-func TestNonForkableSamplerRejected(t *testing.T) {
-	prog, p := compiled(t, "fft", core.Turnpike)
-	cfg := Config{Trials: 2, Seed: 1, Sim: pipeline.TurnpikeConfig(4, 10), Sampler: fixedSampler{7}}
-	if _, err := Campaign(prog, cfg, p.SeedMemory); err == nil {
-		t.Fatal("non-forkable sampler accepted")
-	}
-}
-
-type fixedSampler struct{ lat int }
-
-func (f fixedSampler) Latency() int { return f.lat }
 
 // TestAdversarialReplayAndResume closes the loop on the debugging
 // workflow: every checkpointed adversarial trial replays to its recorded
@@ -213,7 +196,7 @@ func planFor(t *testing.T, prog *isa.Program, cfg Config, seedMem func(*isa.Memo
 	if e.maxAt == 0 {
 		e.maxAt = max(e.gs.Stats().Insts*9/10, 1)
 	}
-	if err := e.resolveSampler(); err != nil {
+	if err := e.resolveDetector(); err != nil {
 		t.Fatal(err)
 	}
 	return e.plan(trial)

@@ -28,24 +28,6 @@ func trialSeed(seed int64, trial int) int64 {
 	return int64(rng.Mix(rng.Mix(uint64(seed)) ^ uint64(trial)))
 }
 
-// trialForker is the required capability of a Config.Sampler: deriving an
-// independent per-trial latency stream (sensor.Detector,
-// sensor.PhysicalDetector, and sensor.MeshDetector all implement it). A
-// sampler that cannot fork is rejected at campaign start — a shared
-// stream would make the plan depend on trial execution order.
-type trialForker interface {
-	Fork(seed int64) sensor.Sampler
-}
-
-// reseeder is the optional fast-path capability of a forked sampler:
-// resetting its stream in place to what Fork(seed) would produce. The
-// planner keeps one forked sampler per worker and reseeds it per trial,
-// eliminating the per-trial fork allocations; samplers without Reseed
-// fall back to a fork per trial with identical draws.
-type reseeder interface {
-	Reseed(seed int64)
-}
-
 // TrialRecord is one completed trial: the plan, the classification, and
 // the simulator statistics needed to merge it into a Result. It is the
 // checkpoint file's unit of progress and the payload of a distributed
@@ -60,24 +42,16 @@ type TrialRecord struct {
 	Err     string         `json:"error,omitempty"`
 }
 
-// planScratch is one worker's reusable plan-derivation state: the cached
-// per-trial sampler forks the planner reseeds instead of reallocating.
-// The zero value is ready to use.
-type planScratch struct {
-	sampler sensor.Sampler
-	mesh    *sensor.MeshDetector
-}
-
 // trialRunner is one worker's reusable execution state: a simulator
 // forked from the golden snapshot and Reset between trials, the shadow
-// its trials are compared with for the reconvergence cut-off, plus the
-// plan and event-schedule scratch. Steady-state, running a trial
-// allocates only its TrialRecord.
+// its trials are compared with for the reconvergence cut-off, its copy
+// of the campaign's detector, reseeded per trial, and the event-schedule
+// scratch. Steady-state, running a trial allocates only its TrialRecord.
 type trialRunner struct {
-	sim     *pipeline.Sim
-	shadow  *pipeline.Shadow // nil: trials are never cut
-	scratch planScratch
-	evs     []injEvent
+	sim    *pipeline.Sim
+	shadow *pipeline.Shadow // nil: trials are never cut
+	det    sensor.MeshDetector
+	evs    []injEvent
 }
 
 // engine carries the immutable per-campaign state every worker shares.
@@ -92,11 +66,10 @@ type engine struct {
 	// the checkpoint storage masked out of trial classification.
 	gs             *pipeline.GoldenState
 	ckptLo, ckptHi uint64
-	// Exactly one of fork/mesh is set: fork derives a per-trial latency
-	// stream for perfect-mesh campaigns, mesh derives per-trial
-	// adversarial detection streams.
-	fork func(int64) sensor.Sampler
-	mesh *sensor.MeshDetector
+	// adv is the campaign's adversary, the zero one for a perfect mesh,
+	// and det the detector it breaks; planners sample copies of det.
+	adv Adversary
+	det sensor.MeshDetector
 }
 
 // warnf reports a non-fatal campaign condition (today: a corrupt
@@ -124,89 +97,41 @@ func (e *engine) logTrial(ctx context.Context, rec *TrialRecord) {
 	)
 }
 
-func (e *engine) resolveSampler() error {
+// resolveDetector validates the campaign's adversary (a nil one is the
+// zero adversary: the perfect mesh) and builds the detector it breaks.
+func (e *engine) resolveDetector() error {
 	if e.cfg.Adversary != nil {
-		if e.cfg.Sampler != nil {
-			return fmt.Errorf("fault: Adversary and Sampler are mutually exclusive")
-		}
-		adv := e.cfg.Adversary
-		if err := adv.validate(e.cfg.Sim); err != nil {
-			return err
-		}
-		// The nominal mesh is whatever deployment achieves the
-		// pipeline's WCDL on the paper's die; the adversary then breaks
-		// it. The pipeline keeps believing the nominal bound.
-		model := sensor.Model{
-			Sensors:    sensor.SensorsForWCDL(e.cfg.Sim.WCDL, 1.0, 2.5),
-			DieAreaMM2: 1.0,
-			ClockGHz:   2.5,
-		}
-		det, err := sensor.NewMeshDetector(sensor.Mesh{
-			Model:       model,
-			DeadSensors: adv.DeadSensors,
-			MissProb:    adv.MissProb,
-			LateFactor:  adv.LateFactor,
-		}, 0)
-		if err != nil {
-			return err
-		}
-		e.mesh = det
-		return nil
+		e.adv = *e.cfg.Adversary
 	}
-	if e.cfg.Sampler == nil {
-		e.fork = sensor.NewDetector(e.cfg.Sim.WCDL, 0).Fork
-		return nil
+	if err := e.adv.validate(e.cfg.Sim); err != nil {
+		return err
 	}
-	if f, ok := e.cfg.Sampler.(trialForker); ok {
-		e.fork = f.Fork
-		return nil
+	// The nominal mesh is whatever deployment achieves the pipeline's
+	// WCDL on the paper's die; the adversary then breaks it. The
+	// pipeline keeps believing its WCDL.
+	model := sensor.Model{
+		Sensors:    sensor.SensorsForWCDL(e.cfg.Sim.WCDL, 1.0, 2.5),
+		DieAreaMM2: 1.0,
+		ClockGHz:   2.5,
 	}
-	return fmt.Errorf("fault: sampler %T cannot fork per-trial streams; implement Fork(seed int64) sensor.Sampler", e.cfg.Sampler)
-}
-
-// latency draws one per-trial detection latency from the campaign's
-// sampler, reusing sc's cached fork when the sampler supports in-place
-// reseeding. The draws are identical either way.
-func (e *engine) latency(sc *planScratch, seed int64) int {
-	if sc.sampler != nil {
-		if r, ok := sc.sampler.(reseeder); ok {
-			r.Reseed(seed)
-			return sc.sampler.Latency()
-		}
-		return e.fork(seed).Latency()
-	}
-	s := e.fork(seed)
-	sc.sampler = s
-	return s.Latency()
-}
-
-// meshFor returns the per-trial adversarial detector, reusing sc's
-// cached fork via in-place reseeding.
-func (e *engine) meshFor(sc *planScratch, seed int64) *sensor.MeshDetector {
-	if sc.mesh == nil {
-		sc.mesh = e.mesh.ForkMesh(seed)
-	} else {
-		sc.mesh.Reseed(seed)
-	}
-	return sc.mesh
-}
-
-// plan derives trial's injection with fresh scratch. Hot paths (workers,
-// checkpoint restore) use planWith with a reused scratch; the derived
-// plan is identical.
-func (e *engine) plan(trial int) Injection {
-	return e.planWith(trial, &planScratch{})
+	var err error
+	e.det, err = sensor.NewMeshDetector(e.cfg.Sim.WCDL, sensor.Mesh{
+		Model:       model,
+		DeadSensors: e.adv.DeadSensors,
+		MissProb:    e.adv.MissProb,
+		LateFactor:  e.adv.LateFactor,
+	})
+	return err
 }
 
 // planWith derives trial's injection as a pure function of (cfg.Seed,
 // trial): a SplitMix64 stream seeded from (Seed, trial) draws the strike
-// points, and latencies come from an independently-seeded per-trial
-// detector stream (fork seeds derive from Seed+1, keeping the two
-// decorrelated). Perfect-mesh latencies are clamped to [1, WCDL],
-// preserving the recovery argument; adversarial campaigns sample the
-// degraded mesh instead — late detections included, plus burst extras
-// and false positives.
-func (e *engine) planWith(trial int, sc *planScratch) Injection {
+// points, and latencies come from det, a copy of the campaign's
+// detector reseeded per trial (from Seed+1, keeping the two streams
+// decorrelated). A perfect mesh hears every strike within the WCDL,
+// preserving the recovery argument; an adversary's mesh also detects
+// late, and it adds burst extras and false positives.
+func (e *engine) planWith(trial int, det *sensor.MeshDetector) Injection {
 	var s rng.Stream
 	s.Reseed(trialSeed(e.cfg.Seed, trial))
 	inj := Injection{
@@ -214,21 +139,10 @@ func (e *engine) planWith(trial int, sc *planScratch) Injection {
 		Bit:    uint(s.Intn(64)),
 		AtInst: uint64(s.Int63n(int64(e.maxAt))) + 1,
 	}
-	if e.mesh == nil {
-		lat := e.latency(sc, trialSeed(e.cfg.Seed+1, trial))
-		if lat < 1 {
-			lat = 1
-		}
-		if w := e.cfg.Sim.WCDL; w > 0 && lat > w {
-			lat = w
-		}
-		inj.Latency = lat
-		return inj
-	}
-	det := e.meshFor(sc, trialSeed(e.cfg.Seed+1, trial))
+	det.Reseed(trialSeed(e.cfg.Seed+1, trial))
 	d := det.Sample()
 	inj.Latency, inj.Missed = d.Latency, d.Missed
-	adv := e.cfg.Adversary
+	adv := &e.adv
 	if adv.BurstMax > 1 {
 		// Burst size uniform in [1, BurstMax]; extras land within one
 		// nominal detection window of the primary, so several strikes
@@ -317,7 +231,7 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 // correlation; the trial index is added by the worker loop so the
 // simulator's rare-event lines name it.
 func (e *engine) runTrial(ctx context.Context, r *trialRunner, trial int, rec *TrialRecord) (cut bool) {
-	*rec = TrialRecord{Trial: trial, Inj: e.planWith(trial, &r.scratch)}
+	*rec = TrialRecord{Trial: trial, Inj: e.planWith(trial, &r.det)}
 	st, equal, cut, err := e.exec(ctx, r, &rec.Inj)
 	rec.Stats = st
 	rec.Outcome = classifyResult(equal, st, err)
@@ -521,9 +435,8 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 		}
 	}
 
-	// Plan derivation: resolving the sampler fixes the injection plan as
-	// a pure function of (seed, trial) — cheap for native samplers, a
-	// pre-draw of every trial for non-forkable ones.
+	// Plan derivation: resolving the detector fixes the injection plan
+	// as a pure function of (seed, trial).
 	planStart := time.Now()
 	e := &engine{
 		prog: prog, cfg: cfg, seedMem: seedMem, gs: gs,
@@ -531,7 +444,7 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 		ckptLo: prog.CkptBase,
 		ckptHi: prog.CkptBase + isa.NumRegs*isa.NumColors*8,
 	}
-	if err := e.resolveSampler(); err != nil {
+	if err := e.resolveDetector(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 	span.RecordCtx(ctx, "fault", "plan_derive", planStart, time.Now(),
@@ -555,12 +468,11 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 				sim.AttachProgress(cfg.Progress)
 			}
 		}
-		// Plan one trial so the worker's plan scratch (its sampler fork)
-		// and event buffer exist before the trial loop; with Adopt's
-		// pre-sizing this keeps even a worker's first trial from
-		// allocating.
-		r := &trialRunner{sim: sim}
-		inj := e.planWith(0, &r.scratch)
+		// Plan one trial so the worker's event buffer exists before the
+		// trial loop; with Adopt's pre-sizing this keeps even a worker's
+		// first trial from allocating.
+		r := &trialRunner{sim: sim, det: e.det}
+		inj := e.planWith(0, &r.det)
 		r.evs = inj.appendEvents(r.evs)
 		runners[i] = r
 	}

@@ -9,6 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/rng"
+	"repro/internal/sensor"
 	"repro/internal/workload"
 )
 
@@ -16,11 +18,18 @@ import (
 // trial, maxAt, wcdl), the injection plan must be pure (re-derivable) and
 // in-bounds — register in [1, NumRegs), bit < 64, strike point in
 // [1, maxAt], latency in [1, WCDL]. This is the property the parallel
-// engine's worker-count invariance rests on.
+// engine's worker-count invariance rests on. The perfect mesh is the
+// zero Adversary, so planning under &Adversary{} must give the same
+// injection, and its latency must be the uniform draw
+// 1 + Intn(WCDL) on the trial's detection stream at every WCDL,
+// including those (50, 255) where the sensor model rounds the mesh's
+// own bound below the pipeline's.
 func FuzzTrialPlan(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint64(100), uint8(10))
 	f.Add(int64(-7), uint16(9999), uint64(1), uint8(1))
 	f.Add(int64(1<<62), uint16(42), uint64(1<<40), uint8(255))
+	f.Add(int64(42), uint16(7), uint64(5000), uint8(50))
+	f.Add(int64(3), uint16(11), uint64(5000), uint8(255))
 	f.Fuzz(func(t *testing.T, seed int64, trial uint16, maxAt uint64, wcdl uint8) {
 		if maxAt == 0 {
 			maxAt = 1
@@ -33,7 +42,7 @@ func FuzzTrialPlan(f *testing.F) {
 			w = 1
 		}
 		e := &engine{cfg: Config{Seed: seed, Trials: int(trial) + 1, Sim: pipeline.TurnpikeConfig(4, w)}, maxAt: maxAt}
-		if err := e.resolveSampler(); err != nil {
+		if err := e.resolveDetector(); err != nil {
 			t.Fatal(err)
 		}
 		inj := e.plan(int(trial))
@@ -52,33 +61,51 @@ func FuzzTrialPlan(f *testing.F) {
 		if inj.Latency < 1 || inj.Latency > w {
 			t.Fatalf("latency outside [1, %d]: %+v", w, inj)
 		}
+		if want := 1 + rng.New(trialSeed(seed+1, int(trial))).Intn(w); inj.Latency != want {
+			t.Fatalf("latency %d, want the uniform draw %d", inj.Latency, want)
+		}
+		zero := &engine{cfg: e.cfg, maxAt: maxAt}
+		zero.cfg.Adversary = &Adversary{}
+		if err := zero.resolveDetector(); err != nil {
+			t.Fatal(err)
+		}
+		if got := zero.plan(int(trial)); !reflect.DeepEqual(got, inj) {
+			t.Fatalf("zero adversary planned %+v, the perfect mesh %+v", got, inj)
+		}
 	})
 }
 
-// FuzzBurstPlan fuzzes the adversarial planner: for any (seed, trial) and
-// any adversary knob settings, the burst plan must be a pure function of
-// (Seed, trial) — re-deriving it twice gives identical strikes, extras,
-// and false positives — and every event must stay in-bounds: burst size
-// within [1, BurstMax], extras within one nominal window of the primary,
-// false-positive latencies within [1, WCDL]. Worker-count invariance and
-// checkpoint resume both rest on this purity.
+// FuzzBurstPlan fuzzes the adversarial planner: for any (seed, trial),
+// WCDL and adversary knob settings, the burst plan must be a pure
+// function of (Seed, trial) — re-deriving it twice gives identical
+// strikes, extras, and false positives — and every event must stay
+// in-bounds: burst size within [1, BurstMax], extras within one nominal
+// window of the primary, false-positive latencies within [1, WCDL].
+// Worker-count invariance and checkpoint resume both rest on this
+// purity. Every strike is planned Missed exactly when its latency
+// exceeds the pipeline's WCDL, the test the pipeline applies, so
+// Result.MissedDetections counts the strikes the pipeline treats as late.
 func FuzzBurstPlan(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint8(3), uint8(50), uint8(20))
-	f.Add(int64(-9), uint16(777), uint8(6), uint8(100), uint8(0))
-	f.Add(int64(1<<61), uint16(65535), uint8(2), uint8(0), uint8(100))
-	f.Fuzz(func(t *testing.T, seed int64, trial uint16, burst, missPct, fpPct uint8) {
-		const wcdl = 10
+	f.Add(int64(1), uint16(0), uint8(3), uint8(50), uint8(20), uint8(10))
+	f.Add(int64(-9), uint16(777), uint8(6), uint8(100), uint8(0), uint8(10))
+	f.Add(int64(1<<61), uint16(65535), uint8(2), uint8(0), uint8(100), uint8(10))
+	f.Add(int64(41), uint16(1), uint8(6), uint8(50), uint8(0), uint8(50))
+	f.Add(int64(1), uint16(4), uint8(6), uint8(100), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, trial uint16, burst, missPct, fpPct, wcdlIn uint8) {
+		wcdl := max(int(wcdlIn), 1)
 		adv := &Adversary{
 			MissProb:          float64(missPct%101) / 100,
 			FalsePositiveRate: float64(fpPct%101) / 100,
-			DeadSensors:       int(trial) % 4,
-			BurstMax:          1 + int(burst)%7,
-			LateFactor:        3,
+			// A mesh needs one live sensor; above WCDL 173 the nominal
+			// deployment is a single sensor.
+			DeadSensors: int(trial) % min(4, sensor.SensorsForWCDL(wcdl, 1.0, 2.5)),
+			BurstMax:    1 + int(burst)%7,
+			LateFactor:  3,
 		}
 		cfg := pipeline.TurnpikeConfig(4, wcdl)
 		cfg.DetectQueue = 16
 		e := &engine{cfg: Config{Seed: seed, Trials: int(trial) + 1, Sim: cfg, Adversary: adv}, maxAt: 1000}
-		if err := e.resolveSampler(); err != nil {
+		if err := e.resolveDetector(); err != nil {
 			t.Fatal(err)
 		}
 		inj := e.plan(int(trial))
@@ -92,13 +119,19 @@ func FuzzBurstPlan(f *testing.F) {
 		if inj.Latency < 1 {
 			t.Fatalf("non-positive primary latency: %+v", inj)
 		}
+		if inj.Missed != (inj.Latency > wcdl) {
+			t.Fatalf("primary latency %d planned Missed=%v at WCDL %d", inj.Latency, inj.Missed, wcdl)
+		}
 		for _, s := range inj.Extra {
 			if s.Reg < 1 || int(s.Reg) >= isa.NumRegs || s.Bit > 63 || s.Latency < 1 {
 				t.Fatalf("extra strike out of range: %+v", s)
 			}
-			if s.AtInst < inj.AtInst || s.AtInst > inj.AtInst+wcdl {
+			if s.AtInst < inj.AtInst || s.AtInst > inj.AtInst+uint64(wcdl) {
 				t.Fatalf("extra strike %d outside the primary's window [%d, %d]",
-					s.AtInst, inj.AtInst, inj.AtInst+wcdl)
+					s.AtInst, inj.AtInst, inj.AtInst+uint64(wcdl))
+			}
+			if s.Missed != (s.Latency > wcdl) {
+				t.Fatalf("extra latency %d planned Missed=%v at WCDL %d", s.Latency, s.Missed, wcdl)
 			}
 		}
 		for _, fp := range inj.FalsePositives {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/sensor"
 	"repro/internal/workload"
 )
 
@@ -50,35 +49,18 @@ func TestCampaignWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestCampaignPhysicalDetectorWorkerInvariant covers the per-trial
-// detector fork path: a grid-placed PhysicalDetector sampler must also
-// yield worker-count-independent results.
-func TestCampaignPhysicalDetectorWorkerInvariant(t *testing.T) {
-	prog, p := compiled(t, "fft", core.Turnpike)
-	mk := func(workers int) *Result {
-		det, err := sensor.NewPhysicalDetector(sensor.Model{Sensors: 300, DieAreaMM2: 1, ClockGHz: 2.5}, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Campaign(prog, Config{
-			Trials: 40, Seed: 5, Sim: pipeline.TurnpikeConfig(4, 11),
-			Sampler: det, Workers: workers,
-		}, p.SeedMemory)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	if a, b := mk(1), mk(4); !reflect.DeepEqual(a, b) {
-		t.Fatalf("physical-detector campaign diverged:\n%+v\nvs\n%+v", a, b)
-	}
+// plan derives trial's injection on a fresh copy of the campaign's
+// detector, as checkpoint restore and shard validation do.
+func (e *engine) plan(trial int) Injection {
+	det := e.det
+	return e.planWith(trial, &det)
 }
 
 // TestTrialPlanIsPure pins the seeding scheme: a trial's injection is a
 // pure function of (seed, trial), independent of any other trial.
 func TestTrialPlanIsPure(t *testing.T) {
 	e := &engine{cfg: Config{Seed: 7, Trials: 100, Sim: pipeline.TurnpikeConfig(4, 10)}, maxAt: 5000}
-	if err := e.resolveSampler(); err != nil {
+	if err := e.resolveDetector(); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]Injection, 16)
@@ -87,7 +69,7 @@ func TestTrialPlanIsPure(t *testing.T) {
 	}
 	// Re-derive in reverse order from a fresh engine: identical plans.
 	e2 := &engine{cfg: e.cfg, maxAt: e.maxAt}
-	if err := e2.resolveSampler(); err != nil {
+	if err := e2.resolveDetector(); err != nil {
 		t.Fatal(err)
 	}
 	for i := len(want) - 1; i >= 0; i-- {
@@ -97,7 +79,7 @@ func TestTrialPlanIsPure(t *testing.T) {
 	}
 	// Different seeds must decorrelate.
 	e3 := &engine{cfg: Config{Seed: 8, Trials: 100, Sim: e.cfg.Sim}, maxAt: e.maxAt}
-	if err := e3.resolveSampler(); err != nil {
+	if err := e3.resolveDetector(); err != nil {
 		t.Fatal(err)
 	}
 	same := 0

@@ -83,13 +83,13 @@ func (e *engine) restore(records []*TrialRecord, goldenStats pipeline.Stats) err
 		return fmt.Errorf("%w: checkpoint %s was written by a different campaign (seed, trials, workload, or simulator config changed) — delete it to start over",
 			ErrInvalidConfig, e.cfg.Checkpoint)
 	}
-	var sc planScratch // one reseeded sampler fork validates every record
+	det := e.det // one reseeded copy validates every record
 	for i := range ck.Done {
 		rec := ck.Done[i]
 		if rec.Trial < 0 || rec.Trial >= len(records) {
 			return fmt.Errorf("%w: %s: trial %d out of range", ErrCheckpointCorrupt, e.cfg.Checkpoint, rec.Trial)
 		}
-		if got := e.planWith(rec.Trial, &sc); !reflect.DeepEqual(got, rec.Inj) {
+		if got := e.planWith(rec.Trial, &det); !reflect.DeepEqual(got, rec.Inj) {
 			return fmt.Errorf("%w: %s: trial %d recorded injection %+v does not match the plan %+v",
 				ErrCheckpointCorrupt, e.cfg.Checkpoint, rec.Trial, rec.Inj, got)
 		}

@@ -21,7 +21,7 @@ func checkpointEngine(t *testing.T, ckpt string, seed int64, trials int) *engine
 		cfg:   Config{Seed: seed, Trials: trials, Sim: pipeline.TurnpikeConfig(4, 10), Checkpoint: ckpt},
 		maxAt: 1000,
 	}
-	if err := e.resolveSampler(); err != nil {
+	if err := e.resolveDetector(); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -130,7 +130,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 	seedDir := f.TempDir()
 	seedPath := filepath.Join(seedDir, "seed.json")
 	e := &engine{cfg: Config{Seed: 11, Trials: 8, Sim: pipeline.TurnpikeConfig(4, 10), Checkpoint: seedPath}, maxAt: 1000}
-	if err := e.resolveSampler(); err != nil {
+	if err := e.resolveDetector(); err != nil {
 		f.Fatal(err)
 	}
 	gs := pipeline.Stats{Cycles: 123, Insts: 456}
@@ -157,7 +157,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 			t.Fatal(err)
 		}
 		fe := &engine{cfg: Config{Seed: 11, Trials: 8, Sim: pipeline.TurnpikeConfig(4, 10), Checkpoint: ckpt}, maxAt: 1000}
-		if err := fe.resolveSampler(); err != nil {
+		if err := fe.resolveDetector(); err != nil {
 			t.Fatal(err)
 		}
 		err := fe.restore(make([]*TrialRecord, 8), gs)

@@ -83,7 +83,7 @@ func checkEpochTrials(t *testing.T, name string) (cut, eligible int) {
 			e, r := prep.e, prep.runners[0]
 			ref := *e
 			ref.gs = gs
-			refRunner := &trialRunner{sim: sim}
+			refRunner := &trialRunner{sim: sim, det: e.det}
 			var got, want TrialRecord
 			cellCut, cellEligible := 0, 0
 			for trial := range trials {

@@ -10,10 +10,9 @@ import "errors"
 // files whose bytes cannot be trusted wrap ErrCheckpointCorrupt, which the
 // engine itself treats as "restart fresh", never as fatal.
 
-// ErrInvalidConfig marks a campaign failure no retry can fix: a sampler
-// that cannot fork per-trial streams, adversary knobs outside their
-// domain, a golden run that crashes, or a checkpoint written by a
-// different campaign. Callers (the campaign service's retry supervisor)
+// ErrInvalidConfig marks a campaign failure no retry can fix: adversary
+// knobs outside their domain, a golden run that crashes, or a checkpoint
+// written by a different campaign. Callers (the campaign service's retry supervisor)
 // test with errors.Is and fail such jobs fast instead of burning retry
 // attempts.
 var ErrInvalidConfig = errors.New("fault: campaign configuration can never succeed")

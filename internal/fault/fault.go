@@ -66,11 +66,6 @@ type Config struct {
 	// MaxInjectInst bounds the injection point (instruction count); 0
 	// derives it from a fault-free run's length.
 	MaxInjectInst uint64
-	// Sampler overrides the detection-latency distribution (e.g. a
-	// sensor.PhysicalDetector for grid-placed meshes). Nil uses the
-	// uniform-in-[1,WCDL] Detector. Sampled latencies are clamped to the
-	// configured WCDL, preserving the recovery argument.
-	Sampler LatencySampler
 	// Metrics, when set, receives per-campaign observability: outcome
 	// counters, a detection-latency histogram, a recovery-cycles
 	// histogram, and the merged simulator statistics of every trial.
@@ -111,8 +106,9 @@ type Config struct {
 	// Adversary, when set, switches the campaign to the imperfect-mesh
 	// fault model: dead sensors, late detections, fault bursts, and
 	// false positives, all drawn from the per-trial SplitMix64 streams
-	// so results stay worker-count-deterministic. Mutually exclusive
-	// with Sampler.
+	// so results stay worker-count-deterministic. Nil is the zero
+	// Adversary: the perfect mesh, which detects every strike uniformly
+	// in [1, WCDL] cycles.
 	Adversary *Adversary
 	// Warnf, when set, receives non-fatal campaign warnings — today, a
 	// corrupt checkpoint file being discarded in favour of a fresh run.
@@ -132,12 +128,13 @@ type Config struct {
 
 // Adversary parameterizes the imperfect-mesh fault model. The nominal
 // mesh is derived from the pipeline's WCDL (the sensor count that
-// achieves it on the paper's 1 mm², 2.5 GHz die); the knobs then break
-// it: DeadSensors enlarge the surviving cells (stretching real detection
-// latency past the WCDL the pipeline was provisioned for), MissProb
-// sends strikes to a farther sensor outright, BurstMax packs several
-// strikes into one detection window, and FalsePositiveRate fires
-// sensors with no strike at all.
+// achieves it on the paper's 1 mm², 2.5 GHz die), and its nominal bound
+// is that WCDL; the knobs then break it: DeadSensors enlarge the
+// surviving cells (stretching real detection latency past the WCDL the
+// pipeline was provisioned for), MissProb sends strikes to a farther
+// sensor outright, BurstMax packs several strikes into one detection
+// window, and FalsePositiveRate fires sensors with no strike at all.
+// The zero Adversary breaks nothing: it is the perfect mesh.
 type Adversary struct {
 	// MissProb is the per-strike probability the detection lands beyond
 	// the nominal WCDL, in (WCDL, LateFactor×WCDL].
@@ -151,7 +148,7 @@ type Adversary struct {
 	// size uniform in [1, BurstMax]. 0 or 1 keeps single strikes.
 	BurstMax int `json:"burst_max"`
 	// LateFactor bounds late detections at LateFactor × WCDL (values
-	// below 2 are raised to 2; 0 means the default of 4).
+	// below 2, including 0, are raised to 2).
 	LateFactor float64 `json:"late_factor"`
 }
 
@@ -182,11 +179,6 @@ func (a *Adversary) validate(sim pipeline.Config) error {
 		return fmt.Errorf("fault: adversary late factor %v", a.LateFactor)
 	}
 	return nil
-}
-
-// LatencySampler produces per-strike detection latencies in cycles.
-type LatencySampler interface {
-	Latency() int
 }
 
 // Result aggregates a campaign.

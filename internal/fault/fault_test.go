@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
-	"repro/internal/sensor"
 	"repro/internal/workload"
 )
 
@@ -114,22 +113,6 @@ func TestOutcomeString(t *testing.T) {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q", int(o), o.String())
 		}
-	}
-}
-
-func TestCampaignWithPhysicalDetector(t *testing.T) {
-	prog, p := compiled(t, "fft", core.Turnpike)
-	cfgSim := pipeline.TurnpikeConfig(4, 11)
-	det, err := sensor.NewPhysicalDetector(sensor.Model{Sensors: 300, DieAreaMM2: 1, ClockGHz: 2.5}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Campaign(prog, Config{Trials: 40, Seed: 5, Sim: cfgSim, Sampler: det}, p.SeedMemory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcomes[SDC] != 0 || res.Outcomes[Crash] != 0 {
-		t.Fatalf("outcomes: %v", res.Outcomes)
 	}
 }
 

@@ -235,10 +235,6 @@ func (s *Session) RunRange(ctx context.Context, lo, hi int) (*ShardResult, error
 func (s *Session) Completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.completedLocked()
-}
-
-func (s *Session) completedLocked() int {
 	n := 0
 	for _, rec := range s.records {
 		if rec != nil {
@@ -326,9 +322,9 @@ func (s *Session) Commit(sh *ShardResult) (int, error) {
 	}
 	// Plan validation outside the lock: re-derive every record's
 	// injection and reject fabrications before touching the table.
-	var sc planScratch
+	det := e.det
 	for i := range sh.Records {
-		if got := e.planWith(sh.Records[i].Trial, &sc); !reflect.DeepEqual(got, sh.Records[i].Inj) {
+		if got := e.planWith(sh.Records[i].Trial, &det); !reflect.DeepEqual(got, sh.Records[i].Inj) {
 			return 0, fmt.Errorf("%w: trial %d recorded injection %+v does not match the plan %+v",
 				ErrShardInvalid, sh.Records[i].Trial, sh.Records[i].Inj, got)
 		}

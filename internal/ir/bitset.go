@@ -49,13 +49,6 @@ func (s RegSet) CopyFrom(o RegSet) {
 	}
 }
 
-// Clear empties the set.
-func (s RegSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Len returns the number of members.
 func (s RegSet) Len() int {
 	n := 0

@@ -51,11 +51,6 @@ func (b *Builder) Mov(src VReg) VReg {
 	return d
 }
 
-// MovTo copies src into dst.
-func (b *Builder) MovTo(dst, src VReg) {
-	b.emit(Instr{Op: isa.MOV, Dst: dst, Src1: src, Src2: NoReg})
-}
-
 // Op emits a three-address ALU op into a fresh register.
 func (b *Builder) Op(op isa.Op, s1, s2 VReg) VReg {
 	d := b.VReg()
@@ -97,15 +92,9 @@ func (b *Builder) Store(base VReg, off int64, val VReg) {
 	b.emit(Instr{Op: isa.ST, Dst: NoReg, Src1: base, Src2: val, Imm: off, Kind: isa.StoreProgram})
 }
 
-// Branch terminates the current block with a conditional branch: taken goes
-// to t, fallthrough to f. The builder moves to a caller-supplied next block
-// only via SetBlock.
-func (b *Builder) Branch(op isa.Op, s1, s2 VReg, t, f *Block) {
-	b.emit(Instr{Op: op, Dst: NoReg, Src1: s1, Src2: s2})
-	b.cur.Succs = []*Block{t, f}
-}
-
-// BranchI is Branch with an immediate comparison operand.
+// BranchI terminates the current block with a conditional branch against
+// an immediate operand: taken goes to t, fallthrough to f. The builder
+// moves to a caller-supplied next block only via SetBlock.
 func (b *Builder) BranchI(op isa.Op, s1 VReg, imm int64, t, f *Block) {
 	b.emit(Instr{Op: op, Dst: NoReg, Src1: s1, Src2: NoReg, Imm: imm, HasImm: true})
 	b.cur.Succs = []*Block{t, f}

@@ -131,12 +131,6 @@ func (b *Block) Terminator() *Instr {
 	return &b.Instrs[len(b.Instrs)-1]
 }
 
-// HasCondBranch reports whether the block ends in a conditional branch.
-func (b *Block) HasCondBranch() bool {
-	t := b.Terminator()
-	return t != nil && t.Op.IsCondBranch()
-}
-
 func (b *Block) String() string { return fmt.Sprintf("b%d", b.ID) }
 
 // Func is a single-entry function. Blocks[0] is the entry block.

@@ -16,6 +16,3 @@ const (
 	// (NumRegs * NumColors slots of 8 bytes).
 	DefaultCkptBase uint64 = 0x100000
 )
-
-// InRange reports whether addr falls in [base, limit).
-func InRange(addr, base, limit uint64) bool { return addr >= base && addr < limit }

@@ -100,19 +100,3 @@ func (g *ProgCFG) LiveIn() []RegBitmap {
 	}
 	return in
 }
-
-// ReachableFrom marks instructions reachable from start.
-func (g *ProgCFG) ReachableFrom(start int) []bool {
-	seen := make([]bool, len(g.Prog.Insts))
-	stack := []int{start}
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if i < 0 || i >= len(seen) || seen[i] {
-			continue
-		}
-		seen[i] = true
-		stack = append(stack, g.Succs[i]...)
-	}
-	return seen
-}

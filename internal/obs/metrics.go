@@ -310,49 +310,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	return out
 }
 
-// Diff returns s minus prev: counters and histogram counts subtract
-// (clamped at zero). Gauges are NOT subtracted — a gauge is a level, not a
-// flow, so the difference of two occupancy readings is meaningless; each
-// gauge keeps its last value from s. A histogram whose bucket layout
-// changed between the snapshots (different Counts length) cannot be
-// subtracted either and is passed through from s whole. Use Diff to
-// isolate one phase of a longer run.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	sub := func(a, b uint64) uint64 {
-		if b > a {
-			return 0
-		}
-		return a - b
-	}
-	out := Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistSnapshot{},
-	}
-	for n, v := range s.Counters {
-		out.Counters[n] = sub(v, prev.Counters[n])
-	}
-	for n, v := range s.Gauges {
-		out.Gauges[n] = v
-	}
-	for n, v := range s.Histograms {
-		p, ok := prev.Histograms[n]
-		if !ok || len(p.Counts) != len(v.Counts) {
-			out.Histograms[n] = v
-			continue
-		}
-		d := v
-		d.Counts = append([]uint64(nil), v.Counts...)
-		for i := range d.Counts {
-			d.Counts[i] = sub(d.Counts[i], p.Counts[i])
-		}
-		d.Count = sub(v.Count, p.Count)
-		d.Sum = sub(v.Sum, p.Sum)
-		out.Histograms[n] = d
-	}
-	return out
-}
-
 // Table renders the snapshot as the shared table form the tools print.
 func (s Snapshot) Table(title string) Table {
 	t := Table{Title: title, Header: []string{"metric", "kind", "value", "detail"}}

@@ -270,7 +270,7 @@ func TestSchedulePreservesMemoryOrder(t *testing.T) {
 		golden := interpMem(t, f.Clone())
 		orig := f.Clone()
 		Schedule(f, ScheduleConfig{LoadLatency: 2, DeprioritizeCheckpoints: trial%2 == 0})
-		if !SameShape(orig, f) {
+		if !sameShape(orig, f) {
 			t.Fatalf("trial %d: scheduling changed shape", trial)
 		}
 		if err := f.Verify(); err != nil {
@@ -307,4 +307,18 @@ func TestScheduleRandomALUPrograms(t *testing.T) {
 			t.Fatalf("trial %d: semantics changed", trial)
 		}
 	}
+}
+
+// sameShape reports whether two functions have identical block and
+// instruction counts — scheduling must never add or drop instructions.
+func sameShape(a, b *ir.Func) bool {
+	if len(a.Blocks) != len(b.Blocks) {
+		return false
+	}
+	for i := range a.Blocks {
+		if len(a.Blocks[i].Instrs) != len(b.Blocks[i].Instrs) {
+			return false
+		}
+	}
+	return true
 }

@@ -225,17 +225,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// SameShape reports whether two functions have identical block and
-// instruction counts — scheduling must never add or drop instructions.
-func SameShape(a, b *ir.Func) bool {
-	if len(a.Blocks) != len(b.Blocks) {
-		return false
-	}
-	for i := range a.Blocks {
-		if len(a.Blocks[i].Instrs) != len(b.Blocks[i].Instrs) {
-			return false
-		}
-	}
-	return true
-}

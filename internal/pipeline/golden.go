@@ -76,12 +76,6 @@ func (g *GoldenState) Stats() Stats { return g.stats }
 // trial of the campaign classifies against it.
 func (g *GoldenState) Output() *isa.Memory { return g.output }
 
-// Program returns the compiled program the snapshot was captured from.
-func (g *GoldenState) Program() *isa.Program { return g.prog }
-
-// Config returns the validated simulator configuration of the snapshot.
-func (g *GoldenState) Config() Config { return g.cfg }
-
 // Fork builds a simulator primed at the snapshot's trial-start point:
 // seeded memory, warmed caches, program entry. Each campaign worker
 // forks once and Resets between trials.

@@ -359,6 +359,9 @@ func TestInjectValidation(t *testing.T) {
 	if err := s.InjectBitFlip(1, 0, 5); err == nil {
 		t.Fatal("accepted a burst beyond the detect-queue capacity")
 	}
+	if got := s.Stats.DetectQueuePeak; got != 2 {
+		t.Fatalf("DetectQueuePeak = %d, want 2", got)
+	}
 	b, err := New(prog, BaselineConfig(4))
 	if err != nil {
 		t.Fatal(err)

@@ -150,46 +150,6 @@ func (s *Sim) InjectBitFlip(r isa.Reg, bit uint, latency int) error {
 	return nil
 }
 
-// InjectMultiBitFlip models a multi-bit upset: one particle strike
-// corrupting several bits, possibly across two adjacent registers (the
-// scenario that defeats parity/ECC-per-word schemes but not acoustic
-// detection — the sensors hear the strike itself). Detection and recovery
-// proceed exactly as for a single flip.
-func (s *Sim) InjectMultiBitFlip(r isa.Reg, bits []uint, spillover bool, latency int) error {
-	if !s.Cfg.Resilient {
-		return fmt.Errorf("pipeline: fault injection requires a resilient configuration")
-	}
-	if latency < 1 {
-		return fmt.Errorf("pipeline: detection latency %d < 1", latency)
-	}
-	if len(bits) == 0 {
-		return fmt.Errorf("pipeline: no bits to flip")
-	}
-	ev := s.newStrikeEvent(latency, false)
-	if err := s.enqueueDetect(ev); err != nil {
-		return err
-	}
-	for _, b := range bits {
-		s.Regs[r] ^= 1 << (b & 63)
-	}
-	s.Taint[r] = true
-	if spillover {
-		r2 := (r + 1) % isa.NumRegs
-		s.Regs[r2] ^= 1 << (bits[0] & 63)
-		s.Taint[r2] = true
-	}
-	if ev.late {
-		s.Stats.LateDetections++
-	}
-	if s.obs != nil {
-		s.obs.Tracer.Instant(trackSensor, "fault", "multi-bit-strike", s.cycle,
-			map[string]any{"reg": int(r), "bits": len(bits), "spillover": spillover, "late": ev.late})
-		s.obs.Tracer.Span(trackSensor, "sensor", "detection-window", s.cycle, ev.at,
-			map[string]any{"latency": latency})
-	}
-	return nil
-}
-
 // InjectFalseDetection schedules a spurious sensor firing after latency
 // cycles with no accompanying strike: electrical noise, a miscalibrated
 // sensor. The machine cannot distinguish it from a real detection, so it
@@ -374,10 +334,3 @@ func (s *Sim) recover() error {
 	s.logRecovery(startCycle, restartID, squashed, discarded)
 	return nil
 }
-
-// FaultPending reports whether any detection event is scheduled.
-func (s *Sim) FaultPending() bool { return len(s.pendingDetects) > 0 }
-
-// Degraded reports whether the degradation controller currently has fast
-// release suspended.
-func (s *Sim) Degraded() bool { return s.degraded() }

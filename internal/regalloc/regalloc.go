@@ -24,9 +24,6 @@ type Config struct {
 	WriteWeight int
 }
 
-// debugVReg enables tracing of one vreg's allocation journey (tests).
-var debugVReg = -1
-
 // Register partitioning. r0 is the stack pointer; r29..r31 are reserved as
 // spill scratch so any instruction's operands can be reloaded.
 const (
@@ -164,9 +161,6 @@ func Allocate(f *ir.Func, cfg Config) (*Result, error) {
 	var act []active
 	spilled := map[ir.VReg]bool{}
 	for _, in := range ivs {
-		if debugVReg >= 0 && in.vreg == ir.VReg(debugVReg) {
-			fmt.Printf("DBG v%d: interval [%d,%d] w=%.1f\n", debugVReg, in.start, in.end, in.weight)
-		}
 		// Expire finished intervals.
 		kept := act[:0]
 		for _, a := range act {
@@ -206,9 +200,6 @@ func Allocate(f *ir.Func, cfg Config) (*Result, error) {
 			continue
 		}
 		v := act[victim]
-		if debugVReg >= 0 && v.in.vreg == ir.VReg(debugVReg) {
-			fmt.Printf("DBG v%d: victimized\n", debugVReg)
-		}
 		spilled[v.in.vreg] = true
 		res.Spilled = append(res.Spilled, v.in.vreg)
 		delete(res.Assigned, v.in.vreg)

@@ -11,7 +11,8 @@ import (
 // are dead (enlarging the surviving sensors' cells and therefore the
 // real detection bound), and environmental noise makes a fraction of
 // strikes audible only to a farther sensor, pushing their detection
-// latency past the WCDL the pipeline was provisioned for. The pipeline
+// latency past the WCDL the pipeline was provisioned for (the nominal
+// WCDL, which NewMeshDetector takes beside the mesh). The pipeline
 // keeps believing the nominal WCDL — that gap between advertised and
 // actual bound is exactly what the containment machinery has to absorb.
 type Mesh struct {
@@ -58,28 +59,9 @@ func (m Mesh) Effective() Model {
 	return eff
 }
 
-// NominalWCDL is the detection bound the pipeline was provisioned for
-// (every sensor alive).
-func (m Mesh) NominalWCDL() int { return m.Model.WCDL() }
-
 // EffectiveWCDL is the real detection bound of the degraded mesh.
-// With no dead sensors it equals NominalWCDL.
+// With no dead sensors it equals the model's WCDL.
 func (m Mesh) EffectiveWCDL() int { return m.Effective().WCDL() }
-
-// lateBound returns the (exclusive lower, inclusive upper) latency
-// window for late detections.
-func (m Mesh) lateBound() (int, int) {
-	nominal := m.NominalWCDL()
-	lf := m.LateFactor
-	if lf < 2 {
-		lf = 2
-	}
-	hi := int(math.Ceil(lf * float64(nominal)))
-	if hi <= nominal {
-		hi = nominal + 1
-	}
-	return nominal, hi
-}
 
 // Detection is one sampled strike-detection event.
 type Detection struct {
@@ -90,72 +72,56 @@ type Detection struct {
 	Missed bool
 }
 
-// MeshDetector samples strike detections from a degraded mesh on a
-// SplitMix64 stream, so a campaign's adversarial events are a pure
-// function of (seed, trial) regardless of worker count.
+// MeshDetector samples strike detections for a pipeline provisioned for
+// a nominal WCDL, on a SplitMix64 stream, so a campaign's detections are
+// a pure function of (seed, trial) regardless of worker count. Its zero
+// adversary — no dead sensors, MissProb 0 — is the perfect mesh: every
+// strike is heard uniformly in [1, WCDL] cycles, one draw per strike.
+// A detector is a value; a copy is an independent detector whose stream
+// Reseed sets, which is how a campaign forks one per worker.
 type MeshDetector struct {
-	mesh    Mesh
-	eff     int
-	nominal int
-	rng     *rng.Stream
+	wcdl     int // nominal bound: what the pipeline believes
+	eff      int // timely detections are uniform in [1, eff]
+	lateHi   int // misses are uniform in (wcdl, lateHi]
+	missProb float64
+	rng      rng.Stream
 }
 
-// NewMeshDetector builds a detector for the mesh and seed.
-func NewMeshDetector(m Mesh, seed int64) (*MeshDetector, error) {
+// NewMeshDetector builds a detector for a pipeline provisioned for wcdl
+// cycles (values below 1 are raised to 1) whose sensors are m. Dead
+// sensors widen the timely window to m's effective WCDL. With none it
+// stays at wcdl, so a healthy mesh is the perfect mesh even where m's
+// model rounds below wcdl.
+func NewMeshDetector(wcdl int, m Mesh) (MeshDetector, error) {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return MeshDetector{}, err
 	}
-	return &MeshDetector{
-		mesh:    m,
-		eff:     m.EffectiveWCDL(),
-		nominal: m.NominalWCDL(),
-		rng:     rng.New(seed),
-	}, nil
+	wcdl = max(wcdl, 1)
+	d := MeshDetector{wcdl: wcdl, eff: wcdl, missProb: m.MissProb}
+	if m.DeadSensors > 0 {
+		d.eff = m.EffectiveWCDL()
+	}
+	d.lateHi = max(int(math.Ceil(max(m.LateFactor, 2)*float64(wcdl))), wcdl+1)
+	return d, nil
 }
-
-// Mesh returns the detector's mesh configuration.
-func (d *MeshDetector) Mesh() Mesh { return d.mesh }
-
-// WCDL returns the *nominal* bound — what the pipeline believes.
-func (d *MeshDetector) WCDL() int { return d.nominal }
 
 // Sample draws one detection. Timely detections are uniform in
 // [1, effective WCDL]: dead sensors stretch the window past the nominal
 // bound on their own, so a sufficiently degraded mesh produces Missed
 // detections even with MissProb = 0. An explicit miss (probability
-// MissProb) lands uniformly in (nominal, LateFactor × nominal].
+// MissProb) lands uniformly in (WCDL, LateFactor × WCDL]. Missed holds
+// exactly when the latency exceeds the nominal WCDL, the test the
+// pipeline applies to a strike's detection.
 func (d *MeshDetector) Sample() Detection {
 	var lat int
-	if d.mesh.MissProb > 0 && d.rng.Float64() < d.mesh.MissProb {
-		lo, hi := d.mesh.lateBound()
-		lat = lo + 1 + d.rng.Intn(hi-lo)
+	if d.missProb > 0 && d.rng.Float64() < d.missProb {
+		lat = d.wcdl + 1 + d.rng.Intn(d.lateHi-d.wcdl)
 	} else {
 		lat = 1 + d.rng.Intn(d.eff)
 	}
-	return Detection{Latency: lat, Missed: lat > d.nominal}
+	return Detection{Latency: lat, Missed: lat > d.wcdl}
 }
 
-// Latency implements Sampler by discarding the Missed flag. Campaigns
-// that want the adversarial semantics call Sample directly.
-func (d *MeshDetector) Latency() int { return d.Sample().Latency }
-
-// Fork returns an independent detector over the same mesh whose stream
-// is a pure function of seed (see Detector.Fork).
-func (d *MeshDetector) Fork(seed int64) Sampler {
-	nd, err := NewMeshDetector(d.mesh, seed)
-	if err != nil {
-		// The receiver already validated the mesh; unreachable.
-		panic(err)
-	}
-	return nd
-}
-
-// ForkMesh is Fork without the interface wrapper, for callers that need
-// Sample.
-func (d *MeshDetector) ForkMesh(seed int64) *MeshDetector {
-	return d.Fork(seed).(*MeshDetector)
-}
-
-// Reseed resets the detection stream in place to what ForkMesh(seed)
-// would produce, without allocating (see Detector.Reseed).
+// Reseed resets the detection stream in place to rng.New(seed)'s,
+// without allocating. Campaign planners reseed their copy per trial.
 func (d *MeshDetector) Reseed(seed int64) { d.rng.Reseed(seed) }

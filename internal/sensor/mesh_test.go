@@ -34,13 +34,13 @@ func TestMeshValidate(t *testing.T) {
 func TestMeshEffectiveWCDLWorsens(t *testing.T) {
 	base := Model{Sensors: 300, DieAreaMM2: 1.0, ClockGHz: 2.5}
 	healthy := Mesh{Model: base}
-	if got, want := healthy.EffectiveWCDL(), healthy.NominalWCDL(); got != want {
+	if got, want := healthy.EffectiveWCDL(), base.WCDL(); got != want {
 		t.Fatalf("healthy mesh effective WCDL %d != nominal %d", got, want)
 	}
 	degraded := Mesh{Model: base, DeadSensors: 225} // 75 alive: 4x the cell area
-	if degraded.EffectiveWCDL() <= degraded.NominalWCDL() {
+	if degraded.EffectiveWCDL() <= base.WCDL() {
 		t.Fatalf("dead sensors did not worsen WCDL: eff %d, nominal %d",
-			degraded.EffectiveWCDL(), degraded.NominalWCDL())
+			degraded.EffectiveWCDL(), base.WCDL())
 	}
 	if got, want := degraded.Alive(), 75; got != want {
 		t.Fatalf("Alive() = %d, want %d", got, want)
@@ -54,12 +54,13 @@ func TestMeshDetectorSampleBounds(t *testing.T) {
 		MissProb:    0.3,
 		LateFactor:  4,
 	}
-	d, err := NewMeshDetector(m, 99)
+	nominal := m.Model.WCDL()
+	d, err := NewMeshDetector(nominal, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nominal := m.NominalWCDL()
-	_, lateHi := m.lateBound()
+	d.Reseed(99)
+	lateHi := int(m.LateFactor) * nominal
 	missed, timely := 0, 0
 	for i := 0; i < 20_000; i++ {
 		det := d.Sample()
@@ -91,10 +92,11 @@ func TestMeshDetectorDeadSensorsAloneCauseMisses(t *testing.T) {
 		Model:       Model{Sensors: 900, DieAreaMM2: 1.0, ClockGHz: 2.5},
 		DeadSensors: 800,
 	}
-	d, err := NewMeshDetector(m, 5)
+	d, err := NewMeshDetector(m.Model.WCDL(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Reseed(5)
 	missed := 0
 	for i := 0; i < 10_000; i++ {
 		if d.Sample().Missed {
@@ -103,7 +105,7 @@ func TestMeshDetectorDeadSensorsAloneCauseMisses(t *testing.T) {
 	}
 	if missed == 0 {
 		t.Fatalf("no misses despite effective WCDL %d > nominal %d",
-			m.EffectiveWCDL(), m.NominalWCDL())
+			m.EffectiveWCDL(), m.Model.WCDL())
 	}
 }
 
@@ -114,11 +116,14 @@ func TestMeshDetectorForkPure(t *testing.T) {
 		MissProb:    0.2,
 		LateFactor:  3,
 	}
-	d, err := NewMeshDetector(m, 1)
+	d, err := NewMeshDetector(m.Model.WCDL(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := d.ForkMesh(77), d.ForkMesh(77)
+	d.Reseed(1)
+	a, b := d, d
+	a.Reseed(77)
+	b.Reseed(77)
 	for i := 0; i < 500; i++ {
 		da, db := a.Sample(), b.Sample()
 		if da != db {
@@ -126,14 +131,13 @@ func TestMeshDetectorForkPure(t *testing.T) {
 		}
 	}
 	// Forking must not perturb the parent either.
-	p1, err := NewMeshDetector(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1.ForkMesh(123)
-	d2, _ := NewMeshDetector(m, 1)
+	p1 := d
+	p1.Reseed(1)
+	fork := p1
+	fork.Reseed(123)
+	fork.Sample()
 	for i := 0; i < 100; i++ {
-		if p1.Sample() != d2.Sample() {
+		if p1.Sample() != d.Sample() {
 			t.Fatalf("fork perturbed parent stream at draw %d", i)
 		}
 	}

@@ -10,8 +10,6 @@ package sensor
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/rng"
 )
 
 // SoundSpeed is the acoustic propagation speed in silicon, m/s.
@@ -94,131 +92,3 @@ func SensorsForWCDL(target int, dieAreaMM2, clockGHz float64) int {
 	}
 	return 1_000_000
 }
-
-// Sampler is the per-strike latency stream: one call, one detection
-// latency in cycles. Both detector flavours implement it, as does any
-// campaign-supplied override.
-type Sampler interface {
-	Latency() int
-}
-
-// Detector samples per-strike detection latencies for fault-injection
-// campaigns: an actual strike is detected after a latency uniform in
-// [1, WCDL] cycles — the mesh guarantees the upper bound, and the lower
-// spread models strike position relative to the nearest sensor.
-type Detector struct {
-	wcdl     int
-	rng      *rng.Stream
-	onSample func(int)
-}
-
-// SetObserver registers fn to receive every sampled latency (nil
-// disables). Fault campaigns use it to feed detection-latency histograms.
-func (d *Detector) SetObserver(fn func(int)) { d.onSample = fn }
-
-// NewDetector builds a detector for a fixed WCDL and seed.
-func NewDetector(wcdl int, seed int64) *Detector {
-	if wcdl < 1 {
-		wcdl = 1
-	}
-	return &Detector{wcdl: wcdl, rng: rng.New(seed)}
-}
-
-// WCDL returns the guaranteed detection bound in cycles.
-func (d *Detector) WCDL() int { return d.wcdl }
-
-// Fork returns an independent detector over the same mesh whose latency
-// stream is a pure function of seed. Parallel fault campaigns fork one
-// stream per trial so the injection plan does not depend on how trials
-// are interleaved across workers. The fork carries no observer — trial
-// latencies are recorded at merge time, in trial order.
-func (d *Detector) Fork(seed int64) Sampler { return NewDetector(d.wcdl, seed) }
-
-// Reseed resets the latency stream in place to what Fork(seed) would
-// produce, without allocating. Campaign planners reuse one forked
-// detector across trials.
-func (d *Detector) Reseed(seed int64) { d.rng.Reseed(seed) }
-
-// Latency samples one detection latency in [1, WCDL].
-func (d *Detector) Latency() int {
-	lat := 1 + d.rng.Intn(d.wcdl)
-	if d.onSample != nil {
-		d.onSample(lat)
-	}
-	return lat
-}
-
-// PhysicalDetector refines Detector with the mesh geometry: sensors sit on
-// a √N×√N grid over the die; a strike lands uniformly at random and is
-// heard by the nearest sensor after the acoustic propagation time. The
-// resulting latency distribution is front-loaded (most strikes land near
-// some sensor) with a hard tail at the WCDL — unlike the uniform Detector,
-// which over-weights late detections.
-type PhysicalDetector struct {
-	model    Model
-	side     int // sensors per grid side
-	pitch    float64
-	rng      *rng.Stream
-	onSample func(int)
-}
-
-// SetObserver registers fn to receive every sampled latency (nil disables).
-func (d *PhysicalDetector) SetObserver(fn func(int)) { d.onSample = fn }
-
-// NewPhysicalDetector builds a grid-placed detector for the model.
-func NewPhysicalDetector(m Model, seed int64) (*PhysicalDetector, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	side := int(math.Floor(math.Sqrt(float64(m.Sensors))))
-	if side < 1 {
-		side = 1
-	}
-	edge := math.Sqrt(m.DieAreaMM2) // die edge length, mm
-	return &PhysicalDetector{
-		model: m,
-		side:  side,
-		pitch: edge / float64(side),
-		rng:   rng.New(seed),
-	}, nil
-}
-
-// Latency samples one detection latency in cycles: the propagation time
-// from a uniform strike position to its nearest grid sensor, at least 1.
-func (d *PhysicalDetector) Latency() int {
-	// Position within one grid cell; the nearest sensor sits at the cell
-	// center, so the offset folds into [0, pitch/2] per axis.
-	dx := math.Abs(d.rng.Float64()*d.pitch - d.pitch/2)
-	dy := math.Abs(d.rng.Float64()*d.pitch - d.pitch/2)
-	distMM := math.Sqrt(dx*dx + dy*dy)
-	seconds := distMM / 1000.0 / SoundSpeed
-	cycles := int(math.Ceil(seconds * d.model.ClockGHz * 1e9))
-	if cycles < 1 {
-		cycles = 1
-	}
-	if w := d.model.WCDL(); cycles > w {
-		cycles = w // the mesh guarantees the bound
-	}
-	if d.onSample != nil {
-		d.onSample(cycles)
-	}
-	return cycles
-}
-
-// WCDL returns the mesh's guaranteed bound.
-func (d *PhysicalDetector) WCDL() int { return d.model.WCDL() }
-
-// Fork returns an independent detector over the same grid whose latency
-// stream is a pure function of seed (see Detector.Fork).
-func (d *PhysicalDetector) Fork(seed int64) Sampler {
-	nd, err := NewPhysicalDetector(d.model, seed)
-	if err != nil {
-		// The receiver already validated the model; unreachable.
-		panic(err)
-	}
-	return nd
-}
-
-// Reseed resets the latency stream in place to what Fork(seed) would
-// produce, without allocating (see Detector.Reseed).
-func (d *PhysicalDetector) Reseed(seed int64) { d.rng.Reseed(seed) }

@@ -1,6 +1,10 @@
 package sensor
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/rng"
+)
 
 func TestPublishedOperatingPoints(t *testing.T) {
 	// The paper's §6.1: 300 sensors -> ~10 cycles WCDL at 2.5GHz, 1mm²;
@@ -60,118 +64,83 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// paperMesh is the healthy nominal mesh for a pipeline's WCDL: the
+// deployment that achieves it on the paper's die, as fault campaigns
+// build it.
+func paperMesh(wcdl int) Mesh {
+	return Mesh{Model: Model{Sensors: SensorsForWCDL(wcdl, 1.0, 2.5), DieAreaMM2: 1.0, ClockGHz: 2.5}}
+}
+
+// TestDetectorBounds: the perfect mesh (the zero adversary) hears every
+// strike within the pipeline's WCDL and reaches that bound, including
+// at WCDL 50, where the paper-die model rounds its own bound to 49.
 func TestDetectorBounds(t *testing.T) {
-	d := NewDetector(10, 1)
-	for i := 0; i < 1000; i++ {
-		l := d.Latency()
-		if l < 1 || l > 10 {
-			t.Fatalf("latency %d outside [1,10]", l)
+	for _, w := range []int{10, 50} {
+		d, err := NewMeshDetector(w, paperMesh(w))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if d.WCDL() != 10 {
-		t.Fatalf("WCDL() = %d", d.WCDL())
+		d.Reseed(1)
+		hi := 0
+		for i := 0; i < 1000; i++ {
+			det := d.Sample()
+			if det.Latency < 1 || det.Latency > w || det.Missed {
+				t.Fatalf("WCDL %d: detection %+v outside [1,%d] or missed", w, det, w)
+			}
+			hi = max(hi, det.Latency)
+		}
+		if hi != w {
+			t.Fatalf("WCDL %d: latest detection %d, want the bound reached", w, hi)
+		}
 	}
 }
 
 func TestDetectorDeterminism(t *testing.T) {
-	a, b := NewDetector(30, 7), NewDetector(30, 7)
+	a, err := NewMeshDetector(30, paperMesh(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a
+	a.Reseed(7)
+	b.Reseed(7)
 	for i := 0; i < 100; i++ {
-		if a.Latency() != b.Latency() {
+		if a.Sample() != b.Sample() {
 			t.Fatal("same seed diverged")
 		}
 	}
 }
 
-func TestPhysicalDetectorBounds(t *testing.T) {
-	m := Model{Sensors: 300, DieAreaMM2: 1.0, ClockGHz: 2.5}
-	d, err := NewPhysicalDetector(m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := d.WCDL()
-	var sum int
-	for i := 0; i < 2000; i++ {
-		l := d.Latency()
-		if l < 1 || l > w {
-			t.Fatalf("latency %d outside [1,%d]", l, w)
-		}
-		sum += l
-	}
-	// Grid placement front-loads the distribution: the mean must fall
-	// well below the worst case.
-	mean := float64(sum) / 2000
-	if mean > 0.8*float64(w) {
-		t.Fatalf("mean latency %.1f too close to WCDL %d for a grid mesh", mean, w)
-	}
-}
-
-func TestPhysicalDetectorFewerSensorsSlower(t *testing.T) {
-	many, err := NewPhysicalDetector(Model{Sensors: 300, DieAreaMM2: 1, ClockGHz: 2.5}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	few, err := NewPhysicalDetector(Model{Sensors: 30, DieAreaMM2: 1, ClockGHz: 2.5}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := func(d *PhysicalDetector) float64 {
-		s := 0
-		for i := 0; i < 3000; i++ {
-			s += d.Latency()
-		}
-		return float64(s) / 3000
-	}
-	if avg(few) <= avg(many) {
-		t.Fatal("sparser mesh not slower on average")
-	}
-}
-
-func TestPhysicalDetectorValidation(t *testing.T) {
-	if _, err := NewPhysicalDetector(Model{Sensors: 0, DieAreaMM2: 1, ClockGHz: 1}, 1); err == nil {
-		t.Fatal("accepted invalid model")
-	}
-}
-
 func TestForkStreamsAreIndependentAndPure(t *testing.T) {
-	// A fork's stream is a pure function of its seed — same seed, same
-	// stream — and does not perturb (or depend on) the parent's stream.
-	det := NewDetector(10, 1)
-	drawn := det.Latency() // advance the parent
-	a1, a2 := det.Fork(7), det.Fork(7)
-	for i := 0; i < 64; i++ {
-		la, lb := a1.Latency(), a2.Latency()
-		if la != lb {
-			t.Fatalf("fork stream not pure at draw %d: %d vs %d", i, la, lb)
-		}
-		if la < 1 || la > det.WCDL() {
-			t.Fatalf("forked latency %d outside [1, %d]", la, det.WCDL())
-		}
-	}
-	det2 := NewDetector(10, 1)
-	if det2.Latency() != drawn {
-		t.Fatal("forking perturbed the parent stream")
-	}
-
-	pd, err := NewPhysicalDetector(Model{Sensors: 300, DieAreaMM2: 1, ClockGHz: 2.5}, 3)
+	// A fork is a copy of the detector reseeded in place: its stream is a
+	// pure function of its seed — same seed, same stream — and it does
+	// not perturb (or depend on) the parent's stream. On the perfect mesh
+	// each strike is one uniform draw on rng.New(seed), the stream a
+	// campaign's plans pin.
+	det, err := NewMeshDetector(10, paperMesh(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := pd.Fork(11), pd.Fork(11)
-	diffSeed := pd.Fork(12)
-	same := true
+	det.Reseed(1)
+	drawn := det.Sample() // advance the parent
+	a1, a2 := det, det
+	a1.Reseed(7)
+	a2.Reseed(7)
+	ref := rng.New(7)
 	for i := 0; i < 64; i++ {
-		la, lb := p1.Latency(), p2.Latency()
+		la, lb := a1.Sample(), a2.Sample()
 		if la != lb {
-			t.Fatalf("physical fork stream not pure at draw %d", i)
+			t.Fatalf("fork stream not pure at draw %d: %+v vs %+v", i, la, lb)
 		}
-		if la < 1 || la > pd.WCDL() {
-			t.Fatalf("physical forked latency %d outside [1, %d]", la, pd.WCDL())
-		}
-		if diffSeed.Latency() != la {
-			same = false
+		if want := 1 + ref.Intn(10); la.Latency != want {
+			t.Fatalf("forked latency %d at draw %d, want the uniform draw %d", la.Latency, i, want)
 		}
 	}
-	if same {
-		t.Fatal("different fork seeds produced identical physical streams")
+	det2, err := NewMeshDetector(10, paperMesh(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	det2.Reseed(1)
+	if det2.Sample() != drawn || det.Sample() != det2.Sample() {
+		t.Fatal("forking perturbed the parent stream")
 	}
 }

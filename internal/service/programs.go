@@ -152,12 +152,6 @@ func NewProgramStore(cfg ProgramStoreConfig) (*ProgramStore, error) {
 	return ps, nil
 }
 
-// SBSize is the store-buffer size artifacts are compiled for.
-func (ps *ProgramStore) SBSize() int { return ps.sbSize }
-
-// Limits is the parse envelope applied to submissions.
-func (ps *ProgramStore) Limits() ir.ParseLimits { return ps.limits }
-
 // CacheStats snapshots the artifact cache counters (the single-flight
 // proof surface: a repeat submission must not move Compiles).
 func (ps *ProgramStore) CacheStats() artifact.Stats { return ps.cache.Stats() }

@@ -486,13 +486,6 @@ func (s *Service) Cancel(id string) error {
 	return s.persistLocked()
 }
 
-// Draining reports whether the service has begun shutting down.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Saturated reports whether the queue is at capacity (the /readyz
 // not-ready condition besides draining).
 func (s *Service) Saturated() bool {
@@ -558,30 +551,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		err = cErr
 	}
 	return err
-}
-
-// Abort is the simulated crash used by tests and nothing else: every
-// in-flight context is cancelled and NO state is persisted on the way
-// out, so the disk holds exactly what an uncontrolled daemon death would
-// leave — the last atomic writes. Restart recovery must still complete
-// every job with byte-identical results.
-func (s *Service) Abort() {
-	s.mu.Lock()
-	s.draining = true
-	s.aborted = true
-	for id, tm := range s.timers {
-		tm.Stop()
-		delete(s.timers, id)
-	}
-	for _, cancel := range s.running {
-		cancel()
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-	// A crash still must not leak the flusher goroutine inside this
-	// process; an uncontrolled daemon death would take it down anyway.
-	s.cfg.Spans.Close()
 }
 
 // pop blocks until a job is available or the service drains.

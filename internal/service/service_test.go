@@ -717,3 +717,27 @@ func TestReadyzWhileDraining(t *testing.T) {
 	}
 	<-drainDone
 }
+
+// Abort is the simulated crash used by tests and nothing else: every
+// in-flight context is cancelled and NO state is persisted on the way
+// out, so the disk holds exactly what an uncontrolled daemon death would
+// leave — the last atomic writes. Restart recovery must still complete
+// every job with byte-identical results.
+func (s *Service) Abort() {
+	s.mu.Lock()
+	s.draining = true
+	s.aborted = true
+	for id, tm := range s.timers {
+		tm.Stop()
+		delete(s.timers, id)
+	}
+	for _, cancel := range s.running {
+		cancel()
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.wg.Wait()
+	// A crash still must not leak the flusher goroutine inside this
+	// process; an uncontrolled daemon death would take it down anyway.
+	s.cfg.Spans.Close()
+}

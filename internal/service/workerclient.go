@@ -52,8 +52,9 @@ type WorkerConfig struct {
 	// Addr is an advertisement recorded on the coordinator's /fleet
 	// page (the worker's own listen address, if it has one).
 	Addr string
-	// Client is the HTTP client (default http.DefaultClient). Tests
-	// wrap its Transport in a ChaosTransport.
+	// Client is the HTTP client (default http.DefaultClient). The fleet
+	// tests wrap its Transport in a ChaosTransport, which their test
+	// files define.
 	Client *http.Client
 	// Logger receives the worker's lifecycle records.
 	Logger *slog.Logger
