@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	turnpike "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
 	"repro/internal/obs/span"
@@ -54,13 +55,6 @@ type benchResult struct {
 	TrialsPerSec   float64 `json:"trials_per_sec,omitempty"`
 	NsPerTrial     float64 `json:"ns_per_trial,omitempty"`
 	AllocsPerTrial float64 `json:"allocs_per_trial,omitempty"`
-}
-
-// schemeByName maps the CLI spelling to the library scheme.
-var schemeByName = map[string]turnpike.Scheme{
-	"baseline":  turnpike.Baseline,
-	"turnstile": turnpike.Turnstile,
-	"turnpike":  turnpike.Turnpike,
 }
 
 // benchPattern matches trajectory manifests and captures their sequence
@@ -99,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var schemeNames []string
 	for _, s := range strings.Split(*schemes, ",") {
 		s = strings.TrimSpace(s)
-		if _, ok := schemeByName[s]; !ok {
+		if _, err := core.ParseScheme(s); err != nil {
 			fmt.Fprintf(stderr, "bench: unknown scheme %q\n", s)
 			return 2
 		}
@@ -117,7 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	results := map[string]benchResult{}
 	for _, b := range benches {
 		for _, sn := range schemeNames {
-			res, err := turnpike.Evaluate(b, schemeByName[sn], turnpike.EvalConfig{
+			sc, _ := core.ParseScheme(sn) // validated with the flags
+			res, err := turnpike.Evaluate(b, sc, turnpike.EvalConfig{
 				SBSize: *sb, WCDL: *wcdl, ScalePct: *scale,
 			})
 			if err != nil {
@@ -265,7 +260,8 @@ func measureCampaignCost(ctx context.Context, benches, schemeNames []string, tri
 			// the measurement bracket: the reported cost is the trial
 			// loop alone, which is what the allocs/trial and trials/sec
 			// gates are meant to pin.
-			prep, err := turnpike.PrepareFaultCampaign(cctx, b, schemeByName[sn], turnpike.FaultCampaignConfig{
+			sc, _ := core.ParseScheme(sn) // validated with the flags
+			prep, err := turnpike.PrepareFaultCampaign(cctx, b, sc, turnpike.FaultCampaignConfig{
 				Trials: trials, Seed: 1, Workers: 1, FailureBudget: -1,
 				ScalePct: scale, SBSize: sb, WCDL: wcdl,
 			})

@@ -28,7 +28,9 @@
 // /jobs/{id}/trace (Chrome trace JSON, loadable in Perfetto) and rolled
 // into a phase-budget report at /jobs/{id}/phases; span.* duration
 // histograms land in /metrics. -span-file streams every completed span
-// to a file (.jsonl = JSON lines, anything else = Chrome trace JSON).
+// to a file as it flushes (.jsonl = JSON lines, .txt/.text = text); a
+// Chrome trace file would hold a daemon's whole life of spans in memory
+// until shutdown, so it is refused.
 //
 // Every job transition is persisted atomically under -state, and each
 // campaign checkpoints its completed trials there too. SIGTERM and
@@ -53,8 +55,9 @@
 // -fleet-misses heartbeats; leases outstanding longer than
 // -fleet-steal-after are work-stolen (duplicate grant, first complete
 // wins, cross-validated). While no workers are live the coordinator
-// executes leases itself, so a workerless daemon behaves exactly as
-// before — and every merged result is byte-identical to a single-node
+// runs pending ranges through the engine's own loop; they are not
+// leases, so a workerless daemon is the single-process campaign — and
+// every merged result is byte-identical to a single-node
 // run regardless of how many workers served it or died mid-campaign.
 // GET /fleet shows the worker and lease tables; /readyz reports fleet
 // health (degraded when registered workers are lost).
@@ -103,7 +106,7 @@ func main() {
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug (per-trial campaign events), info, warn, error")
 		recorder    = flag.Int("recorder", 4096, "flight-recorder ring capacity (events); 0 disables the ring, /jobs/{id}/events, and SIGQUIT dumps")
 		spans       = flag.Int("spans", 8192, "wall-clock span ring capacity backing /jobs/{id}/trace and /jobs/{id}/phases; 0 disables span tracing")
-		spanFile    = flag.String("span-file", "", "stream completed spans to this file (.jsonl = JSON lines, else Chrome trace JSON for Perfetto)")
+		spanFile    = flag.String("span-file", "", "stream completed spans to this file as they flush: .jsonl = JSON lines, .txt/.text = text (Chrome traces are served per job at /jobs/{id}/trace)")
 
 		tenants       = flag.String("tenants", "", "JSON tenants file (API keys + quotas); empty = anonymous single-tenant mode")
 		maxBody       = flag.Int64("max-body", 1<<20, "POST request body cap in bytes (413 beyond it)")
@@ -122,6 +125,14 @@ func main() {
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("campaignd: ")
+	if *spanFile != "" {
+		switch strings.ToLower(filepath.Ext(*spanFile)) {
+		case ".jsonl", ".txt", ".text":
+		default:
+			fmt.Fprintf(os.Stderr, "campaignd: -span-file %s: want a .jsonl, .txt or .text path (Chrome traces are served per job at /jobs/{id}/trace)\n", *spanFile)
+			os.Exit(2)
+		}
+	}
 
 	level, err := parseLevel(*logLevel)
 	if err != nil {

@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -274,6 +276,31 @@ func TestSigtermDrainRestartByteIdentical(t *testing.T) {
 			t.Errorf("job %d (%s) result diverged after SIGTERM+restart\nresumed:   %s\nreference: %s",
 				i+1, id, got[id], want[refID])
 		}
+	}
+}
+
+// TestSpanFileMustStream: -span-file takes only the sinks that write as
+// spans flush. A Chrome trace path, whose sink would hold every span of
+// the daemon's life in memory until shutdown, is a usage error.
+func TestSpanFileMustStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon")
+	}
+	bin := buildBinary(t)
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-state", filepath.Join(dir, "state"),
+		"-span-file", filepath.Join(dir, "x.json")).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-span-file x.json: err = %v, want exit status 2\n%s", err, out)
+	}
+	d := startDaemon(t, bin, filepath.Join(dir, "state"), "-span-file", filepath.Join(dir, "x.jsonl"))
+	d.cmd.Process.Kill() //nolint:errcheck
+	d.cmd.Wait()         //nolint:errcheck
+	if _, err := os.Stat(filepath.Join(dir, "x.jsonl")); err != nil {
+		t.Errorf("span file not created: %v", err)
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"text/tabwriter"
 
 	turnpike "repro"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
@@ -77,13 +78,8 @@ func main() {
 	cli := obs.RegisterCLI(flag.CommandLine, "faultcampaign")
 	flag.Parse()
 
-	var sc turnpike.Scheme
-	switch *scheme {
-	case "turnstile":
-		sc = turnpike.Turnstile
-	case "turnpike":
-		sc = turnpike.Turnpike
-	default:
+	sc, err := core.ParseScheme(*scheme)
+	if err != nil || sc == core.Baseline {
 		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
 		os.Exit(2)
 	}

@@ -57,18 +57,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var opt core.Options
-	switch *scheme {
-	case "baseline":
-		opt = core.Options{Scheme: core.Baseline, SBSize: *sb}
-	case "turnstile":
-		opt = core.Options{Scheme: core.Turnstile, SBSize: *sb}
-	case "turnpike":
-		opt = core.TurnpikeAll(*sb)
-	default:
+	sc, err := core.ParseScheme(*scheme)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
 		os.Exit(2)
 	}
+	opt := core.SchemeOptions(sc, *sb)
 
 	f := p.Build(*scale)
 	compiled, err := core.Compile(f, opt)
@@ -299,16 +293,11 @@ func runObserved(p workload.Profile, prog *isa.Program, opt core.Options, sb, wc
 
 // printTimeline simulates and reports the first n dynamic regions.
 func printTimeline(p workload.Profile, prog *isa.Program, opt core.Options, sb, wcdl, n int) {
-	var cfg pipeline.Config
-	switch opt.Scheme {
-	case core.Baseline:
+	if opt.Scheme == core.Baseline {
 		fmt.Println("\n(no regions under the baseline; timeline skipped)")
 		return
-	case core.Turnstile:
-		cfg = pipeline.TurnstileConfig(sb, wcdl)
-	default:
-		cfg = pipeline.TurnpikeConfig(sb, wcdl)
 	}
+	cfg := simConfig(opt, sb, wcdl)
 	cfg.RecordRegions = true
 	s, err := pipeline.New(prog, cfg)
 	if err != nil {

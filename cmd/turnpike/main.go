@@ -21,6 +21,7 @@ import (
 	"text/tabwriter"
 
 	turnpike "repro"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -53,15 +54,8 @@ func main() {
 	}
 	bench := flag.Arg(0)
 
-	var sc turnpike.Scheme
-	switch *scheme {
-	case "baseline":
-		sc = turnpike.Baseline
-	case "turnstile":
-		sc = turnpike.Turnstile
-	case "turnpike":
-		sc = turnpike.Turnpike
-	default:
+	sc, err := core.ParseScheme(*scheme)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
 		os.Exit(2)
 	}
@@ -76,7 +70,7 @@ func main() {
 
 	if *save != "" {
 		p, _ := workload.ByName(bench)
-		compiled, err := turnpike.Compile(p.Build(*scale), optionsFor(sc, *sb))
+		compiled, err := turnpike.Compile(p.Build(*scale), core.SchemeOptions(sc, *sb))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -118,18 +112,4 @@ func main() {
 		st.RBBFullStalls, st.ColorStalls)
 	fmt.Printf("regions: executed=%d clqOverflow=%d clqOcc(avg/max)=%.2f/%d\n",
 		st.RegionsExecuted, st.CLQOverflows, st.AvgCLQOccupancy(), st.CLQOccMax)
-}
-
-// optionsFor maps a scheme to its full compile options at the given SB.
-func optionsFor(sc turnpike.Scheme, sb int) turnpike.CompileOptions {
-	switch sc {
-	case turnpike.Baseline:
-		return turnpike.CompileOptions{Scheme: turnpike.Baseline, SBSize: sb}
-	case turnpike.Turnstile:
-		return turnpike.CompileOptions{Scheme: turnpike.Turnstile, SBSize: sb}
-	default:
-		return turnpike.CompileOptions{Scheme: turnpike.Turnpike, SBSize: sb,
-			StoreAwareRA: true, LIVM: true, Prune: true, Sink: true, Sched: true,
-			ColoredCkpts: true}
-	}
 }

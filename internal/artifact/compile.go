@@ -17,20 +17,6 @@ import (
 // evaluations and fault campaigns under either.
 var SchemeNames = []string{"baseline", "turnstile", "turnpike"}
 
-// optionsFor maps a scheme name to its compiler options at the given
-// store-buffer size.
-func optionsFor(scheme string, sbSize int) (core.Options, error) {
-	switch scheme {
-	case "baseline":
-		return core.Options{Scheme: core.Baseline, SBSize: sbSize}, nil
-	case "turnstile":
-		return core.Options{Scheme: core.Turnstile, SBSize: sbSize}, nil
-	case "turnpike":
-		return core.TurnpikeAll(sbSize), nil
-	}
-	return core.Options{}, fmt.Errorf("artifact: unknown scheme %q", scheme)
-}
-
 // CompileAll compiles f under every scheme at sbSize (≤0 defaults to 4),
 // audits each resilient image with the independent static verifier, and
 // returns a cache entry. sourceBytes is recorded for quota accounting.
@@ -50,10 +36,11 @@ func CompileAll(f *ir.Func, sbSize, sourceBytes int) (*Entry, error) {
 		size:        int64(sourceBytes),
 	}
 	for _, name := range SchemeNames {
-		opt, err := optionsFor(name, sbSize)
+		sc, err := core.ParseScheme(name)
 		if err != nil {
 			return nil, err
 		}
+		opt := core.SchemeOptions(sc, sbSize)
 		// Compile on a clone: the compiler mutates its input, and every
 		// scheme must start from the same parsed function.
 		compiled, err := core.Compile(f.Clone(), opt)

@@ -38,6 +38,17 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
+// ParseScheme returns the scheme whose String is name: the inverse of
+// String over the three schemes.
+func ParseScheme(name string) (Scheme, error) {
+	for _, s := range []Scheme{Baseline, Turnstile, Turnpike} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown scheme %q", name)
+}
+
 // Options configures a compilation. The five optimization toggles map to
 // the paper's Fig. 21 ablation axes; hardware fast-release (CLQ, coloring)
 // is a simulator option, not a compiler one.
@@ -72,6 +83,15 @@ func TurnpikeAll(sbSize int) Options {
 	return Options{Scheme: Turnpike, SBSize: sbSize,
 		StoreAwareRA: true, LIVM: true, Prune: true, Sink: true, Sched: true,
 		ColoredCkpts: true}
+}
+
+// SchemeOptions returns the compile options a scheme is evaluated with:
+// TurnpikeAll for Turnpike, and the bare scheme otherwise.
+func SchemeOptions(s Scheme, sbSize int) Options {
+	if s == Turnpike {
+		return TurnpikeAll(sbSize)
+	}
+	return Options{Scheme: s, SBSize: sbSize}
 }
 
 // Stats describes what the compiler did, feeding Figs. 4, 23, and 26.

@@ -107,6 +107,27 @@ func compileOrDie(t *testing.T, f *ir.Func, opt Options) *Compiled {
 	return c
 }
 
+// TestParseScheme: ParseScheme inverts String for every scheme and
+// rejects any other name.
+func TestParseScheme(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scheme
+		ok   bool
+	}{
+		{Baseline.String(), Baseline, true},
+		{Turnstile.String(), Turnstile, true},
+		{Turnpike.String(), Turnpike, true},
+		{"turnpike2", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseScheme(tc.name)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestCompileBaselinePreservesSemantics(t *testing.T) {
 	f := buildKernel(40)
 	want := goldenOutput(t, f, 40)

@@ -221,12 +221,7 @@ type WCDLSweepResult struct {
 // wcdlSweep runs one scheme over the WCDL axis.
 func wcdlSweep(r *Runner, scheme core.Scheme, wcdls []int) (*WCDLSweepResult, error) {
 	res := &WCDLSweepResult{Scheme: scheme, WCDLs: wcdls, Overhead: map[int]map[string]float64{}}
-	var opt core.Options
-	if scheme == core.Turnpike {
-		opt = core.TurnpikeAll(4)
-	} else {
-		opt = core.Options{Scheme: core.Turnstile, SBSize: 4}
-	}
+	opt := core.SchemeOptions(scheme, 4)
 	var mu sync.Mutex
 	for _, w := range wcdls {
 		w := w

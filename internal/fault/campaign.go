@@ -72,19 +72,6 @@ type engine struct {
 	det sensor.MeshDetector
 }
 
-// warnf reports a non-fatal campaign condition (today: a corrupt
-// checkpoint being discarded). The structured logger is the primary
-// sink; the legacy printf hook still fires when set, so existing
-// callers keep their warnings. Nothing set discards.
-func (e *engine) warnf(format string, args ...any) {
-	if e.cfg.Warnf != nil {
-		e.cfg.Warnf(format, args...)
-	}
-	if e.cfg.Logger != nil {
-		e.cfg.Logger.Warn(fmt.Sprintf(format, args...))
-	}
-}
-
 // logTrial emits one trial's Debug record. The Enabled check is hoisted
 // by the caller (debugOn) so a disabled logger costs nothing per trial.
 func (e *engine) logTrial(ctx context.Context, rec *TrialRecord) {
@@ -375,8 +362,8 @@ type Prepared struct {
 	goldenStats pipeline.Stats
 	// opened is set by the first Open (Run opens its own session).
 	opened bool
-	// mu serializes use of the runners: every fan-out (one Run, one
-	// RunRange shard) holds it — the primed simulators are exclusive
+	// mu serializes use of the runners: every fan-out (one Session.Run,
+	// one RunRange shard) holds it — the primed simulators are exclusive
 	// state.
 	mu sync.Mutex
 }
@@ -516,13 +503,9 @@ func (p *Prepared) GoldenStats() pipeline.Stats { return p.goldenStats }
 
 // Run executes the prepared campaign's trials on its own runners and
 // merges the result; see CampaignContext for the semantics. Run is a
-// Session driven locally: Open restores the checkpoint, the runners
-// lease the pending trials and put each record into the session as its
-// trial completes (a local record is trusted, so it skips Seal, Verify
-// and plan re-derivation), and Finish writes the final checkpoint and
-// merges. The first failed checkpoint write or the exhausted failure
-// budget cancels the outstanding trials. Run may be called once, and
-// not after Open.
+// Session driven locally: Open restores the checkpoint, Session.Run
+// executes the pending trials, and Finish writes the final checkpoint
+// and merges. Run may be called once, and not after Open.
 func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 	s, err := p.Open(ctx)
 	if err != nil {
@@ -545,23 +528,18 @@ func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 			slog.Bool("adversarial", cfg.Adversary != nil),
 		)
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Fresh trials are filled into one slab, so the steady-state trial
-	// loop performs no record allocations.
-	slab := make([]TrialRecord, cfg.Trials)
-	p.fanOut(runCtx, leases, slab, 0, func(wctx context.Context, rec []TrialRecord) {
-		if _, stop, _ := s.add(wctx, rec); stop {
-			cancel()
-		}
-	})
-	return s.Finish(ctx)
+	runErr := s.Run(ctx, leases)
+	res, err := s.Finish(ctx)
+	if runErr != nil {
+		return res, runErr
+	}
+	return res, err
 }
 
 // fanOut executes leases on the prepared runners, writing trial t's
-// record to recs[t-base]: the one worker loop behind Run and RunRange.
-// Workers claim leases in order through an atomic cursor, so no
-// dispatcher goroutine runs beside them, and worker 0 runs on the
+// record to recs[t-base]: the one worker loop behind Session.Run and
+// RunRange. Workers claim leases in order through an atomic cursor, so
+// no dispatcher goroutine runs beside them, and worker 0 runs on the
 // calling goroutine, so a one-worker fan-out starts no goroutine at all.
 // done, when set, receives each record as its trial completes, with the
 // worker's context. Workers stop claiming trials once ctx is done. One

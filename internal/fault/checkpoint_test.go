@@ -2,7 +2,6 @@ package fault
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs/olog"
 	"repro/internal/pipeline"
 )
 
@@ -101,12 +101,10 @@ func TestCorruptCheckpointRestartsFresh(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte(`{"version":2,"seed":9,"done":[{"tr`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var warns []string
+	var warns lockedBuffer
 	cfg := base
 	cfg.Checkpoint = ckpt
-	cfg.Warnf = func(format string, args ...any) {
-		warns = append(warns, fmt.Sprintf(format, args...))
-	}
+	cfg.Logger = olog.New(&warns, olog.Options{})
 	got, err := Campaign(prog, cfg, p.SeedMemory)
 	if err != nil {
 		t.Fatalf("campaign over a corrupt checkpoint must restart fresh, got %v", err)
@@ -117,8 +115,9 @@ func TestCorruptCheckpointRestartsFresh(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fresh restart diverged from a never-checkpointed run:\n%+v\nvs\n%+v", got, want)
 	}
-	if len(warns) == 0 || !strings.Contains(warns[0], "checkpoint corrupt") {
-		t.Fatalf("no corruption warning surfaced; warns=%q", warns)
+	if out := strings.Join(warns.Lines(), "\n"); !strings.Contains(out, "checkpoint corrupt") ||
+		!strings.Contains(out, `"WARN"`) {
+		t.Fatalf("no corruption warning surfaced; log=%s", out)
 	}
 }
 

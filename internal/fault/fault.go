@@ -110,19 +110,16 @@ type Config struct {
 	// Adversary: the perfect mesh, which detects every strike uniformly
 	// in [1, WCDL] cycles.
 	Adversary *Adversary
-	// Warnf, when set, receives non-fatal campaign warnings — today, a
-	// corrupt checkpoint file being discarded in favour of a fresh run.
-	// Nil discards. Kept as the legacy printf hook; new call sites should
-	// prefer Logger (when both are set, warnings go to both).
-	Warnf func(format string, args ...any)
 	// Logger, when set, receives the campaign's structured log:
 	// lifecycle events at Info (start, resume, completion, budget
-	// exhaustion), per-trial outcomes at Debug, and the simulator's rare
-	// events (recoveries, containment aborts, degrade transitions). Every
-	// record is stamped with the correlation chain of the campaign's
-	// context — job ID from the service, plus the shard (worker) and
-	// trial indices the engine adds — so one job's story can be filtered
-	// out of a shared stream. Nil disables at zero hot-loop cost.
+	// exhaustion), non-fatal warnings (a corrupt checkpoint discarded
+	// for a fresh run), per-trial outcomes at Debug, and the simulator's
+	// rare events (recoveries, containment aborts, degrade
+	// transitions). Every record is stamped with the correlation chain
+	// of the campaign's context — job ID from the service, plus the
+	// shard (worker) and trial indices the engine adds — so one job's
+	// story can be filtered out of a shared stream. Nil disables at zero
+	// hot-loop cost.
 	Logger *slog.Logger
 }
 

@@ -121,23 +121,3 @@ func TestCampaignLoggerOffIsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestWarnfAndLoggerBothReceiveWarnings pins the compat contract: a
-// corrupt checkpoint warning reaches the legacy printf hook and the
-// structured logger.
-func TestWarnfAndLoggerBothReceiveWarnings(t *testing.T) {
-	var sink lockedBuffer
-	var printf []string
-	e := &engine{cfg: Config{
-		Warnf:  func(format string, args ...any) { printf = append(printf, format) },
-		Logger: olog.New(&sink, olog.Options{}),
-	}}
-	e.warnf("checkpoint %s corrupt", "x.json")
-	if len(printf) != 1 {
-		t.Errorf("legacy Warnf hook not called: %v", printf)
-	}
-	if out := strings.Join(sink.Lines(), "\n"); !strings.Contains(out, "checkpoint x.json corrupt") ||
-		!strings.Contains(out, `"WARN"`) {
-		t.Errorf("structured warning missing: %s", out)
-	}
-}

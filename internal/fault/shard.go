@@ -2,13 +2,14 @@ package fault
 
 // The distributed half of the campaign engine. A coordinator Opens a
 // Prepared campaign as a Session, hands out TrialRanges as leases, and
-// Commits the ShardResults that come back — from remote workers over any
-// transport, or from its own runners via RunRange. Because every trial's
-// injection plan is a pure function of (Seed, trial) and the simulator is
-// deterministic, a shard executed anywhere merges byte-identically with
-// shards executed everywhere else; the Session enforces that by
-// re-deriving each committed record's plan and cross-checking duplicate
-// completions record-for-record.
+// Commits the ShardResults that remote workers send back over any
+// transport; the trials it keeps, it runs on its own runners through
+// Session.Run. Because every trial's injection plan is a pure function
+// of (Seed, trial) and the simulator is deterministic, a shard executed
+// anywhere merges byte-identically with shards executed everywhere
+// else; the Session enforces that by re-deriving each committed
+// record's plan and cross-checking duplicate completions
+// record-for-record.
 
 import (
 	"context"
@@ -120,10 +121,9 @@ func (s *ShardResult) Verify() error {
 
 // RunRange executes trials [lo, hi) on the prepared campaign's local
 // runners and returns the sealed shard — the worker side of a
-// distributed campaign, and the coordinator's local-fallback execution
-// path. The range is fanned over the prepared simulators a trial at a
-// time and each record lands at its trial index, so the shard is
-// byte-identical for any runner count. A cancelled ctx abandons the
+// distributed campaign. The range is fanned over the prepared
+// simulators a trial at a time and each record lands at its trial
+// index, so the shard is byte-identical for any runner count. A cancelled ctx abandons the
 // shard and returns the context error: partial shards are never
 // returned — the lease is simply re-run.
 func (p *Prepared) RunRange(ctx context.Context, lo, hi int) (*ShardResult, error) {
@@ -147,13 +147,13 @@ func (p *Prepared) RunRange(ctx context.Context, lo, hi int) (*ShardResult, erro
 
 // Session is a Prepared campaign opened for scheduling. It owns the
 // campaign's record table, checkpoint restore and cadence, failure
-// budget, and merge. Prepared.Run drives one locally; a distributed
-// coordinator leases Pending ranges to be executed anywhere (RunRange
-// locally, remote workers over a transport) and merges them back through
-// Commit. Finish merges the records in trial order, so the Result is
-// byte-identical to a single-process Prepared.Run of the same Config —
-// regardless of which worker executed which range, how often leases were
-// re-granted, or how many duplicate completions arrived.
+// budget, and merge. Run executes trials on the campaign's own runners,
+// as Prepared.Run does for a whole campaign; a distributed coordinator
+// also leases Pending ranges to remote workers and merges their shards
+// back through Commit. Finish merges the records in trial order, so the
+// Result is byte-identical to a single-process Prepared.Run of the same
+// Config — regardless of which worker executed which range, how often
+// leases were re-granted, or how many duplicate completions arrived.
 //
 // Session methods are safe for concurrent use.
 type Session struct {
@@ -203,7 +203,9 @@ func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 			if !errors.Is(err, ErrCheckpointCorrupt) {
 				return nil, err
 			}
-			e.warnf("%v — restarting the campaign from trial 0", err)
+			if log := e.cfg.Logger; log != nil {
+				log.Warn(fmt.Sprintf("%v — restarting the campaign from trial 0", err))
+			}
 			for i := range records {
 				records[i] = nil
 			}
@@ -225,10 +227,50 @@ func (s *Session) Trials() int { return len(s.records) }
 // leases carry so workers can prove they compiled the same campaign.
 func (s *Session) GoldenStats() pipeline.Stats { return s.p.goldenStats }
 
-// RunRange executes [lo, hi) on the session's own prepared runners —
-// the coordinator's local-fallback path when no fleet workers are live.
+// RunRange executes [lo, hi) on the session's own prepared runners and
+// returns the sealed shard without committing it: the worker-shaped
+// path that tests and perfbench measure.
 func (s *Session) RunRange(ctx context.Context, lo, hi int) (*ShardResult, error) {
 	return s.p.RunRange(ctx, lo, hi)
+}
+
+// Run executes leases on the session's own prepared runners and puts
+// each record into the session as its trial completes: the one
+// in-process execution path, behind Prepared.Run and a workerless fleet
+// coordinator. A record this process executed is trusted, so it skips
+// Seal, Verify and plan re-derivation (the runners are the campaign's
+// own engine, so re-deriving would compare planWith with itself); add
+// still compares it with any record already committed for its trial.
+// The first failed checkpoint write, the exhausted failure budget or a
+// mismatch cancels the outstanding trials, which stay pending, as do
+// those a cancelled ctx leaves unfinished. Run returns the mismatch,
+// wrapping ErrShardMismatch, and otherwise nil: Finish reports the rest.
+func (s *Session) Run(ctx context.Context, leases []TrialRange) error {
+	if len(leases) == 0 {
+		return nil
+	}
+	lo, hi := leases[0].Lo, leases[0].Hi
+	for _, l := range leases[1:] {
+		lo, hi = min(lo, l.Lo), max(hi, l.Hi)
+	}
+	if lo < 0 || hi > len(s.records) {
+		return fmt.Errorf("%w: leases [%d,%d) outside campaign of %d trials",
+			ErrInvalidConfig, lo, hi, len(s.records))
+	}
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	// Fresh trials are filled into one slab, so the steady-state trial
+	// loop performs no record allocations.
+	slab := make([]TrialRecord, hi-lo)
+	s.p.fanOut(runCtx, leases, slab, lo, func(wctx context.Context, rec []TrialRecord) {
+		if _, stop, err := s.add(wctx, rec); stop || err != nil {
+			cancel(err)
+		}
+	})
+	if err := context.Cause(runCtx); errors.Is(err, ErrShardMismatch) {
+		return err
+	}
+	return nil
 }
 
 // Completed returns how many trials hold committed records.
@@ -334,8 +376,8 @@ func (s *Session) Commit(sh *ShardResult) (int, error) {
 }
 
 // add puts trusted records into the table — a shard Commit validated,
-// or a trial Prepared.Run executed on the campaign's own runners: the
-// one merge step both paths share. A record whose trial is already
+// or a trial Run executed on the campaign's own runners: the one merge
+// step both paths share. A record whose trial is already
 // committed must match it exactly — if any disagrees, nothing is
 // committed and the error wraps ErrShardMismatch; otherwise it is a
 // benign duplicate. The cadence checkpoint is written here, its span

@@ -196,8 +196,9 @@ func TestCheckpointWriteFailure(t *testing.T) {
 
 // TestShardVerifyAndCommitValidation exercises every rejection class:
 // broken checksum, foreign golden fingerprint, fabricated injection
-// plans, and duplicate records that contradict committed ones — plus
-// Revoke as the mismatch resolution.
+// plans, and duplicate records that contradict committed ones, whether
+// they arrive by Commit or by the session's own Run — plus Revoke as the
+// mismatch resolution.
 func TestShardVerifyAndCommitValidation(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
 	cfg := shardTestConfig()
@@ -260,6 +261,17 @@ func TestShardVerifyAndCommitValidation(t *testing.T) {
 	}
 	if sess.RangeComplete(0, 8) {
 		t.Fatal("range still complete after Revoke")
+	}
+	// The session's own run checks its records against committed ones
+	// the same way, and returns the mismatch.
+	if _, err := sess.Commit(&lying); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Run(ctx, []TrialRange{{Lo: 0, Hi: 8}}); !errors.Is(err, ErrShardMismatch) {
+		t.Errorf("local run over a contradicting record: err = %v, want ErrShardMismatch", err)
+	}
+	if err := sess.Revoke(0, 8); err != nil {
+		t.Fatal(err)
 	}
 	rerun, err := sess.RunRange(ctx, 0, 8)
 	if err != nil {

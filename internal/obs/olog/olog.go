@@ -18,7 +18,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -271,58 +270,3 @@ func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler
 // Nop returns a logger that discards everything with zero allocations —
 // the disabled path for components that want an always-non-nil logger.
 func Nop() *slog.Logger { return slog.New(nopHandler{}) }
-
-// Warnf adapts a structured logger to the legacy printf-style warning
-// hook (fault.Config.Warnf and friends): the formatted message becomes a
-// WARN record. Kept for backward compatibility while call sites migrate
-// to structured logging.
-func Warnf(l *slog.Logger) func(format string, args ...any) {
-	return func(format string, args ...any) {
-		l.Warn(fmt.Sprintf(format, args...))
-	}
-}
-
-// Logf adapts the other direction: a legacy printf hook becomes a
-// correlated structured logger, so components that migrated internally
-// to slog keep honoring a caller's Logf. Records render as
-// "LEVEL msg key=value ..." through the hook.
-func Logf(logf func(format string, args ...any)) *slog.Logger {
-	if logf == nil {
-		return Nop()
-	}
-	return Attach(logfHandler{logf: logf})
-}
-
-// logfHandler renders records through a printf hook at Info level and up.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(_ context.Context, l slog.Level) bool {
-	return l >= slog.LevelInfo
-}
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	appendAttr := func(a slog.Attr) bool {
-		if a.Key == "" {
-			return true
-		}
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Resolve().Any())
-		return true
-	}
-	for _, a := range h.attrs {
-		appendAttr(a)
-	}
-	r.Attrs(appendAttr)
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return logfHandler{logf: h.logf, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"reflect"
 	"sort"
@@ -114,38 +113,6 @@ func TestTextFormatAndLeveling(t *testing.T) {
 	}
 	if !strings.Contains(out, "kept") || !strings.Contains(out, "k=v") {
 		t.Errorf("text line malformed: %s", out)
-	}
-}
-
-func TestWarnfAdapter(t *testing.T) {
-	var buf bytes.Buffer
-	warnf := Warnf(New(&buf, Options{}))
-	warnf("checkpoint %s discarded after %d tries", "x.json", 3)
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["level"] != "WARN" || m["msg"] != "checkpoint x.json discarded after 3 tries" {
-		t.Errorf("warnf line = %v", m)
-	}
-}
-
-func TestLogfAdapter(t *testing.T) {
-	var lines []string
-	l := Logf(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	ctx := WithJobID(context.Background(), "job-7")
-	l.Log(ctx, slog.LevelInfo, "job done", "trials", 240)
-	l.Debug("invisible") // logf adapter is Info+
-	if len(lines) != 1 {
-		t.Fatalf("lines = %v", lines)
-	}
-	if want := "job done trials=240 job_id=job-7"; lines[0] != want {
-		t.Errorf("logf line = %q, want %q", lines[0], want)
-	}
-	if Logf(nil).Enabled(context.Background(), slog.LevelError) {
-		t.Error("Logf(nil) must be disabled")
 	}
 }
 

@@ -62,7 +62,7 @@ func referenceResult(t *testing.T) []byte {
 // service to interrupt. Returns the job ID.
 func interruptMidCampaign(t *testing.T, dir string, interrupt func(*service.Service)) string {
 	t.Helper()
-	s, err := service.New(service.LocalFleet(service.Config{StateDir: dir, Logf: t.Logf}, nil, nil))
+	s, err := service.New(service.LocalFleet(service.Config{StateDir: dir, Logger: service.TLogger(t)}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func interruptMidCampaign(t *testing.T, dir string, interrupt func(*service.Serv
 // to the uninterrupted reference.
 func finishAndCompare(t *testing.T, dir, id string, want []byte) {
 	t.Helper()
-	s, err := service.New(service.LocalFleet(service.Config{StateDir: dir, Logf: t.Logf}, nil, nil))
+	s, err := service.New(service.LocalFleet(service.Config{StateDir: dir, Logger: service.TLogger(t)}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

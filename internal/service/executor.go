@@ -46,15 +46,9 @@ type ProgramResolver func(ctx context.Context, fp string) (*artifact.Entry, erro
 // programs resolves "program:<fingerprint>" workloads; nil rejects them.
 func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slog.Logger, programs ProgramResolver) PrepareFunc {
 	return func(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Prepared, error) {
-		var sc turnpike.Scheme
-		schemeName := spec.Scheme
-		switch spec.Scheme {
-		case "", "turnpike":
-			sc, schemeName = turnpike.Turnpike, "turnpike"
-		case "turnstile":
-			sc = turnpike.Turnstile
-		default:
-			return nil, fmt.Errorf("%w: unknown scheme %q", fault.ErrInvalidConfig, spec.Scheme)
+		sc, err := spec.campaignScheme()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", fault.ErrInvalidConfig, err)
 		}
 		cfg := turnpike.FaultCampaignConfig{
 			Trials:          spec.Trials,
@@ -81,10 +75,10 @@ func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slo
 		if err != nil {
 			return nil, err
 		}
-		prog, ok := entry.Schemes[schemeName]
+		prog, ok := entry.Schemes[sc.String()]
 		if !ok {
 			return nil, fmt.Errorf("%w: program %s has no %s image", fault.ErrInvalidConfig,
-				entry.Fingerprint, schemeName)
+				entry.Fingerprint, sc)
 		}
 		cfg.SBSize = entry.SBSize
 		return turnpike.PrepareCompiledFaultCampaign(ctx, prog, sc, cfg)

@@ -31,11 +31,12 @@ import (
 //     loser's late shard is cross-validated record-for-record against
 //     what was committed — a mismatch quarantines the submitter, revokes
 //     the range, and re-runs it;
-//   - while zero remote workers are live the coordinator executes leases
-//     itself, so a fleet of one is just the single-process campaign.
+//   - while zero remote workers are live the coordinator runs pending
+//     ranges through the engine's own loop (fault.Session.Run); they are
+//     not leases, so a fleet of one is just the single-process campaign.
 //
-// Every committed shard flows through fault.Session.Commit, which
-// re-derives each record's injection plan and checkpoints on the
+// Every shard a worker sends flows through fault.Session.Commit, which
+// re-derives each record's injection plan; both paths checkpoint on the
 // configured cadence — so kill -9 of any worker (or of the coordinator;
 // the job re-runs from its checkpoint next life) still merges to bytes
 // identical to a single-node run.
@@ -155,11 +156,6 @@ type FleetConfig struct {
 	// PollInterval is the lease-poll cadence workers are told to use
 	// while the coordinator has no work for them. Default 250ms.
 	PollInterval time.Duration
-	// LocalWorkers is the trial parallelism advertised for the
-	// coordinator's own local-fallback execution; it only sizes the
-	// automatic lease when no remote workers are live. Default
-	// GOMAXPROCS-derived by the campaign engine.
-	LocalWorkers int
 	// Progress, when set, receives the fleet gauges (live.fleet_workers,
 	// live.leases_stolen, ...).
 	Progress *pipeline.Progress
@@ -197,12 +193,11 @@ func (c *FleetConfig) fillDefaults() {
 // FIFO of grantable ranges, and the wakeup channel its Run loop blocks
 // on.
 type fleetJob struct {
-	id        string
-	spec      JobSpec
-	sess      *fault.Session
-	pending   []fault.TrialRange
-	localBusy int           // ranges being executed by the local fallback
-	kick      chan struct{} // buffered-1 wakeup for the Run loop
+	id      string
+	spec    JobSpec
+	sess    *fault.Session
+	pending []fault.TrialRange
+	kick    chan struct{} // buffered-1 wakeup for the Run loop
 }
 
 func (fj *fleetJob) wake() {
@@ -435,7 +430,7 @@ func (f *Fleet) stealCandidateLocked(workerID string, now time.Time) *Lease {
 	var victim *Lease
 	for _, id := range f.leaseOrder {
 		l := f.leases[id]
-		if l.State != LeaseActive || l.Worker == workerID || l.Worker == localWorkerID {
+		if l.State != LeaseActive || l.Worker == workerID {
 			continue
 		}
 		if now.Sub(l.GrantedAt) < f.cfg.StealAfter {
@@ -666,7 +661,7 @@ func (f *Fleet) Tick() {
 	}
 	for _, id := range f.leaseOrder {
 		l := f.leases[id]
-		if l.State == LeaseActive && l.Worker != localWorkerID && now.After(l.Deadline) {
+		if l.State == LeaseActive && now.After(l.Deadline) {
 			f.log.Warn("lease expired; range requeued",
 				"lease", l.ID, "worker", l.Worker, "lo", l.Lo, "hi", l.Hi)
 			f.expireLocked(l)
@@ -699,19 +694,15 @@ func (f *Fleet) wakeAllLocked() {
 	}
 }
 
-// localWorkerID marks leases the coordinator executes itself while no
-// remote workers are live. Local leases never expire — the coordinator
-// cannot lose itself; a cancelled job context reclaims them instead.
-const localWorkerID = "local"
-
 // Run drives one campaign through the fleet until every trial is
 // committed, the failure budget trips, or ctx is cancelled — then merges
 // and returns the Result through the session's Finish, exactly as
 // fault.Prepared.Run would have. While zero remote workers are live, the
-// coordinator executes pending ranges itself on the session's prepared
-// runners, so a workerless fleet degrades to the single-process campaign
-// (and a mid-campaign worker registration picks up the remaining
-// ranges).
+// coordinator runs pending ranges through the engine's own loop
+// (fault.Session.Run, a trial at a time over the session's runners);
+// they are not leases. A workerless fleet is therefore the
+// single-process campaign, and a mid-campaign worker registration picks
+// up the remaining ranges.
 func (f *Fleet) Run(ctx context.Context, spec JobSpec, sess *fault.Session) (*fault.Result, error) {
 	jobID := olog.FromContext(ctx).JobID
 	fj := &fleetJob{
@@ -738,8 +729,12 @@ func (f *Fleet) Run(ctx context.Context, spec JobSpec, sess *fault.Session) (*fa
 			break
 		}
 		if r, ok := f.claimLocal(fj); ok {
-			sh, err := sess.RunRange(ctx, r.Lo, r.Hi)
-			f.finishLocal(fj, r, sh, err)
+			// Trials the run leaves unfinished stay pending in the
+			// session, where settled finds them, so the range is not
+			// requeued.
+			if err := sess.Run(ctx, fault.SplitLeases([]fault.TrialRange{r}, 1)); err != nil {
+				f.log.Warn("local range failed", "job", fj.id, "lo", r.Lo, "hi", r.Hi, "error", err.Error())
+			}
 			continue
 		}
 		select {
@@ -768,14 +763,10 @@ func (f *Fleet) addJob(fj *fleetJob) {
 }
 
 // leaseSizeLocked resolves the job's lease size by the engine's policy
-// (fault.LeaseSize), counting as executors the live remote fleet when
-// one exists, else the local trial parallelism. Caller holds f.mu.
+// (fault.LeaseSize), counting the live remote workers as executors.
+// Caller holds f.mu.
 func (f *Fleet) leaseSizeLocked(spec JobSpec, trials int) int {
-	execs := f.liveWorkersLocked()
-	if execs == 0 {
-		execs = f.cfg.LocalWorkers
-	}
-	return fault.LeaseSize(spec.Lease, trials, execs)
+	return fault.LeaseSize(spec.Lease, trials, f.liveWorkersLocked())
 }
 
 func (f *Fleet) liveWorkersLocked() int {
@@ -838,16 +829,16 @@ func (f *Fleet) pruneLeasesLocked() {
 }
 
 // settled reports whether the campaign owes no more work: budget
-// exhausted, or no pending ranges, no outstanding leases, and no local
-// execution in flight. The last case re-derives the session's pending
-// set as a self-check — any range lost by bookkeeping is re-split and
-// re-queued instead of stalling the campaign.
+// exhausted, or no pending ranges and no outstanding leases. The last
+// case re-derives the session's pending set — trials a local range or
+// bookkeeping left uncovered are re-split and re-queued instead of
+// stalling the campaign.
 func (f *Fleet) settled(fj *fleetJob) bool {
 	if fj.sess.BudgetExhausted() {
 		return true
 	}
 	f.mu.Lock()
-	if len(fj.pending) > 0 || fj.localBusy > 0 {
+	if len(fj.pending) > 0 {
 		f.mu.Unlock()
 		return false
 	}
@@ -871,9 +862,10 @@ func (f *Fleet) settled(fj *fleetJob) bool {
 	return false
 }
 
-// claimLocal pops one pending range for local-fallback execution — only
-// while zero remote workers are live (a live fleet owns the work; the
-// coordinator should not race it).
+// claimLocal pops one pending range for Run to execute in this process
+// — only while zero remote workers are live (a live fleet owns the work;
+// the coordinator should not race it). The range is not a lease: it
+// enters no lease table and is not persisted.
 func (f *Fleet) claimLocal(fj *fleetJob) (fault.TrialRange, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -882,60 +874,7 @@ func (f *Fleet) claimLocal(fj *fleetJob) (fault.TrialRange, bool) {
 	}
 	r := fj.pending[0]
 	fj.pending = fj.pending[1:]
-	fj.localBusy++
-	now := f.cfg.Now()
-	f.nextLease++
-	l := &Lease{
-		ID:        fmt.Sprintf("lease-%06d", f.nextLease),
-		JobID:     fj.id,
-		Worker:    localWorkerID,
-		Lo:        r.Lo,
-		Hi:        r.Hi,
-		State:     LeaseActive,
-		GrantedAt: now,
-		Deadline:  now.Add(f.cfg.LeaseTTL),
-	}
-	f.leases[l.ID] = l
-	f.leaseOrder = append(f.leaseOrder, l.ID)
-	f.updateGaugesLocked()
 	return r, true
-}
-
-// finishLocal commits (or requeues) one locally executed range.
-func (f *Fleet) finishLocal(fj *fleetJob, r fault.TrialRange, sh *fault.ShardResult, runErr error) {
-	var commitErr error
-	if runErr == nil {
-		_, commitErr = fj.sess.Commit(sh)
-	}
-	f.mu.Lock()
-	fj.localBusy--
-	var l *Lease
-	for _, id := range f.leaseOrder {
-		o := f.leases[id]
-		if o.Worker == localWorkerID && o.JobID == fj.id && o.Lo == r.Lo && o.Hi == r.Hi && o.State == LeaseActive {
-			l = o
-			break
-		}
-	}
-	switch {
-	case runErr != nil || commitErr != nil:
-		if l != nil {
-			l.State = LeaseExpired
-			f.requeueLocked(fj, l)
-		} else {
-			fj.pending = append([]fault.TrialRange{r}, fj.pending...)
-		}
-	case l != nil:
-		l.State = LeaseDone
-	}
-	fj.wake()
-	f.updateGaugesLocked()
-	f.mu.Unlock()
-	if commitErr != nil {
-		f.log.Warn("local shard rejected; range requeued",
-			"job", fj.id, "lo", r.Lo, "hi", r.Hi, "error", commitErr.Error())
-	}
-	f.changed()
 }
 
 // Status is the /fleet page payload and the /readyz fleet-health input.

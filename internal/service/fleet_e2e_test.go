@@ -94,7 +94,7 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 		Fleet:    fleet,
 		Progress: progress,
 		Metrics:  reg,
-		Logf:     t.Logf,
+		Logger:   service.TLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)

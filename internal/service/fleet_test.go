@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,7 +84,7 @@ func fleetReference(t *testing.T, trials int) *fault.Result {
 
 // LocalFleet wires cfg as cmd/campaignd ships with no workers joined: a
 // FleetExecutor over the real engine (CampaignPrepare) whose workerless
-// fleet executes every lease itself. Exported for the external e2e
+// fleet runs every trial in process. Exported for the external e2e
 // tests.
 func LocalFleet(cfg Config, logger *slog.Logger, programs ProgramResolver) Config {
 	cfg.Fleet = NewFleet(FleetConfig{})
@@ -104,7 +105,7 @@ func runShard(t *testing.T, sess *fault.Session, lo, hi int) *fault.ShardResult 
 }
 
 // addFleetJob registers a session with the coordinator the way
-// Fleet.Run's prologue does, without starting the local-fallback loop —
+// Fleet.Run's prologue does, without starting its in-process loop —
 // the tests own every grant and completion.
 func addFleetJob(f *Fleet, id string, spec JobSpec, sess *fault.Session) *fleetJob {
 	fj := &fleetJob{id: id, spec: spec, sess: sess, kick: make(chan struct{}, 1)}
@@ -404,6 +405,109 @@ func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fleetReference(t, trials), res) {
 		t.Error("result after late-heartbeat recovery diverged from single-node run")
+	}
+}
+
+// TestWorkerlessFleetRunsInProcess: with no worker registered, Fleet.Run
+// runs every trial through the engine's own loop. The result is
+// byte-identical to a single-node run, no lease is booked, and the
+// persistence hook fires only when the job joins and leaves the fleet.
+func TestWorkerlessFleetRunsInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real campaign fleet test")
+	}
+	const trials = 32
+	f := NewFleet(FleetConfig{})
+	var changes atomic.Int32
+	f.SetOnChange(func() { changes.Add(1) })
+	sess, spec := fleetSession(t, trials, 8, 0, "")
+	res, err := f.Run(context.Background(), spec, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fleetReference(t, trials), res) {
+		t.Error("workerless fleet result diverged from single-node run")
+	}
+	if leases := f.LeaseRecords(); len(leases) != 0 {
+		t.Errorf("workerless fleet booked leases: %+v", leases)
+	}
+	if got := changes.Load(); got != 2 {
+		t.Errorf("persistence hook fired %d times, want 2 (job added, job dropped)", got)
+	}
+}
+
+// TestFleetLocalRemoteHandOff: one campaign runs partly on a remote
+// worker and partly on the coordinator. The worker completes one lease,
+// is lost holding a second, and the coordinator finishes the rest —
+// the reclaimed range included — in process. The merge is still
+// byte-identical to a single-node run, and the lease table holds only
+// the worker's grants.
+func TestFleetLocalRemoteHandOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real campaign fleet test")
+	}
+	const trials = 32
+	clk := newFakeClock()
+	f := NewFleet(FleetConfig{
+		HeartbeatInterval: time.Second,
+		HeartbeatMisses:   3,
+		LeaseTTL:          time.Hour, // only heartbeat loss reclaims here
+		Now:               clk.Now,
+	})
+	if _, err := f.Register("w1", ""); err != nil {
+		t.Fatal(err)
+	}
+	joined := make(chan struct{})
+	var once sync.Once
+	f.SetOnChange(func() { once.Do(func() { close(joined) }) })
+	sess, spec := fleetSession(t, trials, 8, 8, "")
+
+	type outcome struct {
+		res *fault.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := f.Run(context.Background(), spec, sess)
+		done <- outcome{res, err}
+	}()
+	<-joined
+
+	g1, err := f.Lease("w1")
+	if err != nil || g1 == nil || g1.Lo != 0 || g1.Hi != 8 {
+		t.Fatalf("grant = %+v, %v; want [0,8)", g1, err)
+	}
+	if fresh, err := f.Complete("w1", g1.LeaseID, runShard(t, sess, g1.Lo, g1.Hi)); err != nil || fresh != 8 {
+		t.Fatalf("complete [0,8): fresh=%d err=%v", fresh, err)
+	}
+	g2, err := f.Lease("w1")
+	if err != nil || g2 == nil || g2.Lo != 8 || g2.Hi != 16 {
+		t.Fatalf("second grant = %+v, %v; want [8,16)", g2, err)
+	}
+
+	// Three missed beats: the worker is lost, its lease is reclaimed, and
+	// the coordinator takes over.
+	clk.Advance(3*time.Second + time.Millisecond)
+	f.Tick()
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if !reflect.DeepEqual(fleetReference(t, trials), got.res) {
+		t.Error("hand-off result diverged from single-node run")
+	}
+	st := f.Snapshot()
+	if len(st.Workers) != 1 || st.Workers[0].Trials <= 0 || st.Workers[0].Trials >= trials {
+		t.Fatalf("worker trials = %+v, want some but not all of %d", st.Workers, trials)
+	}
+	leases := f.LeaseRecords()
+	if len(leases) != 2 {
+		t.Errorf("lease table holds %d leases, want the worker's 2: %+v", len(leases), leases)
+	}
+	for _, l := range leases {
+		if l.Worker != "w1" {
+			t.Errorf("lease %s held by %q, want only w1's grants", l.ID, l.Worker)
+		}
 	}
 }
 

@@ -313,7 +313,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // while draining (shutdown in progress) and not while the queue is
 // saturated (a load balancer should prefer a sibling daemon). With a
 // fleet attached it also reports fleet health: lost workers mark the
-// coordinator degraded — still ready (the local fallback and the
+// coordinator degraded — still ready (in-process execution and the
 // surviving workers keep campaigns moving; dropping the coordinator
 // from the balancer would help nothing) but visibly impaired, so
 // operators and probes see worker loss without scraping /fleet.

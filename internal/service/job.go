@@ -1,10 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -72,6 +74,17 @@ func (s *JobSpec) IsProgram() bool {
 	return strings.HasPrefix(s.Bench, ProgramBenchPrefix)
 }
 
+// campaignScheme resolves the spec's scheme: "" is turnpike, and the
+// baseline, which has no detection or recovery to campaign against, is
+// refused.
+func (s *JobSpec) campaignScheme() (core.Scheme, error) {
+	sc, err := core.ParseScheme(cmp.Or(s.Scheme, "turnpike"))
+	if err != nil || sc == core.Baseline {
+		return 0, fmt.Errorf("service: unknown scheme %q (want turnpike or turnstile)", s.Scheme)
+	}
+	return sc, nil
+}
+
 // Validate rejects specs no executor could run.
 func (s *JobSpec) Validate() error {
 	if s.Bench == "" {
@@ -81,10 +94,8 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("service: %q is not a program fingerprint (want %s<32 hex chars>)",
 			s.Bench, ProgramBenchPrefix)
 	}
-	switch s.Scheme {
-	case "", "turnpike", "turnstile":
-	default:
-		return fmt.Errorf("service: unknown scheme %q (want turnpike or turnstile)", s.Scheme)
+	if _, err := s.campaignScheme(); err != nil {
+		return err
 	}
 	if s.Trials < 0 {
 		return fmt.Errorf("service: negative trial count %d", s.Trials)

@@ -72,13 +72,8 @@ type Config struct {
 	// Logger, when set, receives the service's structured log: one
 	// record per job state transition, breaker/retry events, and the
 	// operational warnings, each stamped with the request/job correlation
-	// chain. Supersedes Logf as the primary sink.
+	// chain. Nil discards.
 	Logger *slog.Logger
-	// Logf is the legacy printf hook. When Logger is nil, every
-	// structured record (Info and up) is rendered "msg key=value ..."
-	// through it, so existing callers keep their log lines. Nil discards
-	// (unless Logger is set).
-	Logf func(format string, args ...any)
 	// Events, when set, is the flight recorder whose ring backs the
 	// GET /jobs/{id}/events timeline and the on-failure dumps. Wire the
 	// same Recorder as a fanout leg of Logger (olog.Attach) so every
@@ -189,8 +184,7 @@ func (e *BreakerOpenError) Error() string {
 // daemon resumes where it stood.
 type Service struct {
 	cfg Config
-	// log is the resolved structured logger: cfg.Logger, else cfg.Logf
-	// through the olog.Logf adapter, else a nop. Never nil.
+	// log is cfg.Logger, else a nop. Never nil.
 	log *slog.Logger
 	// queueWait and attemptLat are the service's RED histograms (nil
 	// without cfg.Metrics): how long jobs sit queued before a worker
@@ -237,12 +231,8 @@ func New(cfg Config) (*Service, error) {
 		nextID:   1,
 		now:      time.Now,
 	}
-	switch {
-	case cfg.Logger != nil:
-		s.log = cfg.Logger
-	case cfg.Logf != nil:
-		s.log = olog.Logf(cfg.Logf)
-	default:
+	s.log = cfg.Logger
+	if s.log == nil {
 		s.log = olog.Nop()
 	}
 	if cfg.Metrics != nil {
@@ -835,10 +825,8 @@ func (s *Service) count(name string) {
 	}
 }
 
-// logf renders a legacy printf-style line through the structured logger
-// at Info. With only cfg.Logf configured the olog.Logf adapter hands the
-// rendered text straight back to it, so pre-structured callers see the
-// exact lines they always did.
+// logf renders a printf-style line through the structured logger at
+// Info.
 func (s *Service) logf(format string, args ...any) {
 	s.log.Info(fmt.Sprintf(format, args...))
 }

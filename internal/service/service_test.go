@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/obs/olog"
 	"repro/internal/pipeline"
 )
 
@@ -32,6 +34,19 @@ func (f execFunc) Execute(ctx context.Context, spec JobSpec, checkpoint string) 
 // instantExec completes every job immediately with a tiny result.
 func instantExec(_ context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 	return &fault.Result{CompletedTrials: spec.Trials, Outcomes: map[fault.Outcome]int{fault.Masked: spec.Trials}}, nil
+}
+
+// TLogger returns a structured logger that writes each record through
+// t.Logf. Exported for the external e2e tests.
+func TLogger(t testing.TB) *slog.Logger {
+	return olog.New(tLogWriter{t}, olog.Options{Format: "text"})
+}
+
+type tLogWriter struct{ t testing.TB }
+
+func (w tLogWriter) Write(p []byte) (int, error) {
+	w.t.Logf("%s", bytes.TrimSuffix(p, []byte("\n")))
+	return len(p), nil
 }
 
 // newTestService builds a service over a temp dir with fast timings.
@@ -49,7 +64,9 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	if cfg.BackoffCap == 0 {
 		cfg.BackoffCap = 4 * time.Millisecond
 	}
-	cfg.Logf = t.Logf
+	if cfg.Logger == nil {
+		cfg.Logger = TLogger(t)
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -458,9 +475,7 @@ func TestCorruptStateFileStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	var warned bytes.Buffer
-	s, err := New(Config{StateDir: dir, Executor: execFunc(instantExec), Logf: func(f string, a ...any) {
-		fmt.Fprintf(&warned, f+"\n", a...)
-	}})
+	s, err := New(Config{StateDir: dir, Executor: execFunc(instantExec), Logger: olog.New(&warned, olog.Options{})})
 	if err != nil {
 		t.Fatalf("corrupt state file must not prevent boot: %v", err)
 	}

@@ -29,7 +29,7 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	tr := span.New(span.Config{Metrics: reg})
 	s, err := service.New(service.LocalFleet(service.Config{
 		StateDir: t.TempDir(),
-		Logf:     t.Logf,
+		Logger:   service.TLogger(t),
 		Metrics:  reg,
 		Spans:    tr,
 	}, nil, nil))

@@ -148,17 +148,13 @@ func Evaluate(bench string, scheme Scheme, cfg EvalConfig) (*EvalResult, error) 
 	}
 	f := p.Build(cfg.ScalePct)
 
-	var opt core.Options
 	var sim pipeline.Config
 	switch scheme {
 	case Baseline:
-		opt = core.Options{Scheme: core.Baseline, SBSize: cfg.SBSize}
 		sim = pipeline.BaselineConfig(cfg.SBSize)
 	case Turnstile:
-		opt = core.Options{Scheme: core.Turnstile, SBSize: cfg.SBSize}
 		sim = pipeline.TurnstileConfig(cfg.SBSize, cfg.WCDL)
 	case Turnpike:
-		opt = core.TurnpikeAll(cfg.SBSize)
 		sim = pipeline.TurnpikeConfig(cfg.SBSize, cfg.WCDL)
 	default:
 		return nil, fmt.Errorf("turnpike: unknown scheme %v", scheme)
@@ -167,7 +163,7 @@ func Evaluate(bench string, scheme Scheme, cfg EvalConfig) (*EvalResult, error) 
 		sim.CLQ = pipeline.CLQIdeal
 	}
 
-	compiled, err := core.Compile(f, opt)
+	compiled, err := core.Compile(f, core.SchemeOptions(scheme, cfg.SBSize))
 	if err != nil {
 		return nil, err
 	}
@@ -230,10 +226,6 @@ type FaultCampaignConfig struct {
 	// rewrites (default 64); campaign services lower it so a drained or
 	// killed job loses at most a few trials. See fault.Config.
 	CheckpointEvery int
-	// Warnf, when non-nil, receives non-fatal campaign warnings (today: a
-	// corrupt checkpoint file being discarded for a fresh run). The
-	// legacy printf hook; prefer Logger.
-	Warnf func(format string, args ...any)
 	// Logger, when non-nil, receives the campaign's structured log —
 	// lifecycle events, per-trial Debug records, and the simulator's
 	// rare events — stamped with the caller context's correlation chain.
@@ -275,11 +267,7 @@ func campaignSetup(bench string, scheme Scheme, cfg *FaultCampaignConfig) (*Prog
 	if !ok {
 		return nil, pipeline.Config{}, nil, fmt.Errorf("turnpike: unknown benchmark %q", bench)
 	}
-	opt := core.Options{Scheme: core.Turnstile, SBSize: cfg.SBSize}
-	if scheme == Turnpike {
-		opt = core.TurnpikeAll(cfg.SBSize)
-	}
-	compiled, err := core.Compile(p.Build(cfg.ScalePct), opt)
+	compiled, err := core.Compile(p.Build(cfg.ScalePct), core.SchemeOptions(scheme, cfg.SBSize))
 	if err != nil {
 		return nil, pipeline.Config{}, nil, err
 	}
@@ -325,7 +313,6 @@ func (cfg *FaultCampaignConfig) engineConfig(sim pipeline.Config) fault.Config {
 		Checkpoint:      cfg.Checkpoint,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Adversary:       cfg.Adversary,
-		Warnf:           cfg.Warnf,
 		Logger:          cfg.Logger,
 	}
 }
