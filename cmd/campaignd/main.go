@@ -32,13 +32,14 @@
 // Chrome trace file would hold a daemon's whole life of spans in memory
 // until shutdown, so it is refused.
 //
-// Every job transition is persisted atomically under -state, and each
-// campaign checkpoints its completed trials there too. SIGTERM and
-// SIGINT drain: in-flight campaigns get up to -drain to finish, then
-// are cancelled — which flushes their checkpoints — and the daemon
-// exits 0. A restart (graceful or after a crash) re-queues unfinished
-// jobs and resumes them from their watermarks; results are
-// byte-identical to an uninterrupted run.
+// Every job transition rewrites that job's file, <state>/jobs/<id>.json,
+// atomically, and each campaign checkpoints its completed trials under
+// -state too; a jobs.json left by an earlier daemon is migrated to
+// per-job files at boot. SIGTERM and SIGINT drain: in-flight campaigns
+// get up to -drain to finish, then are cancelled — which flushes their
+// checkpoints — and the daemon exits 0. A restart (graceful or after a
+// crash) re-queues unfinished jobs and resumes them from their
+// watermarks; results are byte-identical to an uninterrupted run.
 //
 // # Fleet mode
 //
@@ -229,6 +230,11 @@ func main() {
 
 	srv := obs.NewServer(obs.ServerConfig{Snapshot: reg.Snapshot, RunsDir: *state, Instrument: reg})
 	svc.Mount(srv)
+	// Catch the stop signals before the address line goes out: a script
+	// may SIGTERM the daemon as soon as it has read it, and that must
+	// drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		log.Fatal(err)
@@ -243,8 +249,6 @@ func main() {
 	sampler.Start()
 	svc.Start()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
 	var got os.Signal
 	for got = range sig {
 		if got != syscall.SIGQUIT {
@@ -268,7 +272,7 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	if err := svc.Shutdown(ctx); err != nil {
-		log.Printf("warning: final state persist: %v", err)
+		log.Printf("warning: shutdown: %v", err)
 	}
 	cancel()
 	if spanOut != nil {

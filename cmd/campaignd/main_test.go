@@ -100,6 +100,29 @@ func startDaemon(t *testing.T, bin, dir string, extra ...string) *daemon {
 	}
 }
 
+// stop sends SIGTERM and requires a drain: exit status 0 within 30 s
+// and the "drained" log line.
+func (d *daemon) stop(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- d.cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("daemon exit after SIGTERM: %v\n%s", err, d.out.String())
+		}
+	case <-time.After(30 * time.Second):
+		d.cmd.Process.Kill()
+		t.Fatalf("daemon did not exit within 30s of SIGTERM\n%s", d.out.String())
+	}
+	if !strings.Contains(d.out.String(), "drained") {
+		t.Fatalf("exit was not a drain:\n%s", d.out.String())
+	}
+}
+
 // jobView is the slice of the job JSON the test compares across daemon
 // lives: lifecycle outcome plus the raw campaign result.
 type jobView struct {
@@ -198,10 +221,7 @@ func TestSigtermDrainRestartByteIdentical(t *testing.T) {
 		refIDs = append(refIDs, submit(t, ref.base, spec))
 	}
 	want := waitAllDone(t, ref.base, refIDs, 3*time.Minute)
-	ref.cmd.Process.Signal(syscall.SIGTERM) //nolint:errcheck
-	if err := ref.cmd.Wait(); err != nil {
-		t.Fatalf("reference daemon exit: %v\n%s", err, ref.out.String())
-	}
+	ref.stop(t)
 
 	// Interrupted life: SIGTERM once job 1's campaign has checkpointed
 	// (proof the signal lands mid-campaign). -drain is kept short so the
@@ -228,22 +248,9 @@ func TestSigtermDrainRestartByteIdentical(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- d.cmd.Wait() }()
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("daemon exit after SIGTERM: %v\n%s", err, d.out.String())
-		}
-	case <-time.After(30 * time.Second):
-		d.cmd.Process.Kill()
-		t.Fatalf("daemon did not exit within 30s of SIGTERM\n%s", d.out.String())
-	}
+	d.stop(t)
 	logs := d.out.String()
-	if !strings.Contains(logs, "draining") || !strings.Contains(logs, "drained") {
+	if !strings.Contains(logs, "draining") {
 		t.Fatalf("exit was not a drain:\n%s", logs)
 	}
 
@@ -296,11 +303,22 @@ func TestSpanFileMustStream(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Fatalf("-span-file x.json: err = %v, want exit status 2\n%s", err, out)
 	}
-	d := startDaemon(t, bin, filepath.Join(dir, "state"), "-span-file", filepath.Join(dir, "x.jsonl"))
-	d.cmd.Process.Kill() //nolint:errcheck
-	d.cmd.Wait()         //nolint:errcheck
+	startDaemon(t, bin, filepath.Join(dir, "state"), "-span-file", filepath.Join(dir, "x.jsonl")).stop(t)
 	if _, err := os.Stat(filepath.Join(dir, "x.jsonl")); err != nil {
 		t.Errorf("span file not created: %v", err)
+	}
+}
+
+// TestSigtermAtBootDrains: the stop signals are caught before the
+// address line goes out, so a SIGTERM sent the moment a script reads it
+// drains the daemon instead of killing it.
+func TestSigtermAtBootDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon")
+	}
+	bin := buildBinary(t)
+	for i := 0; i < 5; i++ {
+		startDaemon(t, bin, t.TempDir()).stop(t)
 	}
 }
 

@@ -166,7 +166,10 @@ type Session struct {
 	every     int
 	budget    int
 	ckptErr   error
-	finished  bool
+	// saved reports that the checkpoint file holds exactly records: the
+	// last write succeeded and nothing changed since.
+	saved    bool
+	finished bool
 }
 
 // Open restores the campaign's checkpoint (if configured) and returns
@@ -410,10 +413,11 @@ func (s *Session) add(ctx context.Context, recs []TrialRecord) (fresh int, stop 
 		}
 	}
 	s.sinceCkpt += fresh
-	if e := s.p.e; fresh > 0 && e.cfg.Checkpoint != "" && s.sinceCkpt >= s.every {
+	s.saved = s.saved && fresh == 0
+	if fresh > 0 && s.p.e.cfg.Checkpoint != "" && s.sinceCkpt >= s.every {
 		s.sinceCkpt = 0
 		ckptStart := time.Now()
-		err := e.save(s.records, s.p.goldenStats)
+		err := s.saveLocked()
 		span.RecordCtx(ctx, "fault", "checkpoint_write", ckptStart, time.Now(),
 			map[string]any{"trial": recs[len(recs)-1].Trial})
 		if err != nil && s.ckptErr == nil {
@@ -448,12 +452,20 @@ func (s *Session) Revoke(lo, hi int) error {
 		}
 	}
 	if s.p.e.cfg.Checkpoint != "" {
-		return s.p.e.save(s.records, s.p.goldenStats)
+		return s.saveLocked()
 	}
 	return nil
 }
 
-// Finish writes the final checkpoint, merges every committed record in
+// saveLocked writes the checkpoint; the caller holds s.mu.
+func (s *Session) saveLocked() error {
+	err := s.p.e.save(s.records, s.p.goldenStats)
+	s.saved = err == nil
+	return err
+}
+
+// Finish writes the final checkpoint (unless the last write already
+// holds every committed record), merges every committed record in
 // trial order, and returns the campaign Result — byte-identical to a
 // single-process run of the same Config over the same completed trials.
 // A checkpoint write failure, a cancelled ctx, or an exhausted failure
@@ -468,9 +480,9 @@ func (s *Session) Finish(ctx context.Context) (*Result, error) {
 	}
 	s.finished = true
 	e := s.p.e
-	if e.cfg.Checkpoint != "" {
+	if e.cfg.Checkpoint != "" && !s.saved {
 		ckptStart := time.Now()
-		err := e.save(s.records, s.p.goldenStats)
+		err := s.saveLocked()
 		span.RecordCtx(ctx, "fault", "checkpoint_write", ckptStart, time.Now(),
 			map[string]any{"final": true})
 		if err != nil && s.ckptErr == nil {

@@ -363,6 +363,68 @@ func TestSessionCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestFinishSkipsRepeatCheckpoint: Finish writes the checkpoint only
+// when trials were committed since the last write, and what it writes
+// resumes.
+func TestFinishSkipsRepeatCheckpoint(t *testing.T) {
+	prog, p := compiled(t, "gcc", core.Turnpike)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		ranges  []TrialRange
+		rewrite bool
+	}{
+		{"last add wrote", []TrialRange{{0, 8}, {8, 16}}, false},
+		{"trials unsaved", []TrialRange{{0, 8}, {8, 12}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := shardTestConfig()
+			cfg.Checkpoint = filepath.Join(t.TempDir(), "session.ckpt.json")
+			cfg.CheckpointEvery = 8
+			open := func() *Session {
+				t.Helper()
+				prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := prep.Open(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sess
+			}
+			sess := open()
+			for _, r := range tc.ranges {
+				sh, err := sess.RunRange(ctx, r.Lo, r.Hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.Commit(sh); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := os.Stat(cfg.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Finish(ctx); err != nil {
+				t.Fatal(err)
+			}
+			after, err := os.Stat(cfg.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rewrote := !os.SameFile(before, after); rewrote != tc.rewrite {
+				t.Errorf("Finish rewrote the checkpoint: %v, want %v", rewrote, tc.rewrite)
+			}
+			want := tc.ranges[len(tc.ranges)-1].Hi
+			if got := open().Completed(); got != want {
+				t.Errorf("resumed session holds %d trials, want %d", got, want)
+			}
+		})
+	}
+}
+
 // TestRunRangeCancelReturnsNoShard: a cancelled context abandons the
 // shard entirely — partial shards must never merge.
 func TestRunRangeCancelReturnsNoShard(t *testing.T) {

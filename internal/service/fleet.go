@@ -42,8 +42,9 @@ import (
 // identical to a single-node run.
 //
 // Lock order: Service.mu → Fleet.mu. The Fleet never calls back into
-// the Service while holding its own lock; the persistence hook
-// (SetOnChange) fires after mu is released.
+// the Service. Its worker and lease tables live in memory only: the
+// grant and expiry history is in the structured log and the flight
+// recorder, and campaign progress is in the checkpoints.
 
 // Fleet wiring errors the HTTP layer maps to status codes.
 var (
@@ -109,7 +110,8 @@ const (
 )
 
 // Lease is one grant of a contiguous trial range to one worker — the
-// unit persisted in the jobs.json lease table and listed on /fleet.
+// unit listed on /fleet. Leases are not persisted: a restarted
+// coordinator starts with an empty table.
 type Lease struct {
 	ID     string     `json:"id"`
 	JobID  string     `json:"job_id"`
@@ -216,14 +218,10 @@ type Fleet struct {
 	mu         sync.Mutex
 	workers    map[string]*fleetWorker
 	leases     map[string]*Lease
-	leaseOrder []string // grant order, for listing and persistence
+	leaseOrder []string // grant order, for listing
 	jobs       []*fleetJob
 	nextWorker int
 	nextLease  int
-
-	// onChange is the persistence hook (the Service rewrites jobs.json).
-	// Always invoked with no Fleet lock held.
-	onChange func()
 }
 
 type fleetWorker struct {
@@ -247,25 +245,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		f.log = olog.Nop()
 	}
 	return f
-}
-
-// SetOnChange installs the persistence hook invoked (with no fleet lock
-// held) after every durable state change: registration, loss,
-// quarantine, grant, completion, expiry. The Service wires this to its
-// state-file rewrite so the lease table survives a coordinator restart.
-func (f *Fleet) SetOnChange(fn func()) {
-	f.mu.Lock()
-	f.onChange = fn
-	f.mu.Unlock()
-}
-
-func (f *Fleet) changed() {
-	f.mu.Lock()
-	fn := f.onChange
-	f.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
 }
 
 // HeartbeatInterval reports the cadence workers are told to beat at.
@@ -303,7 +282,6 @@ func (f *Fleet) Register(id, addr string) (WorkerInfo, error) {
 	f.wakeAllLocked()
 	f.mu.Unlock()
 	f.log.Info("fleet worker registered", "worker", id, "addr", addr)
-	f.changed()
 	return info, nil
 }
 
@@ -388,7 +366,6 @@ func (f *Fleet) Lease(workerID string) (*LeaseGrant, error) {
 				"lo", grant.Lo, "hi", grant.Hi)
 		}
 		f.count("fleet.leases_granted")
-		f.changed()
 	}
 	return grant, nil
 }
@@ -490,14 +467,12 @@ func (f *Fleet) Complete(workerID, leaseID string, sh *fault.ShardResult) (fresh
 		// flight; nothing to merge into.
 		l.State = LeaseExpired
 		f.mu.Unlock()
-		f.changed()
 		return 0, fmt.Errorf("%w: %s (job %s gone)", ErrUnknownLease, leaseID, l.JobID)
 	}
 	if sh == nil || sh.Lo != l.Lo || sh.Hi != l.Hi {
 		f.quarantineLocked(w, l, fmt.Errorf("shard range does not match lease %s", leaseID))
 		f.updateGaugesLocked()
 		f.mu.Unlock()
-		f.changed()
 		return 0, fmt.Errorf("%w: shard range does not match lease %s", fault.ErrShardInvalid, leaseID)
 	}
 	sess := fj.sess
@@ -523,7 +498,6 @@ func (f *Fleet) Complete(workerID, leaseID string, sh *fault.ShardResult) (fresh
 		f.requeueLocked(fj, l)
 		f.updateGaugesLocked()
 		f.mu.Unlock()
-		f.changed()
 		return 0, commitErr
 	case commitErr != nil:
 		// Validation failure: broken checksum, foreign golden
@@ -532,7 +506,6 @@ func (f *Fleet) Complete(workerID, leaseID string, sh *fault.ShardResult) (fresh
 		f.requeueLocked(fj, l)
 		f.updateGaugesLocked()
 		f.mu.Unlock()
-		f.changed()
 		return 0, commitErr
 	}
 	l.State = LeaseDone
@@ -557,7 +530,6 @@ func (f *Fleet) Complete(workerID, leaseID string, sh *fault.ShardResult) (fresh
 	f.mu.Unlock()
 	f.log.Debug("shard accepted", "lease", leaseID, "worker", workerID,
 		"lo", l.Lo, "hi", l.Hi, "fresh", fresh)
-	f.changed()
 	return fresh, nil
 }
 
@@ -590,13 +562,12 @@ func (f *Fleet) Fail(workerID, leaseID string, class Class, msg string) error {
 	}
 	f.updateGaugesLocked()
 	f.mu.Unlock()
-	f.changed()
 	return nil
 }
 
 // quarantineLocked marks the worker untrusted and reclaims every active
 // lease it holds. Caller holds f.mu and then requeues via
-// requeueLocked/changed as appropriate.
+// requeueLocked as appropriate.
 func (f *Fleet) quarantineLocked(w *fleetWorker, cause *Lease, why error) {
 	if w.State != WorkerQuarantined {
 		w.State = WorkerQuarantined
@@ -643,12 +614,10 @@ func (f *Fleet) requeueLocked(fj *fleetJob, l *Lease) {
 func (f *Fleet) Tick() {
 	f.mu.Lock()
 	now := f.cfg.Now()
-	changed := false
 	lostAfter := time.Duration(f.cfg.HeartbeatMisses) * f.cfg.HeartbeatInterval
 	for _, w := range f.workers {
 		if w.State == WorkerLive && now.Sub(w.LastBeat) > lostAfter {
 			w.State = WorkerLost
-			changed = true
 			f.log.Warn("fleet worker lost: missed heartbeats; reclaiming its leases",
 				"worker", w.ID, "last_beat", w.LastBeat)
 			for _, id := range f.leaseOrder {
@@ -665,15 +634,11 @@ func (f *Fleet) Tick() {
 			f.log.Warn("lease expired; range requeued",
 				"lease", l.ID, "worker", l.Worker, "lo", l.Lo, "hi", l.Hi)
 			f.expireLocked(l)
-			changed = true
 		}
 	}
 	f.wakeAllLocked()
 	f.updateGaugesLocked()
 	f.mu.Unlock()
-	if changed {
-		f.changed()
-	}
 }
 
 // expireLocked reclaims one active lease. Caller holds f.mu.
@@ -759,7 +724,6 @@ func (f *Fleet) addJob(fj *fleetJob) {
 	f.mu.Unlock()
 	f.log.Info("campaign joined the fleet grant queue",
 		"job", fj.id, "ranges", len(fj.pending), "lease_size", size)
-	f.changed()
 }
 
 // leaseSizeLocked resolves the job's lease size by the engine's policy
@@ -799,7 +763,6 @@ func (f *Fleet) dropJob(fj *fleetJob) {
 	f.pruneLeasesLocked()
 	f.updateGaugesLocked()
 	f.mu.Unlock()
-	f.changed()
 }
 
 // pruneLeasesLocked bounds the lease table: settled leases of jobs no
@@ -865,7 +828,7 @@ func (f *Fleet) settled(fj *fleetJob) bool {
 // claimLocal pops one pending range for Run to execute in this process
 // — only while zero remote workers are live (a live fleet owns the work;
 // the coordinator should not race it). The range is not a lease: it
-// enters no lease table and is not persisted.
+// enters no lease table.
 func (f *Fleet) claimLocal(fj *fleetJob) (fault.TrialRange, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -927,18 +890,6 @@ func sortWorkers(ws []WorkerInfo) {
 			ws[j], ws[j-1] = ws[j-1], ws[j]
 		}
 	}
-}
-
-// LeaseRecords returns the lease table in grant order — the slice the
-// Service persists into jobs.json.
-func (f *Fleet) LeaseRecords() []Lease {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Lease, 0, len(f.leaseOrder))
-	for _, id := range f.leaseOrder {
-		out = append(out, *f.leases[id])
-	}
-	return out
 }
 
 // updateGaugesLocked refreshes the Progress fleet gauges and the

@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,7 +173,7 @@ func TestFleetLeaseExpiryAtCheckpointWatermark(t *testing.T) {
 		t.Fatalf("watermark moved across an expiry: %d, want %d", got, every)
 	}
 	var expired *Lease
-	for _, l := range f.LeaseRecords() {
+	for _, l := range f.Snapshot().Leases {
 		if l.ID == g2.LeaseID {
 			expired = &l
 			break
@@ -263,7 +262,7 @@ func TestFleetWorkStealingDuplicateCompletion(t *testing.T) {
 		t.Fatalf("leases_stolen = %d, want 1", got)
 	}
 	var stolenRec *Lease
-	for _, l := range f.LeaseRecords() {
+	for _, l := range f.Snapshot().Leases {
 		if l.ID == stolen.LeaseID {
 			stolenRec = &l
 			break
@@ -279,7 +278,7 @@ func TestFleetWorkStealingDuplicateCompletion(t *testing.T) {
 	if fresh, err := f.Complete("w2", stolen.LeaseID, good); err != nil || fresh != 16 {
 		t.Fatalf("thief completion: fresh=%d err=%v", fresh, err)
 	}
-	for _, l := range f.LeaseRecords() {
+	for _, l := range f.Snapshot().Leases {
 		if l.ID == g1.LeaseID && l.State != LeaseSuperseded {
 			t.Fatalf("straggler lease state = %s, want superseded", l.State)
 		}
@@ -368,7 +367,7 @@ func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 	if st.WorkersLive != 1 || st.WorkersLost != 0 {
 		t.Fatalf("after revival: live=%d lost=%d, want 1/0", st.WorkersLive, st.WorkersLost)
 	}
-	for _, l := range f.LeaseRecords() {
+	for _, l := range f.Snapshot().Leases {
 		if l.ID == g1.LeaseID && l.State != LeaseExpired {
 			t.Fatalf("revival resurrected the reclaimed lease: state = %s", l.State)
 		}
@@ -410,16 +409,13 @@ func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 
 // TestWorkerlessFleetRunsInProcess: with no worker registered, Fleet.Run
 // runs every trial through the engine's own loop. The result is
-// byte-identical to a single-node run, no lease is booked, and the
-// persistence hook fires only when the job joins and leaves the fleet.
+// byte-identical to a single-node run, and no lease is booked.
 func TestWorkerlessFleetRunsInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real campaign fleet test")
 	}
 	const trials = 32
 	f := NewFleet(FleetConfig{})
-	var changes atomic.Int32
-	f.SetOnChange(func() { changes.Add(1) })
 	sess, spec := fleetSession(t, trials, 8, 0, "")
 	res, err := f.Run(context.Background(), spec, sess)
 	if err != nil {
@@ -428,11 +424,8 @@ func TestWorkerlessFleetRunsInProcess(t *testing.T) {
 	if !reflect.DeepEqual(fleetReference(t, trials), res) {
 		t.Error("workerless fleet result diverged from single-node run")
 	}
-	if leases := f.LeaseRecords(); len(leases) != 0 {
+	if leases := f.Snapshot().Leases; len(leases) != 0 {
 		t.Errorf("workerless fleet booked leases: %+v", leases)
-	}
-	if got := changes.Load(); got != 2 {
-		t.Errorf("persistence hook fired %d times, want 2 (job added, job dropped)", got)
 	}
 }
 
@@ -457,9 +450,6 @@ func TestFleetLocalRemoteHandOff(t *testing.T) {
 	if _, err := f.Register("w1", ""); err != nil {
 		t.Fatal(err)
 	}
-	joined := make(chan struct{})
-	var once sync.Once
-	f.SetOnChange(func() { once.Do(func() { close(joined) }) })
 	sess, spec := fleetSession(t, trials, 8, 8, "")
 
 	type outcome struct {
@@ -471,11 +461,20 @@ func TestFleetLocalRemoteHandOff(t *testing.T) {
 		res, err := f.Run(context.Background(), spec, sess)
 		done <- outcome{res, err}
 	}()
-	<-joined
 
-	g1, err := f.Lease("w1")
-	if err != nil || g1 == nil || g1.Lo != 0 || g1.Hi != 8 {
-		t.Fatalf("grant = %+v, %v; want [0,8)", g1, err)
+	// The first grant arrives once the campaign has joined the fleet.
+	var g1 *LeaseGrant
+	for deadline := time.Now().Add(30 * time.Second); g1 == nil; time.Sleep(time.Millisecond) {
+		var err error
+		if g1, err = f.Lease("w1"); err != nil {
+			t.Fatal(err)
+		}
+		if g1 == nil && time.Now().After(deadline) {
+			t.Fatal("the campaign never joined the fleet's grant queue")
+		}
+	}
+	if g1.Lo != 0 || g1.Hi != 8 {
+		t.Fatalf("grant = %+v; want [0,8)", g1)
 	}
 	if fresh, err := f.Complete("w1", g1.LeaseID, runShard(t, sess, g1.Lo, g1.Hi)); err != nil || fresh != 8 {
 		t.Fatalf("complete [0,8): fresh=%d err=%v", fresh, err)
@@ -500,7 +499,7 @@ func TestFleetLocalRemoteHandOff(t *testing.T) {
 	if len(st.Workers) != 1 || st.Workers[0].Trials <= 0 || st.Workers[0].Trials >= trials {
 		t.Fatalf("worker trials = %+v, want some but not all of %d", st.Workers, trials)
 	}
-	leases := f.LeaseRecords()
+	leases := f.Snapshot().Leases
 	if len(leases) != 2 {
 		t.Errorf("lease table holds %d leases, want the worker's 2: %+v", len(leases), leases)
 	}

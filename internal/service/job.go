@@ -122,8 +122,9 @@ func (s *JobSpec) Workload() string {
 	return s.Bench + "/" + scheme
 }
 
-// Job is one submitted campaign and its durable lifecycle record — the
-// unit persisted to the state file on every transition.
+// Job is one submitted campaign and its durable lifecycle record,
+// rewritten to its own file, <StateDir>/jobs/<id>.json, at each of its
+// transitions.
 type Job struct {
 	ID    string  `json:"id"`
 	Spec  JobSpec `json:"spec"`

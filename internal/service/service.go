@@ -20,8 +20,9 @@ import (
 
 // Config parameterizes New. Zero values get production defaults.
 type Config struct {
-	// StateDir holds jobs.json and the per-job campaign checkpoints
-	// (required). Created if missing.
+	// StateDir holds the job store, one jobs/<id>.json per job, and the
+	// per-job campaign checkpoints (required). Created if missing. A
+	// jobs.json left by an earlier daemon is migrated at boot.
 	StateDir string
 	// Executor runs each job attempt (required). checkpoint is the
 	// absolute path of the job's resume file: the executor threads it
@@ -30,9 +31,9 @@ type Config struct {
 	// *FleetExecutor, which leases each campaign's trial ranges to the
 	// worker fleet and runs them in this process while none are live.
 	Executor Executor
-	// Fleet, when set, is the coordinator state machine whose lease
-	// table is persisted alongside the jobs (jobs.json v2), reported by
-	// /readyz, and served on /fleet. Mount registers the fleet endpoints
+	// Fleet, when set, is the coordinator state machine whose health
+	// /readyz reports and whose workers and leases /fleet serves. Its
+	// lease table is not persisted. Mount registers the fleet endpoints
 	// only when this is set.
 	Fleet *Fleet
 	// QueueDepth bounds the waiting-job queue; a full queue rejects
@@ -195,7 +196,7 @@ type Service struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     map[string]*Job
-	order    []string // submission order, for listing and persistence
+	order    []string // submission order, for listing
 	pending  []string // FIFO of queued job IDs
 	running  map[string]context.CancelFunc
 	timers   map[string]*time.Timer // retrying jobs' backoff timers
@@ -203,10 +204,6 @@ type Service struct {
 	nextID   int
 	draining bool
 	aborted  bool // simulated crash: skip all persistence on the way out
-	// restoredLeases is the previous life's lease table (active grants
-	// downgraded to expired), re-persisted until the fleet produces its
-	// own records.
-	restoredLeases []Lease
 
 	wg  sync.WaitGroup
 	now func() time.Time // test hook
@@ -219,7 +216,7 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(cfg.StateDir, "jobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("service: state dir: %w", err)
 	}
 	s := &Service{
@@ -246,22 +243,6 @@ func New(cfg Config) (*Service, error) {
 	if err := s.loadState(); err != nil {
 		return nil, err
 	}
-	if cfg.Fleet != nil {
-		// Fleet state changes (registration, grants, completions,
-		// expiries) rewrite jobs.json so the lease table survives a
-		// coordinator restart. The hook fires with no fleet lock held;
-		// lock order is always Service.mu → Fleet.mu.
-		cfg.Fleet.SetOnChange(func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.aborted {
-				return
-			}
-			if err := s.persistLocked(); err != nil {
-				s.warn(context.Background(), err)
-			}
-		})
-	}
 	restored := 0
 	for _, id := range s.order {
 		j := s.jobs[id]
@@ -284,7 +265,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	if restored > 0 {
-		s.logf("restored %d unfinished job(s) from %s; campaigns resume from their checkpoints", restored, s.statePath())
+		s.logf("restored %d unfinished job(s) from %s; campaigns resume from their checkpoints", restored, s.jobsDir())
 	}
 	s.updateGauges()
 	return s, nil
@@ -393,7 +374,7 @@ func (s *Service) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	s.pending = append(s.pending, id)
 	s.count("service.jobs_submitted")
 	pstart := time.Now()
-	if err := s.persistLocked(); err != nil {
+	if err := s.persistJobLocked(j); err != nil {
 		// Roll the admission back: a job we cannot persist is a job we
 		// would silently lose on restart.
 		delete(s.jobs, id)
@@ -473,7 +454,7 @@ func (s *Service) Cancel(id string) error {
 	s.releaseQuotaLocked(j)
 	s.count("service.jobs_canceled")
 	s.updateGauges()
-	return s.persistLocked()
+	return s.persistJobLocked(j)
 }
 
 // Saturated reports whether the queue is at capacity (the /readyz
@@ -488,8 +469,9 @@ func (s *Service) Saturated() bool {
 // retry timers are parked (their jobs resume next life), and in-flight
 // jobs run to completion until ctx expires — then their contexts are
 // cancelled, which flushes each campaign's checkpoint and returns the
-// job to the queue for the next daemon life. The final state is
-// persisted before returning.
+// job to the queue for the next daemon life. Nothing is left to persist
+// on the way out: every transition, the drained attempts' requeues
+// included, was written when it happened.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -531,16 +513,10 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		<-done
 	}
 
-	s.mu.Lock()
-	err := s.persistLocked()
-	s.mu.Unlock()
 	// The service owns the tracer's lifecycle: stop its flusher goroutine
 	// now that no worker can record. The retention ring survives, so the
 	// HTTP layer keeps answering /jobs/{id}/trace for a drained daemon.
-	if cErr := s.cfg.Spans.Close(); err == nil {
-		err = cErr
-	}
-	return err
+	return s.cfg.Spans.Close()
 }
 
 // pop blocks until a job is available or the service drains.
@@ -598,7 +574,7 @@ func (s *Service) runJob(id string) {
 	spec := j.Spec
 	attempt := j.Attempts
 	pstart := time.Now()
-	if err := s.persistLocked(); err != nil {
+	if err := s.persistJobLocked(j); err != nil {
 		s.warn(jobCtx, err)
 	}
 	s.cfg.Spans.Record(jobCtx, "service", "persist", pstart, time.Now(),
@@ -647,7 +623,7 @@ func (s *Service) runJob(id string) {
 		}
 		b.success()
 		s.count("service.jobs_done")
-		os.Remove(ckpt) // the result is in the state file; the watermark is spent
+		os.Remove(ckpt) // the result is in the job's file; the watermark is spent
 		s.log.InfoContext(jobCtx, "job done",
 			"completed", res.CompletedTrials, "trials", spec.Trials,
 			"attempt", attempt, "elapsed_ms", elapsed.Milliseconds())
@@ -701,7 +677,7 @@ func (s *Service) runJob(id string) {
 	}
 	if persist {
 		pstart := time.Now()
-		if err := s.persistLocked(); err != nil {
+		if err := s.persistJobLocked(j); err != nil {
 			s.warn(jobCtx, err)
 		}
 		s.cfg.Spans.Record(settleCtx, "service", "persist", pstart, time.Now(),
@@ -757,7 +733,7 @@ func (s *Service) requeue(id string) {
 		j.backoffAt = time.Time{}
 	}
 	s.log.InfoContext(ctx, "backoff elapsed; requeued", "attempt", j.Attempts)
-	if err := s.persistLocked(); err != nil {
+	if err := s.persistJobLocked(j); err != nil {
 		s.warn(ctx, err)
 	}
 	s.updateGauges()

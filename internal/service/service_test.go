@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -492,7 +493,7 @@ func TestCorruptStateFileStartsFresh(t *testing.T) {
 }
 
 // TestStatePersistedAtomically: every transition leaves a parseable
-// state file (WriteFileAtomic), so any kill point yields a loadable
+// job file (WriteFileAtomic), so any kill point yields a loadable
 // store.
 func TestStatePersistedAtomically(t *testing.T) {
 	dir := t.TempDir()
@@ -506,16 +507,218 @@ func TestStatePersistedAtomically(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, "jobs.json"))
+	b, err := os.ReadFile(filepath.Join(dir, "jobs", j.ID+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sf stateFile
-	if err := json.Unmarshal(b, &sf); err != nil {
-		t.Fatalf("state file not parseable: %v\n%s", err, b)
+	var got Job
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatalf("job file not parseable: %v\n%s", err, b)
 	}
-	if len(sf.Jobs) != 1 || sf.Jobs[0].State != StateDone || sf.Jobs[0].Result == nil {
-		t.Fatalf("state file contents: %+v", sf)
+	if got.ID != j.ID || got.State != StateDone || got.Result == nil {
+		t.Fatalf("job file contents: %+v", got)
+	}
+}
+
+// TestFinishedJobFileNeverRewritten: a transition writes only its own
+// job's file, so a finished job's file outlives every later job's
+// transitions untouched, and no whole-store file is written.
+func TestFinishedJobFileNeverRewritten(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	s := newTestService(t, Config{
+		StateDir: dir,
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, ckpt string) (*fault.Result, error) {
+			if spec.Seed == 3 {
+				<-release // job C holds the worker while job D waits in the queue
+			}
+			return instantExec(ctx, spec, ckpt)
+		}),
+	})
+	s.Start()
+	defer s.Shutdown(context.Background())
+	defer close(release)
+	submit := func(seed int64) *Job {
+		t.Helper()
+		j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 3, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	a := submit(1)
+	waitState(t, s, a.ID, StateDone)
+	path := filepath.Join(dir, "jobs", a.ID+".json")
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	waitState(t, s, submit(2).ID, StateDone)
+	c := submit(3)
+	waitState(t, s, c.ID, StateRunning)
+	d := submit(4)
+	if err := s.Cancel(d.ID); err != nil {
+		t.Fatal(err)
+	}
+	release <- struct{}{}
+	waitState(t, s, c.ID, StateDone)
+
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Errorf("%s was rewritten after its job finished", path)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("%s changed after its job finished (err %v):\n%s\nwant:\n%s", path, err, got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("jobs.json written: %v", err)
+	}
+}
+
+// TestLegacyStateFileMigrates: an earlier daemon's whole-store jobs.json
+// (version 1, or version 2 with its lease table) becomes one file per
+// job at boot: its jobs list in order, its open job runs, and its next
+// ID is kept.
+func TestLegacyStateFileMigrates(t *testing.T) {
+	submitted := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	done := &Job{
+		ID: "job-000002", Spec: JobSpec{Bench: "gcc", Scheme: "turnpike", Trials: 3, CheckpointEvery: 16},
+		State: StateDone, Attempts: 1, Checkpoint: "job-000002.ckpt.json",
+		Result:      &fault.Result{CompletedTrials: 3, Outcomes: map[fault.Outcome]int{fault.Masked: 3}},
+		SubmittedAt: submitted, StartedAt: submitted, FinishedAt: submitted,
+	}
+	queued := &Job{
+		ID: "job-000005", Spec: JobSpec{Bench: "gcc", Scheme: "turnpike", Trials: 5, CheckpointEvery: 16},
+		State: StateQueued, Checkpoint: "job-000005.ckpt.json", SubmittedAt: submitted,
+	}
+	for _, version := range []int{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			legacy := map[string]any{"version": version, "next_id": 7, "jobs": []*Job{done, queued}}
+			if version == 2 {
+				legacy["leases"] = []Lease{{ID: "lease-000001", JobID: queued.ID, Worker: "w1",
+					Hi: 5, State: LeaseActive, GrantedAt: submitted, Deadline: submitted}}
+			}
+			b, err := json.Marshal(legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "jobs.json")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := newTestService(t, Config{StateDir: dir})
+			s.Start()
+			defer s.Shutdown(context.Background())
+
+			jobs := s.Jobs()
+			if len(jobs) != 2 || jobs[0].ID != done.ID || jobs[1].ID != queued.ID {
+				t.Fatalf("migrated jobs = %+v, want %s then %s", jobs, done.ID, queued.ID)
+			}
+			if jobs[0].State != StateDone || jobs[0].Result == nil || jobs[0].Result.CompletedTrials != 3 {
+				t.Errorf("migrated done job = %+v", jobs[0])
+			}
+			if got := waitState(t, s, queued.ID, StateDone); got.Result == nil || got.Result.CompletedTrials != 5 {
+				t.Errorf("migrated queued job finished with %+v", got.Result)
+			}
+			next, err := s.Submit(JobSpec{Bench: "gcc"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.ID != "job-000007" {
+				t.Errorf("next ID = %s, want job-000007 (the legacy next_id)", next.ID)
+			}
+			if _, err := os.Stat(path + ".migrated"); err != nil {
+				t.Errorf("legacy file not kept as jobs.json.migrated: %v", err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("jobs.json still present after migration: %v", err)
+			}
+		})
+	}
+}
+
+// TestCorruptJobFileMovedAside: an unreadable job file costs that job
+// only — it is moved aside with the corruption warning, the other jobs
+// load, and its ID is not issued again.
+func TestCorruptJobFileMovedAside(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, Config{StateDir: dir})
+	s.Start()
+	good, err := s.Submit(JobSpec{Bench: "gcc", Trials: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, good.ID, StateDone)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "jobs", good.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "jobs", "job-000002.json")
+	if err := os.WriteFile(bad, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var warned bytes.Buffer
+	s2, err := New(Config{StateDir: dir, Executor: execFunc(instantExec), Logger: olog.New(&warned, olog.Options{})})
+	if err != nil {
+		t.Fatalf("a corrupt job file must not prevent boot: %v", err)
+	}
+	defer s2.Shutdown(context.Background())
+	if jobs := s2.Jobs(); len(jobs) != 1 || jobs[0].ID != good.ID || jobs[0].State != StateDone {
+		t.Errorf("jobs after boot = %+v, want only %s, done", jobs, good.ID)
+	}
+	if !strings.Contains(warned.String(), "checkpoint corrupt") {
+		t.Errorf("no corruption warning: %q", warned.String())
+	}
+	if _, err := os.Stat(bad + ".corrupt"); err != nil {
+		t.Errorf("corrupt job file not preserved for post-mortem: %v", err)
+	}
+	if next, err := s2.Submit(JobSpec{Bench: "gcc"}); err != nil || next.ID != "job-000003" {
+		t.Errorf("next submission = %+v, %v; want job-000003", next, err)
+	}
+}
+
+// TestRestartContinuesJobIDs: the next life lists the jobs in
+// submission order and numbers its first job after the last one.
+func TestRestartContinuesJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, Config{StateDir: dir})
+	var ids []string
+	for i := 0; i < 3; i++ {
+		j, err := s.Submit(JobSpec{Bench: "gcc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestService(t, Config{StateDir: dir})
+	defer s2.Shutdown(context.Background())
+	var got []string
+	for _, j := range s2.Jobs() {
+		got = append(got, j.ID)
+	}
+	if !slices.Equal(got, ids) {
+		t.Errorf("restored jobs = %v, want %v", got, ids)
+	}
+	if next, err := s2.Submit(JobSpec{Bench: "gcc"}); err != nil || next.ID != "job-000004" {
+		t.Errorf("next submission = %+v, %v; want job-000004", next, err)
 	}
 }
 
