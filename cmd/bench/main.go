@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	turnpike "repro"
 	"repro/internal/core"
@@ -226,18 +227,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// cellTime is how long each trials/sec measurement of a cell runs its
+// trial loop, and cellRepeats how many measurements a cell takes the
+// median of. A cell's 32-trial campaign lasts about a millisecond, too
+// short to time on a shared machine.
+const (
+	cellTime    = 200 * time.Millisecond
+	cellRepeats = 3
+)
+
 // measureCampaignCost fills in the per-trial cost metrics for the
-// resilient schemes by running a small deterministic fault campaign per
-// cell and bracketing each with an alloc/wall measurement. Workers is
-// pinned to 1 and the seed to 1 so allocs/trial is stable run to run.
-// GOMAXPROCS is pinned to 1 inside the bracket, as testing.AllocsPerRun
-// does: the allocation count is process-wide, and when the world
-// restarts after one of the bracket's stop-the-world phases, an idle P
-// lets the runtime start an OS thread whose M and stacks would add about
-// six objects to it now and then. trials/sec remains machine-dependent,
-// which is why its gate defaults off. With profileDir set, one CPU+heap
-// profile pair brackets all the campaign cells and a cost report
-// totalling them is written next to it.
+// resilient schemes by running deterministic fault campaigns per cell
+// and bracketing each with an alloc/wall measurement. Workers is pinned
+// to 1 and the seed to 1. allocs/trial comes from one campaign of
+// trials trials, so it is stable run to run. trials/sec and ns/trial
+// come from the median of cellRepeats campaigns of as many times trials
+// trials as make the trial loop last about cellTime: one longer
+// campaign rather than that many short ones, each of which would pay
+// its own compilation and golden run outside the bracket. GOMAXPROCS is
+// pinned to 1 inside each bracket, as testing.AllocsPerRun does: the
+// allocation count is process-wide, and when the world restarts after
+// one of the bracket's stop-the-world phases, an idle P lets the runtime
+// start an OS thread whose M and stacks would add about six objects to
+// it now and then. trials/sec remains machine-dependent, which is why
+// its gate defaults off. With profileDir set, one CPU+heap profile pair
+// brackets all the campaign cells, and a cost report totalling each
+// cell's campaign of trials trials is written next to it.
 func measureCampaignCost(ctx context.Context, benches, schemeNames []string, trials, scale, sb, wcdl int,
 	profileDir string, results map[string]benchResult, stdout io.Writer) error {
 	var cap *profile.Capture
@@ -256,34 +271,45 @@ func measureCampaignCost(ctx context.Context, benches, schemeNames []string, tri
 			}
 			cctx, csp := span.Start(ctx, "cli", "campaign")
 			csp.SetArg("cell", b+"/"+sn)
-			// Prepare (compile, golden run, worker priming) stays outside
-			// the measurement bracket: the reported cost is the trial
-			// loop alone, which is what the allocs/trial and trials/sec
-			// gates are meant to pin.
 			sc, _ := core.ParseScheme(sn) // validated with the flags
-			prep, err := turnpike.PrepareFaultCampaign(cctx, b, sc, turnpike.FaultCampaignConfig{
-				Trials: trials, Seed: 1, Workers: 1, FailureBudget: -1,
-				ScalePct: scale, SBSize: sb, WCDL: wcdl,
-			})
-			if err != nil {
-				csp.End()
-				return fmt.Errorf("%s/%s campaign: %w", b, sn, err)
+			// measure runs one campaign of n trials. Prepare (compile,
+			// golden run, worker priming) stays outside the bracket: the
+			// reported cost is the trial loop alone, which is what the
+			// allocs/trial and trials/sec gates are meant to pin.
+			measure := func(n int) (profile.Usage, error) {
+				prep, err := turnpike.PrepareFaultCampaign(cctx, b, sc, turnpike.FaultCampaignConfig{
+					Trials: n, Seed: 1, Workers: 1, FailureBudget: -1,
+					ScalePct: scale, SBSize: sb, WCDL: wcdl,
+				})
+				if err != nil {
+					return profile.Usage{}, err
+				}
+				procs := runtime.GOMAXPROCS(1)
+				u, err := profile.Measure(func() error {
+					_, err := prep.Run(cctx)
+					return err
+				})
+				runtime.GOMAXPROCS(procs)
+				return u, err
 			}
-			procs := runtime.GOMAXPROCS(1)
-			u, err := profile.Measure(func() error {
-				_, err := prep.Run(cctx)
-				return err
-			})
-			runtime.GOMAXPROCS(procs)
+			u, err := measure(trials)
+			allocs := u.Report(trials)
+			reps := make([]profile.CostReport, cellRepeats)
+			n := trials * (1 + int(cellTime.Seconds()*allocs.TrialsPerSec)/trials)
+			for i := 0; i < len(reps) && err == nil; i++ {
+				var ur profile.Usage
+				ur, err = measure(n)
+				reps[i] = ur.Report(n)
+			}
 			csp.End()
 			if err != nil {
 				return fmt.Errorf("%s/%s campaign: %w", b, sn, err)
 			}
-			rep := u.Report(trials)
+			sort.Slice(reps, func(i, j int) bool { return reps[i].TrialsPerSec < reps[j].TrialsPerSec })
 			cell := results[b+"/"+sn]
-			cell.TrialsPerSec = rep.TrialsPerSec
-			cell.NsPerTrial = rep.NsPerTrial
-			cell.AllocsPerTrial = rep.AllocsPerTrial
+			cell.TrialsPerSec = reps[len(reps)/2].TrialsPerSec
+			cell.NsPerTrial = reps[len(reps)/2].NsPerTrial
+			cell.AllocsPerTrial = allocs.AllocsPerTrial
 			results[b+"/"+sn] = cell
 			total.Wall += u.Wall
 			total.Allocs += u.Allocs

@@ -20,6 +20,12 @@
 //	faultcampaign -serve :9090 -all        # live /metrics + /live SSE mid-campaign
 //	faultcampaign -spans trace.json gcc    # wall-clock spans (Perfetto) + phase budget
 //
+// Unless -resume is set, the report ends with what the reconvergence
+// cut did per benchmark (DESIGN.md §3): trials cut, comparisons made and
+// the check that rejected each, the cuts the cache replay decided and
+// its refusals, and the instructions resumed past and simulated before
+// and after the last fault event.
+//
 // Adversarial campaigns replace the perfect sensor mesh with an imperfect
 // one — dead sensors, detections beyond the WCDL, multi-strike bursts, and
 // false positives — and report detection coverage plus the DUE rate with
@@ -182,13 +188,14 @@ func main() {
 	fmt.Fprintln(w, "BENCHMARK\tMASKED\tRECOVERED\tSDC\tCRASH\tDUE\tAVG RECOVERY (cyc)\tP50 SLOWDOWN\tP99 SLOWDOWN")
 	totalSDC := 0
 	completedTrials := 0
-	var coverage []string
+	var coverage, cuts []string
 	interrupted := false
 	for _, b := range benches {
 		ckpt := ""
 		if *resume != "" {
 			ckpt = fmt.Sprintf("%s-%s.json", *resume, b)
 		}
+		cutBefore := cutValues(reg)
 		bctx, bspan := span.Start(ctx, "cli", "campaign")
 		bspan.SetArg("bench", b)
 		res, err := turnpike.InjectFaultsContext(bctx, b, sc, turnpike.FaultCampaignConfig{
@@ -224,6 +231,7 @@ func main() {
 				100*res.DUERate.Rate, 100*res.DUERate.Lo, 100*res.DUERate.Hi,
 				100*res.SDCRate.Rate, 100*res.SDCRate.Lo, 100*res.SDCRate.Hi))
 		}
+		cuts = append(cuts, cutLine(b, res.CompletedTrials, cutBefore, cutValues(reg)))
 		per := map[string]int{}
 		for o, n := range res.Outcomes {
 			per[o.String()] = n
@@ -279,6 +287,16 @@ func main() {
 			fmt.Println("  " + line)
 		}
 	}
+	// The cut counters count the trials this process ran. A -resume
+	// campaign may restore trials it did not run, and a resumed
+	// campaign's report must equal the uninterrupted one's, so it
+	// prints none.
+	if *resume == "" {
+		fmt.Println("\nreconvergence cut:")
+		for _, line := range cuts {
+			fmt.Println("  " + line)
+		}
+	}
 	if tracer != nil {
 		if err := tracer.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "span trace: %v\n", err)
@@ -329,6 +347,29 @@ func printFailures(failures map[string][]fault.TrialFailure) {
 				errSuffix(f.Err))
 		}
 	}
+}
+
+// cutValues reads the registry's reconvergence-cut counters.
+func cutValues(reg *obs.Registry) []uint64 {
+	v := make([]uint64, len(fault.CutCounters))
+	for i, name := range fault.CutCounters {
+		v[i] = reg.Counter(name).Value()
+	}
+	return v
+}
+
+// cutLine reports what the reconvergence cut did for one benchmark's
+// campaign of trials: the counters' growth from before to after, in
+// fault.CutCounters order.
+func cutLine(bench string, trials int, before, after []uint64) string {
+	d := make([]any, len(after))
+	for i := range after {
+		d[i] = after[i] - before[i]
+	}
+	return fmt.Sprintf("%s: %d of %d trials cut; %d comparisons, rejected by a pending detection %d, "+
+		"state %d, memory %d, caches %d; cache replay cut %d, refused %d at a level; "+
+		"instructions resumed past %d, simulated before the last event %d, after it %d",
+		append([]any{bench, d[0], trials}, d[1:]...)...)
 }
 
 func errSuffix(s string) string {

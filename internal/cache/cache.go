@@ -201,16 +201,29 @@ func (h *Hierarchy) DeltaSince(since Clock) Delta {
 	for i, c := range h.levels() {
 		ld := &d.lv[i]
 		for set := range c.sets {
-			tags, lru := c.ways(set)
-			if slices.Max(lru) > since[i] {
+			if c.stamp == since[i] {
+				break // the level served no access since: no newer stamp
+			}
+			if _, lru := c.ways(set); slices.Max(lru) > since[i] {
 				ld.sets = append(ld.sets, int32(set))
-				ld.tags = append(ld.tags, tags...)
-				ld.lru = append(ld.lru, lru...)
 			}
 		}
-		ld.stamp, ld.hits, ld.misses = c.stamp, c.Hits, c.Misses
+		ld.fill(c)
 	}
 	return d
+}
+
+// fill copies the ways of ld's sets, and c's clock and counters, from c.
+func (ld *levelDelta) fill(c *Cache) {
+	a := c.cfg.Assoc
+	ld.tags = make([]uint64, 0, len(ld.sets)*a)
+	ld.lru = make([]uint64, 0, len(ld.sets)*a)
+	for _, set := range ld.sets {
+		tags, lru := c.ways(int(set))
+		ld.tags = append(ld.tags, tags...)
+		ld.lru = append(ld.lru, lru...)
+	}
+	ld.stamp, ld.hits, ld.misses = c.stamp, c.Hits, c.Misses
 }
 
 // Apply writes d's sets, clocks and counters into h, which must have
@@ -226,6 +239,44 @@ func (h *Hierarchy) Apply(d *Delta) {
 		}
 		c.stamp, c.Hits, c.Misses = ld.stamp, ld.hits, ld.misses
 	}
+}
+
+// Merge makes d, taken since some clock, the delta since that clock of
+// the state later was taken at, where later was taken since d's clock:
+// the sets of both, later's where both hold a set, and later's clocks
+// and counters. d's slices are replaced, not written, so a copy of d
+// made before keeps its sets.
+func (d *Delta) Merge(later *Delta) {
+	for i := range d.lv {
+		d.lv[i].merge(&later.lv[i])
+	}
+}
+
+func (ld *levelDelta) merge(o *levelDelta) {
+	m := levelDelta{stamp: o.stamp, hits: o.hits, misses: o.misses}
+	if n := len(ld.sets) + len(o.sets); n > 0 {
+		a := (len(ld.tags) + len(o.tags)) / n
+		take := func(from *levelDelta, k int) {
+			m.sets = append(m.sets, from.sets[k])
+			m.tags = append(m.tags, from.tags[k*a:(k+1)*a]...)
+			m.lru = append(m.lru, from.lru[k*a:(k+1)*a]...)
+		}
+		i, j := 0, 0
+		for i < len(ld.sets) || j < len(o.sets) {
+			switch {
+			case j == len(o.sets) || (i < len(ld.sets) && ld.sets[i] < o.sets[j]):
+				take(ld, i)
+				i++
+			default:
+				if i < len(ld.sets) && ld.sets[i] == o.sets[j] {
+					i++
+				}
+				take(o, j)
+				j++
+			}
+		}
+	}
+	*ld = m
 }
 
 // Clock returns the clock d was taken at.
@@ -308,6 +359,8 @@ type Hierarchy struct {
 	L1I, L1D, L2 *Cache
 	// MemLatency is the main-memory access latency in cycles.
 	MemLatency int
+
+	rec *Stream // nil unless recording (Record)
 }
 
 // HierarchyConfig sizes a hierarchy; DefaultHierarchy gives the paper's.
@@ -355,28 +408,125 @@ func MustNewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return h
 }
 
+// Kinds of access a Stream records.
+const (
+	instKind  = iota // InstAccess
+	dataKind         // DataAccess
+	touchKind        // TouchData
+)
+
 // DataAccess returns the latency of a data access to addr, updating L1D/L2
 // state. Writes allocate like reads (write-allocate, write-back timing is
 // folded into the store-buffer model).
 func (h *Hierarchy) DataAccess(addr uint64) int {
-	if h.L1D.Access(addr) {
+	switch {
+	case h.L1D.Access(addr):
+		h.record(addr, dataKind, 0)
 		return h.L1D.HitLatency()
-	}
-	if h.L2.Access(addr) {
+	case h.L2.Access(addr):
+		h.record(addr, dataKind, 1)
 		return h.L1D.HitLatency() + h.L2.HitLatency()
 	}
+	h.record(addr, dataKind, 2)
 	return h.L1D.HitLatency() + h.L2.HitLatency() + h.MemLatency
 }
 
 // InstAccess returns the latency of an instruction fetch from addr.
 func (h *Hierarchy) InstAccess(addr uint64) int {
-	if h.L1I.Access(addr) {
+	switch {
+	case h.L1I.Access(addr):
+		h.record(addr, instKind, 0)
 		return 0 // fetch hit is hidden by the pipeline
-	}
-	if h.L2.Access(addr) {
+	case h.L2.Access(addr):
+		h.record(addr, instKind, 1)
 		return h.L2.HitLatency()
 	}
+	h.record(addr, instKind, 2)
 	return h.L2.HitLatency() + h.MemLatency
+}
+
+// TouchData accesses addr in the L1D alone, for the accesses whose
+// latency is not charged: a load the store buffer forwards, and a store
+// or checkpoint at commit. Its level is 0 on a hit, 1 on a miss.
+func (h *Hierarchy) TouchData(addr uint64) {
+	if h.L1D.Access(addr) {
+		h.record(addr, touchKind, 0)
+	} else {
+		h.record(addr, touchKind, 1)
+	}
+}
+
+// record appends an access to the stream h records into, if any.
+func (h *Hierarchy) record(addr uint64, kind, level int) {
+	if h.rec != nil {
+		h.rec.add(addr, kind, level)
+	}
+}
+
+// serve performs one access of kind to addr as InstAccess, DataAccess
+// or TouchData does, recording included, and returns the level that
+// served it. Those three do not call it: on the simulator's fetch path
+// the extra call cost about 15% of an access.
+func (h *Hierarchy) serve(kind int, addr uint64) (level int) {
+	l1 := h.L1D
+	if kind == instKind {
+		l1 = h.L1I
+	}
+	switch {
+	case l1.Access(addr):
+	case kind == touchKind || h.L2.Access(addr):
+		level = 1
+	default:
+		level = 2
+	}
+	h.record(addr, kind, level)
+	return level
+}
+
+// Stream is a hierarchy's recorded access sequence (Record), one 32-bit
+// word per access: line<<4 | kind<<2 | level, with the line address, the
+// kind of access (InstAccess, DataAccess or TouchData) and the level
+// that served it. Its capacity is fixed when it is made. An access past
+// it, or to a line beyond 1<<28 (16 GiB), is dropped, and the stream is
+// then cut short.
+type Stream struct {
+	words []uint32
+	short bool
+}
+
+// NewStream makes an empty stream with room for n accesses.
+func NewStream(n int) *Stream { return &Stream{words: make([]uint32, 0, n)} }
+
+func (st *Stream) add(addr uint64, kind, level int) {
+	line := addr / LineSize
+	if st.short || len(st.words) == cap(st.words) || line >= 1<<28 {
+		st.short = true
+		return
+	}
+	st.words = append(st.words, uint32(line)<<4|uint32(kind)<<2|uint32(level))
+}
+
+// Len returns the number of accesses recorded.
+func (st *Stream) Len() int { return len(st.words) }
+
+// Short reports whether an access was dropped (the stream was full, or
+// the line out of range): the recorded accesses then end before the
+// recording did.
+func (st *Stream) Short() bool { return st.short }
+
+// Record makes h append every access to st from now on; nil stops.
+func (h *Hierarchy) Record(st *Stream) { h.rec = st }
+
+// Replay performs st's accesses [from, to) on h, in order, and returns
+// the index of the first one that h serves at another level than the
+// recorded one, or to when every level matches.
+func (h *Hierarchy) Replay(st *Stream, from, to int) int {
+	for i, w := range st.words[from:to] {
+		if h.serve(int(w>>2&3), uint64(w>>4)*LineSize) != int(w&3) {
+			return from + i
+		}
+	}
+	return to
 }
 
 // levels returns the hierarchy's caches in Image and Delta order.

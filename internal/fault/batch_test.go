@@ -123,22 +123,26 @@ func TestReplayFromBatchedRange(t *testing.T) {
 // simulator and scratch are warm, running a trial — plan derivation,
 // ResetAt, injected execution, classification — performs zero heap
 // allocations under a perfect mesh, under Turnpike and under Turnstile,
-// which has no colours and no CLQ. An adversarial trial allocates only
-// what its record keeps: one Extra slice per burst and one
-// FalsePositives slice per spurious detection.
+// which has no colours and no CLQ, and on lbm at scale 5, whose trials
+// reach the cache replay of the reconvergence check. An adversarial
+// trial allocates only what its record keeps: one Extra slice per burst
+// and one FalsePositives slice per spurious detection.
 func TestTrialLoopAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
+		bench  string
+		scale  int
 		scheme core.Scheme
 		sim    pipeline.Config
 		adv    *Adversary
 	}{
-		{"perfect-mesh", core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil},
-		{"adversarial", core.Turnpike, pipeline.TurnpikeConfig(4, 10), meshAdversary},
-		{"turnstile-perfect-mesh", core.Turnstile, pipeline.TurnstileConfig(4, 10), nil},
+		{"perfect-mesh", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil},
+		{"adversarial", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), meshAdversary},
+		{"turnstile-perfect-mesh", "gcc", 2, core.Turnstile, pipeline.TurnstileConfig(4, 10), nil},
+		{"cache-replay", "lbm", 5, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, p := compiled(t, "gcc", tc.scheme)
+			prog, p := compiledAt(t, tc.bench, tc.scheme, tc.scale)
 			cfg := Config{Trials: 64, Seed: 1, Workers: 1, FailureBudget: -1,
 				Sim: tc.sim, Adversary: tc.adv}
 			prep, err := Prepare(context.Background(), prog, cfg, p.SeedMemory)
@@ -163,6 +167,9 @@ func TestTrialLoopAllocationFree(t *testing.T) {
 			}
 			if tc.adv != nil && kept == 0 {
 				t.Fatal("no adversarial trial keeps an Extra or FalsePositives slice")
+			}
+			if c := r.shadow.Counts; tc.name == "cache-replay" && c.Replayed+c.Mismatches == 0 {
+				t.Fatalf("no trial reaches the cache replay: %+v", c)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				for i := 0; i < cfg.Trials; i++ {

@@ -52,6 +52,57 @@ type trialRunner struct {
 	shadow *pipeline.Shadow // nil: trials are never cut
 	det    sensor.MeshDetector
 	evs    []injEvent
+	counts trialCounts
+}
+
+// trialCounts tallies a runner's trials for the cut counters: the
+// trials cut, and the instructions they resumed past (ResetAt),
+// simulated before their last fault event fired, and simulated after
+// it.
+type trialCounts struct {
+	cut, resumed, before, after uint64
+}
+
+// CutCounters names the campaign registry's counters of the
+// reconvergence cut, in the order flushCounts adds them: the trials
+// cut; the comparisons made, and those rejected by a pending detection
+// (or recovery, degraded mesh, taint or the instruction limit), by the
+// state value, by memory and by the caches; the cuts the cache replay
+// decided and the replays refused at a level mismatch; and the
+// instructions resumed past, simulated before the last fault event and
+// simulated after it. Each is a sum over the trials run of a pure
+// function of the trial, so it does not depend on the workers or the
+// leases.
+var CutCounters = []string{
+	"fault.cut.trials",
+	"fault.cut.comparisons",
+	"fault.cut.rejected_pending",
+	"fault.cut.rejected_state",
+	"fault.cut.rejected_memory",
+	"fault.cut.rejected_cache",
+	"fault.cut.replay_cuts",
+	"fault.cut.replay_mismatches",
+	"fault.cut.insts_resumed",
+	"fault.cut.insts_before_last_event",
+	"fault.cut.insts_after_last_event",
+}
+
+// flushCounts adds the runner's counts since the last flush to reg's
+// CutCounters (nil reg drops them) and zeroes them.
+func (r *trialRunner) flushCounts(reg *obs.Registry) {
+	var sc pipeline.CutCounts
+	if r.shadow != nil {
+		sc, r.shadow.Counts = r.shadow.Counts, pipeline.CutCounts{}
+	}
+	tc := r.counts
+	r.counts = trialCounts{}
+	if reg == nil {
+		return
+	}
+	for i, v := range [...]uint64{tc.cut, sc.Comparisons, sc.Pending, sc.State, sc.Memory, sc.Cache,
+		sc.Replayed, sc.Mismatches, tc.resumed, tc.before, tc.after} {
+		reg.Counter(CutCounters[i]).Add(v)
+	}
 }
 
 // engine carries the immutable per-campaign state every worker shares.
@@ -66,6 +117,9 @@ type engine struct {
 	// the checkpoint storage masked out of trial classification.
 	gs             *pipeline.GoldenState
 	ckptLo, ckptHi uint64
+	// sim is the resolved simulator configuration the trials run under
+	// (GoldenState.Config), part of the checkpoint fingerprint.
+	sim pipeline.Config
 	// adv is the campaign's adversary, the zero one for a perfect mesh,
 	// and det the detector it breaks; planners sample copies of det.
 	adv Adversary
@@ -173,6 +227,7 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 	r.evs = inj.appendEvents(r.evs[:0])
 	evs := r.evs
 	e.gs.ResetAt(s, evs[0].atInst)
+	resumed := s.Stats.Insts
 	if e.cfg.Logger != nil {
 		s.AttachLogger(ctx, e.cfg.Logger)
 	}
@@ -196,7 +251,15 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 			}
 		}
 	}
+	last := s.Stats.Insts
 	st, cut, err = e.gs.RunCut(s, r.shadow)
+	c := &r.counts
+	c.resumed += resumed
+	c.before += last - resumed
+	c.after += s.Stats.Insts - last
+	if cut {
+		c.cut++
+	}
 	if err != nil {
 		return st, false, false, err
 	}
@@ -426,7 +489,7 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 	// as a pure function of (seed, trial).
 	planStart := time.Now()
 	e := &engine{
-		prog: prog, cfg: cfg, seedMem: seedMem, gs: gs,
+		prog: prog, cfg: cfg, seedMem: seedMem, gs: gs, sim: gs.Config(),
 		golden: mask(gs.Output()), maxAt: maxAt,
 		ckptLo: prog.CkptBase,
 		ckptHi: prog.CkptBase + isa.NumRegs*isa.NumColors*8,
@@ -600,6 +663,9 @@ func (p *Prepared) fanOut(ctx context.Context, leases []TrialRange, recs []Trial
 	}
 	worker(0)
 	wg.Wait()
+	for _, r := range p.runners[:workers] {
+		r.flushCounts(e.cfg.Metrics)
+	}
 	shardSpan.SetArg("lo", leases[0].Lo)
 	shardSpan.SetArg("hi", leases[len(leases)-1].Hi)
 	shardSpan.SetArg("trials", int(executed.Load()))

@@ -15,24 +15,31 @@ import (
 
 // campaignCheckpoint is the on-disk resume state: a fingerprint binding
 // the file to one exact campaign (seed, trial count, resolved injection
-// window, and the golden run's cycle/instruction counts, which pin the
-// program, its inputs, and the simulator config), plus every completed
-// trial. The file is rewritten in full through obs.WriteFileAtomic, so an
-// interrupted campaign never leaves a torn checkpoint behind.
+// window, adversary, the resolved simulator configuration, and the
+// golden run's cycle/instruction counts, which pin the program and its
+// inputs), plus every completed trial. The golden counts cannot pin the
+// settings that act only on faulty runs (Containment, DetectQueue,
+// DegradeWindow), so the configuration is stored whole. The file is
+// rewritten in full through obs.WriteFileAtomic, so an interrupted
+// campaign never leaves a torn checkpoint behind.
 type campaignCheckpoint struct {
-	Version       int           `json:"version"`
-	Seed          int64         `json:"seed"`
-	Trials        int           `json:"trials"`
-	MaxInjectInst uint64        `json:"max_inject_inst"`
-	GoldenCycles  uint64        `json:"golden_cycles"`
-	GoldenInsts   uint64        `json:"golden_insts"`
-	Adversary     *Adversary    `json:"adversary,omitempty"`
-	Done          []TrialRecord `json:"done"`
+	Version       int             `json:"version"`
+	Seed          int64           `json:"seed"`
+	Trials        int             `json:"trials"`
+	MaxInjectInst uint64          `json:"max_inject_inst"`
+	GoldenCycles  uint64          `json:"golden_cycles"`
+	GoldenInsts   uint64          `json:"golden_insts"`
+	Adversary     *Adversary      `json:"adversary,omitempty"`
+	Sim           pipeline.Config `json:"sim"`
+	Done          []TrialRecord   `json:"done"`
 }
 
 // Version 2: injections gained burst/false-positive plans and the
 // fingerprint gained the adversary, so v1 files no longer resume.
-const checkpointVersion = 2
+// Version 3: the fingerprint gained the resolved simulator
+// configuration, so v2 files, which could resume under another
+// containment setting, no longer resume.
+const checkpointVersion = 3
 
 // save rewrites the checkpoint file with every completed trial, in trial
 // order. Callers serialize saves (the campaign holds its merge mutex or
@@ -46,6 +53,7 @@ func (e *engine) save(records []*TrialRecord, goldenStats pipeline.Stats) error 
 		GoldenCycles:  goldenStats.Cycles,
 		GoldenInsts:   goldenStats.Insts,
 		Adversary:     e.cfg.Adversary,
+		Sim:           e.sim,
 	}
 	for _, rec := range records {
 		if rec != nil {
@@ -79,7 +87,7 @@ func (e *engine) restore(records []*TrialRecord, goldenStats pipeline.Stats) err
 	if ck.Version != checkpointVersion || ck.Seed != e.cfg.Seed || ck.Trials != e.cfg.Trials ||
 		ck.MaxInjectInst != e.maxAt ||
 		ck.GoldenCycles != goldenStats.Cycles || ck.GoldenInsts != goldenStats.Insts ||
-		!reflect.DeepEqual(ck.Adversary, e.cfg.Adversary) {
+		!reflect.DeepEqual(ck.Adversary, e.cfg.Adversary) || !reflect.DeepEqual(ck.Sim, e.sim) {
 		return fmt.Errorf("%w: checkpoint %s was written by a different campaign (seed, trials, workload, or simulator config changed) — delete it to start over",
 			ErrInvalidConfig, e.cfg.Checkpoint)
 	}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -81,6 +82,46 @@ func TestCheckpointCorruptTyped(t *testing.T) {
 	got := other.restore(make([]*TrialRecord, 16), gs)
 	if !errors.Is(got, ErrInvalidConfig) || errors.Is(got, ErrCheckpointCorrupt) {
 		t.Fatalf("fingerprint mismatch: want ErrInvalidConfig only, got %v", got)
+	}
+}
+
+// TestCheckpointPinsSimulatorConfig: a checkpoint resumes only under
+// the simulator configuration that wrote it. Containment acts only on
+// faulty runs, so the golden run's counts are the same either way; a
+// checkpoint written with containment off must still be refused with
+// containment on, and the reverse, and so must a version-2 file, whose
+// fingerprint did not hold the configuration.
+func TestCheckpointPinsSimulatorConfig(t *testing.T) {
+	prog, p := compiled(t, "gcc", core.Turnpike)
+	run := func(ckpt string, containment bool) error {
+		sim := pipeline.TurnpikeConfig(4, 10)
+		sim.Containment = containment
+		_, err := Campaign(prog, Config{Trials: 8, Seed: 3, Workers: 1, FailureBudget: -1, Sim: sim,
+			Adversary: &Adversary{MissProb: 0.3}, Checkpoint: ckpt}, p.SeedMemory)
+		return err
+	}
+	for _, containment := range []bool{false, true} {
+		ckpt := filepath.Join(t.TempDir(), "ck.json")
+		if err := run(ckpt, containment); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(ckpt, !containment); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("checkpoint written with containment %v resumed with containment %v: %v", containment, !containment, err)
+		}
+		if err := run(ckpt, containment); err != nil {
+			t.Fatalf("checkpoint refused under the configuration that wrote it: %v", err)
+		}
+		b, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2 := strings.Replace(string(b), fmt.Sprintf(`"version":%d`, checkpointVersion), `"version":2`, 1)
+		if v2 == string(b) || os.WriteFile(ckpt, []byte(v2), 0o644) != nil {
+			t.Fatal("cannot rewrite the checkpoint's version")
+		}
+		if err := run(ckpt, containment); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("a version-2 checkpoint resumed: %v", err)
+		}
 	}
 }
 

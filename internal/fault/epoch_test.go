@@ -2,6 +2,7 @@ package fault
 
 import (
 	"context"
+	"flag"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -26,22 +27,43 @@ var meshAdversary = &Adversary{MissProb: 0.1, FalsePositiveRate: 0.2, DeadSensor
 // share of trials cut per cell, and at least 80% of the trials that do
 // not end in a DUE must be cut.
 func TestEpochTrialsMatchFromStart(t *testing.T) {
+	checkEpochScale(t, 5, 16, 0.8)
+}
+
+// scale100Trials is the trials per cell of
+// TestEpochTrialsMatchFromStartAtScale100; nightly runs more.
+var scale100Trials = flag.Int("scale100-trials", 8, "trials per cell of TestEpochTrialsMatchFromStartAtScale100")
+
+// TestEpochTrialsMatchFromStartAtScale100 is the same gate at scale
+// 100, where runs are long enough for the schedule to place more than
+// the minimum of epochs and where most trials reach the cache replay:
+// there at least 95% of the non-DUE trials must be cut.
+func TestEpochTrialsMatchFromStartAtScale100(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-100 campaigns over every benchmark")
+	}
+	checkEpochScale(t, 100, *scale100Trials, 0.95)
+}
+
+// checkEpochScale runs every benchmark's cells at scale with trials per
+// cell and requires that at least share of the non-DUE trials be cut.
+func checkEpochScale(t *testing.T, scale, trials int, share float64) {
 	var cut, eligible atomic.Int64
 	// Cleanup runs once every parallel subtest has finished.
 	t.Cleanup(func() {
 		if t.Failed() || eligible.Load() == 0 {
 			return
 		}
-		share := float64(cut.Load()) / float64(eligible.Load())
-		t.Logf("cut %d of %d non-DUE trials (%.1f%%)", cut.Load(), eligible.Load(), 100*share)
-		if share < 0.8 {
-			t.Errorf("cut %.1f%% of the non-DUE trials, want at least 80%%", 100*share)
+		got := float64(cut.Load()) / float64(eligible.Load())
+		t.Logf("cut %d of %d non-DUE trials (%.1f%%)", cut.Load(), eligible.Load(), 100*got)
+		if got < share {
+			t.Errorf("cut %.1f%% of the non-DUE trials, want at least %.0f%%", 100*got, 100*share)
 		}
 	})
 	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			c, n := checkEpochTrials(t, name)
+			c, n := checkEpochTrials(t, name, scale, trials)
 			cut.Add(int64(c))
 			eligible.Add(int64(n))
 		})
@@ -49,10 +71,9 @@ func TestEpochTrialsMatchFromStart(t *testing.T) {
 }
 
 // checkEpochTrials runs one benchmark's cells of
-// TestEpochTrialsMatchFromStart and returns how many trials were cut of
-// those that did not end in a DUE.
-func checkEpochTrials(t *testing.T, name string) (cut, eligible int) {
-	const scale, trials = 5, 16
+// TestEpochTrialsMatchFromStart at scale with trials per cell and
+// returns how many trials were cut of those that did not end in a DUE.
+func checkEpochTrials(t *testing.T, name string, scale, trials int) (cut, eligible int) {
 	ctx := context.Background()
 	p, _ := workload.ByName(name)
 	f := p.Build(scale)

@@ -9,13 +9,20 @@ import (
 	"repro/internal/workload"
 )
 
+// compiled compiles benchmark name at scale 2 for scheme.
 func compiled(t *testing.T, name string, scheme core.Scheme) (*isa.Program, workload.Profile) {
+	t.Helper()
+	return compiledAt(t, name, scheme, 2)
+}
+
+// compiledAt compiles benchmark name at scale percent for scheme.
+func compiledAt(t *testing.T, name string, scheme core.Scheme, scale int) (*isa.Program, workload.Profile) {
 	t.Helper()
 	p, ok := workload.ByName(name)
 	if !ok {
 		t.Fatalf("no benchmark %q", name)
 	}
-	f := p.Build(2)
+	f := p.Build(scale)
 	opt := core.Options{Scheme: scheme, SBSize: 4}
 	if scheme == core.Turnpike {
 		opt = core.TurnpikeAll(4)

@@ -25,25 +25,54 @@ const ckptBytes = isa.NumRegs * isa.NumColors * 8
 
 // Shadow is what RunCut compares a trial's memory and caches with: a
 // memory image and a cache hierarchy that it rebuilds, from the golden
-// state's deltas, as they were at the epoch the trial has reached. Each
-// campaign worker owns one.
+// state's deltas, as they were at the epoch the trial has reached, and
+// the two hierarchies the cache replay runs on. Each campaign worker
+// owns one.
 type Shadow struct {
 	g    *GoldenState
 	mem  *isa.Memory
 	hier *cache.Hierarchy
 	at   int // epochs replayed since the last rebuild from the image, -1 before the first
+	// scratch is a copy of the trial's caches that the replay runs the
+	// golden accesses on; future holds the golden caches at the epochs
+	// the replay reaches; img carries the copies.
+	scratch, future *cache.Hierarchy
+	img             cache.Image
+
+	// Counts tallies the comparisons RunCut made with the shadow.
+	Counts CutCounts
+}
+
+// CutCounts tallies reconvergence comparisons: how many were made, and
+// how many each check rejected, counted by the first check that failed:
+// a pending detection, recovery block, degraded mesh, taint or the
+// instruction limit (Pending), the state value, memory, or the caches.
+// A cache comparison that fails directly is decided by the cache
+// replay: Replayed counts the cuts it decided, Mismatches the replays
+// refused at an access served at another level. Every count is a sum
+// over trials of a pure function of the trial.
+type CutCounts struct {
+	Comparisons                   uint64
+	Pending, State, Memory, Cache uint64
+	Replayed, Mismatches          uint64
 }
 
 // NewShadow builds a Shadow for g's trials. It holds nothing until
 // RunCut first compares a trial with an epoch.
 func (g *GoldenState) NewShadow() (*Shadow, error) {
-	hier, err := newHierarchy(g.cfg)
-	if err != nil {
-		return nil, err
+	var hier [3]*cache.Hierarchy
+	for i := range hier {
+		h, err := newHierarchy(g.cfg)
+		if err != nil {
+			return nil, err
+		}
+		hier[i] = h
 	}
 	mem := isa.NewMemory()
 	mem.Reserve(g.memSpan, g.memOwned)
-	return &Shadow{g: g, mem: mem, hier: hier, at: -1}, nil
+	sh := &Shadow{g: g, mem: mem, hier: hier[0], scratch: hier[1], future: hier[2], at: -1}
+	sh.hier.Snapshot(&sh.img) // sizes the image, so the replay allocates nothing
+	return sh, nil
 }
 
 // moveTo rebuilds the shadow at epoch k: forward from the epoch it
@@ -119,12 +148,18 @@ func (g *GoldenState) RunCut(s *Sim, sh *Shadow) (st Stats, cut bool, err error)
 // reconverged reports whether s, at golden-equivalent progress
 // epochs[k].insts, is equivalent to the warm golden run at epoch k: the
 // run to halt from either state behaves identically, up to a constant
-// cycle offset.
+// cycle offset. It counts the comparison in sh.Counts.
 func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int) bool {
 	e := &g.epochs[k]
+	c := &sh.Counts
+	c.Comparisons++
 	if len(s.pendingDetects) > 0 || s.inRecovery || s.degradedUntil != 0 ||
-		s.Taint != [isa.NumRegs]bool{} || s.Stats.Insts+e.suffix.Insts >= s.Cfg.MaxInsts ||
-		!g.sameState(&s.simState, &e.state) {
+		s.Taint != [isa.NumRegs]bool{} || s.Stats.Insts+e.suffix.Insts >= s.Cfg.MaxInsts {
+		c.Pending++
+		return false
+	}
+	if !g.sameState(&s.simState, &e.state) {
+		c.State++
 		return false
 	}
 	sh.moveTo(k)
@@ -132,7 +167,63 @@ func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int) bool {
 	if g.renameCkpt {
 		lo, hi = g.prog.CkptBase, g.prog.CkptBase+ckptBytes
 	}
-	return s.Mem.EqualMasked(sh.mem, lo, hi, lo, hi) && s.hier.Equivalent(sh.hier, &g.setClocks)
+	switch {
+	case !s.Mem.EqualMasked(sh.mem, lo, hi, lo, hi):
+		c.Memory++
+		return false
+	case s.hier.Equivalent(sh.hier, &g.setClocks):
+		return true
+	case sh.replay(s.hier, k):
+		c.Replayed++
+		return true
+	}
+	c.Cache++
+	return false
+}
+
+// replay decides the caches of a trial whose state and memory match
+// epoch k while its caches, hier, do not match the golden ones. It runs
+// the golden run's accesses from epoch k on through a copy of hier and
+// reports whether each is served at the level the golden run recorded
+// until the copy is equivalent to the golden caches at a later epoch,
+// or until halt. It leaves hier and the shadow's epoch as they were.
+// DESIGN.md §3 ("Cache sets the golden run touches again") gives the
+// argument.
+func (sh *Shadow) replay(hier *cache.Hierarchy, k int) bool {
+	g, es := sh.g, sh.g.epochs
+	from := es[k].access
+	if from < 0 {
+		return false
+	}
+	hier.Snapshot(&sh.img)
+	sh.scratch.Restore(&sh.img)
+	for j := k + 1; j < len(es) && es[j].access >= 0; j++ {
+		if !sh.replayTo(from, es[j].access) {
+			return false
+		}
+		from = es[j].access
+		if j == k+1 {
+			sh.hier.Snapshot(&sh.img)
+			sh.future.Restore(&sh.img)
+		}
+		sh.future.Apply(&es[j].caches)
+		if sh.scratch.Equivalent(sh.future, &g.setClocks) {
+			return true
+		}
+	}
+	// Past the last epoch the stream runs to halt, unless it was cut
+	// short, beyond which nothing is known.
+	return !g.stream.Short() && sh.replayTo(from, g.stream.Len())
+}
+
+// replayTo runs the golden accesses [from, to) on the scratch
+// hierarchy, reporting whether each was served at its recorded level.
+func (sh *Shadow) replayTo(from, to int) bool {
+	if sh.scratch.Replay(sh.g.stream, from, to) != to {
+		sh.Counts.Mismatches++
+		return false
+	}
+	return true
 }
 
 // sameState compares a trial's state value a with the golden run's b

@@ -97,6 +97,88 @@ func (f *cutFixture) stop(t *testing.T, st cutStrike) bool {
 // matches reruns the reconvergence check at f's boundary.
 func (f *cutFixture) matches() bool { return f.g.reconverged(f.s, f.sh, f.sh.at-1) }
 
+// direct reports whether f's caches match the golden caches at its
+// boundary without the replay.
+func (f *cutFixture) direct() bool { return f.s.hier.Equivalent(f.sh.hier, &f.g.setClocks) }
+
+// predicted runs f's trial from its boundary to halt and reports
+// whether it returns the statistics a cut there predicts and the golden
+// output.
+func (f *cutFixture) predicted(t *testing.T) bool {
+	t.Helper()
+	want := f.s.Stats
+	want.Merge(&f.e.suffix)
+	want.Cycles = f.s.cycle + f.e.suffix.Cycles
+	got, err := f.s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got == want && reflect.DeepEqual(f.s.OutputMemory().Snapshot(), f.g.Output().Snapshot())
+}
+
+// replayCuts requires that f's caches fail the direct comparison, that
+// the replay cuts, and that the run to halt is the predicted one.
+func (f *cutFixture) replayCuts(t *testing.T) {
+	t.Helper()
+	replayed := f.sh.Counts.Replayed
+	if f.direct() {
+		t.Fatal("the direct comparison matches")
+	}
+	if !f.matches() || f.sh.Counts.Replayed != replayed+1 {
+		t.Fatal("the replay refuses")
+	}
+	if !f.predicted(t) {
+		t.Fatal("the run to halt differs from the cut's prediction")
+	}
+}
+
+// liveSet returns the first L1D set the golden run touches after f's
+// boundary that holds n resident lines.
+func (f *cutFixture) liveSet(t *testing.T, n int) int {
+	t.Helper()
+	lines, live := f.l1dSets()
+	for set := range f.g.setClocks[1] {
+		if live(set) && len(lines[set]) == n {
+			return set
+		}
+	}
+	t.Fatalf("no live L1D set with %d resident lines", n)
+	return 0
+}
+
+// shortStream replaces the golden access stream with one cut short at
+// f's epoch, as a budget that filled there would leave it, and returns
+// the function that restores it: the prefix is recorded again by
+// replaying it from the warm caches, one access past its capacity.
+func (f *cutFixture) shortStream(t *testing.T) (restore func()) {
+	t.Helper()
+	g, at := f.g, f.e.access
+	h, err := newHierarchy(g.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Restore(&g.img)
+	short := cache.NewStream(at)
+	h.Record(short)
+	if h.Replay(g.stream, 0, at+1) != at+1 || !short.Short() || short.Len() != at {
+		t.Fatal("the golden stream's prefix does not replay from the warm caches")
+	}
+	full, access := g.stream, make([]int, len(g.epochs))
+	g.stream = short
+	for i := range g.epochs {
+		access[i] = g.epochs[i].access
+		if access[i] > at {
+			g.epochs[i].access = -1
+		}
+	}
+	return func() {
+		g.stream = full
+		for i := range g.epochs {
+			g.epochs[i].access = access[i]
+		}
+	}
+}
+
 // newCutFixture forks a trial simulator and a shadow from g.
 func newCutFixture(t *testing.T, g *GoldenState) *cutFixture {
 	t.Helper()
@@ -284,16 +366,6 @@ func TestCutChecksWhatItMayIgnore(t *testing.T) {
 			r := f.reg(t, true)
 			f.s.regReady[r] = max(f.s.regReady[r], f.s.cycle) + 1
 		}},
-		{"tag of a live set", false, func(t *testing.T, f *cutFixture) {
-			_, live := f.l1dSets()
-			for set := range f.g.setClocks[1] {
-				if live(set) {
-					f.s.hier.L1D.Access(uint64(set)*cache.LineSize + 1<<30)
-					return
-				}
-			}
-			t.Fatal("no live L1D set")
-		}},
 		{"SB commit cycle", false, func(t *testing.T, f *cutFixture) { f.s.sb.entries[0].commitAt++ }},
 		{"SB sequence number", false, func(t *testing.T, f *cutFixture) { f.s.sb.entries[0].seq++ }},
 		{"SB last drain", false, func(t *testing.T, f *cutFixture) { f.s.sb.lastDrain++ }},
@@ -360,31 +432,74 @@ func TestCutChecksWhatItMayIgnore(t *testing.T) {
 		})
 	}
 
-	// Replacement order: touching a live set's two resident lines
-	// oldest first keeps their order and must match; newest first
-	// swaps it and must not.
-	t.Run("LRU order of a live set", func(t *testing.T) {
+	// Caches: a difference in a set the golden run touches again fails
+	// the direct comparison, and the replay of the golden future decides
+	// it. A foreign tag, or a swapped replacement order, that no later
+	// golden access is served differently by is cut, and the run to
+	// halt is the one the cut predicts.
+	t.Run("tag of a live set", func(t *testing.T) {
 		f := fresh(t)
-		lines, live := f.l1dSets()
-		set := -1
-		for s, ls := range lines {
-			if live(s) && len(ls) == 2 && (set < 0 || s < set) {
-				set = s
-			}
-		}
-		if set < 0 {
-			t.Fatal("no live L1D set with two resident lines")
-		}
+		f.s.hier.L1D.Access(uint64(f.liveSet(t, 1))*cache.LineSize + 1<<30)
+		f.replayCuts(t)
+	})
+	// Touching a live set's two resident lines oldest first keeps their
+	// order and matches directly; newest first swaps it.
+	t.Run("LRU order of a live set", func(t *testing.T) {
+		set := fresh(t).liveSet(t, 2)
+		lines, _ := f.l1dSets()
 		a, b := lines[set][0], lines[set][1]
 		var got [2]bool
 		for i, order := range [2][2]uint64{{a, b}, {b, a}} {
 			f := fresh(t)
 			f.s.hier.L1D.Access(order[0])
 			f.s.hier.L1D.Access(order[1])
-			got[i] = f.matches()
+			got[i] = f.direct()
 		}
 		if got[0] == got[1] {
-			t.Fatalf("touching set %d's lines in either order: matches %v", set, got)
+			t.Fatalf("touching set %d's lines in either order: direct comparison matches %v", set, got)
+		}
+		swap := [2]uint64{b, a}
+		if got[1] {
+			swap = [2]uint64{a, b}
+		}
+		f := fresh(t)
+		f.s.hier.L1D.Access(swap[0])
+		f.s.hier.L1D.Access(swap[1])
+		f.replayCuts(t)
+	})
+	// Evicting a line the golden run loads again before it refills the
+	// set changes that load's level: the replay must refuse, and indeed
+	// the run to halt is not the one a cut would predict.
+	t.Run("eviction of a line loaded again", func(t *testing.T) {
+		lines, live := fresh(t).l1dSets()
+		for set := range f.g.setClocks[1] {
+			if !live(set) || len(lines[set]) != 2 {
+				continue
+			}
+			for i := range 2 {
+				f := fresh(t)
+				f.s.hier.L1D.Access(lines[set][1-i]) // the other line becomes the newest
+				f.s.hier.L1D.Access(uint64(set)*cache.LineSize + 1<<30)
+				mismatches := f.sh.Counts.Mismatches
+				if f.direct() || f.matches() || f.sh.Counts.Mismatches != mismatches+1 {
+					continue
+				}
+				if f.predicted(t) {
+					t.Fatalf("evicting %#x: the replay refused, yet the run to halt is the predicted one", lines[set][i])
+				}
+				return
+			}
+		}
+		t.Fatal("no eviction changes the level of a later golden access")
+	})
+	// A stream cut short at the epoch's access knows nothing of the
+	// future: a difference the whole stream cuts is refused.
+	t.Run("stream cut short", func(t *testing.T) {
+		f := fresh(t)
+		f.s.hier.L1D.Access(uint64(f.liveSet(t, 1))*cache.LineSize + 1<<30)
+		defer f.shortStream(t)()
+		if f.direct() || f.matches() {
+			t.Fatal("the check matches past the end of a stream cut short")
 		}
 	})
 
@@ -423,6 +538,54 @@ func TestCutChecksWhatItMayIgnore(t *testing.T) {
 				}
 			}
 			t.Fatal("no cut trial stops with a renameable checkpoint")
+		})
+	}
+}
+
+// TestStreamReplaysTheGoldenCaches: the recorded access stream is the
+// whole of the warm golden run's cache traffic. Replayed from the warm
+// trial-start caches, every access is served at its recorded level, and
+// at every epoch's index the replayed hierarchy is exactly the golden
+// caches at that epoch, tags, stamps and clocks alike. A stream that
+// missed a kind of access (the L1D-only touches of forwarded loads and
+// commits, say) would leave lines out and fail here.
+func TestStreamReplaysTheGoldenCaches(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *GoldenState
+	}{
+		{"gcc", cutGolden(t, "gcc", 5, nil)},
+		{"lbm", cutGolden(t, "lbm", 5, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			h, err := newHierarchy(g.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := g.NewShadow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Restore(&g.img)
+			from := 0
+			var got, want cache.Image
+			for k := range g.epochs {
+				to := g.epochs[k].access
+				if at := h.Replay(g.stream, from, to); at != to {
+					t.Fatalf("access %d of %d is served at another level than recorded", at, g.stream.Len())
+				}
+				sh.moveTo(k)
+				h.Snapshot(&got)
+				sh.hier.Snapshot(&want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("at epoch %d the replayed caches differ from the golden caches", k)
+				}
+				from = to
+			}
+			if at := h.Replay(g.stream, from, g.stream.Len()); at != g.stream.Len() || g.stream.Short() {
+				t.Fatalf("the stream's tail does not replay: access %d of %d, cut short %v", at, g.stream.Len(), g.stream.Short())
+			}
 		})
 	}
 }

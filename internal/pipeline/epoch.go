@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"unsafe"
 
 	"repro/internal/cache"
@@ -13,16 +15,38 @@ import (
 // fault-free prefix a trial resumes from the last epoch the golden run
 // recorded before the event (GoldenState.ResetAt).
 
-// epochs is how many equal instruction intervals the warm golden run is
-// cut into. The state at the start of every interval is an epoch; the
-// first one is the trial-start snapshot itself, so epochs-1 are stored.
-const epochs = 16
+// The warm golden run is cut into epochCount equal instruction
+// intervals: at least minEpochs, and more for a long run, so that
+// epochs lie at most epochSpacing instructions apart. The state at the
+// start of every interval is an epoch; the first one is the
+// trial-start snapshot itself, so one fewer is stored. A trial resumes
+// from the last epoch before its first fault event and is compared with
+// the golden run at every epoch after its last (RunCut), so the spacing
+// bounds the fault-free instructions it steps on either side.
+const (
+	minEpochs    = 16
+	epochSpacing = 512
+)
 
-// epochBudget caps the bytes a golden state's epochs hold. A program
-// that rewrites many pages or cache sets every interval stops recording
-// at the first epoch that would exceed it, and later trials start from
-// the last epoch recorded.
+// epochCount returns how many intervals a run of insts instructions is
+// cut into.
+func epochCount(insts uint64) int {
+	return max(minEpochs, int((insts+epochSpacing-1)/epochSpacing))
+}
+
+// epochBudget caps the bytes a golden state's epochs hold. When the
+// next epoch would exceed it, the epochs recorded so far are thinned:
+// each pair is merged into its later epoch and the spacing doubles. A
+// program whose thinned epochs still exceed it (one that writes new
+// pages or cache sets every interval) stops recording there, and later
+// trials start from the last epoch recorded.
 const epochBudget = 512 << 10
+
+// streamBudget caps the bytes of the warm golden run's cache access
+// stream (cache.Stream): four bytes per access, sized once from the
+// cold run's access count. A stream cut short by it ends the cache
+// replay (cut.go) without a cut.
+const streamBudget = 1 << 20
 
 // epoch is the complete simulator state at the first step boundary of
 // the warm golden run at which insts instructions had retired: memory
@@ -32,6 +56,10 @@ type epoch struct {
 	insts  uint64
 	mem    []isa.MemEntry // words changed since the previous epoch
 	caches cache.Delta    // sets touched since the previous epoch
+	// access is the index into the golden state's cache access stream
+	// of the first access after the epoch, -1 when the stream was cut
+	// short before it.
+	access int
 
 	// suffix is what the golden run adds to its statistics from here to
 	// halt (RunCut): counters, Cycles from this epoch's cycle, and the
@@ -45,47 +73,65 @@ type epoch struct {
 // program and configuration (Fork, Adopt), runs the warm golden
 // execution on it to halt and returns the run's statistics. On the way
 // it records the epochs ResetAt resumes trials from: the state at the
-// first step boundary where Stats.Insts reaches k·Insts/epochs of the
-// golden run's instruction count, for k = 1 … epochs-1, until the
-// epochs would exceed epochBudget. A BOUND step retires no instruction,
-// so only the first boundary at an instruction count is the one at
-// which a trial fires an event scheduled for that count. A snapshot
-// whose configuration records regions (the region log must be whole)
-// or uses the ideal CLQ records none. RecordEpochs replaces any earlier
-// recording; it must not run concurrently with ResetAt.
+// first step boundary where Stats.Insts reaches k·Insts/n of the golden
+// run's instruction count, for n = epochCount(Insts) and k = 1 … n-1,
+// thinned or stopped by epochBudget. A BOUND step retires no
+// instruction, so only the first boundary at an instruction count is
+// the one at which a trial fires an event scheduled for that count. A
+// snapshot whose configuration records regions (the region log must be
+// whole) or uses the ideal CLQ records none. RecordEpochs replaces any
+// earlier recording; it must not run concurrently with ResetAt.
 //
 // It also records what RunCut compares trials with the epochs by: each
-// epoch's golden suffix statistics, the run's final per-set cache
-// clocks, register liveness, and whether the checkpoint window may be
-// compared up to a colour renaming.
+// epoch's golden suffix statistics, the run's cache access stream, its
+// final per-set cache clocks, register liveness, and whether the
+// checkpoint window may be compared up to a colour renaming.
 func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	g.Reset(s)
-	g.epochs = nil
+	g.epochs, g.stream = nil, nil
 	if g.cfg.RecordRegions || (s.clq != nil && g.cfg.CLQ == CLQIdeal) {
 		return s.Run()
 	}
-	target := func(k int) uint64 { return g.stats.Insts * uint64(k) / epochs }
+	n := epochCount(g.stats.Insts)
+	target := func(k int) uint64 { return g.stats.Insts * uint64(k) / uint64(n) }
+	stride := 1
+	// next returns the first multiple of stride after k whose target
+	// the run has not passed.
 	next := func(k int) int {
-		for k < epochs && target(k) <= s.Stats.Insts {
-			k++
+		k += stride - k%stride
+		for k < n && target(k) <= s.Stats.Insts {
+			k += stride
 		}
 		return k
 	}
+	g.stream = cache.NewStream(min(g.accesses, streamBudget/4))
+	s.hier.Record(g.stream)
+	defer s.hier.Record(nil)
 	mem := s.Mem.Track()
 	clock := g.img.Clock()
 	size := 0
 	lo, hi := g.prog.CkptBase, g.prog.CkptBase+ckptBytes
 	touched := false
 	var occ []uint64 // per epoch, the largest CLQ occupancy sampled until the next
-	for k := next(1); !s.halted; {
-		if k < epochs && s.Stats.Insts >= target(k) {
+	for k := next(0); !s.halted; {
+		if k < n && s.Stats.Insts >= target(k) {
 			e := s.epoch(mem, clock)
+			e.access = g.stream.Len()
+			if g.stream.Short() {
+				e.access = -1
+			}
+			clock = e.caches.Clock()
+			g.epochs, occ = append(g.epochs, e), append(occ, 0)
 			if size += e.bytes(); size > epochBudget {
-				k = epochs
-			} else {
-				g.epochs = append(g.epochs, e)
-				occ = append(occ, 0)
-				clock = e.caches.Clock()
+				if es, o, thinned := thin(g.epochs, occ); thinned <= epochBudget {
+					g.epochs, occ, size = es, o, thinned
+					stride *= 2
+				} else {
+					g.epochs, occ = g.epochs[:len(g.epochs)-1], occ[:len(occ)-1]
+					k = n
+				}
+			}
+			if k < n {
 				k = next(k)
 			}
 		}
@@ -116,6 +162,44 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	return s.Stats, nil
 }
 
+// thin merges each pair of consecutive epochs, from the first, into the
+// later one, which takes both deltas and the larger CLQ occupancy; an
+// odd last epoch stays. It returns the thinned epochs, occupancies and
+// bytes, and leaves es and occ as they were.
+func thin(es []epoch, occ []uint64) ([]epoch, []uint64, int) {
+	var out []epoch
+	var o []uint64
+	size := 0
+	for i := 0; i < len(es); i += 2 {
+		e, m := es[i], occ[i]
+		if i+1 < len(es) {
+			later := es[i+1]
+			later.mem = mergeMem(e.mem, later.mem)
+			c := e.caches
+			c.Merge(&later.caches)
+			later.caches = c
+			e, m = later, max(m, occ[i+1])
+		}
+		out, o = append(out, e), append(o, m)
+		size += e.bytes()
+	}
+	return out, o, size
+}
+
+// mergeMem returns the stores of a followed by those of b, keeping only
+// the last store to each word.
+func mergeMem(a, b []isa.MemEntry) []isa.MemEntry {
+	m := slices.Concat(a, b)
+	slices.SortStableFunc(m, func(x, y isa.MemEntry) int { return cmp.Compare(x.Addr, y.Addr) })
+	out := m[:0]
+	for i, w := range m {
+		if i+1 == len(m) || m[i+1].Addr != w.Addr {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 // statsSince returns the counters end gained since start.
 func statsSince(end, start Stats) Stats {
 	d, o := reflect.ValueOf(&end).Elem(), reflect.ValueOf(start)
@@ -138,7 +222,7 @@ func (s *Sim) epoch(mem *isa.DeltaTracker, clock cache.Clock) epoch {
 // value's slices.
 func (e *epoch) bytes() int {
 	n := int(unsafe.Sizeof(*e)) + e.caches.Bytes() + len(e.mem)*int(unsafe.Sizeof(isa.MemEntry{}))
-	return n + sliceBytes(reflect.ValueOf(e.state))
+	return n + sliceBytes(reflect.ValueOf(&e.state).Elem())
 }
 
 // sliceBytes returns the bytes the slices among v's fields hold,

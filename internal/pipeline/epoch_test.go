@@ -143,8 +143,8 @@ func TestResetAtMatchesStepping(t *testing.T) {
 				t.Fatal(err)
 			}
 			gs := recordEpochs(t, c.Prog, tc.cfg, func(m *isa.Memory) { seed(m, 120) })
-			if len(gs.epochs) != epochs-1 {
-				t.Fatalf("recorded %d epochs, want %d", len(gs.epochs), epochs-1)
+			if len(gs.epochs) != epochCount(gs.Stats().Insts)-1 {
+				t.Fatalf("recorded %d epochs, want %d", len(gs.epochs), epochCount(gs.Stats().Insts)-1)
 			}
 			for i := range gs.epochs {
 				e := &gs.epochs[i].state
@@ -267,8 +267,9 @@ func TestNoEpochsWhereRunsMustBeWhole(t *testing.T) {
 }
 
 // buildSweep builds a kernel that stores to words consecutive words on
-// each of passes passes, each pass with new values, so that every epoch
-// interval changes every word and every cache set the sweep touches.
+// each of passes passes, each pass with new nonzero values (word i of
+// pass p holds (p+1)·i), so that every pass changes every word but the
+// first and every cache set the sweep touches.
 func buildSweep(words, passes int64) *ir.Func {
 	b := ir.NewBuilder("sweep")
 	base := b.MovI(int64(isa.DataBase))
@@ -282,7 +283,7 @@ func buildSweep(words, passes int64) *ir.Func {
 	b.BranchI(isa.BGE, i, words, next, body)
 	b.SetBlock(body)
 	addr := b.Op(isa.ADD, base, b.OpI(isa.SHL, i, 3))
-	b.Store(addr, 0, b.Op(isa.ADD, b.Op(isa.MUL, p, i), p))
+	b.Store(addr, 0, b.Op(isa.MUL, b.OpI(isa.ADD, p, 1), i))
 	b.OpITo(isa.ADD, i, i, 1)
 	b.Jump(inner)
 	b.SetBlock(next)
@@ -294,41 +295,58 @@ func buildSweep(words, passes int64) *ir.Func {
 	return b.MustFinish()
 }
 
-// TestEpochBudget: a kernel that sweeps pages every interval would pin
-// far more than epochBudget in epochs; recording stops at the first
-// epoch that would exceed it, and injected trials resumed from the last
-// recorded epoch still match runs from the start.
+// TestEpochBudget: two kernels pin far more than epochBudget in epochs
+// at the schedule's spacing. One rewrites the same few words every
+// interval, so merging pairs of its epochs shrinks them: the epochs are
+// thinned to fit and still reach the end of the run. The other writes
+// new words every interval, so merging does not shrink them: recording
+// stops at the first epoch that does not fit. Either way injected
+// trials resumed from the epochs match runs from the start.
 func TestEpochBudget(t *testing.T) {
-	c, err := core.Compile(buildSweep(2048, 16), core.TurnpikeAll(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := recordEpochs(t, c.Prog, TurnpikeConfig(4, 10), func(*isa.Memory) {})
-	size := 0
-	for i := range gs.epochs {
-		size += gs.epochs[i].bytes()
-	}
-	if len(gs.epochs) == 0 || len(gs.epochs) >= epochs-1 || size > epochBudget {
-		t.Fatalf("recorded %d epochs of %d bytes; want some but not all %d, within %d bytes",
-			len(gs.epochs), size, epochs-1, epochBudget)
-	}
-	t.Logf("recorded %d of %d epochs, %d bytes", len(gs.epochs), epochs-1, size)
-	last := gs.epochs[len(gs.epochs)-1].insts
-	a, err := gs.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := gs.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts := gs.Stats().Insts
-	for i, at := range []uint64{last / 2, last, last + 1, insts * 9 / 10} {
-		reg, bit, lat := isa.Reg(1+3*i), uint(5*i), 1+i
-		gs.ResetAt(a, at)
-		gs.Reset(b)
-		if got, want := runInjected(a, reg, bit, at, lat), runInjected(b, reg, bit, at, lat); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial striking at %d diverged from its run from the start", at)
-		}
+	for _, tc := range []struct {
+		name          string
+		words, passes int64
+		whole         bool
+	}{
+		{"rewrites thinned", 2048, 16, true},
+		{"new words truncated", 65536, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := core.Compile(buildSweep(tc.words, tc.passes), core.TurnpikeAll(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs := recordEpochs(t, c.Prog, TurnpikeConfig(4, 10), func(*isa.Memory) {})
+			size := 0
+			for i := range gs.epochs {
+				size += gs.epochs[i].bytes()
+			}
+			insts, n := gs.Stats().Insts, epochCount(gs.Stats().Insts)
+			if len(gs.epochs) == 0 || len(gs.epochs) >= n-1 || size > epochBudget {
+				t.Fatalf("recorded %d epochs of %d bytes; want some but not all %d, within %d bytes",
+					len(gs.epochs), size, n-1, epochBudget)
+			}
+			last := gs.epochs[len(gs.epochs)-1].insts
+			t.Logf("recorded %d of %d epochs, %d bytes, the last at %d of %d instructions", len(gs.epochs), n-1, size, last, insts)
+			if whole := last >= insts*3/4; whole != tc.whole {
+				t.Fatalf("the last epoch lies at %d of %d instructions", last, insts)
+			}
+			a, err := gs.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := gs.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, at := range []uint64{last / 2, last, last + 1, insts * 9 / 10} {
+				reg, bit, lat := isa.Reg(1+3*i), uint(5*i), 1+i
+				gs.ResetAt(a, at)
+				gs.Reset(b)
+				if got, want := runInjected(a, reg, bit, at, lat), runInjected(b, reg, bit, at, lat); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial striking at %d diverged from its run from the start", at)
+				}
+			}
+		})
 	}
 }

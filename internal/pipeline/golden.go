@@ -26,8 +26,9 @@ type GoldenState struct {
 	stats  Stats
 	output *isa.Memory
 	// memSpan and memOwned are the golden run's page-table length and
-	// written-page count (memory pre-size).
-	memSpan, memOwned int
+	// written-page count (memory pre-size); accesses is its number of
+	// cache accesses (access stream pre-size).
+	memSpan, memOwned, accesses int
 
 	// epochs are the warm golden run's restore points in run order
 	// (RecordEpochs); ResetAt resumes a trial from the last one at or
@@ -35,10 +36,11 @@ type GoldenState struct {
 	epochs []epoch
 
 	// What RunCut compares trials with the epochs by, recorded with
-	// them: the warm run's final per-set cache clocks, the registers
-	// live before each instruction, and whether the golden run leaves
-	// the checkpoint window to checkpoints, so that colours may be
-	// renamed and the window skipped (cut.go).
+	// them: the warm run's cache access stream and final per-set cache
+	// clocks, the registers live before each instruction, and whether
+	// the golden run leaves the checkpoint window to checkpoints, so
+	// that colours may be renamed and the window skipped (cut.go).
+	stream     *cache.Stream
 	setClocks  cache.SetClocks
 	live       []isa.RegBitmap
 	renameCkpt bool
@@ -64,9 +66,15 @@ func CaptureGolden(s *Sim) (*GoldenState, error) {
 	g.stats = st
 	g.output = s.OutputMemory()
 	g.memSpan, g.memOwned = s.Mem.PageUse()
+	h := s.hier
+	g.accesses = int(h.L1I.Hits + h.L1I.Misses + h.L1D.Hits + h.L1D.Misses)
 	s.hier.Snapshot(&g.img)
 	return g, nil
 }
+
+// Config returns the simulator configuration the snapshot was captured
+// under, with New's defaults resolved.
+func (g *GoldenState) Config() Config { return g.cfg }
 
 // Stats returns the golden run's statistics.
 func (g *GoldenState) Stats() Stats { return g.stats }

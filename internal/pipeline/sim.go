@@ -504,7 +504,7 @@ func (s *Sim) step() error {
 		if v, ok := s.sb.forward(addr); ok {
 			s.Regs[in.Rd] = v
 			lat = s.hier.L1D.HitLatency() // forwarding at L1-hit time
-			s.hier.L1D.Access(addr)       // keep cache state warm
+			s.hier.TouchData(addr)        // keep cache state warm
 		} else {
 			s.Regs[in.Rd] = s.Mem.Load(addr)
 			lat = s.hier.DataAccess(addr)
@@ -766,7 +766,7 @@ func (s *Sim) commitStore(in *isa.Inst, addr, val uint64, isCkpt bool, ckptReg i
 		s.obsCommitStore(addr, quarantine, isCkpt)
 	}
 	// Charge the L1 write access for cache-state realism.
-	s.hier.L1D.Access(addr)
+	s.hier.TouchData(addr)
 	return false, nil
 }
 
@@ -824,13 +824,13 @@ func (s *Sim) commitCkpt(in *isa.Inst) (recovered bool, err error) {
 			if s.obs != nil {
 				s.obsCommitStore(addr, true, true)
 			}
-			s.hier.L1D.Access(addr)
+			s.hier.TouchData(addr)
 			return false, nil
 		}
 		// Fast release: SB entry for bandwidth, memory applied at commit.
 		s.Mem.Store(addr, val)
 		s.sb.push(sbEntry{addr: addr, val: val, region: noRegion, commitAt: s.cycle}, s.obs)
-		s.hier.L1D.Access(addr)
+		s.hier.TouchData(addr)
 		s.Stats.ColoredReleased++
 		cur.colored++
 		if s.obs != nil {

@@ -329,6 +329,7 @@ func (f *Fleet) Lease(workerID string) (*LeaseGrant, error) {
 		return nil, err
 	}
 	now := f.cfg.Now()
+	f.loseSilentLocked(now)
 	var grant *LeaseGrant
 	var stole *Lease
 	for _, fj := range f.jobs {
@@ -614,20 +615,7 @@ func (f *Fleet) requeueLocked(fj *fleetJob, l *Lease) {
 func (f *Fleet) Tick() {
 	f.mu.Lock()
 	now := f.cfg.Now()
-	lostAfter := time.Duration(f.cfg.HeartbeatMisses) * f.cfg.HeartbeatInterval
-	for _, w := range f.workers {
-		if w.State == WorkerLive && now.Sub(w.LastBeat) > lostAfter {
-			w.State = WorkerLost
-			f.log.Warn("fleet worker lost: missed heartbeats; reclaiming its leases",
-				"worker", w.ID, "last_beat", w.LastBeat)
-			for _, id := range f.leaseOrder {
-				l := f.leases[id]
-				if l.Worker == w.ID && l.State == LeaseActive {
-					f.expireLocked(l)
-				}
-			}
-		}
-	}
+	f.loseSilentLocked(now)
 	for _, id := range f.leaseOrder {
 		l := f.leases[id]
 		if l.State == LeaseActive && now.After(l.Deadline) {
@@ -639,6 +627,33 @@ func (f *Fleet) Tick() {
 	f.wakeAllLocked()
 	f.updateGaugesLocked()
 	f.mu.Unlock()
+}
+
+// loseSilentLocked declares lost every live worker whose last heartbeat
+// is older than the loss window (HeartbeatMisses beats) at now, and
+// reclaims its leases. Every read of a worker's state (Snapshot, and so
+// /fleet and /readyz; Lease) calls it first, so a worker's state follows
+// the age of its last heartbeat whether or not a campaign's Run loop
+// is ticking. Caller holds f.mu.
+func (f *Fleet) loseSilentLocked(now time.Time) {
+	lostAfter := time.Duration(f.cfg.HeartbeatMisses) * f.cfg.HeartbeatInterval
+	lost := false
+	for _, w := range f.workers {
+		if w.State == WorkerLive && now.Sub(w.LastBeat) > lostAfter {
+			w.State, lost = WorkerLost, true
+			f.log.Warn("fleet worker lost: missed heartbeats; reclaiming its leases",
+				"worker", w.ID, "last_beat", w.LastBeat)
+			for _, id := range f.leaseOrder {
+				l := f.leases[id]
+				if l.Worker == w.ID && l.State == LeaseActive {
+					f.expireLocked(l)
+				}
+			}
+		}
+	}
+	if lost {
+		f.updateGaugesLocked()
+	}
 }
 
 // expireLocked reclaims one active lease. Caller holds f.mu.
@@ -676,6 +691,7 @@ func (f *Fleet) Run(ctx context.Context, spec JobSpec, sess *fault.Session) (*fa
 		sess: sess,
 		kick: make(chan struct{}, 1),
 	}
+	f.log.InfoContext(ctx, "campaign start", "trials", sess.Trials(), "resumed", sess.Completed())
 	f.addJob(fj)
 	defer f.dropJob(fj)
 
@@ -855,6 +871,7 @@ func (f *Fleet) Snapshot() Status {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	now := f.cfg.Now()
+	f.loseSilentLocked(now)
 	st := Status{Workers: []WorkerInfo{}, Leases: []Lease{}}
 	for _, w := range f.workers {
 		info := w.WorkerInfo

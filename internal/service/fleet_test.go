@@ -569,6 +569,62 @@ func TestReadyzReportsFleetHealth(t *testing.T) {
 	}
 }
 
+// TestIdleFleetDeclaresSilentWorkerLost: with no campaign running, so
+// that nothing calls Tick, a worker that stops beating is reported lost
+// one loss window (HeartbeatMisses beats) after its last heartbeat, by
+// Snapshot, by /readyz and by the fleet gauges, while a worker that
+// keeps beating stays live.
+func TestIdleFleetDeclaresSilentWorkerLost(t *testing.T) {
+	clk := newFakeClock()
+	progress := &pipeline.Progress{}
+	fleet := NewFleet(FleetConfig{
+		HeartbeatInterval: time.Second,
+		HeartbeatMisses:   3,
+		Progress:          progress,
+		Now:               clk.Now,
+	})
+	s := newTestService(t, Config{Fleet: fleet})
+	defer s.Shutdown(context.Background())
+	srv := obs.NewServer(obs.ServerConfig{})
+	s.Mount(srv)
+	h := srv.Handler()
+	for _, id := range []string{"silent", "beating"} {
+		if _, err := fleet.Register(id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lost := func() int {
+		st := fleet.Snapshot()
+		if st.WorkersLive+st.WorkersLost != 2 || progress.FleetWorkersLost.Load() != int64(st.WorkersLost) {
+			t.Fatalf("snapshot %d live, %d lost; gauge %d lost", st.WorkersLive, st.WorkersLost, progress.FleetWorkersLost.Load())
+		}
+		return st.WorkersLost
+	}
+	for range 3 {
+		clk.Advance(time.Second)
+		if err := fleet.Heartbeat("beating"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := lost(); n != 0 {
+		t.Fatalf("exactly one loss window after the last heartbeat: %d lost, want 0", n)
+	}
+	clk.Advance(time.Nanosecond)
+	if n := lost(); n != 1 {
+		t.Fatalf("past the loss window: %d lost, want 1", n)
+	}
+	for _, w := range fleet.Snapshot().Workers {
+		if want := map[string]WorkerState{"silent": WorkerLost, "beating": WorkerLive}[w.ID]; w.State != want {
+			t.Fatalf("worker %s is %s, want %s", w.ID, w.State, want)
+		}
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/readyz", nil))
+	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "degraded: 1 fleet worker(s) lost") {
+		t.Fatalf("/readyz %d %s, want a degraded report", rr.Code, rr.Body)
+	}
+}
+
 // TestSubmitLeaseValidation: a lease wider than the campaign is rejected
 // at validation (HTTP 400), not silently clamped; lease == trials is the
 // widest legal value.
