@@ -185,65 +185,23 @@ func (s *Sim) contained(e detectEvent) bool {
 	return e.epoch == s.Stats.RegionsVerified
 }
 
-// fireDetections adjudicates the sensor event(s) due at the current cycle.
-// Because one recovery clears the whole queue (re-execution from the
-// earliest unverified region supersedes every in-flight event), every
-// pending event must pass the containment check first:
-//
-//   - any uncontained event (its region verified and released stores
-//     before the wave arrived) is unrecoverable — with Containment on the
-//     machine aborts with a DUE; with it off the event is dropped and the
-//     corruption runs free (the SDC path);
-//   - contained events trigger the normal recovery sequence;
-//   - a late detection, contained or not, flips the degradation
-//     controller into conservative quarantine mode.
+// fireDetections handles the sensor event(s) due at the current cycle.
+// One recovery clears the whole queue (re-execution from the earliest
+// unverified region supersedes every in-flight event), so every pending
+// event is adjudicated first (adjudicate); contained events then trigger
+// the normal recovery sequence.
 func (s *Sim) fireDetections() error {
-	uncontained := 0
-	hasLate := false
-	containedReal := false
-	containedSpurious := false
-	for _, e := range s.pendingDetects {
-		if s.contained(e) {
-			if e.spurious {
-				containedSpurious = true
-			} else {
-				containedReal = true
-			}
-		} else {
-			uncontained++
-		}
-		if e.late {
-			hasLate = true
-		}
+	strike, spurious, err := s.adjudicate(true)
+	if err != nil {
+		return err
 	}
-	if hasLate {
-		s.enterDegraded()
+	if !strike && !spurious {
+		// Every event was dropped: nothing is left to recover for, and
+		// execution continues on whatever state the strikes left behind.
+		s.pendingDetects = s.pendingDetects[:0]
+		return nil
 	}
-	if uncontained > 0 {
-		if s.Cfg.Containment {
-			s.Stats.DUEs++
-			if s.obs != nil {
-				s.obs.Tracer.Instant(trackSensor, "sensor", "due", s.cycle,
-					map[string]any{"uncontained": uncontained})
-			}
-			s.logDUE(uncontained, hasLate)
-			return &DUEError{Cycle: s.cycle, Late: hasLate}
-		}
-		s.Stats.DroppedDetections += uint64(uncontained)
-		if s.obs != nil {
-			s.obs.Tracer.Instant(trackSensor, "sensor", "detection-dropped", s.cycle,
-				map[string]any{"dropped": uncontained})
-		}
-		if !containedReal && !containedSpurious {
-			// Nothing left to recover for; execution continues on
-			// whatever state the strikes left behind.
-			s.pendingDetects = s.pendingDetects[:0]
-			return nil
-		}
-		// Fall through: recover for the contained events; the dropped
-		// ones' effects already escaped and recovery cannot undo them.
-	}
-	if !containedReal && len(s.rbb) == 0 {
+	if !strike && len(s.rbb) == 0 {
 		// Only spurious firings, and no unverified region in flight:
 		// the recovery handler finds nothing to roll back and resumes.
 		s.pendingDetects = s.pendingDetects[:0]
@@ -255,6 +213,72 @@ func (s *Sim) fireDetections() error {
 	return s.recover()
 }
 
+// parityTrip handles a load or store whose address register fails its
+// parity check (§5 of the paper): the trip is a detection heard at once,
+// so recovery runs. Recovery retires every pending sensor event, so
+// they are adjudicated first, as when the sensors fire: a parity trip
+// must not retire an uncontained late detection that would have ended
+// the run as a DUE (DESIGN.md §1, soundness decision 8).
+func (s *Sim) parityTrip() error {
+	s.Stats.ParityTrips++
+	if _, _, err := s.adjudicate(false); err != nil {
+		return err
+	}
+	return s.recover()
+}
+
+// adjudicate applies the containment check to every pending sensor
+// event before a recovery retires them all, and reports whether a
+// contained strike or a contained spurious firing remains. fired says
+// the sensors fired; otherwise a parity check tripped.
+//
+//   - any uncontained event (its region verified and released stores
+//     before the wave arrived) is unrecoverable — with Containment on the
+//     machine aborts with a DUE; with it off the event is dropped and
+//     counted, and the corruption runs free (the SDC path);
+//   - when the sensors fired, a late detection, contained or not, flips
+//     the degradation controller into conservative quarantine mode. A
+//     parity trip's recovery retires the events before any is heard, so
+//     none is heard late.
+func (s *Sim) adjudicate(fired bool) (strike, spurious bool, err error) {
+	uncontained := 0
+	hasLate := false
+	for _, e := range s.pendingDetects {
+		switch {
+		case !s.contained(e):
+			uncontained++
+		case e.spurious:
+			spurious = true
+		default:
+			strike = true
+		}
+		hasLate = hasLate || e.late
+	}
+	if fired && hasLate {
+		s.enterDegraded()
+	}
+	if uncontained == 0 {
+		return strike, spurious, nil
+	}
+	if s.Cfg.Containment {
+		s.Stats.DUEs++
+		if s.obs != nil {
+			s.obs.Tracer.Instant(trackSensor, "sensor", "due", s.cycle,
+				map[string]any{"uncontained": uncontained})
+		}
+		s.logDUE(uncontained, hasLate)
+		return false, false, &DUEError{Cycle: s.cycle, Late: hasLate}
+	}
+	s.Stats.DroppedDetections += uint64(uncontained)
+	if s.obs != nil {
+		s.obs.Tracer.Instant(trackSensor, "sensor", "detection-dropped", s.cycle,
+			map[string]any{"dropped": uncontained})
+	}
+	// The dropped events' effects already escaped; recovery, if any
+	// contained event asks for it, cannot undo them.
+	return strike, spurious, nil
+}
+
 // recover implements the paper's recovery sequence (§2.2, §4.3.2): discard
 // all unverified store-buffer entries, squash the unverified regions'
 // colors, redirect fetch to the recovery block of the earliest unverified
@@ -263,7 +287,7 @@ func (s *Sim) fireDetections() error {
 // WAR-free and coloring arguments guarantee re-execution overwrites or
 // never reads them. All pending sensor events are retired: re-execution
 // from the restart point supersedes every strike the queue still held
-// (each was containment-checked by fireDetections before arriving here).
+// (each was adjudicated before arriving here).
 func (s *Sim) recover() error {
 	if !s.Cfg.Resilient {
 		return fmt.Errorf("pipeline: recovery without resilience support")
@@ -276,7 +300,7 @@ func (s *Sim) recover() error {
 	case s.lastRestart >= 0:
 		// A detection fired with no region in flight — the machine is
 		// inside (or just past) a recovery block, before the restarted
-		// region re-opens. fireDetections only routes contained events
+		// region re-opens. adjudicate lets only contained events
 		// here, so nothing has verified since the strike; re-running
 		// the same recovery block is idempotent (it recomputes from
 		// verified state only).
