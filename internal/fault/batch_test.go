@@ -123,10 +123,11 @@ func TestReplayFromBatchedRange(t *testing.T) {
 // simulator and scratch are warm, running a trial — plan derivation,
 // ResetAt, injected execution, classification — performs zero heap
 // allocations under a perfect mesh, under Turnpike and under Turnstile,
-// which has no colours and no CLQ, and on lbm at scale 5, whose trials
-// reach the cache replay of the reconvergence check. An adversarial
-// trial allocates only what its record keeps: one Extra slice per burst
-// and one FalsePositives slice per spurious detection.
+// which has no colours and no CLQ, on lbm at scale 5, whose trials
+// reach the cache replay of the reconvergence check, and on a campaign
+// an earlier one handed on by Reuse. An adversarial trial allocates only
+// what its record keeps: one Extra slice per burst and one
+// FalsePositives slice per spurious detection.
 func TestTrialLoopAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -135,22 +136,33 @@ func TestTrialLoopAllocationFree(t *testing.T) {
 		scheme core.Scheme
 		sim    pipeline.Config
 		adv    *Adversary
+		reused bool
 	}{
-		{"perfect-mesh", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil},
-		{"adversarial", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), meshAdversary},
-		{"turnstile-perfect-mesh", "gcc", 2, core.Turnstile, pipeline.TurnstileConfig(4, 10), nil},
-		{"cache-replay", "lbm", 5, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil},
+		{"perfect-mesh", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, false},
+		{"adversarial", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), meshAdversary, false},
+		{"turnstile-perfect-mesh", "gcc", 2, core.Turnstile, pipeline.TurnstileConfig(4, 10), nil, false},
+		{"cache-replay", "lbm", 5, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, false},
+		{"reused", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, p := compiledAt(t, tc.bench, tc.scheme, tc.scale)
 			cfg := Config{Trials: 64, Seed: 1, Workers: 1, FailureBudget: -1,
 				Sim: tc.sim, Adversary: tc.adv}
-			prep, err := Prepare(context.Background(), prog, cfg, p.SeedMemory)
+			ctx := context.Background()
+			prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.reused {
+				if _, err := prep.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Seed = 2
+				if prep, err = prep.Reuse(ctx, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
 			e, r := prep.e, prep.runners[0]
-			ctx := context.Background()
 			var rec TrialRecord
 			kept := 0
 			for i := 0; i < cfg.Trials; i++ {

@@ -137,7 +137,9 @@ func (p *Prepared) RunRange(ctx context.Context, lo, hi int) (*ShardResult, erro
 		GoldenInsts:  p.goldenStats.Insts,
 		Records:      make([]TrialRecord, hi-lo),
 	}
-	p.fanOut(ctx, SplitLeases([]TrialRange{{Lo: lo, Hi: hi}}, 1), sh.Records, lo, nil)
+	if err := p.fanOut(ctx, SplitLeases([]TrialRange{{Lo: lo, Hi: hi}}, 1), sh.Records, lo, nil); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("fault: shard [%d,%d) interrupted: %w", lo, hi, err)
 	}
@@ -182,6 +184,9 @@ type Session struct {
 func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.runners == nil {
+		return nil, errHandedOn
+	}
 	if p.opened {
 		return nil, fmt.Errorf("fault: campaign already running")
 	}
@@ -265,11 +270,14 @@ func (s *Session) Run(ctx context.Context, leases []TrialRange) error {
 	// Fresh trials are filled into one slab, so the steady-state trial
 	// loop performs no record allocations.
 	slab := make([]TrialRecord, hi-lo)
-	s.p.fanOut(runCtx, leases, slab, lo, func(wctx context.Context, rec []TrialRecord) {
+	err := s.p.fanOut(runCtx, leases, slab, lo, func(wctx context.Context, rec []TrialRecord) {
 		if _, stop, err := s.add(wctx, rec); stop || err != nil {
 			cancel(err)
 		}
 	})
+	if err != nil {
+		return err
+	}
 	if err := context.Cause(runCtx); errors.Is(err, ErrShardMismatch) {
 		return err
 	}

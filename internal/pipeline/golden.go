@@ -141,10 +141,10 @@ func (g *GoldenState) Reset(s *Sim) {
 // identical to the warm golden run until its first event fires and the
 // simulator is deterministic, so the trial that resumes there is
 // byte-identical to one run from the start. Reset left nothing
-// published, so the first Step publishes the whole resumed prefix into
-// an attached Progress, whose totals come out as for a run from the
-// start. With an observability attachment (AttachObs) ResetAt ignores
-// the epochs, so traces and histograms cover the whole run.
+// published, so the run's first publication carries the whole resumed
+// prefix into an attached Progress, whose totals come out as for a run
+// from the start. With an observability attachment (AttachObs) ResetAt
+// ignores the epochs, so traces and histograms cover the whole run.
 func (g *GoldenState) ResetAt(s *Sim, inst uint64) {
 	g.Reset(s)
 	if s.obs != nil {

@@ -56,7 +56,7 @@ func fleetSpec(trials, every, lease int) JobSpec {
 func fleetSession(t *testing.T, trials, every, lease int, ckpt string) (*fault.Session, JobSpec) {
 	t.Helper()
 	spec := fleetSpec(trials, every, lease)
-	p, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), spec, ckpt)
+	p, _, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), spec, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func fleetSession(t *testing.T, trials, every, lease int, ckpt string) (*fault.S
 // fleetReference runs the identical campaign uninterrupted on one node.
 func fleetReference(t *testing.T, trials int) *fault.Result {
 	t.Helper()
-	p, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), fleetSpec(trials, 0, 0), "")
+	p, _, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), fleetSpec(trials, 0, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,6 @@ type WorkerClient struct {
 	id       string
 	hbEvery  time.Duration
 	pollWait time.Duration
-
-	// prepared caches compiled campaigns by job ID so every lease of the
-	// same job reuses the golden fork.
-	prepared map[string]*fault.Prepared
 }
 
 // WorkerConfig parameterizes NewWorkerClient.
@@ -44,7 +40,10 @@ type WorkerConfig struct {
 	Coordinator string
 	// Prepare compiles a leased job's campaign locally (required).
 	// Called with checkpoint "" — workers never checkpoint; the
-	// coordinator owns the campaign's durable state.
+	// coordinator owns the campaign's durable state. Every lease takes
+	// its campaign and releases it once its range has run, so
+	// CampaignPrepare's pool serves the next lease of the job, or of any
+	// job of the same campaign.
 	Prepare PrepareFunc
 	// ID is the worker's stable identity; "" asks the coordinator to
 	// mint one. Reuse the minted ID across reconnects.
@@ -87,7 +86,6 @@ func NewWorkerClient(cfg WorkerConfig) (*WorkerClient, error) {
 		id:       cfg.ID,
 		pollWait: 250 * time.Millisecond,
 		hbEvery:  2 * time.Second,
-		prepared: map[string]*fault.Prepared{},
 	}
 	if cfg.Logger != nil {
 		w.log = cfg.Logger
@@ -219,7 +217,7 @@ func (w *WorkerClient) pollLease(ctx context.Context) (*LeaseGrant, int, error) 
 
 // execute runs one granted lease and reports the outcome.
 func (w *WorkerClient) execute(ctx context.Context, grant *LeaseGrant) {
-	p, err := w.preparedFor(ctx, grant)
+	p, release, err := w.preparedFor(ctx, grant)
 	if err != nil {
 		w.report(ctx, grant.LeaseID, Classify(err), err)
 		return
@@ -227,6 +225,7 @@ func (w *WorkerClient) execute(ctx context.Context, grant *LeaseGrant) {
 	w.log.Info("executing lease",
 		"lease", grant.LeaseID, "job", grant.JobID, "lo", grant.Lo, "hi", grant.Hi)
 	sh, err := p.RunRange(ctx, grant.Lo, grant.Hi)
+	release()
 	if err != nil {
 		// Almost always a cancelled ctx (shutdown); the lease deadline
 		// reclaims the range if this report never lands.
@@ -236,36 +235,25 @@ func (w *WorkerClient) execute(ctx context.Context, grant *LeaseGrant) {
 	w.postShard(ctx, grant, sh)
 }
 
-// preparedFor returns the cached compiled campaign for the grant's job,
-// compiling (and golden-fingerprint-checking) on first use. A
-// fingerprint mismatch is permanent: this process compiled a different
-// campaign than the coordinator, and no shard it produces can merge.
-func (w *WorkerClient) preparedFor(ctx context.Context, grant *LeaseGrant) (*fault.Prepared, error) {
-	if p, ok := w.prepared[grant.JobID]; ok {
-		return p, nil
-	}
-	p, err := w.cfg.Prepare(ctx, grant.Spec, "")
+// preparedFor prepares the grant's campaign (CampaignPrepare hands on
+// an idle one when it can) and checks its golden fingerprint against the
+// coordinator's, on every lease. A mismatch is permanent: this process
+// compiled a different campaign than the coordinator, and no shard it
+// produces can merge. The caller releases the campaign once the range
+// has run.
+func (w *WorkerClient) preparedFor(ctx context.Context, grant *LeaseGrant) (*fault.Prepared, func(), error) {
+	p, release, err := w.cfg.Prepare(ctx, grant.Spec, "")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	golden := p.GoldenStats()
 	if golden.Cycles != grant.GoldenCycles || golden.Insts != grant.GoldenInsts {
-		return nil, MarkPermanent(fmt.Errorf(
+		release()
+		return nil, nil, MarkPermanent(fmt.Errorf(
 			"service: worker golden run (%d cycles/%d insts) does not match the coordinator's (%d/%d) for job %s — refusing to execute",
 			golden.Cycles, golden.Insts, grant.GoldenCycles, grant.GoldenInsts, grant.JobID))
 	}
-	// Bound the cache: evict compiled campaigns for other jobs once a
-	// few accumulate (campaigns arrive mostly sequentially).
-	if len(w.prepared) >= 4 {
-		for id := range w.prepared {
-			if id != grant.JobID {
-				delete(w.prepared, id)
-				break
-			}
-		}
-	}
-	w.prepared[grant.JobID] = p
-	return p, nil
+	return p, release, nil
 }
 
 // postShard returns a finished shard, retrying transient transport

@@ -371,6 +371,28 @@ func PrepareCompiledFaultCampaign(ctx context.Context, prog *Program, scheme Sch
 	return fault.Prepare(ctx, prog, cfg.engineConfig(sim), nil)
 }
 
+// FaultCampaignSim returns the simulator configuration a campaign of
+// scheme under cfg runs on, with cfg's defaults filled. Beside the
+// program and the runner count, it is all a prepared campaign's golden
+// state and runners depend on, so a service keys the campaigns it keeps
+// for reuse by it.
+func FaultCampaignSim(scheme Scheme, cfg FaultCampaignConfig) (SimConfig, error) {
+	return campaignSim(scheme, &cfg)
+}
+
+// ReuseFaultCampaign hands an idle prepared campaign, whose golden state
+// and runners a campaign of scheme under cfg would build identically, to
+// that campaign (fault.Prepared.Reuse): it runs byte-identically to a
+// fresh PrepareFaultCampaign or PrepareCompiledFaultCampaign, without
+// the compile, the golden runs and the forks.
+func ReuseFaultCampaign(ctx context.Context, p *PreparedFaultCampaign, scheme Scheme, cfg FaultCampaignConfig) (*PreparedFaultCampaign, error) {
+	sim, err := campaignSim(scheme, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Reuse(ctx, cfg.engineConfig(sim))
+}
+
 // ReplayFault re-executes one recorded injection from a campaign's
 // failure report against a freshly compiled benchmark and returns its
 // classification — the debugging half of the campaign engine's replayable
