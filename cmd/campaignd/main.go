@@ -17,7 +17,7 @@
 // The daemon logs structured records (-log-format json|text, -log-level)
 // where every line carries the request → job → shard → trial correlation
 // chain, and keeps a bounded flight-recorder ring (-recorder) of recent
-// events at Debug detail regardless of the terminal level. The ring is
+// events at Info and above, whatever the terminal level. The ring is
 // served per job at /jobs/{id}/events, dumped to the state dir when a
 // job fails permanently, and dumped to stderr on SIGQUIT.
 //
@@ -139,14 +139,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The terminal leg honors -log-level; the flight recorder always
-	// keeps Debug (per-trial events) so a post-mortem has the detail the
-	// terminal suppressed.
+	// The terminal leg honors -log-level; the flight recorder keeps Info
+	// and above whatever the terminal level. Per-trial Debug records
+	// would evict a job's lifecycle from the ring, and each trial's
+	// outcome is in the job's result and checkpoint anyway.
 	var rec *olog.Recorder
 	legs := []slog.Handler{olog.NewHandler(os.Stderr, olog.Options{Format: *logFormat, Level: level})}
 	if *recorder > 0 {
 		rec = olog.NewRecorder(*recorder)
-		legs = append(legs, rec.Handler(slog.LevelDebug))
+		legs = append(legs, rec.Handler(slog.LevelInfo))
 	}
 	logger := olog.Attach(legs...)
 

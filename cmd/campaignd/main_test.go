@@ -17,6 +17,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // buildBinary compiles campaignd once per test.
@@ -371,5 +373,74 @@ func TestReadyzFlipsDuringDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestRecorderKeepsJobLifecycle: the flight recorder holds Info and
+// above, so the per-trial Debug records of a few hundred trials cannot
+// evict a job's lifecycle from a 64-event ring: its timeline still
+// begins with "job submitted" once the job is done.
+func TestRecorderKeepsJobLifecycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon")
+	}
+	bin := buildBinary(t)
+	d := startDaemon(t, bin, t.TempDir(), "-recorder", "64")
+	defer d.stop(t)
+	id := submit(t, d.base, `{"bench":"gcc","trials":400,"seed":3,"scale_pct":4,"workers":2,"failure_budget":-1}`)
+	waitAllDone(t, d.base, []string{id}, 2*time.Minute)
+	resp, err := http.Get(d.base + "/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var evs []struct {
+		Msg string `json:"msg"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&evs); err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) == 0 || evs[0].Msg != "job submitted" {
+		t.Fatalf("timeline of %d events does not begin with the job's submission: %+v", len(evs), evs)
+	}
+}
+
+// TestAdversarialJobOverHTTP: a workerless daemon given the adversarial
+// reference's spec over HTTP — an imperfect mesh, containment on by
+// default — returns the reference byte for byte, and one with
+// "containment":false runs the unsafe operating point, not the default.
+func TestAdversarialJobOverHTTP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon")
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "adversarial-gcc-1000.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &ref); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, ref["gcc"]); err != nil {
+		t.Fatal(err)
+	}
+	bin := buildBinary(t)
+	d := startDaemon(t, bin, t.TempDir())
+	defer d.stop(t)
+	const spec = `{"bench":"gcc","trials":1000,"seed":42,"scale_pct":100,"failure_budget":-1,` +
+		`"adversary":{"miss_prob":0.1,"false_positive_rate":0.2,"dead_sensors":2,"burst_max":3}`
+	safe := submit(t, d.base, spec+`}`)
+	unsafe := submit(t, d.base, spec+`,"containment":false}`)
+	got := waitAllDone(t, d.base, []string{safe, unsafe}, 2*time.Minute)
+	if !bytes.Equal(got[safe], want.Bytes()) {
+		t.Fatalf("adversarial job result differs from testdata/adversarial-gcc-1000.json:\n%s", got[safe])
+	}
+	var res struct{ Outcomes map[fault.Outcome]int }
+	if err := json.Unmarshal(got[unsafe], &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcomes[fault.DUE] != 0 || res.Outcomes[fault.SDC] == 0 {
+		t.Fatalf("containment off: outcomes %v, want SDC trials and no DUE", res.Outcomes)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"regexp"
 	"sync"
 
 	"repro/internal/ir"
@@ -29,6 +30,13 @@ func Fingerprint(f *ir.Func) string {
 	sum := sha256.Sum256([]byte(f.String()))
 	return hex.EncodeToString(sum[:16])
 }
+
+// fingerprintRE is the shape of a Fingerprint: 32 lowercase hex
+// characters.
+var fingerprintRE = regexp.MustCompile(`^[0-9a-f]{32}$`)
+
+// ValidFingerprint reports whether fp has the shape of a Fingerprint.
+func ValidFingerprint(fp string) bool { return fingerprintRE.MatchString(fp) }
 
 // Entry is one cached compilation: the program compiled under every
 // scheme, keyed by fingerprint, with enough metadata to validate a

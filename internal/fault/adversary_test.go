@@ -192,10 +192,7 @@ func planFor(t *testing.T, prog *isa.Program, cfg Config, seedMem func(*isa.Memo
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.maxAt = cfg.MaxInjectInst
-	if e.maxAt == 0 {
-		e.maxAt = max(e.gs.Stats().Insts*9/10, 1)
-	}
+	e.maxAt = max(e.gs.Stats().Insts*9/10, 1)
 	if err := e.resolveDetector(); err != nil {
 		t.Fatal(err)
 	}

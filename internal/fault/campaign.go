@@ -548,16 +548,12 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 }
 
 // withConfig returns a copy of e's golden part for a campaign of cfg:
-// the injection window (cfg.MaxInjectInst, or the first 90% of the
-// golden run's goldenInsts instructions) and the detector are derived
-// from cfg afresh.
+// the injection window, the first 90% of the golden run's goldenInsts
+// instructions, and the detector derived from cfg afresh.
 func (e *engine) withConfig(cfg Config, goldenInsts uint64) (*engine, error) {
 	n := *e
 	n.cfg, n.adv = cfg, Adversary{}
-	n.maxAt = cfg.MaxInjectInst
-	if n.maxAt == 0 {
-		n.maxAt = max(goldenInsts*9/10, 1)
-	}
+	n.maxAt = max(goldenInsts*9/10, 1)
 	if err := n.resolveDetector(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}

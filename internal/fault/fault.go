@@ -64,9 +64,6 @@ type Config struct {
 	Seed int64
 	// Sim is the pipeline configuration (must be resilient).
 	Sim pipeline.Config
-	// MaxInjectInst bounds the injection point (instruction count); 0
-	// derives it from a fault-free run's length.
-	MaxInjectInst uint64
 	// Metrics, when set, receives per-campaign observability: outcome
 	// counters, a detection-latency histogram, a recovery-cycles
 	// histogram, and the merged simulator statistics of every trial.

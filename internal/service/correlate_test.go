@@ -50,11 +50,12 @@ func TestRequestIDCorrelatesAccessLogEventsAndCampaign(t *testing.T) {
 
 	var sink corrBuffer
 	rec := olog.NewRecorder(4096)
-	// One logger, two legs: JSON lines to the buffer (the "terminal"),
-	// everything ≥Debug into the flight recorder — the production shape.
+	// One logger, two legs: JSON lines to the buffer (a terminal at
+	// -log-level debug), everything ≥Info into the flight recorder — the
+	// production shape.
 	logger := olog.Attach(
 		olog.NewHandler(&sink, olog.Options{Level: slog.LevelDebug}),
-		rec.Handler(slog.LevelDebug),
+		rec.Handler(slog.LevelInfo),
 	)
 
 	reg := obs.NewRegistry()
@@ -141,6 +142,9 @@ func TestRequestIDCorrelatesAccessLogEventsAndCampaign(t *testing.T) {
 				}
 			}
 		case "trial complete":
+			if m[olog.KeyShard] == nil || m[olog.KeyTrial] == nil {
+				t.Fatalf("trial line missing shard/trial: %s", ln)
+			}
 			if m["request_id"] == reqID && m["job_id"] == j.ID {
 				trialLines++
 			}
@@ -173,7 +177,7 @@ func TestRequestIDCorrelatesAccessLogEventsAndCampaign(t *testing.T) {
 	if len(evs) == 0 {
 		t.Fatal("event timeline is empty")
 	}
-	var evTrials, evCorr int
+	var evTrials, evCorr, evSubmitted int
 	for _, e := range evs {
 		if e.JobID != j.ID {
 			t.Fatalf("timeline leaked another job's event: %+v", e)
@@ -181,18 +185,18 @@ func TestRequestIDCorrelatesAccessLogEventsAndCampaign(t *testing.T) {
 		if e.RequestID == reqID {
 			evCorr++
 		}
-		if e.Msg == "trial complete" {
-			if e.Trial < 0 || e.Shard < 0 {
-				t.Fatalf("trial event missing shard/trial: %+v", e)
-			}
+		switch e.Msg {
+		case "trial complete":
 			evTrials++
+		case "job submitted":
+			evSubmitted++
 		}
 	}
 	if evCorr != len(evs) {
 		t.Errorf("%d/%d timeline events carry the request ID", evCorr, len(evs))
 	}
-	if evTrials != 24 {
-		t.Errorf("timeline trial events: %d, want 24", evTrials)
+	if evTrials != 0 || evSubmitted != 1 {
+		t.Errorf("timeline holds %d trial events and %d job-submitted events, want 0 and 1", evTrials, evSubmitted)
 	}
 
 	// (3) The RED middleware saw the submit too.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	turnpike "repro"
+	"repro/internal/fault"
 	"repro/internal/service"
 )
 
@@ -27,12 +28,8 @@ const (
 
 func e2eSpec() service.JobSpec {
 	return service.JobSpec{
-		Bench:           e2eBench,
-		Trials:          e2eTrials,
-		Seed:            e2eSeed,
-		ScalePct:        4,
+		Spec:            fault.Spec{Bench: e2eBench, Trials: e2eTrials, Seed: e2eSeed, ScalePct: 4, FailureBudget: -1},
 		Workers:         2,
-		FailureBudget:   -1,
 		CheckpointEvery: 4, // checkpoint often so the interruption lands mid-campaign
 	}
 }

@@ -7,10 +7,9 @@ import (
 	"slices"
 	"sync"
 
-	turnpike "repro"
 	"repro/internal/artifact"
-	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
@@ -51,14 +50,14 @@ const maxIdleCampaigns = 2
 
 // campaignKey is everything that shapes a prepared campaign's golden
 // state and runners: the workload (a built-in benchmark at its scale,
-// or a submitted program's fingerprint), the scheme, the resolved
-// simulator configuration and the runner count. Trials, seed, failure
-// budget, lease, checkpoint and cadence are the job's own, and
-// fault.Prepared.Reuse derives them afresh.
+// or a submitted program's fingerprint), the resolved simulator
+// configuration, which also tells the schemes apart, and the runner
+// count. Trials, seed, failure budget, adversary, lease, checkpoint and
+// cadence are the job's own, and fault.Prepared.Reuse derives them
+// afresh.
 type campaignKey struct {
 	bench   string
 	scale   int
-	scheme  core.Scheme
 	sim     pipeline.Config
 	runners int
 }
@@ -106,18 +105,20 @@ func (cp *campaignPool) put(key campaignKey, p *fault.Prepared) {
 // CampaignPrepare adapts the two-phase fault-campaign engine to
 // PrepareFunc: the one JobSpec → campaign mapping, shared by the
 // coordinator and its workers so identical specs compile identical
-// campaigns. It threads the process's registry, live-progress gauges,
-// and structured logger (each may be nil) into every campaign, so
-// /metrics, /live, and the correlated log cover the jobs as they run.
-// programs resolves "program:<fingerprint>" workloads; nil rejects them.
+// campaigns. The spec resolves once (fault.Spec.Resolve); the job adds
+// its workers, lease, checkpoint and cadence, and the process's
+// registry, live-progress gauges and structured logger (each may be
+// nil), so /metrics, /live, and the correlated log cover the jobs as
+// they run. programs resolves "program:<fingerprint>" workloads; nil
+// rejects them.
 //
 // The function keeps up to maxIdleCampaigns released campaigns, keyed
 // by campaignKey, and hands one to the next job of the same campaign
-// (turnpike.ReuseFaultCampaign) instead of compiling and capturing its
-// golden state again: the job runs byte-identically either way. The
-// registry counts service.prepare_reused and service.prepare_fresh, and
-// a reused job's trace holds a fault.reuse span where a fresh one holds
-// the golden runs.
+// (fault.Prepared.Reuse) instead of compiling and capturing its golden
+// state again: the job runs byte-identically either way. The registry
+// counts service.prepare_reused and service.prepare_fresh, and a reused
+// job's trace holds a fault.reuse span where a fresh one holds the
+// golden runs.
 func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slog.Logger, programs ProgramResolver) PrepareFunc {
 	pool := &campaignPool{}
 	count := func(name string) {
@@ -126,56 +127,40 @@ func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slo
 		}
 	}
 	return func(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Prepared, func(), error) {
-		sc, err := spec.campaignScheme()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", fault.ErrInvalidConfig, err)
-		}
-		cfg := turnpike.FaultCampaignConfig{
-			Trials:          spec.Trials,
-			Seed:            spec.Seed,
-			SBSize:          spec.SBSize,
-			WCDL:            spec.WCDL,
-			ScalePct:        spec.ScalePct,
-			Workers:         spec.Workers,
-			Lease:           spec.Lease,
-			FailureBudget:   spec.FailureBudget,
-			Checkpoint:      checkpoint,
-			CheckpointEvery: spec.CheckpointEvery,
-			Metrics:         reg,
-			Progress:        progress,
-			Logger:          logger,
-		}
-		var prog *turnpike.Program
-		if spec.IsProgram() {
+		var entry *artifact.Entry
+		if fp, ok := spec.Program(); ok {
 			if programs == nil {
 				return nil, nil, fmt.Errorf("%w: this process resolves no submitted programs", fault.ErrInvalidConfig)
 			}
-			entry, err := programs(ctx, spec.ProgramFingerprint())
-			if err != nil {
+			var err error
+			if entry, err = programs(ctx, fp); err != nil {
 				return nil, nil, err
 			}
-			var ok bool
-			if prog, ok = entry.Schemes[sc.String()]; !ok {
-				return nil, nil, fmt.Errorf("%w: program %s has no %s image", fault.ErrInvalidConfig,
-					entry.Fingerprint, sc)
-			}
-			cfg.SBSize = entry.SBSize
+			spec.SBSize = entry.SBSize
 		}
-		sim, err := turnpike.FaultCampaignSim(sc, cfg)
+		sc, cfg, err := spec.Resolve()
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", fault.ErrInvalidConfig, err)
+			return nil, nil, err
 		}
-		key := campaignKey{bench: spec.Bench, scale: spec.ScalePct, scheme: sc, sim: sim,
-			runners: fault.Config{Trials: spec.Trials, Workers: spec.Workers}.Runners()}
+		cfg.Workers, cfg.Lease, cfg.Checkpoint, cfg.CheckpointEvery = spec.Workers, spec.Lease, checkpoint, spec.CheckpointEvery
+		cfg.Metrics, cfg.Progress, cfg.Logger = reg, progress, logger
+		key := campaignKey{bench: spec.Bench, scale: spec.ScalePct, sim: cfg.Sim, runners: cfg.Runners()}
 		var p *fault.Prepared
 		if idle := pool.take(key); idle != nil {
-			p, err = turnpike.ReuseFaultCampaign(ctx, idle, sc, cfg)
+			p, err = idle.Reuse(ctx, cfg)
 			count("service.prepare_reused")
-		} else if prog != nil {
-			p, err = turnpike.PrepareCompiledFaultCampaign(ctx, prog, sc, cfg)
-			count("service.prepare_fresh")
 		} else {
-			p, err = turnpike.PrepareFaultCampaign(ctx, spec.Bench, sc, cfg)
+			var prog *isa.Program
+			var seedMem func(*isa.Memory)
+			if entry != nil {
+				if prog = entry.Schemes[sc.String()]; prog == nil {
+					return nil, nil, fmt.Errorf("%w: program %s has no %s image", fault.ErrInvalidConfig,
+						entry.Fingerprint, sc)
+				}
+			} else if prog, seedMem, _, err = spec.Compile(); err != nil {
+				return nil, nil, err
+			}
+			p, err = fault.Prepare(ctx, prog, cfg, seedMem)
 			count("service.prepare_fresh")
 		}
 		if err != nil {

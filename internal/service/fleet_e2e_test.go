@@ -27,6 +27,7 @@ import (
 	"time"
 
 	turnpike "repro"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/service"
@@ -60,8 +61,8 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 	}
 	const fleetTrials = 240
 	spec := service.JobSpec{
-		Bench: "gcc", Trials: fleetTrials, Seed: 7, ScalePct: 4,
-		Workers: 2, Lease: 8, FailureBudget: -1, CheckpointEvery: 4,
+		Spec:    fault.Spec{Bench: "gcc", Trials: fleetTrials, Seed: 7, ScalePct: 4, FailureBudget: -1},
+		Workers: 2, Lease: 8, CheckpointEvery: 4,
 	}
 	ref, err := turnpike.InjectFaults(spec.Bench, turnpike.Turnpike, turnpike.FaultCampaignConfig{
 		Trials: spec.Trials, Seed: spec.Seed, ScalePct: spec.ScalePct,
@@ -268,5 +269,117 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 		if !strings.Contains(string(body), gauge) {
 			t.Errorf("/metrics missing %s", gauge)
 		}
+	}
+}
+
+// TestFleetAdversarialJobByteIdentical: a job with an adversary and
+// containment off, submitted over HTTP and run by two in-process
+// workers, merges byte-identically to turnpike.InjectFaults of the same
+// spec, so both fields reach the workers in LeaseGrant.Spec.
+func TestFleetAdversarialJobByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real fleet e2e")
+	}
+	const trials = 160
+	off := false
+	adv := &fault.Adversary{MissProb: 0.5, FalsePositiveRate: 0.1, DeadSensors: 2, BurstMax: 3}
+	ref, err := turnpike.InjectFaults("gcc", turnpike.Turnpike, turnpike.FaultCampaignConfig{
+		Trials: trials, Seed: 9, ScalePct: 4, FailureBudget: -1, Adversary: adv, Containment: &off,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Outcomes[fault.SDC] == 0 {
+		t.Fatal("the reference shows no SDC: containment off was not exercised")
+	}
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fleet := service.NewFleet(service.FleetConfig{HeartbeatInterval: 50 * time.Millisecond, PollInterval: 10 * time.Millisecond})
+	svc, err := service.New(service.Config{
+		StateDir: t.TempDir(),
+		Executor: &service.FleetExecutor{Fleet: fleet, Prepare: service.CampaignPrepare(nil, nil, nil, nil)},
+		Fleet:    fleet,
+		Logger:   service.TLogger(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	defer svc.Shutdown(context.Background())
+	srv := obs.NewServer(obs.ServerConfig{})
+	svc.Mount(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	for range 2 {
+		w, err := service.NewWorkerClient(service.WorkerConfig{Coordinator: ts.URL,
+			Prepare: service.CampaignPrepare(nil, nil, nil, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx) //nolint:errcheck — cancellation is the expected exit
+		}()
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for fleet.Snapshot().WorkersLive < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never registered")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	body := fmt.Sprintf(`{"bench":"gcc","trials":%d,"seed":9,"scale_pct":4,"workers":2,"lease":8,"failure_budget":-1,`+
+		`"adversary":{"miss_prob":0.5,"false_positive_rate":0.1,"dead_sensors":2,"burst_max":3},"containment":false}`, trials)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j service.Job
+	err = json.NewDecoder(resp.Body).Decode(&j)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", resp.StatusCode, err)
+	}
+	for {
+		jb, err := svc.Job(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jb.State == service.StateDone {
+			got, err := json.Marshal(jb.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("fleet result diverged from turnpike.InjectFaults\nfleet: %s\nwant:  %s", got, want)
+			}
+			break
+		}
+		if jb.State == service.StateFailed || jb.State == service.StateCanceled {
+			t.Fatalf("job ended %s: %s", jb.State, jb.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %s", jb.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	remote := 0
+	for _, w := range fleet.Snapshot().Workers {
+		remote += w.Trials
+	}
+	if remote != trials {
+		t.Fatalf("workers ran %d of %d trials", remote, trials)
 	}
 }

@@ -48,8 +48,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 // its worker-side shards, and its single-node reference — the
 // byte-identity comparisons only mean something if all three agree.
 func fleetSpec(trials, every, lease int) JobSpec {
-	return JobSpec{Bench: "gcc", Trials: trials, Seed: 5, ScalePct: 4, Workers: 2,
-		Lease: lease, FailureBudget: -1, CheckpointEvery: every}
+	return JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: trials, Seed: 5, ScalePct: 4, FailureBudget: -1},
+		Workers: 2, Lease: lease, CheckpointEvery: every}
 }
 
 // fleetSession opens a distributed session over the shared campaign.
@@ -631,13 +631,13 @@ func TestIdleFleetDeclaresSilentWorkerLost(t *testing.T) {
 func TestSubmitLeaseValidation(t *testing.T) {
 	s := newTestService(t, Config{})
 	defer s.Shutdown(context.Background())
-	if _, err := s.Submit(JobSpec{Bench: "gcc", Trials: 10, Lease: -1}); err == nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 10}, Lease: -1}); err == nil {
 		t.Error("negative lease accepted")
 	}
-	if _, err := s.Submit(JobSpec{Bench: "gcc", Trials: 10, Lease: 11}); err == nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 10}, Lease: 11}); err == nil {
 		t.Error("lease wider than the campaign accepted")
 	}
-	if _, err := s.Submit(JobSpec{Bench: "gcc", Trials: 10, Lease: 10}); err != nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 10}, Lease: 10}); err != nil {
 		t.Errorf("lease == trials rejected: %v", err)
 	}
 

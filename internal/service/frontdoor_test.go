@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	turnpike "repro"
 	"repro/internal/artifact"
 	"repro/internal/fault"
 	"repro/internal/ir"
@@ -95,7 +94,7 @@ func TestFrontDoorSubmitCompileCampaignE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := resp.Fingerprint
-	if !fingerprintRE.MatchString(fp) {
+	if !artifact.ValidFingerprint(fp) {
 		t.Fatalf("fingerprint %q is not 32 hex chars", fp)
 	}
 	if resp.Cached {
@@ -207,18 +206,14 @@ func TestFrontDoorAdversarialContainmentZeroSDC(t *testing.T) {
 
 func runAdversarial(t *testing.T, entry *artifact.Entry) (*fault.Result, error) {
 	t.Helper()
-	p, err := turnpike.PrepareCompiledFaultCampaign(context.Background(),
-		entry.Schemes["turnpike"], turnpike.Turnpike, turnpike.FaultCampaignConfig{
-			Trials:        200,
-			Seed:          23,
-			SBSize:        entry.SBSize,
-			FailureBudget: -1,
-			Adversary: &turnpike.FaultAdversary{
-				MissProb:    0.3,
-				DeadSensors: 1,
-				BurstMax:    2,
-			},
-		})
+	spec := fault.Spec{Bench: fault.ProgramPrefix + entry.Fingerprint, Trials: 200, Seed: 23,
+		SBSize: entry.SBSize, FailureBudget: -1,
+		Adversary: &fault.Adversary{MissProb: 0.3, DeadSensors: 1, BurstMax: 2}}
+	_, cfg, err := spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	p, err := fault.Prepare(context.Background(), entry.Schemes["turnpike"], cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -140,10 +140,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // decodeJSON reads one JSON payload with the shared POST error
 // contract: a body over the MaxBytesReader cap answers 413 with a JSON
-// error, anything else that fails to parse answers 400. Returns false
-// when the response has been written.
+// error; anything else that fails to parse, including a field v does
+// not have, answers 400. Returns false when the response has been
+// written.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		writeBodyError(w, err)
 		return false
 	}

@@ -3,10 +3,8 @@ package service
 import (
 	"cmp"
 	"fmt"
-	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -33,72 +31,27 @@ func (s State) open() bool {
 	return false
 }
 
-// JobSpec is the submit payload: which campaign to run. The zero values
-// of the numeric knobs defer to the engine's defaults.
+// JobSpec is the submit payload: the campaign (fault.Spec, whose JSON
+// keys it shares) and how this service runs it.
 type JobSpec struct {
-	// Bench is the workload: a built-in benchmark name, or
-	// "program:<fingerprint>" referencing a program accepted through
-	// POST /programs (required).
-	Bench string `json:"bench"`
-	// Scheme is "turnpike" (default) or "turnstile".
-	Scheme string `json:"scheme,omitempty"`
-	Trials int    `json:"trials,omitempty"`
-	Seed   int64  `json:"seed,omitempty"`
-	WCDL   int    `json:"wcdl,omitempty"`
-	SBSize int    `json:"sb_size,omitempty"`
-	// ScalePct is the workload scale (percent).
-	ScalePct int `json:"scale_pct,omitempty"`
+	fault.Spec
 	// Workers bounds the campaign's trial pool; the result is identical
 	// for every value.
 	Workers int `json:"workers,omitempty"`
 	// Lease is the number of consecutive trials one dispatch hands a
 	// worker (0 = automatic); the result is identical for every value.
 	Lease int `json:"lease,omitempty"`
-	// FailureBudget caps SDC/crash trials before the campaign aborts
-	// (0 = first failure, -1 = record all).
-	FailureBudget int `json:"failure_budget,omitempty"`
 	// CheckpointEvery is the completed-trial cadence between checkpoint
 	// rewrites; the service defaults it to 16 so a drained or killed job
 	// loses little work.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
-// ProgramFingerprint returns the fingerprint of a "program:<fp>" bench,
-// or "" for built-in benchmarks.
-func (s *JobSpec) ProgramFingerprint() string {
-	return strings.TrimPrefix(s.Bench, ProgramBenchPrefix)
-}
-
-// IsProgram reports whether the spec targets a submitted program.
-func (s *JobSpec) IsProgram() bool {
-	return strings.HasPrefix(s.Bench, ProgramBenchPrefix)
-}
-
-// campaignScheme resolves the spec's scheme: "" is turnpike, and the
-// baseline, which has no detection or recovery to campaign against, is
-// refused.
-func (s *JobSpec) campaignScheme() (core.Scheme, error) {
-	sc, err := core.ParseScheme(cmp.Or(s.Scheme, "turnpike"))
-	if err != nil || sc == core.Baseline {
-		return 0, fmt.Errorf("service: unknown scheme %q (want turnpike or turnstile)", s.Scheme)
-	}
-	return sc, nil
-}
-
-// Validate rejects specs no executor could run.
+// Validate rejects specs no executor could run: a campaign that does
+// not resolve (fault.Spec.Resolve), or a lease that does not fit it.
 func (s *JobSpec) Validate() error {
-	if s.Bench == "" {
-		return fmt.Errorf("service: job spec needs a bench")
-	}
-	if s.IsProgram() && !fingerprintRE.MatchString(s.ProgramFingerprint()) {
-		return fmt.Errorf("service: %q is not a program fingerprint (want %s<32 hex chars>)",
-			s.Bench, ProgramBenchPrefix)
-	}
-	if _, err := s.campaignScheme(); err != nil {
+	if _, _, err := s.Resolve(); err != nil {
 		return err
-	}
-	if s.Trials < 0 {
-		return fmt.Errorf("service: negative trial count %d", s.Trials)
 	}
 	if s.Lease < 0 {
 		return fmt.Errorf("service: negative lease size %d", s.Lease)
@@ -115,11 +68,7 @@ func (s *JobSpec) Validate() error {
 // Workload is the circuit-breaker key: jobs for the same benchmark and
 // scheme share one breaker.
 func (s *JobSpec) Workload() string {
-	scheme := s.Scheme
-	if scheme == "" {
-		scheme = "turnpike"
-	}
-	return s.Bench + "/" + scheme
+	return s.Bench + "/" + cmp.Or(s.Scheme, "turnpike")
 }
 
 // Job is one submitted campaign and its durable lifecycle record,

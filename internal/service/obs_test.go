@@ -145,7 +145,7 @@ func TestFailedJobDumpsFlightRecorder(t *testing.T) {
 	s.Start()
 	defer s.Shutdown(context.Background())
 
-	j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 4})
+	j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

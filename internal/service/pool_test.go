@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -10,30 +11,36 @@ import (
 
 	turnpike "repro"
 	"repro/internal/artifact"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
 // freshResult runs spec's campaign from scratch in process: through
 // turnpike.InjectFaults for a built-in benchmark, and through
-// PrepareCompiledFaultCampaign for a submitted program.
+// fault.Prepare on the admitted image for a submitted program.
 func freshResult(t *testing.T, spec JobSpec, entry *artifact.Entry) *fault.Result {
 	t.Helper()
-	sc, err := spec.campaignScheme()
+	sc, err := core.ParseScheme(cmp.Or(spec.Scheme, "turnpike"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := turnpike.FaultCampaignConfig{Trials: spec.Trials, Seed: spec.Seed, SBSize: spec.SBSize,
-		WCDL: spec.WCDL, ScalePct: spec.ScalePct, Workers: spec.Workers, FailureBudget: spec.FailureBudget}
-	if !spec.IsProgram() {
-		res, err := turnpike.InjectFaults(spec.Bench, sc, cfg)
+	if _, ok := spec.Program(); !ok {
+		res, err := turnpike.InjectFaults(spec.Bench, sc, turnpike.FaultCampaignConfig{Trials: spec.Trials,
+			Seed: spec.Seed, SBSize: spec.SBSize, WCDL: spec.WCDL, ScalePct: spec.ScalePct,
+			Workers: spec.Workers, FailureBudget: spec.FailureBudget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	cfg.SBSize = entry.SBSize
-	p, err := turnpike.PrepareCompiledFaultCampaign(context.Background(), entry.Schemes[sc.String()], sc, cfg)
+	spec.SBSize = entry.SBSize
+	_, cfg, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = spec.Workers
+	p, err := fault.Prepare(context.Background(), entry.Schemes[sc.String()], cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +90,8 @@ func TestCampaignPoolReusesOnlyTheSameCampaign(t *testing.T) {
 	reg := obs.NewRegistry()
 	fe := &FleetExecutor{Fleet: NewFleet(FleetConfig{}), Prepare: CampaignPrepare(reg, nil, nil, store.Entry)}
 	gcc := func(seed int64) JobSpec {
-		return JobSpec{Bench: "gcc", Trials: 24, Seed: seed, ScalePct: 5, Workers: 2, FailureBudget: -1,
-			CheckpointEvery: 8}
+		return JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 24, Seed: seed, ScalePct: 5, FailureBudget: -1},
+			Workers: 2, CheckpointEvery: 8}
 	}
 	turnstile, workers, wcdl, scale4 := gcc(1), gcc(1), gcc(1), gcc(1)
 	turnstile.Scheme = "turnstile"
@@ -92,8 +99,8 @@ func TestCampaignPoolReusesOnlyTheSameCampaign(t *testing.T) {
 	wcdl.WCDL = 20
 	scale4.ScalePct = 4
 	program := func(seed int64) JobSpec {
-		return JobSpec{Bench: ProgramBenchPrefix + entry.Fingerprint, Trials: 24, Seed: seed, Workers: 2,
-			FailureBudget: -1}
+		return JobSpec{Spec: fault.Spec{Bench: fault.ProgramPrefix + entry.Fingerprint, Trials: 24, Seed: seed,
+			FailureBudget: -1}, Workers: 2}
 	}
 	scale4b := scale4
 	scale4b.Seed = 2
@@ -162,7 +169,7 @@ func TestCampaignPoolConcurrentJobs(t *testing.T) {
 		}}})
 	s.Start()
 	defer s.Shutdown(context.Background())
-	spec := JobSpec{Bench: "gcc", Trials: 96, Seed: 9, ScalePct: 5, Workers: 2, FailureBudget: -1}
+	spec := JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 96, Seed: 9, ScalePct: 5, FailureBudget: -1}, Workers: 2}
 	want := freshResult(t, spec, nil)
 	for round := 0; round < 2; round++ {
 		mu.Lock()
@@ -206,7 +213,7 @@ func TestWorkerLeasesShareThePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specA := JobSpec{Bench: "gcc", Trials: 32, Seed: 5, ScalePct: 4, Workers: 2, FailureBudget: -1}
+	specA := JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 32, Seed: 5, ScalePct: 4, FailureBudget: -1}, Workers: 2}
 	specB := specA
 	specB.Seed = 6
 	type job struct {
@@ -303,7 +310,7 @@ func TestCampaignPoolHandsOnExclusively(t *testing.T) {
 		t.Skip("real campaigns")
 	}
 	prepare := CampaignPrepare(nil, nil, nil, nil)
-	spec := JobSpec{Bench: "gcc", Trials: 16, Seed: 1, ScalePct: 4, Workers: 2, FailureBudget: -1}
+	spec := JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 16, Seed: 1, ScalePct: 4, FailureBudget: -1}, Workers: 2}
 	first, release, err := prepare(context.Background(), spec, "")
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sync"
 	"time"
 
@@ -28,14 +27,6 @@ import (
 // the content-addressed artifact cache, and persists the source so a
 // restarted daemon can recompile on demand. Campaign jobs then reference
 // the program as the workload "program:<fingerprint>".
-
-// ProgramBenchPrefix marks a JobSpec.Bench that names a submitted
-// program by fingerprint instead of a built-in benchmark.
-const ProgramBenchPrefix = "program:"
-
-// fingerprintRE is the shape of an artifact fingerprint: 32 lowercase
-// hex characters (128 bits of SHA-256).
-var fingerprintRE = regexp.MustCompile(`^[0-9a-f]{32}$`)
 
 // ErrUnknownProgram rejects jobs referencing a fingerprint the store
 // never accepted (404).
@@ -374,7 +365,7 @@ func (ps *ProgramStore) load() error {
 		return fmt.Errorf("service: %s does not parse: %v", ps.metaPath(), err)
 	}
 	for _, m := range pf.Programs {
-		if m == nil || !fingerprintRE.MatchString(m.Fingerprint) {
+		if m == nil || !artifact.ValidFingerprint(m.Fingerprint) {
 			continue
 		}
 		if _, err := os.Stat(ps.sourcePath(m.Fingerprint)); err != nil {

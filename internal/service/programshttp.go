@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/artifact"
+	"repro/internal/fault"
 	"repro/internal/obs/olog"
 )
 
@@ -126,7 +127,7 @@ func (s *Service) handleProgramSubmit(w http.ResponseWriter, r *http.Request) {
 		Program:  meta,
 		Cached:   cached,
 		Schemes:  schemeNames(entry),
-		Workload: ProgramBenchPrefix + meta.Fingerprint,
+		Workload: fault.ProgramPrefix + meta.Fingerprint,
 		Cache:    s.cfg.Programs.CacheStats(),
 	})
 }

@@ -314,11 +314,11 @@ func (s *Service) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 		// work, loose enough that checkpoint writes don't dominate.
 		spec.CheckpointEvery = 16
 	}
-	if spec.IsProgram() {
+	if fp, ok := spec.Program(); ok {
 		if s.cfg.Programs == nil {
 			return nil, fmt.Errorf("%w: this service accepts no submitted programs", ErrUnknownProgram)
 		}
-		m, ok := s.cfg.Programs.Get(spec.ProgramFingerprint())
+		m, ok := s.cfg.Programs.Get(fp)
 		if !ok {
 			return nil, fmt.Errorf("%w: %s (submit it via POST /programs first)", ErrUnknownProgram, spec.Bench)
 		}

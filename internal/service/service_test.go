@@ -100,10 +100,10 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(JobSpec{}); err == nil {
 		t.Error("empty spec accepted")
 	}
-	if _, err := s.Submit(JobSpec{Bench: "gcc", Scheme: "nope"}); err == nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Scheme: "nope"}}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if _, err := s.Submit(JobSpec{Bench: "gcc", Trials: -1}); err == nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: -1}}); err == nil {
 		t.Error("negative trials accepted")
 	}
 }
@@ -136,13 +136,13 @@ func TestBackpressure(t *testing.T) {
 
 	// One job occupies the worker; wait until it leaves the queue so the
 	// backpressure arithmetic below is deterministic.
-	first, err := s.Submit(JobSpec{Bench: "gcc"})
+	first, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, first.ID, StateRunning)
 	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(JobSpec{Bench: "gcc"}); err != nil {
+		if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestBackpressure(t *testing.T) {
 		t.Error("Saturated() = false with a full queue")
 	}
 
-	_, err = s.Submit(JobSpec{Bench: "gcc"})
+	_, err = s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 	var full *QueueFullError
 	if !errors.As(err, &full) {
 		t.Fatalf("over-depth submit: got %v, want QueueFullError", err)
@@ -215,7 +215,7 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 	s.Start()
 	defer s.Shutdown(context.Background())
 
-	j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 5})
+	j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRetriesExhaustedFails(t *testing.T) {
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())
-	j, err := s.Submit(JobSpec{Bench: "gcc"})
+	j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestRetriesExhaustedFails(t *testing.T) {
 	if failed.Attempts != 2 {
 		t.Errorf("attempts = %d, want 2", failed.Attempts)
 	}
-	if _, err := s.Submit(JobSpec{Bench: "gcc"}); err != nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); err != nil {
 		t.Errorf("breaker tripped on transient failures: %v", err)
 	}
 }
@@ -286,7 +286,7 @@ func TestBreakerOpensAndCools(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	for i := 0; i < 2; i++ {
-		j, err := s.Submit(JobSpec{Bench: "gcc"})
+		j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 		if err != nil {
 			t.Fatalf("pre-open submit %d: %v", i, err)
 		}
@@ -296,7 +296,7 @@ func TestBreakerOpensAndCools(t *testing.T) {
 		}
 	}
 
-	_, err := s.Submit(JobSpec{Bench: "gcc"})
+	_, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 	var open *BreakerOpenError
 	if !errors.As(err, &open) {
 		t.Fatalf("post-open submit: got %v, want BreakerOpenError", err)
@@ -308,7 +308,7 @@ func TestBreakerOpensAndCools(t *testing.T) {
 		t.Errorf("BreakersOpen gauge = %d, want 1", got)
 	}
 	// A different workload is unaffected.
-	if _, err := s.Submit(JobSpec{Bench: "lbm"}); err != nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "lbm"}}); err != nil {
 		t.Errorf("breaker leaked across workloads: %v", err)
 	}
 
@@ -333,12 +333,12 @@ func TestBreakerOpensAndCools(t *testing.T) {
 	// Cool down, stop failing: the probe closes the breaker.
 	failing.Store(false)
 	time.Sleep(250 * time.Millisecond)
-	probe, err := s.Submit(JobSpec{Bench: "gcc"})
+	probe, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 	if err != nil {
 		t.Fatalf("probe after cooldown rejected: %v", err)
 	}
 	waitState(t, s, probe.ID, StateDone)
-	if _, err := s.Submit(JobSpec{Bench: "gcc"}); err != nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); err != nil {
 		t.Errorf("breaker still open after probe success: %v", err)
 	}
 }
@@ -358,7 +358,7 @@ func TestDrainRequeuesInFlight(t *testing.T) {
 		}),
 	})
 	s.Start()
-	j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 7})
+	j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestDrainRequeuesInFlight(t *testing.T) {
 	if got, _ := s.Job(j.ID); got.State != StateQueued || got.Attempts != 0 {
 		t.Fatalf("after drain: state=%s attempts=%d, want queued/0", got.State, got.Attempts)
 	}
-	if _, err := s.Submit(JobSpec{Bench: "gcc"}); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: %v", err)
 	}
 
@@ -403,7 +403,7 @@ func TestDeadlineOverrunRetries(t *testing.T) {
 	})
 	s.Start()
 	defer s.Shutdown(context.Background())
-	j, err := s.Submit(JobSpec{Bench: "gcc"})
+	j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,12 +434,12 @@ func TestCancel(t *testing.T) {
 	s.Start()
 	defer s.Shutdown(context.Background())
 
-	blocker, err := s.Submit(JobSpec{Bench: "gcc"})
+	blocker, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, blocker.ID, StateRunning)
-	queued, err := s.Submit(JobSpec{Bench: "gcc"})
+	queued, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestStatePersistedAtomically(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, Config{StateDir: dir})
 	s.Start()
-	j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 3})
+	j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestFinishedJobFileNeverRewritten(t *testing.T) {
 	defer close(release)
 	submit := func(seed int64) *Job {
 		t.Helper()
-		j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 3, Seed: seed})
+		j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 3, Seed: seed}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,13 +591,13 @@ func TestFinishedJobFileNeverRewritten(t *testing.T) {
 func TestLegacyStateFileMigrates(t *testing.T) {
 	submitted := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	done := &Job{
-		ID: "job-000002", Spec: JobSpec{Bench: "gcc", Scheme: "turnpike", Trials: 3, CheckpointEvery: 16},
+		ID: "job-000002", Spec: JobSpec{Spec: fault.Spec{Bench: "gcc", Scheme: "turnpike", Trials: 3}, CheckpointEvery: 16},
 		State: StateDone, Attempts: 1, Checkpoint: "job-000002.ckpt.json",
 		Result:      &fault.Result{CompletedTrials: 3, Outcomes: map[fault.Outcome]int{fault.Masked: 3}},
 		SubmittedAt: submitted, StartedAt: submitted, FinishedAt: submitted,
 	}
 	queued := &Job{
-		ID: "job-000005", Spec: JobSpec{Bench: "gcc", Scheme: "turnpike", Trials: 5, CheckpointEvery: 16},
+		ID: "job-000005", Spec: JobSpec{Spec: fault.Spec{Bench: "gcc", Scheme: "turnpike", Trials: 5}, CheckpointEvery: 16},
 		State: StateQueued, Checkpoint: "job-000005.ckpt.json", SubmittedAt: submitted,
 	}
 	for _, version := range []int{1, 2} {
@@ -630,7 +630,7 @@ func TestLegacyStateFileMigrates(t *testing.T) {
 			if got := waitState(t, s, queued.ID, StateDone); got.Result == nil || got.Result.CompletedTrials != 5 {
 				t.Errorf("migrated queued job finished with %+v", got.Result)
 			}
-			next, err := s.Submit(JobSpec{Bench: "gcc"})
+			next, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -654,7 +654,7 @@ func TestCorruptJobFileMovedAside(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, Config{StateDir: dir})
 	s.Start()
-	good, err := s.Submit(JobSpec{Bench: "gcc", Trials: 3})
+	good, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestCorruptJobFileMovedAside(t *testing.T) {
 	if _, err := os.Stat(bad + ".corrupt"); err != nil {
 		t.Errorf("corrupt job file not preserved for post-mortem: %v", err)
 	}
-	if next, err := s2.Submit(JobSpec{Bench: "gcc"}); err != nil || next.ID != "job-000003" {
+	if next, err := s2.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); err != nil || next.ID != "job-000003" {
 		t.Errorf("next submission = %+v, %v; want job-000003", next, err)
 	}
 }
@@ -698,7 +698,7 @@ func TestRestartContinuesJobIDs(t *testing.T) {
 	s := newTestService(t, Config{StateDir: dir})
 	var ids []string
 	for i := 0; i < 3; i++ {
-		j, err := s.Submit(JobSpec{Bench: "gcc"})
+		j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -717,7 +717,7 @@ func TestRestartContinuesJobIDs(t *testing.T) {
 	if !slices.Equal(got, ids) {
 		t.Errorf("restored jobs = %v, want %v", got, ids)
 	}
-	if next, err := s2.Submit(JobSpec{Bench: "gcc"}); err != nil || next.ID != "job-000004" {
+	if next, err := s2.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); err != nil || next.ID != "job-000004" {
 		t.Errorf("next submission = %+v, %v; want job-000004", next, err)
 	}
 }
@@ -730,7 +730,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	s := newTestService(t, Config{Concurrency: 4})
 	s.Start()
 	for i := 0; i < 8; i++ {
-		if _, err := s.Submit(JobSpec{Bench: "gcc"}); err != nil {
+		if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -896,7 +896,7 @@ func TestReadyzWhileDraining(t *testing.T) {
 	}
 	defer srv.Close()
 	base := "http://" + addr.String()
-	if _, err := s.Submit(JobSpec{Bench: "gcc"}); err != nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); err != nil {
 		t.Fatal(err)
 	}
 	<-started

@@ -26,7 +26,7 @@ func TestSpanLifecyclePhases(t *testing.T) {
 	s := newTestService(t, Config{Spans: tr})
 	s.Start()
 	ctx := olog.WithRequestID(context.Background(), "req-lifecycle")
-	j, err := s.SubmitCtx(ctx, JobSpec{Bench: "gcc", Trials: 3})
+	j, err := s.SubmitCtx(ctx, JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSpanBackoffAndBreakerWait(t *testing.T) {
 
 	// Job 1: transient failure, backoff, then success. The requeue stamps
 	// the retroactive backoff span onto the job's correlation chain.
-	j1, err := s.Submit(JobSpec{Bench: "gcc", Trials: 2})
+	j1, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSpanBackoffAndBreakerWait(t *testing.T) {
 	}
 
 	// Job 2 fails permanently and opens the gcc breaker (threshold 1).
-	j2, err := s.Submit(JobSpec{Bench: "gcc", Trials: 2})
+	j2, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSpanBackoffAndBreakerWait(t *testing.T) {
 	// is admitted; that admission records the breaker_wait span.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		j3, err := s.Submit(JobSpec{Bench: "gcc", Trials: 2})
+		j3, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 2}})
 		if err == nil {
 			waitState(t, s, j3.ID, StateDone)
 			break
@@ -156,7 +156,7 @@ func TestShutdownClosesSpanFlusher(t *testing.T) {
 	tr := span.New(span.Config{Sink: obs.NewJSONLSink(&buf), FlushEvery: time.Millisecond})
 	s := newTestService(t, Config{Spans: tr})
 	s.Start()
-	j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 2})
+	j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAbortClosesSpanFlusher(t *testing.T) {
 	tr := span.New(span.Config{Sink: obs.NewJSONLSink(&buf), FlushEvery: time.Millisecond})
 	s := newTestService(t, Config{Spans: tr})
 	s.Start()
-	if _, err := s.Submit(JobSpec{Bench: "gcc", Trials: 2}); err != nil {
+	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	s.Abort()
@@ -233,7 +233,7 @@ func TestUnknownJobHTTPErrors(t *testing.T) {
 			defer s.Shutdown(context.Background())
 			path := tc.path
 			if tc.mkJob {
-				j, err := s.Submit(JobSpec{Bench: "gcc", Trials: 1})
+				j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 1}})
 				if err != nil {
 					t.Fatal(err)
 				}

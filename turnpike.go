@@ -193,7 +193,9 @@ func Evaluate(bench string, scheme Scheme, cfg EvalConfig) (*EvalResult, error) 
 	}, nil
 }
 
-// FaultCampaignConfig parameterizes InjectFaults.
+// FaultCampaignConfig parameterizes InjectFaults: the campaign, which
+// maps onto a fault.Spec, and how this process runs it (Metrics,
+// Progress, Workers, Lease, Checkpoint, CheckpointEvery, Logger).
 type FaultCampaignConfig struct {
 	Trials   int // default 100
 	Seed     int64
@@ -253,67 +255,12 @@ type FaultInjection = fault.Injection
 // FaultAdversary re-exports the imperfect-mesh fault model knobs.
 type FaultAdversary = fault.Adversary
 
-// campaignSetup compiles bench for scheme and returns the program, the
-// simulator config, and the memory seeder a campaign (or replay) needs.
-func campaignSetup(bench string, scheme Scheme, cfg *FaultCampaignConfig) (*Program, pipeline.Config, func(*isa.Memory), error) {
-	sim, err := campaignSim(scheme, cfg)
-	if err != nil {
-		return nil, pipeline.Config{}, nil, err
-	}
-	if cfg.ScalePct == 0 {
-		cfg.ScalePct = 10
-	}
-	p, ok := workload.ByName(bench)
-	if !ok {
-		return nil, pipeline.Config{}, nil, fmt.Errorf("turnpike: unknown benchmark %q", bench)
-	}
-	compiled, err := core.Compile(p.Build(cfg.ScalePct), core.SchemeOptions(scheme, cfg.SBSize))
-	if err != nil {
-		return nil, pipeline.Config{}, nil, err
-	}
-	return compiled.Prog, sim, p.SeedMemory, nil
-}
-
-// campaignSim fills cfg's campaign defaults and returns the simulator
-// configuration scheme's campaigns run under.
-func campaignSim(scheme Scheme, cfg *FaultCampaignConfig) (pipeline.Config, error) {
-	if scheme == Baseline {
-		return pipeline.Config{}, fmt.Errorf("turnpike: the baseline has no detection or recovery to campaign against")
-	}
-	if cfg.Trials == 0 {
-		cfg.Trials = 100
-	}
-	if cfg.SBSize == 0 {
-		cfg.SBSize = 4
-	}
-	if cfg.WCDL == 0 {
-		cfg.WCDL = 10
-	}
-	sim := pipeline.TurnstileConfig(cfg.SBSize, cfg.WCDL)
-	if scheme == Turnpike {
-		sim = pipeline.TurnpikeConfig(cfg.SBSize, cfg.WCDL)
-	}
-	if cfg.Containment != nil {
-		sim.Containment = *cfg.Containment
-	}
-	return sim, nil
-}
-
-// engineConfig maps the façade's campaign config onto the engine's.
-func (cfg *FaultCampaignConfig) engineConfig(sim pipeline.Config) fault.Config {
-	return fault.Config{
-		Trials:          cfg.Trials,
-		Seed:            cfg.Seed,
-		Sim:             sim,
-		Metrics:         cfg.Metrics,
-		Progress:        cfg.Progress,
-		Workers:         cfg.Workers,
-		Lease:           cfg.Lease,
-		FailureBudget:   cfg.FailureBudget,
-		Checkpoint:      cfg.Checkpoint,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Adversary:       cfg.Adversary,
-		Logger:          cfg.Logger,
+// spec maps cfg onto the campaign spec of bench under scheme.
+func (cfg *FaultCampaignConfig) spec(bench string, scheme Scheme) fault.Spec {
+	return fault.Spec{
+		Bench: bench, Scheme: scheme.String(), Trials: cfg.Trials, Seed: cfg.Seed,
+		WCDL: cfg.WCDL, SBSize: cfg.SBSize, ScalePct: cfg.ScalePct, FailureBudget: cfg.FailureBudget,
+		Adversary: cfg.Adversary, Containment: cfg.Containment,
 	}
 }
 
@@ -345,52 +292,13 @@ type PreparedFaultCampaign = fault.Prepared
 // run, golden-state snapshot, worker priming) and returns the campaign
 // ready to Run. InjectFaultsContext is Prepare followed by Run.
 func PrepareFaultCampaign(ctx context.Context, bench string, scheme Scheme, cfg FaultCampaignConfig) (*PreparedFaultCampaign, error) {
-	prog, sim, seedMem, err := campaignSetup(bench, scheme, &cfg)
+	prog, seedMem, ecfg, err := cfg.spec(bench, scheme).Compile()
 	if err != nil {
 		return nil, err
 	}
-	return fault.Prepare(ctx, prog, cfg.engineConfig(sim), seedMem)
-}
-
-// PrepareCompiledFaultCampaign is PrepareFaultCampaign for an
-// already-compiled resilient image instead of a named benchmark — the
-// campaign path for front-door submissions served from the artifact
-// cache. The program must self-initialize its memory: unlike the
-// built-in benchmarks, a submitted program has no memory seeder, so the
-// golden run (and every trial) starts from zeroed memory exactly as the
-// admission interpreter did. cfg.SBSize must match the size the image
-// was compiled for (the caller knows it from the artifact entry).
-func PrepareCompiledFaultCampaign(ctx context.Context, prog *Program, scheme Scheme, cfg FaultCampaignConfig) (*PreparedFaultCampaign, error) {
-	sim, err := campaignSim(scheme, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	if prog == nil {
-		return nil, fmt.Errorf("turnpike: no program to campaign against")
-	}
-	return fault.Prepare(ctx, prog, cfg.engineConfig(sim), nil)
-}
-
-// FaultCampaignSim returns the simulator configuration a campaign of
-// scheme under cfg runs on, with cfg's defaults filled. Beside the
-// program and the runner count, it is all a prepared campaign's golden
-// state and runners depend on, so a service keys the campaigns it keeps
-// for reuse by it.
-func FaultCampaignSim(scheme Scheme, cfg FaultCampaignConfig) (SimConfig, error) {
-	return campaignSim(scheme, &cfg)
-}
-
-// ReuseFaultCampaign hands an idle prepared campaign, whose golden state
-// and runners a campaign of scheme under cfg would build identically, to
-// that campaign (fault.Prepared.Reuse): it runs byte-identically to a
-// fresh PrepareFaultCampaign or PrepareCompiledFaultCampaign, without
-// the compile, the golden runs and the forks.
-func ReuseFaultCampaign(ctx context.Context, p *PreparedFaultCampaign, scheme Scheme, cfg FaultCampaignConfig) (*PreparedFaultCampaign, error) {
-	sim, err := campaignSim(scheme, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Reuse(ctx, cfg.engineConfig(sim))
+	ecfg.Workers, ecfg.Lease, ecfg.Checkpoint, ecfg.CheckpointEvery = cfg.Workers, cfg.Lease, cfg.Checkpoint, cfg.CheckpointEvery
+	ecfg.Metrics, ecfg.Progress, ecfg.Logger = cfg.Metrics, cfg.Progress, cfg.Logger
+	return fault.Prepare(ctx, prog, ecfg, seedMem)
 }
 
 // ReplayFault re-executes one recorded injection from a campaign's
@@ -398,11 +306,11 @@ func ReuseFaultCampaign(ctx context.Context, p *PreparedFaultCampaign, scheme Sc
 // classification — the debugging half of the campaign engine's replayable
 // failure reports.
 func ReplayFault(bench string, scheme Scheme, cfg FaultCampaignConfig, inj FaultInjection) (fault.Outcome, SimStats, error) {
-	prog, sim, seedMem, err := campaignSetup(bench, scheme, &cfg)
+	prog, seedMem, ecfg, err := cfg.spec(bench, scheme).Compile()
 	if err != nil {
 		return fault.Crash, SimStats{}, err
 	}
-	return fault.Replay(prog, fault.Config{Sim: sim}, seedMem, inj)
+	return fault.Replay(prog, ecfg, seedMem, inj)
 }
 
 // WCDLForSensors returns the worst-case detection latency of a sensor mesh
