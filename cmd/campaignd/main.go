@@ -36,8 +36,8 @@
 // atomically, and each campaign checkpoints its completed trials under
 // -state too; a jobs.json left by an earlier daemon is migrated to
 // per-job files at boot. SIGTERM and SIGINT drain: in-flight campaigns
-// get up to -drain to finish, then are cancelled — which flushes their
-// checkpoints — and the daemon exits 0. A restart (graceful or after a
+// get up to -drain to finish, then are cancelled — their checkpoints
+// hold every completed trial — and the daemon exits 0. A restart (graceful or after a
 // crash) re-queues unfinished jobs and resumes them from their
 // watermarks; results are byte-identical to an uninterrupted run.
 //

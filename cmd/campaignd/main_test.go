@@ -199,7 +199,7 @@ func waitAllDone(t *testing.T, base string, ids []string, within time.Duration) 
 }
 
 var jobSpecs = []string{
-	`{"bench":"gcc","trials":280,"seed":7,"scale_pct":4,"workers":2,"failure_budget":-1,"checkpoint_every":4}`,
+	`{"bench":"gcc","trials":280,"seed":7,"scale_pct":4,"workers":2,"failure_budget":-1}`,
 	`{"bench":"lbm","trials":60,"seed":11,"scale_pct":4,"workers":2,"failure_budget":-1}`,
 	`{"bench":"mcf","trials":60,"seed":13,"scale_pct":4,"workers":2,"failure_budget":-1}`,
 }
@@ -225,9 +225,10 @@ func TestSigtermDrainRestartByteIdentical(t *testing.T) {
 	want := waitAllDone(t, ref.base, refIDs, 3*time.Minute)
 	ref.stop(t)
 
-	// Interrupted life: SIGTERM once job 1's campaign has checkpointed
-	// (proof the signal lands mid-campaign). -drain is kept short so the
-	// drain window expires and the checkpoint-requeue path runs.
+	// Interrupted life: SIGTERM once job 1's checkpoint holds its first
+	// record line after the header (proof the signal lands
+	// mid-campaign). -drain is kept short so the drain window expires
+	// and the checkpoint-requeue path runs.
 	dir := t.TempDir()
 	d := startDaemon(t, bin, dir, "-drain", "250ms")
 	var ids []string
@@ -237,7 +238,7 @@ func TestSigtermDrainRestartByteIdentical(t *testing.T) {
 	ckpt := filepath.Join(dir, ids[0]+".ckpt.json")
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if fi, err := os.Stat(ckpt); err == nil && fi.Size() > 0 {
+		if b, err := os.ReadFile(ckpt); err == nil && bytes.Count(b, []byte("\n")) >= 2 {
 			break
 		}
 		if v := getJob(t, d.base, ids[0]); v.State == "done" {
@@ -246,7 +247,7 @@ func TestSigtermDrainRestartByteIdentical(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			d.cmd.Process.Kill()
-			t.Fatalf("no campaign checkpoint at %s\n%s", ckpt, d.out.String())
+			t.Fatalf("no checkpointed trial at %s\n%s", ckpt, d.out.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -337,7 +338,7 @@ func TestReadyzFlipsDuringDrain(t *testing.T) {
 		d.cmd.Process.Kill() //nolint:errcheck
 		d.cmd.Wait()         //nolint:errcheck
 	}()
-	id := submit(t, d.base, `{"bench":"gcc","trials":100000,"seed":1,"scale_pct":4,"checkpoint_every":8}`)
+	id := submit(t, d.base, `{"bench":"gcc","trials":100000,"seed":1,"scale_pct":4}`)
 	deadline := time.Now().Add(30 * time.Second)
 	for getJob(t, d.base, id).State != "running" {
 		if time.Now().After(deadline) {

@@ -129,8 +129,8 @@ func main() {
 	results := map[string]*fault.Result{}
 
 	// Ctrl-C or a supervisor's SIGTERM cancels outstanding trials; with
-	// -resume each benchmark's checkpoint is flushed first, so the next
-	// invocation picks up from the completed-trial watermark. Both signals
+	// -resume each benchmark's checkpoint already holds every completed
+	// trial, so the next invocation picks up from them. Both signals
 	// take the same path: partial results, exit 130, resume hint.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -27,8 +27,8 @@ func buildBinary(t *testing.T) string {
 
 // TestInterruptFlushesCheckpointAndResumeReproduces covers the operator
 // workflow the checkpoint machinery exists for: an interrupt mid-campaign
-// must flush the checkpoint before the process exits with status 130, and
-// a re-run with the same -resume prefix must finish the campaign with
+// must leave the checkpoint behind as the process exits with status 130,
+// and a re-run with the same -resume prefix must finish the campaign with
 // output byte-identical to a never-interrupted run. SIGINT (an operator's
 // Ctrl-C) and SIGTERM (a supervisor's stop — systemd, Kubernetes, the
 // campaignd drain) must take the identical path.
@@ -62,7 +62,8 @@ func TestInterruptFlushesCheckpointAndResumeReproduces(t *testing.T) {
 		{"SIGTERM", syscall.SIGTERM},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Interrupted run: signal once the first checkpoint write lands.
+			// Interrupted run: signal once the checkpoint holds its first
+			// record line after the header.
 			intPrefix := filepath.Join(dir, "int-"+tc.name)
 			ckpt := intPrefix + "-gcc.json"
 			cmd := exec.Command(bin, args(intPrefix)...)
@@ -73,12 +74,12 @@ func TestInterruptFlushesCheckpointAndResumeReproduces(t *testing.T) {
 			}
 			deadline := time.Now().Add(60 * time.Second)
 			for {
-				if fi, err := os.Stat(ckpt); err == nil && fi.Size() > 0 {
+				if b, err := os.ReadFile(ckpt); err == nil && bytes.Count(b, []byte("\n")) >= 2 {
 					break
 				}
 				if time.Now().After(deadline) {
 					cmd.Process.Kill()
-					t.Fatalf("no checkpoint appeared at %s within 60s:\n%s", ckpt, out.String())
+					t.Fatalf("no checkpointed trial appeared at %s within 60s:\n%s", ckpt, out.String())
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
@@ -100,7 +101,7 @@ func TestInterruptFlushesCheckpointAndResumeReproduces(t *testing.T) {
 			}
 			fi, err := os.Stat(ckpt)
 			if err != nil || fi.Size() == 0 {
-				t.Fatalf("checkpoint not flushed before exit: %v", err)
+				t.Fatalf("checkpoint missing after exit: %v", err)
 			}
 
 			// Resume: the finished campaign's output must match the

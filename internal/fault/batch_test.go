@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -42,20 +43,23 @@ func TestLeaseSizeInvariant(t *testing.T) {
 	}
 }
 
-// readCheckpointRecords loads a campaign checkpoint's per-trial records
-// in trial order.
+// readCheckpointRecords loads the record lines of a campaign
+// checkpoint, after its header line, in trial order.
 func readCheckpointRecords(t *testing.T, path string) []TrialRecord {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ck campaignCheckpoint
-	if err := json.Unmarshal(b, &ck); err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	recs := make([]TrialRecord, len(lines)-1)
+	for i, line := range lines[1:] {
+		if err := json.Unmarshal([]byte(line), &recs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sort.Slice(ck.Done, func(i, j int) bool { return ck.Done[i].Trial < ck.Done[j].Trial })
-	return ck.Done
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Trial < recs[j].Trial })
+	return recs
 }
 
 // TestReplayFromBatchedRange is the batched-dispatch replay contract:
@@ -67,8 +71,7 @@ func readCheckpointRecords(t *testing.T, path string) []TrialRecord {
 func TestReplayFromBatchedRange(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
 	dir := t.TempDir()
-	base := Config{Trials: 48, Seed: 3, FailureBudget: -1, CheckpointEvery: 1000,
-		Sim: pipeline.TurnpikeConfig(4, 10)}
+	base := Config{Trials: 48, Seed: 3, FailureBudget: -1, Sim: pipeline.TurnpikeConfig(4, 10)}
 
 	batched := base
 	batched.Workers = 4

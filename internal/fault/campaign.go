@@ -400,10 +400,10 @@ func Campaign(prog *isa.Program, cfg Config, seedMem func(*isa.Memory)) (*Result
 // result is byte-identical for every worker count. SDC and crash trials
 // land in Result.Failures until cfg.FailureBudget is exhausted, at which
 // point the remaining trials are cancelled and an error is returned with
-// the merged partial result. With cfg.Checkpoint set, completed trials are
-// checkpointed to an atomically-rewritten JSON file and a later campaign
-// with the same config resumes from that watermark; cancelling ctx also
-// returns the merged partial result after a final checkpoint write.
+// the merged partial result. With cfg.Checkpoint set, each trial is
+// appended to the checkpoint file as it completes and a later campaign
+// with the same config resumes from those trials; cancelling ctx also
+// returns the merged partial result.
 //
 // CampaignContext is Prepare followed by Run; callers that want to
 // measure or schedule the trial phase separately from the serial setup
@@ -567,8 +567,8 @@ var errHandedOn = errors.New("fault: campaign handed on to another by Reuse")
 // Reuse hands p's golden state and primed runners to a campaign of cfg
 // and returns it ready to Open or Run, as Prepare would have, without
 // its golden runs and forks. The per-campaign part is derived from cfg
-// afresh: seed, trials, failure budget, lease, checkpoint and cadence,
-// the injection window, the detector, and the Progress, Metrics and
+// afresh: seed, trials, failure budget, lease, checkpoint, the
+// injection window, the detector, and the Progress, Metrics and
 // Logger attachments. cfg must shape the same golden state and runners
 // as p's, which a caller ensures by keying its idle campaigns by
 // workload and program, the simulator configuration cfg.Sim, and the
@@ -616,8 +616,8 @@ func (p *Prepared) GoldenStats() pipeline.Stats { return p.goldenStats }
 // Run executes the prepared campaign's trials on its own runners and
 // merges the result; see CampaignContext for the semantics. Run is a
 // Session driven locally: Open restores the checkpoint, Session.Run
-// executes the pending trials, and Finish writes the final checkpoint
-// and merges. Run may be called once, and not after Open.
+// executes the pending trials, and Finish closes the checkpoint and
+// merges. Run may be called once, and not after Open.
 func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 	s, err := p.Open(ctx)
 	if err != nil {
@@ -653,12 +653,11 @@ func (p *Prepared) Run(ctx context.Context) (*Result, error) {
 // RunRange. Workers claim leases in order through an atomic cursor, so
 // no dispatcher goroutine runs beside them, and worker 0 runs on the
 // calling goroutine, so a one-worker fan-out starts no goroutine at all.
-// done, when set, receives each record as its trial completes, with the
-// worker's context. Workers stop claiming trials once ctx is done. One
+// done, when set, receives each record as its trial completes. Workers stop claiming trials once ctx is done. One
 // fault.shard_exec span covers the fan-out; the per-trial loop runs with
 // the tracer detached, so the hot path records nothing. A campaign whose
 // runners Reuse handed on runs nothing and returns errHandedOn.
-func (p *Prepared) fanOut(ctx context.Context, leases []TrialRange, recs []TrialRecord, base int, done func(context.Context, []TrialRecord)) error {
+func (p *Prepared) fanOut(ctx context.Context, leases []TrialRange, recs []TrialRecord, base int, done func([]TrialRecord)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.runners == nil {
@@ -700,7 +699,7 @@ func (p *Prepared) fanOut(ctx context.Context, leases []TrialRange, recs []Trial
 					e.logTrial(tctx, &rec[0])
 				}
 				if done != nil {
-					done(wctx, rec)
+					done(rec)
 				}
 			}
 		}

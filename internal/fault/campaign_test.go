@@ -2,12 +2,11 @@ package fault
 
 import (
 	"context"
-	"encoding/json"
-	"os"
+	"log/slog"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -145,18 +144,11 @@ func TestReplayMatchesCheckpointRecords(t *testing.T) {
 	if _, err := Campaign(prog, cfg, p.SeedMemory); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
+	recs := readCheckpointRecords(t, ckpt)
+	if len(recs) != cfg.Trials {
+		t.Fatalf("checkpoint has %d/%d trials", len(recs), cfg.Trials)
 	}
-	var ck campaignCheckpoint
-	if err := json.Unmarshal(b, &ck); err != nil {
-		t.Fatal(err)
-	}
-	if len(ck.Done) != cfg.Trials {
-		t.Fatalf("checkpoint has %d/%d trials", len(ck.Done), cfg.Trials)
-	}
-	for _, rec := range ck.Done[:4] {
+	for _, rec := range recs[:4] {
 		out, st, err := Replay(prog, Config{Sim: cfg.Sim}, p.SeedMemory, rec.Inj)
 		if err != nil {
 			t.Fatalf("trial %d replay: %v", rec.Trial, err)
@@ -168,6 +160,25 @@ func TestReplayMatchesCheckpointRecords(t *testing.T) {
 			t.Fatalf("trial %d replay stats diverged", rec.Trial)
 		}
 	}
+}
+
+// cancelAt is a slog.Handler that cancels a context at its k-th
+// "trial complete" record, so a test can interrupt a campaign at a
+// deterministic point.
+type cancelAt struct {
+	n      *atomic.Int64
+	k      int64
+	cancel context.CancelFunc
+}
+
+func (h cancelAt) Enabled(context.Context, slog.Level) bool { return true }
+func (h cancelAt) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h cancelAt) WithGroup(string) slog.Handler            { return h }
+func (h cancelAt) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "trial complete" && h.n.Add(1) == h.k {
+		h.cancel()
+	}
+	return nil
 }
 
 // TestCampaignResume kills a campaign mid-flight via context
@@ -185,19 +196,14 @@ func TestCampaignResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "resume.json")
 	cfg := base
 	cfg.Checkpoint = ckpt
-	cfg.CheckpointEvery = 1
 	cfg.Workers = 2
-	cfg.Progress = &pipeline.Progress{}
 
-	// Cancel once a handful of trials completed (Runs counts the golden
-	// run too); the final checkpoint write must preserve the watermark.
+	// Cancel at the fifth completed trial; the checkpoint must hold
+	// every trial that completed.
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for cfg.Progress.Runs.Load() < 6 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		cancel()
-	}()
+	defer cancel()
+	var n atomic.Int64
+	cfg.Logger = slog.New(cancelAt{n: &n, k: 5, cancel: cancel})
 	partial, err := CampaignContext(ctx, prog, cfg, p.SeedMemory)
 	if err == nil {
 		t.Fatal("cancelled campaign must report interruption")
@@ -208,8 +214,11 @@ func TestCampaignResume(t *testing.T) {
 	if partial.CompletedTrials >= base.Trials {
 		t.Fatalf("cancellation landed after all %d trials; nothing to resume", base.Trials)
 	}
+	if got := len(readCheckpointRecords(t, ckpt)); got != partial.CompletedTrials {
+		t.Fatalf("checkpoint holds %d trials, the partial result %d", got, partial.CompletedTrials)
+	}
 
-	cfg.Progress = nil
+	cfg.Logger = nil
 	resumed, err := CampaignContext(context.Background(), prog, cfg, p.SeedMemory)
 	if err != nil {
 		t.Fatalf("resume: %v", err)

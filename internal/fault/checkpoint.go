@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,25 +14,24 @@ import (
 	"repro/internal/pipeline"
 )
 
-// campaignCheckpoint is the on-disk resume state: a fingerprint binding
-// the file to one exact campaign (seed, trial count, resolved injection
+// checkpointHeader is the first line of a checkpoint file, whose every
+// later line is one committed TrialRecord (DESIGN.md §3). It binds the
+// file to one exact campaign: seed, trial count, resolved injection
 // window, adversary, the resolved simulator configuration, and the
 // golden run's cycle/instruction counts, which pin the program and its
-// inputs), plus every completed trial. The golden counts cannot pin the
-// settings that act only on faulty runs (Containment, DetectQueue,
-// DegradeWindow), so the configuration is stored whole. The file is
-// rewritten in full through obs.WriteFileAtomic, so an interrupted
-// campaign never leaves a torn checkpoint behind.
-type campaignCheckpoint struct {
+// inputs. The golden counts cannot pin the settings that act only on
+// faulty runs (Containment, DetectQueue, DegradeWindow), so the
+// configuration is stored whole. restore compares the header as one
+// value, so a field added here joins the fingerprint.
+type checkpointHeader struct {
 	Version       int             `json:"version"`
 	Seed          int64           `json:"seed"`
 	Trials        int             `json:"trials"`
 	MaxInjectInst uint64          `json:"max_inject_inst"`
 	GoldenCycles  uint64          `json:"golden_cycles"`
 	GoldenInsts   uint64          `json:"golden_insts"`
-	Adversary     *Adversary      `json:"adversary,omitempty"`
+	Adversary     Adversary       `json:"adversary"`
 	Sim           pipeline.Config `json:"sim"`
-	Done          []TrialRecord   `json:"done"`
 }
 
 // Version 2: injections gained burst/false-positive plans and the
@@ -39,69 +39,86 @@ type campaignCheckpoint struct {
 // Version 3: the fingerprint gained the resolved simulator
 // configuration, so v2 files, which could resume under another
 // containment setting, no longer resume.
-const checkpointVersion = 3
+// Version 4: the file became a header line and one line per record,
+// appended as records commit, so v3 files no longer resume.
+const checkpointVersion = 4
 
-// save rewrites the checkpoint file with every completed trial, in trial
-// order. Callers serialize saves (the campaign holds its merge mutex or
-// has joined all workers).
-func (e *engine) save(records []*TrialRecord, goldenStats pipeline.Stats) error {
-	ck := campaignCheckpoint{
-		Version:       checkpointVersion,
-		Seed:          e.cfg.Seed,
-		Trials:        e.cfg.Trials,
-		MaxInjectInst: e.maxAt,
-		GoldenCycles:  goldenStats.Cycles,
-		GoldenInsts:   goldenStats.Insts,
-		Adversary:     e.cfg.Adversary,
-		Sim:           e.sim,
+func (e *engine) header(golden pipeline.Stats) checkpointHeader {
+	return checkpointHeader{Version: checkpointVersion, Seed: e.cfg.Seed, Trials: e.cfg.Trials,
+		MaxInjectInst: e.maxAt, GoldenCycles: golden.Cycles, GoldenInsts: golden.Insts,
+		Adversary: e.adv, Sim: e.sim}
+}
+
+// rewrite atomically replaces the checkpoint file with the header and
+// every record, in trial order, and returns the file opened for
+// appending.
+func (e *engine) rewrite(records []*TrialRecord, golden pipeline.Stats) (*os.File, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(e.header(golden)); err != nil {
+		return nil, err
 	}
 	for _, rec := range records {
 		if rec != nil {
-			ck.Done = append(ck.Done, *rec)
+			enc.Encode(rec) //nolint:errcheck — a record holds no value JSON cannot encode
 		}
 	}
-	return obs.WriteFileAtomic(e.cfg.Checkpoint, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(ck)
+	err := obs.WriteFileAtomic(e.cfg.Checkpoint, func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return os.OpenFile(e.cfg.Checkpoint, os.O_WRONLY|os.O_APPEND, 0)
 }
 
-// restore loads the checkpoint file, if any, into records. A missing file
-// is a fresh campaign. Bytes that do not parse as a checkpoint, or records
-// that contradict the deterministic per-trial plan, wrap
-// ErrCheckpointCorrupt (the caller restarts fresh); a syntactically valid
-// file whose fingerprint does not match this campaign wraps
-// ErrInvalidConfig, because it records a *different* campaign's progress
-// and must not be silently overwritten.
-func (e *engine) restore(records []*TrialRecord, goldenStats pipeline.Stats) error {
-	b, err := os.ReadFile(e.cfg.Checkpoint)
+// restore loads the checkpoint file, if any, into records. A missing
+// file is a fresh campaign. An unterminated last line is dropped: a
+// kill during an append leaves at most that one. Anything else that
+// does not parse, or a record that contradicts the deterministic
+// per-trial plan, wraps ErrCheckpointCorrupt (the caller restarts
+// fresh); a header other than this campaign's, older versions included,
+// wraps ErrInvalidConfig, because the file records a *different*
+// campaign's progress and must not be silently overwritten.
+func (e *engine) restore(records []*TrialRecord, golden pipeline.Stats) error {
+	path := e.cfg.Checkpoint
+	b, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("fault: checkpoint: %w", err)
 	}
-	var ck campaignCheckpoint
-	if err := json.Unmarshal(b, &ck); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, e.cfg.Checkpoint, err)
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s: "+format, append([]any{ErrCheckpointCorrupt, path}, args...)...)
 	}
-	if ck.Version != checkpointVersion || ck.Seed != e.cfg.Seed || ck.Trials != e.cfg.Trials ||
-		ck.MaxInjectInst != e.maxAt ||
-		ck.GoldenCycles != goldenStats.Cycles || ck.GoldenInsts != goldenStats.Insts ||
-		!reflect.DeepEqual(ck.Adversary, e.cfg.Adversary) || !reflect.DeepEqual(ck.Sim, e.sim) {
+	lines := bytes.Split(b, []byte{'\n'})
+	lines = lines[:len(lines)-1] // after the last newline: nothing, or a torn line
+	if len(lines) == 0 {
+		return corrupt("no complete header line")
+	}
+	var h checkpointHeader
+	if err := json.Unmarshal(lines[0], &h); err != nil {
+		return corrupt("header: %v", err)
+	}
+	if h != e.header(golden) {
 		return fmt.Errorf("%w: checkpoint %s was written by a different campaign (seed, trials, workload, or simulator config changed) — delete it to start over",
-			ErrInvalidConfig, e.cfg.Checkpoint)
+			ErrInvalidConfig, path)
 	}
 	det := e.det // one reseeded copy validates every record
-	for i := range ck.Done {
-		rec := ck.Done[i]
+	for _, line := range lines[1:] {
+		rec := new(TrialRecord)
+		if err := json.Unmarshal(line, rec); err != nil {
+			return corrupt("%v", err)
+		}
 		if rec.Trial < 0 || rec.Trial >= len(records) {
-			return fmt.Errorf("%w: %s: trial %d out of range", ErrCheckpointCorrupt, e.cfg.Checkpoint, rec.Trial)
+			return corrupt("trial %d out of range", rec.Trial)
 		}
 		if got := e.planWith(rec.Trial, &det); !reflect.DeepEqual(got, rec.Inj) {
-			return fmt.Errorf("%w: %s: trial %d recorded injection %+v does not match the plan %+v",
-				ErrCheckpointCorrupt, e.cfg.Checkpoint, rec.Trial, rec.Inj, got)
+			return corrupt("trial %d recorded injection %+v does not match the plan %+v", rec.Trial, rec.Inj, got)
 		}
-		records[rec.Trial] = &rec
+		records[rec.Trial] = rec
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -15,7 +16,7 @@ import (
 )
 
 // checkpointEngine builds a minimal engine around a checkpoint path —
-// enough to exercise save/restore without compiling a workload.
+// enough to exercise rewrite/restore without compiling a workload.
 func checkpointEngine(t *testing.T, ckpt string, seed int64, trials int) *engine {
 	t.Helper()
 	e := &engine{
@@ -28,27 +29,38 @@ func checkpointEngine(t *testing.T, ckpt string, seed int64, trials int) *engine
 	return e
 }
 
+// writeCheckpoint writes a checkpoint of e holding trials [0, n) and
+// returns its bytes.
+func writeCheckpoint(t testing.TB, e *engine, gs pipeline.Stats, n int) []byte {
+	t.Helper()
+	records := make([]*TrialRecord, e.cfg.Trials)
+	for i := 0; i < n; i++ {
+		records[i] = &TrialRecord{Trial: i, Inj: e.plan(i), Outcome: Masked}
+	}
+	f, err := e.rewrite(records, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	b, err := os.ReadFile(e.cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestCheckpointCorruptTyped pins the loader's error taxonomy: bytes that
-// are not a syntactically valid checkpoint — truncation, garbage, records
-// contradicting the deterministic plan — wrap ErrCheckpointCorrupt, while
-// a well-formed file from a different campaign wraps ErrInvalidConfig
-// (its progress must not be clobbered by a fresh restart).
+// are not a syntactically valid checkpoint — a header cut short, garbage,
+// a complete line that is not a record, records contradicting the
+// deterministic plan — wrap ErrCheckpointCorrupt, while a well-formed
+// file from a different campaign wraps ErrInvalidConfig (its progress
+// must not be clobbered by a fresh restart).
 func TestCheckpointCorruptTyped(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ck.json")
 	e := checkpointEngine(t, ckpt, 11, 16)
 	gs := pipeline.Stats{Cycles: 123, Insts: 456}
-
-	records := make([]*TrialRecord, 16)
-	for i := 0; i < 5; i++ {
-		records[i] = &TrialRecord{Trial: i, Inj: e.plan(i), Outcome: Masked}
-	}
-	if err := e.save(records, gs); err != nil {
-		t.Fatal(err)
-	}
-	valid, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := writeCheckpoint(t, e, gs, 5)
+	header := valid[:bytes.IndexByte(valid, '\n')+1]
 
 	tampered := strings.Replace(string(valid), `"bit":`, `"bit":1`, 1)
 	if tampered == string(valid) {
@@ -56,12 +68,13 @@ func TestCheckpointCorruptTyped(t *testing.T) {
 	}
 	outOfRange := strings.Replace(string(valid), `"trial":4`, `"trial":40`, 1)
 	corrupt := map[string][]byte{
-		"truncated":      valid[:len(valid)/2],
-		"empty":          {},
-		"garbage":        []byte("not a checkpoint at all"),
-		"half-object":    []byte(`{"version":2,"seed":11,`),
-		"tampered-plan":  []byte(tampered),
-		"trial-oo-range": []byte(outOfRange),
+		"header-cut":      header[:len(header)/2],
+		"bad-record-line": append(append([]byte{}, header...), `{"trial":3,`+"\n"...),
+		"empty":           {},
+		"garbage":         []byte("not a checkpoint at all"),
+		"half-object":     []byte(`{"version":2,"seed":11,`),
+		"tampered-plan":   []byte(tampered),
+		"trial-oo-range":  []byte(outOfRange),
 	}
 	for name, b := range corrupt {
 		if err := os.WriteFile(ckpt, b, 0o644); err != nil {
@@ -85,12 +98,37 @@ func TestCheckpointCorruptTyped(t *testing.T) {
 	}
 }
 
+// TestCheckpointTornTail: a kill during an append can leave the last
+// line unterminated. A file cut anywhere inside its last record line
+// restores the complete records before it, and nothing else.
+func TestCheckpointTornTail(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ck.json")
+	e := checkpointEngine(t, ckpt, 11, 16)
+	gs := pipeline.Stats{Cycles: 123, Insts: 456}
+	valid := writeCheckpoint(t, e, gs, 5)
+	last := bytes.LastIndexByte(valid[:len(valid)-1], '\n') + 1
+	for cut := last + 1; cut < len(valid); cut++ {
+		if err := os.WriteFile(ckpt, valid[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		records := make([]*TrialRecord, 16)
+		if err := e.restore(records, gs); err != nil {
+			t.Fatalf("cut at byte %d of %d: %v", cut, len(valid), err)
+		}
+		for i, rec := range records {
+			if (rec != nil) != (i < 4) {
+				t.Fatalf("cut at byte %d of %d: trial %d restored %v, want trials 0-3", cut, len(valid), i, rec != nil)
+			}
+		}
+	}
+}
+
 // TestCheckpointPinsSimulatorConfig: a checkpoint resumes only under
 // the simulator configuration that wrote it. Containment acts only on
 // faulty runs, so the golden run's counts are the same either way; a
 // checkpoint written with containment off must still be refused with
-// containment on, and the reverse, and so must a version-2 file, whose
-// fingerprint did not hold the configuration.
+// containment on, and the reverse, and so must a version-3 file, which
+// held every record in one object.
 func TestCheckpointPinsSimulatorConfig(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
 	run := func(ckpt string, containment bool) error {
@@ -115,12 +153,12 @@ func TestCheckpointPinsSimulatorConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2 := strings.Replace(string(b), fmt.Sprintf(`"version":%d`, checkpointVersion), `"version":2`, 1)
-		if v2 == string(b) || os.WriteFile(ckpt, []byte(v2), 0o644) != nil {
+		v3 := strings.Replace(string(b), fmt.Sprintf(`"version":%d`, checkpointVersion), `"version":3`, 1)
+		if v3 == string(b) || os.WriteFile(ckpt, []byte(v3), 0o644) != nil {
 			t.Fatal("cannot rewrite the checkpoint's version")
 		}
 		if err := run(ckpt, containment); !errors.Is(err, ErrInvalidConfig) {
-			t.Fatalf("a version-2 checkpoint resumed: %v", err)
+			t.Fatalf("a version-3 checkpoint resumed: %v", err)
 		}
 	}
 }
@@ -174,17 +212,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	gs := pipeline.Stats{Cycles: 123, Insts: 456}
-	records := make([]*TrialRecord, 8)
-	for i := 0; i < 3; i++ {
-		records[i] = &TrialRecord{Trial: i, Inj: e.plan(i), Outcome: Masked}
-	}
-	if err := e.save(records, gs); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := writeCheckpoint(f, e, gs, 3)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{"version":2}`))

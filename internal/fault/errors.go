@@ -34,9 +34,9 @@ var ErrShardInvalid = errors.New("fault: shard result failed validation")
 var ErrShardMismatch = errors.New("fault: shard result contradicts committed records")
 
 // ErrCheckpointCorrupt marks a checkpoint file whose bytes are not a
-// syntactically valid checkpoint — truncated JSON from a torn pre-atomic
-// write, garbage, or records that contradict the deterministic per-trial
-// plan. It is deliberately distinct from the ErrInvalidConfig fingerprint
+// syntactically valid checkpoint — a header line cut short, garbage, a
+// complete line that is not a record, or records that contradict the
+// deterministic per-trial plan. It is deliberately distinct from the ErrInvalidConfig fingerprint
 // mismatch: a corrupt file carries no usable progress and is safe to
 // overwrite (CampaignContext restarts fresh with a warning), while a
 // fingerprint mismatch means the file belongs to a *different* campaign

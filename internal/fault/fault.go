@@ -93,16 +93,12 @@ type Config struct {
 	// replay. Whenever the budget is exhausted Campaign returns an error
 	// alongside the merged partial result.
 	FailureBudget int
-	// Checkpoint, when non-empty, is the path of an atomically-rewritten
-	// JSON file recording every completed trial. A campaign started with
-	// an existing checkpoint at the same (seed, trials, workload) resumes
-	// from the completed-trial watermark instead of re-running; anything
-	// else in the file's fingerprint mismatching is an error.
+	// Checkpoint, when non-empty, is the path of a JSON-lines log to
+	// which every trial is appended as it commits. A campaign started
+	// with an existing checkpoint at the same (seed, trials, workload)
+	// resumes from its completed trials instead of re-running them;
+	// anything else in the file's fingerprint mismatching is an error.
 	Checkpoint string
-	// CheckpointEvery is the number of completed trials between
-	// checkpoint rewrites (default 64). The file is always rewritten once
-	// more when the campaign finishes or is cancelled.
-	CheckpointEvery int
 	// Adversary, when set, switches the campaign to the imperfect-mesh
 	// fault model: dead sensors, late detections, fault bursts, and
 	// false positives, all drawn from the per-trial SplitMix64 streams

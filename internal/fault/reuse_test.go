@@ -45,7 +45,7 @@ func TestReuseMatchesFreshPrepare(t *testing.T) {
 	second := first
 	second.Seed = 2
 	third := Config{Trials: 40, Seed: 3, Workers: 2, FailureBudget: -1, Sim: first.Sim,
-		Adversary: meshAdversary, Checkpoint: filepath.Join(dir, "reused.json"), CheckpointEvery: 8}
+		Adversary: meshAdversary, Checkpoint: filepath.Join(dir, "reused.json")}
 	for i, cfg := range []Config{second, third, first} {
 		next, err := prep.Reuse(ctx, cfg)
 		if err != nil {

@@ -12,12 +12,15 @@ package fault
 // record-for-record.
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"os"
 	"reflect"
 	"sync"
 	"time"
@@ -42,7 +45,8 @@ func (r TrialRange) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) 
 // fleet coordinator: an explicit lease wins; otherwise trials split into
 // a few leases per executor, trials/(executors·4), clamped to [1, 64] —
 // enough leases that the tail stays balanced, few enough trials per
-// lease that checkpoint cadence and budget cancellation stay responsive.
+// lease that a lost lease repeats little work and budget cancellation
+// stays responsive.
 func LeaseSize(explicit, trials, executors int) int {
 	if explicit > 0 {
 		return explicit
@@ -148,8 +152,8 @@ func (p *Prepared) RunRange(ctx context.Context, lo, hi int) (*ShardResult, erro
 }
 
 // Session is a Prepared campaign opened for scheduling. It owns the
-// campaign's record table, checkpoint restore and cadence, failure
-// budget, and merge. Run executes trials on the campaign's own runners,
+// campaign's record table, its checkpoint file, failure budget, and
+// merge. Run executes trials on the campaign's own runners,
 // as Prepared.Run does for a whole campaign; a distributed coordinator
 // also leases Pending ranges to remote workers and merges their shards
 // back through Commit. Finish merges the records in trial order, so the
@@ -161,26 +165,28 @@ func (p *Prepared) RunRange(ctx context.Context, lo, hi int) (*ShardResult, erro
 type Session struct {
 	p *Prepared
 
-	mu        sync.Mutex
-	records   []*TrialRecord
-	failures  int
-	sinceCkpt int
-	every     int
-	budget    int
-	ckptErr   error
-	// saved reports that the checkpoint file holds exactly records: the
-	// last write succeeded and nothing changed since.
-	saved    bool
+	mu       sync.Mutex
+	records  []*TrialRecord
+	failures int
+	budget   int
+	// ckpt is the checkpoint file open for appending, nil without one;
+	// add encodes its records into line through enc. ckptErr is the
+	// first failed write, after which nothing more is appended.
+	ckpt     *os.File
+	line     bytes.Buffer
+	enc      *json.Encoder
+	ckptErr  error
 	finished bool
 }
 
-// Open restores the campaign's checkpoint (if configured) and returns
-// the session ready for scheduling. A corrupt checkpoint carries no
-// usable progress: it is discarded with a warning, the campaign restarts
-// from trial zero, and the first save atomically overwrites it. A
-// checkpoint from a different campaign is an error. A campaign is opened
-// once: Run opens its own session, so Open and Run are mutually
-// exclusive.
+// Open restores the campaign's checkpoint (if configured), rewrites it
+// with the restored records and keeps it open for appending, and
+// returns the session ready for scheduling. A corrupt checkpoint
+// carries no usable progress: it is discarded with a warning, the
+// campaign restarts from trial zero, and the rewrite atomically
+// overwrites it. A checkpoint from a different campaign, or a rewrite
+// that fails, is an error. A campaign is opened once: Run opens its own
+// session, so Open and Run are mutually exclusive.
 func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -196,30 +202,29 @@ func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 	if budget == 0 {
 		budget = 1 // historical fail-fast default
 	}
-	every := e.cfg.CheckpointEvery
-	if every <= 0 {
-		every = 64
-	}
 	records := make([]*TrialRecord, e.cfg.Trials)
+	s := &Session{p: p, records: records, budget: budget}
 	if e.cfg.Checkpoint != "" {
-		// Restore covers reading the watermark file and re-deriving every
-		// completed trial's injection plan for validation.
+		// Restore covers reading the file, re-deriving every completed
+		// trial's injection plan for validation, and the rewrite.
 		restoreStart := time.Now()
 		err := e.restore(records, p.goldenStats)
-		span.RecordCtx(ctx, "fault", "checkpoint_restore", restoreStart, time.Now(), nil)
-		if err != nil {
-			if !errors.Is(err, ErrCheckpointCorrupt) {
-				return nil, err
-			}
+		if errors.Is(err, ErrCheckpointCorrupt) {
 			if log := e.cfg.Logger; log != nil {
 				log.Warn(fmt.Sprintf("%v — restarting the campaign from trial 0", err))
 			}
-			for i := range records {
-				records[i] = nil
-			}
+			clear(records)
+			err = nil
 		}
+		if err == nil {
+			err = s.rewriteLocked()
+		}
+		span.RecordCtx(ctx, "fault", "checkpoint_restore", restoreStart, time.Now(), nil)
+		if err != nil {
+			return nil, err
+		}
+		s.enc = json.NewEncoder(&s.line)
 	}
-	s := &Session{p: p, records: records, every: every, budget: budget}
 	for _, rec := range records {
 		if rec != nil && (rec.Outcome == SDC || rec.Outcome == Crash) {
 			s.failures++
@@ -270,8 +275,8 @@ func (s *Session) Run(ctx context.Context, leases []TrialRange) error {
 	// Fresh trials are filled into one slab, so the steady-state trial
 	// loop performs no record allocations.
 	slab := make([]TrialRecord, hi-lo)
-	err := s.p.fanOut(runCtx, leases, slab, lo, func(wctx context.Context, rec []TrialRecord) {
-		if _, stop, err := s.add(wctx, rec); stop || err != nil {
+	err := s.p.fanOut(runCtx, leases, slab, lo, func(rec []TrialRecord) {
+		if _, stop, err := s.add(rec); stop || err != nil {
 			cancel(err)
 		}
 	})
@@ -382,7 +387,7 @@ func (s *Session) Commit(sh *ShardResult) (int, error) {
 				ErrShardInvalid, sh.Records[i].Trial, sh.Records[i].Inj, got)
 		}
 	}
-	fresh, _, err := s.add(context.Background(), sh.Records)
+	fresh, _, err := s.add(sh.Records)
 	return fresh, err
 }
 
@@ -391,11 +396,12 @@ func (s *Session) Commit(sh *ShardResult) (int, error) {
 // step both paths share. A record whose trial is already
 // committed must match it exactly — if any disagrees, nothing is
 // committed and the error wraps ErrShardMismatch; otherwise it is a
-// benign duplicate. The cadence checkpoint is written here, its span
-// parented by ctx; a failed write is kept for Finish to report. stop
-// reports that the campaign owes no further work: a checkpoint write
-// failed or the failure budget is exhausted.
-func (s *Session) add(ctx context.Context, recs []TrialRecord) (fresh int, stop bool, err error) {
+// benign duplicate. The fresh records are appended to the checkpoint
+// in one write before add returns; a failed write is kept for Finish to
+// report, and no record is appended after it. stop reports that the
+// campaign owes no further work: a checkpoint write failed or the
+// failure budget is exhausted.
+func (s *Session) add(recs []TrialRecord) (fresh int, stop bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.finished {
@@ -419,20 +425,28 @@ func (s *Session) add(ctx context.Context, recs []TrialRecord) (fresh int, stop 
 		if rec.Outcome == SDC || rec.Outcome == Crash {
 			s.failures++
 		}
-	}
-	s.sinceCkpt += fresh
-	s.saved = s.saved && fresh == 0
-	if fresh > 0 && s.p.e.cfg.Checkpoint != "" && s.sinceCkpt >= s.every {
-		s.sinceCkpt = 0
-		ckptStart := time.Now()
-		err := s.saveLocked()
-		span.RecordCtx(ctx, "fault", "checkpoint_write", ckptStart, time.Now(),
-			map[string]any{"trial": recs[len(recs)-1].Trial})
-		if err != nil && s.ckptErr == nil {
-			s.ckptErr = err
+		if s.ckpt != nil && s.ckptErr == nil {
+			s.enc.Encode(rec) //nolint:errcheck — a record holds no value JSON cannot encode
 		}
 	}
+	if s.line.Len() > 0 {
+		_, s.ckptErr = s.ckpt.Write(s.line.Bytes())
+		s.line.Reset()
+	}
 	return fresh, s.ckptErr != nil || s.exhaustedLocked(), nil
+}
+
+// rewriteLocked atomically rewrites the checkpoint with the committed
+// records and reopens it for appending; a failure is kept for Finish.
+func (s *Session) rewriteLocked() (err error) {
+	if s.ckpt != nil {
+		s.ckpt.Close() // the rewrite supersedes what it holds
+	}
+	if s.ckpt, err = s.p.e.rewrite(s.records, s.p.goldenStats); err != nil {
+		s.ckptErr = cmp.Or(s.ckptErr, err)
+		return fmt.Errorf("fault: checkpoint: %w", err)
+	}
+	return nil
 }
 
 // Revoke clears the committed records in [lo, hi) so the range can be
@@ -460,26 +474,19 @@ func (s *Session) Revoke(lo, hi int) error {
 		}
 	}
 	if s.p.e.cfg.Checkpoint != "" {
-		return s.saveLocked()
+		return s.rewriteLocked()
 	}
 	return nil
 }
 
-// saveLocked writes the checkpoint; the caller holds s.mu.
-func (s *Session) saveLocked() error {
-	err := s.p.e.save(s.records, s.p.goldenStats)
-	s.saved = err == nil
-	return err
-}
-
-// Finish writes the final checkpoint (unless the last write already
-// holds every committed record), merges every committed record in
-// trial order, and returns the campaign Result — byte-identical to a
-// single-process run of the same Config over the same completed trials.
-// A checkpoint write failure, a cancelled ctx, or an exhausted failure
-// budget each return the merged partial result alongside the error. A
-// coordinator cutting an attempt short (drain, cancellation) finishes
-// the session too, so the next life resumes from the exact watermark.
+// Finish closes the checkpoint, which already holds every committed
+// record, merges every committed record in trial order, and returns
+// the campaign Result — byte-identical to a single-process run of the
+// same Config over the same completed trials. A checkpoint write
+// failure, a cancelled ctx, or an exhausted failure budget each return
+// the merged partial result alongside the error. A coordinator cutting
+// an attempt short (drain, cancellation) finishes the session too, so
+// no record arrives after it.
 func (s *Session) Finish(ctx context.Context) (*Result, error) {
 	s.mu.Lock()
 	if s.finished {
@@ -488,14 +495,8 @@ func (s *Session) Finish(ctx context.Context) (*Result, error) {
 	}
 	s.finished = true
 	e := s.p.e
-	if e.cfg.Checkpoint != "" && !s.saved {
-		ckptStart := time.Now()
-		err := s.saveLocked()
-		span.RecordCtx(ctx, "fault", "checkpoint_write", ckptStart, time.Now(),
-			map[string]any{"final": true})
-		if err != nil && s.ckptErr == nil {
-			s.ckptErr = err
-		}
+	if s.ckpt != nil {
+		s.ckptErr = cmp.Or(s.ckptErr, s.ckpt.Close())
 	}
 	mergeStart := time.Now()
 	res := e.merge(s.records, s.p.goldenStats)

@@ -1,10 +1,8 @@
 package fault
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,8 +26,8 @@ func shardTestConfig() Config {
 // campaign executed as shards — committed out of trial order, with
 // duplicate completions sprinkled in — must Finish with a Result
 // byte-identical to Prepared.Run of the same Config. With a checkpoint
-// configured, the final checkpoint files of the two paths must be
-// byte-identical too.
+// configured, the two paths' checkpoints must restore the same records
+// (a checkpoint is in commit order, so its bytes differ between them).
 func TestSessionByteIdenticalToRun(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
 	dir := t.TempDir()
@@ -37,8 +35,6 @@ func TestSessionByteIdenticalToRun(t *testing.T) {
 		cfg := shardTestConfig()
 		runCfg := cfg
 		if ckpt {
-			cfg.CheckpointEvery = 5
-			runCfg = cfg
 			runCfg.Checkpoint = filepath.Join(dir, "run.json")
 			cfg.Checkpoint = filepath.Join(dir, "session.json")
 		}
@@ -52,16 +48,12 @@ func TestSessionByteIdenticalToRun(t *testing.T) {
 		if !ckpt {
 			continue
 		}
-		run, err := os.ReadFile(runCfg.Checkpoint)
-		if err != nil {
-			t.Fatal(err)
+		run := readCheckpointRecords(t, runCfg.Checkpoint)
+		if len(run) != cfg.Trials {
+			t.Errorf("single-process Run's checkpoint holds %d of %d trials", len(run), cfg.Trials)
 		}
-		sharded, err := os.ReadFile(cfg.Checkpoint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(run, sharded) {
-			t.Error("sharded session's final checkpoint differs from single-process Run's")
+		if !reflect.DeepEqual(run, readCheckpointRecords(t, cfg.Checkpoint)) {
+			t.Error("sharded session's checkpoint restores other records than single-process Run's")
 		}
 	}
 }
@@ -124,34 +116,35 @@ func shardedCampaign(t *testing.T, prog *isa.Program, seedMem func(*isa.Memory),
 }
 
 // TestCheckpointWriteFailure pins the failed-write branch that local and
-// sharded campaigns share: the first failed cadence write is kept, and
-// Finish returns it as "fault: checkpoint: …" alongside the partial
-// result, even when its own final write succeeds. A local Run also
-// cancels its outstanding trials at that write; a RunRange+Commit
-// session keeps the shard it committed.
+// sharded campaigns share: the first failed append is kept, and Finish
+// returns it as "fault: checkpoint: …" alongside the partial result. A
+// local Run also cancels its outstanding trials at that append; a
+// RunRange+Commit session keeps the shard it committed. The append fails
+// because the test closes the session's file under it, once Open has
+// written the header.
 func TestCheckpointWriteFailure(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
 	ctx := context.Background()
-	// prepare returns a campaign checkpointing every 4 trials into dir.
-	prepare := func(t *testing.T) (prep *Prepared, dir string) {
-		dir = filepath.Join(t.TempDir(), "ckpt")
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
+	// open returns a one-worker session whose checkpoint file is closed.
+	open := func(t *testing.T) *Session {
 		cfg := shardTestConfig()
 		cfg.Workers = 1
-		cfg.CheckpointEvery = 4
-		cfg.Checkpoint = filepath.Join(dir, "campaign.json")
+		cfg.Checkpoint = filepath.Join(t.TempDir(), "campaign.json")
 		prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return prep, dir
+		sess, err := prep.Open(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.ckpt.Close()
+		return sess
 	}
 	check := func(t *testing.T, res *Result, err error, completed int) {
 		t.Helper()
-		if err == nil || !strings.HasPrefix(err.Error(), "fault: checkpoint: ") || !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("err = %v, want a fault: checkpoint: error for the missing directory", err)
+		if err == nil || !strings.HasPrefix(err.Error(), "fault: checkpoint: ") || !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("err = %v, want a fault: checkpoint: error for the closed file", err)
 		}
 		if res == nil || res.CompletedTrials != completed {
 			t.Fatalf("partial result = %+v, want %d completed trials", res, completed)
@@ -159,35 +152,23 @@ func TestCheckpointWriteFailure(t *testing.T) {
 	}
 
 	t.Run("Run", func(t *testing.T) {
-		prep, dir := prepare(t)
-		// Open only reads the checkpoint, so a directory removed before
-		// Run is gone by the time Run's session first writes.
-		if err := os.Remove(dir); err != nil {
+		// Session.Run and Finish are Prepared.Run's body; the first
+		// trial's append fails and cancels the rest.
+		sess := open(t)
+		if err := sess.Run(ctx, sess.Pending()); err != nil {
 			t.Fatal(err)
 		}
-		res, err := prep.Run(ctx)
-		check(t, res, err, 4)
+		res, err := sess.Finish(ctx)
+		check(t, res, err, 1)
 	})
 	t.Run("Session", func(t *testing.T) {
-		prep, dir := prepare(t)
-		sess, err := prep.Open(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(dir); err != nil {
-			t.Fatal(err)
-		}
+		sess := open(t)
 		sh, err := sess.RunRange(ctx, 0, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fresh, err := sess.Commit(sh); err != nil || fresh != 8 {
 			t.Fatalf("commit: fresh=%d err=%v, want 8 <nil>", fresh, err)
-		}
-		// With the directory back, Finish's own write succeeds; the
-		// failed cadence write must still be reported.
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
 		}
 		res, err := sess.Finish(ctx)
 		check(t, res, err, 8)
@@ -300,7 +281,6 @@ func TestSessionCheckpointResume(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
 	cfg := shardTestConfig()
 	cfg.Checkpoint = filepath.Join(t.TempDir(), "session.ckpt.json")
-	cfg.CheckpointEvery = 8
 
 	refCfg := cfg
 	refCfg.Checkpoint = ""
@@ -318,8 +298,8 @@ func TestSessionCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Commit exactly two checkpoint cadences' worth, then walk away —
-	// the coordinator-killed-mid-campaign case.
+	// Commit two shards, then walk away — the
+	// coordinator-killed-mid-campaign case.
 	for _, r := range []TrialRange{{0, 8}, {8, 16}} {
 		sh, err := sess.RunRange(ctx, r.Lo, r.Hi)
 		if err != nil {
@@ -363,65 +343,38 @@ func TestSessionCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestFinishSkipsRepeatCheckpoint: Finish writes the checkpoint only
-// when trials were committed since the last write, and what it writes
-// resumes.
-func TestFinishSkipsRepeatCheckpoint(t *testing.T) {
+// TestCommitDurableWithoutFinish: every committed trial is in the
+// checkpoint before Commit returns, so a session that commits [0,8) and
+// [8,12) and is abandoned without Finish reopens with all 12 trials.
+func TestCommitDurableWithoutFinish(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
 	ctx := context.Background()
-	for _, tc := range []struct {
-		name    string
-		ranges  []TrialRange
-		rewrite bool
-	}{
-		{"last add wrote", []TrialRange{{0, 8}, {8, 16}}, false},
-		{"trials unsaved", []TrialRange{{0, 8}, {8, 12}}, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := shardTestConfig()
-			cfg.Checkpoint = filepath.Join(t.TempDir(), "session.ckpt.json")
-			cfg.CheckpointEvery = 8
-			open := func() *Session {
-				t.Helper()
-				prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sess, err := prep.Open(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return sess
-			}
-			sess := open()
-			for _, r := range tc.ranges {
-				sh, err := sess.RunRange(ctx, r.Lo, r.Hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sess.Commit(sh); err != nil {
-					t.Fatal(err)
-				}
-			}
-			before, err := os.Stat(cfg.Checkpoint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess.Finish(ctx); err != nil {
-				t.Fatal(err)
-			}
-			after, err := os.Stat(cfg.Checkpoint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rewrote := !os.SameFile(before, after); rewrote != tc.rewrite {
-				t.Errorf("Finish rewrote the checkpoint: %v, want %v", rewrote, tc.rewrite)
-			}
-			want := tc.ranges[len(tc.ranges)-1].Hi
-			if got := open().Completed(); got != want {
-				t.Errorf("resumed session holds %d trials, want %d", got, want)
-			}
-		})
+	cfg := shardTestConfig()
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "session.ckpt.json")
+	open := func() *Session {
+		t.Helper()
+		prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := prep.Open(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	sess := open()
+	for _, r := range []TrialRange{{0, 8}, {8, 12}} {
+		sh, err := sess.RunRange(ctx, r.Lo, r.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Commit(sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := open().Completed(); got != 12 {
+		t.Errorf("reopened session holds %d trials, want 12", got)
 	}
 }
 

@@ -59,8 +59,7 @@ func (s Spec) Program() (fp string, ok bool) {
 // the trials, seed and failure budget, the adversary, and the Turnstile
 // or Turnpike simulator configuration with the containment override,
 // which the adversary is checked against. The caller adds the run's
-// own part: Workers, Lease, Checkpoint, CheckpointEvery and the
-// attachments. Every error wraps ErrInvalidConfig.
+// own part: Workers, Lease, Checkpoint and the attachments. Every error wraps ErrInvalidConfig.
 func (s Spec) Resolve() (core.Scheme, Config, error) {
 	invalid := func(format string, args ...any) (core.Scheme, Config, error) {
 		return 0, Config{}, fmt.Errorf("%w: "+format, append([]any{ErrInvalidConfig}, args...)...)

@@ -8,6 +8,7 @@ package service_test
 // byte-identical to an uninterrupted run's.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -28,9 +29,8 @@ const (
 
 func e2eSpec() service.JobSpec {
 	return service.JobSpec{
-		Spec:            fault.Spec{Bench: e2eBench, Trials: e2eTrials, Seed: e2eSeed, ScalePct: 4, FailureBudget: -1},
-		Workers:         2,
-		CheckpointEvery: 4, // checkpoint often so the interruption lands mid-campaign
+		Spec:    fault.Spec{Bench: e2eBench, Trials: e2eTrials, Seed: e2eSeed, ScalePct: 4, FailureBudget: -1},
+		Workers: 2,
 	}
 }
 
@@ -54,9 +54,9 @@ func referenceResult(t *testing.T) []byte {
 }
 
 // interruptMidCampaign starts a service over dir, submits the e2e job,
-// waits for the campaign to write its first checkpoint (proof the
-// interruption lands mid-flight, not before or after), and hands the
-// service to interrupt. Returns the job ID.
+// waits for the campaign's checkpoint to hold its first record, after
+// the header line (proof the interruption lands mid-flight, not before
+// or after), and hands the service to interrupt. Returns the job ID.
 func interruptMidCampaign(t *testing.T, dir string, interrupt func(*service.Service)) string {
 	t.Helper()
 	s, err := service.New(service.LocalFleet(service.Config{StateDir: dir, Logger: service.TLogger(t)}, nil, nil))
@@ -71,7 +71,7 @@ func interruptMidCampaign(t *testing.T, dir string, interrupt func(*service.Serv
 	ckpt := filepath.Join(dir, j.Checkpoint)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if _, err := os.Stat(ckpt); err == nil {
+		if b, err := os.ReadFile(ckpt); err == nil && bytes.Count(b, []byte("\n")) >= 2 {
 			break
 		}
 		if got, err := s.Job(j.ID); err == nil && got.State == service.StateDone {
@@ -81,7 +81,7 @@ func interruptMidCampaign(t *testing.T, dir string, interrupt func(*service.Serv
 			t.Skipf("campaign finished before the interruption landed; raise e2eTrials")
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("campaign never wrote a checkpoint")
+			t.Fatal("campaign never checkpointed a trial")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -141,7 +141,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	id := interruptMidCampaign(t, dir, func(s *service.Service) {
 		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // drain window already expired: forces checkpoint-flush path
+		cancel() // drain window already expired: forces the cancel-and-requeue path
 		if err := s.Shutdown(ctx); err != nil {
 			t.Fatalf("Shutdown: %v", err)
 		}
@@ -150,8 +150,8 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 }
 
 // TestCrashResumeByteIdentical is the no-drain path: the daemon dies
-// with no checkpoint flush and no state persistence beyond what the
-// atomic writes already put on disk. Recovery must still converge on the
+// with no state persistence beyond what the job-file writes and the
+// checkpoint appends already put on disk. Recovery must still converge on the
 // same bytes.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	if testing.Short() {

@@ -52,9 +52,8 @@ const maxIdleCampaigns = 2
 // state and runners: the workload (a built-in benchmark at its scale,
 // or a submitted program's fingerprint), the resolved simulator
 // configuration, which also tells the schemes apart, and the runner
-// count. Trials, seed, failure budget, adversary, lease, checkpoint and
-// cadence are the job's own, and fault.Prepared.Reuse derives them
-// afresh.
+// count. Trials, seed, failure budget, adversary, lease and checkpoint
+// are the job's own, and fault.Prepared.Reuse derives them afresh.
 type campaignKey struct {
 	bench   string
 	scale   int
@@ -106,7 +105,7 @@ func (cp *campaignPool) put(key campaignKey, p *fault.Prepared) {
 // PrepareFunc: the one JobSpec → campaign mapping, shared by the
 // coordinator and its workers so identical specs compile identical
 // campaigns. The spec resolves once (fault.Spec.Resolve); the job adds
-// its workers, lease, checkpoint and cadence, and the process's
+// its workers, lease and checkpoint, and the process's
 // registry, live-progress gauges and structured logger (each may be
 // nil), so /metrics, /live, and the correlated log cover the jobs as
 // they run. programs resolves "program:<fingerprint>" workloads; nil
@@ -142,7 +141,7 @@ func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slo
 		if err != nil {
 			return nil, nil, err
 		}
-		cfg.Workers, cfg.Lease, cfg.Checkpoint, cfg.CheckpointEvery = spec.Workers, spec.Lease, checkpoint, spec.CheckpointEvery
+		cfg.Workers, cfg.Lease, cfg.Checkpoint = spec.Workers, spec.Lease, checkpoint
 		cfg.Metrics, cfg.Progress, cfg.Logger = reg, progress, logger
 		key := campaignKey{bench: spec.Bench, scale: spec.ScalePct, sim: cfg.Sim, runners: cfg.Runners()}
 		var p *fault.Prepared

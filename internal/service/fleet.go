@@ -1,10 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,10 +38,10 @@ import (
 //     not leases, so a fleet of one is just the single-process campaign.
 //
 // Every shard a worker sends flows through fault.Session.Commit, which
-// re-derives each record's injection plan; both paths checkpoint on the
-// configured cadence — so kill -9 of any worker (or of the coordinator;
-// the job re-runs from its checkpoint next life) still merges to bytes
-// identical to a single-node run.
+// re-derives each record's injection plan; both paths append each
+// committed record to the job's checkpoint — so kill -9 of any worker
+// (or of the coordinator; the job re-runs from its checkpoint next
+// life) still merges to bytes identical to a single-node run.
 //
 // Lock order: Service.mu → Fleet.mu. The Fleet never calls back into
 // the Service. Its worker and lease tables live in memory only: the
@@ -290,14 +292,10 @@ func (f *Fleet) Register(id, addr string) (WorkerInfo, error) {
 // reclamation, so reviving must not re-grant anything).
 func (f *Fleet) Heartbeat(id string) error {
 	f.mu.Lock()
-	w, err := f.touchLocked(id)
+	_, err := f.touchLocked(id)
 	f.updateGaugesLocked()
 	f.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	_ = w
-	return nil
+	return err
 }
 
 // touchLocked validates the worker and refreshes its liveness; caller
@@ -414,7 +412,7 @@ func (f *Fleet) stealCandidateLocked(workerID string, now time.Time) *Lease {
 		if now.Sub(l.GrantedAt) < f.cfg.StealAfter {
 			continue
 		}
-		if f.duplicatedLocked(l) {
+		if f.siblingLocked(l) != nil {
 			continue
 		}
 		if victim == nil || l.GrantedAt.Before(victim.GrantedAt) {
@@ -424,16 +422,16 @@ func (f *Fleet) stealCandidateLocked(workerID string, now time.Time) *Lease {
 	return victim
 }
 
-// duplicatedLocked reports whether another active lease covers the same
-// range of the same job. Caller holds f.mu.
-func (f *Fleet) duplicatedLocked(l *Lease) bool {
+// siblingLocked returns another active lease that covers the same
+// range of the same job as l, or nil. Caller holds f.mu.
+func (f *Fleet) siblingLocked(l *Lease) *Lease {
 	for _, id := range f.leaseOrder {
 		o := f.leases[id]
 		if o != l && o.State == LeaseActive && o.JobID == l.JobID && o.Lo == l.Lo && o.Hi == l.Hi {
-			return true
+			return o
 		}
 	}
-	return false
+	return nil
 }
 
 func (f *Fleet) jobLocked(id string) *fleetJob {
@@ -520,11 +518,8 @@ func (f *Fleet) Complete(workerID, leaseID string, sh *fault.ShardResult) (fresh
 		f.count("fleet.shards_duplicate")
 	}
 	// The range is settled: supersede any sibling grants still racing.
-	for _, id := range f.leaseOrder {
-		o := f.leases[id]
-		if o.State == LeaseActive && o.JobID == l.JobID && o.Lo == l.Lo && o.Hi == l.Hi {
-			o.State = LeaseSuperseded
-		}
+	for o := f.siblingLocked(l); o != nil; o = f.siblingLocked(l) {
+		o.State = LeaseSuperseded
 	}
 	fj.wake()
 	f.updateGaugesLocked()
@@ -598,11 +593,8 @@ func (f *Fleet) requeueLocked(fj *fleetJob, l *Lease) {
 		fj.wake()
 		return
 	}
-	for _, id := range f.leaseOrder {
-		o := f.leases[id]
-		if o != l && o.State == LeaseActive && o.JobID == l.JobID && o.Lo == l.Lo && o.Hi == l.Hi {
-			return // still in flight elsewhere
-		}
+	if f.siblingLocked(l) != nil {
+		return // still in flight elsewhere
 	}
 	fj.pending = append([]fault.TrialRange{{Lo: l.Lo, Hi: l.Hi}}, fj.pending...)
 	fj.wake()
@@ -890,7 +882,7 @@ func (f *Fleet) Snapshot() Status {
 			st.WorkersQuarantined++
 		}
 	}
-	sortWorkers(st.Workers)
+	slices.SortFunc(st.Workers, func(a, b WorkerInfo) int { return cmp.Compare(a.ID, b.ID) })
 	for _, id := range f.leaseOrder {
 		l := f.leases[id]
 		st.Leases = append(st.Leases, *l)
@@ -899,14 +891,6 @@ func (f *Fleet) Snapshot() Status {
 		}
 	}
 	return st
-}
-
-func sortWorkers(ws []WorkerInfo) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].ID < ws[j-1].ID; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
 }
 
 // updateGaugesLocked refreshes the Progress fleet gauges and the

@@ -62,7 +62,7 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 	const fleetTrials = 240
 	spec := service.JobSpec{
 		Spec:    fault.Spec{Bench: "gcc", Trials: fleetTrials, Seed: 7, ScalePct: 4, FailureBudget: -1},
-		Workers: 2, Lease: 8, CheckpointEvery: 4,
+		Workers: 2, Lease: 8,
 	}
 	ref, err := turnpike.InjectFaults(spec.Bench, turnpike.Turnpike, turnpike.FaultCampaignConfig{
 		Trials: spec.Trials, Seed: spec.Seed, ScalePct: spec.ScalePct,

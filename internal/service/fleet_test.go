@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,15 +48,15 @@ func (c *fakeClock) Advance(d time.Duration) {
 // fleetSpec is the one campaign definition shared by a test's session,
 // its worker-side shards, and its single-node reference — the
 // byte-identity comparisons only mean something if all three agree.
-func fleetSpec(trials, every, lease int) JobSpec {
+func fleetSpec(trials, lease int) JobSpec {
 	return JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: trials, Seed: 5, ScalePct: 4, FailureBudget: -1},
-		Workers: 2, Lease: lease, CheckpointEvery: every}
+		Workers: 2, Lease: lease}
 }
 
 // fleetSession opens a distributed session over the shared campaign.
-func fleetSession(t *testing.T, trials, every, lease int, ckpt string) (*fault.Session, JobSpec) {
+func fleetSession(t *testing.T, trials, lease int, ckpt string) (*fault.Session, JobSpec) {
 	t.Helper()
-	spec := fleetSpec(trials, every, lease)
+	spec := fleetSpec(trials, lease)
 	p, _, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), spec, ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func fleetSession(t *testing.T, trials, every, lease int, ckpt string) (*fault.S
 // fleetReference runs the identical campaign uninterrupted on one node.
 func fleetReference(t *testing.T, trials int) *fault.Result {
 	t.Helper()
-	p, _, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), fleetSpec(trials, 0, 0), "")
+	p, _, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), fleetSpec(trials, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestFleetLeaseExpiryAtCheckpointWatermark(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real campaign fleet test")
 	}
-	const trials, every = 24, 8
+	const trials, lease = 24, 8
 	clk := newFakeClock()
 	progress := &pipeline.Progress{}
 	f := NewFleet(FleetConfig{
@@ -131,7 +132,7 @@ func TestFleetLeaseExpiryAtCheckpointWatermark(t *testing.T) {
 		Now:               clk.Now,
 	})
 	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt.json")
-	sess, spec := fleetSession(t, trials, every, every, ckpt)
+	sess, spec := fleetSession(t, trials, lease, ckpt)
 	addFleetJob(f, "job-ckpt", spec, sess)
 
 	if _, err := f.Register("w1", ""); err != nil {
@@ -144,17 +145,18 @@ func TestFleetLeaseExpiryAtCheckpointWatermark(t *testing.T) {
 	if fresh, err := f.Complete("w1", g1.LeaseID, runShard(t, sess, 0, 8)); err != nil || fresh != 8 {
 		t.Fatalf("complete [0,8): fresh=%d err=%v", fresh, err)
 	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint after the first cadence: %v", err)
+	if b, err := os.ReadFile(ckpt); err != nil || bytes.Count(b, []byte("\n")) != 1+lease {
+		t.Fatalf("checkpoint after the first shard holds %d lines (%v), want a header and %d records",
+			bytes.Count(b, []byte("\n")), err, lease)
 	}
-	if got := sess.Completed(); got != every {
-		t.Fatalf("watermark = %d, want %d", got, every)
+	if got := sess.Completed(); got != lease {
+		t.Fatalf("watermark = %d, want %d", got, lease)
 	}
 
 	// The lease under test starts exactly at the watermark.
 	g2, err := f.Lease("w1")
-	if err != nil || g2 == nil || g2.Lo != every {
-		t.Fatalf("watermark grant = %+v, %v; want lo=%d", g2, err, every)
+	if err != nil || g2 == nil || g2.Lo != lease {
+		t.Fatalf("watermark grant = %+v, %v; want lo=%d", g2, err, lease)
 	}
 
 	// Exactly at the deadline: still live (expiry is now.After(Deadline)).
@@ -169,8 +171,8 @@ func TestFleetLeaseExpiryAtCheckpointWatermark(t *testing.T) {
 	if got := progress.LeasesExpired.Load(); got != 1 {
 		t.Fatalf("leases_expired = %d after deadline passed, want 1", got)
 	}
-	if got := sess.Completed(); got != every {
-		t.Fatalf("watermark moved across an expiry: %d, want %d", got, every)
+	if got := sess.Completed(); got != lease {
+		t.Fatalf("watermark moved across an expiry: %d, want %d", got, lease)
 	}
 	var expired *Lease
 	for _, l := range f.Snapshot().Leases {
@@ -228,7 +230,7 @@ func TestFleetWorkStealingDuplicateCompletion(t *testing.T) {
 		Progress:          progress,
 		Now:               clk.Now,
 	})
-	sess, spec := fleetSession(t, trials, 8, 16, "")
+	sess, spec := fleetSession(t, trials, 16, "")
 	addFleetJob(f, "job-steal", spec, sess)
 	for _, id := range []string{"w1", "w2"} {
 		if _, err := f.Register(id, ""); err != nil {
@@ -337,7 +339,7 @@ func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 		Progress:          progress,
 		Now:               clk.Now,
 	})
-	sess, spec := fleetSession(t, trials, 8, 8, "")
+	sess, spec := fleetSession(t, trials, 8, "")
 	addFleetJob(f, "job-beat", spec, sess)
 	if _, err := f.Register("w1", ""); err != nil {
 		t.Fatal(err)
@@ -416,7 +418,7 @@ func TestWorkerlessFleetRunsInProcess(t *testing.T) {
 	}
 	const trials = 32
 	f := NewFleet(FleetConfig{})
-	sess, spec := fleetSession(t, trials, 8, 0, "")
+	sess, spec := fleetSession(t, trials, 0, "")
 	res, err := f.Run(context.Background(), spec, sess)
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +452,7 @@ func TestFleetLocalRemoteHandOff(t *testing.T) {
 	if _, err := f.Register("w1", ""); err != nil {
 		t.Fatal(err)
 	}
-	sess, spec := fleetSession(t, trials, 8, 8, "")
+	sess, spec := fleetSession(t, trials, 8, "")
 
 	type outcome struct {
 		res *fault.Result

@@ -41,10 +41,6 @@ type JobSpec struct {
 	// Lease is the number of consecutive trials one dispatch hands a
 	// worker (0 = automatic); the result is identical for every value.
 	Lease int `json:"lease,omitempty"`
-	// CheckpointEvery is the completed-trial cadence between checkpoint
-	// rewrites; the service defaults it to 16 so a drained or killed job
-	// loses little work.
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
 // Validate rejects specs no executor could run: a campaign that does

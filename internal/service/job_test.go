@@ -20,17 +20,16 @@ import (
 // legacyJobSpec is JobSpec as it was encoded before it embedded
 // fault.Spec: the wire format clients and job files already use.
 type legacyJobSpec struct {
-	Bench           string `json:"bench"`
-	Scheme          string `json:"scheme,omitempty"`
-	Trials          int    `json:"trials,omitempty"`
-	Seed            int64  `json:"seed,omitempty"`
-	WCDL            int    `json:"wcdl,omitempty"`
-	SBSize          int    `json:"sb_size,omitempty"`
-	ScalePct        int    `json:"scale_pct,omitempty"`
-	Workers         int    `json:"workers,omitempty"`
-	Lease           int    `json:"lease,omitempty"`
-	FailureBudget   int    `json:"failure_budget,omitempty"`
-	CheckpointEvery int    `json:"checkpoint_every,omitempty"`
+	Bench         string `json:"bench"`
+	Scheme        string `json:"scheme,omitempty"`
+	Trials        int    `json:"trials,omitempty"`
+	Seed          int64  `json:"seed,omitempty"`
+	WCDL          int    `json:"wcdl,omitempty"`
+	SBSize        int    `json:"sb_size,omitempty"`
+	ScalePct      int    `json:"scale_pct,omitempty"`
+	Workers       int    `json:"workers,omitempty"`
+	Lease         int    `json:"lease,omitempty"`
+	FailureBudget int    `json:"failure_budget,omitempty"`
 }
 
 // keys returns the sorted top-level keys of a JSON object.
@@ -54,11 +53,11 @@ func keys(t *testing.T, b []byte) []string {
 // re-encode with the same keys.
 func TestJobSpecWireCompatible(t *testing.T) {
 	for _, body := range []string{
-		`{"bench":"gcc","trials":1000,"seed":42,"wcdl":10,"sb_size":4,"scale_pct":4,"workers":2,"lease":8,"failure_budget":-1,"checkpoint_every":16}`,
+		`{"bench":"gcc","trials":1000,"seed":42,"wcdl":10,"sb_size":4,"scale_pct":4,"workers":2,"lease":8,"failure_budget":-1}`,
 		`{"bench":"gcc","trials":1,"scale_pct":4}`,
 		`{"bench":"gcc","trials":64,"seed":4611686018427387903,"scale_pct":5,"failure_budget":-1}`,
 		`{"bench":"program:0123456789abcdef0123456789abcdef","trials":64,"seed":7,"failure_budget":-1}`,
-		`{"bench":"gcc","scheme":"turnstile","trials":5,"seed":3,"wcdl":20,"sb_size":8,"scale_pct":4,"workers":2,"lease":2,"failure_budget":-1,"checkpoint_every":16}`,
+		`{"bench":"gcc","scheme":"turnstile","trials":5,"seed":3,"wcdl":20,"sb_size":8,"scale_pct":4,"workers":2,"lease":2,"failure_budget":-1}`,
 	} {
 		var old legacyJobSpec
 		var spec JobSpec
@@ -70,7 +69,7 @@ func TestJobSpecWireCompatible(t *testing.T) {
 		}
 		want := JobSpec{Spec: fault.Spec{Bench: old.Bench, Scheme: old.Scheme, Trials: old.Trials, Seed: old.Seed,
 			WCDL: old.WCDL, SBSize: old.SBSize, ScalePct: old.ScalePct, FailureBudget: old.FailureBudget},
-			Workers: old.Workers, Lease: old.Lease, CheckpointEvery: old.CheckpointEvery}
+			Workers: old.Workers, Lease: old.Lease}
 		if spec != want {
 			t.Errorf("%s decodes to %+v, want %+v", body, spec, want)
 		}
@@ -138,12 +137,18 @@ func postJob(t *testing.T, body string) *httptest.ResponseRecorder {
 	return rr
 }
 
-// TestSubmitRefusesUnknownField: a field the job spec does not have
-// answers 400 instead of running a default the client did not ask for.
+// TestSubmitRefusesUnknownField: a field the job spec does not have —
+// misspelt, or the checkpoint cadence earlier daemons took — answers
+// 400 instead of running a default the client did not ask for.
 func TestSubmitRefusesUnknownField(t *testing.T) {
-	rr := postJob(t, `{"bench":"gcc","trials":10,"containmnet":false}`)
-	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "containmnet") {
-		t.Fatalf("misspelt field: %d %s, want 400 naming it", rr.Code, rr.Body.String())
+	for _, tc := range []struct{ body, field string }{
+		{`{"bench":"gcc","trials":10,"containmnet":false}`, "containmnet"},
+		{`{"bench":"gcc","trials":10,"checkpoint_every":16}`, "checkpoint_every"},
+	} {
+		rr := postJob(t, tc.body)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), tc.field) {
+			t.Fatalf("field %s: %d %s, want 400 naming it", tc.field, rr.Code, rr.Body.String())
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func TestCampaignPoolReusesOnlyTheSameCampaign(t *testing.T) {
 	fe := &FleetExecutor{Fleet: NewFleet(FleetConfig{}), Prepare: CampaignPrepare(reg, nil, nil, store.Entry)}
 	gcc := func(seed int64) JobSpec {
 		return JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 24, Seed: seed, ScalePct: 5, FailureBudget: -1},
-			Workers: 2, CheckpointEvery: 8}
+			Workers: 2}
 	}
 	turnstile, workers, wcdl, scale4 := gcc(1), gcc(1), gcc(1), gcc(1)
 	turnstile.Scheme = "turnstile"

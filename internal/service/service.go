@@ -309,11 +309,6 @@ func (s *Service) SubmitCtx(ctx context.Context, spec JobSpec) (*Job, error) {
 	if spec.Scheme == "" {
 		spec.Scheme = "turnpike"
 	}
-	if spec.CheckpointEvery == 0 {
-		// Tight enough that a drained or killed daemon repeats little
-		// work, loose enough that checkpoint writes don't dominate.
-		spec.CheckpointEvery = 16
-	}
 	if fp, ok := spec.Program(); ok {
 		if s.cfg.Programs == nil {
 			return nil, fmt.Errorf("%w: this service accepts no submitted programs", ErrUnknownProgram)
@@ -420,8 +415,8 @@ func (s *Service) Jobs() []*Job {
 }
 
 // Cancel stops a job: queued and retrying jobs are withdrawn, a running
-// job's context is cancelled (its campaign flushes a final checkpoint
-// and returns). Cancelling a finished job is a no-op.
+// job's context is cancelled (its campaign stops and returns; its
+// checkpoint already holds every trial it completed). Cancelling a finished job is a no-op.
 func (s *Service) Cancel(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -468,8 +463,8 @@ func (s *Service) Saturated() bool {
 // Shutdown drains the service: no new jobs are admitted or started,
 // retry timers are parked (their jobs resume next life), and in-flight
 // jobs run to completion until ctx expires — then their contexts are
-// cancelled, which flushes each campaign's checkpoint and returns the
-// job to the queue for the next daemon life. Nothing is left to persist
+// cancelled, which returns each job to the queue for the next daemon
+// life, its checkpoint holding every trial it completed. Nothing is left to persist
 // on the way out: every transition, the drained attempts' requeues
 // included, was written when it happened.
 func (s *Service) Shutdown(ctx context.Context) error {

@@ -591,13 +591,13 @@ func TestFinishedJobFileNeverRewritten(t *testing.T) {
 func TestLegacyStateFileMigrates(t *testing.T) {
 	submitted := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	done := &Job{
-		ID: "job-000002", Spec: JobSpec{Spec: fault.Spec{Bench: "gcc", Scheme: "turnpike", Trials: 3}, CheckpointEvery: 16},
+		ID: "job-000002", Spec: JobSpec{Spec: fault.Spec{Bench: "gcc", Scheme: "turnpike", Trials: 3}},
 		State: StateDone, Attempts: 1, Checkpoint: "job-000002.ckpt.json",
 		Result:      &fault.Result{CompletedTrials: 3, Outcomes: map[fault.Outcome]int{fault.Masked: 3}},
 		SubmittedAt: submitted, StartedAt: submitted, FinishedAt: submitted,
 	}
 	queued := &Job{
-		ID: "job-000005", Spec: JobSpec{Spec: fault.Spec{Bench: "gcc", Scheme: "turnpike", Trials: 5}, CheckpointEvery: 16},
+		ID: "job-000005", Spec: JobSpec{Spec: fault.Spec{Bench: "gcc", Scheme: "turnpike", Trials: 5}},
 		State: StateQueued, Checkpoint: "job-000005.ckpt.json", SubmittedAt: submitted,
 	}
 	for _, version := range []int{1, 2} {

@@ -56,7 +56,6 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	const reqID = "req-e2e-spans"
 	spec := e2eSpec()
 	spec.Trials = 60
-	spec.CheckpointEvery = 16
 	specBody, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)

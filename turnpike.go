@@ -195,7 +195,7 @@ func Evaluate(bench string, scheme Scheme, cfg EvalConfig) (*EvalResult, error) 
 
 // FaultCampaignConfig parameterizes InjectFaults: the campaign, which
 // maps onto a fault.Spec, and how this process runs it (Metrics,
-// Progress, Workers, Lease, Checkpoint, CheckpointEvery, Logger).
+// Progress, Workers, Lease, Checkpoint, Logger).
 type FaultCampaignConfig struct {
 	Trials   int // default 100
 	Seed     int64
@@ -221,13 +221,9 @@ type FaultCampaignConfig struct {
 	// aborts: 0 fails fast on the first failure, a negative budget
 	// records every failure without aborting. See fault.Config.
 	FailureBudget int
-	// Checkpoint, when non-empty, checkpoints completed trials to this
-	// file so an interrupted campaign resumes from its watermark.
+	// Checkpoint, when non-empty, appends each completed trial to this
+	// file so an interrupted campaign resumes from its completed trials.
 	Checkpoint string
-	// CheckpointEvery is the completed-trial cadence between checkpoint
-	// rewrites (default 64); campaign services lower it so a drained or
-	// killed job loses at most a few trials. See fault.Config.
-	CheckpointEvery int
 	// Logger, when non-nil, receives the campaign's structured log —
 	// lifecycle events, per-trial Debug records, and the simulator's
 	// rare events — stamped with the caller context's correlation chain.
@@ -272,8 +268,9 @@ func InjectFaults(bench string, scheme Scheme, cfg FaultCampaignConfig) (*FaultR
 }
 
 // InjectFaultsContext is InjectFaults with cancellation: a cancelled ctx
-// stops the campaign's outstanding trials, writes a final checkpoint (when
-// configured), and returns the merged partial result alongside the error.
+// stops the campaign's outstanding trials and returns the merged partial
+// result alongside the error; a configured checkpoint holds every trial
+// that completed.
 func InjectFaultsContext(ctx context.Context, bench string, scheme Scheme, cfg FaultCampaignConfig) (*FaultResult, error) {
 	p, err := PrepareFaultCampaign(ctx, bench, scheme, cfg)
 	if err != nil {
@@ -296,7 +293,7 @@ func PrepareFaultCampaign(ctx context.Context, bench string, scheme Scheme, cfg 
 	if err != nil {
 		return nil, err
 	}
-	ecfg.Workers, ecfg.Lease, ecfg.Checkpoint, ecfg.CheckpointEvery = cfg.Workers, cfg.Lease, cfg.Checkpoint, cfg.CheckpointEvery
+	ecfg.Workers, ecfg.Lease, ecfg.Checkpoint = cfg.Workers, cfg.Lease, cfg.Checkpoint
 	ecfg.Metrics, ecfg.Progress, ecfg.Logger = cfg.Metrics, cfg.Progress, cfg.Logger
 	return fault.Prepare(ctx, prog, ecfg, seedMem)
 }
