@@ -32,10 +32,12 @@
 // Chrome trace file would hold a daemon's whole life of spans in memory
 // until shutdown, so it is refused.
 //
-// Every job transition rewrites that job's file, <state>/jobs/<id>.json,
-// atomically, and each campaign checkpoints its completed trials under
-// -state too; a jobs.json left by an earlier daemon is migrated to
-// per-job files at boot. SIGTERM and SIGINT drain: in-flight campaigns
+// Every job transition appends that job's record to the job log,
+// <state>/jobs.jsonl, every program admission appends to
+// <state>/programs/programs.jsonl, and each campaign checkpoints its
+// completed trials under -state too; the jobs/ files, jobs.json or
+// programs.json of an earlier daemon are migrated into the logs at
+// boot. SIGTERM and SIGINT drain: in-flight campaigns
 // get up to -drain to finish, then are cancelled — their checkpoints
 // hold every completed trial — and the daemon exits 0. A restart (graceful or after a
 // crash) re-queues unfinished jobs and resumes them from their

@@ -1,13 +1,10 @@
 package fault
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
-	"os"
 	"reflect"
 
 	"repro/internal/obs"
@@ -50,27 +47,23 @@ func (e *engine) header(golden pipeline.Stats) checkpointHeader {
 }
 
 // rewrite atomically replaces the checkpoint file with the header and
-// every record, in trial order, and returns the file opened for
-// appending.
-func (e *engine) rewrite(records []*TrialRecord, golden pipeline.Stats) (*os.File, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(e.header(golden)); err != nil {
-		return nil, err
-	}
-	for _, rec := range records {
-		if rec != nil {
-			enc.Encode(rec) //nolint:errcheck — a record holds no value JSON cannot encode
+// every record, in trial order, and returns its log open for appending.
+func (e *engine) rewrite(records []*TrialRecord, golden pipeline.Stats) (*obs.Log, error) {
+	l := obs.NewLog(e.cfg.Checkpoint, func(enc *json.Encoder) error {
+		if err := enc.Encode(e.header(golden)); err != nil {
+			return err
 		}
-	}
-	err := obs.WriteFileAtomic(e.cfg.Checkpoint, func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
-		return err
+		for _, rec := range records {
+			if rec != nil {
+				enc.Encode(rec) //nolint:errcheck — a record holds no value JSON cannot encode
+			}
+		}
+		return nil
 	})
-	if err != nil {
+	if err := l.Rewrite(); err != nil {
 		return nil, err
 	}
-	return os.OpenFile(e.cfg.Checkpoint, os.O_WRONLY|os.O_APPEND, 0)
+	return l, nil
 }
 
 // restore loads the checkpoint file, if any, into records. A missing
@@ -83,7 +76,7 @@ func (e *engine) rewrite(records []*TrialRecord, golden pipeline.Stats) (*os.Fil
 // campaign's progress and must not be silently overwritten.
 func (e *engine) restore(records []*TrialRecord, golden pipeline.Stats) error {
 	path := e.cfg.Checkpoint
-	b, err := os.ReadFile(path)
+	lines, err := obs.ReadLines(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
@@ -93,8 +86,6 @@ func (e *engine) restore(records []*TrialRecord, golden pipeline.Stats) error {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s: "+format, append([]any{ErrCheckpointCorrupt, path}, args...)...)
 	}
-	lines := bytes.Split(b, []byte{'\n'})
-	lines = lines[:len(lines)-1] // after the last newline: nothing, or a torn line
 	if len(lines) == 0 {
 		return corrupt("no complete header line")
 	}

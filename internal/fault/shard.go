@@ -12,7 +12,6 @@ package fault
 // record-for-record.
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -20,11 +19,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
-	"os"
 	"reflect"
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/pipeline"
 )
@@ -169,12 +168,9 @@ type Session struct {
 	records  []*TrialRecord
 	failures int
 	budget   int
-	// ckpt is the checkpoint file open for appending, nil without one;
-	// add encodes its records into line through enc. ckptErr is the
+	// ckpt is the checkpoint's log, nil without one. ckptErr is the
 	// first failed write, after which nothing more is appended.
-	ckpt     *os.File
-	line     bytes.Buffer
-	enc      *json.Encoder
+	ckpt     *obs.Log
 	ckptErr  error
 	finished bool
 }
@@ -223,7 +219,6 @@ func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.enc = json.NewEncoder(&s.line)
 	}
 	for _, rec := range records {
 		if rec != nil && (rec.Outcome == SDC || rec.Outcome == Crash) {
@@ -426,12 +421,11 @@ func (s *Session) add(recs []TrialRecord) (fresh int, stop bool, err error) {
 			s.failures++
 		}
 		if s.ckpt != nil && s.ckptErr == nil {
-			s.enc.Encode(rec) //nolint:errcheck — a record holds no value JSON cannot encode
+			s.ckpt.Encode(rec) //nolint:errcheck — a record holds no value JSON cannot encode
 		}
 	}
-	if s.line.Len() > 0 {
-		_, s.ckptErr = s.ckpt.Write(s.line.Bytes())
-		s.line.Reset()
+	if s.ckpt != nil && s.ckptErr == nil {
+		s.ckptErr = s.ckpt.Flush()
 	}
 	return fresh, s.ckptErr != nil || s.exhaustedLocked(), nil
 }

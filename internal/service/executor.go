@@ -62,17 +62,18 @@ type campaignKey struct {
 }
 
 // campaignPool holds the idle prepared campaigns of finished jobs, least
-// recently used first. A job takes its campaign out and returns it when
-// it has finished with it, so a campaign serves one job at a time; a
-// second concurrent job of the same campaign prepares its own.
+// recently returned first. A job takes its campaign out and returns it
+// when it has finished with it, so a campaign serves one job at a time;
+// a second concurrent job of the same campaign prepares its own.
 type campaignPool struct {
 	mu   sync.Mutex
 	idle []pooledCampaign
 }
 
 type pooledCampaign struct {
-	key campaignKey
-	p   *fault.Prepared
+	key    campaignKey
+	p      *fault.Prepared
+	reused bool // p served a job after the one that prepared it
 }
 
 // take removes and returns the most recently returned idle campaign
@@ -90,15 +91,27 @@ func (cp *campaignPool) take(key campaignKey) *fault.Prepared {
 	return nil
 }
 
-// put returns an idle campaign as the most recently used, evicting the
-// least recently used beyond maxIdleCampaigns.
-func (cp *campaignPool) put(key campaignKey, p *fault.Prepared) {
+// put returns an idle campaign as the most recently returned. Beyond
+// maxIdleCampaigns it evicts one of the others: the most recently
+// returned that has never been reused, or, if all have been, the least
+// recently returned. So a campaign waiting for its first reuse keeps
+// its slot while one-off campaigns pass through the other, and one that
+// jobs keep asking for is evicted only by campaigns reused as well.
+func (cp *campaignPool) put(key campaignKey, p *fault.Prepared, reused bool) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	cp.idle = append(cp.idle, pooledCampaign{key, p})
-	if n := len(cp.idle) - maxIdleCampaigns; n > 0 {
-		cp.idle = slices.Delete(cp.idle, 0, n)
+	cp.idle = append(cp.idle, pooledCampaign{key, p, reused})
+	if len(cp.idle) <= maxIdleCampaigns {
+		return
 	}
+	evict := 0
+	for i := len(cp.idle) - 2; i >= 0; i-- {
+		if !cp.idle[i].reused {
+			evict = i
+			break
+		}
+	}
+	cp.idle = slices.Delete(cp.idle, evict, evict+1)
 }
 
 // CampaignPrepare adapts the two-phase fault-campaign engine to
@@ -145,7 +158,8 @@ func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slo
 		cfg.Metrics, cfg.Progress, cfg.Logger = reg, progress, logger
 		key := campaignKey{bench: spec.Bench, scale: spec.ScalePct, sim: cfg.Sim, runners: cfg.Runners()}
 		var p *fault.Prepared
-		if idle := pool.take(key); idle != nil {
+		idle := pool.take(key)
+		if idle != nil {
 			p, err = idle.Reuse(ctx, cfg)
 			count("service.prepare_reused")
 		} else {
@@ -165,7 +179,7 @@ func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slo
 		if err != nil {
 			return nil, nil, err
 		}
-		return p, func() { pool.put(key, p) }, nil
+		return p, func() { pool.put(key, p, idle != nil) }, nil
 	}
 }
 

@@ -68,7 +68,7 @@ func (s *JobSpec) Workload() string {
 }
 
 // Job is one submitted campaign and its durable lifecycle record,
-// rewritten to its own file, <StateDir>/jobs/<id>.json, at each of its
+// appended whole to the job log, <StateDir>/jobs.jsonl, at each of its
 // transitions.
 type Job struct {
 	ID    string  `json:"id"`

@@ -73,15 +73,16 @@ func storedKernel(t *testing.T) (*ProgramStore, *artifact.Entry) {
 // one CampaignPrepare and a workerless FleetExecutor: gcc at scale 5
 // with seeds a, b; Turnstile gcc; gcc at seed a again; gcc with one
 // runner, at another WCDL and at another scale; a submitted program
-// twice; the other scale again; and gcc at scale 5 once more, after its
-// campaign was evicted. Each job's Result must be byte-identical to a
-// fresh campaign of its spec, and the pool must reuse exactly the
-// campaigns an earlier job of the same workload, scheme, simulator
-// configuration and runner count left, within its bound of two. A key
-// without the scale runs the last job on the other scale's golden
-// state; one without the simulator configuration (and so the WCDL and
-// the scheme's hardware) or the runner count hands a job a campaign
-// Reuse refuses.
+// twice; the other scale again, after its campaign was evicted; and gcc
+// at scale 5 once more, after its campaign was evicted too. Each job's
+// Result must be byte-identical to a fresh campaign of its spec, and the
+// pool must reuse exactly the campaigns an earlier job of the same
+// workload, scheme, simulator configuration and runner count left,
+// within its bound of two, evicting a campaign never reused before one
+// that was. A key without the scale runs the last two jobs on the other
+// scale's golden state; one without the simulator configuration (and
+// so the WCDL and the scheme's hardware) or the runner count hands a
+// job a campaign Reuse refuses.
 func TestCampaignPoolReusesOnlyTheSameCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real campaigns")
@@ -113,12 +114,12 @@ func TestCampaignPoolReusesOnlyTheSameCampaign(t *testing.T) {
 		{gcc(2), true},
 		{turnstile, false},
 		{gcc(1), true},
-		{workers, false},
-		{wcdl, false}, // evicts gcc's campaign: the pool holds two
-		{scale4, false},
+		{workers, false}, // evicts Turnstile's, never reused: the pool holds two
+		{wcdl, false},    // evicts the one-runner campaign; gcc's, reused, stays
+		{scale4, false},  // evicts the WCDL 20 campaign
 		{program(1), false},
 		{program(2), true},
-		{scale4b, true},
+		{scale4b, false}, // scale 4's went at program(1); now gcc's goes, all others reused
 		{gcc(3), false},
 	} {
 		before := reg.Snapshot().Counters["service.prepare_reused"]
@@ -134,8 +135,53 @@ func TestCampaignPoolReusesOnlyTheSameCampaign(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	if r, f := snap.Counters["service.prepare_reused"], snap.Counters["service.prepare_fresh"]; r != 4 || f != 7 {
-		t.Errorf("prepare_reused = %d, prepare_fresh = %d; want 4 and 7", r, f)
+	if r, f := snap.Counters["service.prepare_reused"], snap.Counters["service.prepare_fresh"]; r != 3 || f != 8 {
+		t.Errorf("prepare_reused = %d, prepare_fresh = %d; want 3 and 8", r, f)
+	}
+}
+
+// TestCampaignPoolOutlastsOneOffPrograms: gcc, then two jobs of two
+// submitted programs, then gcc again. The second program's return
+// evicts the first program's campaign, not gcc's, though neither was
+// ever reused, so the last job reuses gcc's campaign. Least recently
+// returned eviction dropped it.
+func TestCampaignPoolOutlastsOneOffPrograms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real campaigns")
+	}
+	store, a := storedKernel(t)
+	f, steps, err := store.Validate(kernelVariant("#128"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b, _, err := store.Put(context.Background(), "acme", kernelVariant("#128"), f, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	fe := &FleetExecutor{Fleet: NewFleet(FleetConfig{}), Prepare: CampaignPrepare(reg, nil, nil, store.Entry)}
+	gcc := JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 24, Seed: 1, ScalePct: 5, FailureBudget: -1}, Workers: 2}
+	program := func(e *artifact.Entry) JobSpec {
+		return JobSpec{Spec: fault.Spec{Bench: fault.ProgramPrefix + e.Fingerprint, Trials: 24, Seed: 1,
+			FailureBudget: -1}, Workers: 2}
+	}
+	dir := t.TempDir()
+	for i, job := range []struct {
+		spec   JobSpec
+		entry  *artifact.Entry
+		reused bool
+	}{{gcc, nil, false}, {program(a), a, false}, {program(b), b, false}, {gcc, nil, true}} {
+		before := reg.Snapshot().Counters["service.prepare_reused"]
+		got, err := fe.Execute(context.Background(), job.spec, filepath.Join(dir, fmt.Sprintf("job%d.ckpt", i)))
+		if err != nil {
+			t.Fatalf("job %d (%+v): %v", i, job.spec, err)
+		}
+		if reused := reg.Snapshot().Counters["service.prepare_reused"] > before; reused != job.reused {
+			t.Errorf("job %d (%s): reused = %v, want %v", i, job.spec.Bench, reused, job.reused)
+		}
+		if want := freshResult(t, job.spec, job.entry); !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d (%s): result differs from a fresh campaign of its spec", i, job.spec.Bench)
+		}
 	}
 }
 

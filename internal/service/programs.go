@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,10 +36,10 @@ var ErrUnknownProgram = errors.New("service: no such program")
 // fault) apart from validation failures (422).
 var errProgramStorage = errors.New("service: program storage")
 
-// Program is one accepted submission's durable metadata. The compiled
-// images live in the artifact cache (recompiled on demand after a
-// restart); the source text lives next to programs.json as
-// <fingerprint>.ir.
+// Program is one accepted submission's durable metadata, one line of
+// programs.jsonl. The compiled images live in the artifact cache
+// (recompiled on demand after a restart); the source text lives next to
+// the log as <fingerprint>.ir.
 type Program struct {
 	Fingerprint string `json:"fingerprint"`
 	// Name is the submitted function's name (informational; identity is
@@ -66,8 +66,8 @@ type Program struct {
 
 // ProgramStoreConfig parameterizes NewProgramStore.
 type ProgramStoreConfig struct {
-	// Dir holds programs.json and the <fingerprint>.ir sources
-	// (required; created if missing).
+	// Dir holds the programs.jsonl log and the <fingerprint>.ir
+	// sources (required; created if missing).
 	Dir string
 	// Cache is the compiled-artifact cache; nil builds a default-sized
 	// one.
@@ -87,8 +87,9 @@ type ProgramStoreConfig struct {
 }
 
 // ProgramStore is the submitted-program registry: validated sources on
-// disk, compiled artifacts in the cache, metadata in memory and in
-// programs.json. Safe for concurrent use.
+// disk, compiled artifacts in the cache, metadata in memory and in the
+// programs.jsonl log, one line appended per admission (obs.Log,
+// DESIGN.md §3). Safe for concurrent use.
 type ProgramStore struct {
 	dir    string
 	cache  *artifact.Cache
@@ -100,6 +101,7 @@ type ProgramStore struct {
 	mu    sync.Mutex
 	metas map[string]*Program
 	order []string // admission order, for listing and persistence
+	file  *obs.Log // programs.jsonl, appended under mu
 }
 
 // NewProgramStore opens (or creates) the store under cfg.Dir and loads
@@ -122,6 +124,7 @@ func NewProgramStore(cfg ProgramStoreConfig) (*ProgramStore, error) {
 		log:    cfg.Logger,
 		metas:  map[string]*Program{},
 	}
+	ps.file = obs.NewLog(filepath.Join(ps.dir, "programs.jsonl"), ps.encodePrograms)
 	if ps.cache == nil {
 		ps.cache = artifact.NewCache(0, nil)
 	}
@@ -182,8 +185,9 @@ const DefaultTenantStepBudget uint64 = 2_000_000
 
 // Put admits a validated program: fingerprint, compile under every
 // scheme (single-flight through the artifact cache, under the compile
-// budget), persist source + metadata. cached reports that the program
-// was already stored — the caller charged no quota and no compile ran.
+// budget), write the source, append the metadata to the log. cached
+// reports that the program was already stored — the caller charged no
+// quota and no compile ran.
 // Compile and validation failures are 422-class; persistence failures
 // wrap errProgramStorage (500-class).
 func (ps *ProgramStore) Put(ctx context.Context, tenantID, source string, f *ir.Func, steps uint64) (meta *Program, entry *artifact.Entry, cached bool, err error) {
@@ -232,13 +236,15 @@ func (ps *ProgramStore) Put(ctx context.Context, tenantID, source string, f *ir.
 	}
 	ps.metas[fp] = meta
 	ps.order = append(ps.order, fp)
-	if err := ps.persistLocked(); err != nil {
+	ps.file.Encode(meta) //nolint:errcheck — a program holds no value JSON cannot encode
+	if err := ps.file.Flush(); err != nil {
 		// Roll the admission back: a program we cannot persist would
 		// vanish on restart while its quota charge survived in memory.
+		// The next admission rewrites the log from memory.
 		delete(ps.metas, fp)
 		ps.order = ps.order[:len(ps.order)-1]
 		os.Remove(ps.sourcePath(fp))
-		return nil, nil, false, err
+		return nil, nil, false, fmt.Errorf("%w: %v", errProgramStorage, err)
 	}
 	ps.log.Info("program accepted",
 		"fingerprint", fp, "name", f.Name, "tenant", tenantID,
@@ -322,59 +328,85 @@ func (ps *ProgramStore) sourcePath(fp string) string {
 	return filepath.Join(ps.dir, fp+".ir")
 }
 
-func (ps *ProgramStore) metaPath() string {
-	return filepath.Join(ps.dir, "programs.json")
-}
-
-// programsFile is the on-disk layout of programs.json.
-type programsFile struct {
-	Version  int        `json:"version"`
-	Programs []*Program `json:"programs"`
-}
-
-// persistLocked rewrites programs.json; caller holds ps.mu.
-func (ps *ProgramStore) persistLocked() error {
-	pf := programsFile{Version: 1}
+// encodePrograms is the program log's rewrite: every program in
+// admission order. The caller holds ps.mu, or is NewProgramStore.
+func (ps *ProgramStore) encodePrograms(enc *json.Encoder) error {
 	for _, fp := range ps.order {
-		pf.Programs = append(pf.Programs, ps.metas[fp])
-	}
-	err := obs.WriteFileAtomic(ps.metaPath(), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(pf)
-	})
-	if err != nil {
-		return fmt.Errorf("%w: %v", errProgramStorage, err)
+		if err := enc.Encode(ps.metas[fp]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// load restores metadata from a previous life. Missing file = fresh
-// store. Entries whose source file vanished are dropped with a warning
-// rather than poisoning every future campaign against them.
+// load restores metadata from a previous life: programs.json, the
+// whole-store file of earlier daemons, then the programs.jsonl log,
+// whose line for a fingerprint wins. Entries whose source file vanished
+// are dropped with a warning rather than poisoning every future
+// campaign against them. If either file exists, the log is rewritten
+// with one line per program, and only then is programs.json renamed
+// programs.json.migrated. A fresh store gets no file until its first
+// admission.
 func (ps *ProgramStore) load() error {
-	b, err := os.ReadFile(ps.metaPath())
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+	add := func(m *Program) {
+		if _, ok := ps.metas[m.Fingerprint]; !ok {
+			ps.order = append(ps.order, m.Fingerprint)
+		}
+		ps.metas[m.Fingerprint] = m
 	}
+	legacy := filepath.Join(ps.dir, "programs.json")
+	b, err := os.ReadFile(legacy)
+	found := err == nil
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("%w: %v", errProgramStorage, err)
+	}
+	if found {
+		var pf struct {
+			Programs []*Program `json:"programs"`
+		}
+		if err := json.Unmarshal(b, &pf); err != nil {
+			return fmt.Errorf("service: %s does not parse: %v", legacy, err)
+		}
+		for _, m := range pf.Programs {
+			if m != nil && artifact.ValidFingerprint(m.Fingerprint) {
+				add(m)
+			}
+		}
+	}
+	logged, err := readStoreLog(filepath.Join(ps.dir, "programs.jsonl"), ps.log, func(line []byte) error {
+		m := new(Program)
+		if err := json.Unmarshal(line, m); err != nil {
+			return err
+		}
+		if !artifact.ValidFingerprint(m.Fingerprint) {
+			return fmt.Errorf("fingerprint %q", m.Fingerprint)
+		}
+		add(m)
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("%w: %v", errProgramStorage, err)
 	}
-	var pf programsFile
-	if err := json.Unmarshal(b, &pf); err != nil {
-		return fmt.Errorf("service: %s does not parse: %v", ps.metaPath(), err)
+	if !found && !logged {
+		return nil
 	}
-	for _, m := range pf.Programs {
-		if m == nil || !artifact.ValidFingerprint(m.Fingerprint) {
-			continue
+	ps.order = slices.DeleteFunc(ps.order, func(fp string) bool {
+		if _, err := os.Stat(ps.sourcePath(fp)); err == nil {
+			return false
 		}
-		if _, err := os.Stat(ps.sourcePath(m.Fingerprint)); err != nil {
-			ps.log.Warn("stored program has no source file; dropping",
-				"fingerprint", m.Fingerprint, "name", m.Name)
-			continue
+		ps.log.Warn("stored program has no source file; dropping",
+			"fingerprint", fp, "name", ps.metas[fp].Name)
+		delete(ps.metas, fp)
+		return true
+	})
+	if err := ps.file.Rewrite(); err != nil {
+		return fmt.Errorf("%w: %v", errProgramStorage, err)
+	}
+	if found {
+		if err := os.Rename(legacy, legacy+".migrated"); err != nil {
+			return fmt.Errorf("%w: %v", errProgramStorage, err)
 		}
-		ps.metas[m.Fingerprint] = m
-		ps.order = append(ps.order, m.Fingerprint)
+		ps.log.Info("migrated programs.json into programs.jsonl", "programs", len(ps.order))
 	}
 	return nil
 }

@@ -20,9 +20,10 @@ import (
 
 // Config parameterizes New. Zero values get production defaults.
 type Config struct {
-	// StateDir holds the job store, one jobs/<id>.json per job, and the
-	// per-job campaign checkpoints (required). Created if missing. A
-	// jobs.json left by an earlier daemon is migrated at boot.
+	// StateDir holds the job store, the jobs.jsonl log, and the per-job
+	// campaign checkpoints (required). Created if missing. The
+	// jobs/<id>.json files or the jobs.json of an earlier daemon are
+	// migrated into the log at boot.
 	StateDir string
 	// Executor runs each job attempt (required). checkpoint is the
 	// absolute path of the job's resume file: the executor threads it
@@ -205,6 +206,9 @@ type Service struct {
 	draining bool
 	aborted  bool // simulated crash: skip all persistence on the way out
 
+	// jobLog is the job store, appended under mu (store.go).
+	jobLog *obs.Log
+
 	wg  sync.WaitGroup
 	now func() time.Time // test hook
 }
@@ -216,7 +220,7 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Join(cfg.StateDir, "jobs"), 0o755); err != nil {
+	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: state dir: %w", err)
 	}
 	s := &Service{
@@ -228,6 +232,7 @@ func New(cfg Config) (*Service, error) {
 		nextID:   1,
 		now:      time.Now,
 	}
+	s.jobLog = obs.NewLog(s.jobLogPath(), s.encodeJobs)
 	s.log = cfg.Logger
 	if s.log == nil {
 		s.log = olog.Nop()
@@ -265,7 +270,7 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	if restored > 0 {
-		s.logf("restored %d unfinished job(s) from %s; campaigns resume from their checkpoints", restored, s.jobsDir())
+		s.logf("restored %d unfinished job(s) from %s; campaigns resume from their checkpoints", restored, s.jobLogPath())
 	}
 	s.updateGauges()
 	return s, nil

@@ -492,9 +492,10 @@ func TestCorruptStateFileStartsFresh(t *testing.T) {
 	}
 }
 
-// TestStatePersistedAtomically: every transition leaves a parseable
-// job file (WriteFileAtomic), so any kill point yields a loadable
-// store.
+// TestStatePersistedAtomically: every transition appends the whole job
+// as one line of the job log, so any kill point yields a loadable store
+// and the job's last line is its state: after it finishes, that line
+// parses as its done record.
 func TestStatePersistedAtomically(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, Config{StateDir: dir})
@@ -507,22 +508,20 @@ func TestStatePersistedAtomically(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, "jobs", j.ID+".json"))
-	if err != nil {
-		t.Fatal(err)
+	lines := readJobLog(t, dir)
+	if len(lines) != 3 {
+		t.Fatalf("job log holds %d lines, want one per transition (submit, attempt start, outcome)", len(lines))
 	}
-	var got Job
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatalf("job file not parseable: %v\n%s", err, b)
-	}
-	if got.ID != j.ID || got.State != StateDone || got.Result == nil {
-		t.Fatalf("job file contents: %+v", got)
+	if got := lines[len(lines)-1]; got.ID != j.ID || got.State != StateDone || got.Result == nil {
+		t.Fatalf("job log's last line: %+v", got)
 	}
 }
 
-// TestFinishedJobFileNeverRewritten: a transition writes only its own
-// job's file, so a finished job's file outlives every later job's
-// transitions untouched, and no whole-store file is written.
+// TestFinishedJobFileNeverRewritten: a transition appends only its own
+// job's line, so a finished job gains no line after its outcome, and
+// within one life the log is only appended to: its earlier bytes are a
+// prefix of its later ones, in the same file. No file of an earlier
+// layout is written.
 func TestFinishedJobFileNeverRewritten(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
@@ -549,7 +548,7 @@ func TestFinishedJobFileNeverRewritten(t *testing.T) {
 
 	a := submit(1)
 	waitState(t, s, a.ID, StateDone)
-	path := filepath.Join(dir, "jobs", a.ID+".json")
+	path := filepath.Join(dir, "jobs.jsonl")
 	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -574,20 +573,32 @@ func TestFinishedJobFileNeverRewritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !os.SameFile(before, after) {
-		t.Errorf("%s was rewritten after its job finished", path)
+		t.Errorf("%s was rewritten within one life", path)
 	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("%s changed after its job finished (err %v):\n%s\nwant:\n%s", path, err, got, want)
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(got, want) {
+		t.Fatalf("%s changed before its end (err %v):\n%s\nwant a prefix:\n%s", path, err, got, want)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs.json")); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("jobs.json written: %v", err)
+	lines := readJobLog(t, dir)
+	for _, j := range lines[bytes.Count(want, []byte("\n")):] {
+		if j.ID == a.ID {
+			t.Errorf("finished job %s gained a line: %+v", a.ID, j)
+		}
+	}
+	if n := len(lines); n != 3*4-1 {
+		t.Errorf("job log holds %d lines, want 11: three per finished job, two for the cancelled one", n)
+	}
+	for _, old := range []string{"jobs.json", "jobs"} {
+		if _, err := os.Stat(filepath.Join(dir, old)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s written: %v", old, err)
+		}
 	}
 }
 
 // TestLegacyStateFileMigrates: an earlier daemon's whole-store jobs.json
-// (version 1, or version 2 with its lease table) becomes one file per
-// job at boot: its jobs list in order, its open job runs, and its next
-// ID is kept.
+// (version 1, or version 2 with its lease table) migrates into the job
+// log at boot: its jobs list in order, the log holds one line each, its
+// open job runs, and its next ID is kept.
 func TestLegacyStateFileMigrates(t *testing.T) {
 	submitted := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	done := &Job{
@@ -624,6 +635,9 @@ func TestLegacyStateFileMigrates(t *testing.T) {
 			if len(jobs) != 2 || jobs[0].ID != done.ID || jobs[1].ID != queued.ID {
 				t.Fatalf("migrated jobs = %+v, want %s then %s", jobs, done.ID, queued.ID)
 			}
+			if lines := readJobLog(t, dir); len(lines) < 2 || lines[0].ID != done.ID || lines[1].ID != queued.ID {
+				t.Fatalf("job log after the migration = %+v, want %s then %s", lines, done.ID, queued.ID)
+			}
 			if jobs[0].State != StateDone || jobs[0].Result == nil || jobs[0].Result.CompletedTrials != 3 {
 				t.Errorf("migrated done job = %+v", jobs[0])
 			}
@@ -647,9 +661,11 @@ func TestLegacyStateFileMigrates(t *testing.T) {
 	}
 }
 
-// TestCorruptJobFileMovedAside: an unreadable job file costs that job
-// only — it is moved aside with the corruption warning, the other jobs
-// load, and its ID is not issued again.
+// TestCorruptJobFileMovedAside: a complete line of the job log that
+// does not parse costs that line only — the file is kept as
+// jobs.jsonl.corrupt with the corruption warning, the other jobs load,
+// the rewritten log holds only lines that parse, and the job number the
+// bad line names is not issued again.
 func TestCorruptJobFileMovedAside(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, Config{StateDir: dir})
@@ -662,12 +678,17 @@ func TestCorruptJobFileMovedAside(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, "jobs", good.ID+".json"))
+	path := filepath.Join(dir, "jobs.jsonl")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(dir, "jobs", "job-000002.json")
-	if err := os.WriteFile(bad, b[:len(b)/2], 0o644); err != nil {
+	if _, err := f.WriteString(`{"id":"job-000002","spec":{"bench":` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	corrupt, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -683,8 +704,11 @@ func TestCorruptJobFileMovedAside(t *testing.T) {
 	if !strings.Contains(warned.String(), "checkpoint corrupt") {
 		t.Errorf("no corruption warning: %q", warned.String())
 	}
-	if _, err := os.Stat(bad + ".corrupt"); err != nil {
-		t.Errorf("corrupt job file not preserved for post-mortem: %v", err)
+	if kept, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(kept, corrupt) {
+		t.Errorf("corrupt job log not preserved for post-mortem (err %v)", err)
+	}
+	if lines := readJobLog(t, dir); len(lines) != 1 || lines[0].ID != good.ID {
+		t.Errorf("rewritten job log = %+v, want %s alone", lines, good.ID)
 	}
 	if next, err := s2.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}}); err != nil || next.ID != "job-000003" {
 		t.Errorf("next submission = %+v, %v; want job-000003", next, err)
