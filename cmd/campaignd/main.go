@@ -154,7 +154,6 @@ func main() {
 	logger := olog.Attach(legs...)
 
 	reg := obs.NewRegistry()
-	progress := &pipeline.Progress{}
 
 	if *workerMode {
 		// Workers resolve program:<fp> workloads by fetching the source
@@ -162,7 +161,7 @@ func main() {
 		// golden statistics cross-check proves both sides built the same
 		// campaign.
 		resolve := workerProgramResolver(strings.TrimRight(*join, "/"), *compileBudget)
-		runWorker(*join, *workerID, service.CampaignPrepare(reg, progress, logger, resolve), logger)
+		runWorker(*join, *workerID, service.CampaignPrepare(reg, logger, resolve), logger)
 		return
 	}
 
@@ -203,11 +202,10 @@ func main() {
 		LeaseTTL:          *fleetTTL,
 		StealAfter:        *fleetSteal,
 		PollInterval:      *fleetPoll,
-		Progress:          progress,
 		Metrics:           reg,
 		Logger:            logger,
 	})
-	prepare := service.CampaignPrepare(reg, progress, logger, programs.Entry)
+	prepare := service.CampaignPrepare(reg, logger, programs.Entry)
 	svc, err := service.New(service.Config{
 		StateDir:         *state,
 		Executor:         &service.FleetExecutor{Fleet: fleet, Prepare: prepare},
@@ -221,7 +219,6 @@ func main() {
 		JobDeadline:      *deadline,
 		BreakerThreshold: *brThreshold,
 		BreakerCooldown:  *brCooldown,
-		Progress:         progress,
 		Metrics:          reg,
 		Logger:           logger,
 		Events:           rec,
@@ -231,7 +228,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := obs.NewServer(obs.ServerConfig{Snapshot: reg.Snapshot, RunsDir: *state, Instrument: reg})
+	srv := obs.NewServer(obs.ServerConfig{Snapshot: reg.Snapshot, RunsDir: *state, Instrument: reg,
+		Live: pipeline.NewSampler(pipeline.NewProgress(reg)).Stream})
 	svc.Mount(srv)
 	// Catch the stop signals before the address line goes out: a script
 	// may SIGTERM the daemon as soon as it has read it, and that must
@@ -246,10 +244,6 @@ func main() {
 	// bound port when -addr asked the kernel for one.
 	fmt.Printf("campaignd listening on http://%s\n", bound)
 
-	sampler := pipeline.NewSampler(progress, reg, 0, func(ps pipeline.ProgressSample) {
-		srv.Publish("progress", ps)
-	})
-	sampler.Start()
 	svc.Start()
 
 	var got os.Signal
@@ -287,7 +281,6 @@ func main() {
 			log.Printf("spans written to %s", *spanFile)
 		}
 	}
-	sampler.Stop()
 	httpCtx, httpCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	if err := srv.Shutdown(httpCtx); err != nil {
 		log.Printf("warning: http shutdown: %v", err)

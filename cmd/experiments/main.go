@@ -172,27 +172,20 @@ func main() {
 
 	r := experiment.NewRunner(*scale)
 
-	// -serve: live registry (runner aggregate + live.* gauges) plus a
-	// progress sampler streaming to /live while figures run.
+	// -serve: live registry (runner aggregate + the live.* gauges the
+	// sweep's simulations publish into), sampled by /live while figures
+	// run.
 	if cli.Serving() {
 		liveReg := obs.NewRegistry()
-		progress := &pipeline.Progress{}
-		r.Progress = progress
-		srv, err := cli.StartServer(func() obs.Snapshot {
+		r.Progress = pipeline.NewProgress(liveReg)
+		err := cli.StartServer(func() obs.Snapshot {
 			return r.MetricsSnapshot().Merge(liveReg.Snapshot())
-		})
+		}, pipeline.NewSampler(r.Progress).Stream)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sampler := pipeline.NewSampler(progress, liveReg, 0, func(ps pipeline.ProgressSample) {
-			srv.Publish("progress", ps)
-		})
-		sampler.Start()
-		defer func() {
-			sampler.Stop()
-			cli.CloseServer()
-		}()
+		defer cli.CloseServer()
 	}
 
 	for _, n := range want {

@@ -136,24 +136,15 @@ func main() {
 	defer stop()
 
 	// -serve: the campaign registry is scraped live (its counters and
-	// histograms are goroutine-safe) while a sampler streams per-trial
-	// simulator progress — including the active worker count — to /live.
-	var progress *pipeline.Progress
+	// histograms are goroutine-safe), and /live samples the live.*
+	// gauges every trial's simulator publishes into — including the
+	// active worker count.
 	if cli.Serving() {
-		progress = &pipeline.Progress{}
-		srv, err := cli.StartServer(reg.Snapshot)
-		if err != nil {
+		if err := cli.StartServer(reg.Snapshot, pipeline.NewSampler(pipeline.NewProgress(reg)).Stream); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sampler := pipeline.NewSampler(progress, reg, 0, func(ps pipeline.ProgressSample) {
-			srv.Publish("progress", ps)
-		})
-		sampler.Start()
-		defer func() {
-			sampler.Stop()
-			cli.CloseServer()
-		}()
+		defer cli.CloseServer()
 	}
 
 	// -spans: a wall-clock tracer rides the context into every campaign;
@@ -200,7 +191,7 @@ func main() {
 		bspan.SetArg("bench", b)
 		res, err := turnpike.InjectFaultsContext(bctx, b, sc, turnpike.FaultCampaignConfig{
 			Trials: *trials, Seed: *seed, SBSize: *sb, WCDL: *wcdl, ScalePct: *scale,
-			Metrics: reg, Progress: progress,
+			Metrics: reg,
 			Workers: *workers, Lease: *lease, FailureBudget: *budget, Checkpoint: ckpt,
 			Adversary: adv, Containment: containment,
 		})

@@ -220,20 +220,12 @@ func runObserved(p workload.Profile, prog *isa.Program, opt core.Options, sb, wc
 	s.AttachObs(pipeline.NewObs(tracer, reg))
 
 	if cli.Serving() {
-		progress := &pipeline.Progress{}
+		progress := pipeline.NewProgress(reg)
 		s.AttachProgress(progress)
-		srv, err := cli.StartServer(reg.Snapshot)
-		if err != nil {
+		if err := cli.StartServer(reg.Snapshot, pipeline.NewSampler(progress).Stream); err != nil {
 			return err
 		}
-		sampler := pipeline.NewSampler(progress, reg, 0, func(ps pipeline.ProgressSample) {
-			srv.Publish("progress", ps)
-		})
-		sampler.Start()
-		defer func() {
-			sampler.Stop()
-			cli.CloseServer()
-		}()
+		defer cli.CloseServer()
 	}
 
 	injected := false

@@ -84,10 +84,8 @@ type Cache struct {
 	lru      list.List                // front = most recently used
 	inflight map[string]*flight
 
-	hits, misses, compiles, evictions uint64
-	// metrics, when set, mirrors the counters into the registry under
-	// artifact.cache.*.
-	metrics *obs.Registry
+	// The counters live in a registry, as artifact.cache.*.
+	hits, misses, compiles, evictions *obs.Counter
 }
 
 // flight is one in-progress build other callers wait on.
@@ -98,17 +96,24 @@ type flight struct {
 }
 
 // NewCache builds a cache bounded at maxBytes of compiled artifacts
-// (≤0 means a 64 MiB default). reg, when non-nil, receives the cache
-// counters as artifact.cache.{hits,misses,compiles,evictions}.
+// (≤0 means a 64 MiB default). It counts in reg, as
+// artifact.cache.{hits,misses,compiles,evictions}, or in a registry of
+// its own when reg is nil.
 func NewCache(maxBytes int64, reg *obs.Registry) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	return &Cache{
-		maxBytes: maxBytes,
-		entries:  map[string]*list.Element{},
-		inflight: map[string]*flight{},
-		metrics:  reg,
+		maxBytes:  maxBytes,
+		entries:   map[string]*list.Element{},
+		inflight:  map[string]*flight{},
+		hits:      reg.Counter("artifact.cache.hits"),
+		misses:    reg.Counter("artifact.cache.misses"),
+		compiles:  reg.Counter("artifact.cache.compiles"),
+		evictions: reg.Counter("artifact.cache.evictions"),
 	}
 }
 
@@ -121,8 +126,7 @@ func (c *Cache) Get(fp string) (*Entry, bool) {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	c.hits++
-	c.count("artifact.cache.hits")
+	c.hits.Inc()
 	return el.Value.(*Entry), true
 }
 
@@ -136,13 +140,11 @@ func (c *Cache) GetOrCompute(fp string, build func() (*Entry, error)) (e *Entry,
 	c.mu.Lock()
 	if el, ok := c.entries[fp]; ok {
 		c.lru.MoveToFront(el)
-		c.hits++
-		c.count("artifact.cache.hits")
+		c.hits.Inc()
 		c.mu.Unlock()
 		return el.Value.(*Entry), true, nil
 	}
-	c.misses++
-	c.count("artifact.cache.misses")
+	c.misses.Inc()
 	if fl, ok := c.inflight[fp]; ok {
 		// Another submission of the same program is compiling right now;
 		// join it instead of compiling again.
@@ -152,8 +154,7 @@ func (c *Cache) GetOrCompute(fp string, build func() (*Entry, error)) (e *Entry,
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.inflight[fp] = fl
-	c.compiles++
-	c.count("artifact.cache.compiles")
+	c.compiles.Inc()
 	c.mu.Unlock()
 
 	fl.entry, fl.err = build()
@@ -189,8 +190,7 @@ func (c *Cache) insertLocked(fp string, e *Entry) {
 		c.lru.Remove(tail)
 		delete(c.entries, victim.Fingerprint)
 		c.bytes -= victim.Size()
-		c.evictions++
-		c.count("artifact.cache.evictions")
+		c.evictions.Inc()
 	}
 }
 
@@ -199,13 +199,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits: c.hits, Misses: c.misses, Compiles: c.compiles,
-		Evictions: c.evictions, Entries: len(c.entries), Bytes: c.bytes,
-	}
-}
-
-func (c *Cache) count(name string) {
-	if c.metrics != nil {
-		c.metrics.Counter(name).Inc()
+		Hits: c.hits.Value(), Misses: c.misses.Value(), Compiles: c.compiles.Value(),
+		Evictions: c.evictions.Value(), Entries: len(c.entries), Bytes: c.bytes,
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/obs"
 )
 
 const dotSource = `func dot
@@ -139,6 +140,27 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("resubmission recompiled (builds=%d)", n)
+	}
+}
+
+// TestCacheCountsInRegistry: a cache given a registry counts there, and
+// Stats reads the same counters.
+func TestCacheCountsInRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewCache(0, reg)
+	build := func() (*Entry, error) { return &Entry{Fingerprint: "fp"}, nil }
+	for i := 0; i < 3; i++ {
+		if _, _, err := c.GetOrCompute("fp", build); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, got := c.Stats(), reg.Snapshot().Counters
+	if st.Hits != 2 || st.Misses != 1 || st.Compiles != 1 || st.Evictions != 0 {
+		t.Fatalf("Stats = %+v, want 2 hits, 1 miss, 1 compile", st)
+	}
+	if got["artifact.cache.hits"] != st.Hits || got["artifact.cache.misses"] != st.Misses ||
+		got["artifact.cache.compiles"] != st.Compiles || got["artifact.cache.evictions"] != 0 {
+		t.Fatalf("registry counts %v, Stats %+v", got, st)
 	}
 }
 

@@ -43,6 +43,42 @@ func TestRunnerCaching(t *testing.T) {
 	}
 }
 
+// TestRunnerKeysEveryInput: the caches key a compilation by every
+// core.Options field and a simulation by every pipeline.Config field,
+// so a field no figure varies still gets its own entry instead of a
+// result cached for another value.
+func TestRunnerKeysEveryInput(t *testing.T) {
+	r := NewRunner(3)
+	opt, cfg := core.TurnpikeAll(4), pipeline.TurnpikeConfig(4, 10)
+	if _, err := r.Run("gcc", opt, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.BranchPenalty = 9
+	got, err := r.Run("gcc", opt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewRunner(3).Run("gcc", opt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("BranchPenalty 9 ran %d cycles, a fresh runner %d", got.Cycles, want.Cycles)
+	}
+	a, err := r.Compile("gcc", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.LoadLatency = 7
+	b, err := r.Compile("gcc", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("two LoadLatency values share one compiled program")
+	}
+}
+
 func TestFig18Shape(t *testing.T) {
 	res := Fig18()
 	w := res.Latency[25]

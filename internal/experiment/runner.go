@@ -28,13 +28,26 @@ type Runner struct {
 	Scale int
 
 	// Progress, when non-nil, is attached to every simulation the runner
-	// starts, so a Sampler can publish live figures while a sweep is in
-	// flight (cmd/experiments -serve). Cache hits do not re-publish.
+	// starts, which publishes into its live.* gauges while a sweep is in
+	// flight (cmd/experiments -serve), and counts each completed one in
+	// its Runs. Cache hits do not re-publish.
 	Progress *pipeline.Progress
 
 	mu       sync.Mutex
-	compiled map[string]*core.Compiled
-	simmed   map[string]pipeline.Stats
+	compiled map[compileKey]*core.Compiled
+	simmed   map[runKey]pipeline.Stats
+}
+
+// compileKey and runKey key the caches by every input of a compilation
+// and of a simulation.
+type compileKey struct {
+	bench string
+	opt   core.Options
+}
+
+type runKey struct {
+	compileKey
+	cfg pipeline.Config
 }
 
 // NewRunner returns a Runner at the given workload scale.
@@ -44,24 +57,14 @@ func NewRunner(scalePct int) *Runner {
 	}
 	return &Runner{
 		Scale:    scalePct,
-		compiled: map[string]*core.Compiled{},
-		simmed:   map[string]pipeline.Stats{},
+		compiled: map[compileKey]*core.Compiled{},
+		simmed:   map[runKey]pipeline.Stats{},
 	}
-}
-
-func optKey(o core.Options) string {
-	return fmt.Sprintf("%d|%d|%t%t%t%t%t%t", o.Scheme, o.SBSize,
-		o.StoreAwareRA, o.LIVM, o.Prune, o.Sink, o.Sched, o.ColoredCkpts)
-}
-
-func cfgKey(c pipeline.Config) string {
-	return fmt.Sprintf("%d|%d|%t|%t|%v%d|%t|%d|%d", c.SBSize, c.WCDL, c.Resilient,
-		c.WARFreeRelease, c.CLQ, c.CLQSize, c.HWColoring, c.IssueWidth, c.RBBSize)
 }
 
 // Compile returns the (cached) compilation of bench under opt.
 func (r *Runner) Compile(bench string, opt core.Options) (*core.Compiled, error) {
-	key := bench + "\x00" + optKey(opt)
+	key := compileKey{bench, opt}
 	r.mu.Lock()
 	c, ok := r.compiled[key]
 	r.mu.Unlock()
@@ -86,7 +89,7 @@ func (r *Runner) Compile(bench string, opt core.Options) (*core.Compiled, error)
 // Run returns the (cached) simulation statistics of bench compiled under
 // opt and simulated under cfg.
 func (r *Runner) Run(bench string, opt core.Options, cfg pipeline.Config) (pipeline.Stats, error) {
-	key := bench + "\x00" + optKey(opt) + "\x00" + cfgKey(cfg)
+	key := runKey{compileKey{bench, opt}, cfg}
 	r.mu.Lock()
 	st, ok := r.simmed[key]
 	r.mu.Unlock()
@@ -102,9 +105,7 @@ func (r *Runner) Run(bench string, opt core.Options, cfg pipeline.Config) (pipel
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	if r.Progress != nil {
-		s.AttachProgress(r.Progress)
-	}
+	s.AttachProgress(r.Progress)
 	p.SeedMemory(s.Mem)
 	st, err = s.Run()
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -127,9 +128,10 @@ func TestReplayFromBatchedRange(t *testing.T) {
 // ResetAt, injected execution, classification — performs zero heap
 // allocations under a perfect mesh, under Turnpike and under Turnstile,
 // which has no colours and no CLQ, on lbm at scale 5, whose trials
-// reach the cache replay of the reconvergence check, and on a campaign
-// an earlier one handed on by Reuse. An adversarial trial allocates only
-// what its record keeps: one Extra slice per burst and one
+// reach the cache replay of the reconvergence check, on a campaign an
+// earlier one handed on by Reuse, and with a registry attached, whose
+// live gauges the simulator publishes into. An adversarial trial
+// allocates only what its record keeps: one Extra slice per burst and one
 // FalsePositives slice per spurious detection.
 func TestTrialLoopAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
@@ -140,17 +142,24 @@ func TestTrialLoopAllocationFree(t *testing.T) {
 		sim    pipeline.Config
 		adv    *Adversary
 		reused bool
+		// metrics attaches a registry, as campaignd does for every job:
+		// the simulators then publish their live gauges.
+		metrics bool
 	}{
-		{"perfect-mesh", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, false},
-		{"adversarial", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), meshAdversary, false},
-		{"turnstile-perfect-mesh", "gcc", 2, core.Turnstile, pipeline.TurnstileConfig(4, 10), nil, false},
-		{"cache-replay", "lbm", 5, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, false},
-		{"reused", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, true},
+		{"perfect-mesh", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, false, false},
+		{"adversarial", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), meshAdversary, false, false},
+		{"adversarial-metrics", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), meshAdversary, false, true},
+		{"turnstile-perfect-mesh", "gcc", 2, core.Turnstile, pipeline.TurnstileConfig(4, 10), nil, false, false},
+		{"cache-replay", "lbm", 5, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, false, false},
+		{"reused", "gcc", 2, core.Turnpike, pipeline.TurnpikeConfig(4, 10), nil, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, p := compiledAt(t, tc.bench, tc.scheme, tc.scale)
 			cfg := Config{Trials: 64, Seed: 1, Workers: 1, FailureBudget: -1,
 				Sim: tc.sim, Adversary: tc.adv}
+			if tc.metrics {
+				cfg.Metrics = obs.NewRegistry()
+			}
 			ctx := context.Background()
 			prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
 			if err != nil {

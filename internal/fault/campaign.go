@@ -123,6 +123,8 @@ type engine struct {
 	// and det the detector it breaks; planners sample copies of det.
 	adv Adversary
 	det sensor.MeshDetector
+	// progress is cfg.Metrics' live.* gauges, nil without a registry.
+	progress *pipeline.Progress
 }
 
 // logTrial emits one trial's Debug record. The Enabled check is hoisted
@@ -263,8 +265,8 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 	if err != nil {
 		return st, false, false, err
 	}
-	if e.cfg.Progress != nil {
-		e.cfg.Progress.Runs.Add(1)
+	if e.progress != nil {
+		e.progress.Runs.Add(1)
 	}
 	if cut {
 		return st, true, true, nil
@@ -450,9 +452,8 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 		goldenSpan.End()
 		return nil, fmt.Errorf("%w: golden run failed: %v", ErrInvalidConfig, err)
 	}
-	if cfg.Progress != nil {
-		gsim.AttachProgress(cfg.Progress)
-	}
+	progress := pipeline.NewProgress(cfg.Metrics)
+	gsim.AttachProgress(progress)
 	if cfg.Logger != nil {
 		gsim.AttachLogger(gctx, cfg.Logger)
 	}
@@ -465,8 +466,8 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 	if err != nil {
 		return nil, fmt.Errorf("%w: golden run failed: %v", ErrInvalidConfig, err)
 	}
-	if cfg.Progress != nil {
-		cfg.Progress.Runs.Add(1)
+	if progress != nil {
+		progress.Runs.Add(1)
 	}
 	goldenStats := gs.Stats()
 
@@ -475,9 +476,10 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 	planStart := time.Now()
 	base := &engine{
 		prog: prog, seedMem: seedMem, gs: gs, sim: gs.Config(),
-		golden: mask(gs.Output()),
-		ckptLo: prog.CkptBase,
-		ckptHi: prog.CkptBase + isa.NumRegs*isa.NumColors*8,
+		golden:   mask(gs.Output()),
+		ckptLo:   prog.CkptBase,
+		ckptHi:   prog.CkptBase + isa.NumRegs*isa.NumColors*8,
+		progress: progress,
 	}
 	e, err := base.withConfig(cfg, goldenStats.Insts)
 	if err != nil {
@@ -500,9 +502,7 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 			if sim, err = gs.Fork(); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 			}
-			if cfg.Progress != nil {
-				sim.AttachProgress(cfg.Progress)
-			}
+			sim.AttachProgress(progress)
 		}
 		// Plan one trial so the worker's event buffer exists before the
 		// trial loop; with Adopt's pre-sizing this keeps even a worker's
@@ -532,8 +532,8 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 		!runners[0].sim.DrainOutput().EqualMasked(e.golden, e.ckptLo, e.ckptHi, isa.StackBase, isa.StackLimit) {
 		return nil, fmt.Errorf("%w: warm golden run diverged from the cold golden run", ErrInvalidConfig)
 	}
-	if cfg.Progress != nil {
-		cfg.Progress.Runs.Add(1)
+	if progress != nil {
+		progress.Runs.Add(1)
 	}
 	goldenStats.Cycles = warmStats.Cycles
 	for _, r := range runners {
@@ -547,9 +547,10 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 	return &Prepared{e: e, runners: runners, goldenStats: goldenStats}, nil
 }
 
-// withConfig returns a copy of e's golden part for a campaign of cfg:
-// the injection window, the first 90% of the golden run's goldenInsts
-// instructions, and the detector derived from cfg afresh.
+// withConfig returns a copy of e's golden part, its live gauges
+// included, for a campaign of cfg: the injection window, the first 90%
+// of the golden run's goldenInsts instructions, and the detector derived
+// from cfg afresh.
 func (e *engine) withConfig(cfg Config, goldenInsts uint64) (*engine, error) {
 	n := *e
 	n.cfg, n.adv = cfg, Adversary{}
@@ -568,13 +569,13 @@ var errHandedOn = errors.New("fault: campaign handed on to another by Reuse")
 // and returns it ready to Open or Run, as Prepare would have, without
 // its golden runs and forks. The per-campaign part is derived from cfg
 // afresh: seed, trials, failure budget, lease, checkpoint, the
-// injection window, the detector, and the Progress, Metrics and
-// Logger attachments. cfg must shape the same golden state and runners
-// as p's, which a caller ensures by keying its idle campaigns by
-// workload and program, the simulator configuration cfg.Sim, and the
-// runner count cfg.Runners(); Reuse refuses another configuration or
-// count. A reused campaign runs no golden run, so cfg.Progress.Runs
-// counts only its trials.
+// injection window, the detector, and the Metrics (with its live
+// gauges) and Logger attachments. cfg must shape the same golden state
+// and runners as p's, which a caller ensures by keying its idle
+// campaigns by workload and program, the simulator configuration
+// cfg.Sim, and the runner count cfg.Runners(); Reuse refuses another
+// configuration or count. A reused campaign runs no golden run, so its
+// live.runs count only its trials.
 //
 // p must be idle. Reuse takes its runners, after any fan-out in flight
 // on them, so neither p nor a session opened on it runs a trial again.
@@ -588,6 +589,7 @@ func (p *Prepared) Reuse(ctx context.Context, cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.progress = pipeline.NewProgress(cfg.Metrics)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	runners := p.runners
@@ -600,7 +602,7 @@ func (p *Prepared) Reuse(ctx context.Context, cfg Config) (*Prepared, error) {
 	p.runners = nil
 	for _, r := range runners {
 		r.det = e.det
-		r.sim.AttachProgress(cfg.Progress)
+		r.sim.AttachProgress(e.progress)
 		r.sim.AttachLogger(ctx, cfg.Logger)
 		inj := e.planWith(0, &r.det)
 		r.evs = inj.appendEvents(r.evs[:0])
@@ -675,9 +677,9 @@ func (p *Prepared) fanOut(ctx context.Context, leases []TrialRange, recs []Trial
 	sctx, shardSpan := span.Start(ctx, "fault", "shard_exec")
 	var next, executed atomic.Int64
 	worker := func(w int) {
-		if e.cfg.Progress != nil {
-			e.cfg.Progress.Workers.Add(1)
-			defer e.cfg.Progress.Workers.Add(-1)
+		if e.progress != nil {
+			e.progress.Workers.Add(1)
+			defer e.progress.Workers.Add(-1)
 		}
 		wctx := olog.WithShard(sctx, w)
 		loopCtx := span.Detach(wctx)
@@ -765,10 +767,12 @@ func replayer(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*
 	}
 	e := &engine{
 		prog: prog, cfg: cfg, seedMem: seedMem, gs: gs,
-		golden: mask(gs.Output()),
-		ckptLo: prog.CkptBase,
-		ckptHi: prog.CkptBase + isa.NumRegs*isa.NumColors*8,
+		golden:   mask(gs.Output()),
+		ckptLo:   prog.CkptBase,
+		ckptHi:   prog.CkptBase + isa.NumRegs*isa.NumColors*8,
+		progress: pipeline.NewProgress(cfg.Metrics),
 	}
+	sim.AttachProgress(e.progress)
 	return e, &trialRunner{sim: sim}, nil
 }
 
@@ -788,8 +792,5 @@ func fromStart(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(
 		return nil, nil, err
 	}
 	gs.Adopt(sim)
-	if cfg.Progress != nil {
-		sim.AttachProgress(cfg.Progress)
-	}
 	return gs, sim, nil
 }

@@ -46,10 +46,10 @@ func (e *engine) header(golden pipeline.Stats) checkpointHeader {
 		Adversary: e.adv, Sim: e.sim}
 }
 
-// rewrite atomically replaces the checkpoint file with the header and
-// every record, in trial order, and returns its log open for appending.
-func (e *engine) rewrite(records []*TrialRecord, golden pipeline.Stats) (*obs.Log, error) {
-	l := obs.NewLog(e.cfg.Checkpoint, func(enc *json.Encoder) error {
+// log returns the checkpoint's log, not yet opened, whose rewrite
+// writes the header and every record, in trial order.
+func (e *engine) log(records []*TrialRecord, golden pipeline.Stats) *obs.Log {
+	return obs.NewLog(e.cfg.Checkpoint, func(enc *json.Encoder) error {
 		if err := enc.Encode(e.header(golden)); err != nil {
 			return err
 		}
@@ -60,25 +60,32 @@ func (e *engine) rewrite(records []*TrialRecord, golden pipeline.Stats) (*obs.Lo
 		}
 		return nil
 	})
+}
+
+// rewrite atomically replaces the checkpoint file with the header and
+// every record, in trial order, and returns its log open for appending.
+func (e *engine) rewrite(records []*TrialRecord, golden pipeline.Stats) (*obs.Log, error) {
+	l := e.log(records, golden)
 	if err := l.Rewrite(); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// restore loads the checkpoint file, if any, into records. A missing
-// file is a fresh campaign. An unterminated last line is dropped: a
-// kill during an append leaves at most that one. Anything else that
-// does not parse, or a record that contradicts the deterministic
-// per-trial plan, wraps ErrCheckpointCorrupt (the caller restarts
-// fresh); a header other than this campaign's, older versions included,
-// wraps ErrInvalidConfig, because the file records a *different*
-// campaign's progress and must not be silently overwritten.
+// restore loads the checkpoint file into records. A missing file, a
+// fresh campaign, returns the error wrapping fs.ErrNotExist. An
+// unterminated last line is dropped: a kill during an append leaves at
+// most that one. Anything else that does not parse, or a record that
+// contradicts the deterministic per-trial plan, wraps
+// ErrCheckpointCorrupt (the caller restarts fresh); a header other than
+// this campaign's, older versions included, wraps ErrInvalidConfig,
+// because the file records a *different* campaign's progress and must
+// not be silently overwritten.
 func (e *engine) restore(records []*TrialRecord, golden pipeline.Stats) error {
 	path := e.cfg.Checkpoint
 	lines, err := obs.ReadLines(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return err
 	}
 	if err != nil {
 		return fmt.Errorf("fault: checkpoint: %w", err)

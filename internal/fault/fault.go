@@ -67,14 +67,13 @@ type Config struct {
 	// Metrics, when set, receives per-campaign observability: outcome
 	// counters, a detection-latency histogram, a recovery-cycles
 	// histogram, and the merged simulator statistics of every trial.
+	// While the campaign is in flight every simulator also publishes
+	// into its live.* gauges (pipeline.Progress: cycles, instructions,
+	// regions, recoveries, occupancies), and the engine counts active
+	// workers and completed runs there: Prepare's two golden runs, which
+	// a campaign handed on by Prepared.Reuse does not repeat, and every
+	// trial that ends without a simulator error.
 	Metrics *obs.Registry
-	// Progress, when set, is attached to every trial's simulator so a
-	// pipeline.Sampler can publish live campaign figures (cycles, IPC,
-	// recoveries, trial count, active workers) while the campaign is in
-	// flight. Its Runs count Prepare's two golden runs, which a campaign
-	// handed on by Prepared.Reuse does not repeat, and every trial that
-	// ends without a simulator error.
-	Progress *pipeline.Progress
 	// Workers bounds the trial worker pool; <=0 uses GOMAXPROCS. The
 	// result is identical for every worker count: each trial's injection
 	// plan is a pure function of (Seed, trial) and per-trial results are

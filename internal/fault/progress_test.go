@@ -10,8 +10,8 @@ import (
 	"repro/internal/pipeline"
 )
 
-// progressTotals is what a Progress accumulates from runs with the given
-// statistics.
+// progressTotals is what a registry's live.* gauges accumulate from runs
+// with the given statistics.
 type progressTotals struct {
 	Cycles, Insts, Regions, RegionsVerified, Recoveries uint64
 }
@@ -28,18 +28,19 @@ func totalsOf(sts ...pipeline.Stats) progressTotals {
 	return t
 }
 
-func progressTotalsOf(p *pipeline.Progress) progressTotals {
-	return progressTotals{p.Cycles.Load(), p.Insts.Load(), p.Regions.Load(),
-		p.RegionsVerified.Load(), p.Recoveries.Load()}
+func progressTotalsOf(reg *obs.Registry) progressTotals {
+	g := reg.Snapshot().Gauges
+	return progressTotals{uint64(g["live.cycles"]), uint64(g["live.insts"]), uint64(g["live.regions"]),
+		uint64(g["live.regions_verified"]), uint64(g["live.recoveries"])}
 }
 
 // TestProgressMatchesCampaign pins the live-progress totals, which the
-// simulator publishes in batches: once a campaign has run, its Progress
-// holds exactly the cold and the warm golden run plus every trial's
-// statistics (Result.Agg), whether a trial resumed from an epoch, was
-// cut at reconvergence or ended in a DUE, on one worker or two sharing
-// the Progress. A campaign handed on by Reuse runs no golden run, so its
-// Progress holds its trials alone.
+// simulator publishes in batches: once a campaign has run, the live.*
+// gauges of its Metrics hold exactly the cold and the warm golden run
+// plus every trial's statistics (Result.Agg), whether a trial resumed
+// from an epoch, was cut at reconvergence or ended in a DUE, on one
+// worker or two sharing the gauges. A campaign handed on by Reuse runs
+// no golden run, so its gauges hold its trials alone.
 func TestProgressMatchesCampaign(t *testing.T) {
 	ctx := context.Background()
 	var cut, due uint64
@@ -47,11 +48,9 @@ func TestProgressMatchesCampaign(t *testing.T) {
 		prog, p := compiledAt(t, bench, core.Turnpike, 5)
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", bench, workers), func(t *testing.T) {
-				var pr pipeline.Progress
 				reg := obs.NewRegistry()
 				cfg := Config{Trials: 32, Seed: 11, Workers: workers, FailureBudget: -1,
-					Sim: pipeline.TurnpikeConfig(4, 10), Adversary: meshAdversary,
-					Progress: &pr, Metrics: reg}
+					Sim: pipeline.TurnpikeConfig(4, 10), Adversary: meshAdversary, Metrics: reg}
 				prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
 				if err != nil {
 					t.Fatal(err)
@@ -62,14 +61,17 @@ func TestProgressMatchesCampaign(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := progressTotalsOf(&pr), totalsOf(cold, warm, res.Agg); got != want {
-					t.Errorf("Progress holds %+v, want golden runs plus trials %+v", got, want)
+				if got, want := progressTotalsOf(reg), totalsOf(cold, warm, res.Agg); got != want {
+					t.Errorf("live gauges hold %+v, want golden runs plus trials %+v", got, want)
+				}
+				if got, want := reg.Gauge("live.runs").Value(), int64(2+res.CompletedTrials-res.Outcomes[DUE]); got != want {
+					t.Errorf("live.runs = %d, want the golden runs and the %d trials that did not end in a DUE", got, want-2)
 				}
 				cut += reg.Snapshot().Counters["fault.cut.trials"]
 				due += uint64(res.Outcomes[DUE])
 
-				var again pipeline.Progress
-				cfg.Seed, cfg.Progress = 12, &again
+				again := obs.NewRegistry()
+				cfg.Seed, cfg.Metrics = 12, again
 				reused, err := prep.Reuse(ctx, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -78,11 +80,14 @@ func TestProgressMatchesCampaign(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := progressTotalsOf(&again), totalsOf(res.Agg); got != want {
-					t.Errorf("reused campaign's Progress holds %+v, want its trials %+v", got, want)
+				if got, want := progressTotalsOf(again), totalsOf(res.Agg); got != want {
+					t.Errorf("reused campaign's live gauges hold %+v, want its trials %+v", got, want)
 				}
-				if got, want := again.Runs.Load(), uint64(res.CompletedTrials-res.Outcomes[DUE]); got != want {
-					t.Errorf("reused campaign's Progress counts %d runs, want its %d trials that did not end in a DUE", got, want)
+				if got, want := again.Gauge("live.runs").Value(), int64(res.CompletedTrials-res.Outcomes[DUE]); got != want {
+					t.Errorf("reused campaign's live.runs = %d, want its %d trials that did not end in a DUE", got, want)
+				}
+				if w := again.Gauge("live.workers").Value(); w != 0 {
+					t.Errorf("live.workers = %d after the campaign, want 0", w)
 				}
 			})
 		}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"log/slog"
 	"reflect"
 	"sync"
@@ -177,12 +178,14 @@ type Session struct {
 
 // Open restores the campaign's checkpoint (if configured), rewrites it
 // with the restored records and keeps it open for appending, and
-// returns the session ready for scheduling. A corrupt checkpoint
-// carries no usable progress: it is discarded with a warning, the
-// campaign restarts from trial zero, and the rewrite atomically
-// overwrites it. A checkpoint from a different campaign, or a rewrite
-// that fails, is an error. A campaign is opened once: Run opens its own
-// session, so Open and Run are mutually exclusive.
+// returns the session ready for scheduling. Without a file to restore
+// nothing is written yet: the first commit creates the file holding the
+// header and its records. A corrupt checkpoint carries no usable
+// progress: it is discarded with a warning, the campaign restarts from
+// trial zero, and the rewrite atomically overwrites it. A checkpoint
+// from a different campaign, or a rewrite that fails, is an error. A
+// campaign is opened once: Run opens its own session, so Open and Run
+// are mutually exclusive.
 func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -202,7 +205,9 @@ func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 	s := &Session{p: p, records: records, budget: budget}
 	if e.cfg.Checkpoint != "" {
 		// Restore covers reading the file, re-deriving every completed
-		// trial's injection plan for validation, and the rewrite.
+		// trial's injection plan for validation, and the rewrite. A
+		// fresh campaign only queues its header: the first commit's
+		// append creates the file with it.
 		restoreStart := time.Now()
 		err := e.restore(records, p.goldenStats)
 		if errors.Is(err, ErrCheckpointCorrupt) {
@@ -212,7 +217,11 @@ func (p *Prepared) Open(ctx context.Context) (*Session, error) {
 			clear(records)
 			err = nil
 		}
-		if err == nil {
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			s.ckpt = e.log(records, p.goldenStats)
+			err = s.ckpt.Encode(e.header(p.goldenStats))
+		case err == nil:
 			err = s.rewriteLocked()
 		}
 		span.RecordCtx(ctx, "fault", "checkpoint_restore", restoreStart, time.Now(), nil)

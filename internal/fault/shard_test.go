@@ -1,8 +1,10 @@
 package fault
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -121,7 +123,8 @@ func shardedCampaign(t *testing.T, prog *isa.Program, seedMem func(*isa.Memory),
 // local Run also cancels its outstanding trials at that append; a
 // RunRange+Commit session keeps the shard it committed. The append fails
 // because the test closes the session's file under it, once Open has
-// written the header.
+// rewritten the header-only checkpoint the test wrote first (a fresh
+// Open opens no file).
 func TestCheckpointWriteFailure(t *testing.T) {
 	prog, p := compiled(t, "gcc", core.Turnpike)
 	ctx := context.Background()
@@ -134,6 +137,11 @@ func TestCheckpointWriteFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		l, err := prep.e.rewrite(make([]*TrialRecord, cfg.Trials), prep.goldenStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
 		sess, err := prep.Open(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -375,6 +383,60 @@ func TestCommitDurableWithoutFinish(t *testing.T) {
 	}
 	if got := open().Completed(); got != 12 {
 		t.Errorf("reopened session holds %d trials, want 12", got)
+	}
+}
+
+// TestFreshCheckpointCreatedByFirstCommit: Open with no checkpoint file
+// writes nothing; the first commit creates the file, which restores its
+// records and holds the bytes an atomic rewrite of them would.
+func TestFreshCheckpointCreatedByFirstCommit(t *testing.T) {
+	prog, p := compiled(t, "gcc", core.Turnpike)
+	ctx := context.Background()
+	cfg := shardTestConfig()
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "fresh.ckpt.json")
+	prep, err := Prepare(ctx, prog, cfg, p.SeedMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := prep.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(cfg.Checkpoint); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a fresh Open left a checkpoint file (%v)", err)
+	}
+	sh, err := sess.RunRange(ctx, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Commit(sh); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := make([]*TrialRecord, cfg.Trials)
+	if err := prep.e.restore(records, prep.goldenStats); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range records {
+		if (rec != nil) != (i < 8) {
+			t.Fatalf("trial %d restored %v, want trials 0-7", i, rec != nil)
+		}
+	}
+	e := *prep.e
+	e.cfg.Checkpoint = filepath.Join(t.TempDir(), "rewritten.ckpt.json")
+	l, err := e.rewrite(records, prep.goldenStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if want, err := os.ReadFile(e.cfg.Checkpoint); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("first commit wrote\n%s\na rewrite of its records\n%s(%v)", got, want, err)
+	}
+	if _, err := sess.Finish(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

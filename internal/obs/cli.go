@@ -44,23 +44,23 @@ func (c *CLI) Serving() bool { return c.serve != "" }
 // NewManifest starts a manifest stamped with the tool name.
 func (c *CLI) NewManifest() *Manifest { return NewManifest(c.tool) }
 
-// StartServer starts the -serve server over the given snapshot provider,
-// indexing run manifests from the current directory. It returns nil when
-// -serve is unset. The bound address is announced on stderr so `-serve
-// :0` is usable.
-func (c *CLI) StartServer(snapshot func() Snapshot) (*Server, error) {
+// StartServer starts the -serve server over the given snapshot and
+// /live providers (ServerConfig), indexing run manifests from the
+// current directory; it does nothing when -serve is unset. The bound
+// address is announced on stderr so `-serve :0` is usable.
+func (c *CLI) StartServer(snapshot func() Snapshot, live func() func() any) error {
 	if c.serve == "" {
-		return nil, nil
+		return nil
 	}
-	srv := NewServer(ServerConfig{Snapshot: snapshot})
+	srv := NewServer(ServerConfig{Snapshot: snapshot, Live: live})
 	addr, err := srv.Start(c.serve)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.server = srv
 	fmt.Fprintf(os.Stderr, "%s: live observability on http://%s/ (metrics, snapshot.json, runs, live, debug/pprof)\n",
 		c.tool, addr)
-	return srv, nil
+	return nil
 }
 
 // CloseServer shuts the -serve server down, if one was started.

@@ -43,6 +43,9 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
+// Add adds n (which may be negative) to the value.
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
+
 // SetMax stores v if it exceeds the current value.
 func (g *Gauge) SetMax(v int64) {
 	for {

@@ -20,22 +20,26 @@ import (
 //	/metrics        current Snapshot in Prometheus text exposition
 //	/snapshot.json  current Snapshot as JSON (same payload the tools write)
 //	/runs           index of the on-disk run manifests in RunsDir
-//	/live           server-sent-event stream of progress samples (Publish)
+//	/live           server-sent-event stream of progress frames (Live)
 //	/debug/pprof/   the standard net/http/pprof handlers
 //
-// The Snapshot provider is called on every scrape, so it must be safe to
-// call concurrently with the run (Registry.Snapshot is).
+// The Snapshot and Live providers are called on every scrape and frame,
+// so they must be safe to call concurrently with the run
+// (Registry.Snapshot and a registry's gauges are).
 type Server struct {
 	cfg  ServerConfig
 	mux  *http.ServeMux
 	http *http.Server
 	ln   net.Listener
 
-	mu     sync.Mutex
-	subs   map[chan liveFrame]struct{}
-	seq    uint64
-	closed bool
+	// done is closed by Close and Shutdown; every /live stream ends on it.
+	done      chan struct{}
+	closeOnce sync.Once
 }
+
+// liveInterval is the period of a /live stream's frames after the one
+// it writes at connect.
+const liveInterval = 250 * time.Millisecond
 
 // ServerConfig parameterizes NewServer.
 type ServerConfig struct {
@@ -50,12 +54,11 @@ type ServerConfig struct {
 	// metrics in this registry: http.requests.<route>,
 	// http.errors.<route>, http.request_duration_us.<route>.
 	Instrument *Registry
-}
-
-// liveFrame is one queued SSE frame.
-type liveFrame struct {
-	event string
-	data  []byte
+	// Live, when set, is the source of /live's frames: each stream
+	// calls it once at connect for its own frame function, then writes
+	// that function's value as a "progress" event at connect and every
+	// 250 ms. Nil streams no frames.
+	Live func() func() any
 }
 
 // NewServer builds a server; call Start (own listener) or mount Handler.
@@ -66,7 +69,7 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.RunsDir == "" {
 		cfg.RunsDir = "."
 	}
-	s := &Server{cfg: cfg, subs: map[chan liveFrame]struct{}{}}
+	s := &Server{cfg: cfg, done: make(chan struct{})}
 	s.mux = http.NewServeMux()
 	s.Handle("/", http.HandlerFunc(s.handleIndex))
 	s.Handle("/metrics", http.HandlerFunc(s.handleMetrics))
@@ -116,84 +119,28 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// Close stops the listener immediately and disconnects every /live
-// subscriber. In-flight non-streaming requests are aborted; use Shutdown
-// for a graceful stop.
+// Close stops the listener immediately and ends every /live stream.
+// In-flight non-streaming requests are aborted; use Shutdown for a
+// graceful stop.
 func (s *Server) Close() error {
-	s.disconnectSubscribers()
+	s.closeOnce.Do(func() { close(s.done) })
 	if s.http != nil {
 		return s.http.Close()
 	}
 	return nil
 }
 
-// Shutdown stops the server gracefully: it first disconnects every /live
-// subscriber — without this the SSE handlers would never return and a
+// Shutdown stops the server gracefully: it first ends every /live
+// stream — without this the SSE handlers would never return and a
 // graceful shutdown could never complete — then lets in-flight scrape
-// requests finish, bounded by ctx. New subscriptions racing the shutdown
-// observe the closed state and return immediately instead of leaking a
-// blocked writer goroutine.
+// requests finish, bounded by ctx. A /live request racing the shutdown
+// returns at once.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.disconnectSubscribers()
+	s.closeOnce.Do(func() { close(s.done) })
 	if s.http != nil {
 		return s.http.Shutdown(ctx)
 	}
 	return nil
-}
-
-// disconnectSubscribers closes every /live channel and marks the server
-// closed so later subscribe calls get an already-closed channel.
-func (s *Server) disconnectSubscribers() {
-	s.mu.Lock()
-	s.closed = true
-	for ch := range s.subs {
-		close(ch)
-	}
-	s.subs = map[chan liveFrame]struct{}{}
-	s.mu.Unlock()
-}
-
-// Publish broadcasts one event to every /live subscriber as an SSE frame
-// with the given event name and v as the JSON payload. Slow subscribers
-// drop frames rather than stall the publisher.
-func (s *Server) Publish(event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		data = []byte(fmt.Sprintf("{\"error\":%q}", err.Error()))
-	}
-	s.mu.Lock()
-	s.seq++
-	for ch := range s.subs {
-		select {
-		case ch <- liveFrame{event: event, data: data}:
-		default: // subscriber not draining; drop
-		}
-	}
-	s.mu.Unlock()
-}
-
-func (s *Server) subscribe() chan liveFrame {
-	ch := make(chan liveFrame, 64)
-	s.mu.Lock()
-	if s.closed {
-		// A /live request racing Close/Shutdown: hand back a closed
-		// channel so the handler returns instead of blocking forever on a
-		// channel nobody will ever close again.
-		close(ch)
-	} else {
-		s.subs[ch] = struct{}{}
-	}
-	s.mu.Unlock()
-	return ch
-}
-
-func (s *Server) unsubscribe(ch chan liveFrame) {
-	s.mu.Lock()
-	if _, ok := s.subs[ch]; ok {
-		delete(s.subs, ch)
-		close(ch)
-	}
-	s.mu.Unlock()
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -276,10 +223,10 @@ func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(runs) //nolint:errcheck — client gone is not actionable
 }
 
-// handleLive streams Publish events as server-sent events until the client
-// disconnects or the server closes. Each frame is
+// handleLive streams the Live provider's frames as server-sent events
+// until the client disconnects or the server closes. Each frame is
 //
-//	event: <name>\n
+//	event: progress\n
 //	data: <json>\n\n
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
@@ -294,23 +241,28 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, ": turnpike live stream\n\n")
 	fl.Flush()
 
-	ch := s.subscribe()
-	defer s.unsubscribe(ch)
+	var frame func() any
+	if s.cfg.Live != nil {
+		frame = s.cfg.Live()
+	}
+	tick := time.NewTicker(liveInterval)
+	defer tick.Stop()
 	for {
+		if frame != nil {
+			data, err := json.Marshal(frame())
+			if err != nil {
+				data = []byte(fmt.Sprintf("{\"error\":%q}", err.Error()))
+			}
+			// SSE data must not contain raw newlines; compact JSON doesn't.
+			fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
+			fl.Flush()
+		}
 		select {
 		case <-r.Context().Done():
 			return
-		case f, open := <-ch:
-			if !open {
-				return
-			}
-			name := f.event
-			if name == "" {
-				name = "progress"
-			}
-			// SSE data must not contain raw newlines; compact JSON doesn't.
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, f.data)
-			fl.Flush()
+		case <-s.done:
+			return
+		case <-tick.C:
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -113,9 +114,24 @@ func TestServerRunsIndex(t *testing.T) {
 	}
 }
 
+// counterLive is a Live provider whose streams number their frames.
+func counterLive(streams *atomic.Int64) func() func() any {
+	return func() func() any {
+		streams.Add(1)
+		n := 0
+		return func() any {
+			n++
+			return map[string]any{"frame": n, "ipc": 0.8}
+		}
+	}
+}
+
+// TestServerLiveStream: a /live stream writes its first frame at
+// connect and the next one liveInterval later, from a frame function of
+// its own.
 func TestServerLiveStream(t *testing.T) {
-	reg := NewRegistry()
-	srv := NewServer(ServerConfig{Snapshot: reg.Snapshot})
+	var streams atomic.Int64
+	srv := NewServer(ServerConfig{Live: counterLive(&streams)})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -131,62 +147,60 @@ func TestServerLiveStream(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 
-	// Publish until the subscriber is registered and sees a frame.
-	done := make(chan struct{})
+	lines := make(chan string)
 	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				srv.Publish("progress", map[string]any{"cycles": 123, "ipc": 0.8})
-				time.Sleep(time.Millisecond)
-			}
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			lines <- sc.Text()
 		}
+		close(lines)
 	}()
-	defer close(done)
-
-	sc := bufio.NewScanner(resp.Body)
-	deadline := time.After(5 * time.Second)
-	var event, data string
-	for data == "" {
-		lineCh := make(chan bool, 1)
-		go func() { lineCh <- sc.Scan() }()
-		select {
-		case ok := <-lineCh:
-			if !ok {
-				t.Fatalf("stream ended early: %v", sc.Err())
+	start := time.Now()
+	for want := 1; want <= 2; want++ {
+		var event, data string
+		for data == "" {
+			select {
+			case line, ok := <-lines:
+				if !ok {
+					t.Fatal("stream ended early")
+				}
+				if v, ok := strings.CutPrefix(line, "event: "); ok {
+					event = v
+				}
+				if v, ok := strings.CutPrefix(line, "data: "); ok {
+					data = v
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no SSE frame %d within 5s", want)
 			}
-		case <-deadline:
-			t.Fatal("no SSE frame within 5s")
 		}
-		line := sc.Text()
-		if v, ok := strings.CutPrefix(line, "event: "); ok {
-			event = v
+		if event != "progress" {
+			t.Errorf("event = %q, want progress", event)
 		}
-		if v, ok := strings.CutPrefix(line, "data: "); ok {
-			data = v
+		var payload map[string]any
+		if err := json.Unmarshal([]byte(data), &payload); err != nil {
+			t.Fatalf("data not JSON: %q: %v", data, err)
+		}
+		if payload["frame"].(float64) != float64(want) {
+			t.Errorf("frame %d payload = %v", want, payload)
 		}
 	}
-	if event != "progress" {
-		t.Errorf("event = %q, want progress", event)
+	if d := time.Since(start); d < liveInterval {
+		t.Errorf("second frame after %v, want one liveInterval (%v) after the first", d, liveInterval)
 	}
-	var payload map[string]any
-	if err := json.Unmarshal([]byte(data), &payload); err != nil {
-		t.Fatalf("data not JSON: %q: %v", data, err)
-	}
-	if payload["cycles"].(float64) != 123 {
-		t.Errorf("payload = %v", payload)
+	if n := streams.Load(); n != 1 {
+		t.Errorf("Live called %d times for one stream", n)
 	}
 }
 
 // TestShutdownDisconnectsLiveSubscribers is the graceful-lifecycle
 // regression test: an open /live stream must not wedge Shutdown (SSE
-// handlers never finish on their own — the server has to close their
-// channels first), and the client's stream must end rather than block a
+// handlers never finish on their own — the server has to end their
+// streams first), and the client's stream must end rather than block a
 // writer goroutine forever.
 func TestShutdownDisconnectsLiveSubscribers(t *testing.T) {
-	srv := NewServer(ServerConfig{})
+	var streams atomic.Int64
+	srv := NewServer(ServerConfig{Live: counterLive(&streams)})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -197,8 +211,8 @@ func TestShutdownDisconnectsLiveSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	// Wait for the subscription to register so Shutdown has a live
-	// subscriber to disconnect (the handler writes its banner first).
+	// Wait for the stream to start so Shutdown has a live stream to end
+	// (the handler writes its banner first).
 	br := bufio.NewReader(resp.Body)
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatal(err)
@@ -230,12 +244,12 @@ func TestShutdownDisconnectsLiveSubscribers(t *testing.T) {
 	}
 }
 
-// TestLiveSubscribeAfterCloseReturns covers the race the closed flag
-// exists for: a /live request landing after Close must get a closed
-// channel and return immediately, not park a handler goroutine on a
-// subscription nobody will ever signal.
+// TestLiveSubscribeAfterCloseReturns covers a /live request landing
+// after Close: its handler must return at once, not park a goroutine on
+// a stream nobody will ever end.
 func TestLiveSubscribeAfterCloseReturns(t *testing.T) {
-	srv := NewServer(ServerConfig{})
+	var streams atomic.Int64
+	srv := NewServer(ServerConfig{Live: counterLive(&streams)})
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -685,9 +685,9 @@ func checkCutPredictions(t *testing.T, g *GoldenState) (cuts int) {
 		t.Fatal(err)
 	}
 	for _, st := range strikes(24, g.Stats().Insts) {
-		var pa, pb Progress
-		a.AttachProgress(&pa)
-		b.AttachProgress(&pb)
+		pa, pb := NewProgress(obs.NewRegistry()), NewProgress(obs.NewRegistry())
+		a.AttachProgress(pa)
+		b.AttachProgress(pb)
 		st.inject(t, g, a)
 		got, cut, err := g.RunCut(a, sh)
 		if err != nil {
@@ -698,9 +698,7 @@ func checkCutPredictions(t *testing.T, g *GoldenState) (cuts int) {
 		if want.Err != "" || got != want.Stats {
 			t.Fatalf("%+v (cut %v): RunCut returned %+v, the run from the start %+v (%s)", st, cut, got, want.Stats, want.Err)
 		}
-		if pa.Insts.Load() != pb.Insts.Load() || pa.Cycles.Load() != pb.Cycles.Load() ||
-			pa.Regions.Load() != pb.Regions.Load() || pa.RegionsVerified.Load() != pb.RegionsVerified.Load() ||
-			pa.Recoveries.Load() != pb.Recoveries.Load() {
+		if liveTotals(pa) != liveTotals(pb) {
 			t.Fatalf("%+v (cut %v): Progress totals differ from the run from the start's", st, cut)
 		}
 		if !cut {

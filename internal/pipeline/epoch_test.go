@@ -209,9 +209,9 @@ func checkResetAt(t *testing.T, gs *GoldenState, a, b *Sim, inst, at uint64) (co
 	}
 	counters = a.hier.L1D.Hits > 0 && a.hier.L1D.Misses > 0
 	// Neither has published anything, so both publish their whole run.
-	var pa, pb Progress
-	a.AttachProgress(&pa)
-	b.AttachProgress(&pb)
+	pa, pb := NewProgress(obs.NewRegistry()), NewProgress(obs.NewRegistry())
+	a.AttachProgress(pa)
+	b.AttachProgress(pb)
 	defer a.AttachProgress(nil)
 	defer b.AttachProgress(nil)
 	for _, s := range []*Sim{a, b} {
@@ -222,10 +222,8 @@ func checkResetAt(t *testing.T, gs *GoldenState, a, b *Sim, inst, at uint64) (co
 	if !sameSim(a, b) {
 		t.Fatalf("run resumed at %d instructions halts in another state than a run from the start", at)
 	}
-	if pa.Cycles.Load() != a.Stats.Cycles || pa.Insts.Load() != a.Stats.Insts ||
-		pa.Regions.Load() != a.Stats.RegionsExecuted || pa.RegionsVerified.Load() != a.Stats.RegionsVerified ||
-		pa.Insts.Load() != pb.Insts.Load() || pa.Cycles.Load() != pb.Cycles.Load() {
-		t.Fatalf("resumed at %d: Progress totals %d insts, %d cycles; run %+v", at, pa.Insts.Load(), pa.Cycles.Load(), a.Stats)
+	if got := liveTotals(pa); got != countsOf(a.Stats) || got != liveTotals(pb) {
+		t.Fatalf("resumed at %d: Progress totals %+v; run %+v", at, got, a.Stats)
 	}
 	ra, rb := obs.NewRegistry(), obs.NewRegistry()
 	a.FillMetrics(ra)

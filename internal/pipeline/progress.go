@@ -1,55 +1,58 @@
 package pipeline
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Live progress publication. A Progress is a goroutine-safe view of
-// in-flight simulation work: the simulator publishes atomic deltas once
-// every progressBatch simulated cycles and wherever a run ends (halt, a
-// step error, a reconvergence cut; nil-guarded, like the tracer/metrics
-// attachment), and a Sampler goroutine periodically turns the
-// accumulators into live.* gauges and ProgressSamples for the -serve SSE
-// stream. One Progress may be shared by many sequential or concurrent
-// simulations (fault-campaign trials, experiment sweeps); counters
-// accumulate across all of them, and once every run has ended they
-// equal the sums of the runs' Stats exactly.
+// Live progress publication. A Progress is a registry's live.* gauges,
+// resolved once: the simulator adds its counts to them once every
+// progressBatch simulated cycles and wherever a run ends (halt, a step
+// error, a reconvergence cut; nil-guarded, like the tracer/metrics
+// attachment), so /metrics reads them as published and a /live stream
+// samples them (Sampler). One Progress may be shared by many sequential
+// or concurrent simulations (fault-campaign trials, experiment sweeps);
+// counters accumulate across all of them, and once every run has ended
+// they equal the sums of the runs' Stats exactly.
 
 // progressBatch is how many simulated cycles a run accumulates before it
 // publishes: the publication's atomic adds, contended when campaign
 // workers share one Progress, then cost nothing per step.
 const progressBatch = 4096
 
-// Progress holds goroutine-safe accumulators for in-flight simulation
-// work. All counter fields only grow; SBOcc/CLQOcc are last-value gauges.
+// Progress holds the live.* gauges of one registry. The counts only
+// grow; Workers counts campaign workers running trials, and SBOcc and
+// CLQOcc hold the occupancies at the last publication.
 type Progress struct {
-	Cycles          atomic.Uint64 // simulated cycles retired
-	Insts           atomic.Uint64 // instructions retired
-	Regions         atomic.Uint64 // regions opened
-	RegionsVerified atomic.Uint64 // regions retired through verification
-	Recoveries      atomic.Uint64 // recovery episodes
-	Runs            atomic.Uint64 // completed simulations (campaign trials, sweep points)
-	Workers         atomic.Int64  // campaign workers currently running trials
-	Retries         atomic.Uint64 // campaign-service job attempts re-queued after transient failures
+	Cycles          *obs.Gauge // live.cycles: simulated cycles retired
+	Insts           *obs.Gauge // live.insts: instructions retired
+	Regions         *obs.Gauge // live.regions: regions opened
+	RegionsVerified *obs.Gauge // live.regions_verified: regions retired through verification
+	Recoveries      *obs.Gauge // live.recoveries: recovery episodes
+	Runs            *obs.Gauge // live.runs: completed simulations (campaign trials, sweep points)
+	Workers         *obs.Gauge // live.workers: campaign workers currently running trials
+	SBOcc           *obs.Gauge // live.sb_occupancy: store-buffer entries
+	CLQOcc          *obs.Gauge // live.clq_occupancy: CLQ occupancy (-1: no CLQ)
+}
 
-	SBOcc        atomic.Int64 // store-buffer entries at last publication
-	CLQOcc       atomic.Int64 // CLQ occupancy at last publication (-1: no CLQ)
-	JobsQueued   atomic.Int64 // campaign-service jobs waiting in the bounded queue
-	JobsRunning  atomic.Int64 // campaign-service jobs currently executing
-	BreakersOpen atomic.Int64 // campaign-service circuit breakers currently open
-
-	// Fleet gauges: the distributed-campaign coordinator's view of its
-	// worker fleet and lease table. FleetWorkers/FleetWorkersLost and
-	// LeasesActive are last-value gauges; LeasesExpired/LeasesStolen only
-	// grow.
-	FleetWorkers     atomic.Int64  // registered workers currently live
-	FleetWorkersLost atomic.Int64  // registered workers that stopped heartbeating
-	LeasesActive     atomic.Int64  // trial-range leases currently outstanding
-	LeasesExpired    atomic.Uint64 // leases reclaimed on deadline or worker loss
-	LeasesStolen     atomic.Uint64 // duplicate grants issued to outrun stragglers
+// NewProgress resolves reg's live.* gauges. A nil registry returns a nil
+// Progress, which publishes nothing.
+func NewProgress(reg *obs.Registry) *Progress {
+	if reg == nil {
+		return nil
+	}
+	return &Progress{
+		Cycles:          reg.Gauge("live.cycles"),
+		Insts:           reg.Gauge("live.insts"),
+		Regions:         reg.Gauge("live.regions"),
+		RegionsVerified: reg.Gauge("live.regions_verified"),
+		Recoveries:      reg.Gauge("live.recoveries"),
+		Runs:            reg.Gauge("live.runs"),
+		Workers:         reg.Gauge("live.workers"),
+		SBOcc:           reg.Gauge("live.sb_occupancy"),
+		CLQOcc:          reg.Gauge("live.clq_occupancy"),
+	}
 }
 
 // AttachProgress makes the simulator publish into p as it steps; nil
@@ -58,7 +61,7 @@ type Progress struct {
 func (s *Sim) AttachProgress(p *Progress) {
 	s.progress = p
 	if p != nil && s.clq == nil {
-		p.CLQOcc.Store(-1)
+		p.CLQOcc.Set(-1)
 	}
 }
 
@@ -85,26 +88,27 @@ func (s *Sim) FlushProgress() {
 func (s *Sim) publishProgress() {
 	p := s.progress
 	st := &s.Stats
-	p.Cycles.Add(st.Cycles - s.published.Cycles)
-	p.Insts.Add(st.Insts - s.published.Insts)
-	p.Regions.Add(st.RegionsExecuted - s.published.RegionsExecuted)
-	p.RegionsVerified.Add(st.RegionsVerified - s.published.RegionsVerified)
-	p.Recoveries.Add(st.Recoveries - s.published.Recoveries)
+	p.Cycles.Add(int64(st.Cycles - s.published.Cycles))
+	p.Insts.Add(int64(st.Insts - s.published.Insts))
+	p.Regions.Add(int64(st.RegionsExecuted - s.published.RegionsExecuted))
+	p.RegionsVerified.Add(int64(st.RegionsVerified - s.published.RegionsVerified))
+	p.Recoveries.Add(int64(st.Recoveries - s.published.Recoveries))
 	s.published.Cycles = st.Cycles
 	s.published.Insts = st.Insts
 	s.published.RegionsExecuted = st.RegionsExecuted
 	s.published.RegionsVerified = st.RegionsVerified
 	s.published.Recoveries = st.Recoveries
-	p.SBOcc.Store(int64(s.sb.len()))
+	p.SBOcc.Set(int64(s.sb.len()))
 	if s.clq != nil {
-		p.CLQOcc.Store(int64(s.clq.occupancy()))
+		p.CLQOcc.Set(int64(s.clq.occupancy()))
 	}
 }
 
-// ProgressSample is one sampler observation — the payload of a /live SSE
-// frame and the source of the live.* gauges.
+// ProgressSample is one /live frame: the Progress gauges, with the IPC
+// they give and the rate of simulated cycles since the stream's last
+// frame.
 type ProgressSample struct {
-	WallSeconds     float64 `json:"wall_seconds"`
+	WallSeconds     float64 `json:"wall_seconds"` // since NewSampler
 	Cycles          uint64  `json:"cycles"`
 	Insts           uint64  `json:"insts"`
 	IPC             float64 `json:"ipc"` // cumulative insts/cycles
@@ -114,141 +118,55 @@ type ProgressSample struct {
 	Recoveries      uint64  `json:"recoveries"`
 	Runs            uint64  `json:"runs"`
 	Workers         int64   `json:"workers"`
-	Retries         uint64  `json:"retries"`
 	SBOcc           int64   `json:"sb_occupancy"`
 	CLQOcc          int64   `json:"clq_occupancy"`
-	JobsQueued      int64   `json:"jobs_queued"`
-	JobsRunning     int64   `json:"jobs_running"`
-	BreakersOpen    int64   `json:"breakers_open"`
-
-	FleetWorkers     int64  `json:"fleet_workers"`
-	FleetWorkersLost int64  `json:"fleet_workers_lost"`
-	LeasesActive     int64  `json:"leases_active"`
-	LeasesExpired    uint64 `json:"leases_expired"`
-	LeasesStolen     uint64 `json:"leases_stolen"`
 }
 
-// Sampler periodically reads a Progress and publishes each observation as
-// live.* gauges in a registry (scraped by /metrics) and to an optional
-// callback (fanned to /live subscribers by the tools). Start it before the
-// run, Stop it after; Stop takes one final sample so short runs still
-// produce at least one observation.
+// Sampler turns a Progress into /live frames; its clock starts at
+// NewSampler.
 type Sampler struct {
-	progress *Progress
-	reg      *obs.Registry
-	interval time.Duration
-	onSample func(ProgressSample)
-
-	start      time.Time
-	lastCycles uint64
-	lastAt     time.Time
-	stop       chan struct{}
-	done       chan struct{}
+	p     *Progress
+	start time.Time
 }
 
-// NewSampler builds a sampler over p. reg and onSample may each be nil;
-// interval defaults to 250ms.
-func NewSampler(p *Progress, reg *obs.Registry, interval time.Duration, onSample func(ProgressSample)) *Sampler {
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	return &Sampler{
-		progress: p,
-		reg:      reg,
-		interval: interval,
-		onSample: onSample,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+// NewSampler returns a sampler over p, which must not be nil.
+func NewSampler(p *Progress) *Sampler {
+	return &Sampler{p: p, start: time.Now()}
+}
+
+// Stream returns one /live stream's frame function, the form
+// obs.ServerConfig.Live takes: each call samples the gauges, and its
+// cycle rate covers the time since the stream's previous frame (since
+// NewSampler for the first).
+func (sp *Sampler) Stream() func() any {
+	var last ProgressSample
+	return func() any {
+		last = sp.sample(last)
+		return last
 	}
 }
 
-// Start launches the sampling goroutine.
-func (sp *Sampler) Start() {
-	sp.start = time.Now()
-	sp.lastAt = sp.start
-	go func() {
-		defer close(sp.done)
-		t := time.NewTicker(sp.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-sp.stop:
-				sp.sample()
-				return
-			case <-t.C:
-				sp.sample()
-			}
-		}
-	}()
-}
-
-// Stop halts the goroutine after one final sample and waits for it.
-func (sp *Sampler) Stop() {
-	select {
-	case <-sp.stop:
-	default:
-		close(sp.stop)
-	}
-	<-sp.done
-}
-
-// Sample takes one observation immediately (also used by the goroutine).
-func (sp *Sampler) sample() ProgressSample {
-	now := time.Now()
-	p := sp.progress
+// sample reads the gauges into a frame whose cycle rate covers the time
+// since prev.
+func (sp *Sampler) sample(prev ProgressSample) ProgressSample {
+	p := sp.p
 	s := ProgressSample{
-		WallSeconds:     now.Sub(sp.start).Seconds(),
-		Cycles:          p.Cycles.Load(),
-		Insts:           p.Insts.Load(),
-		Regions:         p.Regions.Load(),
-		RegionsVerified: p.RegionsVerified.Load(),
-		Recoveries:      p.Recoveries.Load(),
-		Runs:            p.Runs.Load(),
-		Workers:         p.Workers.Load(),
-		Retries:         p.Retries.Load(),
-		SBOcc:           p.SBOcc.Load(),
-		CLQOcc:          p.CLQOcc.Load(),
-		JobsQueued:      p.JobsQueued.Load(),
-		JobsRunning:     p.JobsRunning.Load(),
-		BreakersOpen:    p.BreakersOpen.Load(),
-
-		FleetWorkers:     p.FleetWorkers.Load(),
-		FleetWorkersLost: p.FleetWorkersLost.Load(),
-		LeasesActive:     p.LeasesActive.Load(),
-		LeasesExpired:    p.LeasesExpired.Load(),
-		LeasesStolen:     p.LeasesStolen.Load(),
+		WallSeconds:     time.Since(sp.start).Seconds(),
+		Cycles:          uint64(p.Cycles.Value()),
+		Insts:           uint64(p.Insts.Value()),
+		Regions:         uint64(p.Regions.Value()),
+		RegionsVerified: uint64(p.RegionsVerified.Value()),
+		Recoveries:      uint64(p.Recoveries.Value()),
+		Runs:            uint64(p.Runs.Value()),
+		Workers:         p.Workers.Value(),
+		SBOcc:           p.SBOcc.Value(),
+		CLQOcc:          p.CLQOcc.Value(),
 	}
 	if s.Cycles > 0 {
 		s.IPC = float64(s.Insts) / float64(s.Cycles)
 	}
-	if dt := now.Sub(sp.lastAt).Seconds(); dt > 0 {
-		s.CyclesPerSecond = float64(s.Cycles-sp.lastCycles) / dt
-	}
-	sp.lastCycles = s.Cycles
-	sp.lastAt = now
-	if sp.reg != nil {
-		sp.reg.Gauge("live.cycles").Set(int64(s.Cycles))
-		sp.reg.Gauge("live.insts").Set(int64(s.Insts))
-		sp.reg.Gauge("live.ipc_milli").Set(int64(s.IPC * 1000))
-		sp.reg.Gauge("live.regions").Set(int64(s.Regions))
-		sp.reg.Gauge("live.regions_verified").Set(int64(s.RegionsVerified))
-		sp.reg.Gauge("live.recoveries").Set(int64(s.Recoveries))
-		sp.reg.Gauge("live.runs").Set(int64(s.Runs))
-		sp.reg.Gauge("live.workers").Set(s.Workers)
-		sp.reg.Gauge("live.retries").Set(int64(s.Retries))
-		sp.reg.Gauge("live.sb_occupancy").Set(s.SBOcc)
-		sp.reg.Gauge("live.clq_occupancy").Set(s.CLQOcc)
-		sp.reg.Gauge("live.jobs_queued").Set(s.JobsQueued)
-		sp.reg.Gauge("live.jobs_running").Set(s.JobsRunning)
-		sp.reg.Gauge("live.breakers_open").Set(s.BreakersOpen)
-		sp.reg.Gauge("live.fleet_workers").Set(s.FleetWorkers)
-		sp.reg.Gauge("live.fleet_workers_lost").Set(s.FleetWorkersLost)
-		sp.reg.Gauge("live.leases_active").Set(s.LeasesActive)
-		sp.reg.Gauge("live.leases_expired").Set(int64(s.LeasesExpired))
-		sp.reg.Gauge("live.leases_stolen").Set(int64(s.LeasesStolen))
-	}
-	if sp.onSample != nil {
-		sp.onSample(s)
+	if dt := s.WallSeconds - prev.WallSeconds; dt > 0 {
+		s.CyclesPerSecond = float64(s.Cycles-prev.Cycles) / dt
 	}
 	return s
 }

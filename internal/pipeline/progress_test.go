@@ -1,7 +1,9 @@
 package pipeline
 
 import (
-	"sync"
+	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,94 +26,109 @@ func newTestSim(t *testing.T) *Sim {
 	return s
 }
 
+// liveTotals returns the five counts p has received, as Stats fields.
+func liveTotals(p *Progress) Stats {
+	return Stats{Cycles: uint64(p.Cycles.Value()), Insts: uint64(p.Insts.Value()),
+		RegionsExecuted: uint64(p.Regions.Value()), RegionsVerified: uint64(p.RegionsVerified.Value()),
+		Recoveries: uint64(p.Recoveries.Value())}
+}
+
+// countsOf keeps the five counts of st a Progress receives.
+func countsOf(st Stats) Stats {
+	return Stats{Cycles: st.Cycles, Insts: st.Insts, RegionsExecuted: st.RegionsExecuted,
+		RegionsVerified: st.RegionsVerified, Recoveries: st.Recoveries}
+}
+
 // TestProgressMatchesStats runs one simulation with a Progress attached
-// and checks the accumulators land exactly on the final Stats.
+// and checks the registry's live.* gauges land exactly on the final
+// Stats.
 func TestProgressMatchesStats(t *testing.T) {
 	s := newTestSim(t)
-	var p Progress
-	s.AttachProgress(&p)
+	p := NewProgress(obs.NewRegistry())
+	s.AttachProgress(p)
 	st, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Cycles.Load(); got != st.Cycles {
-		t.Errorf("Progress.Cycles = %d, want %d", got, st.Cycles)
-	}
-	if got := p.Insts.Load(); got != st.Insts {
-		t.Errorf("Progress.Insts = %d, want %d", got, st.Insts)
-	}
-	if got := p.Regions.Load(); got != st.RegionsExecuted {
-		t.Errorf("Progress.Regions = %d, want %d", got, st.RegionsExecuted)
-	}
-	if got := p.RegionsVerified.Load(); got != st.RegionsVerified {
-		t.Errorf("Progress.RegionsVerified = %d, want %d", got, st.RegionsVerified)
+	if got := liveTotals(p); got != countsOf(st) {
+		t.Errorf("Progress holds %+v, want %+v", got, countsOf(st))
 	}
 	if st.RegionsVerified == 0 || st.RegionsVerified > st.RegionsExecuted {
 		t.Errorf("RegionsVerified = %d outside (0, RegionsExecuted=%d]",
 			st.RegionsVerified, st.RegionsExecuted)
 	}
-	if got := p.Recoveries.Load(); got != st.Recoveries {
-		t.Errorf("Progress.Recoveries = %d, want %d", got, st.Recoveries)
+	if p.CLQOcc.Value() < 0 {
+		t.Errorf("CLQOcc should be >= 0 on a CLQ config, got %d", p.CLQOcc.Value())
 	}
-	if p.CLQOcc.Load() < 0 {
-		t.Errorf("CLQOcc should be >= 0 on a CLQ config, got %d", p.CLQOcc.Load())
+}
+
+// TestNilRegistryPublishesNothing: a nil registry resolves to a nil
+// Progress, and a simulator with it attached runs detached.
+func TestNilRegistryPublishesNothing(t *testing.T) {
+	p := NewProgress(nil)
+	if p != nil {
+		t.Fatalf("NewProgress(nil) = %+v, want nil", p)
 	}
+	s := newTestSim(t)
+	s.AttachProgress(p)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.FlushProgress()
 }
 
 // TestProgressAccumulatesAcrossSims shares one Progress between two
 // sequential sims — the campaign/sweep usage — and expects sums.
 func TestProgressAccumulatesAcrossSims(t *testing.T) {
-	var p Progress
-	var wantCycles, wantInsts uint64
+	p := NewProgress(obs.NewRegistry())
+	var want Stats
 	for i := 0; i < 2; i++ {
 		s := newTestSim(t)
-		s.AttachProgress(&p)
+		s.AttachProgress(p)
 		st, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Runs.Add(1)
-		wantCycles += st.Cycles
-		wantInsts += st.Insts
+		want.Merge(&st)
 	}
-	if p.Cycles.Load() != wantCycles || p.Insts.Load() != wantInsts {
-		t.Errorf("accumulated cycles/insts = %d/%d, want %d/%d",
-			p.Cycles.Load(), p.Insts.Load(), wantCycles, wantInsts)
+	if got := liveTotals(p); got != countsOf(want) {
+		t.Errorf("accumulated %+v, want %+v", got, countsOf(want))
 	}
-	if p.Runs.Load() != 2 {
-		t.Errorf("Runs = %d, want 2", p.Runs.Load())
+	if p.Runs.Value() != 2 {
+		t.Errorf("Runs = %d, want 2", p.Runs.Value())
 	}
 }
 
-// TestSamplerLiveGauges runs the sampler goroutine concurrently with the
-// simulation hot loop — exactly the interleaving `go test -race` watches —
-// and checks the final sample and live.* gauges agree with the run.
+// TestSamplerLiveGauges samples a /live stream concurrently with the
+// simulation hot loop — exactly the interleaving `go test -race` watches
+// — and checks that frames never regress and that the last one, taken
+// after the run, and the registry's live.* gauges agree with it.
 func TestSamplerLiveGauges(t *testing.T) {
 	s := newTestSim(t)
-	var p Progress
-	s.AttachProgress(&p)
-
 	reg := obs.NewRegistry()
-	var mu sync.Mutex
-	var samples []ProgressSample
-	sp := NewSampler(&p, reg, time.Millisecond, func(ps ProgressSample) {
-		mu.Lock()
-		samples = append(samples, ps)
-		mu.Unlock()
-	})
-	sp.Start()
-	st, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Runs.Add(1)
-	sp.Stop()
+	p := NewProgress(reg)
+	s.AttachProgress(p)
+	frame := NewSampler(p).Stream()
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(samples) == 0 {
-		t.Fatal("sampler produced no samples")
+	var samples []ProgressSample
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := s.Run(); err != nil {
+			t.Error(err)
+		}
+		p.Runs.Add(1)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case <-time.After(time.Millisecond):
+		}
+		samples = append(samples, frame().(ProgressSample))
 	}
+	st := s.Stats
 	last := samples[len(samples)-1]
 	if last.Cycles != st.Cycles || last.Insts != st.Insts {
 		t.Errorf("final sample cycles/insts = %d/%d, want %d/%d",
@@ -125,7 +142,8 @@ func TestSamplerLiveGauges(t *testing.T) {
 	}
 	// Samples never regress: counters are monotone.
 	for i := 1; i < len(samples); i++ {
-		if samples[i].Cycles < samples[i-1].Cycles || samples[i].Insts < samples[i-1].Insts {
+		if samples[i].Cycles < samples[i-1].Cycles || samples[i].Insts < samples[i-1].Insts ||
+			samples[i].WallSeconds < samples[i-1].WallSeconds || samples[i].CyclesPerSecond < 0 {
 			t.Fatalf("sample %d went backwards: %+v then %+v", i, samples[i-1], samples[i])
 		}
 	}
@@ -139,25 +157,41 @@ func TestSamplerLiveGauges(t *testing.T) {
 	}
 }
 
-// TestSamplerServiceGauges covers the campaign-service accumulators: queue
-// depth, retry count, and open-breaker count flow from Progress through
-// the sample payload into live.* gauges like every pipeline counter.
+// TestSamplerServiceGauges: the campaign service's and fleet's figures
+// share the registry with the simulation's live.* gauges, but a /live
+// frame carries the simulation fields only; the others stay on
+// /metrics.
 func TestSamplerServiceGauges(t *testing.T) {
-	p := &Progress{}
-	p.JobsQueued.Store(3)
-	p.Retries.Add(2)
-	p.BreakersOpen.Store(1)
 	reg := obs.NewRegistry()
-	sp := NewSampler(p, reg, time.Hour, nil)
-	sp.start = time.Now()
-	s := sp.sample()
-	if s.JobsQueued != 3 || s.Retries != 2 || s.BreakersOpen != 1 {
-		t.Fatalf("sample = %+v", s)
+	p := NewProgress(reg)
+	p.Cycles.Add(100)
+	p.Insts.Add(80)
+	reg.Gauge("live.jobs_queued").Set(3)
+	reg.Counter("service.retries").Add(2)
+	reg.Gauge("live.breakers_open").Set(1)
+	b, err := json.Marshal(NewSampler(p).Stream()())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame map[string]any
+	if err := json.Unmarshal(b, &frame); err != nil {
+		t.Fatal(err)
+	}
+	var fields []string
+	for k := range frame {
+		fields = append(fields, k)
+	}
+	sort.Strings(fields)
+	if got, want := strings.Join(fields, " "), "clq_occupancy cycles cycles_per_second insts ipc "+
+		"recoveries regions regions_verified runs sb_occupancy wall_seconds workers"; got != want {
+		t.Errorf("frame fields %q, want %q", got, want)
+	}
+	if frame["ipc"] != 0.8 {
+		t.Errorf("frame ipc = %v, want 0.8", frame["ipc"])
 	}
 	snap := reg.Snapshot()
-	if snap.Gauges["live.jobs_queued"] != 3 ||
-		snap.Gauges["live.retries"] != 2 ||
+	if snap.Gauges["live.jobs_queued"] != 3 || snap.Counters["service.retries"] != 2 ||
 		snap.Gauges["live.breakers_open"] != 1 {
-		t.Fatalf("gauges = %+v", snap.Gauges)
+		t.Fatalf("registry = %+v", snap)
 	}
 }

@@ -118,9 +118,9 @@ func (cp *campaignPool) put(key campaignKey, p *fault.Prepared, reused bool) {
 // PrepareFunc: the one JobSpec → campaign mapping, shared by the
 // coordinator and its workers so identical specs compile identical
 // campaigns. The spec resolves once (fault.Spec.Resolve); the job adds
-// its workers, lease and checkpoint, and the process's
-// registry, live-progress gauges and structured logger (each may be
-// nil), so /metrics, /live, and the correlated log cover the jobs as
+// its workers, lease and checkpoint, and the process's registry and
+// structured logger (each may be nil), so /metrics, /live (the
+// registry's live.* gauges), and the correlated log cover the jobs as
 // they run. programs resolves "program:<fingerprint>" workloads; nil
 // rejects them.
 //
@@ -131,12 +131,11 @@ func (cp *campaignPool) put(key campaignKey, p *fault.Prepared, reused bool) {
 // counts service.prepare_reused and service.prepare_fresh, and a reused
 // job's trace holds a fault.reuse span where a fresh one holds the
 // golden runs.
-func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slog.Logger, programs ProgramResolver) PrepareFunc {
+func CampaignPrepare(reg *obs.Registry, logger *slog.Logger, programs ProgramResolver) PrepareFunc {
 	pool := &campaignPool{}
-	count := func(name string) {
-		if reg != nil {
-			reg.Counter(name).Inc()
-		}
+	reused, fresh := new(obs.Counter), new(obs.Counter)
+	if reg != nil {
+		reused, fresh = reg.Counter("service.prepare_reused"), reg.Counter("service.prepare_fresh")
 	}
 	return func(ctx context.Context, spec JobSpec, checkpoint string) (*fault.Prepared, func(), error) {
 		var entry *artifact.Entry
@@ -155,13 +154,13 @@ func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slo
 			return nil, nil, err
 		}
 		cfg.Workers, cfg.Lease, cfg.Checkpoint = spec.Workers, spec.Lease, checkpoint
-		cfg.Metrics, cfg.Progress, cfg.Logger = reg, progress, logger
+		cfg.Metrics, cfg.Logger = reg, logger
 		key := campaignKey{bench: spec.Bench, scale: spec.ScalePct, sim: cfg.Sim, runners: cfg.Runners()}
 		var p *fault.Prepared
 		idle := pool.take(key)
 		if idle != nil {
 			p, err = idle.Reuse(ctx, cfg)
-			count("service.prepare_reused")
+			reused.Inc()
 		} else {
 			var prog *isa.Program
 			var seedMem func(*isa.Memory)
@@ -174,7 +173,7 @@ func CampaignPrepare(reg *obs.Registry, progress *pipeline.Progress, logger *slo
 				return nil, nil, err
 			}
 			p, err = fault.Prepare(ctx, prog, cfg, seedMem)
-			count("service.prepare_fresh")
+			fresh.Inc()
 		}
 		if err != nil {
 			return nil, nil, err

@@ -13,7 +13,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
-	"repro/internal/pipeline"
 )
 
 // The fleet coordinator: the state machine that turns one machine's
@@ -160,11 +159,10 @@ type FleetConfig struct {
 	// PollInterval is the lease-poll cadence workers are told to use
 	// while the coordinator has no work for them. Default 250ms.
 	PollInterval time.Duration
-	// Progress, when set, receives the fleet gauges (live.fleet_workers,
-	// live.leases_stolen, ...).
-	Progress *pipeline.Progress
-	// Metrics, when set, receives fleet counters and per-worker
-	// throughput gauges.
+	// Metrics, when set, receives the fleet counters, each at zero from
+	// NewFleet on, and the live.fleet_workers, live.fleet_workers_lost
+	// and live.leases_active gauges. Without it the fleet counts in a
+	// registry of its own.
 	Metrics *obs.Registry
 	// Logger, when set, receives worker/lease lifecycle records.
 	Logger *slog.Logger
@@ -216,6 +214,10 @@ func (fj *fleetJob) wake() {
 type Fleet struct {
 	cfg FleetConfig
 	log *slog.Logger
+	// reg is cfg.Metrics, else the fleet's own registry; the gauges count
+	// live and lost workers and active leases.
+	reg                                  *obs.Registry
+	liveWorkers, lostWorkers, liveLeases *obs.Gauge
 
 	mu         sync.Mutex
 	workers    map[string]*fleetWorker
@@ -245,6 +247,16 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		f.log = cfg.Logger
 	} else {
 		f.log = olog.Nop()
+	}
+	f.reg = cfg.Metrics
+	if f.reg == nil {
+		f.reg = obs.NewRegistry()
+	}
+	f.liveWorkers = f.reg.Gauge("live.fleet_workers")
+	f.lostWorkers = f.reg.Gauge("live.fleet_workers_lost")
+	f.liveLeases = f.reg.Gauge("live.leases_active")
+	for _, name := range fleetCounters {
+		f.reg.Counter(name)
 	}
 	return f
 }
@@ -353,9 +365,6 @@ func (f *Fleet) Lease(workerID string) (*LeaseGrant, error) {
 	if grant != nil {
 		if stole != nil {
 			f.count("fleet.leases_stolen")
-			if f.cfg.Progress != nil {
-				f.cfg.Progress.LeasesStolen.Add(1)
-			}
 			f.log.Info("lease stolen: straggler duplicated",
 				"lease", grant.LeaseID, "from_lease", stole.ID, "from_worker", stole.Worker,
 				"worker", workerID, "lo", grant.Lo, "hi", grant.Hi)
@@ -652,9 +661,6 @@ func (f *Fleet) loseSilentLocked(now time.Time) {
 func (f *Fleet) expireLocked(l *Lease) {
 	l.State = LeaseExpired
 	f.count("fleet.leases_expired")
-	if f.cfg.Progress != nil {
-		f.cfg.Progress.LeasesExpired.Add(1)
-	}
 	if fj := f.jobLocked(l.JobID); fj != nil {
 		f.requeueLocked(fj, l)
 	}
@@ -893,8 +899,7 @@ func (f *Fleet) Snapshot() Status {
 	return st
 }
 
-// updateGaugesLocked refreshes the Progress fleet gauges and the
-// per-worker throughput gauges. Caller holds f.mu.
+// updateGaugesLocked refreshes the live fleet gauges. Caller holds f.mu.
 func (f *Fleet) updateGaugesLocked() {
 	live, lost := 0, 0
 	for _, w := range f.workers {
@@ -911,27 +916,16 @@ func (f *Fleet) updateGaugesLocked() {
 			active++
 		}
 	}
-	if p := f.cfg.Progress; p != nil {
-		p.FleetWorkers.Store(int64(live))
-		p.FleetWorkersLost.Store(int64(lost))
-		p.LeasesActive.Store(int64(active))
-	}
-	if m := f.cfg.Metrics; m != nil {
-		now := f.cfg.Now()
-		for _, w := range f.workers {
-			rate := int64(0)
-			if w.Trials > 0 && !w.acceptStart.IsZero() {
-				if window := now.Sub(w.acceptStart).Seconds(); window > 0 {
-					rate = int64(float64(w.Trials) / window * 1000)
-				}
-			}
-			m.Gauge("fleet.worker_trials_per_sec_milli." + w.ID).Set(rate)
-		}
-	}
+	f.liveWorkers.Set(int64(live))
+	f.lostWorkers.Set(int64(lost))
+	f.liveLeases.Set(int64(active))
 }
 
-func (f *Fleet) count(name string) {
-	if f.cfg.Metrics != nil {
-		f.cfg.Metrics.Counter(name).Inc()
-	}
+// fleetCounters are the counters NewFleet registers, so /metrics lists
+// each at zero before its first event.
+var fleetCounters = []string{
+	"fleet.leases_granted", "fleet.leases_stolen", "fleet.leases_expired",
+	"fleet.shards_accepted", "fleet.shards_duplicate", "fleet.workers_quarantined",
 }
+
+func (f *Fleet) count(name string) { f.reg.Counter(name).Inc() }

@@ -29,7 +29,6 @@ import (
 	turnpike "repro"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/service"
 )
 
@@ -79,21 +78,18 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 	// Coordinator: fleet-executor service with tight liveness timings so
 	// the killed worker is declared lost within the test's patience.
 	reg := obs.NewRegistry()
-	progress := &pipeline.Progress{}
 	fleet := service.NewFleet(service.FleetConfig{
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatMisses:   3,
 		LeaseTTL:          2 * time.Second,
 		StealAfter:        500 * time.Millisecond,
 		PollInterval:      10 * time.Millisecond,
-		Progress:          progress,
 		Metrics:           reg,
 	})
 	svc, err := service.New(service.Config{
 		StateDir: t.TempDir(),
-		Executor: &service.FleetExecutor{Fleet: fleet, Prepare: service.CampaignPrepare(nil, nil, nil, nil)},
+		Executor: &service.FleetExecutor{Fleet: fleet, Prepare: service.CampaignPrepare(nil, nil, nil)},
 		Fleet:    fleet,
-		Progress: progress,
 		Metrics:  reg,
 		Logger:   service.TLogger(t),
 	})
@@ -102,9 +98,6 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 	}
 	svc.Start()
 	defer svc.Shutdown(context.Background())
-	sampler := pipeline.NewSampler(progress, reg, 20*time.Millisecond, nil)
-	sampler.Start()
-	defer sampler.Stop()
 
 	obsSrv := obs.NewServer(obs.ServerConfig{Snapshot: reg.Snapshot})
 	svc.Mount(obsSrv)
@@ -134,7 +127,7 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 	} {
 		w, err := service.NewWorkerClient(service.WorkerConfig{
 			Coordinator: ts.URL,
-			Prepare:     service.CampaignPrepare(nil, nil, nil, nil),
+			Prepare:     service.CampaignPrepare(nil, nil, nil),
 			Client: &http.Client{
 				Transport: service.NewChaosTransport(wc.base, wc.seed, *chaosDrop, *chaosDup, *chaosDelay),
 			},
@@ -253,7 +246,8 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 		t.Log("campaign finished before the victim was declared lost; byte identity still held")
 	}
 
-	// The fleet gauges are on /metrics in Prometheus exposition.
+	// The fleet gauges and lease counters are on /metrics in Prometheus
+	// exposition.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +258,11 @@ func TestFleetChaosKillWorkerByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The exposition format sanitizes "live.fleet_workers" to
-	// "live_fleet_workers" (obs.PromName).
-	for _, gauge := range []string{"live_fleet_workers", "live_leases_stolen", "live_leases_expired"} {
-		if !strings.Contains(string(body), gauge) {
-			t.Errorf("/metrics missing %s", gauge)
+	// "live_fleet_workers" and suffixes counters with _total
+	// (obs.PromName).
+	for _, name := range []string{"live_fleet_workers", "fleet_leases_stolen_total", "fleet_leases_expired_total"} {
+		if !strings.Contains(string(body), name) {
+			t.Errorf("/metrics missing %s", name)
 		}
 	}
 }
@@ -300,7 +295,7 @@ func TestFleetAdversarialJobByteIdentical(t *testing.T) {
 	fleet := service.NewFleet(service.FleetConfig{HeartbeatInterval: 50 * time.Millisecond, PollInterval: 10 * time.Millisecond})
 	svc, err := service.New(service.Config{
 		StateDir: t.TempDir(),
-		Executor: &service.FleetExecutor{Fleet: fleet, Prepare: service.CampaignPrepare(nil, nil, nil, nil)},
+		Executor: &service.FleetExecutor{Fleet: fleet, Prepare: service.CampaignPrepare(nil, nil, nil)},
 		Fleet:    fleet,
 		Logger:   service.TLogger(t),
 	})
@@ -322,7 +317,7 @@ func TestFleetAdversarialJobByteIdentical(t *testing.T) {
 	}()
 	for range 2 {
 		w, err := service.NewWorkerClient(service.WorkerConfig{Coordinator: ts.URL,
-			Prepare: service.CampaignPrepare(nil, nil, nil, nil)})
+			Prepare: service.CampaignPrepare(nil, nil, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // fakeClock is the deterministic time source behind FleetConfig.Now: the
@@ -57,7 +56,7 @@ func fleetSpec(trials, lease int) JobSpec {
 func fleetSession(t *testing.T, trials, lease int, ckpt string) (*fault.Session, JobSpec) {
 	t.Helper()
 	spec := fleetSpec(trials, lease)
-	p, _, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), spec, ckpt)
+	p, _, err := CampaignPrepare(nil, nil, nil)(context.Background(), spec, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func fleetSession(t *testing.T, trials, lease int, ckpt string) (*fault.Session,
 // fleetReference runs the identical campaign uninterrupted on one node.
 func fleetReference(t *testing.T, trials int) *fault.Result {
 	t.Helper()
-	p, _, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), fleetSpec(trials, 0), "")
+	p, _, err := CampaignPrepare(nil, nil, nil)(context.Background(), fleetSpec(trials, 0), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func fleetReference(t *testing.T, trials int) *fault.Result {
 // tests.
 func LocalFleet(cfg Config, logger *slog.Logger, programs ProgramResolver) Config {
 	cfg.Fleet = NewFleet(FleetConfig{})
-	cfg.Executor = &FleetExecutor{Fleet: cfg.Fleet, Prepare: CampaignPrepare(nil, nil, logger, programs)}
+	cfg.Executor = &FleetExecutor{Fleet: cfg.Fleet, Prepare: CampaignPrepare(nil, logger, programs)}
 	return cfg
 }
 
@@ -124,11 +123,11 @@ func TestFleetLeaseExpiryAtCheckpointWatermark(t *testing.T) {
 	}
 	const trials, lease = 24, 8
 	clk := newFakeClock()
-	progress := &pipeline.Progress{}
+	reg := obs.NewRegistry()
 	f := NewFleet(FleetConfig{
 		HeartbeatInterval: time.Hour, // liveness is not under test here
 		LeaseTTL:          10 * time.Second,
-		Progress:          progress,
+		Metrics:           reg,
 		Now:               clk.Now,
 	})
 	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt.json")
@@ -162,13 +161,13 @@ func TestFleetLeaseExpiryAtCheckpointWatermark(t *testing.T) {
 	// Exactly at the deadline: still live (expiry is now.After(Deadline)).
 	clk.Advance(10 * time.Second)
 	f.Tick()
-	if got := progress.LeasesExpired.Load(); got != 0 {
+	if got := reg.Counter("fleet.leases_expired").Value(); got != 0 {
 		t.Fatalf("lease expired exactly at its deadline (expired=%d)", got)
 	}
 	// One instant past: reclaimed, range requeued, watermark untouched.
 	clk.Advance(time.Nanosecond)
 	f.Tick()
-	if got := progress.LeasesExpired.Load(); got != 1 {
+	if got := reg.Counter("fleet.leases_expired").Value(); got != 1 {
 		t.Fatalf("leases_expired = %d after deadline passed, want 1", got)
 	}
 	if got := sess.Completed(); got != lease {
@@ -222,12 +221,12 @@ func TestFleetWorkStealingDuplicateCompletion(t *testing.T) {
 	}
 	const trials = 32
 	clk := newFakeClock()
-	progress := &pipeline.Progress{}
+	reg := obs.NewRegistry()
 	f := NewFleet(FleetConfig{
 		HeartbeatInterval: time.Hour,
 		LeaseTTL:          time.Hour, // only stealing moves work in this test
 		StealAfter:        5 * time.Second,
-		Progress:          progress,
+		Metrics:           reg,
 		Now:               clk.Now,
 	})
 	sess, spec := fleetSession(t, trials, 16, "")
@@ -260,7 +259,7 @@ func TestFleetWorkStealingDuplicateCompletion(t *testing.T) {
 	if err != nil || stolen == nil || stolen.Lo != 0 || stolen.Hi != 16 {
 		t.Fatalf("steal grant = %+v, %v; want duplicate of [0,16)", stolen, err)
 	}
-	if got := progress.LeasesStolen.Load(); got != 1 {
+	if got := reg.Counter("fleet.leases_stolen").Value(); got != 1 {
 		t.Fatalf("leases_stolen = %d, want 1", got)
 	}
 	var stolenRec *Lease
@@ -331,12 +330,12 @@ func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 	}
 	const trials = 16
 	clk := newFakeClock()
-	progress := &pipeline.Progress{}
+	reg := obs.NewRegistry()
 	f := NewFleet(FleetConfig{
 		HeartbeatInterval: time.Second,
 		HeartbeatMisses:   3,
 		LeaseTTL:          time.Hour, // only heartbeat loss reclaims here
-		Progress:          progress,
+		Metrics:           reg,
 		Now:               clk.Now,
 	})
 	sess, spec := fleetSession(t, trials, 8, "")
@@ -353,10 +352,10 @@ func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 	clk.Advance(3*time.Second + time.Millisecond)
 	f.Tick()
 	st := f.Snapshot()
-	if st.WorkersLost != 1 || progress.FleetWorkersLost.Load() != 1 {
-		t.Fatalf("workers lost = %d (gauge %d), want 1", st.WorkersLost, progress.FleetWorkersLost.Load())
+	if st.WorkersLost != 1 || reg.Gauge("live.fleet_workers_lost").Value() != 1 {
+		t.Fatalf("workers lost = %d (gauge %d), want 1", st.WorkersLost, reg.Gauge("live.fleet_workers_lost").Value())
 	}
-	if got := progress.LeasesExpired.Load(); got != 1 {
+	if got := reg.Counter("fleet.leases_expired").Value(); got != 1 {
 		t.Fatalf("leases_expired = %d, want 1", got)
 	}
 
@@ -578,11 +577,11 @@ func TestReadyzReportsFleetHealth(t *testing.T) {
 // keeps beating stays live.
 func TestIdleFleetDeclaresSilentWorkerLost(t *testing.T) {
 	clk := newFakeClock()
-	progress := &pipeline.Progress{}
+	reg := obs.NewRegistry()
 	fleet := NewFleet(FleetConfig{
 		HeartbeatInterval: time.Second,
 		HeartbeatMisses:   3,
-		Progress:          progress,
+		Metrics:           reg,
 		Now:               clk.Now,
 	})
 	s := newTestService(t, Config{Fleet: fleet})
@@ -597,8 +596,8 @@ func TestIdleFleetDeclaresSilentWorkerLost(t *testing.T) {
 	}
 	lost := func() int {
 		st := fleet.Snapshot()
-		if st.WorkersLive+st.WorkersLost != 2 || progress.FleetWorkersLost.Load() != int64(st.WorkersLost) {
-			t.Fatalf("snapshot %d live, %d lost; gauge %d lost", st.WorkersLive, st.WorkersLost, progress.FleetWorkersLost.Load())
+		if st.WorkersLive+st.WorkersLost != 2 || reg.Gauge("live.fleet_workers_lost").Value() != int64(st.WorkersLost) {
+			t.Fatalf("snapshot %d live, %d lost; gauge %d lost", st.WorkersLive, st.WorkersLost, reg.Gauge("live.fleet_workers_lost").Value())
 		}
 		return st.WorkersLost
 	}

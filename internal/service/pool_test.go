@@ -89,7 +89,7 @@ func TestCampaignPoolReusesOnlyTheSameCampaign(t *testing.T) {
 	}
 	store, entry := storedKernel(t)
 	reg := obs.NewRegistry()
-	fe := &FleetExecutor{Fleet: NewFleet(FleetConfig{}), Prepare: CampaignPrepare(reg, nil, nil, store.Entry)}
+	fe := &FleetExecutor{Fleet: NewFleet(FleetConfig{}), Prepare: CampaignPrepare(reg, nil, store.Entry)}
 	gcc := func(seed int64) JobSpec {
 		return JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 24, Seed: seed, ScalePct: 5, FailureBudget: -1},
 			Workers: 2}
@@ -159,7 +159,7 @@ func TestCampaignPoolOutlastsOneOffPrograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	fe := &FleetExecutor{Fleet: NewFleet(FleetConfig{}), Prepare: CampaignPrepare(reg, nil, nil, store.Entry)}
+	fe := &FleetExecutor{Fleet: NewFleet(FleetConfig{}), Prepare: CampaignPrepare(reg, nil, store.Entry)}
 	gcc := JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 24, Seed: 1, ScalePct: 5, FailureBudget: -1}, Workers: 2}
 	program := func(e *artifact.Entry) JobSpec {
 		return JobSpec{Spec: fault.Spec{Bench: fault.ProgramPrefix + e.Fingerprint, Trials: 24, Seed: 1,
@@ -196,7 +196,7 @@ func TestCampaignPoolConcurrentJobs(t *testing.T) {
 		t.Skip("real campaigns")
 	}
 	reg := obs.NewRegistry()
-	prepare := CampaignPrepare(reg, nil, nil, nil)
+	prepare := CampaignPrepare(reg, nil, nil)
 	var mu sync.Mutex
 	held, both := 0, make(chan struct{})
 	fleet := NewFleet(FleetConfig{})
@@ -255,7 +255,7 @@ func TestWorkerLeasesShareThePool(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	w, err := NewWorkerClient(WorkerConfig{Coordinator: "http://127.0.0.1:1",
-		Prepare: CampaignPrepare(reg, nil, nil, nil)})
+		Prepare: CampaignPrepare(reg, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestWorkerLeasesShareThePool(t *testing.T) {
 	}
 	var jobs []*job
 	for i, spec := range []JobSpec{specA, specB} {
-		p, _, err := CampaignPrepare(nil, nil, nil, nil)(context.Background(), spec, "")
+		p, _, err := CampaignPrepare(nil, nil, nil)(context.Background(), spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestCampaignPoolHandsOnExclusively(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real campaigns")
 	}
-	prepare := CampaignPrepare(nil, nil, nil, nil)
+	prepare := CampaignPrepare(nil, nil, nil)
 	spec := JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 16, Seed: 1, ScalePct: 4, FailureBudget: -1}, Workers: 2}
 	first, release, err := prepare(context.Background(), spec, "")
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
 	"repro/internal/obs/span"
-	"repro/internal/pipeline"
 	"repro/internal/tenant"
 )
 
@@ -63,13 +62,11 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// RetryAfter is the backpressure hint returned with 429s. Default 5s.
 	RetryAfter time.Duration
-	// Progress, when set, receives the live queue-depth, retry, and
-	// open-breaker gauges (and is handed to campaigns when the daemon
-	// wires it into CampaignPrepare).
-	Progress *pipeline.Progress
 	// Metrics, when set, receives service counters (submitted, done,
-	// failed, retried, rejected, breaker trips) and the RED latency
-	// histograms (queue wait, attempt latency).
+	// failed, retried, rejected, breaker trips), each at zero from New
+	// on, the RED latency histograms (queue wait, attempt latency), and
+	// the live.jobs_queued, live.jobs_running and live.breakers_open
+	// gauges. Without it the service counts in a registry of its own.
 	Metrics *obs.Registry
 	// Logger, when set, receives the service's structured log: one
 	// record per job state transition, breaker/retry events, and the
@@ -188,11 +185,14 @@ type Service struct {
 	cfg Config
 	// log is cfg.Logger, else a nop. Never nil.
 	log *slog.Logger
-	// queueWait and attemptLat are the service's RED histograms (nil
-	// without cfg.Metrics): how long jobs sit queued before a worker
-	// picks them up, and how long one executor attempt takes.
-	queueWait  *obs.Histogram
-	attemptLat *obs.Histogram
+	// reg is cfg.Metrics, else the service's own registry. queueWait and
+	// attemptLat are its RED histograms: how long jobs sit queued before
+	// a worker picks them up, and how long one executor attempt takes.
+	// The gauges count queued and running jobs and open breakers.
+	reg                                   *obs.Registry
+	queueWait                             *obs.Histogram
+	attemptLat                            *obs.Histogram
+	jobsQueued, jobsRunning, breakersOpen *obs.Gauge
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -237,12 +237,20 @@ func New(cfg Config) (*Service, error) {
 	if s.log == nil {
 		s.log = olog.Nop()
 	}
-	if cfg.Metrics != nil {
-		// Microsecond buckets spanning 1µs..~17min: queue waits are
-		// milliseconds under light load but reach minutes behind a
-		// saturated queue or a long backoff.
-		s.queueWait = cfg.Metrics.Histogram("service.queue_wait_us", obs.ExpBuckets(1, 4, 16))
-		s.attemptLat = cfg.Metrics.Histogram("service.attempt_latency_us", obs.ExpBuckets(1, 4, 16))
+	s.reg = cfg.Metrics
+	if s.reg == nil {
+		s.reg = obs.NewRegistry()
+	}
+	// Microsecond buckets spanning 1µs..~17min: queue waits are
+	// milliseconds under light load but reach minutes behind a saturated
+	// queue or a long backoff.
+	s.queueWait = s.reg.Histogram("service.queue_wait_us", obs.ExpBuckets(1, 4, 16))
+	s.attemptLat = s.reg.Histogram("service.attempt_latency_us", obs.ExpBuckets(1, 4, 16))
+	s.jobsQueued = s.reg.Gauge("live.jobs_queued")
+	s.jobsRunning = s.reg.Gauge("live.jobs_running")
+	s.breakersOpen = s.reg.Gauge("live.breakers_open")
+	for _, name := range serviceCounters {
+		s.reg.Counter(name)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.loadState(); err != nil {
@@ -549,7 +557,7 @@ func (s *Service) runJob(id string) {
 	j.State = StateRunning
 	j.Attempts++
 	j.StartedAt = s.now()
-	if s.queueWait != nil && !j.queuedAt.IsZero() {
+	if !j.queuedAt.IsZero() {
 		s.queueWait.Observe(uint64(j.StartedAt.Sub(j.queuedAt).Microseconds()))
 	}
 	// jobCtx re-roots the correlation chain recorded at submission: the
@@ -570,6 +578,7 @@ func (s *Service) runJob(id string) {
 		runCtx, cancel = context.WithTimeout(jobCtx, s.cfg.JobDeadline)
 	}
 	s.running[id] = cancel
+	s.updateGauges()
 	ckpt := filepath.Join(s.cfg.StateDir, j.Checkpoint)
 	spec := j.Spec
 	attempt := j.Attempts
@@ -597,9 +606,7 @@ func (s *Service) runJob(id string) {
 	// that sees the outcome also sees every span of the attempt.
 	settleCtx, settle := span.Start(jobCtx, "service", "settle")
 	cancel()
-	if s.attemptLat != nil {
-		s.attemptLat.Observe(uint64(elapsed.Microseconds()))
-	}
+	s.attemptLat.Observe(uint64(elapsed.Microseconds()))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -644,9 +651,6 @@ func (s *Service) runJob(id string) {
 			j.State = StateRetrying
 			j.backoffAt = now
 			delay := s.backoff(j.Attempts)
-			if s.cfg.Progress != nil {
-				s.cfg.Progress.Retries.Add(1)
-			}
 			s.count("service.retries")
 			s.log.WarnContext(jobCtx, "attempt failed (transient); retrying",
 				"attempt", attempt, "error", err.Error(),
@@ -777,29 +781,32 @@ func (s *Service) breakerFor(workload string) *breaker {
 	return b
 }
 
-// updateGauges refreshes the Progress gauges. Caller holds s.mu.
+// updateGauges refreshes the live job and breaker gauges. Caller holds
+// s.mu.
 func (s *Service) updateGauges() {
-	if s.cfg.Progress == nil {
-		return
-	}
-	s.cfg.Progress.JobsQueued.Store(int64(len(s.pending)))
-	s.cfg.Progress.JobsRunning.Store(int64(len(s.running)))
+	s.jobsQueued.Set(int64(len(s.pending)))
+	s.jobsRunning.Set(int64(len(s.running)))
 	open := 0
 	for _, b := range s.breakers {
 		if b.isOpen {
 			open++
 		}
 	}
-	s.cfg.Progress.BreakersOpen.Store(int64(open))
+	s.breakersOpen.Set(int64(open))
 }
 
-// count bumps a service counter when a registry is attached. Caller
-// holds s.mu (obs counters are goroutine-safe; the lock is incidental).
-func (s *Service) count(name string) {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Counter(name).Inc()
-	}
+// serviceCounters are the counters New registers, so /metrics lists
+// each at zero before its first event.
+var serviceCounters = []string{
+	"service.jobs_submitted", "service.jobs_done", "service.jobs_failed", "service.jobs_canceled",
+	"service.retries", "service.breaker_trips", "service.rejected_breaker",
+	"service.rejected_backpressure", "service.rejected_quota", "service.rejected_ratelimit",
+	"service.programs_accepted", "service.programs_rejected",
 }
+
+// count bumps a service counter. Caller holds s.mu (obs counters are
+// goroutine-safe; the lock is incidental).
+func (s *Service) count(name string) { s.reg.Counter(name).Inc() }
 
 // logf renders a printf-style line through the structured logger at
 // Info.

@@ -22,7 +22,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
-	"repro/internal/pipeline"
 )
 
 // execFunc adapts a plain function to Executor: the test fakes' seam.
@@ -113,12 +112,12 @@ func TestSubmitValidation(t *testing.T) {
 // Retry-After hint — over HTTP, a 429 with the header set.
 func TestBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	progress := &pipeline.Progress{}
+	reg := obs.NewRegistry()
 	s := newTestService(t, Config{
 		QueueDepth:  2,
 		Concurrency: 1,
 		RetryAfter:  7 * time.Second,
-		Progress:    progress,
+		Metrics:     reg,
 		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			select {
 			case <-release:
@@ -146,8 +145,8 @@ func TestBackpressure(t *testing.T) {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	if got := progress.JobsQueued.Load(); got != 2 {
-		t.Errorf("JobsQueued gauge = %d, want 2", got)
+	if got := reg.Gauge("live.jobs_queued").Value(); got != 2 {
+		t.Errorf("live.jobs_queued = %d, want 2", got)
 	}
 	if !s.Saturated() {
 		t.Error("Saturated() = false with a full queue")
@@ -195,15 +194,63 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestJobsRunningGauge: live.jobs_running counts a job from the moment
+// it is running, not from the next queue change on, and drops once it
+// is done.
+func TestJobsRunningGauge(t *testing.T) {
+	release := make(chan struct{})
+	reg := obs.NewRegistry()
+	s := newTestService(t, Config{
+		Metrics: reg,
+		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
+			<-release
+			return instantExec(ctx, spec, "")
+		}),
+	})
+	s.Start()
+	defer s.Shutdown(context.Background())
+	j, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "gcc"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, j.ID, StateRunning)
+	if got := reg.Gauge("live.jobs_running").Value(); got != 1 {
+		t.Errorf("live.jobs_running = %d while the job runs, want 1", got)
+	}
+	close(release)
+	waitState(t, s, j.ID, StateDone)
+	if got := reg.Gauge("live.jobs_running").Value(); got != 0 {
+		t.Errorf("live.jobs_running = %d once the job is done, want 0", got)
+	}
+}
+
+// TestMetricsAtZeroFromBoot: the service's and the fleet's live gauges
+// and the counters that replaced the live retry and lease figures are on
+// /metrics from boot, so a check for a name never waits on an event.
+func TestMetricsAtZeroFromBoot(t *testing.T) {
+	reg := obs.NewRegistry()
+	newTestService(t, Config{Metrics: reg, Fleet: NewFleet(FleetConfig{Metrics: reg})})
+	snap := reg.Snapshot()
+	for _, name := range []string{"service.retries", "fleet.leases_stolen", "fleet.leases_expired"} {
+		if v, ok := snap.Counters[name]; !ok || v != 0 {
+			t.Errorf("counter %s = %d (present %v), want 0 at boot", name, v, ok)
+		}
+	}
+	for _, name := range []string{"live.jobs_queued", "live.jobs_running", "live.breakers_open",
+		"live.fleet_workers", "live.fleet_workers_lost", "live.leases_active"} {
+		if v, ok := snap.Gauges[name]; !ok || v != 0 {
+			t.Errorf("gauge %s = %d (present %v), want 0 at boot", name, v, ok)
+		}
+	}
+}
+
 // TestRetryBackoffThenSuccess: transient failures are retried with
 // backoff until MaxAttempts; a success clears the error.
 func TestRetryBackoffThenSuccess(t *testing.T) {
 	var calls atomic.Int32
-	progress := &pipeline.Progress{}
 	reg := obs.NewRegistry()
 	s := newTestService(t, Config{
 		MaxAttempts: 3,
-		Progress:    progress,
 		Metrics:     reg,
 		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			if calls.Add(1) < 3 {
@@ -228,9 +275,6 @@ func TestRetryBackoffThenSuccess(t *testing.T) {
 	}
 	if done.Result == nil || done.Result.CompletedTrials != 5 {
 		t.Errorf("result = %+v", done.Result)
-	}
-	if got := progress.Retries.Load(); got != 2 {
-		t.Errorf("Retries gauge = %d, want 2", got)
 	}
 	if got := reg.Snapshot().Counters["service.retries"]; got != 2 {
 		t.Errorf("service.retries = %d, want 2", got)
@@ -269,12 +313,12 @@ func TestRetriesExhaustedFails(t *testing.T) {
 func TestBreakerOpensAndCools(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
-	progress := &pipeline.Progress{}
+	reg := obs.NewRegistry()
 	s := newTestService(t, Config{
 		MaxAttempts:      2,
 		BreakerThreshold: 2,
 		BreakerCooldown:  200 * time.Millisecond,
-		Progress:         progress,
+		Metrics:          reg,
 		Executor: execFunc(func(ctx context.Context, spec JobSpec, _ string) (*fault.Result, error) {
 			if failing.Load() {
 				return nil, MarkPermanent(fmt.Errorf("this workload cannot work"))
@@ -304,8 +348,8 @@ func TestBreakerOpensAndCools(t *testing.T) {
 	if open.RetryAfter <= 0 {
 		t.Errorf("RetryAfter = %v", open.RetryAfter)
 	}
-	if got := progress.BreakersOpen.Load(); got != 1 {
-		t.Errorf("BreakersOpen gauge = %d, want 1", got)
+	if got := reg.Gauge("live.breakers_open").Value(); got != 1 {
+		t.Errorf("live.breakers_open = %d, want 1", got)
 	}
 	// A different workload is unaffected.
 	if _, err := s.Submit(JobSpec{Spec: fault.Spec{Bench: "lbm"}}); err != nil {

@@ -2,8 +2,11 @@ package turnpike
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,17 +16,39 @@ import (
 	"repro/internal/pipeline"
 )
 
+// trialGate is a log handler that holds every campaign worker at its
+// first completed trial until release is closed, so a test can observe
+// the campaign while trials are in flight.
+type trialGate struct {
+	once    sync.Once
+	held    chan struct{} // closed once a worker is held
+	release chan struct{}
+}
+
+func (g *trialGate) Enabled(context.Context, slog.Level) bool { return true }
+func (g *trialGate) WithAttrs([]slog.Attr) slog.Handler       { return g }
+func (g *trialGate) WithGroup(string) slog.Handler            { return g }
+
+func (g *trialGate) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "trial complete" {
+		g.once.Do(func() { close(g.held) })
+		<-g.release
+	}
+	return nil
+}
+
 // TestLiveCampaignServing wires the exact stack cmd/faultcampaign -serve
-// uses — InjectFaults publishing into a shared registry and Progress,
-// sampler feeding an obs.Server — and scrapes /metrics and /live WHILE the
-// campaign is in flight. It is the acceptance test for the live
-// observability layer: the exposition must parse, and the SSE stream must
-// deliver at least one mid-run progress event.
+// uses — InjectFaults publishing into a shared registry, whose live.*
+// gauges an obs.Server's /live streams sample — and scrapes /metrics and
+// /live WHILE the campaign is in flight: its workers are held at their
+// first completed trial. It is the acceptance test for the live
+// observability layer: the exposition must parse, and the SSE stream
+// must deliver a progress frame, with every simulation field, that
+// shows trials running.
 func TestLiveCampaignServing(t *testing.T) {
 	reg := obs.NewRegistry()
-	progress := &pipeline.Progress{}
-
-	srv := obs.NewServer(obs.ServerConfig{Snapshot: reg.Snapshot})
+	srv := obs.NewServer(obs.ServerConfig{Snapshot: reg.Snapshot,
+		Live: pipeline.NewSampler(pipeline.NewProgress(reg)).Stream})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -31,21 +56,27 @@ func TestLiveCampaignServing(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + addr.String()
 
-	sampler := pipeline.NewSampler(progress, reg, 2*time.Millisecond,
-		func(ps pipeline.ProgressSample) { srv.Publish("progress", ps) })
-	sampler.Start()
-
-	// Run the campaign in the background; scrape while it runs.
+	// Run the campaign in the background; scrape while its workers are
+	// held mid-run.
+	gate := &trialGate{held: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var campErr error
 	go func() {
 		defer wg.Done()
 		_, campErr = InjectFaults("gcc", Turnpike, FaultCampaignConfig{
-			Trials: 60, Seed: 3, ScalePct: 8, Metrics: reg, Progress: progress,
-			Workers: 4,
+			Trials: 60, Seed: 3, ScalePct: 8, Metrics: reg,
+			Workers: 4, Logger: slog.New(gate),
 		})
 	}()
+	select {
+	case <-gate.held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no trial completed within 30s")
+	}
 
 	// /live: collect one progress event while trials are in flight.
 	liveResp, err := http.Get(base + "/live")
@@ -65,24 +96,36 @@ func TestLiveCampaignServing(t *testing.T) {
 		}
 		lines <- lineRes{"", false}
 	}()
-	var sample pipeline.ProgressSample
-	gotLive := false
+	var frame map[string]any
 	deadline := time.After(30 * time.Second)
-	for !gotLive {
+	for frame == nil {
 		select {
 		case l := <-lines:
 			if !l.ok {
 				t.Fatal("live stream closed before any progress event")
 			}
 			if data, found := strings.CutPrefix(l.line, "data: "); found {
-				if err := json.Unmarshal([]byte(data), &sample); err != nil {
+				if err := json.Unmarshal([]byte(data), &frame); err != nil {
 					t.Fatalf("SSE data not JSON: %q: %v", data, err)
 				}
-				gotLive = true
 			}
 		case <-deadline:
 			t.Fatal("no /live event within 30s")
 		}
+	}
+	var fields []string
+	for k := range frame {
+		fields = append(fields, k)
+	}
+	sort.Strings(fields)
+	if got, want := strings.Join(fields, " "), "clq_occupancy cycles cycles_per_second insts ipc "+
+		"recoveries regions regions_verified runs sb_occupancy wall_seconds workers"; got != want {
+		t.Errorf("/live frame fields %q, want %q", got, want)
+	}
+	// Mid-run: both golden runs and at least one trial are counted, not
+	// all 60 trials, and a held worker is still running.
+	if runs, workers := frame["runs"].(float64), frame["workers"].(float64); runs < 3 || runs >= 62 || workers < 1 {
+		t.Errorf("/live frame mid-run shows %v runs and %v workers, want 3..61 runs and a worker", runs, workers)
 	}
 
 	// /metrics mid-run: must be parseable Prometheus text exposition.
@@ -105,8 +148,8 @@ func TestLiveCampaignServing(t *testing.T) {
 		t.Fatal("mid-run /metrics exposed no families")
 	}
 
+	release()
 	wg.Wait()
-	sampler.Stop()
 	if campErr != nil {
 		t.Fatal(campErr)
 	}
@@ -114,9 +157,6 @@ func TestLiveCampaignServing(t *testing.T) {
 	// The final state must reflect the whole campaign: 60 trials plus the
 	// cold golden run and its warm-start baseline rerun, with live gauges
 	// present in the exposition.
-	if got := progress.Runs.Load(); got != 62 {
-		t.Errorf("progress runs = %d, want 62 (60 trials + cold and warm golden)", got)
-	}
 	finalFams := parseProm(t, scrape(t, base+"/metrics"))
 	if _, ok := finalFams["live_cycles"]; !ok {
 		t.Error("live_cycles gauge missing from final exposition")

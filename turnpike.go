@@ -195,7 +195,7 @@ func Evaluate(bench string, scheme Scheme, cfg EvalConfig) (*EvalResult, error) 
 
 // FaultCampaignConfig parameterizes InjectFaults: the campaign, which
 // maps onto a fault.Spec, and how this process runs it (Metrics,
-// Progress, Workers, Lease, Checkpoint, Logger).
+// Workers, Lease, Checkpoint, Logger).
 type FaultCampaignConfig struct {
 	Trials   int // default 100
 	Seed     int64
@@ -204,12 +204,10 @@ type FaultCampaignConfig struct {
 	ScalePct int // default 10
 	// Metrics, when non-nil, receives the campaign's observability:
 	// outcome counters, detection-latency and recovery-cycle histograms,
-	// and the merged per-trial simulator statistics.
+	// the merged per-trial simulator statistics, and the live.* gauges
+	// every trial's simulator publishes into while the campaign runs
+	// (cmd/faultcampaign -serve streams them).
 	Metrics *obs.Registry
-	// Progress, when non-nil, is attached to every trial's simulator so a
-	// pipeline.Sampler can stream live campaign figures (cmd/faultcampaign
-	// -serve).
-	Progress *pipeline.Progress
 	// Workers bounds the campaign's trial worker pool; <=0 uses
 	// GOMAXPROCS. The merged result is identical for every worker count.
 	Workers int
@@ -294,7 +292,7 @@ func PrepareFaultCampaign(ctx context.Context, bench string, scheme Scheme, cfg 
 		return nil, err
 	}
 	ecfg.Workers, ecfg.Lease, ecfg.Checkpoint = cfg.Workers, cfg.Lease, cfg.Checkpoint
-	ecfg.Metrics, ecfg.Progress, ecfg.Logger = cfg.Metrics, cfg.Progress, cfg.Logger
+	ecfg.Metrics, ecfg.Logger = cfg.Metrics, cfg.Logger
 	return fault.Prepare(ctx, prog, ecfg, seedMem)
 }
 
