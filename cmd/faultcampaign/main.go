@@ -23,8 +23,9 @@
 // Unless -resume is set, the report ends with what the reconvergence
 // cut did per benchmark (DESIGN.md §3): trials cut, comparisons made and
 // the check that rejected each, the cuts the cache replay decided and
-// its refusals, and the instructions resumed past and simulated before
-// and after the last fault event.
+// its refusals, the jumps between fault events and the instructions
+// they skipped, and the instructions resumed past, stepped before the
+// last fault event and simulated after it.
 //
 // Adversarial campaigns replace the perfect sensor mesh with an imperfect
 // one — dead sensors, detections beyond the WCDL, multi-strike bursts, and
@@ -359,7 +360,8 @@ func cutLine(bench string, trials int, before, after []uint64) string {
 	}
 	return fmt.Sprintf("%s: %d of %d trials cut; %d comparisons, rejected by a pending detection %d, "+
 		"state %d, memory %d, caches %d; cache replay cut %d, refused %d at a level; "+
-		"instructions resumed past %d, simulated before the last event %d, after it %d",
+		"%d jumps between events over %d instructions; "+
+		"instructions resumed past %d, stepped before the last event %d, simulated after it %d",
 		append([]any{bench, d[0], trials}, d[1:]...)...)
 }
 

@@ -226,8 +226,12 @@ func (ld *levelDelta) fill(c *Cache) {
 	ld.stamp, ld.hits, ld.misses = c.stamp, c.Hits, c.Misses
 }
 
-// Apply writes d's sets, clocks and counters into h, which must have
-// the geometry d was taken from.
+// Apply writes d's sets and counters into h, which must have the
+// geometry d was taken from, and advances each level's clock to d's
+// unless h's is later. A hierarchy that held the state d was taken
+// since then holds the state d was taken at. A fault trial's, whose
+// clock may be past d's, keeps its other sets' stamps below its clock,
+// so the next access still stamps the newest way of its set.
 func (h *Hierarchy) Apply(d *Delta) {
 	for i, c := range h.levels() {
 		ld := &d.lv[i]
@@ -237,7 +241,7 @@ func (h *Hierarchy) Apply(d *Delta) {
 			copy(tags, ld.tags[k*a:])
 			copy(lru, ld.lru[k*a:])
 		}
-		c.stamp, c.Hits, c.Misses = ld.stamp, ld.hits, ld.misses
+		c.stamp, c.Hits, c.Misses = max(c.stamp, ld.stamp), ld.hits, ld.misses
 	}
 }
 

@@ -154,3 +154,29 @@ func TestDeltaChain(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyKeepsTheLaterClock: a delta applied to a hierarchy whose
+// clock is past the delta's, as a fault trial's is once it has
+// reconverged with the run the delta was taken from, keeps the later
+// clock. An access to a set the delta does not hold then still stamps
+// the newest way of its set, and the set's next miss evicts the other.
+func TestApplyKeepsTheLaterClock(t *testing.T) {
+	h := MustNewHierarchy(DefaultHierarchyConfig())
+	var img Image
+	h.Snapshot(&img)
+	h.DataAccess(0) // the delta holds L1D set 0
+	d := h.DeltaSince(img.Clock())
+
+	h.Restore(&img)
+	sets := uint64(h.L1D.sets)
+	a, b, c := uint64(LineSize), (1+sets)*LineSize, (1+2*sets)*LineSize // lines of L1D set 1
+	for _, x := range []uint64{a, b, b, b, b} {
+		h.DataAccess(x) // the clock runs past the delta's
+	}
+	h.Apply(&d)
+	h.DataAccess(a)
+	h.DataAccess(c)
+	if !h.L1D.Contains(a) || h.L1D.Contains(b) {
+		t.Fatal("the miss after an applied delta evicted the line just touched, not the least recent one")
+	}
+}

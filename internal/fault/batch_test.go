@@ -132,7 +132,8 @@ func TestReplayFromBatchedRange(t *testing.T) {
 // earlier one handed on by Reuse, and with a registry attached, whose
 // live gauges the simulator publishes into. An adversarial trial
 // allocates only what its record keeps: one Extra slice per burst and one
-// FalsePositives slice per spurious detection.
+// FalsePositives slice per spurious detection; some of its trials jump
+// across the golden run between their fault events.
 func TestTrialLoopAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -194,6 +195,9 @@ func TestTrialLoopAllocationFree(t *testing.T) {
 			}
 			if c := r.shadow.Counts; tc.name == "cache-replay" && c.Replayed+c.Mismatches == 0 {
 				t.Fatalf("no trial reaches the cache replay: %+v", c)
+			}
+			if c := r.shadow.Counts; tc.name == "adversarial" && c.Jumps == 0 {
+				t.Fatalf("no trial jumps between its fault events: %+v", c)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				for i := 0; i < cfg.Trials; i++ {

@@ -55,23 +55,32 @@ type trialRunner struct {
 }
 
 // trialCounts tallies a runner's trials for the cut counters: the
-// trials cut, and the instructions they resumed past (ResetAt),
-// simulated before their last fault event fired, and simulated after
-// it.
+// trials cut, and the instructions they resumed past (ResetAt), stepped
+// before their last fault event fired, and simulated after it.
 type trialCounts struct {
 	cut, resumed, before, after uint64
 }
 
+// jumped returns the instructions the runner's trials have jumped
+// (RunUntil) since its counts were last flushed.
+func (r *trialRunner) jumped() uint64 {
+	if r.shadow == nil {
+		return 0
+	}
+	return r.shadow.Counts.Jumped
+}
+
 // CutCounters names the campaign registry's counters of the
 // reconvergence cut, in the order flushCounts adds them: the trials
-// cut; the comparisons made, and those rejected by a pending detection
-// (or recovery, degraded mesh, taint or the instruction limit), by the
-// state value, by memory and by the caches; the cuts the cache replay
-// decided and the replays refused at a level mismatch; and the
-// instructions resumed past, simulated before the last fault event and
-// simulated after it. Each is a sum over the trials run of a pure
-// function of the trial, so it does not depend on the workers or the
-// leases.
+// cut; the comparisons made for cuts and jumps, and those rejected by a
+// pending detection (or recovery, degraded mesh, taint or the
+// instruction limit), by the state value, by memory and by the caches;
+// the cuts the cache replay decided and the replays refused at a level
+// mismatch; the jumps between fault events and the instructions they
+// skipped; and the instructions resumed past, stepped before the last
+// fault event and simulated after it. Each is a sum over the trials run
+// of a pure function of the trial, so it does not depend on the workers
+// or the leases.
 var CutCounters = []string{
 	"fault.cut.trials",
 	"fault.cut.comparisons",
@@ -81,6 +90,8 @@ var CutCounters = []string{
 	"fault.cut.rejected_cache",
 	"fault.cut.replay_cuts",
 	"fault.cut.replay_mismatches",
+	"fault.cut.jumps",
+	"fault.cut.insts_jumped",
 	"fault.cut.insts_resumed",
 	"fault.cut.insts_before_last_event",
 	"fault.cut.insts_after_last_event",
@@ -99,7 +110,7 @@ func (r *trialRunner) flushCounts(reg *obs.Registry) {
 		return
 	}
 	for i, v := range [...]uint64{tc.cut, sc.Comparisons, sc.Pending, sc.State, sc.Memory, sc.Cache,
-		sc.Replayed, sc.Mismatches, tc.resumed, tc.before, tc.after} {
+		sc.Replayed, sc.Mismatches, sc.Jumps, sc.Jumped, tc.resumed, tc.before, tc.after} {
 		reg.Counter(CutCounters[i]).Add(v)
 	}
 }
@@ -216,19 +227,21 @@ func (e *engine) planWith(trial int, det *sensor.MeshDetector) Injection {
 // exec runs one injection on the runner's simulator, reset from the
 // golden snapshot at its last epoch before the first event (ResetAt; a
 // snapshot without epochs runs the trial from the start), and reports
-// whether the masked output matches the golden image. Once the last
-// event has fired, the golden state's RunCut finishes the trial; cut
-// reports that it ended it early, reconverged with the golden run, in
-// which case the output is the golden output and is not compared. The
-// classification comparison runs in place (isa.Memory.EqualMasked over
-// the drained trial memory) — no clone, no sorted snapshot — so a
-// steady-state trial performs no comparison allocations at all.
+// whether the masked output matches the golden image. Between events
+// the golden state's RunUntil runs the trial, jumping it across the
+// golden run where it matches an epoch exactly. Once the last event has
+// fired, RunCut finishes the trial; cut reports that it ended it early,
+// reconverged with the golden run, in which case the output is the
+// golden output and is not compared. The classification comparison
+// runs in place (isa.Memory.EqualMasked over the drained trial memory)
+// — no clone, no sorted snapshot — so a steady-state trial performs no
+// comparison allocations at all.
 func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st pipeline.Stats, equal, cut bool, err error) {
 	s := r.sim
 	r.evs = inj.appendEvents(r.evs[:0])
 	evs := r.evs
 	e.gs.ResetAt(s, evs[0].atInst)
-	resumed := s.Stats.Insts
+	resumed, jumped := s.Stats.Insts, r.jumped()
 	if e.cfg.Logger != nil {
 		s.AttachLogger(ctx, e.cfg.Logger)
 	}
@@ -248,7 +261,7 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 			}
 		}
 		if next < len(evs) {
-			if err := s.Step(); err != nil {
+			if err := e.gs.RunUntil(s, r.shadow, evs[next].atInst); err != nil {
 				return s.Stats, false, false, err
 			}
 		}
@@ -257,7 +270,7 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 	st, cut, err = e.gs.RunCut(s, r.shadow)
 	c := &r.counts
 	c.resumed += resumed
-	c.before += last - resumed
+	c.before += last - resumed - (r.jumped() - jumped)
 	c.after += s.Stats.Insts - last
 	if cut {
 		c.cut++

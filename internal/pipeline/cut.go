@@ -18,16 +18,21 @@ import (
 // statistics are its own so far plus the golden suffix. DESIGN.md §3
 // ("Reconvergence cut-off") gives the soundness argument for every
 // difference the comparison allows.
+//
+// Between two fault events RunUntil makes the same comparison, strictly,
+// and on a match jumps the trial across the golden run to the last
+// epoch before its next event (DESIGN.md §3, "Jumping between fault
+// events").
 
 // ckptBytes is the size of the checkpoint storage window at
 // Program.CkptBase.
 const ckptBytes = isa.NumRegs * isa.NumColors * 8
 
-// Shadow is what RunCut compares a trial's memory and caches with: a
-// memory image and a cache hierarchy that it rebuilds, from the golden
-// state's deltas, as they were at the epoch the trial has reached, and
-// the two hierarchies the cache replay runs on. Each campaign worker
-// owns one.
+// Shadow is what RunCut and RunUntil compare a trial's memory and
+// caches with: a memory image and a cache hierarchy that they rebuild,
+// from the golden state's deltas, as they were at the epoch the trial
+// has reached, and the two hierarchies the cache replay runs on. Each
+// campaign worker owns one.
 type Shadow struct {
 	g    *GoldenState
 	mem  *isa.Memory
@@ -43,22 +48,25 @@ type Shadow struct {
 	Counts CutCounts
 }
 
-// CutCounts tallies reconvergence comparisons: how many were made, and
-// how many each check rejected, counted by the first check that failed:
-// a pending detection, recovery block, degraded mesh, taint or the
-// instruction limit (Pending), the state value, memory, or the caches.
-// A cache comparison that fails directly is decided by the cache
-// replay: Replayed counts the cuts it decided, Mismatches the replays
-// refused at an access served at another level. Every count is a sum
-// over trials of a pure function of the trial.
+// CutCounts tallies reconvergence comparisons, for cuts and jumps: how
+// many were made, and how many each check rejected, counted by the
+// first check that failed: a pending detection, recovery block,
+// degraded mesh, taint or the instruction limit (Pending), the state
+// value, memory, or the caches. A cut's cache comparison that fails
+// directly is decided by the cache replay: Replayed counts the cuts it
+// decided, Mismatches the replays refused at an access served at
+// another level. Jumps counts the jumps RunUntil made, Jumped the
+// instructions they skipped. Every count is a sum over trials of a pure
+// function of the trial.
 type CutCounts struct {
 	Comparisons                   uint64
 	Pending, State, Memory, Cache uint64
 	Replayed, Mismatches          uint64
+	Jumps, Jumped                 uint64
 }
 
-// NewShadow builds a Shadow for g's trials. It holds nothing until
-// RunCut first compares a trial with an epoch.
+// NewShadow builds a Shadow for g's trials. It holds nothing until a
+// trial is first compared with an epoch.
 func (g *GoldenState) NewShadow() (*Shadow, error) {
 	var hier [3]*cache.Hierarchy
 	for i := range hier {
@@ -103,33 +111,26 @@ func (sh *Shadow) moveTo(k int) {
 // cover the whole run, nor while a detection is pending, a recovery
 // block runs, the mesh is degraded or a register is tainted.
 func (g *GoldenState) RunCut(s *Sim, sh *Shadow) (st Stats, cut bool, err error) {
-	if sh == nil || sh.g != g || len(g.epochs) == 0 || s.obs != nil || s.Cfg.RecordRegions {
+	if !g.compares(s, sh) {
 		st, err = s.Run()
 		return st, false, err
 	}
 	k, check := 0, false
 	for !s.halted {
 		if check {
-			for k > 0 && g.epochs[k-1].insts >= s.netInsts {
-				k--
-			}
-			for k < len(g.epochs) && g.epochs[k].insts < s.netInsts {
-				k++
-			}
-			if k < len(g.epochs) && g.epochs[k].insts == s.netInsts {
-				if g.reconverged(s, sh, k) {
-					e := &g.epochs[k]
-					st = s.Stats
-					st.Merge(&e.suffix)
-					st.Cycles = s.cycle + e.suffix.Cycles
-					if s.progress != nil {
-						own := s.Stats
-						s.Stats = st
-						s.publishProgress()
-						s.Stats = own
-					}
-					return st, true, nil
+			var at bool
+			if k, at = g.epochAt(s, k); at && g.reconverged(s, sh, k, g.epochs[k].suffix.Insts, false) {
+				e := &g.epochs[k]
+				st = s.Stats
+				st.Merge(&e.suffix)
+				st.Cycles = s.cycle + e.suffix.Cycles
+				if s.progress != nil {
+					own := s.Stats
+					s.Stats = st
+					s.publishProgress()
+					s.Stats = own
 				}
+				return st, true, nil
 			}
 		}
 		net := s.netInsts
@@ -145,26 +146,183 @@ func (g *GoldenState) RunCut(s *Sim, sh *Shadow) (st Stats, cut bool, err error)
 	return s.Stats, false, nil
 }
 
+// RunUntil steps s, a trial forked from g, until its Stats.Insts
+// reaches inst, where its next fault event fires, or it halts, like a
+// loop of Step. On the way it jumps across the golden run where it can:
+// at a step boundary where s's golden-equivalent progress reaches epoch
+// k's instruction count, and a later epoch would still leave s at or
+// before inst, it compares s with epoch k strictly, using sh; on a match
+// it moves s at once to the last such epoch, j, and s holds what
+// stepping to j would have left it with (jump). So the events fire as
+// on a trial that stepped, and one due at j fires before s steps again.
+// An attached Progress receives the jumped span with its next
+// publication. RunUntil never jumps where RunCut never cuts.
+func (g *GoldenState) RunUntil(s *Sim, sh *Shadow, inst uint64) error {
+	compare := g.compares(s, sh)
+	k, check := 0, false
+	for !s.halted && s.Stats.Insts < inst {
+		if check {
+			var at bool
+			if k, at = g.epochAt(s, k); at {
+				if j := g.landing(s, k, inst); j > k &&
+					g.reconverged(s, sh, k, g.epochs[j].insts-g.epochs[k].insts, true) {
+					g.jump(s, sh, k, j)
+					k, check = j, false
+					continue
+				}
+			}
+		}
+		net := s.netInsts
+		err := s.step()
+		if s.progress != nil {
+			s.publishDue(err)
+		}
+		if err != nil {
+			return err
+		}
+		check = compare && s.netInsts != net
+	}
+	return nil
+}
+
+// compares reports whether RunCut and RunUntil may compare s with g's
+// epochs through sh.
+func (g *GoldenState) compares(s *Sim, sh *Shadow) bool {
+	return sh != nil && sh.g == g && len(g.epochs) > 0 && s.obs == nil && !s.Cfg.RecordRegions
+}
+
+// epochAt returns the first epoch from k on, searching either way,
+// whose instruction count s's golden-equivalent progress has not
+// passed, and whether s is at that count.
+func (g *GoldenState) epochAt(s *Sim, k int) (int, bool) {
+	for k > 0 && g.epochs[k-1].insts >= s.netInsts {
+		k--
+	}
+	for k < len(g.epochs) && g.epochs[k].insts < s.netInsts {
+		k++
+	}
+	return k, k < len(g.epochs) && g.epochs[k].insts == s.netInsts
+}
+
+// landing returns the last epoch j ≥ k that s, at epoch k, reaches with
+// Stats.Insts at most inst: a trial that follows the golden run from k
+// retires what it retires between the epochs.
+func (g *GoldenState) landing(s *Sim, k int, inst uint64) int {
+	limit := g.epochs[k].insts + inst - s.Stats.Insts
+	j := k
+	for j+1 < len(g.epochs) && g.epochs[j+1].insts <= limit {
+		j++
+	}
+	return j
+}
+
+// jump moves s, which matched epoch k strictly, to epoch j > k. It
+// takes the golden memory at j and the golden state value at j, with
+// the value's cycles, region ids and store-buffer sequence numbers
+// shifted by s's offsets at k. Its caches take the golden sets the run
+// touches from k to j and keep their own of the rest. It keeps its own
+// Stats plus what the golden run gained from k to j, with CLQOccMax the
+// largest occupancy sampled in between, its own lastRestart, and its
+// own value and ready cycle of every register the golden run does not
+// write from k to j. That is the state stepping from k would reach: a
+// strict match steps as the golden run does, shifted, and leaves what
+// it does not write as it was. DESIGN.md §3 ("Jumping between fault
+// events") gives the argument.
+func (g *GoldenState) jump(s *Sim, sh *Shadow, k, j int) {
+	from, to := &g.epochs[k].state, &g.epochs[j].state
+	d, dr, ds := s.cycle-from.cycle, s.nextRegion-from.nextRegion, s.sb.seq-from.sb.seq
+	span := statsSince(&to.Stats, &from.Stats)
+	span.CLQOccMax = 0
+	var written isa.RegBitmap
+	for i := k; i < j; i++ {
+		span.CLQOccMax = max(span.CLQOccMax, g.epochs[i].clqMax)
+		written |= g.epochs[i+1].written
+	}
+	st := s.Stats
+	st.Merge(&span)
+	regs, ready, restart := s.Regs, s.regReady, s.lastRestart
+
+	g.replay(s.Mem, s.hier, k+1, j+1)
+	s.copyFrom(to)
+	s.shift(d, dr, ds)
+	for r := range isa.Reg(isa.NumRegs) {
+		if !written.Has(r) {
+			s.Regs[r], s.regReady[r] = regs[r], ready[r]
+		}
+	}
+	s.Stats, s.lastRestart = st, restart
+	sh.Counts.Jumps++
+	sh.Counts.Jumped += span.Insts
+}
+
+// shift moves the state value's cycles by d, its region ids by dr and
+// its store-buffer sequence numbers by ds, keeping the sentinels (an
+// open region's end 0, infCycle, noRegion); a golden state value holds
+// no pending detection or degraded mesh.
+func (st *simState) shift(d uint64, dr int, ds uint64) {
+	st.cycle += d
+	for r := range st.regReady {
+		st.regReady[r] += d
+	}
+	st.nextRegion += dr
+	for i := range st.rbb {
+		x := &st.rbb[i]
+		x.id += dr
+		x.start += d
+		if x.end != 0 {
+			x.end += d
+		}
+		if x.verifyAt != infCycle {
+			x.verifyAt += d
+		}
+	}
+	st.sb.lastDrain += d
+	st.sb.seq += ds
+	for i := range st.sb.entries {
+		x := &st.sb.entries[i]
+		x.commitAt += d
+		x.seq += ds
+		if x.region != noRegion {
+			x.region += dr
+		}
+		if x.verifyAt != infCycle {
+			x.verifyAt += d
+		}
+	}
+	for i := range st.compact.entries {
+		if x := &st.compact.entries[i]; x.used {
+			x.region += dr
+		}
+	}
+}
+
 // reconverged reports whether s, at golden-equivalent progress
-// epochs[k].insts, is equivalent to the warm golden run at epoch k: the
-// run to halt from either state behaves identically, up to a constant
-// cycle offset. It counts the comparison in sh.Counts.
-func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int) bool {
+// epochs[k].insts, is equivalent to the warm golden run at epoch k, with
+// skip more instructions to retire than s has (the golden suffix for a
+// cut, the span for a jump), and counts the comparison in sh.Counts.
+// For a cut, equivalent means the run to halt from either state behaves
+// identically, up to a constant cycle offset. For a jump (strict), a
+// later fault event may roll s back and re-read anything the jump
+// takes from the golden run, so colours are not renamed and the
+// checkpoint window is compared; and no cache replay decides the
+// caches, because it shows the golden accesses served alike, not the
+// sets they touch left alike, and the jump takes those sets.
+func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int, skip uint64, strict bool) bool {
 	e := &g.epochs[k]
 	c := &sh.Counts
 	c.Comparisons++
 	if len(s.pendingDetects) > 0 || s.inRecovery || s.degradedUntil != 0 ||
-		s.Taint != [isa.NumRegs]bool{} || s.Stats.Insts+e.suffix.Insts >= s.Cfg.MaxInsts {
+		s.Taint != [isa.NumRegs]bool{} || s.Stats.Insts+skip >= s.Cfg.MaxInsts {
 		c.Pending++
 		return false
 	}
-	if !g.sameState(&s.simState, &e.state) {
+	if !g.sameState(&s.simState, &e.state, strict) {
 		c.State++
 		return false
 	}
 	sh.moveTo(k)
 	var lo, hi uint64
-	if g.renameCkpt {
+	if g.renameCkpt && !strict {
 		lo, hi = g.prog.CkptBase, g.prog.CkptBase+ckptBytes
 	}
 	switch {
@@ -173,7 +331,7 @@ func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int) bool {
 		return false
 	case s.hier.Equivalent(sh.hier, &g.setClocks):
 		return true
-	case sh.replay(s.hier, k):
+	case !strict && sh.replay(s.hier, k):
 		c.Replayed++
 		return true
 	}
@@ -239,7 +397,11 @@ func (sh *Shadow) replayTo(from, to int) bool {
 //     as one renaming maps the free stacks, the verified colours, the
 //     RBB regions' used colours and the checkpoint slots the store
 //     buffer holds onto the golden run's.
-func (g *GoldenState) sameState(a, b *simState) bool {
+//
+// Strict, for a jump, renames no colour and also requires each RBB
+// region to have retired as many instructions, which a later squash
+// takes back from netInsts.
+func (g *GoldenState) sameState(a, b *simState, strict bool) bool {
 	if a.PC != b.PC || a.slots != b.slots || a.clqEnabled != b.clqEnabled ||
 		len(a.sb.entries) != len(b.sb.entries) || len(a.rbb) != len(b.rbb) ||
 		!bytes.Equal(a.predictor, b.predictor) {
@@ -253,7 +415,7 @@ func (g *GoldenState) sameState(a, b *simState) bool {
 			return false
 		}
 	}
-	rn := renaming{on: g.renameCkpt && g.cfg.Resilient && g.cfg.HWColoring}
+	rn := renaming{on: !strict && g.renameCkpt && g.cfg.Resilient && g.cfg.HWColoring}
 	for r := range isa.Reg(isa.NumRegs) {
 		n := a.colors.nfree[r]
 		if n != b.colors.nfree[r] || (a.colors.vc[r] < 0) != (b.colors.vc[r] < 0) {
@@ -273,7 +435,7 @@ func (g *GoldenState) sameState(a, b *simState) bool {
 		x, y := &a.rbb[i], &b.rbb[i]
 		if x.id != y.id+dr || x.staticID != y.staticID || x.boundPC != y.boundPC ||
 			!shifted(x.end, y.end, d, 0) || !shifted(x.verifyAt, y.verifyAt, d, infCycle) ||
-			x.colors.regs != y.colors.regs {
+			x.colors.regs != y.colors.regs || (strict && x.insts != y.insts) {
 			return false
 		}
 		for regs := x.colors.regs; regs != 0; regs &= regs - 1 {

@@ -95,7 +95,9 @@ func (f *cutFixture) stop(t *testing.T, st cutStrike) bool {
 }
 
 // matches reruns the reconvergence check at f's boundary.
-func (f *cutFixture) matches() bool { return f.g.reconverged(f.s, f.sh, f.sh.at-1) }
+func (f *cutFixture) matches() bool {
+	return f.g.reconverged(f.s, f.sh, f.sh.at-1, f.e.suffix.Insts, false)
+}
 
 // direct reports whether f's caches match the golden caches at its
 // boundary without the replay.
@@ -799,25 +801,132 @@ func TestCutCoversEveryField(t *testing.T) {
 			"used":   "only used entries count",
 		}, nil},
 	} {
-		typ := reflect.TypeOf(tc.v)
-		fields := map[string]bool{}
-		for i := range typ.NumField() {
-			name := typ.Field(i).Name
-			fields[name] = true
-			_, c := tc.compared[name]
-			_, ig := tc.ignored[name]
-			switch {
-			case !c && !ig:
-				t.Errorf("%s.%s is neither compared by the reconvergence check nor listed as ignored", typ.Name(), name)
-			case c && ig:
-				t.Errorf("%s.%s is listed both as compared and as ignored", typ.Name(), name)
+		placesEveryField(t, "the reconvergence check", tc.v, map[string]map[string]string{
+			"compared": tc.compared, "ignored": tc.ignored,
+		})
+	}
+}
+
+// TestJumpCoversEveryField keeps the jump between fault events in step
+// with the simulator's state. A later fault event may roll the trial
+// back, so the jump places every field of the state value and its
+// records by what the jumped trial holds: compared strictly and then
+// the golden value, shifted by the trial's offsets (and compared so
+// where sameState compares), carried from the trial, or invisible to
+// the later events, with the reason. A field added later fails here
+// until it is placed, and, if shifted, in simState.shift.
+func TestJumpCoversEveryField(t *testing.T) {
+	for _, tc := range []struct {
+		v                                     any
+		compared, shifted, carried, invisible map[string]string
+	}{
+		{simState{}, map[string]string{
+			"Taint":          "must be clear, as in the golden run",
+			"PC":             "equal",
+			"slots":          "equal",
+			"netInsts":       "equal to the epoch's instruction count",
+			"predictor":      "equal",
+			"sb":             "see storeBuffer",
+			"rbb":            "see regionInst; same length",
+			"compact":        "see compactCLQ",
+			"clqEnabled":     "equal",
+			"colors":         "see colorMaps; not renamed",
+			"pendingDetects": "must be empty, as in the golden run",
+			"degradedUntil":  "must be 0, as in the golden run",
+			"inRecovery":     "must be false, as in the golden run",
+			"halted":         "false at every epoch: RunUntil steps only before halt",
+		}, map[string]string{
+			"cycle":      "cycle offset",
+			"nextRegion": "region-id offset",
+		}, map[string]string{
+			"Regs":        "the trial's where the span writes none (equal where live), the golden value where it does",
+			"regReady":    "as Regs; the golden one shifted by the cycle offset where the span writes it",
+			"Stats":       "the trial's own plus the golden span's",
+			"lastRestart": "the trial's own: a later recovery with no region in flight reads it",
+		}, nil},
+		{storeBuffer{}, map[string]string{
+			"entries": "see sbEntry; same length and order",
+		}, map[string]string{
+			"lastDrain": "cycle offset",
+			"seq":       "sequence offset",
+		}, nil, nil},
+		{sbEntry{}, map[string]string{
+			"addr":        "equal: no colour renaming",
+			"val":         "equal",
+			"quarantined": "equal",
+		}, map[string]string{
+			"region":   "region-id offset, noRegion kept",
+			"verifyAt": "cycle offset, infCycle kept",
+			"commitAt": "cycle offset",
+			"seq":      "sequence offset",
+		}, nil, map[string]string{
+			"isCkpt":  "only observability reads it",
+			"ckptReg": "only observability reads it",
+		}},
+		{regionInst{}, map[string]string{
+			"staticID": "equal",
+			"boundPC":  "equal",
+			"colors":   "equal: no colour renaming",
+			"insts":    "equal, as a later squash takes it back from netInsts",
+		}, map[string]string{
+			"id":       "region-id offset",
+			"end":      "cycle offset, 0 kept",
+			"verifyAt": "cycle offset, infCycle kept",
+			"start":    "cycle offset; only region logs, traces and CheckInvariants read it",
+		}, nil, map[string]string{
+			"warFree":     "observability counter; RunUntil never jumps with traces or region logs",
+			"colored":     "observability counter; RunUntil never jumps with traces or region logs",
+			"quarantined": "observability counter; RunUntil never jumps with traces or region logs",
+		}},
+		{usedColors{}, map[string]string{
+			"regs":  "equal",
+			"color": "equal where regs has the register",
+		}, nil, nil, nil},
+		{colorMaps{}, map[string]string{
+			"free":  "equal up to nfree",
+			"nfree": "equal",
+			"vc":    "equal",
+		}, nil, nil, nil},
+		{compactCLQ{}, map[string]string{
+			"entries": "used entries equal as a set; every CLQ operation scans all slots, so a slot answers nothing",
+		}, nil, nil, nil},
+		{compactEntry{}, map[string]string{
+			"min":  "equal",
+			"max":  "equal",
+			"used": "only used entries count",
+		}, map[string]string{
+			"region": "region-id offset where used",
+		}, nil, nil},
+	} {
+		placesEveryField(t, "the jump", tc.v, map[string]map[string]string{
+			"compared": tc.compared, "shifted": tc.shifted, "carried": tc.carried, "invisible": tc.invisible,
+		})
+	}
+}
+
+// placesEveryField requires every field of v's struct type to be on
+// exactly one of the named lists, and every listed name to be a field.
+func placesEveryField(t *testing.T, check string, v any, lists map[string]map[string]string) {
+	t.Helper()
+	typ := reflect.TypeOf(v)
+	fields := map[string]bool{}
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
+		fields[name] = true
+		var on []string
+		for list, m := range lists {
+			if _, ok := m[name]; ok {
+				on = append(on, list)
 			}
 		}
-		for _, m := range []map[string]string{tc.compared, tc.ignored} {
-			for name := range m {
-				if !fields[name] {
-					t.Errorf("%s has no field %s", typ.Name(), name)
-				}
+		if len(on) != 1 {
+			t.Errorf("%s.%s is placed by %s on %d lists %v, want one", typ.Name(), name, check, len(on), on)
+		}
+	}
+	for _, m := range lists {
+		for name := range m {
+			if !fields[name] {
+				t.Errorf("%s has no field %s", typ.Name(), name)
 			}
 		}
 	}

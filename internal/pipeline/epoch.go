@@ -20,9 +20,10 @@ import (
 // epochs lie at most epochSpacing instructions apart. The state at the
 // start of every interval is an epoch; the first one is the
 // trial-start snapshot itself, so one fewer is stored. A trial resumes
-// from the last epoch before its first fault event and is compared with
-// the golden run at every epoch after its last (RunCut), so the spacing
-// bounds the fault-free instructions it steps on either side.
+// from the last epoch before its first fault event, may jump between
+// epochs until its last (RunUntil) and is compared with the golden run
+// at every epoch after it (RunCut), so the spacing bounds the fault-free
+// instructions it steps around each event.
 const (
 	minEpochs    = 16
 	epochSpacing = 512
@@ -65,6 +66,13 @@ type epoch struct {
 	// halt (RunCut): counters, Cycles from this epoch's cycle, and the
 	// largest CLQ occupancy sampled after this epoch.
 	suffix Stats
+	// clqMax is the largest CLQ occupancy sampled after this epoch and
+	// up to the next.
+	clqMax uint64
+	// written holds the registers the golden run wrote since the
+	// previous epoch: a trial that jumps across them takes their golden
+	// values and keeps its own of the rest (RunUntil).
+	written isa.RegBitmap
 
 	state simState
 }
@@ -82,10 +90,12 @@ type epoch struct {
 // whole) or uses the ideal CLQ records none. RecordEpochs replaces any
 // earlier recording; it must not run concurrently with ResetAt.
 //
-// It also records what RunCut compares trials with the epochs by: each
-// epoch's golden suffix statistics, the run's cache access stream, its
-// final per-set cache clocks, register liveness, and whether the
-// checkpoint window may be compared up to a colour renaming.
+// It also records what RunCut and RunUntil compare trials with the
+// epochs by and what a jump between epochs takes: each epoch's golden
+// suffix statistics, CLQ occupancy and written registers, the run's
+// cache access stream, its final per-set cache clocks, register
+// liveness, and whether the checkpoint window may be compared up to a
+// colour renaming.
 func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	g.Reset(s)
 	g.epochs, g.stream = nil, nil
@@ -112,7 +122,7 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	size := 0
 	lo, hi := g.prog.CkptBase, g.prog.CkptBase+ckptBytes
 	touched := false
-	var occ []uint64 // per epoch, the largest CLQ occupancy sampled until the next
+	var written isa.RegBitmap // since the last epoch
 	for k := next(0); !s.halted; {
 		if k < n && s.Stats.Insts >= target(k) {
 			e := s.epoch(mem, clock)
@@ -120,14 +130,15 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 			if g.stream.Short() {
 				e.access = -1
 			}
+			e.written, written = written, 0
 			clock = e.caches.Clock()
-			g.epochs, occ = append(g.epochs, e), append(occ, 0)
+			g.epochs = append(g.epochs, e)
 			if size += e.bytes(); size > epochBudget {
-				if es, o, thinned := thin(g.epochs, occ); thinned <= epochBudget {
-					g.epochs, occ, size = es, o, thinned
+				if es, thinned := thin(g.epochs); thinned <= epochBudget {
+					g.epochs, size = es, thinned
 					stride *= 2
 				} else {
-					g.epochs, occ = g.epochs[:len(g.epochs)-1], occ[:len(occ)-1]
+					g.epochs = g.epochs[:len(g.epochs)-1]
 					k = n
 				}
 			}
@@ -135,24 +146,29 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 				k = next(k)
 			}
 		}
-		if in := &s.Prog.Insts[s.PC]; in.Op == isa.LD || in.Op == isa.ST {
+		in := &s.Prog.Insts[s.PC]
+		if in.Op == isa.LD || in.Op == isa.ST {
 			a := s.Regs[in.Rs1] + uint64(in.Imm)
 			touched = touched || (a >= lo && a < hi)
+		}
+		if r, ok := in.Def(); ok {
+			written = written.With(r)
 		}
 		samples := s.Stats.CLQOccSamples
 		if err := s.Step(); err != nil {
 			return s.Stats, err
 		}
-		if n := len(occ); n > 0 && s.Stats.CLQOccSamples != samples {
+		if n := len(g.epochs); n > 0 && s.Stats.CLQOccSamples != samples {
 			// A boundary sampled the CLQ as its step's last change.
-			occ[n-1] = max(occ[n-1], uint64(s.clq.occupancy()))
+			e := &g.epochs[n-1]
+			e.clqMax = max(e.clqMax, uint64(s.clq.occupancy()))
 		}
 	}
 	after := uint64(0)
 	for i := len(g.epochs) - 1; i >= 0; i-- {
 		e := &g.epochs[i]
-		after = max(after, occ[i])
-		e.suffix = statsSince(s.Stats, e.state.Stats)
+		after = max(after, e.clqMax)
+		e.suffix = statsSince(&s.Stats, &e.state.Stats)
 		e.suffix.Cycles = s.Stats.Cycles - e.state.cycle
 		e.suffix.CLQOccMax = after
 	}
@@ -163,27 +179,32 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 }
 
 // thin merges each pair of consecutive epochs, from the first, into the
-// later one, which takes both deltas and the larger CLQ occupancy; an
-// odd last epoch stays. It returns the thinned epochs, occupancies and
-// bytes, and leaves es and occ as they were.
-func thin(es []epoch, occ []uint64) ([]epoch, []uint64, int) {
+// later one, which takes both deltas and written registers; an odd last
+// epoch stays. The dropped epoch's CLQ occupancy, sampled before the
+// later one, joins the previous kept epoch's (the first pair's has none
+// and drops it). It returns the thinned epochs and their bytes, and
+// leaves es as it was.
+func thin(es []epoch) ([]epoch, int) {
 	var out []epoch
-	var o []uint64
 	size := 0
 	for i := 0; i < len(es); i += 2 {
-		e, m := es[i], occ[i]
+		e := es[i]
 		if i+1 < len(es) {
+			if n := len(out); n > 0 {
+				out[n-1].clqMax = max(out[n-1].clqMax, e.clqMax)
+			}
 			later := es[i+1]
 			later.mem = mergeMem(e.mem, later.mem)
 			c := e.caches
 			c.Merge(&later.caches)
 			later.caches = c
-			e, m = later, max(m, occ[i+1])
+			later.written |= e.written
+			e = later
 		}
-		out, o = append(out, e), append(o, m)
+		out = append(out, e)
 		size += e.bytes()
 	}
-	return out, o, size
+	return out, size
 }
 
 // mergeMem returns the stores of a followed by those of b, keeping only
@@ -200,13 +221,18 @@ func mergeMem(a, b []isa.MemEntry) []isa.MemEntry {
 	return out
 }
 
-// statsSince returns the counters end gained since start.
-func statsSince(end, start Stats) Stats {
-	d, o := reflect.ValueOf(&end).Elem(), reflect.ValueOf(start)
-	for i := range d.NumField() {
-		d.Field(i).SetUint(d.Field(i).Uint() - o.Field(i).Uint())
+// statsSince returns the counters end gained since start. Every field
+// of Stats is a uint64 (TestStatsMergeCoversEveryField), so the two
+// are read as arrays; the trial loop calls it, and reflection would
+// allocate.
+func statsSince(end, start *Stats) Stats {
+	d := *end
+	a := (*[unsafe.Sizeof(Stats{}) / 8]uint64)(unsafe.Pointer(&d))
+	b := (*[unsafe.Sizeof(Stats{}) / 8]uint64)(unsafe.Pointer(start))
+	for i := range a {
+		a[i] -= b[i]
 	}
-	return end
+	return d
 }
 
 // epoch captures s's state, with memory and cache deltas since the

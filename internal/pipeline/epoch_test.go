@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -346,5 +347,45 @@ func TestEpochBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestThinKeepsOccupancyAfterEachEpoch: an epoch's CLQ occupancy is the
+// largest sampled after it and before the next, which a suffix or a
+// jump's span reads. Thinning merges each pair into its later epoch, so
+// the dropped epoch's occupancy, sampled before the kept one, belongs to
+// the previous kept epoch (the first pair's to none), and the kept
+// epoch's written registers include the dropped one's.
+func TestThinKeepsOccupancyAfterEachEpoch(t *testing.T) {
+	for _, tc := range []struct {
+		occ, want []uint64
+	}{
+		{[]uint64{5, 1, 1, 1}, []uint64{1, 1}},
+		{[]uint64{1, 1, 7, 1}, []uint64{7, 1}},
+		{[]uint64{1, 2, 3, 4, 9}, []uint64{3, 4, 9}},
+	} {
+		es := make([]epoch, len(tc.occ))
+		for i := range es {
+			es[i] = epoch{insts: uint64(i + 1), clqMax: tc.occ[i], written: 1 << i}
+		}
+		out, _ := thin(es)
+		var occ []uint64
+		var written isa.RegBitmap
+		for i, e := range out {
+			occ = append(occ, e.clqMax)
+			if want := es[min(2*i+1, len(es)-1)].insts; e.insts != want {
+				t.Errorf("occupancies %v: kept epoch %d at %d instructions, want %d", tc.occ, i, e.insts, want)
+			}
+			if e.written&written != 0 {
+				t.Errorf("occupancies %v: kept epoch %d repeats written registers %b", tc.occ, i, e.written&written)
+			}
+			written |= e.written
+		}
+		if !slices.Equal(occ, tc.want) {
+			t.Errorf("occupancies %v thin to %v, want %v", tc.occ, occ, tc.want)
+		}
+		if written != 1<<len(es)-1 {
+			t.Errorf("occupancies %v: kept epochs write %b, want every epoch's", tc.occ, written)
+		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 // re-seeding, and cache-hierarchy construction — each worker forks one
 // simulator and Resets it between trials, and the steady-state reset
 // allocates nothing. RecordEpochs, run once before the trials, adds the
-// restore points ResetAt resumes trials from.
+// restore points ResetAt resumes trials from, RunUntil jumps trials
+// between and RunCut cuts them at.
 type GoldenState struct {
 	prog  *isa.Program
 	cfg   Config
@@ -35,11 +36,12 @@ type GoldenState struct {
 	// before its first fault event.
 	epochs []epoch
 
-	// What RunCut compares trials with the epochs by, recorded with
-	// them: the warm run's cache access stream and final per-set cache
-	// clocks, the registers live before each instruction, and whether
-	// the golden run leaves the checkpoint window to checkpoints, so
-	// that colours may be renamed and the window skipped (cut.go).
+	// What RunCut and RunUntil compare trials with the epochs by,
+	// recorded with them: the warm run's cache access stream and final
+	// per-set cache clocks, the registers live before each instruction,
+	// and whether the golden run leaves the checkpoint window to
+	// checkpoints, so that a cut may rename colours and skip the window
+	// (cut.go).
 	stream     *cache.Stream
 	setClocks  cache.SetClocks
 	live       []isa.RegBitmap
@@ -163,7 +165,7 @@ func (g *GoldenState) ResetAt(s *Sim, inst uint64) {
 
 // replay applies the memory and cache deltas of epochs [from, to) to
 // mem and hier, which hold the state at epoch from-1 (the trial-start
-// snapshot for from = 0).
+// snapshot for from = 0), or a trial's that matches it (jump).
 func (g *GoldenState) replay(mem *isa.Memory, hier *cache.Hierarchy, from, to int) {
 	for i := from; i < to; i++ {
 		e := &g.epochs[i]

@@ -258,10 +258,10 @@ func concurrentForks(t *testing.T) {
 // positive, a reused simulator that has already executed a prior
 // corrupting trial must reproduce a fresh fork's result bit for bit —
 // and so must the same trial resumed by ResetAt from any instruction
-// count at or before its first event. Finished by RunCut instead, the
-// resumed trial must reproduce it too; when RunCut cuts it, the
-// predicted statistics must be the full run's and the full run's
-// output the golden output.
+// count at or before its first event. Run between its events by
+// RunUntil and finished by RunCut instead, the resumed trial must
+// reproduce it too; when RunCut cuts it, the predicted statistics must
+// be the full run's and the full run's output the golden output.
 func FuzzGoldenFork(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint16(1), uint8(1), uint16(0), uint16(0))
 	f.Add(uint8(3), uint8(17), uint16(40), uint8(5), uint16(40), uint16(0))
@@ -342,7 +342,8 @@ func FuzzGoldenFork(f *testing.F) {
 	})
 }
 
-// runCut is runWithFalsePositive with the run after the last event
+// runCut is runWithFalsePositive with the run between the events
+// taken by RunUntil, which may jump, and the run after the last event
 // finished by RunCut. For a cut trial it returns the predicted
 // statistics and no memory.
 func runCut(g *GoldenState, s *Sim, sh *Shadow, reg isa.Reg, bit uint, atInst uint64, lat int, fpAt uint64, fpLat int) (trialResult, bool) {
@@ -363,7 +364,11 @@ func runCut(g *GoldenState, s *Sim, sh *Shadow, reg isa.Reg, bit uint, atInst ui
 		if injected && fired {
 			break
 		}
-		if err := s.Step(); err != nil {
+		next := fpAt
+		if !injected && (fired || atInst < fpAt) {
+			next = atInst
+		}
+		if err := g.RunUntil(s, sh, next); err != nil {
 			return trialResult{Stats: s.Stats, Err: err.Error()}, false
 		}
 	}
