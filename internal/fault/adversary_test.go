@@ -149,6 +149,29 @@ func TestAdversaryValidation(t *testing.T) {
 	}
 }
 
+// TestAdversaryBurstFitsDefaultQueue: with DetectQueue 0 the largest
+// burst validate accepts is one below the detect queue pipeline.New
+// gives the simulator, so that a burst's strikes and a false positive
+// fit in it together.
+func TestAdversaryBurstFitsDefaultQueue(t *testing.T) {
+	prog, _ := compiled(t, "fft", core.Turnpike)
+	cfg := pipeline.TurnpikeConfig(4, 10)
+	cfg.DetectQueue = 0
+	s, err := pipeline.New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, largest := s.Cfg.DetectQueue, -1
+	for b := 0; b <= 2*q; b++ {
+		if (&Adversary{BurstMax: b}).validate(cfg) == nil {
+			largest = b
+		}
+	}
+	if largest != q-1 {
+		t.Fatalf("validate accepts bursts up to %d at the default detect queue of %d, want %d", largest, q, q-1)
+	}
+}
+
 // TestAdversarialReplayAndResume closes the loop on the debugging
 // workflow: every checkpointed adversarial trial replays to its recorded
 // outcome, and a fresh campaign over the finished checkpoint file merges
@@ -199,11 +222,6 @@ func planFor(t *testing.T, prog *isa.Program, cfg Config, seedMem func(*isa.Memo
 	return e.plan(trial)
 }
 
-// events flattens the injection into a freshly allocated schedule.
-func (inj *Injection) events() []injEvent {
-	return inj.appendEvents(make([]injEvent, 0, 1+len(inj.Extra)+len(inj.FalsePositives)))
-}
-
 // TestEventScheduleOrder pins the fault-event schedule's order: by
 // instruction point, and on ties the primary strike, then the burst
 // extras in injection order, then the false positives.
@@ -217,8 +235,12 @@ func TestEventScheduleOrder(t *testing.T) {
 		fp  int
 	}
 	var got []ev
-	for _, e := range inj.events() {
-		got = append(got, ev{e.atInst, e.strike.Reg, e.fpLat})
+	for _, e := range inj.appendEvents(nil) {
+		fp := 0
+		if e.Spurious {
+			fp = e.Latency
+		}
+		got = append(got, ev{e.At, e.Reg, fp})
 	}
 	want := []ev{{2, 0, 6}, {4, 3, 0}, {10, 1, 0}, {10, 2, 0}, {10, 4, 0}, {10, 0, 5}}
 	if !reflect.DeepEqual(got, want) {

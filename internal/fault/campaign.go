@@ -43,44 +43,29 @@ type TrialRecord struct {
 
 // trialRunner is one worker's reusable execution state: a simulator
 // forked from the golden snapshot and Reset between trials, the shadow
-// its trials are compared with for the reconvergence cut-off, its copy
-// of the campaign's detector, reseeded per trial, and the event-schedule
-// scratch. Steady-state, running a trial allocates only its TrialRecord.
+// its trials are compared with for the reconvergence cut-off, which
+// also counts them, its copy of the campaign's detector, reseeded per
+// trial, and the event-schedule scratch. Steady-state, running a trial
+// allocates only its TrialRecord.
 type trialRunner struct {
 	sim    *pipeline.Sim
 	shadow *pipeline.Shadow // nil: trials are never cut
 	det    sensor.MeshDetector
-	evs    []injEvent
-	counts trialCounts
-}
-
-// trialCounts tallies a runner's trials for the cut counters: the
-// trials cut, and the instructions they resumed past (ResetAt), stepped
-// before their last fault event fired, and simulated after it.
-type trialCounts struct {
-	cut, resumed, before, after uint64
-}
-
-// jumped returns the instructions the runner's trials have jumped
-// (RunUntil) since its counts were last flushed.
-func (r *trialRunner) jumped() uint64 {
-	if r.shadow == nil {
-		return 0
-	}
-	return r.shadow.Counts.Jumped
+	evs    []pipeline.Event
 }
 
 // CutCounters names the campaign registry's counters of the
-// reconvergence cut, in the order flushCounts adds them: the trials
-// cut; the comparisons made for cuts and jumps, and those rejected by a
-// pending detection (or recovery, degraded mesh, taint or the
-// instruction limit), by the state value, by memory and by the caches;
-// the cuts the cache replay decided and the replays refused at a level
-// mismatch; the jumps between fault events and the instructions they
-// skipped; and the instructions resumed past, stepped before the last
-// fault event and simulated after it. Each is a sum over the trials run
-// of a pure function of the trial, so it does not depend on the workers
-// or the leases.
+// reconvergence cut, in the order of pipeline.CutCounts' fields, which
+// flushCounts adds to them: the trials cut; the comparisons made for
+// cuts and jumps, and those rejected by a pending detection (or
+// recovery, degraded mesh, taint or the instruction limit), by the
+// state value, by memory and by the caches; the cuts the cache replay
+// decided and the replays refused at a level mismatch; the jumps
+// between fault events and the instructions they skipped; and the
+// instructions resumed past, stepped before the last fault event and
+// simulated after it. Each is a sum over the trials run of a pure
+// function of the trial, so it does not depend on the workers or the
+// leases.
 var CutCounters = []string{
 	"fault.cut.trials",
 	"fault.cut.comparisons",
@@ -100,17 +85,16 @@ var CutCounters = []string{
 // flushCounts adds the runner's counts since the last flush to reg's
 // CutCounters (nil reg drops them) and zeroes them.
 func (r *trialRunner) flushCounts(reg *obs.Registry) {
-	var sc pipeline.CutCounts
-	if r.shadow != nil {
-		sc, r.shadow.Counts = r.shadow.Counts, pipeline.CutCounts{}
+	if r.shadow == nil {
+		return
 	}
-	tc := r.counts
-	r.counts = trialCounts{}
+	c := r.shadow.Counts
+	r.shadow.Counts = pipeline.CutCounts{}
 	if reg == nil {
 		return
 	}
-	for i, v := range [...]uint64{tc.cut, sc.Comparisons, sc.Pending, sc.State, sc.Memory, sc.Cache,
-		sc.Replayed, sc.Mismatches, sc.Jumps, sc.Jumped, tc.resumed, tc.before, tc.after} {
+	for i, v := range [...]uint64{c.Cuts, c.Comparisons, c.Pending, c.State, c.Memory, c.Cache,
+		c.Replayed, c.Mismatches, c.Jumps, c.Jumped, c.Resumed, c.Before, c.After} {
 		reg.Counter(CutCounters[i]).Add(v)
 	}
 }
@@ -224,57 +208,23 @@ func (e *engine) planWith(trial int, det *sensor.MeshDetector) Injection {
 	return inj
 }
 
-// exec runs one injection on the runner's simulator, reset from the
-// golden snapshot at its last epoch before the first event (ResetAt; a
-// snapshot without epochs runs the trial from the start), and reports
-// whether the masked output matches the golden image. Between events
-// the golden state's RunUntil runs the trial, jumping it across the
-// golden run where it matches an epoch exactly. Once the last event has
-// fired, RunCut finishes the trial; cut reports that it ended it early,
+// exec runs one injection on the runner's simulator through the golden
+// state's trial driver (GoldenState.RunTrial: resumed from the last
+// epoch before the first event, jumped between events and cut once
+// reconverged; a snapshot without epochs runs the trial from the start
+// to halt) and reports whether the masked output matches the golden
+// image. cut reports that the driver ended the trial early,
 // reconverged with the golden run, in which case the output is the
 // golden output and is not compared. The classification comparison
 // runs in place (isa.Memory.EqualMasked over the drained trial memory)
 // — no clone, no sorted snapshot — so a steady-state trial performs no
 // comparison allocations at all.
 func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st pipeline.Stats, equal, cut bool, err error) {
-	s := r.sim
 	r.evs = inj.appendEvents(r.evs[:0])
-	evs := r.evs
-	e.gs.ResetAt(s, evs[0].atInst)
-	resumed, jumped := s.Stats.Insts, r.jumped()
 	if e.cfg.Logger != nil {
-		s.AttachLogger(ctx, e.cfg.Logger)
+		r.sim.AttachLogger(ctx, e.cfg.Logger)
 	}
-	for next := 0; next < len(evs) && !s.Halted(); {
-		for next < len(evs) && s.Stats.Insts >= evs[next].atInst {
-			ev := &evs[next]
-			next++
-			var err error
-			if ev.fp {
-				err = s.InjectFalseDetection(ev.fpLat)
-			} else {
-				err = s.InjectBitFlip(ev.strike.Reg, ev.strike.Bit, ev.strike.Latency)
-			}
-			if err != nil {
-				s.FlushProgress() // the run ends here, between batches
-				return s.Stats, false, false, err
-			}
-		}
-		if next < len(evs) {
-			if err := e.gs.RunUntil(s, r.shadow, evs[next].atInst); err != nil {
-				return s.Stats, false, false, err
-			}
-		}
-	}
-	last := s.Stats.Insts
-	st, cut, err = e.gs.RunCut(s, r.shadow)
-	c := &r.counts
-	c.resumed += resumed
-	c.before += last - resumed - (r.jumped() - jumped)
-	c.after += s.Stats.Insts - last
-	if cut {
-		c.cut++
-	}
+	st, cut, err = e.gs.RunTrial(r.sim, r.shadow, r.evs)
 	if err != nil {
 		return st, false, false, err
 	}
@@ -284,7 +234,7 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 	if cut {
 		return st, true, true, nil
 	}
-	out := s.DrainOutput()
+	out := r.sim.DrainOutput()
 	equal = out.EqualMasked(e.golden, e.ckptLo, e.ckptHi, isa.StackBase, isa.StackLimit)
 	return st, equal, false, nil
 }
@@ -749,13 +699,13 @@ func errSuffix(s string) string {
 
 // Replay re-executes one recorded injection — from Result.Failures or a
 // checkpoint file — outside any campaign: golden run, injected run,
-// classification. It runs the injection through the same GoldenState
-// trial path campaign workers use, but from the start (its golden state
-// records no epochs), so a replayed trial is byte-identical to its
-// campaign record regardless of the campaign's worker count, lease
-// batching or the epoch its trial resumed from. On Crash the
-// simulator's error is returned alongside the outcome; any golden-run
-// failure is an error with outcome Crash.
+// classification. It runs the injection through the trial driver
+// campaign workers use (GoldenState.RunTrial), but from the start to
+// halt (its golden state records no epochs), so a replayed trial is
+// byte-identical to its campaign record regardless of the campaign's
+// worker count, lease batching or the epoch its trial resumed from. On
+// Crash the simulator's error is returned alongside the outcome; any
+// golden-run failure is an error with outcome Crash.
 func Replay(prog *isa.Program, cfg Config, seedMem func(*isa.Memory), inj Injection) (Outcome, pipeline.Stats, error) {
 	ctx := context.Background()
 	e, r, err := replayer(ctx, prog, cfg, seedMem)

@@ -108,10 +108,9 @@ func checkEpochTrials(t *testing.T, name string, scale, trials int) (cut, eligib
 			var got, want TrialRecord
 			cellCut, cellEligible := 0, 0
 			for trial := range trials {
-				inj := e.plan(trial)
-				e.gs.ResetAt(r.sim, inj.events()[0].atInst)
-				skipped += r.sim.Stats.Insts
+				resumed := r.shadow.Counts.Resumed
 				wasCut := e.runTrial(ctx, r, trial, &got)
+				skipped += r.shadow.Counts.Resumed - resumed
 				if ref.runTrial(ctx, refRunner, trial, &want) {
 					t.Fatalf("%s adversary=%v trial %d: a golden state without epochs cut a trial", sc.name, adv != nil, trial)
 				}

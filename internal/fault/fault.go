@@ -179,7 +179,7 @@ func (a *Adversary) validate(sim pipeline.Config) error {
 	}
 	dq := sim.DetectQueue
 	if dq == 0 {
-		dq = 8 // pipeline.New's default
+		dq = pipeline.DefaultDetectQueue
 	}
 	if a.BurstMax+1 > dq {
 		return fmt.Errorf("fault: adversary burst max %d needs a detect queue of %d (have %d)",
@@ -324,32 +324,22 @@ type FalsePositive struct {
 	Latency int    `json:"latency"`
 }
 
-// injEvent is one scheduled fault event in a trial; fp marks a spurious
-// detection with no strike.
-type injEvent struct {
-	atInst uint64
-	strike Strike
-	fp     bool
-	fpLat  int
-}
-
-// appendEvents appends the injection's instruction-ordered schedule to
-// evs — normally a worker's scratch resliced to [:0], so steady-state
+// appendEvents appends the injection's schedule of fault events to evs
+// — normally a worker's scratch resliced to [:0], so steady-state
 // planning allocates nothing. Ordering is deterministic: by instruction
 // point, primaries before extras before false positives on ties. A
 // schedule holds at most BurstMax+2 events, so an in-place stable
 // insertion sort orders it without sort.SliceStable's allocations.
-func (inj *Injection) appendEvents(evs []injEvent) []injEvent {
-	evs = append(evs, injEvent{atInst: inj.AtInst, strike: Strike{
-		Reg: inj.Reg, Bit: inj.Bit, AtInst: inj.AtInst, Latency: inj.Latency, Missed: inj.Missed}})
-	for i := range inj.Extra {
-		evs = append(evs, injEvent{atInst: inj.Extra[i].AtInst, strike: inj.Extra[i]})
+func (inj *Injection) appendEvents(evs []pipeline.Event) []pipeline.Event {
+	evs = append(evs, pipeline.Event{At: inj.AtInst, Reg: inj.Reg, Bit: inj.Bit, Latency: inj.Latency})
+	for _, x := range inj.Extra {
+		evs = append(evs, pipeline.Event{At: x.AtInst, Reg: x.Reg, Bit: x.Bit, Latency: x.Latency})
 	}
-	for i := range inj.FalsePositives {
-		evs = append(evs, injEvent{atInst: inj.FalsePositives[i].AtInst, fp: true, fpLat: inj.FalsePositives[i].Latency})
+	for _, fp := range inj.FalsePositives {
+		evs = append(evs, pipeline.Event{At: fp.AtInst, Latency: fp.Latency, Spurious: true})
 	}
 	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].atInst < evs[j-1].atInst; j-- {
+		for j := i; j > 0 && evs[j].At < evs[j-1].At; j-- {
 			evs[j], evs[j-1] = evs[j-1], evs[j]
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The flight recorder: a bounded in-memory ring of recent structured
@@ -35,12 +37,8 @@ type Event struct {
 // Recorder is a goroutine-safe bounded ring of Events. When full, the
 // oldest event is overwritten; Dropped counts the overwrites.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	full    bool
-	seq     uint64
-	dropped uint64
+	mu   sync.Mutex
+	ring obs.Ring[Event]
 }
 
 // NewRecorder returns a recorder holding the most recent capacity events
@@ -49,41 +47,21 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{ring: obs.NewRing[Event](capacity)}
 }
 
 // Append records one event, evicting the oldest when the ring is full.
 func (r *Recorder) Append(e Event) {
 	r.mu.Lock()
-	if r.full {
-		r.dropped++
-	}
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.seq++
+	r.ring.Append(e)
 	r.mu.Unlock()
-}
-
-// snapshotLocked copies the ring oldest-first; the caller holds r.mu.
-func (r *Recorder) snapshotLocked() []Event {
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
 }
 
 // Events returns the recorded events, oldest first.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapshotLocked()
+	return r.ring.Values(nil)
 }
 
 // JobEvents returns the recorded events carrying the given job ID,
@@ -91,20 +69,14 @@ func (r *Recorder) Events() []Event {
 func (r *Recorder) JobEvents(id string) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Event
-	for _, e := range r.snapshotLocked() {
-		if e.JobID == id {
-			out = append(out, e)
-		}
-	}
-	return out
+	return r.ring.Values(func(e *Event) bool { return e.JobID == id })
 }
 
 // Dropped reports how many events the ring has evicted.
 func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.ring.Dropped()
 }
 
 // Dump writes the recorded events as JSON lines, oldest first — the

@@ -80,10 +80,7 @@ type Tracer struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	ring    []Record
-	next    int
-	full    bool
-	dropped uint64
+	ring    obs.Ring[Record]
 	pending []Record // awaiting the flusher (Sink set only)
 	closed  bool
 	err     error
@@ -105,7 +102,7 @@ func New(cfg Config) *Tracer {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	t := &Tracer{cfg: cfg, epoch: cfg.Clock(), ring: make([]Record, cfg.Capacity)}
+	t := &Tracer{cfg: cfg, epoch: cfg.Clock(), ring: obs.NewRing[Record](cfg.Capacity)}
 	if cfg.Sink != nil {
 		t.done = make(chan struct{})
 		t.wg.Add(1)
@@ -290,30 +287,11 @@ func (t *Tracer) record(r Record) {
 			Observe(uint64(r.Dur.Microseconds()))
 	}
 	t.mu.Lock()
-	if t.full {
-		t.dropped++
-	}
-	t.ring[t.next] = r
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.full = true
-	}
+	t.ring.Append(r)
 	if t.cfg.Sink != nil && !t.closed {
 		t.pending = append(t.pending, r)
 	}
 	t.mu.Unlock()
-}
-
-// snapshotLocked copies the ring oldest-first; the caller holds t.mu.
-func (t *Tracer) snapshotLocked() []Record {
-	if !t.full {
-		return append([]Record(nil), t.ring[:t.next]...)
-	}
-	out := make([]Record, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
 }
 
 // Spans returns every retained span, oldest first.
@@ -323,7 +301,7 @@ func (t *Tracer) Spans() []Record {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.snapshotLocked()
+	return t.ring.Values(nil)
 }
 
 // JobSpans returns the retained spans recorded under the given job ID,
@@ -334,13 +312,7 @@ func (t *Tracer) JobSpans(id string) []Record {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Record
-	for _, r := range t.snapshotLocked() {
-		if r.JobID == id {
-			out = append(out, r)
-		}
-	}
-	return out
+	return t.ring.Values(func(r *Record) bool { return r.JobID == id })
 }
 
 // Dropped reports how many completed spans the ring has evicted.
@@ -350,7 +322,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.Dropped()
 }
 
 // Err returns the first sink error seen, if any.

@@ -8,18 +8,22 @@ import (
 	"repro/internal/isa"
 )
 
+// The trial driver. RunTrial resumes a fault trial from the last epoch
+// before its first fault event (epoch.go), fires its events and
+// compares it with the warm golden run at the epoch boundaries it
+// reaches.
+//
 // Reconvergence cut-off. Recovery squashes the unverified regions and
 // re-executes them from the last verified boundary, so a recovered trial
-// is soon the golden run again, a few cycles late. RunCut compares a
-// trial whose fault events have all fired with the warm golden run at
-// each epoch boundary, and once the two states are equivalent it stops
-// simulating: the trial's future is the golden run's from that epoch,
-// shifted in time, so its outcome is the golden outcome and its
-// statistics are its own so far plus the golden suffix. DESIGN.md §3
-// ("Reconvergence cut-off") gives the soundness argument for every
-// difference the comparison allows.
+// is soon the golden run again, a few cycles late. Once a trial whose
+// fault events have all fired is equivalent to the golden run at an
+// epoch, RunTrial stops simulating: the trial's future is the golden
+// run's from that epoch, shifted in time, so its outcome is the golden
+// outcome and its statistics are its own so far plus the golden suffix.
+// DESIGN.md §3 ("Reconvergence cut-off") gives the soundness argument
+// for every difference the comparison allows.
 //
-// Between two fault events RunUntil makes the same comparison, strictly,
+// Between two fault events RunTrial makes the same comparison, strictly,
 // and on a match jumps the trial across the golden run to the last
 // epoch before its next event (DESIGN.md §3, "Jumping between fault
 // events").
@@ -28,11 +32,11 @@ import (
 // Program.CkptBase.
 const ckptBytes = isa.NumRegs * isa.NumColors * 8
 
-// Shadow is what RunCut and RunUntil compare a trial's memory and
-// caches with: a memory image and a cache hierarchy that they rebuild,
-// from the golden state's deltas, as they were at the epoch the trial
-// has reached, and the two hierarchies the cache replay runs on. Each
-// campaign worker owns one.
+// Shadow is what RunTrial compares a trial's memory and caches with: a
+// memory image and a cache hierarchy that it rebuilds, from the golden
+// state's deltas, as they were at the epoch the trial has reached, and
+// the two hierarchies the cache replay runs on. Each campaign worker
+// owns one.
 type Shadow struct {
 	g    *GoldenState
 	mem  *isa.Memory
@@ -44,25 +48,31 @@ type Shadow struct {
 	scratch, future *cache.Hierarchy
 	img             cache.Image
 
-	// Counts tallies the comparisons RunCut made with the shadow.
+	// Counts tallies the trials RunTrial ran with the shadow.
 	Counts CutCounts
 }
 
-// CutCounts tallies reconvergence comparisons, for cuts and jumps: how
-// many were made, and how many each check rejected, counted by the
-// first check that failed: a pending detection, recovery block,
-// degraded mesh, taint or the instruction limit (Pending), the state
-// value, memory, or the caches. A cut's cache comparison that fails
-// directly is decided by the cache replay: Replayed counts the cuts it
-// decided, Mismatches the replays refused at an access served at
-// another level. Jumps counts the jumps RunUntil made, Jumped the
-// instructions they skipped. Every count is a sum over trials of a pure
-// function of the trial.
+// CutCounts tallies trials, in the order of fault.CutCounters: the
+// trials cut; the reconvergence comparisons made for cuts and jumps,
+// and how many each check rejected, counted by the first check that
+// failed: a pending detection, recovery block, degraded mesh, taint or
+// the instruction limit (Pending), the state value, memory, or the
+// caches. A cut's cache comparison that fails directly is decided by
+// the cache replay: Replayed counts the cuts it decided, Mismatches the
+// replays refused at an access served at another level. Jumps counts
+// the jumps between fault events, Jumped the instructions they skipped.
+// Resumed, Before and After count the instructions the trials resumed
+// past, stepped before their last event fired (or they halted) and
+// simulated after it; a trial that ends in an error before its last
+// event adds to none of them, nor to Cuts. Every count is a sum over
+// trials of a pure function of the trial.
 type CutCounts struct {
+	Cuts                          uint64
 	Comparisons                   uint64
 	Pending, State, Memory, Cache uint64
 	Replayed, Mismatches          uint64
 	Jumps, Jumped                 uint64
+	Resumed, Before, After        uint64
 }
 
 // NewShadow builds a Shadow for g's trials. It holds nothing until a
@@ -96,97 +106,128 @@ func (sh *Shadow) moveTo(k int) {
 	sh.at = k + 1
 }
 
-// RunCut runs s, a trial forked from g whose fault events have all
-// fired, to halt, like Run. At every step boundary where s's
-// golden-equivalent progress reaches an epoch's instruction count, it
-// compares s with that epoch, using sh, a Shadow of g's; on a match it
-// stops and returns, with cut = true, the statistics the run to halt
-// would have returned. The output of a cut trial equals the golden
-// output. s is then left at the boundary where it stopped, not halted,
-// and must be Reset before it runs again. An attached Progress receives
-// the same totals as from a run to halt.
-//
-// RunCut never cuts without a shadow or epochs, with an observability attachment
-// (AttachObs) or with Config.RecordRegions, whose traces and logs must
-// cover the whole run, nor while a detection is pending, a recovery
-// block runs, the mesh is degraded or a register is tainted.
-func (g *GoldenState) RunCut(s *Sim, sh *Shadow) (st Stats, cut bool, err error) {
-	if !g.compares(s, sh) {
-		st, err = s.Run()
-		return st, false, err
-	}
-	k, check := 0, false
-	for !s.halted {
-		if check {
-			var at bool
-			if k, at = g.epochAt(s, k); at && g.reconverged(s, sh, k, g.epochs[k].suffix.Insts, false) {
-				e := &g.epochs[k]
-				st = s.Stats
-				st.Merge(&e.suffix)
-				st.Cycles = s.cycle + e.suffix.Cycles
-				if s.progress != nil {
-					own := s.Stats
-					s.Stats = st
-					s.publishProgress()
-					s.Stats = own
-				}
-				return st, true, nil
-			}
-		}
-		net := s.netInsts
-		err := s.step()
-		if s.progress != nil {
-			s.publishDue(err)
-		}
-		if err != nil {
-			return s.Stats, false, err
-		}
-		check = s.netInsts != net
-	}
-	return s.Stats, false, nil
+// Event is one fault event of a trial: a flip of bit Bit of register
+// Reg or, with Spurious, a detection with no strike, that fires once At
+// instructions have retired and is detected Latency cycles later.
+type Event struct {
+	At       uint64
+	Reg      isa.Reg
+	Bit      uint
+	Latency  int
+	Spurious bool
 }
 
-// RunUntil steps s, a trial forked from g, until its Stats.Insts
-// reaches inst, where its next fault event fires, or it halts, like a
-// loop of Step. On the way it jumps across the golden run where it can:
-// at a step boundary where s's golden-equivalent progress reaches epoch
-// k's instruction count, and a later epoch would still leave s at or
-// before inst, it compares s with epoch k strictly, using sh; on a match
-// it moves s at once to the last such epoch, j, and s holds what
-// stepping to j would have left it with (jump). So the events fire as
-// on a trial that stepped, and one due at j fires before s steps again.
-// An attached Progress receives the jumped span with its next
-// publication. RunUntil never jumps where RunCut never cuts.
-func (g *GoldenState) RunUntil(s *Sim, sh *Shadow, inst uint64) error {
+// fire injects ev into s now.
+func (s *Sim) fire(ev *Event) error {
+	if ev.Spurious {
+		return s.InjectFalseDetection(ev.Latency)
+	}
+	return s.InjectBitFlip(ev.Reg, ev.Bit, ev.Latency)
+}
+
+// RunTrial runs the fault trial of evs, ordered by At and not empty, on
+// s, a simulator forked from g, to halt, like Run. It resumes s at the
+// last epoch at or before evs[0].At (resetAt) and fires each event once
+// s's Stats.Insts reaches its At: an event due after s halts never
+// fires, and one that fails to fire ends the trial with its error.
+//
+// On the way it compares s with g's epochs through sh, a Shadow of g's,
+// at every step boundary where s's golden-equivalent progress reaches
+// an epoch's instruction count. Before the last event fires, where a
+// later epoch would still leave s at or before the next event, it
+// compares s with the epoch strictly; on a match it moves s at once to
+// the last such epoch, and s holds what stepping there would have left
+// it with (jump), so the events fire as on a trial that stepped. After
+// the last event, on a match it stops and returns, with cut = true, the
+// statistics the run to halt would have returned; the output of a cut
+// trial equals the golden output. s is then left at the boundary where
+// it stopped, not halted, and must be Reset before it runs again. An
+// attached Progress receives the same totals as from a run to halt from
+// the start.
+//
+// RunTrial counts the trial in sh.Counts. It never compares without a
+// shadow or epochs, with an observability attachment (AttachObs), with
+// which it also runs s from the start, or with Config.RecordRegions,
+// whose traces and logs must cover the whole run, nor while a detection
+// is pending, a recovery block runs, the mesh is degraded or a register
+// is tainted.
+func (g *GoldenState) RunTrial(s *Sim, sh *Shadow, evs []Event) (st Stats, cut bool, err error) {
+	g.resetAt(s, evs[0].At)
+	return g.run(s, sh, evs)
+}
+
+// run is RunTrial from where s stands, at a step boundary with none of
+// evs fired.
+func (g *GoldenState) run(s *Sim, sh *Shadow, evs []Event) (st Stats, cut bool, err error) {
 	compare := g.compares(s, sh)
-	k, check := 0, false
-	for !s.halted && s.Stats.Insts < inst {
+	resumed, last, jumped := s.Stats.Insts, uint64(0), uint64(0)
+	next, k, check := 0, 0, false
+	for !s.halted {
+		for next < len(evs) && s.Stats.Insts >= evs[next].At {
+			if err := s.fire(&evs[next]); err != nil {
+				s.FlushProgress() // the run ends here, between batches
+				return s.Stats, false, err
+			}
+			next, last, check = next+1, s.Stats.Insts, false
+		}
 		if check {
 			var at bool
-			if k, at = g.epochAt(s, k); at {
-				if j := g.landing(s, k, inst); j > k &&
+			k, at = g.epochAt(s, k)
+			if at && next == len(evs) && g.reconverged(s, sh, k, g.epochs[k].suffix.Insts, false) {
+				cut = true
+				break
+			}
+			if at && next < len(evs) {
+				if j := g.landing(s, k, evs[next].At); j > k &&
 					g.reconverged(s, sh, k, g.epochs[j].insts-g.epochs[k].insts, true) {
-					g.jump(s, sh, k, j)
+					jumped += g.jump(s, sh, k, j)
 					k, check = j, false
 					continue
 				}
 			}
 		}
 		net := s.netInsts
-		err := s.step()
+		err = s.step()
 		if s.progress != nil {
 			s.publishDue(err)
 		}
 		if err != nil {
-			return err
+			if next < len(evs) {
+				return s.Stats, false, err
+			}
+			break
 		}
 		check = compare && s.netInsts != net
 	}
-	return nil
+	if sh != nil {
+		if next < len(evs) {
+			last = s.Stats.Insts // halted before its last event
+		}
+		c := &sh.Counts
+		c.Resumed += resumed
+		c.Before += last - resumed - jumped
+		c.After += s.Stats.Insts - last
+		if cut {
+			c.Cuts++
+		}
+	}
+	st = s.Stats
+	if cut {
+		e := &g.epochs[k]
+		st.Merge(&e.suffix)
+		st.Cycles = s.cycle + e.suffix.Cycles
+		if s.progress != nil {
+			own := s.Stats
+			s.Stats = st
+			s.publishProgress()
+			s.Stats = own
+		}
+	}
+	return st, cut, err
 }
 
-// compares reports whether RunCut and RunUntil may compare s with g's
-// epochs through sh.
+// compares reports whether RunTrial may compare s with g's epochs
+// through sh.
 func (g *GoldenState) compares(s *Sim, sh *Shadow) bool {
 	return sh != nil && sh.g == g && len(g.epochs) > 0 && s.obs == nil && !s.Cfg.RecordRegions
 }
@@ -227,8 +268,8 @@ func (g *GoldenState) landing(s *Sim, k int, inst uint64) int {
 // write from k to j. That is the state stepping from k would reach: a
 // strict match steps as the golden run does, shifted, and leaves what
 // it does not write as it was. DESIGN.md §3 ("Jumping between fault
-// events") gives the argument.
-func (g *GoldenState) jump(s *Sim, sh *Shadow, k, j int) {
+// events") gives the argument. It returns the instructions jumped.
+func (g *GoldenState) jump(s *Sim, sh *Shadow, k, j int) uint64 {
 	from, to := &g.epochs[k].state, &g.epochs[j].state
 	d, dr, ds := s.cycle-from.cycle, s.nextRegion-from.nextRegion, s.sb.seq-from.sb.seq
 	span := statsSince(&to.Stats, &from.Stats)
@@ -253,6 +294,7 @@ func (g *GoldenState) jump(s *Sim, sh *Shadow, k, j int) {
 	s.Stats, s.lastRestart = st, restart
 	sh.Counts.Jumps++
 	sh.Counts.Jumped += span.Insts
+	return span.Insts
 }
 
 // shift moves the state value's cycles by d, its region ids by dr and

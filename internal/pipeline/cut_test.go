@@ -47,21 +47,12 @@ func strikes(n int, insts uint64) []cutStrike {
 	return out
 }
 
-// inject resumes s by ResetAt at the strike and fires it.
-func (st cutStrike) inject(t *testing.T, g *GoldenState, s *Sim) {
-	t.Helper()
-	g.ResetAt(s, st.at)
-	for s.Stats.Insts < st.at && !s.halted {
-		if err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.InjectBitFlip(st.reg, st.bit, st.lat); err != nil {
-		t.Fatal(err)
-	}
+// event returns the strike as a fault event.
+func (st cutStrike) event() Event {
+	return Event{At: st.at, Reg: st.reg, Bit: st.bit, Latency: st.lat}
 }
 
-// cutFixture is a trial that RunCut cut: s stopped at the boundary it
+// cutFixture is a trial that RunTrial cut: s stopped at the boundary it
 // matched epoch e at, and the shadow holding e.
 type cutFixture struct {
 	g  *GoldenState
@@ -70,12 +61,11 @@ type cutFixture struct {
 	e  *epoch
 }
 
-// stop runs st on f.s through RunCut and reports whether it was cut; if
-// so, f.e is the epoch it matched.
+// stop runs st on f.s through RunTrial and reports whether it was cut;
+// if so, f.e is the epoch it matched.
 func (f *cutFixture) stop(t *testing.T, st cutStrike) bool {
 	t.Helper()
-	st.inject(t, f.g, f.s)
-	_, cut, err := f.g.RunCut(f.s, f.sh)
+	_, cut, err := f.g.RunTrial(f.s, f.sh, []Event{st.event()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +281,7 @@ func (f *cutFixture) l1dSets() (lines map[int][]uint64, live func(set int) bool)
 }
 
 // TestCutChecksWhatItMayIgnore is the reconvergence check's table test.
-// From a trial RunCut cut, it changes one thing at a time and asks the
+// From a trial RunTrial cut, it changes one thing at a time and asks the
 // check again: differences the cut's soundness argument allows must
 // still match, every other difference must not.
 func TestCutChecksWhatItMayIgnore(t *testing.T) {
@@ -592,7 +582,7 @@ func TestStreamReplaysTheGoldenCaches(t *testing.T) {
 	}
 }
 
-// TestCutNeverWhereRunsMustBeWhole: RunCut runs a trial to halt, never
+// TestCutNeverWhereRunsMustBeWhole: RunTrial runs a trial to halt, never
 // cutting it, when the golden state has no epochs, when it records
 // regions, or when an observability attachment is present, and the run
 // to halt it returns is the one Run returns.
@@ -627,26 +617,25 @@ func TestCutNeverWhereRunsMustBeWhole(t *testing.T) {
 			if tc.obs {
 				a.AttachObs(NewObs(nil, obs.NewRegistry()))
 			}
-			st.inject(t, tc.g, a)
 			sh, err := tc.g.NewShadow()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, cut, err := tc.g.RunCut(a, sh)
+			got, cut, err := tc.g.RunTrial(a, sh, []Event{st.event()})
 			if err != nil || cut {
-				t.Fatalf("RunCut: cut %v, error %v", cut, err)
+				t.Fatalf("RunTrial: cut %v, error %v", cut, err)
 			}
 			tc.g.Reset(b)
 			want := runInjected(b, st.reg, st.bit, st.at, st.lat)
 			if got != want.Stats || !a.halted {
-				t.Fatalf("RunCut returned %+v, a run to halt %+v", got, want.Stats)
+				t.Fatalf("RunTrial returned %+v, a run to halt %+v", got, want.Stats)
 			}
 		})
 	}
 }
 
 // TestCutPredictsTheRun: for every strike of a spread, a trial cut by
-// RunCut returns the statistics of the same trial run to halt from the
+// RunTrial returns the statistics of the same trial run to halt from the
 // start, that run's output is the golden output, and an attached
 // Progress ends with the same totals as the run to halt's. It covers
 // the renamed path (gcc) and both ways into the exact one.
@@ -690,15 +679,14 @@ func checkCutPredictions(t *testing.T, g *GoldenState) (cuts int) {
 		pa, pb := NewProgress(obs.NewRegistry()), NewProgress(obs.NewRegistry())
 		a.AttachProgress(pa)
 		b.AttachProgress(pb)
-		st.inject(t, g, a)
-		got, cut, err := g.RunCut(a, sh)
+		got, cut, err := g.RunTrial(a, sh, []Event{st.event()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.Reset(b)
 		want := runInjected(b, st.reg, st.bit, st.at, st.lat)
 		if want.Err != "" || got != want.Stats {
-			t.Fatalf("%+v (cut %v): RunCut returned %+v, the run from the start %+v (%s)", st, cut, got, want.Stats, want.Err)
+			t.Fatalf("%+v (cut %v): RunTrial returned %+v, the run from the start %+v (%s)", st, cut, got, want.Stats, want.Err)
 		}
 		if liveTotals(pa) != liveTotals(pb) {
 			t.Fatalf("%+v (cut %v): Progress totals differ from the run from the start's", st, cut)
@@ -746,7 +734,7 @@ func TestCutCoversEveryField(t *testing.T) {
 			"pendingDetects": "must be empty",
 			"degradedUntil":  "must be 0",
 			"inRecovery":     "must be false",
-			"halted":         "RunCut checks only before halt",
+			"halted":         "RunTrial checks only before halt",
 			"Stats":          "not compared: the cut returns the trial's own plus the golden suffix",
 		}, map[string]string{
 			"lastRestart": "only recover reads it, and no recovery follows a cut",
@@ -834,7 +822,7 @@ func TestJumpCoversEveryField(t *testing.T) {
 			"pendingDetects": "must be empty, as in the golden run",
 			"degradedUntil":  "must be 0, as in the golden run",
 			"inRecovery":     "must be false, as in the golden run",
-			"halted":         "false at every epoch: RunUntil steps only before halt",
+			"halted":         "false at every epoch: RunTrial steps only before halt",
 		}, map[string]string{
 			"cycle":      "cycle offset",
 			"nextRegion": "region-id offset",
@@ -874,9 +862,9 @@ func TestJumpCoversEveryField(t *testing.T) {
 			"verifyAt": "cycle offset, infCycle kept",
 			"start":    "cycle offset; only region logs, traces and CheckInvariants read it",
 		}, nil, map[string]string{
-			"warFree":     "observability counter; RunUntil never jumps with traces or region logs",
-			"colored":     "observability counter; RunUntil never jumps with traces or region logs",
-			"quarantined": "observability counter; RunUntil never jumps with traces or region logs",
+			"warFree":     "observability counter; RunTrial never jumps with traces or region logs",
+			"colored":     "observability counter; RunTrial never jumps with traces or region logs",
+			"quarantined": "observability counter; RunTrial never jumps with traces or region logs",
 		}},
 		{usedColors{}, map[string]string{
 			"regs":  "equal",

@@ -13,7 +13,7 @@ import (
 // Epoch fast-forward. A fault trial is identical to the warm golden run
 // until its first fault event fires, so instead of re-simulating that
 // fault-free prefix a trial resumes from the last epoch the golden run
-// recorded before the event (GoldenState.ResetAt).
+// recorded before the event (GoldenState.RunTrial).
 
 // The warm golden run is cut into epochCount equal instruction
 // intervals: at least minEpochs, and more for a long run, so that
@@ -21,8 +21,8 @@ import (
 // start of every interval is an epoch; the first one is the
 // trial-start snapshot itself, so one fewer is stored. A trial resumes
 // from the last epoch before its first fault event, may jump between
-// epochs until its last (RunUntil) and is compared with the golden run
-// at every epoch after it (RunCut), so the spacing bounds the fault-free
+// epochs until its last and is compared with the golden run at every
+// epoch after it (RunTrial), so the spacing bounds the fault-free
 // instructions it steps around each event.
 const (
 	minEpochs    = 16
@@ -63,7 +63,7 @@ type epoch struct {
 	access int
 
 	// suffix is what the golden run adds to its statistics from here to
-	// halt (RunCut): counters, Cycles from this epoch's cycle, and the
+	// halt, which a cut adds: counters, Cycles from this epoch's cycle, and the
 	// largest CLQ occupancy sampled after this epoch.
 	suffix Stats
 	// clqMax is the largest CLQ occupancy sampled after this epoch and
@@ -71,7 +71,7 @@ type epoch struct {
 	clqMax uint64
 	// written holds the registers the golden run wrote since the
 	// previous epoch: a trial that jumps across them takes their golden
-	// values and keeps its own of the rest (RunUntil).
+	// values and keeps its own of the rest.
 	written isa.RegBitmap
 
 	state simState
@@ -80,7 +80,7 @@ type epoch struct {
 // RecordEpochs Resets s, which must have been built for the snapshot's
 // program and configuration (Fork, Adopt), runs the warm golden
 // execution on it to halt and returns the run's statistics. On the way
-// it records the epochs ResetAt resumes trials from: the state at the
+// it records the epochs RunTrial resumes trials from: the state at the
 // first step boundary where Stats.Insts reaches k·Insts/n of the golden
 // run's instruction count, for n = epochCount(Insts) and k = 1 … n-1,
 // thinned or stopped by epochBudget. A BOUND step retires no
@@ -88,14 +88,14 @@ type epoch struct {
 // the one at which a trial fires an event scheduled for that count. A
 // snapshot whose configuration records regions (the region log must be
 // whole) or uses the ideal CLQ records none. RecordEpochs replaces any
-// earlier recording; it must not run concurrently with ResetAt.
+// earlier recording; it must not run concurrently with RunTrial.
 //
-// It also records what RunCut and RunUntil compare trials with the
-// epochs by and what a jump between epochs takes: each epoch's golden
-// suffix statistics, CLQ occupancy and written registers, the run's
-// cache access stream, its final per-set cache clocks, register
-// liveness, and whether the checkpoint window may be compared up to a
-// colour renaming.
+// It also records what RunTrial compares trials with the epochs by and
+// what a jump between epochs takes: each epoch's golden suffix
+// statistics, CLQ occupancy and written registers, the run's cache
+// access stream, its final per-set cache clocks, register liveness,
+// and whether the checkpoint window may be compared up to a colour
+// renaming.
 func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	g.Reset(s)
 	g.epochs, g.stream = nil, nil

@@ -115,7 +115,7 @@ func stepTo(t *testing.T, s *Sim, inst uint64) {
 	}
 }
 
-// TestResetAtMatchesStepping pins ResetAt to the state Reset plus
+// TestResetAtMatchesStepping pins resetAt to the state Reset plus
 // stepping reaches: at every epoch, at the instruction just before it,
 // and past the last one, the restored simulator holds exactly the
 // stepped one's state, runs to the same halt state, and publishes the
@@ -168,9 +168,9 @@ func TestResetAtMatchesStepping(t *testing.T) {
 			prev := uint64(0)
 			for i := range gs.epochs {
 				at := gs.epochs[i].insts
-				gs.ResetAt(a, at-1)
+				gs.resetAt(a, at-1)
 				if a.Stats.Insts != prev {
-					t.Fatalf("ResetAt(%d) resumed at %d instructions, want %d", at-1, a.Stats.Insts, prev)
+					t.Fatalf("resetAt(%d) resumed at %d instructions, want %d", at-1, a.Stats.Insts, prev)
 				}
 				for _, inst := range []uint64{at, at + 1} {
 					counters = checkResetAt(t, gs, a, b, inst, at) || counters
@@ -199,14 +199,14 @@ func smallL1D(cfg Config) Config {
 // whether the resumed caches carried hit and miss counts.
 func checkResetAt(t *testing.T, gs *GoldenState, a, b *Sim, inst, at uint64) (counters bool) {
 	t.Helper()
-	gs.ResetAt(a, inst)
+	gs.resetAt(a, inst)
 	gs.Reset(b)
 	stepTo(t, b, at)
 	if a.Stats.Insts != at {
-		t.Fatalf("ResetAt(%d) resumed at %d instructions, want %d", inst, a.Stats.Insts, at)
+		t.Fatalf("resetAt(%d) resumed at %d instructions, want %d", inst, a.Stats.Insts, at)
 	}
 	if !sameSim(a, b) {
-		t.Fatalf("ResetAt(%d) state differs from stepping to %d instructions:\nresumed %+v\nstepped %+v", inst, at, a.simState, b.simState)
+		t.Fatalf("resetAt(%d) state differs from stepping to %d instructions:\nresumed %+v\nstepped %+v", inst, at, a.simState, b.simState)
 	}
 	counters = a.hier.L1D.Hits > 0 && a.hier.L1D.Misses > 0
 	// Neither has published anything, so both publish their whole run.
@@ -236,7 +236,7 @@ func checkResetAt(t *testing.T, gs *GoldenState, a, b *Sim, inst, at uint64) (co
 }
 
 // TestNoEpochsWhereRunsMustBeWhole: a configuration that records
-// regions or uses the ideal CLQ records no epochs, and ResetAt ignores
+// regions or uses the ideal CLQ records no epochs, and resetAt ignores
 // epochs while an observability attachment is present, so region logs,
 // traces and histograms cover whole runs.
 func TestNoEpochsWhereRunsMustBeWhole(t *testing.T) {
@@ -259,8 +259,8 @@ func TestNoEpochsWhereRunsMustBeWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AttachObs(NewObs(nil, obs.NewRegistry()))
-	if gs.ResetAt(s, math.MaxUint64); len(gs.epochs) == 0 || s.Stats.Insts != 0 {
-		t.Fatalf("with observability attached ResetAt resumed at %d instructions (%d epochs), want the start",
+	if gs.resetAt(s, math.MaxUint64); len(gs.epochs) == 0 || s.Stats.Insts != 0 {
+		t.Fatalf("with observability attached resetAt resumed at %d instructions (%d epochs), want the start",
 			s.Stats.Insts, len(gs.epochs))
 	}
 }
@@ -340,7 +340,7 @@ func TestEpochBudget(t *testing.T) {
 			}
 			for i, at := range []uint64{last / 2, last, last + 1, insts * 9 / 10} {
 				reg, bit, lat := isa.Reg(1+3*i), uint(5*i), 1+i
-				gs.ResetAt(a, at)
+				gs.resetAt(a, at)
 				gs.Reset(b)
 				if got, want := runInjected(a, reg, bit, at, lat), runInjected(b, reg, bit, at, lat); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial striking at %d diverged from its run from the start", at)

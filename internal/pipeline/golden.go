@@ -15,8 +15,8 @@ import (
 // re-seeding, and cache-hierarchy construction — each worker forks one
 // simulator and Resets it between trials, and the steady-state reset
 // allocates nothing. RecordEpochs, run once before the trials, adds the
-// restore points ResetAt resumes trials from, RunUntil jumps trials
-// between and RunCut cuts them at.
+// restore points RunTrial resumes trials from, jumps them between and
+// cuts them at.
 type GoldenState struct {
 	prog  *isa.Program
 	cfg   Config
@@ -32,11 +32,11 @@ type GoldenState struct {
 	memSpan, memOwned, accesses int
 
 	// epochs are the warm golden run's restore points in run order
-	// (RecordEpochs); ResetAt resumes a trial from the last one at or
+	// (RecordEpochs); RunTrial resumes a trial from the last one at or
 	// before its first fault event.
 	epochs []epoch
 
-	// What RunCut and RunUntil compare trials with the epochs by,
+	// What RunTrial compares trials with the epochs by,
 	// recorded with them: the warm run's cache access stream and final
 	// per-set cache clocks, the registers live before each instruction,
 	// and whether the golden run leaves the checkpoint window to
@@ -136,7 +136,7 @@ func (g *GoldenState) Reset(s *Sim) {
 	s.published = publishedCounters{}
 }
 
-// ResetAt reprimes s, like Reset, for a trial whose first fault event
+// resetAt reprimes s, like Reset, for a trial whose first fault event
 // fires once inst instructions have retired: it Resets s, replays the
 // memory and cache deltas of every epoch up to the last one at or
 // before inst, and copies in that epoch's state value. A trial is
@@ -145,9 +145,9 @@ func (g *GoldenState) Reset(s *Sim) {
 // byte-identical to one run from the start. Reset left nothing
 // published, so the run's first publication carries the whole resumed
 // prefix into an attached Progress, whose totals come out as for a run
-// from the start. With an observability attachment (AttachObs) ResetAt
+// from the start. With an observability attachment (AttachObs) resetAt
 // ignores the epochs, so traces and histograms cover the whole run.
-func (g *GoldenState) ResetAt(s *Sim, inst uint64) {
+func (g *GoldenState) resetAt(s *Sim, inst uint64) {
 	g.Reset(s)
 	if s.obs != nil {
 		return

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -257,11 +259,12 @@ func concurrentForks(t *testing.T) {
 // injection parameter space: for any strike, with an optional false
 // positive, a reused simulator that has already executed a prior
 // corrupting trial must reproduce a fresh fork's result bit for bit —
-// and so must the same trial resumed by ResetAt from any instruction
-// count at or before its first event. Run between its events by
-// RunUntil and finished by RunCut instead, the resumed trial must
-// reproduce it too; when RunCut cuts it, the predicted statistics must
-// be the full run's and the full run's output the golden output.
+// and so must the same trial resumed by resetAt from any instruction
+// count at or before its first event. Run from there by the trial loop
+// RunTrial runs, which may jump between the events and cut after the
+// last, the resumed trial must reproduce it too; when the loop cuts it,
+// the predicted statistics must be the full run's and the full run's
+// output the golden output.
 func FuzzGoldenFork(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint16(1), uint8(1), uint16(0), uint16(0))
 	f.Add(uint8(3), uint8(17), uint16(40), uint8(5), uint16(40), uint16(0))
@@ -316,68 +319,41 @@ func FuzzGoldenFork(f *testing.F) {
 				reg, bit, at, lat, fpAt)
 		}
 
-		gs.ResetAt(reused, from)
+		gs.resetAt(reused, from)
 		if reused.Stats.Insts > from {
-			t.Fatalf("ResetAt(%d) resumed past it, at %d instructions", from, reused.Stats.Insts)
+			t.Fatalf("resetAt(%d) resumed past it, at %d instructions", from, reused.Stats.Insts)
 		}
 		if resumed := run(reused); !reflect.DeepEqual(resumed, want) {
-			t.Fatalf("trial resumed by ResetAt(%d) diverged from its run from the start for r%d bit %d at %d lat %d, false positive at %d",
+			t.Fatalf("trial resumed by resetAt(%d) diverged from its run from the start for r%d bit %d at %d lat %d, false positive at %d",
 				from, reg, bit, at, lat, fpAt)
 		}
 
-		// The resumed trial finished by RunCut: cut or not, its outcome
-		// and statistics are the run from the start's.
-		gs.ResetAt(reused, from)
-		got, cut := runCut(gs, reused, shadow, reg, bit, at, lat, fpAt, fpLat)
+		// The resumed trial run by the trial loop: cut or not, its
+		// outcome and statistics are the run from the start's. The false
+		// positive follows the strike on a tie, as campaigns order them.
+		evs := []Event{{At: at, Reg: reg, Bit: bit, Latency: lat}}
+		if fpAt != 0 {
+			evs = append(evs, Event{At: fpAt, Latency: fpLat, Spurious: true})
+			slices.SortStableFunc(evs, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+		}
+		gs.resetAt(reused, from)
+		st, cut, err := gs.run(reused, shadow, evs)
+		got = trialResult{Stats: st}
+		switch {
+		case err != nil:
+			got.Err = err.Error()
+		case !cut:
+			got.Mem = reused.OutputMemory().Snapshot()
+		}
 		if cut {
 			ok := want.Err == "" && got.Stats == want.Stats && reflect.DeepEqual(want.Mem, goldenOut)
 			if !ok {
-				t.Fatalf("trial cut by RunCut mispredicts its run from the start for r%d bit %d at %d lat %d, false positive at %d:\npredicted %+v\nfull run  %+v (%s, output equals golden: %v)",
+				t.Fatalf("trial cut by the trial loop mispredicts its run from the start for r%d bit %d at %d lat %d, false positive at %d:\npredicted %+v\nfull run  %+v (%s, output equals golden: %v)",
 					reg, bit, at, lat, fpAt, got.Stats, want.Stats, want.Err, reflect.DeepEqual(want.Mem, goldenOut))
 			}
 		} else if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial finished by RunCut diverged from its run from the start for r%d bit %d at %d lat %d, false positive at %d",
+			t.Fatalf("trial run by the trial loop diverged from its run from the start for r%d bit %d at %d lat %d, false positive at %d",
 				reg, bit, at, lat, fpAt)
 		}
 	})
-}
-
-// runCut is runWithFalsePositive with the run between the events
-// taken by RunUntil, which may jump, and the run after the last event
-// finished by RunCut. For a cut trial it returns the predicted
-// statistics and no memory.
-func runCut(g *GoldenState, s *Sim, sh *Shadow, reg isa.Reg, bit uint, atInst uint64, lat int, fpAt uint64, fpLat int) (trialResult, bool) {
-	injected, fired := false, fpAt == 0
-	for !s.Halted() && !(injected && fired) {
-		if !injected && s.Stats.Insts >= atInst {
-			injected = true
-			if err := s.InjectBitFlip(reg, bit, lat); err != nil {
-				return trialResult{Stats: s.Stats, Err: err.Error()}, false
-			}
-		}
-		if !fired && s.Stats.Insts >= fpAt {
-			fired = true
-			if err := s.InjectFalseDetection(fpLat); err != nil {
-				return trialResult{Stats: s.Stats, Err: err.Error()}, false
-			}
-		}
-		if injected && fired {
-			break
-		}
-		next := fpAt
-		if !injected && (fired || atInst < fpAt) {
-			next = atInst
-		}
-		if err := g.RunUntil(s, sh, next); err != nil {
-			return trialResult{Stats: s.Stats, Err: err.Error()}, false
-		}
-	}
-	st, cut, err := g.RunCut(s, sh)
-	switch {
-	case err != nil:
-		return trialResult{Stats: st, Err: err.Error()}, false
-	case cut:
-		return trialResult{Stats: st}, true
-	}
-	return trialResult{Stats: st, Mem: s.OutputMemory().Snapshot()}, false
 }

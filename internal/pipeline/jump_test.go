@@ -28,7 +28,7 @@ type jumpTrial struct {
 // when no such epoch exists.
 func jumpTrialAt(t *testing.T, g *GoldenState, s *Sim, st cutStrike) (jt jumpTrial, ok bool) {
 	t.Helper()
-	st.inject(t, g, s)
+	st.inject(t, g, s, nil)
 	for !s.halted && (len(s.pendingDetects) > 0 || s.inRecovery || s.Taint != [isa.NumRegs]bool{}) {
 		if err := s.Step(); err != nil {
 			return jt, false
@@ -46,26 +46,44 @@ func jumpTrialAt(t *testing.T, g *GoldenState, s *Sim, st cutStrike) (jt jumpTri
 	return jt, true
 }
 
-// run resumes s on g by ResetAt, fires the strike, applies perturb and
-// runs s to the false positive with RunUntil through sh.
-func (jt jumpTrial) run(t *testing.T, g *GoldenState, s *Sim, sh *Shadow, perturb func(*Sim)) {
+// stopAt is an event at at that fails to fire, its detection latency
+// being 0: the trial loop stops there and leaves the trial as it stood.
+func stopAt(at uint64) Event { return Event{At: at, Spurious: true} }
+
+// runTo runs evs, the last of them a stopAt, on s through the trial
+// loop from where s stands (GoldenState.run), with sh, and requires
+// that the loop stop at that last event.
+func runTo(t *testing.T, g *GoldenState, s *Sim, sh *Shadow, evs ...Event) {
 	t.Helper()
-	jt.strike.inject(t, g, s)
-	perturb(s)
-	if err := g.RunUntil(s, sh, jt.fpAt); err != nil {
-		t.Fatal(err)
+	at := evs[len(evs)-1].At
+	if _, _, err := g.run(s, sh, evs); err == nil || s.Stats.Insts != at {
+		t.Fatalf("the trial loop stops at %d instructions, not at %d (%v)", s.Stats.Insts, at, err)
 	}
 }
 
-// finish fires the false positive on s and runs it to halt, RunCut
-// finishing it when sh is not nil, and returns its statistics and, when
-// it was not cut, its output.
+// inject resumes s on g at the strike, as RunTrial does, and runs it
+// through the trial loop with sh until the strike has fired.
+func (st cutStrike) inject(t *testing.T, g *GoldenState, s *Sim, sh *Shadow) {
+	t.Helper()
+	g.resetAt(s, st.at)
+	runTo(t, g, s, sh, st.event(), stopAt(st.at))
+}
+
+// run resumes s on g, fires the strike, applies perturb and runs s to
+// the false positive through the trial loop with sh.
+func (jt jumpTrial) run(t *testing.T, g *GoldenState, s *Sim, sh *Shadow, perturb func(*Sim)) {
+	t.Helper()
+	jt.strike.inject(t, g, s, sh)
+	perturb(s)
+	runTo(t, g, s, sh, stopAt(jt.fpAt))
+}
+
+// finish fires the false positive on s through the trial loop, which
+// runs it on to halt or, with sh, to a cut, and returns its statistics
+// and, when it was not cut, its output.
 func (jt jumpTrial) finish(t *testing.T, g *GoldenState, s *Sim, sh *Shadow) (Stats, []isa.MemEntry) {
 	t.Helper()
-	if err := s.InjectFalseDetection(3); err != nil {
-		t.Fatal(err)
-	}
-	st, cut, err := g.RunCut(s, sh)
+	st, cut, err := g.run(s, sh, []Event{{At: jt.fpAt, Latency: 3, Spurious: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +125,7 @@ func sameAtEvent(g *GoldenState, a, b *Sim) string {
 }
 
 // TestJumpMatchesFromStart is the targeted differential test of the jump
-// between fault events (RunUntil). Over hand-built trials on gcc — a
+// between fault events (RunTrial). Over hand-built trials on gcc — a
 // strike, then a false positive three epochs after the trial recovers,
 // exactly where a jump lands — it takes the first whose trial jumps and
 // whose struck register, stepped to the false positive, still holds a
@@ -150,7 +168,7 @@ func TestJumpMatchesFromStart(t *testing.T) {
 	// fromStart runs want from the start to the false positive, with
 	// perturb applied after the strike.
 	fromStart := func(jt jumpTrial, perturb func(*Sim)) {
-		jt.strike.inject(t, ref, want)
+		jt.strike.inject(t, ref, want, nil)
 		perturb(want)
 		stepTo(t, want, jt.fpAt)
 	}

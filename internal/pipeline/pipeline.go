@@ -44,6 +44,10 @@ func (k CLQKind) String() string {
 	return "compact"
 }
 
+// DefaultDetectQueue is the pending-detection queue bound New gives a
+// Config whose DetectQueue is 0.
+const DefaultDetectQueue = 8
+
 // Config parameterizes a simulation.
 type Config struct {
 	// SBSize is the store-buffer capacity (4 on Cortex-A53).
@@ -74,9 +78,9 @@ type Config struct {
 	RecordRegions bool
 
 	// DetectQueue bounds the pending-detection queue — how many strike
-	// detections can be in flight at once (fault bursts). 0 means the
-	// default of 8. A burst exceeding the bound is an injection error:
-	// real sensor controllers have finite event FIFOs.
+	// detections can be in flight at once (fault bursts). 0 means
+	// DefaultDetectQueue. A burst exceeding the bound is an injection
+	// error: real sensor controllers have finite event FIFOs.
 	DetectQueue int
 	// Containment turns detections that arrive after their region has
 	// verified and released its stores into DUE machine-check aborts

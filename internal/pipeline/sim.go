@@ -215,7 +215,7 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	if cfg.DetectQueue == 0 {
-		cfg.DetectQueue = 8
+		cfg.DetectQueue = DefaultDetectQueue
 	}
 	if cfg.DegradeWindow == 0 && cfg.Resilient {
 		cfg.DegradeWindow = 8 * uint64(cfg.WCDL)
