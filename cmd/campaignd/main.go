@@ -121,7 +121,7 @@ func main() {
 		workerID    = flag.String("worker-id", "", "stable worker identity for -worker mode (default: coordinator mints one)")
 		fleetHB     = flag.Duration("fleet-heartbeat", 2*time.Second, "worker heartbeat cadence the coordinator advertises")
 		fleetMisses = flag.Int("fleet-misses", 3, "missed heartbeats before a worker is lost and its leases reclaimed")
-		fleetTTL    = flag.Duration("fleet-lease-ttl", 30*time.Second, "lease deadline; unreturned ranges are requeued after it")
+		fleetTTL    = flag.Duration("fleet-lease-ttl", 30*time.Second, "lease deadline; unreturned ranges are granted again after it")
 		fleetSteal  = flag.Duration("fleet-steal-after", 10*time.Second, "lease age before a straggling range is work-stolen (duplicate grant, first complete wins)")
 		fleetPoll   = flag.Duration("fleet-poll", 250*time.Millisecond, "lease-poll cadence the coordinator advertises to idle workers")
 	)

@@ -3,7 +3,7 @@
 // block of every region, per-region static store counts against the
 // budget, and optionally a dynamic region timeline from the simulator
 // (start/end/verify cycles and store-release classes for the first N
-// regions).
+// regions), read from the cycle-domain tracer's region and verify spans.
 //
 // With -trace it additionally runs a full simulation with the cycle-domain
 // tracer attached and writes the trace to a file: .json is Chrome
@@ -175,9 +175,8 @@ func simConfig(opt core.Options, sb, wcdl int) pipeline.Config {
 // bursts, late detections with a degraded-mode window, spurious firings).
 func runObserved(p workload.Profile, prog *isa.Program, opt core.Options, sb, wcdl int, traceOut string, inject injectPlan, cli *obs.CLI) error {
 	cfg := simConfig(opt, sb, wcdl)
-	if inject.burst+1 > cfg.DetectQueue && cfg.DetectQueue > 0 {
-		cfg.DetectQueue = inject.burst + 1
-	}
+	// A burst's strikes and the false positive share one detection queue.
+	cfg.DetectQueue = max(pipeline.DefaultDetectQueue, inject.burst+1)
 
 	injectAt := uint64(0)
 	if cfg.Resilient && inject.at != 0 {
@@ -283,21 +282,22 @@ func runObserved(p workload.Profile, prog *isa.Program, opt core.Options, sb, wc
 	return nil
 }
 
-// printTimeline simulates and reports the first n dynamic regions.
+// printTimeline simulates and reports the first n dynamic regions, read
+// from the region and verify spans the tracer records.
 func printTimeline(p workload.Profile, prog *isa.Program, opt core.Options, sb, wcdl, n int) {
 	if opt.Scheme == core.Baseline {
 		fmt.Println("\n(no regions under the baseline; timeline skipped)")
 		return
 	}
-	cfg := simConfig(opt, sb, wcdl)
-	cfg.RecordRegions = true
-	s, err := pipeline.New(prog, cfg)
+	s, err := pipeline.New(prog, simConfig(opt, sb, wcdl))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	p.SeedMemory(s.Mem)
-	for !s.Halted() && len(s.RegionLog()) < n {
+	spans := &regionSpans{verifyAt: map[any]uint64{}}
+	s.AttachObs(pipeline.NewObs(obs.NewTracer(spans), nil))
+	for !s.Halted() && len(spans.regions) < n {
 		if err := s.Step(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -307,19 +307,37 @@ func printTimeline(p workload.Profile, prog *isa.Program, opt core.Options, sb, 
 	fmt.Printf("\n== dynamic timeline (first %d regions, WCDL=%d) ==\n", n, wcdl)
 	fmt.Printf("%-9s %-7s %-9s %-9s %-9s %-6s %-8s %-8s %s\n",
 		"instance", "static", "start", "end", "verify", "insts", "warfree", "colored", "quarantined")
-	for i, ev := range s.RegionLog() {
-		if i >= n {
-			break
+	for _, ev := range spans.regions[:min(n, len(spans.regions))] {
+		a := ev.Args
+		verify, fate := fmt.Sprintf("@%d", spans.verifyAt[a["instance"]]), ""
+		if a["squashed"] != nil {
+			verify, fate = "-", "  (squashed)"
 		}
-		fate := ""
-		if ev.Squashed {
-			fate = "  (squashed)"
-		}
-		fmt.Printf("#%-8d R%-6d @%-8d @%-8d @%-8d %-6d %-8d %-8d %d%s\n",
-			ev.Instance, ev.StaticID, ev.Start, ev.End, ev.VerifyAt,
-			ev.Insts, ev.WARFree, ev.Colored, ev.Quarantined, fate)
+		fmt.Printf("#%-8d %-7s @%-8d @%-8d %-9s %-6d %-8d %-8d %d%s\n",
+			a["instance"], ev.Name, ev.Start, ev.Start+ev.Dur, verify,
+			a["insts"], a["warfree"], a["colored"], a["quarantined"], fate)
 	}
 	fmt.Printf("(totals so far: %d cycles, %d insts, %d warfree, %d colored, %d quarantined)\n",
 		s.Cycle(), s.Stats.Insts, s.Stats.WARFreeReleased,
 		s.Stats.ColoredReleased, s.Stats.Quarantined)
 }
+
+// regionSpans is the in-memory trace sink behind -timeline: it keeps
+// the region spans in the order regions closed, and the end of each
+// verify span by region instance, and drops every other event.
+type regionSpans struct {
+	regions  []obs.Event
+	verifyAt map[any]uint64
+}
+
+func (r *regionSpans) Emit(ev obs.Event) error {
+	switch ev.Track {
+	case "regions":
+		r.regions = append(r.regions, ev)
+	case "verify":
+		r.verifyAt[ev.Args["instance"]] = ev.Start + ev.Dur
+	}
+	return nil
+}
+
+func (r *regionSpans) Close() error { return nil }

@@ -104,13 +104,10 @@ type engine struct {
 	prog    *isa.Program
 	cfg     Config
 	seedMem func(*isa.Memory)
-	golden  *isa.Memory
 	maxAt   uint64
 	// gs is the golden-state snapshot trial simulators fork from; nil in
-	// unit tests that only exercise plan derivation. ckptLo/ckptHi bound
-	// the checkpoint storage masked out of trial classification.
-	gs             *pipeline.GoldenState
-	ckptLo, ckptHi uint64
+	// unit tests that only exercise plan derivation.
+	gs *pipeline.GoldenState
 	// sim is the resolved simulator configuration the trials run under
 	// (GoldenState.Config), part of the checkpoint fingerprint.
 	sim pipeline.Config
@@ -234,9 +231,15 @@ func (e *engine) exec(ctx context.Context, r *trialRunner, inj *Injection) (st p
 	if cut {
 		return st, true, true, nil
 	}
-	out := r.sim.DrainOutput()
-	equal = out.EqualMasked(e.golden, e.ckptLo, e.ckptHi, isa.StackBase, isa.StackLimit)
-	return st, equal, false, nil
+	return st, e.matchesGolden(r.sim.DrainOutput()), false, nil
+}
+
+// matchesGolden reports whether a trial's output image equals the golden
+// one outside the checkpoint window and the stack, which hold scheme and
+// compiler state, not program output.
+func (e *engine) matchesGolden(out *isa.Memory) bool {
+	lo, hi := e.prog.CkptWindow()
+	return out.EqualMasked(e.gs.Output(), lo, hi, isa.StackBase, isa.StackLimit)
 }
 
 // runTrial executes one planned injection on the runner and classifies
@@ -438,11 +441,7 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 	// as a pure function of (seed, trial).
 	planStart := time.Now()
 	base := &engine{
-		prog: prog, seedMem: seedMem, gs: gs, sim: gs.Config(),
-		golden:   mask(gs.Output()),
-		ckptLo:   prog.CkptBase,
-		ckptHi:   prog.CkptBase + isa.NumRegs*isa.NumColors*8,
-		progress: progress,
+		prog: prog, seedMem: seedMem, gs: gs, sim: gs.Config(), progress: progress,
 	}
 	e, err := base.withConfig(cfg, goldenStats.Insts)
 	if err != nil {
@@ -492,7 +491,7 @@ func Prepare(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*i
 		return nil, fmt.Errorf("%w: warm golden run failed: %v", ErrInvalidConfig, err)
 	}
 	if warmStats.Insts != goldenStats.Insts ||
-		!runners[0].sim.DrainOutput().EqualMasked(e.golden, e.ckptLo, e.ckptHi, isa.StackBase, isa.StackLimit) {
+		!e.matchesGolden(runners[0].sim.DrainOutput()) {
 		return nil, fmt.Errorf("%w: warm golden run diverged from the cold golden run", ErrInvalidConfig)
 	}
 	if progress != nil {
@@ -730,9 +729,6 @@ func replayer(ctx context.Context, prog *isa.Program, cfg Config, seedMem func(*
 	}
 	e := &engine{
 		prog: prog, cfg: cfg, seedMem: seedMem, gs: gs,
-		golden:   mask(gs.Output()),
-		ckptLo:   prog.CkptBase,
-		ckptHi:   prog.CkptBase + isa.NumRegs*isa.NumColors*8,
 		progress: pipeline.NewProgress(cfg.Metrics),
 	}
 	sim.AttachProgress(e.progress)

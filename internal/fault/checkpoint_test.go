@@ -163,6 +163,35 @@ func TestCheckpointPinsSimulatorConfig(t *testing.T) {
 	}
 }
 
+// TestCheckpointWithRemovedSimKeyResumes: pipeline.Config once carried
+// a flag for a per-region event log, so every version-4 checkpoint
+// written before the flag went holds it, set to false, in its header's
+// sim object. testdata holds one such file, written by that code for
+// checkpointEngine's campaign with six trials done. encoding/json
+// ignores the unknown key and restore compares the decoded header, so
+// the file resumes all its records.
+func TestCheckpointWithRemovedSimKeyResumes(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "v4-with-region-log-flag.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "ck.json")
+	if err := os.WriteFile(ckpt, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := checkpointEngine(t, ckpt, 11, 16)
+	e.sim = e.cfg.Sim
+	records := make([]*TrialRecord, e.cfg.Trials)
+	if err := e.restore(records, pipeline.Stats{Cycles: 900, Insts: 400}); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	for i, rec := range records {
+		if (rec != nil) != (i < 6) {
+			t.Fatalf("trial %d restored %v, want the first 6 trials", i, rec != nil)
+		}
+	}
+}
+
 // TestCorruptCheckpointRestartsFresh is the operator-facing contract: a
 // campaign pointed at a mangled checkpoint file warns, restarts from
 // trial 0, and finishes with a result identical to a never-checkpointed

@@ -370,11 +370,3 @@ type TrialFailure struct {
 	// Err is the simulator error for crashes.
 	Err string `json:"error,omitempty"`
 }
-
-// mask removes compiler-private regions (spill slots) from the image;
-// OutputMemory already masks checkpoint storage.
-func mask(m *isa.Memory) *isa.Memory {
-	out := m.Clone()
-	out.ClearRange(isa.StackBase, isa.StackLimit)
-	return out
-}

@@ -331,31 +331,6 @@ func (s *Session) Pending() []TrialRange {
 	return out
 }
 
-// RangeComplete reports whether every trial in [lo, hi) holds a
-// committed record — the coordinator's guard against re-leasing work a
-// duplicate grant already finished.
-func (s *Session) RangeComplete(lo, hi int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lo < 0 || hi > len(s.records) || lo >= hi {
-		return false
-	}
-	for t := lo; t < hi; t++ {
-		if s.records[t] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// BudgetExhausted reports whether committed failures have consumed the
-// failure budget; the coordinator stops granting leases once it trips.
-func (s *Session) BudgetExhausted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.exhaustedLocked()
-}
-
 func (s *Session) exhaustedLocked() bool { return s.budget > 0 && s.failures >= s.budget }
 
 // Commit validates one shard against the campaign and merges its

@@ -289,6 +289,13 @@ func (p *Program) CkptSlot(r Reg, c int) uint64 {
 	return p.CkptBase + (uint64(r)*NumColors+uint64(c))*8
 }
 
+// CkptWindow returns the checkpoint storage [lo, hi): every register's
+// slot of every color. It is scheme state, not program output, so output
+// comparisons mask it.
+func (p *Program) CkptWindow() (lo, hi uint64) {
+	return p.CkptBase, p.CkptBase + NumRegs*NumColors*8
+}
+
 // Validate checks structural invariants: branch targets in range, register
 // operands valid, HALT present, and metadata sizes consistent. The compiler
 // runs this after every lowering; tests rely on it heavily.

@@ -149,6 +149,6 @@ func (m *Machine) Run() error {
 // functional-equivalence checks across schemes must ignore them.
 func (m *Machine) OutputMemory() *Memory {
 	out := m.Mem.Clone()
-	out.ClearRange(m.Prog.CkptBase, m.Prog.CkptBase+NumRegs*NumColors*8)
+	out.ClearRange(m.Prog.CkptWindow())
 	return out
 }

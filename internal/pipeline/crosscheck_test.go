@@ -9,37 +9,38 @@ import (
 
 // checkRegionAttribution asserts the region-attribution invariant: every
 // committed instruction and every store fate either belongs to exactly one
-// RegionEvent or to the OutsideRegion* remainders.
-func checkRegionAttribution(t *testing.T, log []RegionEvent, st Stats) {
+// region span or to the OutsideRegion* remainders.
+func checkRegionAttribution(t *testing.T, tr *regionTrace, st Stats) {
 	t.Helper()
-	if len(log) == 0 {
-		t.Fatal("no region events recorded")
+	if len(tr.regions) == 0 {
+		t.Fatal("no region spans recorded")
 	}
-	var war, col, quar, insts uint64
-	for _, ev := range log {
-		war += uint64(ev.WARFree)
-		col += uint64(ev.Colored)
-		quar += uint64(ev.Quarantined)
-		insts += ev.Insts
+	var war, col, quar int
+	var insts uint64
+	for _, ev := range tr.regions {
+		war += ev.Args["warfree"].(int)
+		col += ev.Args["colored"].(int)
+		quar += ev.Args["quarantined"].(int)
+		insts += ev.Args["insts"].(uint64)
 	}
 	if insts+st.OutsideRegionInsts != st.Insts {
 		t.Fatalf("inst attribution: region %d + outside %d != total %d",
 			insts, st.OutsideRegionInsts, st.Insts)
 	}
-	if quar+st.OutsideRegionStores != st.Quarantined {
+	if uint64(quar)+st.OutsideRegionStores != st.Quarantined {
 		t.Fatalf("quarantine attribution: region %d + outside %d != total %d",
 			quar, st.OutsideRegionStores, st.Quarantined)
 	}
-	if war != st.WARFreeReleased {
+	if uint64(war) != st.WARFreeReleased {
 		t.Fatalf("WAR-free attribution: region %d != total %d", war, st.WARFreeReleased)
 	}
-	if col != st.ColoredReleased {
+	if uint64(col) != st.ColoredReleased {
 		t.Fatalf("colored attribution: region %d != total %d", col, st.ColoredReleased)
 	}
 }
 
 // TestRegionAttributionCrossCheck runs every resilient scheme fault-free
-// and cross-checks the per-region event sums against the aggregate
+// and cross-checks the region spans' sums against the aggregate
 // counters.
 func TestRegionAttributionCrossCheck(t *testing.T) {
 	f := buildBench(100)
@@ -64,14 +65,19 @@ func TestRegionAttributionCrossCheck(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := compileFor(t, f, tc.scheme, tc.cfg.SBSize)
-			cfg := tc.cfg
-			cfg.RecordRegions = true
-			s, st := simRun(t, prog, cfg, 100)
-			checkRegionAttribution(t, s.RegionLog(), st)
-			for _, ev := range s.RegionLog() {
-				if ev.Squashed {
-					t.Fatalf("fault-free run squashed region %d", ev.Instance)
-				}
+			s, err := New(prog, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed(s.Mem, 100)
+			tr := traceRegions(s)
+			st, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRegionAttribution(t, tr, st)
+			if n := tr.squashed(); n != 0 {
+				t.Fatalf("fault-free run squashed %d regions", n)
 			}
 		})
 	}
@@ -85,13 +91,12 @@ func TestRegionAttributionCrossCheck(t *testing.T) {
 func TestRegionAttributionUnderFaults(t *testing.T) {
 	f := buildBench(100)
 	prog := compileFor(t, f, core.Turnpike, 4)
-	cfg := TurnpikeConfig(4, 10)
-	cfg.RecordRegions = true
-	s, err := New(prog, cfg)
+	s, err := New(prog, TurnpikeConfig(4, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seed(s.Mem, 100)
+	tr := traceRegions(s)
 	rng := rand.New(rand.NewSource(7))
 	nextInject := uint64(20)
 	for !s.Halted() {
@@ -109,17 +114,11 @@ func TestRegionAttributionUnderFaults(t *testing.T) {
 	if st.Recoveries == 0 {
 		t.Fatal("no recoveries triggered; test is vacuous")
 	}
-	squashed := 0
-	for _, ev := range s.RegionLog() {
-		if ev.Squashed {
-			squashed++
-		}
-	}
-	if squashed == 0 {
+	if tr.squashed() == 0 {
 		t.Fatal("no squashed regions recorded; test is vacuous")
 	}
 	if st.OutsideRegionInsts == 0 {
 		t.Fatal("recovery blocks executed but OutsideRegionInsts is zero")
 	}
-	checkRegionAttribution(t, s.RegionLog(), st)
+	checkRegionAttribution(t, tr, st)
 }

@@ -28,10 +28,6 @@ import (
 // epoch before its next event (DESIGN.md §3, "Jumping between fault
 // events").
 
-// ckptBytes is the size of the checkpoint storage window at
-// Program.CkptBase.
-const ckptBytes = isa.NumRegs * isa.NumColors * 8
-
 // Shadow is what RunTrial compares a trial's memory and caches with: a
 // memory image and a cache hierarchy that it rebuilds, from the golden
 // state's deltas, as they were at the epoch the trial has reached, and
@@ -146,11 +142,10 @@ func (s *Sim) fire(ev *Event) error {
 // the start.
 //
 // RunTrial counts the trial in sh.Counts. It never compares without a
-// shadow or epochs, with an observability attachment (AttachObs), with
-// which it also runs s from the start, or with Config.RecordRegions,
-// whose traces and logs must cover the whole run, nor while a detection
-// is pending, a recovery block runs, the mesh is degraded or a register
-// is tainted.
+// shadow or epochs, or with an observability attachment (AttachObs),
+// with which it also runs s from the start, so that its traces cover
+// the whole run, nor while a detection is pending, a recovery block
+// runs, the mesh is degraded or a register is tainted.
 func (g *GoldenState) RunTrial(s *Sim, sh *Shadow, evs []Event) (st Stats, cut bool, err error) {
 	g.resetAt(s, evs[0].At)
 	return g.run(s, sh, evs)
@@ -229,7 +224,7 @@ func (g *GoldenState) run(s *Sim, sh *Shadow, evs []Event) (st Stats, cut bool, 
 // compares reports whether RunTrial may compare s with g's epochs
 // through sh.
 func (g *GoldenState) compares(s *Sim, sh *Shadow) bool {
-	return sh != nil && sh.g == g && len(g.epochs) > 0 && s.obs == nil && !s.Cfg.RecordRegions
+	return sh != nil && sh.g == g && len(g.epochs) > 0 && s.obs == nil
 }
 
 // epochAt returns the first epoch from k on, searching either way,
@@ -365,7 +360,7 @@ func (g *GoldenState) reconverged(s *Sim, sh *Shadow, k int, skip uint64, strict
 	sh.moveTo(k)
 	var lo, hi uint64
 	if g.renameCkpt && !strict {
-		lo, hi = g.prog.CkptBase, g.prog.CkptBase+ckptBytes
+		lo, hi = g.prog.CkptWindow()
 	}
 	switch {
 	case !s.Mem.EqualMasked(sh.mem, lo, hi, lo, hi):
@@ -532,8 +527,8 @@ func shiftedID(a, b, dr int) bool {
 // b: equal, or, when both are checkpoint slots and colours are renamed,
 // the same register's slot under the renaming.
 func (g *GoldenState) sameSlot(rn *renaming, a, b uint64) bool {
-	lo := g.prog.CkptBase
-	if !rn.on || a < lo || a >= lo+ckptBytes || (a-lo)%8 != 0 {
+	lo, hi := g.prog.CkptWindow()
+	if !rn.on || a < lo || a >= hi || (a-lo)%8 != 0 {
 		return a == b
 	}
 	slot := (a - lo) / 8

@@ -191,9 +191,9 @@ func newCutFixture(t *testing.T, g *GoldenState) *cutFixture {
 // region's used-colour entry, and b is on r's free stack. ok is false
 // when the trial holds no such register.
 func (f *cutFixture) renameReg() (r isa.Reg, a, b int8, ok bool) {
-	lo := f.s.Prog.CkptBase
+	lo, hi := f.s.Prog.CkptWindow()
 	for _, en := range f.s.sb.entries {
-		if en.addr < lo || en.addr >= lo+ckptBytes {
+		if en.addr < lo || en.addr >= hi {
 			continue
 		}
 		slot := (en.addr - lo) / 8
@@ -369,7 +369,7 @@ func TestCutChecksWhatItMayIgnore(t *testing.T) {
 			f.s.Mem.Store(isa.StackBase, f.s.Mem.Load(isa.StackBase)+1)
 		}},
 		{"word past the window", false, func(t *testing.T, f *cutFixture) {
-			a := f.s.Prog.CkptBase + ckptBytes
+			_, a := f.s.Prog.CkptWindow()
 			f.s.Mem.Store(a, f.s.Mem.Load(a)+1)
 		}},
 		{"colour pool count", false, func(t *testing.T, f *cutFixture) {
@@ -583,26 +583,25 @@ func TestStreamReplaysTheGoldenCaches(t *testing.T) {
 }
 
 // TestCutNeverWhereRunsMustBeWhole: RunTrial runs a trial to halt, never
-// cutting it, when the golden state has no epochs, when it records
-// regions, or when an observability attachment is present, and the run
-// to halt it returns is the one Run returns.
+// cutting it, when the golden state has no epochs, or when an
+// observability attachment is present: a tracer, which holds the run's
+// region log (its region spans), or metrics. The run to halt it returns
+// is the one Run returns.
 func TestCutNeverWhereRunsMustBeWhole(t *testing.T) {
 	c, err := core.Compile(buildBench(120), core.TurnpikeAll(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seedMem := func(m *isa.Memory) { seed(m, 120) }
-	regions := TurnpikeConfig(4, 10)
-	regions.RecordRegions = true
-	noEpochs := captureBench(t, 120)
+	epochs := recordEpochs(t, c.Prog, TurnpikeConfig(4, 10), seedMem)
 	for _, tc := range []struct {
 		name string
 		g    *GoldenState
-		obs  bool
+		obs  *Obs
 	}{
-		{"no epochs", noEpochs, false},
-		{"region log", recordEpochs(t, c.Prog, regions, seedMem), false},
-		{"observability", recordEpochs(t, c.Prog, TurnpikeConfig(4, 10), seedMem), true},
+		{"no epochs", captureBench(t, 120), nil},
+		{"region log", epochs, NewObs(obs.NewTracer(&regionTrace{}), nil)},
+		{"observability", epochs, NewObs(nil, obs.NewRegistry())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := cutStrike{reg: 3, bit: 17, at: tc.g.Stats().Insts / 3, lat: 4}
@@ -614,9 +613,7 @@ func TestCutNeverWhereRunsMustBeWhole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.obs {
-				a.AttachObs(NewObs(nil, obs.NewRegistry()))
-			}
+			a.AttachObs(tc.obs)
 			sh, err := tc.g.NewShadow()
 			if err != nil {
 				t.Fatal(err)

@@ -86,9 +86,9 @@ type epoch struct {
 // thinned or stopped by epochBudget. A BOUND step retires no
 // instruction, so only the first boundary at an instruction count is
 // the one at which a trial fires an event scheduled for that count. A
-// snapshot whose configuration records regions (the region log must be
-// whole) or uses the ideal CLQ records none. RecordEpochs replaces any
-// earlier recording; it must not run concurrently with RunTrial.
+// snapshot whose configuration uses the ideal CLQ records none.
+// RecordEpochs replaces any earlier recording; it must not run
+// concurrently with RunTrial.
 //
 // It also records what RunTrial compares trials with the epochs by and
 // what a jump between epochs takes: each epoch's golden suffix
@@ -99,7 +99,7 @@ type epoch struct {
 func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	g.Reset(s)
 	g.epochs, g.stream = nil, nil
-	if g.cfg.RecordRegions || (s.clq != nil && g.cfg.CLQ == CLQIdeal) {
+	if s.clq != nil && g.cfg.CLQ == CLQIdeal {
 		return s.Run()
 	}
 	n := epochCount(g.stats.Insts)
@@ -120,7 +120,7 @@ func (g *GoldenState) RecordEpochs(s *Sim) (Stats, error) {
 	mem := s.Mem.Track()
 	clock := g.img.Clock()
 	size := 0
-	lo, hi := g.prog.CkptBase, g.prog.CkptBase+ckptBytes
+	lo, hi := g.prog.CkptWindow()
 	touched := false
 	var written isa.RegBitmap // since the last epoch
 	for k := next(0); !s.halted; {

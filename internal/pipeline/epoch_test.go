@@ -235,23 +235,20 @@ func checkResetAt(t *testing.T, gs *GoldenState, a, b *Sim, inst, at uint64) (co
 	return counters
 }
 
-// TestNoEpochsWhereRunsMustBeWhole: a configuration that records
-// regions or uses the ideal CLQ records no epochs, and resetAt ignores
-// epochs while an observability attachment is present, so region logs,
-// traces and histograms cover whole runs.
+// TestNoEpochsWhereRunsMustBeWhole: a configuration that uses the ideal
+// CLQ records no epochs, and resetAt ignores epochs while an
+// observability attachment is present, so traces (the region spans
+// among them) and histograms cover whole runs.
 func TestNoEpochsWhereRunsMustBeWhole(t *testing.T) {
 	c, err := core.Compile(buildBench(60), core.TurnpikeAll(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seedMem := func(m *isa.Memory) { seed(m, 60) }
-	regions, ideal := TurnpikeConfig(4, 10), TurnpikeConfig(4, 10)
-	regions.RecordRegions = true
+	ideal := TurnpikeConfig(4, 10)
 	ideal.CLQ = CLQIdeal
-	for _, cfg := range []Config{regions, ideal} {
-		if gs := recordEpochs(t, c.Prog, cfg, seedMem); len(gs.epochs) != 0 {
-			t.Errorf("RecordRegions %v, CLQ %v: recorded %d epochs, want none", cfg.RecordRegions, cfg.CLQ, len(gs.epochs))
-		}
+	if gs := recordEpochs(t, c.Prog, ideal, seedMem); len(gs.epochs) != 0 {
+		t.Errorf("ideal CLQ: recorded %d epochs, want none", len(gs.epochs))
 	}
 	gs := recordEpochs(t, c.Prog, TurnpikeConfig(4, 10), seedMem)
 	s, err := gs.Fork()

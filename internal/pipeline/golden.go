@@ -132,7 +132,6 @@ func (g *GoldenState) Reset(s *Sim) {
 	if c, ok := s.clq.(*idealCLQ); ok {
 		c.clearAll()
 	}
-	s.regionLog = s.regionLog[:0]
 	s.published = publishedCounters{}
 }
 

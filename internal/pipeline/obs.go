@@ -128,14 +128,13 @@ func (o *Obs) obsDrained(e *sbEntry, drainAt uint64) {
 }
 
 // regionClosed fires when a region's fate is decided (verified or squashed
-// by recovery): it records the optional RegionEvent and emits the region's
-// spans and histograms.
+// by recovery): it emits the region's spans and histograms. The region
+// span's args carry its instance, instruction count and store fates, and
+// a verified region's verify span runs from its end to its verification;
+// they are the run's one per-region record (cmd/trace -timeline reads
+// them).
 func (s *Sim) regionClosed(r *regionInst, squashed bool) {
-	s.logRegion(r, squashed)
 	o := s.obs
-	if o == nil {
-		return
-	}
 	end := r.end
 	if end == 0 || end < r.start {
 		end = s.cycle // squashed while still open

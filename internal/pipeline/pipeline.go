@@ -74,8 +74,6 @@ type Config struct {
 	Hier cache.HierarchyConfig
 	// MaxInsts aborts runaway simulations (0 = 500M).
 	MaxInsts uint64
-	// RecordRegions enables the per-region event log (RegionLog).
-	RecordRegions bool
 
 	// DetectQueue bounds the pending-detection queue — how many strike
 	// detections can be in flight at once (fault bursts). 0 means
@@ -210,9 +208,9 @@ type Stats struct {
 
 	// Region-attribution remainders (resilient configs only): work done
 	// while no region is open — recovery blocks and code before the first
-	// boundary. With these, the per-region event log sums exactly to the
-	// aggregates: sum(RegionEvent.Insts) + OutsideRegionInsts == Insts and
-	// sum(RegionEvent.Quarantined) + OutsideRegionStores == Quarantined.
+	// boundary. With these, the args of the tracer's region spans sum
+	// exactly to the aggregates: sum(insts) + OutsideRegionInsts == Insts
+	// and sum(quarantined) + OutsideRegionStores == Quarantined.
 	OutsideRegionInsts  uint64
 	OutsideRegionStores uint64
 }

@@ -316,7 +316,9 @@ func (s *Sim) recover() error {
 			reg := isa.Reg(bits.TrailingZeros64(regs))
 			s.colors.squash(reg, r.colors.of(reg))
 		}
-		s.regionClosed(r, true)
+		if s.obs != nil {
+			s.regionClosed(r, true)
+		}
 		s.netInsts -= r.insts
 	}
 	squashed := len(s.rbb)

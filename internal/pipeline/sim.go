@@ -24,8 +24,9 @@ type regionInst struct {
 	verifyAt uint64     // end + WCDL; infCycle while open
 	colors   usedColors // UC: colors used by this region's checkpoints
 
-	// Per-region observability counters (events.go). insts also
-	// leaves netInsts when recovery squashes the region.
+	// Per-region observability counters (the region span's args,
+	// obs.go). insts also leaves netInsts when recovery squashes the
+	// region.
 	warFree, colored, quarantined int
 	insts                         uint64
 }
@@ -39,10 +40,10 @@ const noRegion = -1
 //
 // A Sim is a fixed context around one simState value. The context is
 // the program and configuration, the memory image and cache hierarchy
-// (each with its own reset and delta mechanisms), the attachments and
-// the region log; the value is everything else a run carries from one
-// step to the next. GoldenState.Reset, the epochs and the reconvergence
-// check all copy or compare that value.
+// (each with its own reset and delta mechanisms) and the attachments;
+// the value is everything else a run carries from one step to the
+// next. GoldenState.Reset, the epochs and the reconvergence check all
+// copy or compare that value.
 type Sim struct {
 	Prog *isa.Program
 	Cfg  Config
@@ -56,9 +57,6 @@ type Sim struct {
 	// design's maps here, outside it. Only Figs. 14/15 use the ideal
 	// one, which neither records epochs nor cuts; Reset clears it.
 	clq committedLoadQueue
-
-	// regionLog records per-region events when Cfg.RecordRegions is set.
-	regionLog []RegionEvent
 
 	// obs is the optional observability attachment (AttachObs). Nil means
 	// disabled; every instrumentation site is guarded by one nil check.
@@ -285,7 +283,7 @@ func (s *Sim) OutputMemory() *isa.Memory {
 			out.Store(e.addr, e.val)
 		}
 	}
-	out.ClearRange(s.Prog.CkptBase, s.Prog.CkptBase+ckptBytes)
+	out.ClearRange(s.Prog.CkptWindow())
 	return out
 }
 
@@ -337,7 +335,9 @@ func (s *Sim) processVerifications() {
 			break
 		}
 		s.Stats.RegionsVerified++
-		s.regionClosed(r, false)
+		if s.obs != nil {
+			s.regionClosed(r, false)
+		}
 		// Colors: UC -> VC, reclaiming previous VC colors.
 		for regs := r.colors.regs; regs != 0; regs &= regs - 1 {
 			reg := isa.Reg(bits.TrailingZeros64(regs))

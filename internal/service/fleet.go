@@ -22,9 +22,12 @@ import (
 // contiguous trial ranges to remote campaignd processes running in
 // worker mode. Robustness is the whole point:
 //
+//   - the session's records are the one account of the trials still
+//     owed: every grant is the first run of pending trials that no
+//     active lease and no local range covers, so a reclaimed lease's
+//     trials are granted again and committed ones never are;
 //   - workers register and heartbeat; a worker that misses
-//     HeartbeatMisses beats is lost and its active leases are reclaimed
-//     (the ranges go back to the grant queue);
+//     HeartbeatMisses beats is lost and its active leases are reclaimed;
 //   - leases carry deadlines; an expired lease is reclaimed the same
 //     way;
 //   - a lease outstanding longer than StealAfter may be work-stolen: a
@@ -42,8 +45,8 @@ import (
 // (or of the coordinator; the job re-runs from its checkpoint next
 // life) still merges to bytes identical to a single-node run.
 //
-// Lock order: Service.mu → Fleet.mu. The Fleet never calls back into
-// the Service. Its worker and lease tables live in memory only: the
+// Lock order: Service.mu → Fleet.mu → the session's own lock, which
+// Session.Pending takes. The Fleet never calls back into the Service. Its worker and lease tables live in memory only: the
 // grant and expiry history is in the structured log and the flight
 // recorder, and campaign progress is in the checkpoints.
 
@@ -101,8 +104,9 @@ const (
 	// complete wins).
 	LeaseDone LeaseState = "done"
 	// LeaseExpired leases were reclaimed — deadline passed, worker lost,
-	// worker reported failure, or the shard failed validation. The range
-	// went back to the grant queue unless a sibling still covers it.
+	// worker reported failure, or the shard failed validation. Their
+	// trials still pending in the session are grantable again unless
+	// another active lease covers them.
 	LeaseExpired LeaseState = "expired"
 	// LeaseSuperseded leases lost a work-stealing race: a duplicate
 	// grant's shard was accepted first. A late shard from a superseded
@@ -191,15 +195,17 @@ func (c *FleetConfig) fillDefaults() {
 	}
 }
 
-// fleetJob is one campaign the coordinator is driving: its session, the
-// FIFO of grantable ranges, and the wakeup channel its Run loop blocks
-// on.
+// fleetJob is one campaign the coordinator is driving: its session,
+// whose records say which trials are still owed, the lease size grants
+// are cut to, the range Run is executing in this process, and the
+// wakeup channel its Run loop blocks on.
 type fleetJob struct {
-	id      string
-	spec    JobSpec
-	sess    *fault.Session
-	pending []fault.TrialRange
-	kick    chan struct{} // buffered-1 wakeup for the Run loop
+	id    string
+	spec  JobSpec
+	sess  *fault.Session
+	size  int              // lease size, fixed when the job joins
+	local fault.TrialRange // the range Run executes in process; empty when none
+	kick  chan struct{}    // buffered-1 wakeup for the Run loop
 }
 
 func (fj *fleetJob) wake() {
@@ -328,9 +334,10 @@ func (f *Fleet) touchLocked(id string) (*fleetWorker, error) {
 	return w, nil
 }
 
-// Lease grants the worker one trial range: the next pending range in
-// job order, else a work-stealing duplicate of the oldest straggling
-// lease. nil with nil error means no work right now — poll again.
+// Lease grants the worker one trial range: the first grantable range
+// in job order (nextRangeLocked), else a work-stealing duplicate of the
+// oldest straggling lease. nil with nil error means no work right now —
+// poll again.
 func (f *Fleet) Lease(workerID string) (*LeaseGrant, error) {
 	f.mu.Lock()
 	w, err := f.touchLocked(workerID)
@@ -343,13 +350,10 @@ func (f *Fleet) Lease(workerID string) (*LeaseGrant, error) {
 	var grant *LeaseGrant
 	var stole *Lease
 	for _, fj := range f.jobs {
-		if len(fj.pending) == 0 || fj.sess.BudgetExhausted() {
-			continue
+		if r, ok := f.nextRangeLocked(fj); ok {
+			grant = f.grantLocked(fj, w, r, false, now)
+			break
 		}
-		r := fj.pending[0]
-		fj.pending = fj.pending[1:]
-		grant = f.grantLocked(fj, w, r, false, now)
-		break
 	}
 	if grant == nil {
 		if victim := f.stealCandidateLocked(workerID, now); victim != nil {
@@ -376,6 +380,36 @@ func (f *Fleet) Lease(workerID string) (*LeaseGrant, error) {
 		f.count("fleet.leases_granted")
 	}
 	return grant, nil
+}
+
+// nextRangeLocked returns the job's first run of at most fj.size
+// pending trials that no active lease and not the local range covers,
+// cut from the session's records. A run never spans two pending ranges,
+// so every grant of a resumed campaign is fully pending. Caller holds
+// f.mu.
+func (f *Fleet) nextRangeLocked(fj *fleetJob) (fault.TrialRange, bool) {
+	busy := []fault.TrialRange{fj.local}
+	for _, id := range f.leaseOrder {
+		if l := f.leases[id]; l.JobID == fj.id && l.State == LeaseActive {
+			busy = append(busy, fault.TrialRange{Lo: l.Lo, Hi: l.Hi})
+		}
+	}
+	covered := func(t int) bool {
+		return slices.ContainsFunc(busy, func(r fault.TrialRange) bool { return r.Lo <= t && t < r.Hi })
+	}
+	for _, r := range fj.sess.Pending() {
+		for lo := r.Lo; lo < r.Hi; lo++ {
+			if covered(lo) {
+				continue
+			}
+			hi := lo + 1
+			for hi < min(r.Hi, lo+fj.size) && !covered(hi) {
+				hi++
+			}
+			return fault.TrialRange{Lo: lo, Hi: hi}, true
+		}
+	}
+	return fault.TrialRange{}, false
 }
 
 // grantLocked creates the lease record and wire grant; caller holds
@@ -455,8 +489,8 @@ func (f *Fleet) jobLocked(id string) *fleetJob {
 // Complete accepts one worker's shard for one lease. First complete
 // wins: a duplicate whose records match the committed ones is
 // acknowledged and discarded; a duplicate that contradicts them
-// quarantines the submitter, revokes the range, and requeues it. fresh
-// is how many trials the shard newly committed.
+// quarantines the submitter and revokes the range, whose trials are then
+// pending again. fresh is how many trials the shard newly committed.
 func (f *Fleet) Complete(workerID, leaseID string, sh *fault.ShardResult) (fresh int, err error) {
 	f.mu.Lock()
 	w, err := f.touchLocked(workerID)
@@ -498,20 +532,17 @@ func (f *Fleet) Complete(workerID, leaseID string, sh *fault.ShardResult) (fresh
 		// neither. Quarantine the later submitter, revoke the committed
 		// half, and re-run the range.
 		f.quarantineLocked(w, l, commitErr)
+		f.updateGaugesLocked()
 		f.mu.Unlock()
 		if err := sess.Revoke(l.Lo, l.Hi); err != nil {
 			f.log.Warn("revoke after shard mismatch failed", "lease", leaseID, "error", err.Error())
 		}
-		f.mu.Lock()
-		f.requeueLocked(fj, l)
-		f.updateGaugesLocked()
-		f.mu.Unlock()
+		fj.wake()
 		return 0, commitErr
 	case commitErr != nil:
 		// Validation failure: broken checksum, foreign golden
 		// fingerprint, fabricated records. The range was not touched.
 		f.quarantineLocked(w, l, commitErr)
-		f.requeueLocked(fj, l)
 		f.updateGaugesLocked()
 		f.mu.Unlock()
 		return 0, commitErr
@@ -538,10 +569,10 @@ func (f *Fleet) Complete(workerID, leaseID string, sh *fault.ShardResult) (fresh
 	return fresh, nil
 }
 
-// Fail records a worker's failure report for a lease: the range goes
-// back to the grant queue; a permanent failure quarantines the worker
-// (the coordinator compiled the same campaign successfully, so a worker
-// that cannot is not to be trusted with shards).
+// Fail records a worker's failure report for a lease: the lease is
+// reclaimed; a permanent failure quarantines the worker (the
+// coordinator compiled the same campaign successfully, so a worker that
+// cannot is not to be trusted with shards).
 func (f *Fleet) Fail(workerID, leaseID string, class Class, msg string) error {
 	f.mu.Lock()
 	w, err := f.touchLocked(workerID)
@@ -554,16 +585,12 @@ func (f *Fleet) Fail(workerID, leaseID string, class Class, msg string) error {
 		f.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownLease, leaseID)
 	}
-	fj := f.jobLocked(l.JobID)
 	if class == Permanent {
 		f.quarantineLocked(w, l, fmt.Errorf("worker-reported permanent failure: %s", msg))
 	} else if l.State == LeaseActive {
-		l.State = LeaseExpired
-		f.log.Warn("lease failed transiently; range requeued",
+		f.reclaimLocked(l)
+		f.log.Warn("lease failed transiently; range reclaimed",
 			"lease", leaseID, "worker", workerID, "error", msg)
-	}
-	if fj != nil {
-		f.requeueLocked(fj, l)
 	}
 	f.updateGaugesLocked()
 	f.mu.Unlock()
@@ -571,8 +598,7 @@ func (f *Fleet) Fail(workerID, leaseID string, class Class, msg string) error {
 }
 
 // quarantineLocked marks the worker untrusted and reclaims every active
-// lease it holds. Caller holds f.mu and then requeues via
-// requeueLocked as appropriate.
+// lease it holds, cause included. Caller holds f.mu.
 func (f *Fleet) quarantineLocked(w *fleetWorker, cause *Lease, why error) {
 	if w.State != WorkerQuarantined {
 		w.State = WorkerQuarantined
@@ -581,32 +607,23 @@ func (f *Fleet) quarantineLocked(w *fleetWorker, cause *Lease, why error) {
 			"worker", w.ID, "lease", cause.ID, "error", why.Error())
 	}
 	for _, id := range f.leaseOrder {
-		l := f.leases[id]
-		if l.Worker == w.ID && l.State == LeaseActive {
-			l.State = LeaseExpired
-			if fj := f.jobLocked(l.JobID); fj != nil {
-				f.requeueLocked(fj, l)
-			}
+		if l := f.leases[id]; l.Worker == w.ID && l.State == LeaseActive {
+			f.reclaimLocked(l)
 		}
 	}
 	if cause.State == LeaseActive {
-		cause.State = LeaseExpired
+		f.reclaimLocked(cause)
 	}
 }
 
-// requeueLocked returns a reclaimed lease's range to its job's grant
-// queue — unless the range is already complete (a sibling finished it)
-// or another active lease still covers it. Caller holds f.mu.
-func (f *Fleet) requeueLocked(fj *fleetJob, l *Lease) {
-	if fj.sess.RangeComplete(l.Lo, l.Hi) {
+// reclaimLocked expires an active lease and wakes its job: the trials
+// it covered that are still pending in the session are grantable again.
+// Caller holds f.mu.
+func (f *Fleet) reclaimLocked(l *Lease) {
+	l.State = LeaseExpired
+	if fj := f.jobLocked(l.JobID); fj != nil {
 		fj.wake()
-		return
 	}
-	if f.siblingLocked(l) != nil {
-		return // still in flight elsewhere
-	}
-	fj.pending = append([]fault.TrialRange{{Lo: l.Lo, Hi: l.Hi}}, fj.pending...)
-	fj.wake()
 }
 
 // Tick is the janitor pass: workers that missed their heartbeats are
@@ -620,7 +637,7 @@ func (f *Fleet) Tick() {
 	for _, id := range f.leaseOrder {
 		l := f.leases[id]
 		if l.State == LeaseActive && now.After(l.Deadline) {
-			f.log.Warn("lease expired; range requeued",
+			f.log.Warn("lease expired; range reclaimed",
 				"lease", l.ID, "worker", l.Worker, "lo", l.Lo, "hi", l.Hi)
 			f.expireLocked(l)
 		}
@@ -657,13 +674,11 @@ func (f *Fleet) loseSilentLocked(now time.Time) {
 	}
 }
 
-// expireLocked reclaims one active lease. Caller holds f.mu.
+// expireLocked reclaims one active lease whose worker or deadline is
+// gone, and counts it. Caller holds f.mu.
 func (f *Fleet) expireLocked(l *Lease) {
-	l.State = LeaseExpired
 	f.count("fleet.leases_expired")
-	if fj := f.jobLocked(l.JobID); fj != nil {
-		f.requeueLocked(fj, l)
-	}
+	f.reclaimLocked(l)
 }
 
 func (f *Fleet) wakeAllLocked() {
@@ -672,23 +687,17 @@ func (f *Fleet) wakeAllLocked() {
 	}
 }
 
-// Run drives one campaign through the fleet until every trial is
-// committed, the failure budget trips, or ctx is cancelled — then merges
-// and returns the Result through the session's Finish, exactly as
-// fault.Prepared.Run would have. While zero remote workers are live, the
-// coordinator runs pending ranges through the engine's own loop
-// (fault.Session.Run, a trial at a time over the session's runners);
-// they are not leases. A workerless fleet is therefore the
-// single-process campaign, and a mid-campaign worker registration picks
-// up the remaining ranges.
+// Run drives one campaign through the fleet until the session owes no
+// trial (every trial is committed or the failure budget tripped) or ctx
+// is cancelled — then merges and returns the Result through the
+// session's Finish, exactly as fault.Prepared.Run would have. While
+// zero remote workers are live, the coordinator runs pending ranges
+// through the engine's own loop (runLocal); they are not leases. A
+// workerless fleet is therefore the single-process campaign, and a
+// mid-campaign worker registration picks up the remaining ranges.
 func (f *Fleet) Run(ctx context.Context, spec JobSpec, sess *fault.Session) (*fault.Result, error) {
 	jobID := olog.FromContext(ctx).JobID
-	fj := &fleetJob{
-		id:   jobID,
-		spec: spec,
-		sess: sess,
-		kick: make(chan struct{}, 1),
-	}
+	fj := &fleetJob{id: jobID, spec: spec, sess: sess, kick: make(chan struct{}, 1)}
 	f.log.InfoContext(ctx, "campaign start", "trials", sess.Trials(), "resumed", sess.Completed())
 	f.addJob(fj)
 	defer f.dropJob(fj)
@@ -703,17 +712,8 @@ func (f *Fleet) Run(ctx context.Context, spec JobSpec, sess *fault.Session) (*fa
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 
-	for ctx.Err() == nil {
-		if f.settled(fj) {
-			break
-		}
-		if r, ok := f.claimLocal(fj); ok {
-			// Trials the run leaves unfinished stay pending in the
-			// session, where settled finds them, so the range is not
-			// requeued.
-			if err := sess.Run(ctx, fault.SplitLeases([]fault.TrialRange{r}, 1)); err != nil {
-				f.log.Warn("local range failed", "job", fj.id, "lo", r.Lo, "hi", r.Hi, "error", err.Error())
-			}
+	for ctx.Err() == nil && len(sess.Pending()) > 0 {
+		if f.runLocal(ctx, fj) {
 			continue
 		}
 		select {
@@ -726,25 +726,16 @@ func (f *Fleet) Run(ctx context.Context, spec JobSpec, sess *fault.Session) (*fa
 	return sess.Finish(ctx)
 }
 
-// addJob registers the campaign and splits its unfinished trials into
-// lease-sized grantable ranges.
+// addJob registers the campaign and fixes its lease size by the
+// engine's policy (fault.LeaseSize), counting the live remote workers
+// as executors.
 func (f *Fleet) addJob(fj *fleetJob) {
-	pending := fj.sess.Pending()
 	f.mu.Lock()
-	size := f.leaseSizeLocked(fj.spec, fj.sess.Trials())
-	fj.pending = fault.SplitLeases(pending, size)
+	fj.size = fault.LeaseSize(fj.spec.Lease, fj.sess.Trials(), f.liveWorkersLocked())
 	f.jobs = append(f.jobs, fj)
 	f.updateGaugesLocked()
 	f.mu.Unlock()
-	f.log.Info("campaign joined the fleet grant queue",
-		"job", fj.id, "ranges", len(fj.pending), "lease_size", size)
-}
-
-// leaseSizeLocked resolves the job's lease size by the engine's policy
-// (fault.LeaseSize), counting the live remote workers as executors.
-// Caller holds f.mu.
-func (f *Fleet) leaseSizeLocked(spec JobSpec, trials int) int {
-	return fault.LeaseSize(spec.Lease, trials, f.liveWorkersLocked())
+	f.log.Info("campaign joined the fleet", "job", fj.id, "lease_size", fj.size)
 }
 
 func (f *Fleet) liveWorkersLocked() int {
@@ -757,9 +748,9 @@ func (f *Fleet) liveWorkersLocked() int {
 	return n
 }
 
-// dropJob removes a finished campaign: its pending queue dies with it
-// and its outstanding leases are closed (late shards get
-// ErrUnknownLease and are dropped by the worker).
+// dropJob removes a finished campaign: its outstanding leases are
+// closed (late shards get ErrUnknownLease and are dropped by the
+// worker).
 func (f *Fleet) dropJob(fj *fleetJob) {
 	f.mu.Lock()
 	for i, o := range f.jobs {
@@ -805,53 +796,34 @@ func (f *Fleet) pruneLeasesLocked() {
 	f.leaseOrder = kept
 }
 
-// settled reports whether the campaign owes no more work: budget
-// exhausted, or no pending ranges and no outstanding leases. The last
-// case re-derives the session's pending set — trials a local range or
-// bookkeeping left uncovered are re-split and re-queued instead of
-// stalling the campaign.
-func (f *Fleet) settled(fj *fleetJob) bool {
-	if fj.sess.BudgetExhausted() {
-		return true
-	}
+// runLocal runs the job's next grantable range in this process through
+// the engine's own loop (fault.Session.Run, a trial at a time over the
+// session's runners) and reports whether it ran one. It runs nothing
+// while a remote worker is live (a live fleet owns the work; the
+// coordinator should not race it). The range is not a lease: it enters
+// no lease table, and fj.local keeps it from being granted while it
+// runs. Trials the run leaves unfinished (an exhausted failure budget, a
+// cancelled ctx) stay pending in the session, so the next grant starts
+// at the first of them.
+func (f *Fleet) runLocal(ctx context.Context, fj *fleetJob) bool {
 	f.mu.Lock()
-	if len(fj.pending) > 0 {
-		f.mu.Unlock()
+	r, ok := fault.TrialRange{}, false
+	if f.liveWorkersLocked() == 0 {
+		r, ok = f.nextRangeLocked(fj)
+	}
+	fj.local = r
+	f.mu.Unlock()
+	if !ok {
 		return false
 	}
-	for _, id := range f.leaseOrder {
-		l := f.leases[id]
-		if l.JobID == fj.id && l.State == LeaseActive {
-			f.mu.Unlock()
-			return false
-		}
-	}
-	f.mu.Unlock()
-	missing := fj.sess.Pending()
-	if len(missing) == 0 {
-		return true
-	}
+	err := fj.sess.Run(ctx, fault.SplitLeases([]fault.TrialRange{r}, 1))
 	f.mu.Lock()
-	size := f.leaseSizeLocked(fj.spec, fj.sess.Trials())
-	fj.pending = append(fj.pending, fault.SplitLeases(missing, size)...)
+	fj.local = fault.TrialRange{}
 	f.mu.Unlock()
-	f.log.Warn("fleet self-check requeued uncovered ranges", "job", fj.id, "ranges", len(missing))
-	return false
-}
-
-// claimLocal pops one pending range for Run to execute in this process
-// — only while zero remote workers are live (a live fleet owns the work;
-// the coordinator should not race it). The range is not a lease: it
-// enters no lease table.
-func (f *Fleet) claimLocal(fj *fleetJob) (fault.TrialRange, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.liveWorkersLocked() > 0 || len(fj.pending) == 0 || fj.sess.BudgetExhausted() {
-		return fault.TrialRange{}, false
+	if err != nil {
+		f.log.Warn("local range failed", "job", fj.id, "lo", r.Lo, "hi", r.Hi, "error", err.Error())
 	}
-	r := fj.pending[0]
-	fj.pending = fj.pending[1:]
-	return r, true
+	return true
 }
 
 // Status is the /fleet page payload and the /readyz fleet-health input.

@@ -16,8 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // fakeClock is the deterministic time source behind FleetConfig.Now: the
@@ -287,7 +290,7 @@ func TestFleetWorkStealingDuplicateCompletion(t *testing.T) {
 
 	// The straggler finally reports — with records that contradict the
 	// committed ones. Cross-validation quarantines it, revokes the range,
-	// and requeues it.
+	// and its trials are pending again.
 	lying := *good
 	lying.Records = append([]fault.TrialRecord(nil), good.Records...)
 	lying.Records[2].Stats.Cycles += 7
@@ -298,8 +301,8 @@ func TestFleetWorkStealingDuplicateCompletion(t *testing.T) {
 	if err := f.Heartbeat("w1"); !errors.Is(err, ErrWorkerQuarantined) {
 		t.Fatalf("quarantined heartbeat: err = %v, want ErrWorkerQuarantined", err)
 	}
-	if sess.RangeComplete(0, 16) {
-		t.Fatal("contradicted range still counted complete after revocation")
+	if p := sess.Pending(); len(p) != 1 || p[0] != (fault.TrialRange{Lo: 0, Hi: 16}) {
+		t.Fatalf("pending after revocation = %v, want [0,16)", p)
 	}
 
 	// The surviving worker re-runs the revoked range; the merge is still
@@ -322,8 +325,9 @@ func TestFleetWorkStealingDuplicateCompletion(t *testing.T) {
 
 // TestFleetHeartbeatAfterReclamationIsNoOp: a heartbeat arriving after
 // the worker was declared lost revives it without resurrecting its
-// reclaimed leases, and a late completion of a reclaimed lease followed
-// by the requeued re-grant merges every trial exactly once.
+// reclaimed leases, and once its late shard for a reclaimed lease
+// commits, that range is not granted again: every trial merges exactly
+// once.
 func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real campaign fleet test")
@@ -360,7 +364,7 @@ func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 	}
 
 	// The late heartbeat revives the worker — and nothing else: the
-	// reclaimed lease stays reclaimed and the range stays requeued.
+	// reclaimed lease stays reclaimed.
 	if err := f.Heartbeat("w1"); err != nil {
 		t.Fatalf("late heartbeat: %v", err)
 	}
@@ -375,20 +379,11 @@ func TestFleetHeartbeatAfterReclamationIsNoOp(t *testing.T) {
 	}
 
 	// The revived worker's late shard for the reclaimed lease commits the
-	// range (first data wins); the requeued duplicate grant then merges
-	// zero fresh trials — no double-merge.
-	sh := runShard(t, sess, 0, 8)
-	if fresh, err := f.Complete("w1", g1.LeaseID, sh); err != nil || fresh != 8 {
+	// range (first data wins), so the next grant is the rest of the
+	// campaign, not a duplicate of [0,8).
+	if fresh, err := f.Complete("w1", g1.LeaseID, runShard(t, sess, 0, 8)); err != nil || fresh != 8 {
 		t.Fatalf("late completion: fresh=%d err=%v", fresh, err)
 	}
-	dup, err := f.Lease("w1")
-	if err != nil || dup == nil || dup.Lo != 0 || dup.Hi != 8 {
-		t.Fatalf("requeued grant = %+v, %v; want [0,8)", dup, err)
-	}
-	if fresh, err := f.Complete("w1", dup.LeaseID, sh); err != nil || fresh != 0 {
-		t.Fatalf("requeued duplicate: fresh=%d err=%v, want 0 <nil>", fresh, err)
-	}
-
 	rest, err := f.Lease("w1")
 	if err != nil || rest == nil || rest.Lo != 8 || rest.Hi != 16 {
 		t.Fatalf("final grant = %+v, %v; want [8,16)", rest, err)
@@ -508,6 +503,109 @@ func TestFleetLocalRemoteHandOff(t *testing.T) {
 		if l.Worker != "w1" {
 			t.Errorf("lease %s held by %q, want only w1's grants", l.ID, l.Worker)
 		}
+	}
+}
+
+// stopHandler is a slog handler that counts the campaign's "trial
+// complete" records, cancels after the given number of them (0: never),
+// and keeps the messages of records at Warn or above.
+type stopHandler struct {
+	mu       sync.Mutex
+	after    int
+	cancel   context.CancelFunc
+	trials   int
+	warnings []string
+}
+
+func (h *stopHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *stopHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if r.Message == "trial complete" {
+		if h.trials++; h.trials == h.after {
+			h.cancel()
+		}
+	}
+	if r.Level >= slog.LevelWarn {
+		h.warnings = append(h.warnings, r.Message)
+	}
+	return nil
+}
+
+func (h *stopHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *stopHandler) WithGroup(string) slog.Handler      { return h }
+
+// TestFleetLocalRangeStoppedPartWay: a local range that stops part-way
+// leaves its unrun trials pending in the session, so the next grant
+// starts at the first pending trial, and the stop logs no warning. It
+// covers both stops. A cancelled Session.Run leaves trials 3 on
+// pending. An exhausted failure budget leaves the campaign owing
+// nothing, so nothing is granted, until a revocation (the answer to a
+// shard mismatch) makes trials pending again.
+func TestFleetLocalRangeStoppedPartWay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real campaign fleet test")
+	}
+	p, _ := workload.ByName("gcc")
+	for _, tc := range []struct {
+		name   string
+		scheme core.Scheme
+		sim    pipeline.Config
+		budget int // failure budget; every baseline trial crashes
+		cancel int // trials after which the run is cancelled
+	}{
+		{"cancelled", core.Turnpike, pipeline.TurnpikeConfig(4, 10), -1, 3},
+		{"budget", core.Baseline, pipeline.BaselineConfig(4), 3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			h := &stopHandler{after: tc.cancel, cancel: cancel}
+			log := slog.New(h)
+			c, err := core.Compile(p.Build(4), core.SchemeOptions(tc.scheme, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := fault.Prepare(context.Background(), c.Prog, fault.Config{Trials: 16, Seed: 5,
+				Sim: tc.sim, Workers: 1, FailureBudget: tc.budget, Logger: log}, p.SeedMemory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := prep.Open(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := NewFleet(FleetConfig{HeartbeatInterval: time.Hour, Logger: log, Now: newFakeClock().Now})
+			fj := addFleetJob(f, "job-local", JobSpec{Spec: fault.Spec{Bench: "gcc", Trials: 16}, Lease: 8}, sess)
+
+			if !f.runLocal(ctx, fj) {
+				t.Fatal("a workerless fleet ran no local range")
+			}
+			if got := sess.Completed(); got != 3 {
+				t.Fatalf("the local range [0,8) stopped after %d trials, want 3", got)
+			}
+			if _, err := f.Register("w1", ""); err != nil {
+				t.Fatal(err)
+			}
+			want := fault.TrialRange{Lo: 3, Hi: 11}
+			if tc.budget > 0 {
+				if g, err := f.Lease("w1"); err != nil || g != nil {
+					t.Fatalf("grant after the budget tripped = %+v, %v; want none", g, err)
+				}
+				if err := sess.Revoke(2, 3); err != nil {
+					t.Fatal(err)
+				}
+				want = fault.TrialRange{Lo: 2, Hi: 10}
+			}
+			g, err := f.Lease("w1")
+			if err != nil || g == nil || g.Lo != want.Lo || g.Hi != want.Hi {
+				t.Fatalf("grant = %+v, %v; want %v", g, err, want)
+			}
+			if len(h.warnings) > 0 {
+				t.Errorf("the stop logged warnings: %q", h.warnings)
+			}
+		})
 	}
 }
 

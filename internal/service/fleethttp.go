@@ -45,7 +45,7 @@ type WorkerRequest struct {
 }
 
 // CompleteRequest returns one lease's outcome: Shard on success, else a
-// classified failure report (the range is requeued; a permanent failure
+// classified failure report (the lease is reclaimed; a permanent failure
 // quarantines the worker).
 type CompleteRequest struct {
 	WorkerID string             `json:"worker_id"`

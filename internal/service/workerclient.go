@@ -258,7 +258,7 @@ func (w *WorkerClient) preparedFor(ctx context.Context, grant *LeaseGrant) (*fau
 
 // postShard returns a finished shard, retrying transient transport
 // failures with exponential backoff. Give-ups are safe: the lease
-// deadline requeues the range.
+// deadline reclaims the range.
 func (w *WorkerClient) postShard(ctx context.Context, grant *LeaseGrant, sh *fault.ShardResult) {
 	req := CompleteRequest{WorkerID: w.id, LeaseID: grant.LeaseID, Shard: sh}
 	delay := w.cfg.RetryBase
@@ -296,7 +296,7 @@ func (w *WorkerClient) postShard(ctx context.Context, grant *LeaseGrant, sh *fau
 			delay = 5 * time.Second
 		}
 	}
-	w.log.Warn("shard post abandoned; the lease deadline will requeue the range",
+	w.log.Warn("shard post abandoned; the lease deadline will reclaim the range",
 		"lease", grant.LeaseID)
 }
 
